@@ -46,7 +46,6 @@ from repro.h2h.indexing import h2h_indexing
 from repro.h2h.query import h2h_distance
 from repro.obs.bench import (
     compare_bench,
-    latency_percentiles,
     load_bench,
     pair_bench_dirs,
     write_bench,
@@ -346,8 +345,6 @@ def _report_flight(sink) -> None:
 
 
 def _cmd_serve_bench(args) -> int:
-    if args.fleet:
-        return _serve_bench_fleet(args)
     config = BenchConfig(
         oracle=args.oracle,
         vertices=args.vertices,
@@ -415,89 +412,6 @@ def _cmd_serve_bench(args) -> int:
         record = result.to_bench_record(
             args.bench_name or f"serve_{config.oracle}"
         )
-        path = write_bench(record, args.bench_out)
-        print(f"wrote bench record -> {path}")
-    return 0
-
-
-def _serve_bench_fleet(args) -> int:
-    """``repro serve-bench --fleet N``: the sharded-fleet scenario."""
-    from repro.fleet.bench import FleetBenchConfig, fleet_bench
-
-    config = FleetBenchConfig(
-        oracle=args.oracle,
-        vertices=args.vertices,
-        seed=args.seed,
-        shards=args.fleet,
-        queries=args.queries,
-        repeats=args.repeats,
-        updates=args.updates,
-        batch=args.batch,
-        backend=args.backend,
-        cache_capacity=args.cache_capacity,
-        processes=args.fleet_processes,
-        incremental=not args.fleet_full_rebuild,
-    )
-    sink = previous = None
-    if args.trace or args.flight_dir:
-        sink = _bench_sink(args)
-        previous = set_sink(sink)
-    try:
-        result = fleet_bench(config)
-    finally:
-        if sink is not None:
-            set_sink(previous)
-            sink.close()
-    mode = "processes" if config.processes else "in-process"
-    print(f"serve-bench --fleet {config.shards} [{config.oracle}, {mode}] "
-          f"{config.vertices} vertices, {config.queries} pairs x "
-          f"{config.repeats} passes, {config.updates} update batches of "
-          f"{config.batch}")
-    print(f"  partition           {result.shards} shards, "
-          f"{result.boundary_vertices} boundary vertices, "
-          f"sizes {result.shard_sizes}")
-    print(f"  build               {result.build_s:8.2f} s")
-    print(f"  cold (first batch)  {result.cold_per_query_s * 1e6:8.1f} us/query")
-    print(f"  warm (batched)      {result.warm_per_query_s * 1e6:8.1f} us/query")
-    print(f"  aggregate           {result.throughput_qps:8.1f} qps")
-    print(f"  cross-shard         {result.cross_shard_fraction:8.1%} "
-          f"(routes {result.routes})")
-    latency = latency_percentiles(result.query_samples_s)
-    if latency:
-        print(f"  single-query p50    {latency['p50']:8.1f} us  "
-              f"p99 {latency['p99']:8.1f} us")
-    publish = latency_percentiles(result.publish_samples_s)
-    if publish:
-        print(f"  fleet publish p50   {publish['p50'] / 1e3:8.1f} ms  "
-              f"max {publish['max'] / 1e3:8.1f} ms")
-    small = latency_percentiles(result.small_publish_samples_s)
-    if small:
-        print(f"  1-edge publish mean {small['mean'] / 1e3:8.1f} ms  "
-              f"max {small['max'] / 1e3:8.1f} ms")
-    boundary = latency_percentiles(result.boundary_samples_s)
-    if boundary:
-        ratios = result.refresh_ratios()
-        ratio_txt = ""
-        if ratios:
-            ratio_txt = (f"  ops/aff {ratios['ops_per_aff_budget']:6.2f}  "
-                         f"ops/diff {ratios['ops_per_diff_budget']:6.2f}")
-        print(f"  boundary refresh    {boundary['p50'] / 1e3:8.1f} ms p50  "
-              f"max {boundary['max'] / 1e3:8.1f} ms{ratio_txt}")
-    if args.json:
-        _ensure_parent(args.json)
-        with open(args.json, "w") as handle:
-            json.dump(result.as_dict(), handle, indent=2)
-        print(f"wrote stats -> {args.json}")
-    if args.trace:
-        print(f"wrote trace -> {args.trace}")
-    _report_flight(sink)
-    if args.metrics:
-        _ensure_parent(args.metrics)
-        with open(args.metrics, "w") as handle:
-            json.dump(result.metrics, handle, indent=2, sort_keys=True)
-        print(f"wrote metrics snapshot -> {args.metrics}")
-    if args.bench_out:
-        record = result.to_bench_record(args.bench_name or "serve_fleet")
         path = write_bench(record, args.bench_out)
         print(f"wrote bench record -> {path}")
     return 0
@@ -590,11 +504,9 @@ def _cmd_perf_bench(args) -> int:
         factor=args.factor,
         stream_edges=args.stream_edges,
         stream_reports=args.stream_reports,
-        processors=args.processors,
     )
     record = perf_bench(config)
     coalescing = record.extra["coalescing"]
-    parallel = record.extra["parallel"]
     print(f"perf-bench [inch2h] {config.vertices} vertices, "
           f"{config.latency_updates} latency updates, stream of "
           f"{coalescing['raw_updates']} raw updates over "
@@ -606,13 +518,6 @@ def _cmd_perf_bench(args) -> int:
     print(f"  update throughput   {coalescing['sequential_updates_per_s']:8.1f} "
           f"updates/s sequential, {coalescing['batched_updates_per_s']:8.1f} "
           f"coalesced ({coalescing['batch_speedup']:.1f}x)")
-    if parallel.get("skipped"):
-        print(f"  parallel            skipped ({parallel['skipped']})")
-    elif parallel:
-        print(f"  parallel (P={parallel['processors']})      "
-              f"{parallel['measured_speedup']:.2f}x measured, "
-              f"{parallel['model_speedup']:.2f}x LPT model, "
-              f"exact={parallel['exact_match']}")
     if args.bench_out:
         record.name = args.bench_name or record.name
         path = write_bench(record, args.bench_out)
@@ -1045,24 +950,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--stretch-queries", type=int, default=1200,
                          help="differential queries across the "
                               "degraded/catch-up/healthy transitions")
-    p_serve.add_argument("--fleet", type=int, default=0, metavar="N",
-                         help="run the sharded-fleet scenario with N "
-                              "shards instead (docs/sharding.md); emits "
-                              "BENCH_serve_fleet.json with --bench-out")
-    p_serve.add_argument("--fleet-processes", action="store_true",
-                         help="with --fleet: host each shard server in "
-                              "its own spawned worker process")
-    p_serve.add_argument("--fleet-full-rebuild", action="store_true",
-                         help="with --fleet: disable the AFF-scoped "
-                              "incremental boundary refresh and rebuild "
-                              "the boundary table from scratch on every "
-                              "publish (the reference path)")
     p_serve.set_defaults(func=_cmd_serve_bench)
 
     p_perf = sub.add_parser(
         "perf-bench",
-        help="benchmark the maintenance path: IncH2H latency, batch "
-             "coalescing, multiprocess ParIncH2H",
+        help="benchmark the maintenance path: IncH2H latency and batch "
+             "coalescing",
     )
     p_perf.add_argument("--vertices", type=int, default=400)
     p_perf.add_argument("--seed", type=int, default=7)
@@ -1074,8 +967,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="distinct edges in the coalescing stream")
     p_perf.add_argument("--stream-reports", type=int, default=3,
                         help="re-reports per edge in the raw stream")
-    p_perf.add_argument("--processors", type=int, default=2,
-                        help="workers for the multiprocess phase (0 skips)")
     p_perf.add_argument("--bench-out", default=None,
                         help="directory to write BENCH_<name>.json into")
     p_perf.add_argument("--bench-name", default=None,

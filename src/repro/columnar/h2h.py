@@ -116,18 +116,6 @@ class ColumnarH2HIndex(H2HIndex):
             self._page_for_write(name)
         self.sc.prepare_write()
 
-    def adopt_arrays(self, dis: np.ndarray, sup: np.ndarray) -> None:
-        """Replace the matrix pages outright (parallel backend swap-in).
-
-        The new arrays are privately owned by construction (shared
-        memory views during a parallel batch, fresh copies at close), so
-        the shared-page marks are cleared rather than honored.
-        """
-        self.dis = dis
-        self.sup = sup
-        self._shared.discard("dis")
-        self._shared.discard("sup")
-
     def clone(self) -> "ColumnarH2HIndex":
         """A zero-copy clone: matrices and shortcut pages are shared."""
         dup = ColumnarH2HIndex(self.sc.clone(), self.tree, self.dis, self.sup)

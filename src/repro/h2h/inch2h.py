@@ -327,8 +327,7 @@ def _decrease_seed_scan(index, changed_shortcuts, queue, original, ops) -> dict:
     Returns ``seed_rows``, a ``(u, v) -> candidate row`` memo: the pop
     loops use it to tell whether a seed already applied a candidate at
     its final value (the candidate's sd entry may have been finalized by
-    an earlier seed) and must not apply it twice.  Shared by the
-    sequential propagate loop and the multiprocess ParIncH2H backend.
+    an earlier seed) and must not apply it twice.
     """
     rank = index.sc.ordering.rank
     depth = index.tree.depth

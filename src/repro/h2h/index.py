@@ -93,16 +93,6 @@ class H2HIndex:
         snapshot so maintenance never mutates a served epoch.
         """
 
-    def adopt_arrays(self, dis: np.ndarray, sup: np.ndarray) -> None:
-        """Replace the ``dis``/``sup`` matrices outright.
-
-        Used by the parallel IncH2H backend to swap shared-memory views
-        in for a batch and private copies back out at close; the
-        columnar backend additionally clears its shared-page marks.
-        """
-        self.dis = dis
-        self.sup = sup
-
     @property
     def n(self) -> int:
         """Number of vertices."""

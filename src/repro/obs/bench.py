@@ -148,9 +148,7 @@ class BenchComparison:
 
         The gate watches ``latency_us.p95`` (higher is worse),
         ``throughput_qps`` (lower is worse), and any flattened
-        ``extra.*publish_latency_us.mean`` (higher is worse — this is
-        how CI holds the fleet's incremental boundary refresh to its
-        publish-latency win).
+        ``extra.*publish_latency_us.mean`` (higher is worse).
         """
         bad: List[BenchDelta] = []
         for delta in self.deltas:
@@ -181,8 +179,8 @@ def _flatten(record: dict) -> Dict[str, float]:
     if isinstance(tput, (int, float)) and not isinstance(tput, bool):
         flat["throughput_qps"] = float(tput)
     # Numeric extras (one level of nesting) so comparable harness-
-    # specific figures — e.g. the fleet's publish-latency percentiles —
-    # show up as extra.<key>[.<subkey>] deltas and can be gated.
+    # specific figures — e.g. publish-latency percentiles — show up
+    # as extra.<key>[.<subkey>] deltas and can be gated.
     for key, value in (record.get("extra") or {}).items():
         if isinstance(value, (int, float)) and not isinstance(value, bool):
             flat[f"extra.{key}"] = float(value)

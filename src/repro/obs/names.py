@@ -24,7 +24,6 @@ __all__ = [
     "SERVER_METRICS",
     "SLO_METRICS",
     "OBS_METRICS",
-    "FLEET_METRICS",
     "SPANS",
 ]
 
@@ -109,47 +108,8 @@ OBS_METRICS = frozenset(
     }
 )
 
-# ----------------------------------------------------------------------
-# Fleet metrics (registered by repro.fleet.coordinator.FleetCoordinator,
-# docs/sharding.md)
-# ----------------------------------------------------------------------
-FLEET_QUERIES = "repro_fleet_queries_total"
-FLEET_QUERY_LATENCY = "repro_fleet_query_latency_seconds"
-FLEET_PUBLISHES = "repro_fleet_publishes_total"
-FLEET_PUBLISH_DURATION = "repro_fleet_publish_duration_seconds"
-FLEET_EPOCH = "repro_fleet_epoch"
-FLEET_SHARDS = "repro_fleet_shards"
-FLEET_BOUNDARY_VERTICES = "repro_fleet_boundary_vertices"
-FLEET_BOUNDARY_REBUILD = "repro_fleet_boundary_rebuild_seconds"
-FLEET_SHARD_UPDATES = "repro_fleet_shard_updates_total"
-
-# Incremental boundary refresh (docs/sharding.md § Incremental boundary
-# refresh): Dijkstra row sources rerun, closure/OUTD cells relaxed, and
-# stage-level reversions to the full rebuild path.
-FLEET_BOUNDARY_ROWS_REFRESHED = "repro_fleet_boundary_rows_refreshed_total"
-FLEET_BOUNDARY_CLOSURE_CELLS = "repro_fleet_boundary_closure_cells_total"
-FLEET_BOUNDARY_FULL_REBUILDS = "repro_fleet_boundary_full_rebuilds_total"
-
-#: Metrics registered by :class:`repro.fleet.coordinator.FleetCoordinator`.
-FLEET_METRICS = frozenset(
-    {
-        FLEET_QUERIES,
-        FLEET_QUERY_LATENCY,
-        FLEET_PUBLISHES,
-        FLEET_PUBLISH_DURATION,
-        FLEET_EPOCH,
-        FLEET_SHARDS,
-        FLEET_BOUNDARY_VERTICES,
-        FLEET_BOUNDARY_REBUILD,
-        FLEET_SHARD_UPDATES,
-        FLEET_BOUNDARY_ROWS_REFRESHED,
-        FLEET_BOUNDARY_CLOSURE_CELLS,
-        FLEET_BOUNDARY_FULL_REBUILDS,
-    }
-)
-
 #: Every metric name the library itself registers.
-METRICS = SERVER_METRICS | SLO_METRICS | OBS_METRICS | FLEET_METRICS
+METRICS = SERVER_METRICS | SLO_METRICS | OBS_METRICS
 
 # ----------------------------------------------------------------------
 # Maintenance spans (one per algorithm/direction, plus per-phase spans)
@@ -169,7 +129,6 @@ SPAN_INCH2H_DECREASE_SEED = "inch2h.decrease.seed"
 SPAN_INCH2H_DECREASE_PROPAGATE = "inch2h.decrease.propagate"
 
 SPAN_PARINCH2H_SIMULATE = "parinch2h.simulate"
-SPAN_PARINCH2H_APPLY = "parinch2h.apply"
 
 SPAN_DIRECTED_DCH_INCREASE = "directed.dch.increase"
 SPAN_DIRECTED_DCH_DECREASE = "directed.dch.decrease"
@@ -185,17 +144,6 @@ SPAN_SERVE_CATCHUP = "serve.catchup"
 SPAN_DEGRADE_CLASSIFY = "degrade.classify"
 
 SPAN_RESILIENT_FALLBACK = "resilient.fallback"
-
-# Fleet spans (docs/sharding.md): a fleet query opens fleet.query and,
-# for non-local routes, resolves through the boundary table; a fleet
-# publish opens fleet.apply wrapping the two phases (fleet.prepare with
-# a nested fleet.boundary.rebuild, then fleet.commit).
-SPAN_FLEET_QUERY = "fleet.query"
-SPAN_FLEET_APPLY = "fleet.apply"
-SPAN_FLEET_PREPARE = "fleet.prepare"
-SPAN_FLEET_COMMIT = "fleet.commit"
-SPAN_FLEET_BOUNDARY_REBUILD = "fleet.boundary.rebuild"
-SPAN_FLEET_BOUNDARY_INCREMENTAL = "fleet.boundary.incremental"
 
 #: Every span name the library itself opens.
 SPANS = frozenset(
@@ -213,7 +161,6 @@ SPANS = frozenset(
         SPAN_INCH2H_DECREASE_SEED,
         SPAN_INCH2H_DECREASE_PROPAGATE,
         SPAN_PARINCH2H_SIMULATE,
-        SPAN_PARINCH2H_APPLY,
         SPAN_DIRECTED_DCH_INCREASE,
         SPAN_DIRECTED_DCH_DECREASE,
         SPAN_DIRECTED_INCH2H_INCREASE,
@@ -225,11 +172,5 @@ SPANS = frozenset(
         SPAN_SERVE_CATCHUP,
         SPAN_DEGRADE_CLASSIFY,
         SPAN_RESILIENT_FALLBACK,
-        SPAN_FLEET_QUERY,
-        SPAN_FLEET_APPLY,
-        SPAN_FLEET_PREPARE,
-        SPAN_FLEET_COMMIT,
-        SPAN_FLEET_BOUNDARY_REBUILD,
-        SPAN_FLEET_BOUNDARY_INCREMENTAL,
     }
 )

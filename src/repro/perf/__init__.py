@@ -1,7 +1,6 @@
-"""Performance layer: vectorized kernels, batch coalescing, multiprocess
-ParIncH2H.
+"""Performance layer: vectorized kernels and batch coalescing.
 
-Three coordinated pieces (see ``docs/performance.md``):
+Two coordinated pieces (see ``docs/performance.md``):
 
 * :mod:`repro.perf.kernels` — numpy kernels evaluating Equation (*)
   for a whole (vertex, ancestor-slice) at once; the scalar inner loops
@@ -11,12 +10,6 @@ Three coordinated pieces (see ``docs/performance.md``):
 * :mod:`repro.perf.coalesce` — merge a ``Sequence[WeightUpdate]`` into
   one deduplicated per-edge net-change batch so DCH±/IncH2H± run one
   CHANGED/AFF propagation per batch instead of per update.
-* :mod:`repro.perf.parallel` — the real multiprocess ParIncH2H backend
-  (Section 5.3): ``shared_memory``-backed ``dis``/``sup`` matrices,
-  level-synchronous barriers, per-vertex work groups pinned to worker
-  processes.  Imported lazily (``from repro.perf import parallel``)
-  because it depends on :mod:`repro.h2h`, which itself uses the
-  kernels of this package.
 
 Every fast path is differentially tested bit-identical against the
 scalar reference (``evaluate_entry`` / per-update application), which

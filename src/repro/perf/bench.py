@@ -10,11 +10,7 @@ target, on one seeded road network:
 * **batch coalescing** — the same raw re-report stream applied one
   update at a time vs once through
   :func:`repro.perf.coalesce.coalesce_updates`; ``batch_speedup`` is
-  the committed acceptance number (>= 2x on the tier-1 network);
-* **multiprocess ParIncH2H** — measured wall time of
-  :class:`repro.perf.parallel.ParallelIncH2H` against the sequential
-  apply of the same batch, cross-checked against the Section 5.3 LPT
-  model (skipped where shared memory is unavailable).
+  the committed acceptance number (>= 2x on the tier-1 network).
 
 Everything is seeded; the result lands as ``BENCH_inch2h.json`` via
 :func:`repro.obs.bench.write_bench` and feeds the bench-trajectory CI
@@ -23,17 +19,13 @@ gate next to the serving records.
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import List
 
-import numpy as np
-
 from repro.core.dynamic import DynamicH2H
 from repro.graph.generators import road_network
-from repro.h2h.inch2h import inch2h_increase
 from repro.obs.bench import BenchRecord, latency_percentiles
 from repro.workloads.updates import sample_edges
 
@@ -50,7 +42,6 @@ class PerfBenchConfig:
     factor: float = 2.0  #: weight-increase factor per sampled update
     stream_edges: int = 16  #: distinct edges in the coalescing stream
     stream_reports: int = 3  #: re-reports per edge in the raw stream
-    processors: int = 2  #: workers for the multiprocess phase (0 = skip)
 
 
 def _pairs(edges) -> List:
@@ -117,44 +108,6 @@ def perf_bench(config: PerfBenchConfig = PerfBenchConfig()) -> BenchRecord:
         "batch_speedup": sequential_s / batched_s,
     }
 
-    # Phase 3: multiprocess ParIncH2H vs the sequential apply of one
-    # increase batch, plus the LPT model's prediction for cross-check.
-    parallel: dict = {}
-    if config.processors > 0:
-        from repro.perf.parallel import ParallelIncH2H, shared_memory_available
-
-        if not shared_memory_available():
-            parallel = {"skipped": "shared_memory unavailable"}
-        else:
-            batch = [
-                (edge, graph.weight(*edge) * config.factor)
-                for edge in _pairs(
-                    sample_edges(graph, config.stream_edges, rng=rng)
-                )
-            ]
-            seq_index = oracle.index.clone()
-            t0 = perf_counter()
-            inch2h_increase(seq_index, batch)
-            seq_s = perf_counter() - t0
-            par_index = oracle.index.clone()
-            with ParallelIncH2H(par_index, processors=config.processors) as backend:
-                report = backend.apply(batch, "increase")
-            parallel = {
-                "processors": config.processors,
-                "cpu_count": os.cpu_count() or 1,
-                "batch_edges": len(batch),
-                "levels": report.levels,
-                "sequential_s": seq_s,
-                "parallel_s": report.wall_seconds,
-                "propagate_s": report.propagate_seconds,
-                "measured_speedup": seq_s / report.wall_seconds,
-                "model_speedup": report.model_speedup,
-                "exact_match": bool(
-                    np.array_equal(seq_index.dis, par_index.dis)
-                    and np.array_equal(seq_index.sup, par_index.sup)
-                ),
-            }
-
     index = oracle.index
     return BenchRecord(
         name="inch2h",
@@ -169,6 +122,5 @@ def perf_bench(config: PerfBenchConfig = PerfBenchConfig()) -> BenchRecord:
         extra={
             "build_s": build_s,
             "coalescing": coalescing,
-            "parallel": parallel,
         },
     )

@@ -12,12 +12,6 @@ keeps them *queryable* while maintenance is in flight:
 * :mod:`repro.serve.server` — :class:`DistanceServer`: the batched,
   thread-pooled front end with per-epoch counters.
 * :mod:`repro.serve.bench` — the ``repro serve-bench`` harness.
-
-One :class:`DistanceServer` is also the per-shard unit of the sharded
-fleet (:mod:`repro.fleet`, docs/sharding.md): the fleet's two-phase
-epoch swap leans on exactly this package's guarantee that retired epoch
-snapshots stay queryable — the invariant ``tests/test_fleet_epochs.py``
-audits from the outside.
 """
 
 from repro.serve.aff import (

@@ -23,12 +23,7 @@ the whole index.  :func:`snapshot_pages_shared` makes that property
 observable for tests and diagnostics.
 
 Retired snapshots are never invalidated — a reader holding one keeps
-getting exact answers for that epoch indefinitely.  That guarantee is
-what the fleet's two-phase publish (docs/sharding.md) builds on: shard
-servers publish internally during *prepare* while fleet readers stay on
-the snapshots pinned inside their fleet snapshot, and the *commit* swap
-is safe precisely because the superseded shard snapshots remain
-queryable (audited by ``tests/test_fleet_epochs.py``).
+getting exact answers for that epoch indefinitely.
 """
 
 from __future__ import annotations

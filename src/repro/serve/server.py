@@ -27,15 +27,6 @@ the rest is parked in a deferral journal, bounding publish cost while
 :meth:`distance_bounded` stamps every answer with the journal's ε.
 When the backlog subsides below the low watermark, one coalesced
 catch-up apply folds the journal back in and the server is exact again.
-
-One server is also one *shard* of the fleet (:mod:`repro.fleet`,
-docs/sharding.md).  Two properties of this class carry the fleet's
-two-phase publish invariant — checked by ``tests/test_fleet_epochs.py``:
-:meth:`apply` publishes only *server-internally* (fleet readers reach a
-shard solely through the pinned :class:`EpochSnapshot` in their fleet
-snapshot), and :meth:`distance_on` keeps answering on retired
-snapshots, so a fleet commit can swap every shard's snapshot in one
-atomic reference assignment without a reader ever mixing epochs.
 """
 
 from __future__ import annotations
@@ -130,10 +121,6 @@ class ServeReport:
     #: the same edge / zero net change) — docs/performance.md § Coalescing.
     superseded: int = 0
     dropped: int = 0
-    #: The publish's V_aff as vertex ids (None: unknown / nothing
-    #: published).  Consumed by the fleet coordinator to scope the
-    #: boundary-table refresh to what this shard actually touched.
-    aff_vertices: Optional[frozenset] = field(default=None, repr=False)
 
 
 class DistanceServer:
@@ -557,7 +544,6 @@ class DistanceServer:
                 report=report,
                 state=self.state.value,
                 epsilon=self.epsilon,
-                aff_vertices=None if aff is None else frozenset(aff),
                 superseded=superseded,
                 dropped=dropped,
             )

@@ -132,20 +132,20 @@ class TestCompare:
         comparison = compare_bench(*self._pair(), threshold=0.0)
         assert comparison.ok
 
-    def _publish_pair(self, old_mean, new_mean, key="fleet_publish_latency_us"):
+    def _publish_pair(self, old_mean, new_mean, key="publish_latency_us"):
         old = {"name": "unit", "extra": {key: {"mean": old_mean}}}
         new = {"name": "unit", "extra": {key: {"mean": new_mean}}}
         return old, new
 
     def test_publish_latency_mean_regression_flags(self):
-        # extra.*publish_latency_us.mean is gated — a fleet publish that
+        # extra.*publish_latency_us.mean is gated — a publish that
         # got slower past the threshold is a regression, not a footnote.
         comparison = compare_bench(
             *self._publish_pair(10_000.0, 25_000.0), threshold=0.5
         )
         assert not comparison.ok
         assert [d.metric for d in comparison.regressions] == [
-            "extra.fleet_publish_latency_us.mean"
+            "extra.publish_latency_us.mean"
         ]
         small = compare_bench(
             *self._publish_pair(

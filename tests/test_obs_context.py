@@ -232,38 +232,6 @@ class TestProcessBoundary:
         assert parent_id is None
 
 
-class TestParIncH2HBoundary:
-    """The multiprocess backend's span nests under the caller's trace.
-
-    ParIncH2H opens ``parinch2h.apply`` in the coordinator process; the
-    spawned workers never open spans, so the process boundary must be
-    invisible to tracing — the apply span simply joins the ambient
-    trace, and the whole batch must run without crashing while a sink
-    and an outer span are attached.
-    """
-
-    def test_apply_joins_the_ambient_trace(self):
-        from repro.h2h.indexing import h2h_indexing
-        from repro.perf.parallel import ParallelIncH2H, shared_memory_available
-
-        if not shared_memory_available():
-            pytest.skip("shared memory unavailable")
-        index = h2h_indexing(grid_network(4, 4, seed=3))
-        edge = next(iter(sorted(index.sc._edge_w)))
-        sink = MemorySink()
-        with use_sink(sink):
-            with ParallelIncH2H(index, processors=2) as par:
-                with span("serve.apply") as outer:
-                    par.apply([(edge, index.sc.edge_weight(*edge) * 2.0)],
-                              "increase")
-                    outer_trace = outer.trace_id
-                    outer_span = outer.span_id
-        applies = [r for r in sink.records if r["span"] == "parinch2h.apply"]
-        assert len(applies) == 1
-        assert applies[0]["trace_id"] == outer_trace
-        assert applies[0]["parent_id"] == outer_span
-
-
 class TestTreeReconstruction:
     def _record(self, span_name, trace_id, span_id, parent_id, ts):
         return {

@@ -74,6 +74,15 @@ class TestFitEnvelope:
         envelope = fit_envelope(COMMITTED_BENCH_DIR)
         assert envelope.c_aff > 0 and envelope.c_diff > 0
 
+    def test_committed_envelope_stays_tight(self):
+        # Every committed ratio block comes from one server's DCH±/IncH2H±
+        # maintenance, which stays within a small constant of its
+        # linearithmic ‖AFF‖ budget.  A record from a path with a looser
+        # budget would widen the envelope by orders of magnitude and
+        # blind the sentinel to real violations.
+        envelope = fit_envelope(COMMITTED_BENCH_DIR)
+        assert envelope.c_aff < 10, envelope
+
 
 class TestVerdicts:
     def _sentinel(self, **kwargs):

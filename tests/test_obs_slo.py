@@ -293,17 +293,19 @@ class TestCli:
 @pytest.mark.slow
 class TestOverloadIntegration:
     def test_overload_bench_fires_then_clears(self):
-        from repro.serve.bench import overload_bench
+        from repro.serve.bench import BenchConfig, overload_bench
 
         result = overload_bench(
-            vertices=60,
-            oracle="ch",
-            seed=3,
-            overload_batches=8,
-            overload_batch=4,
-            stretch_queries=30,
-            high_watermark=2,
-            low_watermark=1,
+            BenchConfig(
+                vertices=60,
+                oracle="ch",
+                seed=3,
+                overload_batches=8,
+                overload_batch=4,
+                stretch_queries=30,
+                high_watermark=2,
+                low_watermark=1,
+            )
         )
         fired = {
             t["rule"] for t in result.slo["transitions"]

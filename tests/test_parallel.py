@@ -9,6 +9,7 @@ from repro.h2h.indexing import h2h_indexing
 from repro.h2h.parallel import (
     ParallelReport,
     build_report,
+    lpt_assign,
     lpt_makespan,
     simulate_parallel_update,
 )
@@ -38,6 +39,36 @@ class TestLptMakespan:
             makespan = lpt_makespan(costs, p)
             assert makespan >= max(costs)
             assert makespan >= sum(costs) / p
+
+
+class TestLptAssign:
+    def test_partitions_every_item_once(self):
+        costs = [5.0, 3.0, 8.0, 1.0, 4.0, 4.0]
+        buckets = lpt_assign(costs, 3)
+        assert len(buckets) == 3
+        flat = sorted(i for bucket in buckets for i in bucket)
+        assert flat == list(range(len(costs)))
+
+    def test_deterministic(self):
+        costs = [2.0, 2.0, 2.0, 7.0, 1.0]
+        assert lpt_assign(costs, 2) == lpt_assign(costs, 2)
+
+    def test_consistent_with_lpt_makespan(self):
+        costs = [5.0, 3.0, 8.0, 1.0, 4.0, 4.0, 2.5]
+        for processors in (1, 2, 3, 4):
+            buckets = lpt_assign(costs, processors)
+            makespan = max(
+                sum(costs[i] for i in bucket) for bucket in buckets
+            )
+            assert makespan == lpt_makespan(costs, processors)
+
+    def test_single_processor_gets_everything(self):
+        buckets = lpt_assign([1.0, 2.0, 3.0], 1)
+        assert sorted(buckets[0]) == [0, 1, 2]
+
+    def test_rejects_nonpositive_processors(self):
+        with pytest.raises(UpdateError):
+            lpt_assign([1.0], 0)
 
 
 class TestReport:

@@ -4,9 +4,9 @@ Every kernel in :mod:`repro.perf.kernels` claims bit-identity with a
 scalar reference path that stays in the codebase for exactly this
 purpose (``H2HIndex.evaluate_entry``, ``DirectedH2HIndex.evaluate_entry``,
 per-triple dict lookups).  These tests sweep whole indexes and assert
-the identity exactly — ``==`` on floats, no tolerances — plus a tier-1
-microbench gate: the vectorized row evaluation must not lose to the
-scalar loop even on a small network.
+the identity exactly — ``==`` on floats, no tolerances — plus a
+slow-suite microbench gate: the vectorized row evaluation must not lose
+to the scalar loop even on a small network.
 """
 
 from __future__ import annotations
@@ -140,10 +140,12 @@ class TestRelaxArrays:
         assert currents[0] == 4.0
 
 
+@pytest.mark.slow
 class TestMicrobenchGate:
     def test_vectorized_row_not_slower_than_scalar(self):
-        """Tier-1 gate: whole-row Equation (*) evaluation must never lose
-        to the per-entry scalar loop, even on a small network."""
+        """Whole-row Equation (*) evaluation must never lose to the
+        per-entry scalar loop, even on a small network.  A wall-clock
+        ratio, so it runs with the slow suite, not tier-1."""
         index = h2h_indexing(road_network(400, seed=7))
         depth = index.tree.depth
         rows = [

@@ -323,15 +323,15 @@ def test_server_close_falls_back_to_serial(small_grid):
 # ----------------------------------------------------------------------
 # serve_bench
 # ----------------------------------------------------------------------
+_SMOKE_CONFIG = BenchConfig(
+    oracle="ch", vertices=120, queries=60, repeats=2,
+    updates=1, batch=3, workers=2,
+    throughput_edges=4, throughput_reports=2,
+)
+
+
 def test_serve_bench_smoke():
-    result = serve_bench(
-        BenchConfig(
-            oracle="ch", vertices=120, queries=60, repeats=2,
-            updates=1, batch=3, workers=2,
-            throughput_edges=4, throughput_reports=2,
-        )
-    )
-    assert result.speedup > 2.0
+    result = serve_bench(_SMOKE_CONFIG)
     assert len(result.publishes) == 1
     assert result.publishes[0]["epoch"] == 1
     assert math.isfinite(result.baseline_per_query_s)
@@ -344,6 +344,12 @@ def test_serve_bench_smoke():
     assert throughput["raw_updates"] == 8
     assert throughput["distinct_edges"] == 4
     assert throughput["batch_speedup"] > 0
+
+
+@pytest.mark.slow
+def test_serve_bench_cache_speedup():
+    # A wall-clock ratio, so it runs with the slow suite, not tier-1.
+    assert serve_bench(_SMOKE_CONFIG).speedup > 2.0
 
 
 def test_serve_bench_rejects_unknown_oracle():

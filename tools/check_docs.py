@@ -49,7 +49,6 @@ REQUIRED_DOCS = (
     "docs/degraded-mode.md",
     "docs/observability.md",
     "docs/performance.md",
-    "docs/sharding.md",
     "docs/slo.md",
 )
 
@@ -173,10 +172,8 @@ def check_observability_catalogue() -> List[str]:
 def check_registry_matches_catalogue() -> List[str]:
     """A fully-wired serving stack registers exactly the catalogued
     metrics: the server's own families plus the SLO engine, flight
-    recorder, boundedness sentinel and a fleet coordinator sharing its
-    registry."""
+    recorder and boundedness sentinel sharing its registry."""
     from repro.core.dynamic import DynamicCH
-    from repro.fleet.coordinator import FleetCoordinator
     from repro.graph.generators import grid_network
     from repro.obs import names
     from repro.obs.flight import FlightRecorder
@@ -190,14 +187,6 @@ def check_registry_matches_catalogue() -> List[str]:
         Envelope(c_aff=1.0, c_diff=1.0), registry=server.metrics
     )
     FlightRecorder(sentinel=sentinel, registry=server.metrics)
-    fleet = FleetCoordinator(
-        grid_network(4, 4, seed=0),
-        shards=2,
-        oracle="ch",
-        workers=1,
-        registry=server.metrics,
-    )
-    fleet.close()
     registered = set(server.metrics.names())
     errors = []
     for metric in sorted(names.METRICS - registered):

@@ -15,6 +15,8 @@ import os
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.ch.dch import dch_decrease, dch_increase
 from repro.ch.indexing import ch_indexing
 from repro.ch.query import ch_distance, ch_path
@@ -274,6 +276,11 @@ class DynamicH2H:
     def distance(self, s: int, t: int) -> float:
         """Shortest distance from the distance arrays (no search)."""
         return h2h_distance(self.index, s, t, self.counter)
+
+    def distance_many(self, sources, targets) -> np.ndarray:
+        """:meth:`distance` for every pair ``(sources[i], targets[i])``
+        in one vectorised scan (:meth:`H2HIndex.distance_many`)."""
+        return self.index.distance_many(sources, targets, self.counter)
 
     def apply(
         self, updates: Sequence[WeightUpdate], *, coalesce: bool = False

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.dynamic import resolve_backend
 from repro.directed.ch import directed_ch_distance, directed_ch_indexing
 from repro.directed.dch import (
@@ -203,6 +205,11 @@ class DynamicDiH2H:
     def distance(self, s: int, t: int) -> float:
         """``sd(s -> t)`` read from the directed labels."""
         return directed_h2h_distance(self.index, s, t, self.counter)
+
+    def distance_many(self, sources, targets) -> np.ndarray:
+        """:meth:`distance` for every pair ``(sources[i], targets[i])``
+        in one vectorised scan (:meth:`DirectedH2HIndex.distance_many`)."""
+        return self.index.distance_many(sources, targets, self.counter)
 
     def apply(
         self, updates: Sequence[ArcUpdate], *, coalesce: bool = False

@@ -154,6 +154,16 @@ class DirectedH2HIndex:
         self.sup[direction][u, da] = support
         return value
 
+    def distance_many(
+        self, sources, targets, counter: Optional[OpCounter] = None
+    ) -> np.ndarray:
+        """``sd(s -> t)`` for every pair ``(sources[i], targets[i])``:
+        the batch form of :func:`directed_h2h_distance`, bit-identical
+        to it pair by pair (raises ``QueryError`` on an out-of-range id)."""
+        return kernels.pos_scan_many(
+            self.tree, self.dis[TO], self.dis[FROM], sources, targets, counter
+        )
+
     def validate(self) -> None:
         """Check every entry of both directions against Equation (*)."""
         depth = self.tree.depth

@@ -197,6 +197,17 @@ class H2HIndex:
         """
         kernels.refresh_support(self, u, depths)
 
+    def distance_many(
+        self, sources, targets, counter: Optional[OpCounter] = None
+    ) -> np.ndarray:
+        """``sd(s, t)`` for every pair ``(sources[i], targets[i])``:
+        the batch form of :func:`repro.h2h.query.h2h_distance`,
+        bit-identical to it pair by pair (raises ``QueryError`` on an
+        out-of-range id)."""
+        return kernels.pos_scan_many(
+            self.tree, self.dis, self.dis, sources, targets, counter
+        )
+
     # ------------------------------------------------------------------
     # Views for tests and experiments
     # ------------------------------------------------------------------

@@ -23,12 +23,18 @@ the auxiliary structures of Section 5 ("Auxiliary Structures"):
 * for each vertex ``a``, its downward shortcut neighbors ``nbr-(a)``
   sorted by discovery time, so that ``nbr-(a) ∩ des(u)`` is a contiguous
   range located by binary search — the paper's ``first(<<u, a>>)``.
+
+It also holds the weight-independent *query pages* of the batch read
+plane (:func:`repro.perf.kernels.pos_scan_many`): the LCA sparse table
+(:meth:`TreeDecomposition.lca_many`) and ``pos`` padded into one
+matrix.  Like the rest of the tree they are built once and shared by
+every clone and epoch.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Iterator, List
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
@@ -37,6 +43,19 @@ from repro.ch.shortcut_graph import ShortcutGraph
 from repro.utils.lca import LCAOracle
 
 __all__ = ["TreeDecomposition"]
+
+
+def _pad_rows(rows: List[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    """Stack non-empty int rows into a matrix padded with each row's
+    first entry; returns it and the row lengths."""
+    lengths = np.fromiter((len(row) for row in rows), dtype=np.int32, count=len(rows))
+    flat = np.concatenate(rows).astype(np.int32, copy=False)
+    starts = np.zeros(len(rows), dtype=np.int64)
+    np.cumsum(lengths[:-1], out=starts[1:])
+    padded = np.repeat(flat[starts][:, None], int(lengths.max()), axis=1)
+    row_ids = np.repeat(np.arange(len(rows)), lengths)
+    padded[row_ids, np.arange(len(flat)) - starts[row_ids]] = flat
+    return padded, lengths
 
 
 class TreeDecomposition:
@@ -57,6 +76,10 @@ class TreeDecomposition:
     pos:
         ``pos[u]`` is a numpy array of the depths of
         ``X(u) = nbr+(u) ∪ {u}``, the paper's position array.
+    pos_pad / pos_len:
+        ``pos`` as one ``n x max|pos|`` int32 matrix and its row lengths.
+        Row ``u`` is padded with copies of ``pos[u][0]``, so a ``min``
+        over a padded row equals the ``min`` over ``pos[u]``.
     """
 
     def __init__(self, sc: ShortcutGraph) -> None:
@@ -117,6 +140,7 @@ class TreeDecomposition:
                      dtype=np.int32)
             for u in range(n)
         ]
+        self.pos_pad, self.pos_len = _pad_rows(self.pos)
 
         # DFS discovery/finishing times (single pass, iterative).
         disc = np.zeros(n, dtype=np.int64)
@@ -154,6 +178,11 @@ class TreeDecomposition:
     def lca(self, u: int, v: int) -> int:
         """Lowest common ancestor of *u* and *v*."""
         return self._lca.lca(u, v)
+
+    def lca_many(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """:meth:`lca` of each pair ``(us[i], vs[i])`` (ids must be in
+        range), as an int64 array."""
+        return self._lca.lca_many(us, vs)
 
     def is_ancestor(self, a: int, v: int) -> bool:
         """True if *a* is an ancestor of *v* (inclusive), via DFS times."""

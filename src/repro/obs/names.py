@@ -136,6 +136,7 @@ SPAN_DIRECTED_INCH2H_INCREASE = "directed.inch2h.increase"
 SPAN_DIRECTED_INCH2H_DECREASE = "directed.inch2h.decrease"
 
 SPAN_SERVE_QUERY = "serve.query"
+SPAN_SERVE_QUERY_MANY = "serve.query_many"
 SPAN_SERVE_APPLY = "serve.apply"
 SPAN_SERVE_COALESCE = "serve.coalesce"
 SPAN_SERVE_PUBLISH = "serve.publish"
@@ -166,6 +167,7 @@ SPANS = frozenset(
         SPAN_DIRECTED_INCH2H_INCREASE,
         SPAN_DIRECTED_INCH2H_DECREASE,
         SPAN_SERVE_QUERY,
+        SPAN_SERVE_QUERY_MANY,
         SPAN_SERVE_APPLY,
         SPAN_SERVE_COALESCE,
         SPAN_SERVE_PUBLISH,

@@ -19,20 +19,25 @@ kernel                       replaces
 :func:`directed_candidate_row`  seed scans and construction
 :func:`relax_arrays`         the per-triple weight reads of the DCH±
                              ``scp+`` pop loops
+:func:`pos_scan_many`        one ``h2h_distance`` /
+                             ``directed_h2h_distance`` call per pair of
+                             a query batch
 ===========================  ==============================================
 
 Bit-identity contract
 ---------------------
 All kernels are drop-in replacements for the scalar reference paths
 (``H2HIndex.evaluate_entry``, ``DirectedH2HIndex.evaluate_entry``, the
-per-triple DCH loops), which stay in the codebase precisely so the
-differential tests in ``tests/test_perf_kernels.py`` can assert the two
-produce bit-identical ``dis``/``sup``/shortcut state.  The identity
-holds exactly (not approximately) because each kernel performs the same
-IEEE-754 operations as its scalar counterpart: one ``weight + sd``
-addition per candidate (float addition is commutative, so operand order
-is free), an exact ``min`` over the same candidate set, and exact
-``==`` tie counting — no reassociation, no fused intermediates.
+per-triple DCH loops, the scalar H2H queries), which stay in the
+codebase precisely so the differential tests in
+``tests/test_perf_kernels.py`` and ``tests/test_h2h_batch_query.py``
+can assert the two produce bit-identical ``dis``/``sup``/shortcut state
+and answers.  The identity holds exactly (not approximately) because
+each kernel performs the same IEEE-754 operations as its scalar
+counterpart: one ``weight + sd`` addition per candidate (float
+addition is commutative, so operand order is free), an exact ``min``
+over the same candidate set, and exact ``==`` tie counting — no
+reassociation, no fused intermediates.
 
 The kernels duck-type their ``index`` argument (anything exposing
 ``sc``/``tree``/``dis``/``sup`` the way :class:`repro.h2h.index.H2HIndex`
@@ -47,6 +52,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.errors import QueryError
 from repro.utils.counters import OpCounter, resolve_counter
 
 __all__ = [
@@ -61,6 +67,7 @@ __all__ = [
     "directed_candidate_row",
     "directed_fill_vertex",
     "relax_arrays",
+    "pos_scan_many",
 ]
 
 #: Below this many ``scp+`` triples the DCH pop loops stay scalar: numpy
@@ -303,3 +310,55 @@ def relax_arrays(
     )
     legs += base
     return legs, currents
+
+
+# ----------------------------------------------------------------------
+# Batch H2H query (Section 2, "Query")
+# ----------------------------------------------------------------------
+def pos_scan_many(
+    tree,
+    left: np.ndarray,
+    right: np.ndarray,
+    sources,
+    targets,
+    counter: Optional[OpCounter] = None,
+) -> np.ndarray:
+    """``min over i in pos(lca(s, t)) of left[s, i] + right[t, i]`` for
+    every pair ``(sources[j], targets[j])``, as a float64 array.
+
+    The H2H query of :func:`repro.h2h.query.h2h_distance` (``left`` and
+    ``right`` both ``dis``) or of the directed twin (``dis_to`` and
+    ``dis_from``) for a whole batch: one :meth:`lca_many`, one gather of
+    the padded ``pos`` rows and a row-wise ``min``.  Padding repeats an
+    entry of its own row, so it never changes a minimum; ``s == t``
+    answers 0.0 without a scan, as the scalar query does.  Adds the
+    scalar path's ``pos_scan`` count to *counter*.
+
+    Raises
+    ------
+    QueryError
+        If any vertex id is out of range (negative ones included, which
+        numpy indexing would otherwise wrap).
+    """
+    s = np.asarray(sources, dtype=np.int64)
+    t = np.asarray(targets, dtype=np.int64)
+    n = tree.n
+    for ids, role in ((s, "source"), (t, "target")):
+        bad = (ids < 0) | (ids >= n)
+        if bad.any():
+            raise QueryError(f"{role} {int(ids[bad][0])} out of range [0, {n})")
+    if not s.size:
+        return np.empty(0, dtype=np.float64)
+    lca = tree.lca_many(s, t)
+    lengths = tree.pos_len[lca]
+    distinct = s != t
+    scanned = int(lengths[distinct].sum())
+    if scanned:
+        resolve_counter(counter).add("pos_scan", scanned)
+    positions = tree.pos_pad[lca, : int(lengths.max())]
+    # Flat takes off the row-major matrices: about 3x faster than the
+    # equivalent 2-D fancy index ``left[s[:, None], positions]``.
+    width = left.shape[1]
+    total = np.ravel(left).take(s[:, None] * width + positions)
+    total += np.ravel(right).take(t[:, None] * width + positions)
+    return np.where(distinct, total.min(axis=1), 0.0)

@@ -38,6 +38,8 @@ from dataclasses import dataclass, field
 from time import monotonic, perf_counter
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.obs import names
 from repro.obs.context import current_context, use_context
 from repro.obs.registry import COUNT_BUCKETS, MetricsRegistry
@@ -138,7 +140,8 @@ class DistanceServer:
     cache_capacity:
         Bound on cached pairs (LRU beyond it).
     workers:
-        Worker threads for :meth:`query_many` batches.
+        Worker threads for per-pair :meth:`query_many` batches (oracles
+        without ``distance_many``).
     registry:
         A :class:`~repro.obs.registry.MetricsRegistry` to keep the
         serving metrics in (exposed as :attr:`metrics`); by default each
@@ -399,12 +402,18 @@ class DistanceServer:
         """Answer a batch of pairs against ONE consistent snapshot.
 
         The whole batch sees the same epoch even if a publish lands
-        mid-batch.  With *parallel* (and more than one worker), the
-        batch is chunked across the thread pool; the caller's trace
-        context is carried into the workers so every per-pair
-        ``serve.query`` span lands under the caller's span tree.
+        mid-batch.  An oracle with ``distance_many`` (H2H) answers the
+        whole batch in one vectorised call under one ``serve.query_many``
+        span, bypassing the per-pair cache.  Otherwise each pair takes
+        the :meth:`distance_on` path: with *parallel* (and more than one
+        worker), the batch is chunked across the thread pool; the
+        caller's trace context is carried into the workers so every
+        per-pair ``serve.query`` span lands under the caller's span tree.
         """
         snapshot = self._epochs.current
+        distance_many = getattr(snapshot.oracle, "distance_many", None)
+        if distance_many is not None:
+            return self._query_vectorised(snapshot, distance_many, pairs)
         if (
             not parallel
             or self._closed
@@ -423,6 +432,19 @@ class DistanceServer:
         for future in futures:
             answers.extend(future.result())
         return answers
+
+    def _query_vectorised(
+        self, snapshot: EpochSnapshot, distance_many, pairs
+    ) -> List[float]:
+        """:meth:`query_many` through the oracle's batch query: every
+        pair is counted as a miss of *snapshot*'s epoch."""
+        with span(names.SPAN_SERVE_QUERY_MANY) as sp:
+            if sp.active:
+                sp.set(epoch=snapshot.epoch, pairs=len(pairs))
+            ids = np.asarray(pairs, dtype=np.int64).reshape(len(pairs), 2)
+            answers = distance_many(ids[:, 0], ids[:, 1]).tolist()
+            self._m_queries.inc(len(answers), epoch=snapshot.epoch, result="miss")
+            return answers
 
     def _query_chunk(self, snapshot: EpochSnapshot, part, ctx) -> List[float]:
         """One worker's share of :meth:`query_many`, under the caller's

@@ -6,6 +6,8 @@ ancestor ``a`` of ``s`` and ``t`` in the tree decomposition and minimizing
 The LCA step must be O(1) for H2H's query time to be dominated by the
 ``|pos(a)|``-length scan, so we use the classic Euler tour + sparse-table
 range-minimum reduction: O(n log n) preprocessing, O(1) per query.
+:meth:`LCAOracle.lca_many` answers a whole batch of pairs with the same
+table lookups as numpy gathers.
 """
 
 from __future__ import annotations
@@ -72,6 +74,10 @@ class LCAOracle:
 
         self._depth = depth
         self._first = first_seen
+        #: Tour index of each vertex's first visit, as an array for
+        #: :meth:`lca_many`; the scalar :meth:`lca` reads the list
+        #: ``_first``, whose Python ints it needs (``bit_length``).
+        self.first = np.asarray(first_seen, dtype=np.int64)
         self._tour = np.asarray(tour, dtype=np.int64)
         self._build_sparse_table(np.asarray(depth_at, dtype=np.int64))
 
@@ -92,7 +98,12 @@ class LCAOracle:
                 break
             choose_right = depths[right] < depths[left]
             table.append(np.where(choose_right, right, left))
-        self._table = table
+        # Stacked into one (levels x m) array; level k is valid on
+        # [0, m - 2^k], which is every index a query of that level reads.
+        stacked = np.zeros((len(table), m), dtype=np.int32)
+        for k, row in enumerate(table):
+            stacked[k, : len(row)] = row
+        self._table = stacked
         self._depths_at = depths
 
     def depth(self, v: int) -> int:
@@ -118,14 +129,33 @@ class LCAOracle:
         k = span.bit_length() - 1
         if k >= len(self._table):
             raise ValueError(f"vertices {u} and {v} are not in the same tree")
-        left = self._table[k][lo]
-        right = self._table[k][hi - (1 << k) + 1]
+        left = self._table[k, lo]
+        right = self._table[k, hi - (1 << k) + 1]
         depths = self._depths_at
         best = right if depths[right] < depths[left] else left
         answer = int(self._tour[best])
         if self._depth[answer] > min(self._depth[u], self._depth[v]):
             raise ValueError(f"vertices {u} and {v} are not in the same tree")
         return answer
+
+    def lca_many(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """:meth:`lca` of each pair ``(us[i], vs[i])``, as an int64 array.
+
+        The same two table lookups per pair, done as numpy gathers, and
+        the same answer as :meth:`lca` for every pair.  The ids must
+        already be in range: callers validate them, because numpy would
+        wrap a negative index silently.
+        """
+        a, b = self.first[us], self.first[vs]
+        lo = np.minimum(a, b)
+        hi = np.maximum(a, b)
+        # floor(log2(span)), exact for integers below 2**53.
+        k = np.frexp(hi - lo + 1)[1] - 1
+        left = self._table[k, lo]
+        right = self._table[k, hi - (1 << k) + 1]
+        depths = self._depths_at
+        best = np.where(depths[right] < depths[left], right, left)
+        return self._tour[best]
 
     def is_ancestor(self, a: int, v: int) -> bool:
         """True if *a* is an ancestor of *v* (or equal to it)."""

@@ -170,6 +170,29 @@ class TestThreadPoolPropagation:
         assert all(r["parent_id"] is None for r in queries)
 
 
+    def test_h2h_query_many_is_one_span_under_the_outer_span(self):
+        from repro.core.dynamic import DynamicH2H
+        from repro.serve.server import DistanceServer
+
+        oracle = DynamicH2H(grid_network(4, 4, seed=1))
+        sink = MemorySink()
+        server = DistanceServer(oracle, workers=2)
+        try:
+            pairs = [(s, t) for s in range(4) for t in range(4, 8)]
+            with use_sink(sink):
+                with span("serve.apply") as outer:
+                    server.query_many(pairs)
+                    outer_span_id = outer.span_id
+                    outer_trace_id = outer.trace_id
+        finally:
+            server.close()
+        assert not [r for r in sink.records if r["span"] == "serve.query"]
+        (batch,) = [r for r in sink.records if r["span"] == "serve.query_many"]
+        assert batch["trace_id"] == outer_trace_id
+        assert batch["parent_id"] == outer_span_id
+        assert (batch["epoch"], batch["pairs"]) == (0, len(pairs))
+
+
 def _process_worker(conn, ctx_dict) -> None:
     """Spawned-process worker: rebuild the context, open one span.
 

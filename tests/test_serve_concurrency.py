@@ -138,13 +138,16 @@ def _truths_per_epoch(versions, pairs):
     }
 
 
-def test_query_many_batches_are_single_epoch():
+@pytest.mark.parametrize("oracle_cls", [DynamicCH, DynamicH2H], ids=lambda c: c.__name__)
+def test_query_many_batches_are_single_epoch(oracle_cls):
     """Every batch answered mid-publish matches ONE epoch's truth vector
-    — a batch straddling a swap would match none of them."""
+    — a batch straddling a swap would match none of them.  CH batches
+    take the per-pair thread-pool path, H2H batches the vectorised
+    ``distance_many`` one."""
     graph = road_network(80, seed=4)
     rng = random.Random(23)
     pairs = random_pairs(graph.n, 24, seed=9)
-    server = DistanceServer(DynamicCH(graph.copy()), workers=4)
+    server = DistanceServer(oracle_cls(graph.copy()), workers=4)
     versions = {0: server.snapshot()}
     stop = threading.Event()
     batches = []

@@ -60,11 +60,17 @@ def _run_undirected_stream(
             for kind, server in servers.items():
                 current = server.snapshot()
                 truth_graph = current.graph
-                # Path 1: query_many (thread pool, misses).
+                # Path 1: query_many (CH: thread pool, misses; H2H: one
+                # vectorised distance_many call that bypasses the cache).
                 got = server.query_many(pairs)
-                # Path 2: point queries (now hits).
+                # Path 2: point queries (hits for CH, misses for H2H),
+                # then again (hits for both).
                 again = [server.distance(s, t) for s, t in pairs]
-                assert got == again, f"{kind}: hit answers diverge from misses"
+                assert got == again, f"{kind}: point answers diverge from the batch"
+                hits = server.cache.stats.hits
+                cached = [server.distance(s, t) for s, t in pairs]
+                assert server.cache.stats.hits - hits == len(pairs)
+                assert cached == got, f"{kind}: hit answers diverge from misses"
                 for (s, t), d in zip(pairs, got):
                     assert d == bidirectional_distance(truth_graph, s, t), (
                         f"{kind} epoch {current.epoch}: sd({s},{t})"
@@ -104,7 +110,9 @@ def _run_directed_stream(
                 current = server.snapshot()
                 got = server.query_many(pairs)
                 again = [server.distance(s, t) for s, t in pairs]
-                assert got == again, f"{kind}: hit answers diverge from misses"
+                assert got == again, f"{kind}: point answers diverge from the batch"
+                cached = [server.distance(s, t) for s, t in pairs]
+                assert cached == got, f"{kind}: hit answers diverge from misses"
                 for (s, t), d in zip(pairs, got):
                     assert d == directed_distance(current.graph, s, t), (
                         f"{kind} epoch {current.epoch}: sd({s}->{t})"

@@ -269,8 +269,9 @@ def test_server_publish_updates_answers(small_grid):
         assert server.distance_on(old_snapshot, 0, 24) == d0
 
 
-def test_server_query_many_single_snapshot(small_grid):
-    with DistanceServer(DynamicCH(small_grid), workers=4) as server:
+@pytest.mark.parametrize("oracle_cls", [DynamicCH, DynamicH2H], ids=lambda c: c.__name__)
+def test_server_query_many_single_snapshot(small_grid, oracle_cls):
+    with DistanceServer(oracle_cls(small_grid), workers=4) as server:
         pairs = random_pairs(small_grid.n, 64, seed=3)
         answers = server.query_many(pairs)
         expected = [server.distance(s, t) for s, t in pairs]

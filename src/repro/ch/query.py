@@ -33,82 +33,98 @@ def upward_search(
 
     Returns ``(dist, parent)`` restricted to the upward closure of
     *source*.  Exposed separately because tests and the H2H tree
-    decomposition proofs use the whole search space.
+    decomposition proofs use the whole search space.  Each settled
+    vertex relaxes exactly ``nbr+(u)``, counted in one bulk add.
     """
-    ops = resolve_counter(counter)
-    rank = index.ordering.rank
-    adj = index._adj  # hot loop: direct access by design
+    up = index._up  # hot loop: direct access by design
+    up_weights = index.upward_weight_row
+    heappush, heappop = heapq.heappush, heapq.heappop
     dist: Dict[int, float] = {source: 0.0}
     parent: Dict[int, int] = {source: -1}
     heap: List[Tuple[float, int]] = [(0.0, source)]
+    relaxed = 0
     while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist.get(u, math.inf):
+        d, u = heappop(heap)
+        if d > dist[u]:
             continue
-        rank_u = rank[u]
-        for v, w in adj[u].items():
-            if rank[v] <= rank_u:
-                continue
-            ops.add("upward_relax")
+        nbrs = up[u]
+        relaxed += len(nbrs)
+        for v, w in zip(nbrs, up_weights(u)):
             nd = d + w
             if nd < dist.get(v, math.inf):
                 dist[v] = nd
                 parent[v] = u
-                heapq.heappush(heap, (nd, v))
+                heappush(heap, (nd, v))
+    if relaxed:  # a search that relaxes nothing leaves the counter as it was
+        resolve_counter(counter).add("upward_relax", relaxed)
     return dist, parent
 
 
 def _bidirectional(
     index: ShortcutGraph, s: int, t: int, counter: Optional[OpCounter]
 ) -> Tuple[float, int, Dict[int, int], Dict[int, int]]:
-    """Shared engine: returns (distance, meeting vertex, parents_f, parents_b)."""
-    if not 0 <= s < index.n:
-        raise QueryError(f"source {s} out of range [0, {index.n})")
-    if not 0 <= t < index.n:
-        raise QueryError(f"target {t} out of range [0, {index.n})")
-    ops = resolve_counter(counter)
+    """Shared engine: returns (distance, meeting vertex, parents_f, parents_b).
+
+    One loop runs both upward searches.  Each step pops the side whose
+    heap top is smaller (forward on ties) and stops once that top
+    reaches *best* -- the rule ``min(top_f, top_b) >= best``.  A settled
+    vertex meets the other side through its distance there and relaxes
+    exactly ``nbr+(u)``: the list ``index._up[u]``, walked together
+    with its weight row.  Distances are dense lists (``inf`` when
+    unreached), so a relaxation reads no dict; parents stay dicts, which
+    keeps the per-query allocation to two lists.  Relaxations are
+    tallied locally and added to *counter* once.
+    """
+    n = index.n
+    if not 0 <= s < n:
+        raise QueryError(f"source {s} out of range [0, {n})")
+    if not 0 <= t < n:
+        raise QueryError(f"target {t} out of range [0, {n})")
     if s == t:
         return 0.0, s, {s: -1}, {t: -1}
-    rank = index.ordering.rank
-    adj = index._adj
-    dist_f: Dict[int, float] = {s: 0.0}
-    dist_b: Dict[int, float] = {t: 0.0}
+    up = index._up  # hot loop: direct access by design
+    up_weights = index.upward_weight_row
+    heappush, heappop = heapq.heappush, heapq.heappop
+    inf = math.inf
+    dist_f = [inf] * n
+    dist_b = [inf] * n
+    dist_f[s] = 0.0
+    dist_b[t] = 0.0
     parent_f: Dict[int, int] = {s: -1}
     parent_b: Dict[int, int] = {t: -1}
     heap_f: List[Tuple[float, int]] = [(0.0, s)]
     heap_b: List[Tuple[float, int]] = [(0.0, t)]
-    best = math.inf
+    best = inf
     meet = -1
-
-    def expand(heap, dist_this, parent_this, dist_other) -> None:
-        nonlocal best, meet
-        d, u = heapq.heappop(heap)
-        if d > dist_this.get(u, math.inf):
-            return
-        other = dist_other.get(u)
-        if other is not None and d + other < best:
-            best = d + other
-            meet = u
-        rank_u = rank[u]
-        for v, w in adj[u].items():
-            if rank[v] <= rank_u:
-                continue
-            ops.add("query_relax")
-            nd = d + w
-            if nd < dist_this.get(v, math.inf):
-                dist_this[v] = nd
-                parent_this[v] = u
-                heapq.heappush(heap, (nd, v))
-
-    while heap_f or heap_b:
-        top_f = heap_f[0][0] if heap_f else math.inf
-        top_b = heap_b[0][0] if heap_b else math.inf
-        if min(top_f, top_b) >= best:
-            break
+    relaxed = 0
+    while True:
+        top_f = heap_f[0][0] if heap_f else inf
+        top_b = heap_b[0][0] if heap_b else inf
         if top_f <= top_b:
-            expand(heap_f, dist_f, parent_f, dist_b)
+            if top_f >= best:  # min(top_f, top_b) >= best
+                break
+            heap, dist, parent, other = heap_f, dist_f, parent_f, dist_b
         else:
-            expand(heap_b, dist_b, parent_b, dist_f)
+            if top_b >= best:
+                break
+            heap, dist, parent, other = heap_b, dist_b, parent_b, dist_f
+        d, u = heappop(heap)
+        if d > dist[u]:
+            continue
+        through = d + other[u]
+        if through < best:
+            best = through
+            meet = u
+        nbrs = up[u]
+        relaxed += len(nbrs)
+        for v, w in zip(nbrs, up_weights(u)):
+            nd = d + w
+            if nd < dist[v]:
+                dist[v] = nd
+                parent[v] = u
+                heappush(heap, (nd, v))
+    if relaxed:
+        resolve_counter(counter).add("query_relax", relaxed)
     return best, meet, parent_f, parent_b
 
 

@@ -34,7 +34,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from operator import itemgetter
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -140,12 +141,15 @@ class ShortcutGraph:
     def upward_weights(self, u: int) -> np.ndarray:
         """``phi(<u, v>)`` for ``v in nbr+(u)``, aligned with
         :meth:`upward`; the columnar backend serves this as one gather."""
-        adj_u = self._adj[u]
-        return np.fromiter(
-            (adj_u[v] for v in self._up[u]),
-            dtype=np.float64,
-            count=len(self._up[u]),
-        )
+        return np.array(self.upward_weight_row(u), dtype=np.float64)
+
+    def upward_weight_row(self, u: int) -> Sequence[float]:
+        """:meth:`upward_weights` as Python floats: the row the CH query
+        loop walks beside ``nbr+(u)``."""
+        up_u = self._up[u]
+        if len(up_u) < 2:  # itemgetter returns a bare value for one key
+            return [self._adj[u][v] for v in up_u]
+        return itemgetter(*up_u)(self._adj[u])
 
     # ------------------------------------------------------------------
     # Identity / canonical keys

@@ -38,9 +38,11 @@ class DirectedLayout:
         "row_slots",
         "garc_keys",
         "garc_slot",
+        "up_out_slots",
+        "up_in_slots",
     )
 
-    def __init__(self, weight_rows, graph_arcs) -> None:
+    def __init__(self, weight_rows, up_rows, graph_arcs) -> None:
         self.arcs: List[Arc] = []
         self.arc_slot: Dict[Arc, int] = {}
         self.row_nbrs: List[List[int]] = []
@@ -62,6 +64,16 @@ class DirectedLayout:
         self.garc_slot: Dict[Arc, int] = {
             key: i for i, key in enumerate(self.garc_keys)
         }
+        # Slots of u -> v and v -> u for v in nbr+(u), in upward() order.
+        slot_of = self.row_slot_of
+        self.up_out_slots: List[np.ndarray] = [
+            np.array([slot_of[u][v] for v in up], dtype=np.int64)
+            for u, up in enumerate(up_rows)
+        ]
+        self.up_in_slots: List[np.ndarray] = [
+            np.array([slot_of[v][u] for v in up], dtype=np.int64)
+            for u, up in enumerate(up_rows)
+        ]
 
     @property
     def num_slots(self) -> int:
@@ -103,7 +115,7 @@ class ColumnarDirectedShortcutGraph(DirectedShortcutGraph):
         """Convert a dict-backed index; returns *sc* if already columnar."""
         if isinstance(sc, ColumnarDirectedShortcutGraph):
             return sc
-        layout = DirectedLayout(sc._w, sc._arc_w)
+        layout = DirectedLayout(sc._w, sc._up, sc._arc_w)
         w_arr = np.empty(layout.num_slots, dtype=np.float64)
         sup_arr = np.zeros(layout.num_slots, dtype=np.int64)
         for slot, (u, v) in enumerate(layout.arcs):
@@ -178,6 +190,12 @@ class ColumnarDirectedShortcutGraph(DirectedShortcutGraph):
 
     def support(self, u: int, v: int) -> int:
         return int(self._sup_arr[self._layout.arc_slot[(u, v)]])
+
+    def upward_out_weights(self, u: int) -> List[float]:
+        return self._w_arr[self._layout.up_out_slots[u]].tolist()
+
+    def upward_in_weights(self, u: int) -> List[float]:
+        return self._w_arr[self._layout.up_in_slots[u]].tolist()
 
     def set_support(self, u: int, v: int, value: int) -> None:
         self._page_for_write("_sup_arr")[self._layout.arc_slot[(u, v)]] = value

@@ -321,6 +321,10 @@ class ColumnarShortcutGraph(ShortcutGraph):
         """``phi(<u, v>)`` for ``v in nbr+(u)``, as one gather."""
         return self._w_arr[self._layout.up_slots[u]]
 
+    def upward_weight_row(self, u: int) -> List[float]:
+        """The same gather, converted to Python floats in one call."""
+        return self._w_arr[self._layout.up_slots[u]].tolist()
+
     def evaluate_equation(self, u, v, counter=None):
         """Equation (<>) with direct page access instead of per-access
         row views; wide candidate sets drop into two page gathers plus

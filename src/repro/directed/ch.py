@@ -139,6 +139,16 @@ class DirectedShortcutGraph:
         """Skeleton downward neighbors of *u*."""
         return self._down[u]
 
+    def upward_out_weights(self, u: int) -> List[float]:
+        """``phi(u -> v)`` for ``v in nbr+(u)``, aligned with :meth:`upward`."""
+        w_u = self._w[u]
+        return [w_u[v] for v in self._up[u]]
+
+    def upward_in_weights(self, u: int) -> List[float]:
+        """``phi(v -> u)`` for ``v in nbr+(u)``, aligned with :meth:`upward`."""
+        w = self._w
+        return [w[v][u] for v in self._up[u]]
+
     def lower_endpoint(self, u: int, v: int) -> int:
         """The skeleton endpoint with the smaller rank."""
         return u if self._rank[u] < self._rank[v] else v
@@ -278,48 +288,56 @@ def directed_ch_distance(
     t: int,
     counter: Optional[OpCounter] = None,
 ) -> float:
-    """``sd(s -> t)`` via forward-upward / backward-upward searches."""
-    if not 0 <= s < index.n:
-        raise QueryError(f"source {s} out of range [0, {index.n})")
-    if not 0 <= t < index.n:
-        raise QueryError(f"target {t} out of range [0, {index.n})")
+    """``sd(s -> t)`` via forward-upward / backward-upward searches.
+
+    The loop of :func:`repro.ch.query.ch_distance`: the forward side
+    relaxes ``nbr+(u)`` over out-weights ``phi(u -> v)``, the backward
+    side over in-weights ``phi(v -> u)``.
+    """
+    n = index.n
+    if not 0 <= s < n:
+        raise QueryError(f"source {s} out of range [0, {n})")
+    if not 0 <= t < n:
+        raise QueryError(f"target {t} out of range [0, {n})")
     if s == t:
         return 0.0
-    ops = resolve_counter(counter)
-    rank = index.ordering.rank
-    weights = index._w
-    dist_f: Dict[int, float] = {s: 0.0}
-    dist_b: Dict[int, float] = {t: 0.0}
+    up = index._up  # hot loop: direct access by design
+    out_weights = index.upward_out_weights
+    in_weights = index.upward_in_weights
+    heappush, heappop = heapq.heappush, heapq.heappop
+    inf = math.inf
+    dist_f = [inf] * n
+    dist_b = [inf] * n
+    dist_f[s] = 0.0
+    dist_b[t] = 0.0
     heap_f: List[Tuple[float, int]] = [(0.0, s)]
     heap_b: List[Tuple[float, int]] = [(0.0, t)]
-    best = math.inf
-
-    def expand(heap, dist_this, dist_other, forward: bool) -> None:
-        nonlocal best
-        d, u = heapq.heappop(heap)
-        if d > dist_this.get(u, math.inf):
-            return
-        other = dist_other.get(u)
-        if other is not None and d + other < best:
-            best = d + other
-        rank_u = rank[u]
-        for v in weights[u]:
-            if rank[v] <= rank_u:
-                continue
-            ops.add("query_relax")
-            w = weights[u][v] if forward else weights[v][u]
-            nd = d + w
-            if nd < dist_this.get(v, math.inf):
-                dist_this[v] = nd
-                heapq.heappush(heap, (nd, v))
-
-    while heap_f or heap_b:
-        top_f = heap_f[0][0] if heap_f else math.inf
-        top_b = heap_b[0][0] if heap_b else math.inf
-        if min(top_f, top_b) >= best:
-            break
+    best = inf
+    relaxed = 0
+    while True:
+        top_f = heap_f[0][0] if heap_f else inf
+        top_b = heap_b[0][0] if heap_b else inf
         if top_f <= top_b:
-            expand(heap_f, dist_f, dist_b, forward=True)
+            if top_f >= best:  # min(top_f, top_b) >= best
+                break
+            heap, dist, other, weights = heap_f, dist_f, dist_b, out_weights
         else:
-            expand(heap_b, dist_b, dist_f, forward=False)
+            if top_b >= best:
+                break
+            heap, dist, other, weights = heap_b, dist_b, dist_f, in_weights
+        d, u = heappop(heap)
+        if d > dist[u]:
+            continue
+        through = d + other[u]
+        if through < best:
+            best = through
+        nbrs = up[u]
+        relaxed += len(nbrs)
+        for v, w in zip(nbrs, weights(u)):
+            nd = d + w
+            if nd < dist[v]:
+                dist[v] = nd
+                heappush(heap, (nd, v))
+    if relaxed:
+        resolve_counter(counter).add("query_relax", relaxed)
     return best

@@ -69,7 +69,6 @@ from repro.reliability import (
     ReliableStore,
     ResilientOracle,
     WriteAheadLog,
-    atomic_apply,
     verify_index,
 )
 
@@ -99,7 +98,6 @@ __all__ = [
     "UpdateError",
     "UpdateReport",
     "WriteAheadLog",
-    "atomic_apply",
     "bidirectional_distance",
     "ch_distance",
     "ch_indexing",

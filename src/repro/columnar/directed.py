@@ -218,19 +218,6 @@ class ColumnarDirectedShortcutGraph(DirectedShortcutGraph):
         for name in self._PAGES:
             self._page_for_write(name)
 
-    def page_snapshot(self) -> Dict[str, np.ndarray]:
-        """Private copies of every mutable page (rollback pre-image)."""
-        return {
-            name: np.array(getattr(self, name), copy=True)
-            for name in self._PAGES
-        }
-
-    def restore_pages(self, pages: Dict[str, np.ndarray]) -> None:
-        """Write a :meth:`page_snapshot` back (shared pages replaced)."""
-        for name, arr in pages.items():
-            setattr(self, name, np.array(arr, copy=True))
-            self._shared.discard(name)
-
     def clone(self) -> "ColumnarDirectedShortcutGraph":
         """A zero-copy clone: pages are shared, not copied."""
         dup = ColumnarDirectedShortcutGraph.__new__(ColumnarDirectedShortcutGraph)

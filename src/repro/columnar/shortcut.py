@@ -222,22 +222,6 @@ class ColumnarShortcutGraph(ShortcutGraph):
         for name in self._PAGES:
             self._page_for_write(name)
 
-    def page_snapshot(self) -> Dict[str, np.ndarray]:
-        """Private copies of every mutable page — the O(index size)
-        rollback pre-image :func:`repro.reliability.transactions.
-        snapshot_index` takes in place of the per-shortcut dict walk."""
-        return {
-            name: np.array(getattr(self, name), copy=True)
-            for name in self._PAGES
-        }
-
-    def restore_pages(self, pages: Dict[str, np.ndarray]) -> None:
-        """Write a :meth:`page_snapshot` back, undoing any mutation
-        since it was captured (shared pages are replaced, not written)."""
-        for name, arr in pages.items():
-            setattr(self, name, np.array(arr, copy=True))
-            self._shared.discard(name)
-
     def clone(self) -> "ColumnarShortcutGraph":
         """A zero-copy clone: pages are shared, not copied.
 

@@ -5,9 +5,10 @@ stream of weight-update batches without ever rebuilding; this package
 supplies everything that story needs to survive contact with real
 hardware:
 
-* :mod:`~repro.reliability.transactions` — all-or-nothing update
-  application (:func:`atomic_apply`), so graph and index can never
-  diverge;
+* :mod:`~repro.reliability.transactions` — copy-on-write update
+  application (:func:`cow_apply`): each version is built on a private
+  clone and published whole or dropped, so readers never see graph and
+  index diverge;
 * :mod:`~repro.reliability.wal` — a checksummed write-ahead journal of
   accepted batches (:class:`WriteAheadLog`);
 * :mod:`~repro.reliability.store` — atomic snapshots + WAL replay
@@ -46,14 +47,7 @@ from repro.reliability.store import (
     ReliableStore,
     graph_from_index,
 )
-from repro.reliability.transactions import (
-    IndexSnapshot,
-    atomic_apply,
-    cow_apply,
-    restore_index,
-    snapshot_index,
-    validate_batch,
-)
+from repro.reliability.transactions import cow_apply, validate_batch
 from repro.reliability.verify import verify_ch, verify_h2h, verify_index
 from repro.reliability.wal import WalRecord, WriteAheadLog
 
@@ -64,7 +58,6 @@ __all__ = [
     "DegradePolicy",
     "FaultInjector",
     "FaultyOracle",
-    "IndexSnapshot",
     "InjectedFault",
     "OracleState",
     "RecoveryResult",
@@ -72,12 +65,9 @@ __all__ = [
     "ResilientOracle",
     "WalRecord",
     "WriteAheadLog",
-    "atomic_apply",
     "check_stretch",
     "cow_apply",
     "graph_from_index",
-    "restore_index",
-    "snapshot_index",
     "validate_batch",
     "verify_ch",
     "verify_h2h",

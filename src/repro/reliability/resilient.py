@@ -5,11 +5,12 @@ baseline is slow but stateless and therefore *cannot* be corrupted by a
 failed maintenance step.  :class:`ResilientOracle` composes the two so a
 fault costs latency, never correctness:
 
-* **updates** are applied through :func:`atomic_apply`, so a failing
-  maintenance step rolls graph *and* index back as one transaction; the
-  batch is then committed to the graph alone (the graph's own
-  ``apply_batch`` is atomic) — the network is always current even when
-  the index is not;
+* **updates** are applied to the primary in place; if a maintenance
+  step fails, the rest of the batch is committed to the graph alone
+  (the graph's ``apply_batch`` assigns absolute weights, so it is
+  idempotent over a half-applied batch) and the half-maintained index
+  is never read again until a rebuild recomputes it from the graph —
+  the network is always current even when the index is not;
 * **degraded mode** — after a maintenance failure, a query-time index
   error, or a failed integrity check, queries fall back to ground-truth
   Dijkstra on the current graph, so answers stay exact;
@@ -47,7 +48,7 @@ from repro.reliability.degrade import (
     DegradePolicy,
     OracleState,
 )
-from repro.reliability.transactions import atomic_apply, validate_batch
+from repro.reliability.transactions import validate_batch
 from repro.reliability.verify import verify_index
 
 __all__ = ["ResilientOracle"]
@@ -183,7 +184,7 @@ class ResilientOracle:
 
     def apply(self, updates: Sequence[WeightUpdate]):
         """Accept a batch; the graph always advances, the index only if
-        its maintenance succeeds as a whole transaction.
+        its maintenance succeeds for the whole batch.
 
         A malformed batch (unknown edge, bad weight, duplicate edge) is
         the caller's error: it raises before anything is journaled or
@@ -201,15 +202,10 @@ class ResilientOracle:
         if self._deferral is not None:
             return self._apply_bounded(updates)
         try:
-            report = atomic_apply(self._primary, updates)
-        except ReproError as exc:
-            # Graph and index were rolled back together; re-commit the
-            # batch to the graph alone and serve from the fallback.
-            self._graph.apply_batch(updates)
-            self._degrade("apply", exc)
+            return self._maintain(updates, "apply")
+        except ReproError:
             self._try_rebuild()
             return None
-        return report
 
     def _apply_bounded(self, updates: Sequence[WeightUpdate]):
         """Threshold-c admission: park the sub-threshold part of the
@@ -228,13 +224,10 @@ class ResilientOracle:
         if not to_apply:
             return None
         try:
-            report = atomic_apply(self._primary, to_apply)
-        except ReproError as exc:
-            self._graph.apply_batch(to_apply)
-            self._degrade("apply", exc)  # flushes the journal first
+            return self._maintain(to_apply, "apply")
+        except ReproError:
             self._try_rebuild()
             return None
-        return report
 
     def catch_up(self):
         """Fold the whole deferral journal into one exact catch-up
@@ -251,10 +244,8 @@ class ResilientOracle:
         pending = self._deferral.pending
         batch = self._deferral.fold(reason="catchup")
         try:
-            report = atomic_apply(self._primary, batch)
-        except ReproError as exc:
-            self._graph.apply_batch(batch)
-            self._degrade("catchup", exc)
+            report = self._maintain(batch, "catchup")
+        except ReproError:
             self._try_rebuild()
             return None
         self.events.append(("caught-up", f"{pending} deferred delta(s)"))
@@ -301,7 +292,25 @@ class ResilientOracle:
         underlying cause) without forcing a rebuild right now."""
         self._attempts_left = self._max_attempts
 
-    def _degrade(self, event: str, exc: Exception) -> None:
+    def _maintain(self, batch: Sequence[WeightUpdate], event: str):
+        """Run the primary's maintenance on a validated *batch* in place.
+
+        Maintenance mutates graph and index step by step, so a failure
+        can leave both half-updated.  On any exception the graph takes
+        the whole batch (absolute weights: idempotent over the applied
+        prefix) and the oracle degrades — the fallback answers from the
+        graph, and the index stays unread until a rebuild recomputes it —
+        before the exception propagates.  The caller handles
+        :class:`ReproError`; anything else reaches the caller's caller.
+        """
+        try:
+            return self._primary.apply(batch)
+        except BaseException as exc:
+            self._graph.apply_batch(batch)
+            self._degrade(event, exc)  # flushes the journal first
+            raise
+
+    def _degrade(self, event: str, exc: BaseException) -> None:
         with span(names.SPAN_RESILIENT_FALLBACK) as sp:
             flushed = 0
             if self._deferral is not None and self._deferral.pending:

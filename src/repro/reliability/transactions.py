@@ -1,172 +1,60 @@
-"""Transactional update application: all-or-nothing graph + index mutation.
+"""Copy-on-write update application: a new version is published whole or
+never.
 
 The maintenance algorithms (DCH / IncH2H) mutate the graph and the index
 in several steps — increases first, then decreases, each touching both
 structures.  An exception thrown mid-way (bad update, injected fault,
-resource failure) would otherwise leave the pair *diverged*: the graph
-half-updated and the index describing a network that no longer exists,
-which silently corrupts every subsequent ``sd(s, t)`` answer.
+resource failure) leaves that pair *diverged*: the graph half-updated
+and the index describing a network that no longer exists.
 
-:func:`atomic_apply` makes the whole batch a transaction: the affected
-edge weights and the complete mutable index state are snapshotted before
-the first mutation, and on any failure both are rolled back so graph and
-index come out bit-identical to their pre-call state.  Snapshots use
-only the public read/write faces of :class:`ShortcutGraph` /
-:class:`H2HIndex`, so the rollback path exercises the same setters the
-maintenance algorithms do.
+:func:`cow_apply` never lets a reader see such a pair.  It validates the
+batch against the caller's graph, clones the oracle and runs maintenance
+on the private clone only.  On success the clone is the next version;
+on any failure the half-mutated clone is dropped, and the caller's
+oracle is bit-identical because nothing ever wrote to it.  No rollback
+pre-image is taken: a version nobody else can see needs no undo.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-import numpy as np
-
-from repro.ch.shortcut_graph import Shortcut, ShortcutGraph
 from repro.errors import UpdateError
-from repro.graph.graph import RoadNetwork, WeightUpdate, canonical_edge
-from repro.h2h.index import H2HIndex
+from repro.graph.graph import WeightUpdate, canonical_edge
 
-__all__ = [
-    "IndexSnapshot",
-    "atomic_apply",
-    "cow_apply",
-    "snapshot_index",
-    "restore_index",
-    "validate_batch",
-]
-
-
-@dataclass
-class IndexSnapshot:
-    """The complete mutable state of a CH or H2H index at one instant
-    (DESIGN.md §4a: transactional updates).
-
-    Structure (shortcut set, tree decomposition) is weight independent
-    and never mutated by maintenance, so weights / supports / witnesses
-    / edge weights — plus the ``dis`` / ``sup`` matrices for H2H — pin
-    the index down exactly.
-
-    For a columnar index the same state is captured as flat page copies
-    in ``pages`` (one ``ndarray.copy()`` per page) and the four dict
-    fields stay empty — the content is identical, the walk is not.
-    """
-
-    weights: Dict[Shortcut, float]
-    supports: Dict[Shortcut, int]
-    vias: Dict[Shortcut, Optional[int]]
-    edge_weights: Dict[Shortcut, float]
-    dis: Optional[np.ndarray] = None
-    sup_matrix: Optional[np.ndarray] = None
-    pages: Optional[Dict[str, np.ndarray]] = None
-
-
-def _sc_of(index) -> ShortcutGraph:
-    return index.sc if isinstance(index, H2HIndex) else index
-
-
-def snapshot_index(index) -> IndexSnapshot:
-    """Capture the full mutable state of a :class:`ShortcutGraph` or
-    :class:`H2HIndex` (cheap dict/array copies; O(index size)).
-
-    A columnar shortcut graph exposes ``page_snapshot()``; its flat page
-    copies replace the per-shortcut dict walk (same state, no Python
-    loop over shortcuts)."""
-    sc = _sc_of(index)
-    take_pages = getattr(sc, "page_snapshot", None)
-    if take_pages is not None:
-        snap = IndexSnapshot(
-            weights={}, supports={}, vias={}, edge_weights={},
-            pages=take_pages(),
-        )
-    else:
-        snap = IndexSnapshot(
-            weights=sc.weight_snapshot(),
-            supports=sc.support_snapshot(),
-            vias=sc.via_snapshot(),
-            edge_weights=sc.edge_weights(),
-        )
-    if isinstance(index, H2HIndex):
-        snap.dis = index.dis.copy()
-        snap.sup_matrix = index.sup.copy()
-    return snap
-
-
-def restore_index(index, snapshot: IndexSnapshot) -> None:
-    """Write a snapshot back into *index*, undoing any mutation since
-    :func:`snapshot_index` captured it."""
-    index.prepare_write()
-    sc = _sc_of(index)
-    if snapshot.pages is not None:
-        sc.restore_pages(snapshot.pages)
-    else:
-        for (u, v), w in snapshot.weights.items():
-            sc.set_weight(u, v, w)
-        for (u, v), sup in snapshot.supports.items():
-            sc.set_support(u, v, sup)
-        for (u, v), via in snapshot.vias.items():
-            sc.set_via(u, v, via)
-        for (u, v), w in snapshot.edge_weights.items():
-            sc.set_edge_weight(u, v, w)
-    if isinstance(index, H2HIndex):
-        index.dis[:] = snapshot.dis
-        index.sup[:] = snapshot.sup_matrix
+__all__ = ["cow_apply", "validate_batch"]
 
 
 def validate_batch(
-    graph: RoadNetwork, updates: Sequence[WeightUpdate]
-) -> List[Tuple[Shortcut, float]]:
+    graph, updates: Sequence[WeightUpdate]
+) -> List[Tuple[Tuple[int, int], float]]:
     """Validate a batch against *graph* without mutating anything.
 
     Checks that every edge exists and every weight is a valid
     non-negative number, and returns the pre-update weight of each
-    distinct edge (the data needed to roll the graph back).
+    distinct edge.  On a directed graph (one with ``arcs``) an update
+    names an ordered arc, so ``(u, v)`` and ``(v, u)`` are distinct —
+    the same keying :func:`repro.perf.coalesce.coalesce_updates` uses.
 
     Raises
     ------
     GraphError
         If an edge is unknown or a weight is invalid.
     UpdateError
-        If the same edge appears twice in the batch.
+        If the same edge (or arc) appears twice in the batch.
     """
-    pre: List[Tuple[Shortcut, float]] = []
+    directed = hasattr(graph, "arcs")
+    pre: List[Tuple[Tuple[int, int], float]] = []
     seen = set()
     for (u, v), w in updates:
-        key = canonical_edge(u, v)
+        key = (u, v) if directed else canonical_edge(u, v)
         if key in seen:
-            raise UpdateError(f"edge ({u}, {v}) appears twice in one batch")
+            what = f"arc ({u} -> {v})" if directed else f"edge ({u}, {v})"
+            raise UpdateError(f"{what} appears twice in one batch")
         seen.add(key)
         pre.append((key, graph.weight(u, v)))
-        RoadNetwork._check_weight(w)
+        graph._check_weight(w)
     return pre
-
-
-def atomic_apply(oracle, updates: Sequence[WeightUpdate]):
-    """Apply a batch through *oracle* all-or-nothing.
-
-    On success this is exactly ``oracle.apply(updates)`` (same return
-    value).  On any exception the graph's edge weights and the oracle's
-    index are restored to their pre-call state before the exception is
-    re-raised — the graph and the index can never diverge.
-
-    Works with any oracle exposing ``graph`` / ``apply`` (the
-    :class:`repro.core.oracle.DistanceOracle` protocol); oracles with an
-    ``index`` attribute (:class:`DynamicCH`, :class:`DynamicH2H`) get
-    full index rollback, index-free oracles just get graph rollback.
-    """
-    graph = oracle.graph
-    pre_edges = validate_batch(graph, updates)
-    index = getattr(oracle, "index", None)
-    snapshot = snapshot_index(index) if index is not None else None
-    try:
-        return oracle.apply(updates)
-    except BaseException:
-        for (u, v), w in pre_edges:
-            graph.set_weight(u, v, w)
-        if snapshot is not None:
-            restore_index(index, snapshot)
-        raise
 
 
 def cow_apply(
@@ -174,26 +62,26 @@ def cow_apply(
 ):
     """Copy-on-write apply: build the *next* version, never touch this one.
 
-    Clones *oracle* (graph and index) and applies the batch to the clone
-    through :func:`atomic_apply`.  With *coalesce*, the raw stream is
-    first merged into its per-edge net effect against the oracle's
-    current weights (:func:`repro.perf.coalesce.coalesce_updates`; keyed
-    per ordered arc for directed oracles) — the deduplicated batch also
-    passes :func:`validate_batch`'s duplicate check, so repeated-edge
-    streams become applicable here.  Returns ``(next_oracle, report)``;
-    *oracle* itself is left bit-identical, so readers holding it keep
-    answering consistently the whole time the update is in flight.  This
-    is the maintenance primitive behind :mod:`repro.serve`'s epoch
-    snapshots: build next version copy-on-write, then publish it with an
-    atomic epoch swap.
+    With *coalesce*, the raw stream is first merged into its per-edge net
+    effect against the oracle's current weights
+    (:func:`repro.perf.coalesce.coalesce_updates`; keyed per ordered arc
+    for directed oracles), so repeated-edge streams become applicable.
+    The batch then passes :func:`validate_batch` against the oracle's
+    graph, so a malformed batch raises before anything is cloned.
+    Finally the oracle is cloned (graph and index) and the batch applied
+    to the clone.
+
+    Returns ``(next_oracle, report)``.  *oracle* itself is left
+    bit-identical whatever happens, so readers holding it keep answering
+    consistently the whole time the update is in flight; if maintenance
+    raises, the half-mutated clone is simply dropped and the exception
+    propagates.  This is the maintenance primitive behind
+    :mod:`repro.serve`'s epoch snapshots: build the next version
+    copy-on-write, then publish it with an atomic epoch swap.
 
     Any oracle exposing ``clone`` / ``graph`` / ``apply`` works
     (:class:`DynamicCH`, :class:`DynamicH2H`, their directed mirrors,
-    :class:`DijkstraOracle`).  Undirected oracles go through
-    :func:`atomic_apply`; directed indexes (whose arcs the undirected
-    snapshot machinery cannot express) apply directly — on failure the
-    half-mutated clone is simply never returned, so all-or-nothing holds
-    either way.
+    :class:`DijkstraOracle`), on either storage backend.
     """
     clone = getattr(oracle, "clone", None)
     if clone is None:
@@ -201,22 +89,19 @@ def cow_apply(
             f"{type(oracle).__name__} does not support copy-on-write "
             "(no clone() method)"
         )
+    graph = oracle.graph
     superseded = dropped = 0
     if coalesce:
         from repro.perf.coalesce import coalesce_updates
 
-        graph = oracle.graph
         batch = coalesce_updates(
             updates, graph.weight, directed=hasattr(graph, "arcs")
         )
         updates = batch.updates
         superseded, dropped = batch.superseded, batch.dropped
+    validate_batch(graph, updates)
     next_oracle = clone()
-    index = getattr(next_oracle, "index", None)
-    if index is None or isinstance(index, (ShortcutGraph, H2HIndex)):
-        report = atomic_apply(next_oracle, updates)
-    else:
-        report = next_oracle.apply(updates)
+    report = next_oracle.apply(updates)
     if coalesce and report is not None and hasattr(report, "superseded"):
         # Coalescing happened here, not inside the facade (which ran
         # with its own coalesce off) — surface the counters on the

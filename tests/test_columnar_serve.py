@@ -12,14 +12,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.core.dynamic
 from repro.core.dynamic import DynamicCH, DynamicH2H
 from repro.graph.generators import grid_network
-from repro.reliability.transactions import (
-    cow_apply,
-    restore_index,
-    snapshot_index,
+from repro.reliability.transactions import cow_apply
+from repro.serve.epoch import (
+    EpochManager,
+    _index_pages,
+    snapshot_pages_shared,
 )
-from repro.serve.epoch import EpochManager, snapshot_pages_shared
 from repro.serve.server import DistanceServer
 from repro.workloads.updates import increase_batch, sample_edges
 
@@ -121,27 +122,38 @@ def test_server_end_to_end_columnar(columnar_oracle):
             assert server.distance(s, t) == twin.distance(s, t)
 
 
-def test_page_snapshot_rollback(columnar_oracle):
-    """The transaction layer's pre-image for a columnar index is flat
-    page copies; restoring them must undo a maintenance pass exactly."""
-    index = columnar_oracle.index
-    snap = snapshot_index(index)
-    assert snap.pages is not None and not snap.weights  # page fast path
+def test_failed_apply_leaves_shared_pages_untouched(
+    columnar_oracle, monkeypatch
+):
+    """A batch that dies mid-maintenance on the zero-copy clone must not
+    leak a single write into the pages it shared with the caller: the
+    clone privatises each page before its first write, and the failed
+    clone is dropped rather than rolled back."""
+    pages_before = {
+        name: np.array(arr, copy=True)
+        for name, arr in _index_pages(columnar_oracle)
+    }
     pairs = random_pairs(columnar_oracle.graph.n, 25, seed=40)
     before = {(s, t): columnar_oracle.distance(s, t) for s, t in pairs}
-    batch = increase_batch(
-        sample_edges(columnar_oracle.graph, 4, seed=41), factor=5.0
+    edges = sample_edges(columnar_oracle.graph, 5, seed=41)
+    batch = increase_batch(edges[:4], factor=5.0)
+    (u, v, w), = edges[4:]
+    batch.append(((u, v), w / 2.0))  # a decrease, so both halves run
+
+    def broken_decrease(index, updates, ops):
+        raise RuntimeError("maintenance died mid-batch")
+
+    monkeypatch.setattr(repro.core.dynamic, "dch_decrease", broken_decrease)
+    monkeypatch.setattr(
+        repro.core.dynamic, "inch2h_decrease", broken_decrease
     )
-    columnar_oracle.apply(batch)
-    assert any(
-        columnar_oracle.distance(s, t) != d for (s, t), d in before.items()
-    )
-    restore_index(index, snap)
-    for (u, v), w in batch:
-        columnar_oracle.graph.set_weight(u, v, w / 5.0)
+    with pytest.raises(RuntimeError, match="mid-batch"):
+        cow_apply(columnar_oracle, batch)
+    for name, arr in _index_pages(columnar_oracle):
+        assert np.array_equal(arr, pages_before[name]), name
     for (s, t), d in before.items():
         assert columnar_oracle.distance(s, t) == d
-    index.validate()
+    columnar_oracle.index.validate()
 
 
 def test_clone_chain_isolation(columnar_oracle):

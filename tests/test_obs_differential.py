@@ -15,7 +15,6 @@ from repro.core.dynamic import DynamicCH, DynamicH2H
 from repro.graph.generators import road_network
 from repro.obs import names
 from repro.obs.trace import MemorySink, use_sink, validate_record
-from repro.reliability.transactions import snapshot_index
 
 
 def _workload(graph, rng_seed=7):
@@ -32,14 +31,15 @@ def _workload(graph, rng_seed=7):
 
 
 def _assert_identical(plain, traced):
-    a, b = snapshot_index(plain.index), snapshot_index(traced.index)
-    assert a.weights == b.weights
-    assert a.supports == b.supports
-    assert a.vias == b.vias
-    assert a.edge_weights == b.edge_weights
-    if a.dis is not None:
+    a, b = plain.index, traced.index
+    if hasattr(a, "dis"):
         assert np.array_equal(a.dis, b.dis)
-        assert np.array_equal(a.sup_matrix, b.sup_matrix)
+        assert np.array_equal(a.sup, b.sup)
+        a, b = a.sc, b.sc
+    assert a.weight_snapshot() == b.weight_snapshot()
+    assert a.support_snapshot() == b.support_snapshot()
+    assert a.via_snapshot() == b.via_snapshot()
+    assert a.edge_weights() == b.edge_weights()
 
 
 @pytest.mark.parametrize("oracle_cls", [DynamicCH, DynamicH2H])

@@ -125,7 +125,6 @@ def dch_increase(
         order they were finalized (ascending rank of lower endpoint).
     """
     _validate_batch(index, updates, "increase")
-    index.prepare_write()
     with span(names.SPAN_DCH_INCREASE) as sp:
         if sp.active and counter is None:
             counter = OpCounter()
@@ -226,7 +225,6 @@ def dch_decrease(
         and final weights.
     """
     _validate_batch(index, updates, "decrease")
-    index.prepare_write()
     with span(names.SPAN_DCH_DECREASE) as sp:
         if sp.active and counter is None:
             counter = OpCounter()

@@ -86,17 +86,9 @@ def insert_edge(
     Raises
     ------
     UpdateError
-        If the edge already exists (use a weight update instead), the
-        weight is invalid, or the index uses the columnar backend
-        (whose slot layout is frozen at conversion; convert back with
-        ``to_shortcut_graph()``, insert, then re-convert).
+        If the edge already exists (use a weight update instead) or the
+        weight is invalid.
     """
-    if getattr(index, "backend", "dict") == "columnar":
-        raise UpdateError(
-            "insert_edge needs to grow the shortcut structure, which the "
-            "columnar backend freezes; materialize a dict-backed index "
-            "with to_shortcut_graph(), insert there, then convert back"
-        )
     if index.is_graph_edge(u, v):
         raise UpdateError(f"({u}, {v}) already exists; use a weight update")
     if u == v:

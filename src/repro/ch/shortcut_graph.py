@@ -124,23 +124,9 @@ class ShortcutGraph:
         dup._m_shortcuts = self._m_shortcuts
         return dup
 
-    @property
-    def backend(self) -> str:
-        """Which representation backs this index: ``dict`` here,
-        ``columnar`` for :class:`repro.columnar.ColumnarShortcutGraph`."""
-        return "dict"
-
-    def prepare_write(self) -> None:
-        """Hook called by maintenance before its first direct mutation.
-
-        The dict backend owns all its state outright, so this is a
-        no-op; the columnar backend overrides it to take private
-        ownership of every shared copy-on-write page.
-        """
-
     def upward_weights(self, u: int) -> np.ndarray:
         """``phi(<u, v>)`` for ``v in nbr+(u)``, aligned with
-        :meth:`upward`; the columnar backend serves this as one gather."""
+        :meth:`upward`."""
         return np.array(self.upward_weight_row(u), dtype=np.float64)
 
     def upward_weight_row(self, u: int) -> Sequence[float]:

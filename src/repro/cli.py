@@ -78,9 +78,9 @@ def _read_network(path: str):
 def _load_index(path: str):
     """Load either index type; returns ("ch"|"h2h", index).
 
-    File-level damage (truncation, corruption, checksum mismatch) raises
-    straight away — only a readable archive of the other kind triggers
-    the H2H -> CH fallback.
+    Damage (truncation, corruption, checksum mismatch, columns that
+    disagree) raises straight away — only a readable archive of the
+    other kind triggers the H2H -> CH fallback.
     """
     try:
         return "h2h", load_h2h(path)
@@ -355,7 +355,6 @@ def _cmd_serve_bench(args) -> int:
         batch=args.batch,
         workers=args.workers,
         cache_capacity=args.cache_capacity,
-        backend=args.backend,
         throughput_edges=args.throughput_edges,
         throughput_reports=args.throughput_reports,
         overload_batches=args.overload_batches,
@@ -520,42 +519,6 @@ def _cmd_perf_bench(args) -> int:
           f"coalesced ({coalescing['batch_speedup']:.1f}x)")
     if args.bench_out:
         record.name = args.bench_name or record.name
-        path = write_bench(record, args.bench_out)
-        print(f"wrote bench record -> {path}")
-    return 0
-
-
-def _cmd_columnar_bench(args) -> int:
-    from repro.columnar.bench import ColumnarBenchConfig, columnar_bench
-
-    config = ColumnarBenchConfig(
-        oracle=args.oracle,
-        vertices=args.vertices,
-        seed=args.seed,
-        rounds=args.rounds,
-        batch=args.batch,
-        factor=args.factor,
-    )
-    result = columnar_bench(config)
-    record = result.to_bench_record(args.bench_name or "columnar")
-    print(f"columnar-bench [{config.oracle}] {config.vertices} vertices, "
-          f"{config.rounds} publish rounds of {config.batch} edges")
-    for backend in ("dict", "columnar"):
-        latency = (record.extra["dict_latency_us"] if backend == "dict"
-                   else record.latency_us)
-        print(f"  {backend:<9} build {result.build_s[backend]:7.3f} s   "
-              f"publish p50 {latency['p50']:9.1f} us  "
-              f"p95 {latency['p95']:9.1f} us   "
-              f"peak {result.peak_publish_bytes[backend] / 1024:9.1f} KiB")
-    for metric, value in sorted(record.ratios.items()):
-        print(f"  {metric:<28} {value:6.3f}x")
-    print(f"  zero-copy clone     {result.zero_copy_clone}")
-    if args.json:
-        _ensure_parent(args.json)
-        with open(args.json, "w") as handle:
-            json.dump(record.as_dict(), handle, indent=2, sort_keys=True)
-        print(f"wrote stats -> {args.json}")
-    if args.bench_out:
         path = write_bench(record, args.bench_out)
         print(f"wrote bench record -> {path}")
     return 0
@@ -901,10 +864,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="edges per update batch")
     p_serve.add_argument("--workers", type=int, default=4)
     p_serve.add_argument("--cache-capacity", type=int, default=65536)
-    p_serve.add_argument("--backend", choices=("dict", "columnar"),
-                         default="dict",
-                         help="index backing store (docs/columnar.md); "
-                              "ignored by the dijkstra oracle")
     p_serve.add_argument("--json", default=None,
                          help="also write the full stats as JSON here")
     p_serve.add_argument("--trace", default=None,
@@ -972,29 +931,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_perf.add_argument("--bench-name", default=None,
                         help="bench record name (default: inch2h)")
     p_perf.set_defaults(func=_cmd_perf_bench)
-
-    p_col = sub.add_parser(
-        "columnar-bench",
-        help="benchmark the columnar backend against dict: build time, "
-             "copy-on-write publish latency, peak memory",
-    )
-    p_col.add_argument("--oracle", choices=("ch", "h2h"), default="h2h")
-    p_col.add_argument("--vertices", type=int, default=400)
-    p_col.add_argument("--seed", type=int, default=7)
-    p_col.add_argument("--rounds", type=int, default=12,
-                       help="cow_apply + publish rounds per backend")
-    p_col.add_argument("--batch", type=int, default=2,
-                       help="edges per publish (small = the frequent-"
-                            "publish regime the zero-copy clone targets)")
-    p_col.add_argument("--factor", type=float, default=2.0,
-                       help="weight-increase factor per batch")
-    p_col.add_argument("--json", default=None,
-                       help="also write the full record as JSON here")
-    p_col.add_argument("--bench-out", default=None,
-                       help="directory to write BENCH_<name>.json into")
-    p_col.add_argument("--bench-name", default=None,
-                       help="bench record name (default: columnar)")
-    p_col.set_defaults(func=_cmd_columnar_bench)
 
     p_obs = sub.add_parser(
         "obs", help="observability: metrics, traces, bench trajectory"

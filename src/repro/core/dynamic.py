@@ -11,7 +11,6 @@ increase batch, then restores with a decrease batch).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -30,23 +29,7 @@ from repro.order.ordering import Ordering
 from repro.perf.coalesce import coalesce_updates
 from repro.utils.counters import OpCounter
 
-__all__ = ["DynamicCH", "DynamicH2H", "UpdateReport", "resolve_backend"]
-
-
-def resolve_backend(backend: Optional[str]) -> str:
-    """Resolve a facade's ``backend`` argument.
-
-    ``None`` falls back to ``$REPRO_BACKEND`` (default ``dict``), which
-    is how CI runs the whole oracle suite against the columnar
-    representation without touching each call site.
-    """
-    if backend is None:
-        backend = os.environ.get("REPRO_BACKEND", "dict")
-    if backend not in ("dict", "columnar"):
-        raise ValueError(
-            f"unknown index backend {backend!r}; expected 'dict' or 'columnar'"
-        )
-    return backend
+__all__ = ["DynamicCH", "DynamicH2H", "UpdateReport"]
 
 
 @dataclass
@@ -115,38 +98,24 @@ class DynamicCH:
     """
 
     def __init__(
-        self,
-        graph: RoadNetwork,
-        ordering: Optional[Ordering] = None,
-        *,
-        backend: Optional[str] = None,
+        self, graph: RoadNetwork, ordering: Optional[Ordering] = None
     ) -> None:
         self._graph = graph
         self._ordering = ordering
         self.counter = OpCounter()
         self.index = ch_indexing(graph, ordering, self.counter)
-        if resolve_backend(backend) == "columnar":
-            from repro.columnar import ColumnarShortcutGraph
-
-            self.index = ColumnarShortcutGraph.from_shortcut_graph(self.index)
 
     @classmethod
     def from_index(cls, graph: RoadNetwork, index) -> "DynamicCH":
         """Wrap an already-built CH index (e.g. loaded from an archive)
         without paying CHIndexing again; *graph* must be the network the
-        index was built on, in its current state.  The oracle inherits
-        the index's backend (dict or columnar)."""
+        index was built on, in its current state."""
         oracle = cls.__new__(cls)
         oracle._graph = graph
         oracle._ordering = index.ordering
         oracle.counter = OpCounter()
         oracle.index = index
         return oracle
-
-    @property
-    def backend(self) -> str:
-        """The representation backing the index (``dict``/``columnar``)."""
-        return self.index.backend
 
     def clone(self) -> "DynamicCH":
         """An independent copy: same answers, disjoint mutable state.
@@ -204,14 +173,8 @@ class DynamicCH:
         return report
 
     def rebuild(self) -> None:
-        """Recompute the index from the current network (CHIndexing);
-        the backend is preserved."""
-        backend = self.backend
+        """Recompute the index from the current network (CHIndexing)."""
         self.index = ch_indexing(self._graph, self._ordering, self.counter)
-        if backend == "columnar":
-            from repro.columnar import ColumnarShortcutGraph
-
-            self.index = ColumnarShortcutGraph.from_shortcut_graph(self.index)
 
 
 class DynamicH2H:
@@ -226,38 +189,24 @@ class DynamicH2H:
     """
 
     def __init__(
-        self,
-        graph: RoadNetwork,
-        ordering: Optional[Ordering] = None,
-        *,
-        backend: Optional[str] = None,
+        self, graph: RoadNetwork, ordering: Optional[Ordering] = None
     ) -> None:
         self._graph = graph
         self._ordering = ordering
         self.counter = OpCounter()
         self.index = h2h_indexing(graph, ordering, self.counter)
-        if resolve_backend(backend) == "columnar":
-            from repro.columnar import ColumnarH2HIndex
-
-            self.index = ColumnarH2HIndex.from_index(self.index)
 
     @classmethod
     def from_index(cls, graph: RoadNetwork, index) -> "DynamicH2H":
         """Wrap an already-built H2H index (e.g. loaded from an archive)
         without paying H2HIndexing again; *graph* must be the network the
-        index was built on, in its current state.  The oracle inherits
-        the index's backend (dict or columnar)."""
+        index was built on, in its current state."""
         oracle = cls.__new__(cls)
         oracle._graph = graph
         oracle._ordering = index.sc.ordering
         oracle.counter = OpCounter()
         oracle.index = index
         return oracle
-
-    @property
-    def backend(self) -> str:
-        """The representation backing the index (``dict``/``columnar``)."""
-        return self.index.backend
 
     def clone(self) -> "DynamicH2H":
         """An independent copy: same answers, disjoint mutable state."""
@@ -324,17 +273,11 @@ class DynamicH2H:
 
         With *weights_only* (the paper's recompute baseline), the tree
         decomposition is kept — it is weight independent — and only the
-        shortcut weights and distance arrays are rebuilt.  The backend
-        is preserved.
+        shortcut weights and distance arrays are rebuilt.
         """
-        backend = self.backend
         if weights_only:
             sc = ch_indexing(self._graph, self.index.sc.ordering, self.counter)
             tree = TreeDecomposition(sc)
             self.index = fill_distance_arrays(sc, tree, self.counter)
         else:
             self.index = h2h_indexing(self._graph, self._ordering, self.counter)
-        if backend == "columnar":
-            from repro.columnar import ColumnarH2HIndex
-
-            self.index = ColumnarH2HIndex.from_index(self.index)

@@ -75,14 +75,6 @@ class DirectedShortcutGraph:
 
     # ------------------------------------------------------------------
     @property
-    def backend(self) -> str:
-        """Which representation backs this index (``dict`` here)."""
-        return "dict"
-
-    def prepare_write(self) -> None:
-        """Maintenance pre-write hook; no-op on the dict backend."""
-
-    @property
     def n(self) -> int:
         """Number of vertices."""
         return len(self._w)

@@ -112,7 +112,6 @@ def directed_dch_increase(
 ) -> List[ChangedArc]:
     """DCH+ over directed shortcuts; returns the changed arcs."""
     _validate(index, updates, "increase")
-    index.prepare_write()
     with span(names.SPAN_DIRECTED_DCH_INCREASE) as sp:
         if sp.active and counter is None:
             counter = OpCounter()
@@ -164,7 +163,6 @@ def directed_dch_decrease(
 ) -> List[ChangedArc]:
     """DCH- over directed shortcuts; returns the changed arcs."""
     _validate(index, updates, "decrease")
-    index.prepare_write()
     with span(names.SPAN_DIRECTED_DCH_DECREASE) as sp:
         if sp.active and counter is None:
             counter = OpCounter()

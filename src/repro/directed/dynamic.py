@@ -13,7 +13,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.dynamic import resolve_backend
 from repro.directed.ch import directed_ch_distance, directed_ch_indexing
 from repro.directed.dch import (
     ArcUpdate,
@@ -79,24 +78,11 @@ class DynamicDiCH:
     """
 
     def __init__(
-        self,
-        graph: DiRoadNetwork,
-        ordering: Optional[Ordering] = None,
-        *,
-        backend: Optional[str] = None,
+        self, graph: DiRoadNetwork, ordering: Optional[Ordering] = None
     ) -> None:
         self._graph = graph
         self.counter = OpCounter()
         self.index = directed_ch_indexing(graph, ordering, self.counter)
-        if resolve_backend(backend) == "columnar":
-            from repro.columnar import ColumnarDirectedShortcutGraph
-
-            self.index = ColumnarDirectedShortcutGraph.from_directed(self.index)
-
-    @property
-    def backend(self) -> str:
-        """The representation backing the index (``dict``/``columnar``)."""
-        return self.index.backend
 
     def clone(self) -> "DynamicDiCH":
         """An independent copy: same answers, disjoint mutable state."""
@@ -154,40 +140,21 @@ class DynamicDiCH:
         return report
 
     def rebuild(self) -> None:
-        """Recompute the index from the current network; the backend is
-        preserved."""
-        backend = self.backend
+        """Recompute the index from the current network."""
         self.index = directed_ch_indexing(
             self._graph, self.index.ordering, self.counter
         )
-        if backend == "columnar":
-            from repro.columnar import ColumnarDirectedShortcutGraph
-
-            self.index = ColumnarDirectedShortcutGraph.from_directed(self.index)
 
 
 class DynamicDiH2H:
     """A directed H2H oracle under live arc-weight updates."""
 
     def __init__(
-        self,
-        graph: DiRoadNetwork,
-        ordering: Optional[Ordering] = None,
-        *,
-        backend: Optional[str] = None,
+        self, graph: DiRoadNetwork, ordering: Optional[Ordering] = None
     ) -> None:
         self._graph = graph
         self.counter = OpCounter()
         self.index = directed_h2h_indexing(graph, ordering, self.counter)
-        if resolve_backend(backend) == "columnar":
-            from repro.columnar import ColumnarDirectedH2HIndex
-
-            self.index = ColumnarDirectedH2HIndex.from_index(self.index)
-
-    @property
-    def backend(self) -> str:
-        """The representation backing the index (``dict``/``columnar``)."""
-        return self.index.backend
 
     def clone(self) -> "DynamicDiH2H":
         """An independent copy: same answers, disjoint mutable state."""
@@ -250,13 +217,7 @@ class DynamicDiH2H:
         return report
 
     def rebuild(self) -> None:
-        """Recompute the index from the current network; the backend is
-        preserved."""
-        backend = self.backend
+        """Recompute the index from the current network."""
         self.index = directed_h2h_indexing(
             self._graph, self.index.sc.ordering, self.counter
         )
-        if backend == "columnar":
-            from repro.columnar import ColumnarDirectedH2HIndex
-
-            self.index = ColumnarDirectedH2HIndex.from_index(self.index)

@@ -92,14 +92,6 @@ class DirectedH2HIndex:
         )
 
     @property
-    def backend(self) -> str:
-        """Which representation backs this index (``dict`` here)."""
-        return "dict"
-
-    def prepare_write(self) -> None:
-        """Maintenance pre-write hook; no-op on the dict backend."""
-
-    @property
     def n(self) -> int:
         """Number of vertices."""
         return self.tree.n
@@ -285,7 +277,6 @@ def _directed_inch2h_increase_impl(
     counter: Optional[OpCounter],
 ) -> List[Tuple[Entry, float, float]]:
     ops = resolve_counter(counter)
-    index.prepare_write()
     changed_arcs = directed_dch_increase(index.sc, updates, counter)
 
     sc = index.sc
@@ -387,7 +378,6 @@ def _directed_inch2h_decrease_impl(
     counter: Optional[OpCounter],
 ) -> List[Tuple[Entry, float, float]]:
     ops = resolve_counter(counter)
-    index.prepare_write()
     changed_arcs = directed_dch_decrease(index.sc, updates, counter)
 
     sc = index.sc

@@ -135,7 +135,6 @@ def inch2h_increase(
     list of ((u, depth_a), old_value, new_value)
         The super-shortcuts whose distance value changed (AFF_3).
     """
-    index.prepare_write()
     with span(names.SPAN_INCH2H_INCREASE) as sp:
         if sp.active and counter is None:
             counter = OpCounter()
@@ -297,7 +296,6 @@ def inch2h_decrease(
     list of ((u, depth_a), old_value, new_value)
         The super-shortcuts whose distance value changed (AFF_3).
     """
-    index.prepare_write()
     with span(names.SPAN_INCH2H_DECREASE) as sp:
         if sp.active and counter is None:
             counter = OpCounter()

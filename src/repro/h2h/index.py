@@ -80,20 +80,6 @@ class H2HIndex:
         return H2HIndex(self.sc.clone(), self.tree, self.dis.copy(), self.sup.copy())
 
     @property
-    def backend(self) -> str:
-        """Which representation backs this index: ``dict`` here,
-        ``columnar`` for :class:`repro.columnar.ColumnarH2HIndex`."""
-        return "dict"
-
-    def prepare_write(self) -> None:
-        """Hook called by IncH2H before its first direct matrix write.
-
-        No-op on the dict backend (it owns ``dis``/``sup`` outright);
-        the columnar backend copies any page shared with a published
-        snapshot so maintenance never mutates a served epoch.
-        """
-
-    @property
     def n(self) -> int:
         """Number of vertices."""
         return self.tree.n

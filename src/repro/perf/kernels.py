@@ -39,10 +39,9 @@ addition is commutative, so operand order is free), an exact ``min``
 over the same candidate set, and exact ``==`` tie counting — no
 reassociation, no fused intermediates.
 
-The kernels duck-type their ``index`` argument (anything exposing
+The kernels duck-type their ``index`` argument: anything exposing
 ``sc``/``tree``/``dis``/``sup`` the way :class:`repro.h2h.index.H2HIndex`
-does), which lets the multiprocess backend run them against
-``shared_memory``-backed matrices unchanged.
+does.
 """
 
 from __future__ import annotations
@@ -296,11 +295,6 @@ def relax_arrays(
     aliases a later triple's *leg*, which the skip rule of Algorithm 3
     would have skipped anyway).
     """
-    gather = getattr(getattr(adj, "_owner", None), "pair_weight_arrays", None)
-    if gather is not None:
-        # Columnar backend: two fancy-indexed gathers off the flat weight
-        # page instead of one RowView construction per triple.
-        return gather(triples, base)
     count = len(triples)
     legs = np.fromiter(
         (adj[x][w] for x, w, _y in triples), dtype=np.float64, count=count

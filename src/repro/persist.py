@@ -3,53 +3,37 @@
 Building H2H on a large network is the expensive step (Fig. 3a);
 shipping the built index and maintaining it incrementally is exactly
 the deployment story the paper targets.  This module serializes both
-index types in two on-disk formats:
+index types as one compressed ``.npz`` archive each, loaded eagerly.
 
-* ``format="npz"`` (default) — one compressed ``.npz`` archive,
-  loaded eagerly;
-* ``format="bundle"`` — a directory of raw ``.npy`` pages plus a
-  ``manifest.json``.  Bundles exist for the columnar backend: each
-  page can be opened with ``np.load(..., mmap_mode="r")``, so
-  :func:`load_h2h` on a bundle returns a
-  :class:`repro.columnar.ColumnarH2HIndex` whose ``dis``/``sup``
-  matrices — the dominant bytes — are memory mapped rather than
-  materialized.  ``numpy`` refuses to mmap members of an ``.npz``
-  (the zip container forces a full decompress), which is why the
-  mmap path needs its own directory format.
-
-The payload is identical either way: the ordering, the shortcut
-triples ``(u, v, phi(u,v))``, the graph's edge weights, the
-``sup``/``via`` auxiliaries, and for H2H the ``dis``/``sup`` matrices
-(the tree decomposition is weight independent and is rebuilt
-deterministically from the shortcut structure on load).  Round-trips
-are exact: loading produces an index that compares equal, entry for
-entry, to the saved one, and can be maintained further with DCH /
-IncH2H.
+The payload is the ordering, the shortcut triples ``(u, v, phi(u,v))``,
+the graph's edge weights, the ``sup``/``via`` auxiliaries, and for H2H
+the ``dis``/``sup`` matrices (the tree decomposition is weight
+independent and is rebuilt deterministically from the shortcut
+structure on load).  Round-trips are exact: loading produces an index
+that compares equal, entry for entry, to the saved one, and can be
+maintained further with DCH / IncH2H.
 
 Reliability (see ``src/repro/reliability/``):
 
-* writes are **crash safe** — ``.npz`` archives go to ``path + ".tmp"``
-  and are published with :func:`os.replace`; bundles are fully written
-  to a temp directory and published with a rename-aside swap — so a
-  process dying mid-save never leaves a truncated payload at the
-  destination;
-* every archive embeds a **CRC-32 checksum** over all payload arrays;
-  eager loads verify it in full, while mmap loads (whose entire point
-  is not reading the data pages up front) verify the manifest against
-  each page's on-disk header and size, which rejects truncation —
-  a truncated, corrupted or non-archive file raises
-  :class:`repro.errors.IntegrityError` (a :class:`ReproError`), never a
-  raw ``zipfile`` / ``numpy`` exception.
+* writes are **crash safe** — archives go to ``path + ".tmp"`` and are
+  published with :func:`os.replace`, so a process dying mid-save never
+  leaves a truncated payload at the destination;
+* every archive embeds a **CRC-32 checksum** over all payload arrays,
+  verified in full on load — a truncated, corrupted or non-archive file
+  raises :class:`repro.errors.IntegrityError` (a :class:`ReproError`),
+  never a raw ``zipfile`` / ``numpy`` exception;
+* an archive that passes its checksum but whose columns disagree (one
+  shortcut column shorter than another, a ``sup`` matrix shaped unlike
+  ``dis``) raises :class:`IntegrityError` too, rather than loading a
+  broken index.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import shutil
 import zipfile
 import zlib
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Union
 
 import numpy as np
 
@@ -68,9 +52,6 @@ _H2H_FORMAT = 1
 
 #: Archive key holding the embedded payload checksum.
 _CHECKSUM_KEY = "integrity_crc32"
-
-#: Manifest file name inside a bundle directory.
-_MANIFEST = "manifest.json"
 
 
 # ----------------------------------------------------------------------
@@ -116,107 +97,6 @@ def _atomic_savez(path: PathLike, payload: Dict[str, np.ndarray]) -> None:
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
-
-
-def _atomic_save_bundle(path: PathLike, payload: Dict[str, np.ndarray]) -> None:
-    """Write *payload* as a directory bundle of ``.npy`` pages atomically.
-
-    Everything lands in ``path + ".tmp"`` first; publication is a
-    rename-aside swap (``os.replace`` cannot replace a non-empty
-    directory), so readers only ever see a complete bundle.
-    """
-    dest = os.fspath(path)
-    tmp = dest + ".tmp"
-    aside = dest + ".old"
-    if os.path.isdir(tmp):
-        shutil.rmtree(tmp)
-    os.makedirs(tmp)
-    try:
-        arrays = {}
-        for key, arr in payload.items():
-            arr = np.ascontiguousarray(arr)
-            np.save(os.path.join(tmp, key + ".npy"), arr)
-            arrays[key] = {
-                "dtype": str(arr.dtype),
-                "shape": list(arr.shape),
-                "nbytes": int(arr.nbytes),
-            }
-        manifest = {
-            "crc32": _payload_checksum(payload),
-            "arrays": arrays,
-        }
-        manifest_tmp = os.path.join(tmp, _MANIFEST)
-        with open(manifest_tmp, "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle, indent=2, sort_keys=True)
-            handle.flush()
-            os.fsync(handle.fileno())
-        if os.path.isdir(aside):
-            shutil.rmtree(aside)
-        if os.path.exists(dest):
-            os.rename(dest, aside)
-        os.rename(tmp, dest)
-        if os.path.isdir(aside):
-            shutil.rmtree(aside)
-    finally:
-        if os.path.isdir(tmp):
-            shutil.rmtree(tmp)
-
-
-def _read_bundle(
-    path: PathLike, kind: str, mmap_mode: Optional[str]
-) -> Dict[str, np.ndarray]:
-    """Read a bundle directory, verifying integrity.
-
-    With *mmap_mode* each page comes back memory mapped and integrity
-    checking is structural — the manifest's dtype/shape/size against
-    each page's ``.npy`` header and on-disk size, which rejects
-    truncated or swapped pages without touching the data bytes.  An
-    eager read (``mmap_mode=None``) additionally verifies the embedded
-    CRC-32 over the full payload, like the ``.npz`` path.
-    """
-    root = os.fspath(path)
-    manifest_path = os.path.join(root, _MANIFEST)
-    try:
-        with open(manifest_path, encoding="utf-8") as handle:
-            manifest = json.load(handle)
-    except FileNotFoundError as exc:
-        raise IntegrityError(
-            f"{kind} bundle {root} has no {_MANIFEST}"
-        ) from exc
-    except (json.JSONDecodeError, OSError) as exc:
-        raise IntegrityError(
-            f"cannot read {kind} bundle manifest {manifest_path}: {exc}"
-        ) from exc
-    payload: Dict[str, np.ndarray] = {}
-    for key, meta in manifest.get("arrays", {}).items():
-        page_path = os.path.join(root, key + ".npy")
-        if not os.path.isfile(page_path):
-            raise IntegrityError(f"{kind} bundle {root} is missing page {key}")
-        if os.path.getsize(page_path) < int(meta["nbytes"]):
-            raise IntegrityError(
-                f"{kind} bundle page {page_path} is truncated "
-                f"({os.path.getsize(page_path)} bytes on disk, "
-                f"{meta['nbytes']} of array data expected)"
-            )
-        try:
-            arr = np.load(page_path, mmap_mode=mmap_mode, allow_pickle=False)
-        except (ValueError, OSError, EOFError) as exc:
-            raise IntegrityError(
-                f"cannot read {kind} bundle page {page_path}: {exc}"
-            ) from exc
-        if str(arr.dtype) != meta["dtype"] or list(arr.shape) != meta["shape"]:
-            raise IntegrityError(
-                f"{kind} bundle page {page_path} does not match its "
-                f"manifest entry (dtype {arr.dtype}, shape {arr.shape})"
-            )
-        payload[key] = arr
-    if mmap_mode is None:
-        stored = manifest.get("crc32")
-        if stored is not None and int(stored) != _payload_checksum(payload):
-            raise IntegrityError(
-                f"{kind} bundle {root} failed its integrity check"
-            )
-    return payload
 
 
 def _read_payload(path: PathLike, kind: str) -> Dict[str, np.ndarray]:
@@ -280,21 +160,22 @@ def _ch_payload(index: ShortcutGraph) -> Dict[str, np.ndarray]:
     }
 
 
-def save_ch(
-    index: ShortcutGraph, path: PathLike, *, format: str = "npz"
-) -> None:
-    """Serialize a CH index.
+def save_ch(index: ShortcutGraph, path: PathLike) -> None:
+    """Serialize a CH index as one compressed archive, atomically and
+    checksummed."""
+    _atomic_savez(path, _ch_payload(index))
 
-    ``format="npz"`` writes one compressed archive; ``format="bundle"``
-    writes a directory of ``.npy`` pages that :func:`load_ch` can open
-    memory mapped.  Both writes are atomic and checksummed.
-    """
-    if format == "bundle":
-        _atomic_save_bundle(path, _ch_payload(index))
-    elif format == "npz":
-        _atomic_savez(path, _ch_payload(index))
-    else:
-        raise ValueError(f"unknown archive format {format!r}")
+
+def _check_columns(data: Dict[str, np.ndarray], keys: List[str]) -> None:
+    """Raise :class:`IntegrityError` unless the columns *keys* of an
+    archive are all present and one length: ``zip`` would otherwise
+    silently drop the tail."""
+    missing = [key for key in keys if key not in data]
+    if missing:
+        raise IntegrityError(f"archive is missing columns {missing}")
+    lengths = {key: len(data[key]) for key in keys}
+    if len(set(lengths.values())) > 1:
+        raise IntegrityError(f"archive columns disagree in length: {lengths}")
 
 
 def _ch_from_payload(data: Dict[str, np.ndarray]) -> ShortcutGraph:
@@ -302,6 +183,8 @@ def _ch_from_payload(data: Dict[str, np.ndarray]) -> ShortcutGraph:
         raise ReproError(
             f"unsupported CH archive format {int(data['ch_format'][0])}"
         )
+    _check_columns(data, ["sc_u", "sc_v", "sc_w", "sc_sup", "sc_via"])
+    _check_columns(data, ["edge_u", "edge_v", "edge_w"])
     ordering = Ordering([int(x) for x in data["order"]])
     n = len(ordering)
     adj: List[Dict[int, float]] = [{} for _ in range(n)]
@@ -321,31 +204,18 @@ def _ch_from_payload(data: Dict[str, np.ndarray]) -> ShortcutGraph:
     return index
 
 
-def load_ch(path: PathLike, *, mmap_mode: Optional[str] = None) -> ShortcutGraph:
+def load_ch(path: PathLike) -> ShortcutGraph:
     """Load a CH index saved with :func:`save_ch`.
-
-    A bundle directory loads as a columnar index
-    (:class:`repro.columnar.ColumnarShortcutGraph`); *mmap_mode* is
-    honored per page while the structural state is rebuilt eagerly (a
-    CH archive is dominated by structure, not pages — the mmap path
-    matters for H2H, whose matrices dwarf everything else).
 
     Raises
     ------
     IntegrityError
-        If the file is missing, truncated, corrupted or fails its
-        embedded checksum.
+        If the file is missing, truncated, corrupted, fails its
+        embedded checksum, or its columns disagree.
     ReproError
         If the archive is readable but not a CH archive (or a newer
         format).
     """
-    if os.path.isdir(path):
-        from repro.columnar import ColumnarShortcutGraph
-
-        data = _read_bundle(path, "CH", mmap_mode)
-        if "ch_format" not in data:
-            raise ReproError(f"{path} is not a repro CH archive")
-        return ColumnarShortcutGraph.from_shortcut_graph(_ch_from_payload(data))
     data = _read_payload(path, "CH")
     if "ch_format" not in data:
         raise ReproError(f"{path} is not a repro CH archive")
@@ -355,56 +225,31 @@ def load_ch(path: PathLike, *, mmap_mode: Optional[str] = None) -> ShortcutGraph
 # ----------------------------------------------------------------------
 # H2H
 # ----------------------------------------------------------------------
-def save_h2h(
-    index: H2HIndex, path: PathLike, *, format: str = "npz"
-) -> None:
-    """Serialize an H2H index (including its CH).
-
-    ``format="npz"`` writes one compressed archive; ``format="bundle"``
-    writes a directory of ``.npy`` pages — the columnar snapshot form,
-    whose ``dis``/``sup`` matrices :func:`load_h2h` can memory map.
-    Atomic and checksummed exactly like :func:`save_ch`.
-    """
+def save_h2h(index: H2HIndex, path: PathLike) -> None:
+    """Serialize an H2H index (including its CH) as one compressed
+    archive, atomic and checksummed exactly like :func:`save_ch`."""
     payload = _ch_payload(index.sc)
     payload["h2h_format"] = np.array([_H2H_FORMAT])
     payload["dis"] = np.asarray(index.dis)
     payload["sup_matrix"] = np.asarray(index.sup)
-    if format == "bundle":
-        _atomic_save_bundle(path, payload)
-    elif format == "npz":
-        _atomic_savez(path, payload)
-    else:
-        raise ValueError(f"unknown archive format {format!r}")
+    _atomic_savez(path, payload)
 
 
-def load_h2h(path: PathLike, *, mmap_mode: Optional[str] = None) -> H2HIndex:
+def load_h2h(path: PathLike) -> H2HIndex:
     """Load an H2H index saved with :func:`save_h2h`.
 
     The tree decomposition (ancestor/position arrays, DFS times, LCA
     tables) is rebuilt from the loaded shortcut structure; it is weight
     independent, so the rebuild is deterministic and exact.
 
-    A bundle directory loads as a columnar index
-    (:class:`repro.columnar.ColumnarH2HIndex`).  With
-    ``mmap_mode="r"`` its ``dis``/``sup`` matrices — the dominant
-    bytes of an H2H snapshot — stay memory mapped: the open cost is
-    the structural rebuild, no matrix is materialized before first
-    use, and the first maintenance write triggers the ordinary
-    copy-on-write page copy (read-only pages are never written).
-
     Raises
     ------
     IntegrityError
-        If the file is missing, truncated, corrupted or fails its
-        embedded checksum.
+        If the file is missing, truncated, corrupted, fails its
+        embedded checksum, or its columns or matrices disagree.
     ReproError
         If the archive is readable but not an H2H archive.
     """
-    if os.path.isdir(path):
-        from repro.columnar import ColumnarH2HIndex
-
-        data = _read_bundle(path, "H2H", mmap_mode)
-        return ColumnarH2HIndex.from_index(_h2h_from_payload(path, data))
     return _h2h_from_payload(path, _read_payload(path, "H2H"))
 
 
@@ -416,15 +261,17 @@ def _h2h_from_payload(path: PathLike, data: Dict[str, np.ndarray]) -> H2HIndex:
             f"unsupported H2H archive format {int(data['h2h_format'][0])}"
         )
     sc = _ch_from_payload(data)
-    dis = data["dis"]
-    sup = data["sup_matrix"]
-    if not isinstance(dis, np.memmap):
-        dis = np.array(dis, dtype=np.float64)
-        sup = np.array(sup, dtype=np.int32)
+    dis = np.array(data["dis"], dtype=np.float64)
+    sup = np.array(data["sup_matrix"], dtype=np.int32)
     tree = TreeDecomposition(sc)
     if dis.shape != (tree.n, tree.height):
-        raise ReproError(
+        raise IntegrityError(
             f"distance matrix shape {dis.shape} does not match the "
             f"decomposition ({tree.n} x {tree.height})"
+        )
+    if sup.shape != dis.shape:
+        raise IntegrityError(
+            f"support matrix shape {sup.shape} does not match the "
+            f"distance matrix shape {dis.shape}"
         )
     return H2HIndex(sc, tree, dis, sup)

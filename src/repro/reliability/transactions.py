@@ -81,7 +81,7 @@ def cow_apply(
 
     Any oracle exposing ``clone`` / ``graph`` / ``apply`` works
     (:class:`DynamicCH`, :class:`DynamicH2H`, their directed mirrors,
-    :class:`DijkstraOracle`), on either storage backend.
+    :class:`DijkstraOracle`).
     """
     clone = getattr(oracle, "clone", None)
     if clone is None:

@@ -61,15 +61,6 @@ _ORACLES = {
 }
 
 
-def _build_oracle(config: "BenchConfig", graph):
-    """Construct the configured oracle, honoring ``config.backend`` for
-    the index-backed oracles (Dijkstra has no index to re-back)."""
-    factory = _ORACLES[config.oracle]
-    if config.oracle == "dijkstra":
-        return factory(graph)
-    return factory(graph, backend=config.backend)
-
-
 @dataclass(frozen=True)
 class BenchConfig:
     """Knobs of one serve-bench run, all seeded / deterministic (DESIGN.md §4b)."""
@@ -84,7 +75,6 @@ class BenchConfig:
     factor: float = 2.0  #: weight-increase factor of each batch
     workers: int = 4
     cache_capacity: int = 65536
-    backend: str = "dict"  #: index backing store ("dict" or "columnar")
     throughput_edges: int = 16  #: edges in the update-throughput phase (0 = skip)
     throughput_reports: int = 3  #: re-reports per edge in the raw stream
     # Overload-scenario knobs (used by overload_bench only).
@@ -241,7 +231,7 @@ def serve_bench(config: BenchConfig = BenchConfig()) -> BenchResult:
     rng = random.Random(config.seed)
     graph = road_network(config.vertices, seed=config.seed)
     t0 = perf_counter()
-    oracle = _build_oracle(config, graph)
+    oracle = _ORACLES[config.oracle](graph)
     build_s = perf_counter() - t0
     pairs = _query_pairs(graph.n, config.queries, rng)
 
@@ -550,7 +540,7 @@ def overload_bench(config: BenchConfig = BenchConfig()) -> OverloadResult:
     rng = random.Random(config.seed)
     graph = road_network(config.vertices, seed=config.seed)
     t0 = perf_counter()
-    base = _build_oracle(config, graph)
+    base = _ORACLES[config.oracle](graph)
     build_s = perf_counter() - t0
     result = OverloadResult(config=config, build_s=build_s)
 

@@ -14,14 +14,6 @@ The contract that makes this safe: an oracle handed to
 :class:`EpochManager` is *frozen* — nothing may mutate it afterwards.
 All mutation happens on clones that become the next epoch's snapshot.
 
-With the columnar backend (:mod:`repro.columnar`) the clone feeding the
-next epoch is *zero-copy*: ``clone()`` shares the flat ``dis``/``sup``
-and shortcut-weight pages with the published snapshot and only copies a
-page when the maintenance pass first writes it (copy-on-write), so a
-publish that touches a small AFF set duplicates a few pages instead of
-the whole index.  :func:`snapshot_pages_shared` makes that property
-observable for tests and diagnostics.
-
 Retired snapshots are never invalidated — a reader holding one keeps
 getting exact answers for that epoch indefinitely.
 """
@@ -32,49 +24,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
-__all__ = ["EpochSnapshot", "EpochManager", "snapshot_pages_shared"]
-
-
-def _index_pages(oracle):
-    """Yield ``(name, array)`` for every flat page backing *oracle*'s
-    index — the ``dis``/``sup`` matrices plus the shortcut-store pages
-    (``_PAGES``) of a columnar index.  Empty for array-free oracles."""
-    index = getattr(oracle, "index", None)
-    if index is None:
-        return
-    for name in ("dis", "sup"):
-        arr = getattr(index, name, None)
-        if isinstance(arr, np.ndarray):
-            yield name, arr
-        elif isinstance(arr, (tuple, list)):  # directed: (TO, FROM) pair
-            for i, sub in enumerate(arr):
-                if isinstance(sub, np.ndarray):
-                    yield f"{name}[{i}]", sub
-    sc = getattr(index, "sc", index)
-    for name in getattr(sc, "_PAGES", ()):
-        arr = getattr(sc, name, None)
-        if isinstance(arr, np.ndarray):
-            yield f"sc.{name}", arr
-
-
-def snapshot_pages_shared(a, b) -> Optional[bool]:
-    """Whether two oracles (or :class:`EpochSnapshot`\\ s) still share
-    every backing page of their indexes.
-
-    ``True`` means a clone has not yet copied anything (zero-copy);
-    ``False`` means at least one page diverged (a write triggered
-    copy-on-write, or the backend copies eagerly, as ``dict`` clones
-    do).  ``None`` when the oracles expose no comparable array pages.
-    """
-    oa = getattr(a, "oracle", a)
-    ob = getattr(b, "oracle", b)
-    pages_a = dict(_index_pages(oa))
-    pages_b = dict(_index_pages(ob))
-    if not pages_a or pages_a.keys() != pages_b.keys():
-        return None
-    return all(np.shares_memory(pages_a[k], pages_b[k]) for k in pages_a)
+__all__ = ["EpochSnapshot", "EpochManager"]
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
+from repro import persist
 from repro.ch.indexing import ch_indexing
 from repro.graph.generators import grid_network, random_connected_network, road_network
 from repro.graph.graph import RoadNetwork
@@ -99,3 +101,15 @@ def random_pairs(n: int, count: int, seed: int = 0):
     """Deterministic list of (s, t) vertex pairs for query checks."""
     gen = random.Random(seed)
     return [(gen.randrange(n), gen.randrange(n)) for _ in range(count)]
+
+
+def rewrite_archive(path, drop=(), **columns):
+    """Re-save the index archive at *path* without the columns in *drop*
+    and with *columns* replaced.  The embedded checksum is recomputed
+    over the new payload, so only the loaders' consistency checks stand
+    between it and a broken index."""
+    with np.load(path) as data:
+        payload = {key: np.array(data[key]) for key in data.files
+                   if key != persist._CHECKSUM_KEY and key not in drop}
+    payload.update(columns)
+    persist._atomic_savez(path, payload)

@@ -4,8 +4,8 @@
 whole batch with one vectorised LCA and one padded ``pos`` gather
 (:func:`repro.perf.kernels.pos_scan_many`).  They must be ``==`` — no
 tolerance — to the scalar queries (``h2h_distance`` /
-``directed_h2h_distance``) and to Dijkstra, on both storage backends,
-and count the same ``pos_scan`` work.  ``DistanceServer.query_many``
+``directed_h2h_distance``) and to Dijkstra, and count the same
+``pos_scan`` work.  ``DistanceServer.query_many``
 routes H2H batches through them.
 """
 
@@ -30,8 +30,6 @@ from repro.serve.server import DistanceServer
 from repro.utils.counters import OpCounter
 from repro.utils.lca import LCAOracle
 from repro.workloads.updates import increase_batch, sample_edges
-
-BACKENDS = ["dict", "columnar"]
 
 GRAPHS = {
     "grid": lambda: grid_network(6, 7, seed=3),
@@ -76,9 +74,8 @@ def graph(request):
     return GRAPHS[request.param]()
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_equals_scalar_and_dijkstra(graph, backend):
-    index = DynamicH2H(graph, backend=backend).index
+def test_equals_scalar_and_dijkstra(graph):
+    index = DynamicH2H(graph).index
     tree = index.tree
     pairs = batch(graph.n, 300, seed=7) + [(tree.root, v) for v in range(0, graph.n, 9)]
     scalar_ops, batch_ops = OpCounter(), OpCounter()
@@ -90,10 +87,9 @@ def test_equals_scalar_and_dijkstra(graph, backend):
     assert got == [truth[s][t] for s, t in pairs]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_pairs_under_the_root(graph, backend):
+def test_pairs_under_the_root(graph):
     """Pairs whose LCA is the root scan the root's ``pos`` row."""
-    index = DynamicH2H(graph, backend=backend).index
+    index = DynamicH2H(graph).index
     tree = index.tree
     rng = random.Random(4)
     pairs = [(rng.randrange(graph.n), rng.randrange(graph.n)) for _ in range(400)]
@@ -104,9 +100,8 @@ def test_pairs_under_the_root(graph, backend):
     ]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_after_maintenance(backend):
-    oracle = DynamicH2H(road_network(120, seed=8), backend=backend)
+def test_after_maintenance():
+    oracle = DynamicH2H(road_network(120, seed=8))
     oracle.apply(increase_batch(sample_edges(oracle.graph, 6, seed=2), factor=3.0))
     pairs = batch(oracle.graph.n, 200, seed=1)
     truth = {s: dijkstra(oracle.graph, s) for s in {s for s, _ in pairs}}
@@ -115,10 +110,9 @@ def test_after_maintenance(backend):
     assert got == [oracle.distance(s, t) for s, t in pairs]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_directed_equals_scalar_and_dijkstra(backend):
+def test_directed_equals_scalar_and_dijkstra():
     digraph = one_way_city()
-    index = DynamicDiH2H(digraph, backend=backend).index
+    index = DynamicDiH2H(digraph).index
     pairs = batch(digraph.n, 300, seed=5)
     pairs += [(t, s) for s, t in pairs[:50]]
     pairs += [(index.tree.root, v) for v in range(0, digraph.n, 7)]
@@ -200,7 +194,7 @@ def test_pos_pages_hold_every_row(graph):
 
 
 def test_clones_share_the_pages():
-    oracle = DynamicH2H(GRAPHS["grid"](), backend="columnar")
+    oracle = DynamicH2H(GRAPHS["grid"]())
     clone = oracle.clone()
     assert clone.tree.pos_pad is oracle.tree.pos_pad
 

@@ -8,14 +8,15 @@ import pytest
 from repro.ch.dch import dch_increase
 from repro.ch.indexing import ch_indexing
 from repro.ch.query import ch_distance
-from repro.errors import ReproError
+from repro.errors import IntegrityError, ReproError
+from repro.graph.generators import grid_network
 from repro.h2h.inch2h import inch2h_increase
 from repro.h2h.indexing import h2h_indexing
 from repro.h2h.query import h2h_distance
 from repro.persist import load_ch, load_h2h, save_ch, save_h2h
 from repro.workloads.updates import increase_batch, sample_edges
 
-from conftest import random_pairs
+from conftest import random_pairs, rewrite_archive
 
 
 class TestChRoundTrip:
@@ -119,3 +120,53 @@ class TestH2HRoundTrip:
         save_h2h(paper_h2h, path)
         loaded_sc = load_ch(path)
         assert loaded_sc.weight_snapshot() == paper_h2h.sc.weight_snapshot()
+
+
+
+class TestInconsistentArchives:
+    """An archive that passes its checksum but whose columns disagree is
+    rejected with :class:`IntegrityError` (a :class:`ReproError`)
+    instead of loading: ``zip`` would silently drop the tail of the
+    longer columns."""
+
+    @pytest.fixture
+    def ch_archive(self, tmp_path):
+        path = tmp_path / "ch.npz"
+        save_ch(ch_indexing(grid_network(4, 4, seed=2)), path)
+        return path
+
+    @pytest.fixture
+    def h2h_archive(self, tmp_path):
+        path = tmp_path / "h2h.npz"
+        save_h2h(h2h_indexing(grid_network(4, 4, seed=2)), path)
+        return path
+
+    @pytest.mark.parametrize("column", [
+        "sc_u", "sc_v", "sc_w", "sc_sup", "sc_via",
+        "edge_u", "edge_v", "edge_w",
+    ])
+    def test_short_column_rejected(self, ch_archive, column):
+        with np.load(ch_archive) as data:
+            short = np.array(data[column][:-3])
+        rewrite_archive(ch_archive, **{column: short})
+        with pytest.raises(IntegrityError, match="disagree in length"):
+            load_ch(ch_archive)
+
+    def test_missing_column_rejected(self, ch_archive):
+        rewrite_archive(ch_archive, drop=("sc_via",))
+        with pytest.raises(IntegrityError, match="missing columns"):
+            load_ch(ch_archive)
+
+    def test_short_shortcut_column_rejected_as_h2h(self, h2h_archive):
+        with np.load(h2h_archive) as data:
+            short = np.array(data["sc_sup"][:-3])
+        rewrite_archive(h2h_archive, sc_sup=short)
+        with pytest.raises(IntegrityError, match="disagree in length"):
+            load_h2h(h2h_archive)
+
+    def test_support_matrix_shape_mismatch_rejected(self, h2h_archive):
+        with np.load(h2h_archive) as data:
+            n = data["dis"].shape[0]
+        rewrite_archive(h2h_archive, sup_matrix=np.ones((n, 1), dtype=np.int32))
+        with pytest.raises(IntegrityError, match="support matrix shape"):
+            load_h2h(h2h_archive)

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.core.dynamic import DynamicCH
+from repro.core.dynamic import DynamicCH, DynamicH2H
 from repro.graph.generators import grid_network
 from repro.graph.io import write_dimacs
-from repro.persist import load_ch, save_ch
+from repro.persist import load_ch, save_ch, save_h2h
 from repro.reliability import FaultInjector, ReliableStore
+
+from conftest import rewrite_archive
 
 
 @pytest.fixture
@@ -48,6 +51,19 @@ class TestVerifyCommand:
         assert main(["verify", "--index", str(index_path),
                      "--network", str(network_path)]) == 1
         assert "diverged" in capsys.readouterr().err
+
+    def test_inconsistent_archive_fails_cleanly(self, tmp_path, capsys):
+        """Checksum intact, but ``sup_matrix`` is shaped unlike ``dis``:
+        a typed ``error:`` line and exit 1, no traceback."""
+        index_path = tmp_path / "town.h2h.npz"
+        save_h2h(DynamicH2H(grid_network(4, 4, seed=2)).index, index_path)
+        with np.load(index_path) as data:
+            sup = np.array(data["sup_matrix"][:, :1])
+        rewrite_archive(index_path, sup_matrix=sup)
+        assert main(["verify", "--index", str(index_path)]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "Traceback" not in err
 
 
 class TestRecoverCommand:

@@ -2,9 +2,7 @@
 
 :func:`cow_apply` builds each new version on a private clone.  A batch
 that fails mid-maintenance drops the half-mutated clone, so the
-caller's graph and index must come out bit-identical: on the columnar
-backend that also proves the clone privatised every shared page before
-its first write.
+caller's graph and index must come out bit-identical.
 """
 
 from __future__ import annotations
@@ -108,29 +106,22 @@ def two_way(graph: RoadNetwork) -> DiRoadNetwork:
     return digraph
 
 
-#: case -> (oracle class, backend, facade module, name of its decrease
-#: step, name of its increase step).
+#: case -> (oracle class, facade module, name of its decrease step,
+#: name of its increase step).
 CASES = {
-    "ch-dict": (DynamicCH, "dict", repro.core.dynamic,
-                "dch_decrease", "dch_increase"),
-    "ch-columnar": (DynamicCH, "columnar", repro.core.dynamic,
-                    "dch_decrease", "dch_increase"),
-    "h2h-dict": (DynamicH2H, "dict", repro.core.dynamic,
-                 "inch2h_decrease", "inch2h_increase"),
-    "h2h-columnar": (DynamicH2H, "columnar", repro.core.dynamic,
-                     "inch2h_decrease", "inch2h_increase"),
-    "dich-dict": (DynamicDiCH, "dict", repro.directed.dynamic,
-                  "directed_dch_decrease", "directed_dch_increase"),
-    "dich-columnar": (DynamicDiCH, "columnar", repro.directed.dynamic,
-                      "directed_dch_decrease", "directed_dch_increase"),
+    "ch": (DynamicCH, repro.core.dynamic, "dch_decrease", "dch_increase"),
+    "h2h": (DynamicH2H, repro.core.dynamic,
+            "inch2h_decrease", "inch2h_increase"),
+    "dich": (DynamicDiCH, repro.directed.dynamic,
+             "directed_dch_decrease", "directed_dch_increase"),
 }
 
 
 @pytest.fixture(params=sorted(CASES))
 def case(request, small_grid):
-    cls, backend, module, decrease, increase = CASES[request.param]
+    cls, module, decrease, increase = CASES[request.param]
     graph = two_way(small_grid) if cls is DynamicDiCH else small_grid
-    return cls(graph, backend=backend), module, decrease, increase
+    return cls(graph), module, decrease, increase
 
 
 def links(graph):

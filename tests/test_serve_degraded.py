@@ -363,76 +363,3 @@ class TestOverloadBench:
             result.degraded_updates_per_s
         )
         assert record.extra["max_epsilon"] == result.max_epsilon
-
-
-class TestBackendParity:
-    """The degraded tier — journal, ε accounting, watermark transitions,
-    catch-up folds — must behave identically whichever representation
-    backs the index (docs/columnar.md)."""
-
-    @pytest.mark.parametrize("oracle_cls", [DynamicCH, DynamicH2H])
-    def test_degraded_cycle_identical_on_both_backends(
-        self, small_grid, oracle_cls
-    ):
-        batches = minor_batches(small_grid, 5, 2)
-        pairs = random_pairs(small_grid.n, 15, seed=21)
-        transcripts = {}
-        for backend in ("dict", "columnar"):
-            transcript = []
-            with DistanceServer(
-                oracle_cls(small_grid.copy(), backend=backend),
-                workers=1,
-                degrade=policy(),
-            ) as server:
-                assert server.snapshot().oracle.backend == backend
-                for batch in batches:
-                    server.offer(batch)
-                while True:
-                    report = server.pump()
-                    if report is None:
-                        break
-                    transcript.append(
-                        (
-                            report.state,
-                            report.deferred,
-                            report.caught_up,
-                            round(server.epsilon, 12),
-                            server.deferral.pending,
-                            server.epoch,
-                        )
-                    )
-                    stamped = [
-                        server.distance_bounded(s, t) for s, t in pairs
-                    ]
-                    transcript.append(
-                        [(a.distance, a.max_stretch) for a in stamped]
-                    )
-                transcript.append(server.state)
-                transcript.append(
-                    [server.distance(s, t) for s, t in pairs]
-                )
-            transcripts[backend] = transcript
-        assert transcripts["dict"] == transcripts["columnar"]
-
-    def test_degraded_metrics_identical_on_both_backends(self, small_grid):
-        batches = minor_batches(small_grid, 4, 2)
-        counters = {}
-        for backend in ("dict", "columnar"):
-            with DistanceServer(
-                DynamicCH(small_grid.copy(), backend=backend),
-                workers=1,
-                degrade=policy(high_watermark=2, low_watermark=0),
-            ) as server:
-                for batch in batches:
-                    server.offer(batch)
-                server.drain()
-                metrics = server.metrics
-                counters[backend] = {
-                    "journal": dict(server.deferral.counters),
-                    "deferred": metrics.get(
-                        names.SERVE_DEFERRAL_ACTIONS
-                    ).value(action="defer"),
-                    "publishes": metrics.get(names.SERVE_PUBLISHES).value(),
-                }
-                assert server.deferral.pending == 0
-        assert counters["dict"] == counters["columnar"]

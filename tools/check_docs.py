@@ -45,7 +45,6 @@ DOC_FILES = ("README.md", "EXPERIMENTS.md")
 REQUIRED_DOCS = (
     "docs/architecture.md",
     "docs/boundedness.md",
-    "docs/columnar.md",
     "docs/degraded-mode.md",
     "docs/observability.md",
     "docs/performance.md",

@@ -89,7 +89,10 @@ def assert_exact_against_dijkstra(graph, sc, pairs) -> None:
         assert path_weight(graph, path) == d, (s, t)
 
 
-cases = pytest.mark.parametrize("name", list(GRAPHS))
+# The case ids name the index store under test: the dict store.
+cases = pytest.mark.parametrize(
+    "name", list(GRAPHS), ids=[f"{g}-dict" for g in GRAPHS]
+)
 
 
 @cases

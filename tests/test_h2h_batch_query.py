@@ -74,8 +74,14 @@ def graph(request):
     return GRAPHS[request.param]()
 
 
-def test_equals_scalar_and_dijkstra(graph):
-    index = DynamicH2H(graph).index
+# The case ids name the index store the oracle builds: the dict store.
+undirected_oracle = pytest.mark.parametrize("oracle_cls", [DynamicH2H], ids=["dict"])
+directed_oracle = pytest.mark.parametrize("oracle_cls", [DynamicDiH2H], ids=["dict"])
+
+
+@undirected_oracle
+def test_equals_scalar_and_dijkstra(graph, oracle_cls):
+    index = oracle_cls(graph).index
     tree = index.tree
     pairs = batch(graph.n, 300, seed=7) + [(tree.root, v) for v in range(0, graph.n, 9)]
     scalar_ops, batch_ops = OpCounter(), OpCounter()
@@ -87,9 +93,10 @@ def test_equals_scalar_and_dijkstra(graph):
     assert got == [truth[s][t] for s, t in pairs]
 
 
-def test_pairs_under_the_root(graph):
+@undirected_oracle
+def test_pairs_under_the_root(graph, oracle_cls):
     """Pairs whose LCA is the root scan the root's ``pos`` row."""
-    index = DynamicH2H(graph).index
+    index = oracle_cls(graph).index
     tree = index.tree
     rng = random.Random(4)
     pairs = [(rng.randrange(graph.n), rng.randrange(graph.n)) for _ in range(400)]
@@ -100,8 +107,9 @@ def test_pairs_under_the_root(graph):
     ]
 
 
-def test_after_maintenance():
-    oracle = DynamicH2H(road_network(120, seed=8))
+@undirected_oracle
+def test_after_maintenance(oracle_cls):
+    oracle = oracle_cls(road_network(120, seed=8))
     oracle.apply(increase_batch(sample_edges(oracle.graph, 6, seed=2), factor=3.0))
     pairs = batch(oracle.graph.n, 200, seed=1)
     truth = {s: dijkstra(oracle.graph, s) for s in {s for s, _ in pairs}}
@@ -110,9 +118,10 @@ def test_after_maintenance():
     assert got == [oracle.distance(s, t) for s, t in pairs]
 
 
-def test_directed_equals_scalar_and_dijkstra():
+@directed_oracle
+def test_directed_equals_scalar_and_dijkstra(oracle_cls):
     digraph = one_way_city()
-    index = DynamicDiH2H(digraph).index
+    index = oracle_cls(digraph).index
     pairs = batch(digraph.n, 300, seed=5)
     pairs += [(t, s) for s, t in pairs[:50]]
     pairs += [(index.tree.root, v) for v in range(0, digraph.n, 7)]

@@ -117,7 +117,8 @@ CASES = {
 }
 
 
-@pytest.fixture(params=sorted(CASES))
+# The case ids also name the index store under test: the dict store.
+@pytest.fixture(params=sorted(CASES), ids=lambda c: f"{c}-dict")
 def case(request, small_grid):
     cls, module, decrease, increase = CASES[request.param]
     graph = two_way(small_grid) if cls is DynamicDiCH else small_grid

@@ -21,7 +21,7 @@ oracle from a :class:`~repro.reliability.ReliableStore` directory
 (snapshot + write-ahead log) after a crash.  ``serve-bench`` measures
 the epoch-snapshot serving layer (:mod:`repro.serve`) — cached-hit
 speedup and AFF-scoped cache survival across update publishes —
-and ``cache-stats`` pretty-prints the per-epoch counters a previous
+and ``cache-stats`` pretty-prints the cache totals a previous
 ``serve-bench --json`` run saved.
 """
 
@@ -493,37 +493,6 @@ def _serve_bench_overload(args, config: BenchConfig) -> int:
     return 0
 
 
-def _cmd_perf_bench(args) -> int:
-    from repro.perf.bench import PerfBenchConfig, perf_bench
-
-    config = PerfBenchConfig(
-        vertices=args.vertices,
-        seed=args.seed,
-        latency_updates=args.latency_updates,
-        factor=args.factor,
-        stream_edges=args.stream_edges,
-        stream_reports=args.stream_reports,
-    )
-    record = perf_bench(config)
-    coalescing = record.extra["coalescing"]
-    print(f"perf-bench [inch2h] {config.vertices} vertices, "
-          f"{config.latency_updates} latency updates, stream of "
-          f"{coalescing['raw_updates']} raw updates over "
-          f"{coalescing['distinct_edges']} edges")
-    print(f"  build               {record.extra['build_s']:8.2f} s")
-    latency = record.latency_us
-    print(f"  apply latency       p50 {latency['p50']:8.1f} us   "
-          f"p95 {latency['p95']:8.1f} us")
-    print(f"  update throughput   {coalescing['sequential_updates_per_s']:8.1f} "
-          f"updates/s sequential, {coalescing['batched_updates_per_s']:8.1f} "
-          f"coalesced ({coalescing['batch_speedup']:.1f}x)")
-    if args.bench_out:
-        record.name = args.bench_name or record.name
-        path = write_bench(record, args.bench_out)
-        print(f"wrote bench record -> {path}")
-    return 0
-
-
 def _cmd_obs_metrics_dump(args) -> int:
     with open(args.snapshot) as handle:
         snapshot = json.load(handle)
@@ -756,15 +725,6 @@ def _cmd_cache_stats(args) -> int:
           f"{cache.get('evicted_lru', 0)} by LRU bound; "
           f"carried {cache.get('carried', 0)} across publishes; "
           f"{cache.get('flushes', 0)} full flushes")
-    epochs = stats.get("epochs", {})
-    if epochs:
-        print(f"  {'epoch':>6} {'queries':>8} {'hits':>8} {'misses':>8} "
-              f"{'hit-rate':>9} {'mean-lat':>10}")
-        for epoch in sorted(epochs, key=int):
-            row = epochs[epoch]
-            print(f"  {epoch:>6} {row['queries']:>8} {row['hits']:>8} "
-                  f"{row['misses']:>8} {row['hit_rate']:>9.1%} "
-                  f"{row['mean_latency_us']:>8.1f}us")
     return 0
 
 
@@ -911,27 +871,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "degraded/catch-up/healthy transitions")
     p_serve.set_defaults(func=_cmd_serve_bench)
 
-    p_perf = sub.add_parser(
-        "perf-bench",
-        help="benchmark the maintenance path: IncH2H latency and batch "
-             "coalescing",
-    )
-    p_perf.add_argument("--vertices", type=int, default=400)
-    p_perf.add_argument("--seed", type=int, default=7)
-    p_perf.add_argument("--latency-updates", type=int, default=60,
-                        help="single-update latency samples")
-    p_perf.add_argument("--factor", type=float, default=2.0,
-                        help="weight-increase factor per sampled update")
-    p_perf.add_argument("--stream-edges", type=int, default=16,
-                        help="distinct edges in the coalescing stream")
-    p_perf.add_argument("--stream-reports", type=int, default=3,
-                        help="re-reports per edge in the raw stream")
-    p_perf.add_argument("--bench-out", default=None,
-                        help="directory to write BENCH_<name>.json into")
-    p_perf.add_argument("--bench-name", default=None,
-                        help="bench record name (default: inch2h)")
-    p_perf.set_defaults(func=_cmd_perf_bench)
-
     p_obs = sub.add_parser(
         "obs", help="observability: metrics, traces, bench trajectory"
     )
@@ -1023,7 +962,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cache = sub.add_parser(
         "cache-stats",
-        help="pretty-print per-epoch cache counters from a serve-bench JSON",
+        help="pretty-print cache counters from a serve-bench JSON",
     )
     p_cache.add_argument("--stats", required=True,
                          help="JSON file written by serve-bench --json")

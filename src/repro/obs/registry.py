@@ -14,8 +14,9 @@ Design constraints:
   Metric updates happen per *batch* or per *query*, never per
   elementary operation, so the lock is off every O(||AFF||) inner loop.
 * **Labels.**  Each metric family keys its children by label values
-  (e.g. ``repro_serve_queries_total{epoch="3", result="hit"}``), which
-  is how the per-epoch serving counters are modelled.
+  (e.g. ``repro_serve_queries_total{result="hit"}``).  Every label
+  value is a series kept for the registry's lifetime, so labels take
+  values from small fixed sets, never from growing ones such as epochs.
 """
 
 from __future__ import annotations

@@ -286,15 +286,24 @@ class SLOEngine:
     def _counter_value(
         self, metric: str, labels: Tuple[Tuple[str, str], ...]
     ) -> float:
+        """A counter/gauge child (or the family total without *labels*);
+        0.0 for a family the registry does not hold.
+
+        A selector must name exactly the family's labels: a selector
+        that can never match is a broken rule, not a quiet zero.
+        """
         family = self.registry.get(metric)
         if not isinstance(family, (Counter, Gauge)):
             return 0.0
-        if labels:
-            try:
-                return family.value(**dict(labels))
-            except ValueError:
-                return 0.0
-        return family.total()
+        if not labels:
+            return family.total()
+        selected = dict(labels)
+        if set(selected) != set(family.label_names):
+            raise ReproError(
+                f"SLO selector {selected} does not match {metric}, "
+                f"whose labels are {family.label_names}"
+            )
+        return family.value(**selected)
 
     # -- sampling --------------------------------------------------------
     def tick(self, now: Optional[float] = None) -> List[SLOStatus]:

@@ -10,7 +10,7 @@ keeps them *queryable* while maintenance is in flight:
 * :mod:`repro.serve.aff` — turns DCH / IncH2H change lists into the
   sound affected-vertex sets the cache evicts by.
 * :mod:`repro.serve.server` — :class:`DistanceServer`: the batched,
-  thread-pooled front end with per-epoch counters.
+  thread-pooled front end.
 * :mod:`repro.serve.bench` — the ``repro serve-bench`` harness.
 """
 
@@ -22,14 +22,13 @@ from repro.serve.aff import (
 from repro.serve.bench import BenchConfig, BenchResult, serve_bench
 from repro.serve.cache import CacheStats, QueryCache
 from repro.serve.epoch import EpochManager, EpochSnapshot
-from repro.serve.server import DistanceServer, EpochCounters, ServeReport
+from repro.serve.server import DistanceServer, ServeReport
 
 __all__ = [
     "BenchConfig",
     "BenchResult",
     "CacheStats",
     "DistanceServer",
-    "EpochCounters",
     "EpochManager",
     "EpochSnapshot",
     "QueryCache",

@@ -11,7 +11,7 @@ update batches.  Three timings come out:
 * *warm* — subsequent passes (all hits).
 
 ``speedup = baseline_per_query / warm_per_query`` is the cached-hit
-payoff the acceptance criteria gate on (>= 5x), and the per-epoch
+payoff the acceptance criteria gate on (>= 5x), and the per-publish
 carried/evicted counts show AFF-scoped invalidation keeping the cache
 warm across updates.  Everything is seeded — two runs with the same
 arguments produce the same workload.

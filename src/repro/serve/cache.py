@@ -26,15 +26,15 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Iterable, Optional, Set, Tuple
 
 __all__ = ["QueryCache", "CacheStats"]
 
 
 @dataclass
 class CacheStats:
-    """Hit/miss/eviction counters, total and per epoch (DESIGN.md §4b)."""
+    """Hit/miss/eviction totals (DESIGN.md §4b)."""
 
     hits: int = 0
     misses: int = 0
@@ -42,14 +42,6 @@ class CacheStats:
     evicted_lru: int = 0  #: entries dropped by the capacity bound
     carried: int = 0  #: entries re-stamped across a publish
     flushes: int = 0  #: wholesale flushes (unknown AFF set)
-    by_epoch: Dict[int, Dict[str, int]] = field(default_factory=dict)
-
-    def _epoch(self, epoch: int) -> Dict[str, int]:
-        bucket = self.by_epoch.get(epoch)
-        if bucket is None:
-            bucket = {"hits": 0, "misses": 0}
-            self.by_epoch[epoch] = bucket
-        return bucket
 
     @property
     def hit_rate(self) -> float:
@@ -65,7 +57,6 @@ class CacheStats:
             "evicted_lru": self.evicted_lru,
             "carried": self.carried,
             "flushes": self.flushes,
-            "by_epoch": {e: dict(b) for e, b in self.by_epoch.items()},
         }
 
 
@@ -105,10 +96,8 @@ class QueryCache:
             if entry is not None and entry[0] == epoch:
                 self._data.move_to_end(key)
                 self.stats.hits += 1
-                self.stats._epoch(epoch)["hits"] += 1
                 return entry[1]
             self.stats.misses += 1
-            self.stats._epoch(epoch)["misses"] += 1
             return None
 
     def put(self, epoch: int, s: int, t: int, distance: float) -> bool:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Optional
 
 __all__ = ["EpochSnapshot", "EpochManager"]
 
@@ -37,10 +36,6 @@ class EpochSnapshot:
         Version number; 0 for the initial index, +1 per publish.
     oracle:
         The frozen oracle (graph + index) answering for this epoch.
-    affected:
-        ``V_aff`` of the update that *created* this epoch (``None`` for
-        the initial epoch, or when the update's AFF set was unknown and
-        the whole cache was flushed).
     epsilon:
         The max-stretch bound ε of answers served from this snapshot
         (0.0 ⇒ exact).  Recorded at publish time from the deferral
@@ -53,7 +48,6 @@ class EpochSnapshot:
 
     epoch: int
     oracle: object
-    affected: Optional[frozenset] = field(default=None, compare=False)
     epsilon: float = field(default=0.0, compare=False)
 
     def raise_epsilon(self, value: float) -> None:
@@ -100,7 +94,7 @@ class EpochManager:
         """The latest published epoch number."""
         return self._current.epoch
 
-    def publish(self, oracle, affected=None, *, epsilon: float = 0.0) -> EpochSnapshot:
+    def publish(self, oracle, *, epsilon: float = 0.0) -> EpochSnapshot:
         """Atomically swap in *oracle* as the next epoch's snapshot.
 
         Returns the new snapshot.  Readers that fetched the previous
@@ -112,7 +106,6 @@ class EpochManager:
             snapshot = EpochSnapshot(
                 epoch=self._current.epoch + 1,
                 oracle=oracle,
-                affected=None if affected is None else frozenset(affected),
                 epsilon=epsilon,
             )
             self._current = snapshot

@@ -36,7 +36,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from time import monotonic, perf_counter
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,7 +56,7 @@ from repro.serve.aff import affected_vertices
 from repro.serve.cache import QueryCache
 from repro.serve.epoch import EpochManager, EpochSnapshot
 
-__all__ = ["DistanceServer", "ServeReport", "EpochCounters"]
+__all__ = ["DistanceServer", "ServeReport"]
 
 #: Gauge encoding of the degradation ladder (docs/degraded-mode.md).
 _STATE_VALUES = {
@@ -64,40 +64,6 @@ _STATE_VALUES = {
     OracleState.DEGRADED_BOUNDED: 1,
     OracleState.FALLBACK: 2,
 }
-
-
-@dataclass
-class EpochCounters:
-    """Per-epoch serving counters (latency in seconds).
-
-    Since the observability layer landed this is a *view*: the server
-    keeps its counters in a :class:`repro.obs.registry.MetricsRegistry`
-    (see ``docs/observability.md``) and :meth:`DistanceServer.counters`
-    reconstructs these per-epoch rollups from the registry series, so
-    ``repro cache-stats`` keeps its shape.
-    """
-
-    queries: int = 0
-    hits: int = 0
-    misses: int = 0
-    total_latency: float = 0.0
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.queries if self.queries else 0.0
-
-    @property
-    def mean_latency(self) -> float:
-        return self.total_latency / self.queries if self.queries else 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "queries": self.queries,
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": self.hit_rate,
-            "mean_latency_us": self.mean_latency * 1e6,
-        }
 
 
 @dataclass
@@ -142,11 +108,6 @@ class DistanceServer:
     workers:
         Worker threads for per-pair :meth:`query_many` batches (oracles
         without ``distance_many``).
-    registry:
-        A :class:`~repro.obs.registry.MetricsRegistry` to keep the
-        serving metrics in (exposed as :attr:`metrics`); by default each
-        server gets its own.  Sharing one registry across servers is
-        safe — registration is idempotent — but their counters merge.
     degrade:
         ``None`` (default) keeps every apply exact.  A
         :class:`DegradePolicy` (or ``True`` for the default policy)
@@ -176,7 +137,6 @@ class DistanceServer:
         *,
         cache_capacity: int = 65536,
         workers: int = 4,
-        registry: Optional[MetricsRegistry] = None,
         degrade=None,
         injector=None,
     ) -> None:
@@ -203,17 +163,15 @@ class DistanceServer:
         self._pool_lock = threading.Lock()
         self._closed = False
         #: The registry holding every serving metric (see docs/observability.md).
-        self.metrics = registry if registry is not None else MetricsRegistry()
-        m = self.metrics
+        self.metrics = m = MetricsRegistry()
         self._m_queries = m.counter(
             names.SERVE_QUERIES,
-            "Distance queries served, by epoch and cache result.",
-            ("epoch", "result"),
+            "Distance queries served, by cache result.",
+            ("result",),
         )
         self._m_latency = m.histogram(
             names.SERVE_QUERY_LATENCY,
             "Per-query wall time in seconds (cache hits included).",
-            ("epoch",),
         )
         self._m_publishes = m.counter(
             names.SERVE_PUBLISHES, "Epoch publishes completed."
@@ -284,14 +242,10 @@ class DistanceServer:
         )
         for action in ("defer", "cancel", "promote", "catchup"):
             self._m_deferral_actions.inc(0, action=action)
+        for result in ("hit", "miss"):
+            self._m_queries.inc(0, result=result)
         self._m_epoch.set(0)
         self._m_cache_capacity.set(cache_capacity)
-        self._materialize_epoch(0)
-
-    def _materialize_epoch(self, epoch: int) -> None:
-        """Create the epoch's query series at 0 so stats() lists it."""
-        self._m_queries.inc(0, epoch=epoch, result="hit")
-        self._m_queries.inc(0, epoch=epoch, result="miss")
 
     # ------------------------------------------------------------------
     # Read path
@@ -376,10 +330,7 @@ class DistanceServer:
             cached = self.cache.get(snapshot.epoch, s, t)
             if cached is not None:
                 self._record(
-                    snapshot.epoch,
-                    hit=True,
-                    latency=perf_counter() - start,
-                    trace_id=trace_id,
+                    hit=True, latency=perf_counter() - start, trace_id=trace_id
                 )
                 if sp.active:
                     sp.set(epoch=snapshot.epoch, hit=True)
@@ -387,39 +338,29 @@ class DistanceServer:
             distance = snapshot.oracle.distance(s, t)
             self.cache.put(snapshot.epoch, s, t, distance)
             self._record(
-                snapshot.epoch,
-                hit=False,
-                latency=perf_counter() - start,
-                trace_id=trace_id,
+                hit=False, latency=perf_counter() - start, trace_id=trace_id
             )
             if sp.active:
                 sp.set(epoch=snapshot.epoch, hit=False)
             return distance
 
-    def query_many(
-        self, pairs: Sequence[Tuple[int, int]], *, parallel: bool = True
-    ) -> List[float]:
+    def query_many(self, pairs: Sequence[Tuple[int, int]]) -> List[float]:
         """Answer a batch of pairs against ONE consistent snapshot.
 
         The whole batch sees the same epoch even if a publish lands
         mid-batch.  An oracle with ``distance_many`` (H2H) answers the
         whole batch in one vectorised call under one ``serve.query_many``
         span, bypassing the per-pair cache.  Otherwise each pair takes
-        the :meth:`distance_on` path: with *parallel* (and more than one
-        worker), the batch is chunked across the thread pool; the
-        caller's trace context is carried into the workers so every
-        per-pair ``serve.query`` span lands under the caller's span tree.
+        the :meth:`distance_on` path: with more than one worker, the
+        batch is chunked across the thread pool; the caller's trace
+        context is carried into the workers so every per-pair
+        ``serve.query`` span lands under the caller's span tree.
         """
         snapshot = self._epochs.current
         distance_many = getattr(snapshot.oracle, "distance_many", None)
         if distance_many is not None:
             return self._query_vectorised(snapshot, distance_many, pairs)
-        if (
-            not parallel
-            or self._closed
-            or self._workers == 1
-            or len(pairs) < 2 * self._workers
-        ):
+        if self._closed or self._workers == 1 or len(pairs) < 2 * self._workers:
             return [self.distance_on(snapshot, s, t) for s, t in pairs]
         pool = self._ensure_pool()
         ctx = current_context()
@@ -437,13 +378,13 @@ class DistanceServer:
         self, snapshot: EpochSnapshot, distance_many, pairs
     ) -> List[float]:
         """:meth:`query_many` through the oracle's batch query: every
-        pair is counted as a miss of *snapshot*'s epoch."""
+        pair is counted as a miss."""
         with span(names.SPAN_SERVE_QUERY_MANY) as sp:
             if sp.active:
                 sp.set(epoch=snapshot.epoch, pairs=len(pairs))
             ids = np.asarray(pairs, dtype=np.int64).reshape(len(pairs), 2)
             answers = distance_many(ids[:, 0], ids[:, 1]).tolist()
-            self._m_queries.inc(len(answers), epoch=snapshot.epoch, result="miss")
+            self._m_queries.inc(len(answers), result="miss")
             return answers
 
     def _query_chunk(self, snapshot: EpochSnapshot, part, ctx) -> List[float]:
@@ -534,11 +475,8 @@ class DistanceServer:
                 current.oracle, updates, coalesce=coalesce
             )
             aff = affected_vertices(next_oracle, report)
-            snapshot = self._epochs.publish(
-                next_oracle, affected=aff, epsilon=self.epsilon
-            )
+            snapshot = self._epochs.publish(next_oracle, epsilon=self.epsilon)
             carried, evicted = self.cache.migrate(snapshot.epoch, aff)
-            self._materialize_epoch(snapshot.epoch)
             superseded = getattr(report, "superseded", 0) or 0
             dropped = getattr(report, "dropped", 0) or 0
             self._m_coalesce_superseded.inc(superseded)
@@ -791,42 +729,20 @@ class DistanceServer:
     # Instrumentation / lifecycle
     # ------------------------------------------------------------------
     def _record(
-        self,
-        epoch: int,
-        hit: bool,
-        latency: float,
-        trace_id: Optional[str] = None,
+        self, hit: bool, latency: float, trace_id: Optional[str] = None
     ) -> None:
-        self._m_queries.inc(1, epoch=epoch, result="hit" if hit else "miss")
-        self._m_latency.observe(latency, exemplar=trace_id, epoch=epoch)
+        self._m_queries.inc(1, result="hit" if hit else "miss")
+        self._m_latency.observe(latency, exemplar=trace_id)
         if not hit:
             self._m_cache_entries.set(len(self.cache))
 
-    def counters(self) -> Dict[int, EpochCounters]:
-        """Per-epoch serving counters, reconstructed from the registry."""
-        out: Dict[int, EpochCounters] = {}
-        for (epoch_label, result), value in self._m_queries.series():
-            counters = out.setdefault(int(epoch_label), EpochCounters())
-            count = int(value)
-            counters.queries += count
-            if result == "hit":
-                counters.hits += count
-            else:
-                counters.misses += count
-        for key, _counts, total_sum, _total in self._m_latency.series():
-            counters = out.setdefault(int(key[0]), EpochCounters())
-            counters.total_latency += total_sum
-        return out
-
     def stats(self) -> dict:
         """Everything ``repro cache-stats`` prints, as one dict."""
-        epochs = {e: c.as_dict() for e, c in self.counters().items()}
         out = {
             "epoch": self.epoch,
             "cache_size": len(self.cache),
             "cache_capacity": self.cache.capacity,
             "cache": self.cache.stats.as_dict(),
-            "epochs": epochs,
         }
         if self._deferral is not None:
             with self._ingress_lock:

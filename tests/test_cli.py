@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import main
 from repro.baselines.dijkstra import distance as dijkstra_distance
+from repro.core.dynamic import DynamicCH
+from repro.graph.generators import grid_network
 from repro.graph.io import read_dimacs
+from repro.serve import DistanceServer
 
 
 @pytest.fixture
@@ -120,3 +125,23 @@ class TestStats:
 
     def test_no_arguments_errors(self):
         assert main(["stats"]) == 2
+
+
+class TestCacheStats:
+    def test_prints_totals_without_an_epoch_table(self, tmp_path, capsys):
+        server = DistanceServer(DynamicCH(grid_network(4, 4, seed=3)), workers=1)
+        u, v, w = next(iter(server.snapshot().graph.edges()))
+        for epoch in range(3):
+            if epoch:
+                server.apply([((u, v), w * (1 + epoch))])
+            server.distance(0, 15)
+            server.distance(0, 15)
+        path = tmp_path / "stats.json"
+        path.write_text(json.dumps(server.stats()))
+        assert main(["cache-stats", "--stats", str(path)]) == 0
+        out = capsys.readouterr().out
+        hits, misses = server.cache.stats.hits, server.cache.stats.misses
+        assert f"  hits {hits}  misses {misses}  hit-rate" in out
+        assert out.startswith("epoch 2: ")
+        assert "queries" not in out and "mean-lat" not in out
+        assert len(out.splitlines()) == 3

@@ -48,3 +48,21 @@ def test_every_span_instrumented(check_docs):
 
 def test_run_all_clean(check_docs):
     assert check_docs.run_all() == []
+
+
+def test_catalogue_label_column_is_checked(check_docs, tmp_path, monkeypatch):
+    """A catalogue row whose Labels column disagrees with the live
+    family's label names is reported."""
+    with open(os.path.join(check_docs.REPO_ROOT, "docs", "observability.md"),
+              encoding="utf-8") as handle:
+        text = handle.read()
+    row = "| `repro_serve_queries_total` | counter | `result` |"
+    assert row in text
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "observability.md").write_text(
+        text.replace(row, "| `repro_serve_queries_total` | counter | `epoch`, `result` |"),
+        encoding="utf-8",
+    )
+    monkeypatch.setattr(check_docs, "REPO_ROOT", str(tmp_path))
+    errors = check_docs.check_registry_matches_catalogue()
+    assert len(errors) == 1 and "repro_serve_queries_total" in errors[0]

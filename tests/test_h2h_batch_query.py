@@ -25,6 +25,7 @@ from repro.directed.h2h import directed_h2h_distance
 from repro.errors import QueryError
 from repro.graph.generators import grid_network, road_network
 from repro.h2h.query import h2h_distance
+from repro.obs import names
 from repro.reliability.resilient import ResilientOracle
 from repro.serve.server import DistanceServer
 from repro.utils.counters import OpCounter
@@ -218,7 +219,8 @@ def test_server_batches_h2h_through_distance_many():
         assert got == [server.snapshot().oracle.distance(s, t) for s, t in pairs]
         # The batch bypasses the per-pair cache and counts as misses.
         assert len(server.cache) == 0
-        assert server.counters()[0].misses == len(pairs)
+        queries = server.metrics.get(names.SERVE_QUERIES)
+        assert queries.value(result="miss") == len(pairs)
         assert server.query_many([]) == []
         with pytest.raises(QueryError):
             server.query_many([(0, 1), (-1, 2)])

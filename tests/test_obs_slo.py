@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import json
+import os
 
 import pytest
 
 from repro.cli import main
+from repro.core.dynamic import DynamicCH
 from repro.errors import ReproError
 from repro.graph import grid_network
 from repro.obs import names
@@ -18,6 +21,7 @@ from repro.obs.slo import (
     load_rules,
     rules_from_json,
 )
+from repro.serve import DistanceServer
 
 
 def _registry():
@@ -248,6 +252,89 @@ class TestBurnRate:
             queries.inc(result="miss")
         (status,) = engine.tick(now=5.0)
         assert status.firing  # 100% misses vs 10% budget = 10x burn
+
+
+def _docs_rules():
+    """The JSON example block of docs/slo.md's "Custom rules" section."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "slo.md")
+    with open(path, encoding="utf-8") as handle:
+        section = handle.read().split("## Custom rules", 1)[1]
+    block = section.split("```json", 1)[1].split("```", 1)[0]
+    return rules_from_json(json.loads(block))
+
+
+def _served_server(publishes=4):
+    """A CH server with *publishes* publishes; each epoch reads six fresh
+    pairs (misses) and repeats one of them (a hit)."""
+    server = DistanceServer(DynamicCH(grid_network(4, 4, seed=3)), workers=1)
+    u, v, w = next(iter(server.snapshot().graph.edges()))
+    pairs = list(itertools.combinations(range(16), 2))
+    for epoch in range(publishes + 1):
+        if epoch:
+            server.apply([((u, v), w * 2 if epoch % 2 else w)])
+        for s, t in pairs[6 * epoch : 6 * epoch + 6]:
+            server.distance(s, t)
+        server.distance(*pairs[6 * epoch])
+    return server
+
+
+class TestServerSelectors:
+    def test_docs_miss_rule_counts_misses_across_epochs(self):
+        rules = {rule.name: rule for rule in _docs_rules()}
+        miss = rules["miss-burn"]
+        assert miss.labels == (("result", "miss"),)
+        server = _served_server(publishes=4)
+        assert server.epoch == 4
+        statuses = SLOEngine(server.metrics, list(rules.values())).tick(now=0.0)
+        (status,) = [s for s in statuses if s.rule.name == "miss-burn"]
+        stats = server.cache.stats
+        assert stats.misses == 5 * 6 and stats.hits == 5
+        share = stats.misses / (stats.misses + stats.hits)
+        assert status.value == pytest.approx(share / miss.budget)
+        assert status.firing  # 86% misses: 1.71x a 50% budget > 1.5x
+
+    @pytest.mark.parametrize(
+        "selectors",
+        [
+            {"labels": (("epoch", "0"), ("result", "miss"))},
+            {"labels": (("result", "miss"),), "total_labels": (("epoch", "0"),)},
+        ],
+        ids=["bad", "total"],
+    )
+    def test_mismatched_selector_raises(self, selectors):
+        server = _served_server(publishes=1)
+        rule = SLORule(
+            name="stale", kind="burn_rate", metric=names.SERVE_QUERIES,
+            objective=0.0, total_metric=names.SERVE_QUERIES, **selectors,
+        )
+        engine = SLOEngine(server.metrics, [rule])
+        with pytest.raises(ReproError, match=r"labels are \('result',\)"):
+            engine.tick(now=0.0)
+
+    def test_missing_family_reads_zero(self):
+        rule = SLORule(
+            name="absent", kind="burn_rate", metric="repro_not_registered",
+            labels=(("result", "miss"),), objective=0.0,
+            total_metric="repro_not_registered",
+        )
+        (status,) = SLOEngine(MetricsRegistry(), [rule]).tick(now=0.0)
+        assert status.value == 0.0 and not status.firing
+
+    def test_cli_exits_1_on_mismatched_selector(self, tmp_path, capsys):
+        server = _served_server(publishes=1)
+        metrics = tmp_path / "metrics.json"
+        metrics.write_text(json.dumps(server.metrics.snapshot()))
+        rules = tmp_path / "rules.json"
+        rules.write_text(json.dumps([
+            {"name": "stale", "kind": "burn_rate", "objective": 0,
+             "metric": names.SERVE_QUERIES,
+             "labels": {"result": "miss", "epoch": "0"},
+             "total_metric": names.SERVE_QUERIES},
+        ]))
+        assert main(
+            ["obs", "slo", "--metrics", str(metrics), "--rules", str(rules)]
+        ) == 1
+        assert "error:" in capsys.readouterr().err
 
 
 class TestCli:

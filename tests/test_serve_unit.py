@@ -97,10 +97,9 @@ def test_epoch_publish_is_monotone_and_immutable(small_grid):
     manager = EpochManager(oracle)
     first = manager.current
     assert first.epoch == 0 and first.oracle is oracle
-    second = manager.publish(oracle.clone(), affected={1, 2})
+    second = manager.publish(oracle.clone())
     assert manager.current is second
     assert second.epoch == 1
-    assert second.affected == frozenset({1, 2})
     # The retired snapshot is still fully usable.
     assert first.distance(0, 24) == second.distance(0, 24)
     with pytest.raises(Exception):
@@ -253,7 +252,7 @@ def test_server_serves_and_caches(small_grid):
         assert d == bidirectional_distance(server.snapshot().graph, 0, 24)
         assert server.distance(0, 24) == d
         stats = server.stats()
-        assert stats["epochs"][0]["hits"] >= 1
+        assert stats["cache"]["hits"] >= 1
         assert stats["cache_size"] >= 1
 
 
@@ -276,7 +275,9 @@ def test_server_query_many_single_snapshot(small_grid, oracle_cls):
         answers = server.query_many(pairs)
         expected = [server.distance(s, t) for s, t in pairs]
         assert answers == expected
-        assert server.query_many(pairs, parallel=False) == expected
+    # The serial per-pair branch: one worker answers the batch in order.
+    with DistanceServer(oracle_cls(small_grid), workers=1) as serial:
+        assert serial.query_many(pairs) == expected
 
 
 def test_server_flushes_cache_for_unknown_aff(small_grid):
@@ -319,6 +320,30 @@ def test_server_close_falls_back_to_serial(small_grid):
     parallel = server.query_many(pairs)
     server.close()
     assert server.query_many(pairs) == parallel
+
+
+def test_server_state_is_flat_across_publishes():
+    """An epoch is a version, not a metric label: 1,000 publishes add
+    no registry series and no cache-stats keys."""
+    server = DistanceServer(DynamicCH(grid_network(4, 4, seed=3)), workers=1)
+    u, v, w = next(iter(server.snapshot().graph.edges()))
+    metrics = server.metrics
+
+    def series():
+        return sum(len(metrics.get(name).series()) for name in metrics.names())
+
+    keys = set(server.cache.stats.as_dict())
+    for i in range(1, 1001):
+        server.apply([((u, v), w * 2 if i % 2 else w)])
+        server.distance(0, 15)
+        server.query_many([(i % 16, 15 - i % 16), (3, 12)])
+        if i == 10:
+            after_ten = series()
+    assert series() == after_ten
+    assert set(server.cache.stats.as_dict()) == keys
+    for name in metrics.names():
+        if name.startswith("repro_serve_"):
+            assert "epoch" not in metrics.get(name).label_names
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,8 @@ strings:
    that name within ±10 lines of the cited line.
 3. **Observability catalogue** — every metric/span name documented in
    docs/observability.md exists in ``repro.obs.names`` and vice versa;
-   a live ``DistanceServer`` registers exactly the catalogued metrics;
+   a live ``DistanceServer`` registers exactly the catalogued metrics,
+   each with the label names its catalogue row lists;
    every catalogued span constant is referenced by instrumentation
    outside ``repro.obs`` itself.
 
@@ -36,6 +37,12 @@ _ANCHOR_RE = re.compile(
 )
 _METRIC_TOKEN_RE = re.compile(r"`(repro_[a-z0-9_]+)`")
 _SPAN_TOKEN_RE = re.compile(r"`([a-z][a-z0-9_]*(?:\.[a-z0-9_]+)+)`")
+#: A metric catalogue row: ``| `name` | type | labels | meaning |``; the
+#: labels column is backticked names, or ``—`` for none.
+_CATALOGUE_ROW_RE = re.compile(
+    r"^\| `(repro_[a-z0-9_]+)` \| [a-z]+ \| ([^|]*) \|", re.MULTILINE
+)
+_LABEL_TOKEN_RE = re.compile(r"`([a-zA-Z_][a-zA-Z0-9_]*)`")
 
 #: Documentation files whose relative links are checked.
 DOC_FILES = ("README.md", "EXPERIMENTS.md")
@@ -192,6 +199,19 @@ def check_registry_matches_catalogue() -> List[str]:
         errors.append(f"catalogued metric {metric!r} never registered")
     for metric in sorted(registered - names.METRICS):
         errors.append(f"registered metric {metric!r} not in catalogue")
+    with open(os.path.join(REPO_ROOT, "docs", "observability.md"),
+              encoding="utf-8") as handle:
+        rows = _CATALOGUE_ROW_RE.findall(handle.read())
+    for metric, column in rows:
+        family = server.metrics.get(metric)
+        if family is None:
+            continue
+        documented = tuple(_LABEL_TOKEN_RE.findall(column))
+        if documented != family.label_names:
+            errors.append(
+                f"docs/observability.md lists labels {documented} for "
+                f"{metric!r}, the registry has {family.label_names}"
+            )
     return errors
 
 

@@ -227,8 +227,10 @@ def directed_h2h_distance(
     a = index.tree.lca(s, t)
     positions = index.tree.pos[a]
     ops.add("pos_scan", len(positions))
-    total = index.dis[TO][s, positions] + index.dis[FROM][t, positions]
-    return float(np.min(total))
+    dis_to, dis_from = index.dis
+    return float(
+        (dis_to[s].take(positions) + dis_from[t].take(positions)).min()
+    )
 
 
 # ----------------------------------------------------------------------

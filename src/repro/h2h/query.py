@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from repro.errors import QueryError
 from repro.h2h.index import H2HIndex
 from repro.utils.counters import OpCounter, resolve_counter
@@ -49,5 +47,5 @@ def h2h_distance(
     a = index.tree.lca(s, t)
     positions = index.tree.pos[a]
     ops.add("pos_scan", len(positions))
-    total = index.dis[s, positions] + index.dis[t, positions]
-    return float(np.min(total))
+    dis = index.dis
+    return float((dis[s].take(positions) + dis[t].take(positions)).min())

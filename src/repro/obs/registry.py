@@ -10,9 +10,17 @@ monitoring stacks eat: Prometheus text exposition and a JSON snapshot.
 Design constraints:
 
 * **Zero dependencies.**  Pure stdlib; no prometheus_client.
-* **Thread safe.**  One lock per registry; every mutation takes it.
+* **Thread safe.**  One lock per metric family, and every mutation of
+  a family takes it; the registry's own lock guards only registration.
   Metric updates happen per *batch* or per *query*, never per
-  elementary operation, so the lock is off every O(||AFF||) inner loop.
+  elementary operation, so the locks are off every O(||AFF||) inner loop.
+* **Cheap per query.**  A served read calls ``Counter.inc`` and
+  ``Histogram.observe`` once each, so those paths, and ``Gauge.set``,
+  allocate nothing the cyclic collector counts (its pauses land on
+  whichever call allocates) once warm: each family memoises its validated
+  label keys, a bucket is found with :func:`bisect.bisect_left`, and
+  the lock is taken without ``with``.  A gauge that mirrors existing
+  state reads it when scraped (:meth:`Gauge.set_function`).
 * **Labels.**  Each metric family keys its children by label values
   (e.g. ``repro_serve_queries_total{result="hit"}``).  Every label
   value is a series kept for the registry's lifetime, so labels take
@@ -21,11 +29,12 @@ Design constraints:
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import re
 import threading
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
     "MetricsRegistry",
@@ -54,6 +63,9 @@ COUNT_BUCKETS: Tuple[float, ...] = (
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
+
+#: Most label sets one family memoises (see :meth:`_Metric._key`).
+_KEY_MEMO_LIMIT = 256
 
 
 def _escape(value: str) -> str:
@@ -84,6 +96,7 @@ class _Metric:
         self.help = help
         self.label_names = label_names
         self._lock = lock
+        self._keys: Dict[str, Tuple[str]] = {}
 
     def _label_values(self, labels: Dict[str, object]) -> Tuple[str, ...]:
         if set(labels) != set(self.label_names):
@@ -92,6 +105,32 @@ class _Metric:
                 f"got {tuple(sorted(labels))}"
             )
         return tuple(str(labels[k]) for k in self.label_names)
+
+    def _key(self, labels: Dict[str, object]) -> Tuple[str, ...]:
+        """:meth:`_label_values` of *labels*, without the validation
+        when it has been done before.
+
+        An unlabelled family needs none.  A one-label family memoises
+        the key of each ``str`` value it is given under the right name;
+        other values (``1`` and ``True`` hash alike but print
+        differently, and a ``str`` subclass may print differently from
+        the ``str`` it equals) and families with more labels take the
+        full path.  A wrong label set is never memoised, so it raises
+        on every call.
+        """
+        names = self.label_names
+        if not labels and not names:
+            return ()
+        if len(labels) == 1 and len(names) == 1:
+            value = labels.get(names[0])
+            if type(value) is str:
+                key = self._keys.get(value)
+                if key is None:
+                    key = (value,)
+                    if len(self._keys) < _KEY_MEMO_LIMIT:
+                        self._keys[value] = key
+                return key
+        return self._label_values(labels)
 
     def _render_labels(self, values: Sequence[str]) -> str:
         if not self.label_names:
@@ -115,13 +154,19 @@ class Counter(_Metric):
         """Add *amount* (must be >= 0) to the child named by *labels*."""
         if amount < 0:
             raise ValueError(f"counter {self.name} cannot decrease")
-        key = self._label_values(labels)
-        with self._lock:
+        key = self._key(labels)
+        # acquire/release, not ``with``: ``with`` allocates a bound
+        # ``__exit__`` per call, and on a per-query path that allocation
+        # is where the cyclic collector's pauses land.
+        self._lock.acquire()
+        try:
             self._values[key] = self._values.get(key, 0.0) + amount
+        finally:
+            self._lock.release()
 
     def value(self, **labels: object) -> float:
         """The child's current value (0 if never incremented)."""
-        return self._values.get(self._label_values(labels), 0.0)
+        return self._values.get(self._key(labels), 0.0)
 
     def total(self) -> float:
         """Sum across all children."""
@@ -147,12 +192,46 @@ class Counter(_Metric):
 
 
 class Gauge(Counter):
-    """A value that can go up and down (per label set)."""
+    """A value that can go up and down (per label set).
+
+    An unlabelled gauge can instead mirror state the program already
+    keeps (:meth:`set_function`): it is read when the gauge is, so the
+    code that changes that state never writes the gauge.
+    """
 
     kind = "gauge"
 
+    def __init__(self, name, help, label_names, lock) -> None:
+        super().__init__(name, help, label_names, lock)
+        self._read: Optional[Callable[[], float]] = None
+
+    def set_function(self, read: Callable[[], float]) -> None:
+        """Take the gauge's value from ``read()`` whenever it is read."""
+        if self.label_names:
+            raise ValueError(f"gauge {self.name} has labels; only an "
+                             "unlabelled gauge can read a function")
+        self._read = read
+
+    def _refresh(self) -> None:
+        if self._read is not None:
+            value = float(self._read())
+            with self._lock:
+                self._values[()] = value
+
+    def value(self, **labels: object) -> float:
+        self._refresh()
+        return super().value(**labels)
+
+    def total(self) -> float:
+        self._refresh()
+        return super().total()
+
+    def series(self) -> List[Tuple[Tuple[str, ...], float]]:
+        self._refresh()
+        return super().series()
+
     def inc(self, amount: float = 1.0, **labels: object) -> None:
-        key = self._label_values(labels)
+        key = self._key(labels)
         with self._lock:
             self._values[key] = self._values.get(key, 0.0) + amount
 
@@ -161,9 +240,12 @@ class Gauge(Counter):
 
     def set(self, value: float, **labels: object) -> None:
         """Set the child to *value* outright."""
-        key = self._label_values(labels)
-        with self._lock:
+        key = self._key(labels)
+        self._lock.acquire()
+        try:
             self._values[key] = float(value)
+        finally:
+            self._lock.release()
 
 
 class Histogram(_Metric):
@@ -192,7 +274,6 @@ class Histogram(_Metric):
         self.buckets = edges
         self._counts: Dict[Tuple[str, ...], List[int]] = {}
         self._sums: Dict[Tuple[str, ...], float] = {}
-        self._totals: Dict[Tuple[str, ...], int] = {}
         self._exemplars: Dict[Tuple[str, ...], Dict[int, dict]] = {}
 
     def observe(
@@ -207,33 +288,32 @@ class Histogram(_Metric):
         trace.  Exemplars travel in the JSON snapshot, not the text
         exposition.
         """
-        key = self._label_values(labels)
-        with self._lock:
+        key = self._key(labels)
+        # First bucket whose edge is >= value (le semantics); NaN, which
+        # compares false with every edge, lands in +Inf.
+        if value == value:
+            index = bisect.bisect_left(self.buckets, value)
+        else:
+            index = len(self.buckets)
+        self._lock.acquire()  # not ``with``: see Counter.inc
+        try:
             counts = self._counts.get(key)
             if counts is None:
                 counts = self._counts[key] = [0] * (len(self.buckets) + 1)
                 self._sums[key] = 0.0
-                self._totals[key] = 0
-            # First bucket whose edge is >= value (le semantics).
-            lo, hi = 0, len(self.buckets)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if value <= self.buckets[mid]:
-                    hi = mid
-                else:
-                    lo = mid + 1
-            counts[lo] += 1
+            counts[index] += 1
             self._sums[key] += value
-            self._totals[key] += 1
             if exemplar is not None:
-                self._exemplars.setdefault(key, {})[lo] = {
+                self._exemplars.setdefault(key, {})[index] = {
                     "trace_id": exemplar,
                     "value": float(value),
                 }
+        finally:
+            self._lock.release()
 
     def exemplars(self, **labels: object) -> Dict[str, dict]:
         """Per-bucket exemplars for a label set, keyed by ``le`` edge."""
-        key = self._label_values(labels)
+        key = self._key(labels)
         with self._lock:
             per_bucket = self._exemplars.get(key, {})
             out = {}
@@ -248,11 +328,12 @@ class Histogram(_Metric):
 
     def count(self, **labels: object) -> int:
         """Observations recorded for this label set."""
-        return self._totals.get(self._label_values(labels), 0)
+        with self._lock:
+            return sum(self._counts.get(self._key(labels), ()))
 
     def sum(self, **labels: object) -> float:
         """Sum of observed values for this label set."""
-        return self._sums.get(self._label_values(labels), 0.0)
+        return self._sums.get(self._key(labels), 0.0)
 
     def _merged_counts(self) -> Tuple[List[int], float, int]:
         merged = [0] * (len(self.buckets) + 1)
@@ -262,8 +343,7 @@ class Histogram(_Metric):
                 for i, c in enumerate(counts):
                     merged[i] += c
                 total_sum += self._sums[key]
-                total_n += self._totals[key]
-        return merged, total_sum, total_n
+        return merged, total_sum, sum(merged)
 
     def quantile(self, q: float) -> float:
         """Approximate q-quantile (0 <= q <= 1) across all label sets."""
@@ -291,7 +371,7 @@ class Histogram(_Metric):
     def series(self):
         with self._lock:
             return sorted(
-                (key, list(counts), self._sums[key], self._totals[key])
+                (key, list(counts), self._sums[key], sum(counts))
                 for key, counts in self._counts.items()
             )
 
@@ -506,7 +586,6 @@ class MetricsRegistry:
                     with family._lock:
                         family._counts[key] = counts
                         family._sums[key] = float(row.get("sum", 0.0))
-                        family._totals[key] = int(row.get("count", 0))
                         for edge, ex in row.get("exemplars", {}).items():
                             if edge in edge_index and isinstance(ex, dict):
                                 family._exemplars.setdefault(key, {})[

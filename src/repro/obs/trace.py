@@ -11,8 +11,9 @@ default, and the state of every hot path in production unless someone
 opts in): :func:`span` performs a single dict lookup and returns a
 shared no-op context manager.  No timestamp is taken, no object is
 allocated, no field is computed — instrumentation that is off costs
-one dictionary access.  A tier-1 microbenchmark
-(``tests/test_obs_trace.py``) gates this.
+one dictionary access.  ``tests/test_obs_trace.py`` checks in tier-1
+that a disabled span is the shared no-op object and allocates nothing;
+its wall-clock ratio against a bare dict lookup is a ``slow`` test.
 
 Instrumented code guards any non-trivial field computation on
 ``sp.active`` so the expensive currencies (which require scanning

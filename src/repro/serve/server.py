@@ -181,9 +181,12 @@ class DistanceServer:
             "Wall time of one apply-and-publish, in seconds.",
         )
         self._m_epoch = m.gauge(names.SERVE_EPOCH, "Currently served epoch.")
-        self._m_cache_entries = m.gauge(
+        # Read from the cache when the gauge is read: a miss changes the
+        # size unless the LRU is full, so a written gauge would cost a
+        # write on nearly every miss.
+        m.gauge(
             names.SERVE_CACHE_ENTRIES, "Cached (s, t) pairs right now."
-        )
+        ).set_function(self.cache.__len__)
         self._m_cache_capacity = m.gauge(
             names.SERVE_CACHE_CAPACITY, "Cache capacity (LRU bound)."
         )
@@ -485,7 +488,6 @@ class DistanceServer:
             self._m_epoch.set(snapshot.epoch)
             self._m_cache_evicted.inc(evicted)
             self._m_cache_carried.inc(carried)
-            self._m_cache_entries.set(len(self.cache))
             if aff is not None:
                 self._m_affected.observe(len(aff))
             self._m_publish_duration.observe(perf_counter() - start)
@@ -732,9 +734,7 @@ class DistanceServer:
         self, hit: bool, latency: float, trace_id: Optional[str] = None
     ) -> None:
         self._m_queries.inc(1, result="hit" if hit else "miss")
-        self._m_latency.observe(latency, exemplar=trace_id)
-        if not hit:
-            self._m_cache_entries.set(len(self.cache))
+        self._m_latency.observe(latency, trace_id)
 
     def stats(self) -> dict:
         """Everything ``repro cache-stats`` prints, as one dict."""

@@ -12,7 +12,7 @@ table lookups as numpy gathers.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -51,8 +51,10 @@ class LCAOracle:
         depth_at: List[int] = []
         first_seen = [-1] * n
         depth = [0] * n
+        tree_of = [-1] * n
         for root in roots:
             stack: List[tuple] = [(root, iter(children[root]))]
+            tree_of[root] = root
             first_seen[root] = len(tour)
             tour.append(root)
             depth_at.append(0)
@@ -67,16 +69,26 @@ class LCAOracle:
                         depth_at.append(depth[parent_v])
                     continue
                 depth[child] = depth[v] + 1
+                tree_of[child] = root
                 first_seen[child] = len(tour)
                 tour.append(child)
                 depth_at.append(depth[child])
                 stack.append((child, iter(children[child])))
 
         self._depth = depth
+        #: Root of each vertex's tree, or None when there is one tree.
+        #: Between two trees the tour's range minimum is a root, so
+        #: only this check tells a cross-tree pair from a real LCA.
+        self._tree_of: Optional[List[int]] = tree_of if len(roots) > 1 else None
+        # The scalar :meth:`lca` reads Python lists (``_first``,
+        # ``_tour_list``, ``_depths_list``) and ``_table.item``: an int
+        # from a list costs a fraction of a numpy scalar index.
+        # :meth:`lca_many` gathers from the arrays.
         self._first = first_seen
+        self._tour_list = tour
+        self._depths_list = depth_at
         #: Tour index of each vertex's first visit, as an array for
-        #: :meth:`lca_many`; the scalar :meth:`lca` reads the list
-        #: ``_first``, whose Python ints it needs (``bit_length``).
+        #: :meth:`lca_many`.
         self.first = np.asarray(first_seen, dtype=np.int64)
         self._tour = np.asarray(tour, dtype=np.int64)
         self._build_sparse_table(np.asarray(depth_at, dtype=np.int64))
@@ -123,29 +135,32 @@ class LCAOracle:
         if u == v:
             return u
         lo, hi = self._first[u], self._first[v]
+        tree_of = self._tree_of
+        if tree_of is not None and tree_of[u] != tree_of[v]:
+            raise ValueError(f"vertices {u} and {v} are not in the same tree")
         if lo > hi:
             lo, hi = hi, lo
-        span = hi - lo + 1
-        k = span.bit_length() - 1
-        if k >= len(self._table):
-            raise ValueError(f"vertices {u} and {v} are not in the same tree")
-        left = self._table[k, lo]
-        right = self._table[k, hi - (1 << k) + 1]
-        depths = self._depths_at
+        k = (hi - lo + 1).bit_length() - 1
+        table = self._table
+        left = table.item(k, lo)
+        right = table.item(k, hi - (1 << k) + 1)
+        depths = self._depths_list
         best = right if depths[right] < depths[left] else left
-        answer = int(self._tour[best])
-        if self._depth[answer] > min(self._depth[u], self._depth[v]):
-            raise ValueError(f"vertices {u} and {v} are not in the same tree")
-        return answer
+        return self._tour_list[best]
 
     def lca_many(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """:meth:`lca` of each pair ``(us[i], vs[i])``, as an int64 array.
 
         The same two table lookups per pair, done as numpy gathers, and
-        the same answer as :meth:`lca` for every pair.  The ids must
+        the same answer as :meth:`lca` for every pair, and the same
+        ``ValueError`` if any pair spans two trees.  The ids must
         already be in range: callers validate them, because numpy would
         wrap a negative index silently.
         """
+        if self._tree_of is not None:
+            tree_of = np.asarray(self._tree_of)
+            if np.any(tree_of[us] != tree_of[vs]):
+                raise ValueError("a pair's vertices are not in the same tree")
         a, b = self.first[us], self.first[vs]
         lo = np.minimum(a, b)
         hi = np.maximum(a, b)

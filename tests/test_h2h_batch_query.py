@@ -185,11 +185,16 @@ def test_lca_many_matches_lca(graph):
 
 def test_lca_many_matches_lca_on_a_forest():
     oracle = LCAOracle([-1, 0, 0, -1, 3, 1, 1])
-    us = np.repeat(np.arange(7), 7)
-    vs = np.tile(np.arange(7), 7)
-    assert oracle.lca_many(us, vs).tolist() == [
-        oracle.lca(int(u), int(v)) for u, v in zip(us, vs)
-    ]
+    trees = {0: 0, 1: 0, 2: 0, 5: 0, 6: 0, 3: 3, 4: 3}
+    same = [(u, v) for u in range(7) for v in range(7) if trees[u] == trees[v]]
+    us = np.array([u for u, _ in same])
+    vs = np.array([v for _, v in same])
+    assert oracle.lca_many(us, vs).tolist() == [oracle.lca(u, v) for u, v in same]
+    # A pair across the two trees has no LCA, in either query.
+    with pytest.raises(ValueError):
+        oracle.lca(1, 4)
+    with pytest.raises(ValueError):
+        oracle.lca_many(np.append(us, 1), np.append(vs, 4))
 
 
 def test_pos_pages_hold_every_row(graph):

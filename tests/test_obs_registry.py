@@ -1,6 +1,8 @@
 """Unit tests for repro.obs.registry: bucket edges, exposition, restore."""
 
 import math
+import sys
+import threading
 
 import pytest
 
@@ -53,6 +55,23 @@ class TestGauge:
         assert g.value() == 3
         g.set(7.5)
         assert g.value() == 7.5
+
+    def test_set_function_is_read_when_the_gauge_is(self, registry):
+        items = [1, 2]
+        g = registry.gauge("repro_items")
+        g.set_function(items.__len__)
+        assert g.value() == 2
+        items.append(3)
+        assert g.series() == [((), 3.0)]
+        assert "repro_items 3\n" in registry.expose_text()
+        assert registry.snapshot()["repro_items"]["series"] == [
+            {"labels": {}, "value": 3.0}
+        ]
+
+    def test_set_function_needs_an_unlabelled_gauge(self, registry):
+        g = registry.gauge("repro_items", labels=("kind",))
+        with pytest.raises(ValueError):
+            g.set_function(lambda: 1)
 
 
 class TestHistogramBucketEdges:
@@ -111,6 +130,103 @@ class TestHistogramBucketEdges:
     def test_quantile_of_empty_histogram_is_nan(self, registry):
         h = registry.histogram("repro_h", buckets=(1.0,))
         assert math.isnan(h.quantile(0.5))
+
+
+class TestHotPathContract:
+    """What the per-call fast path (memoised label keys, ``bisect``
+    bucket search) must keep from the plain path it replaced."""
+
+    def test_concurrent_updates_lose_nothing(self, registry):
+        c = registry.counter("repro_q_total", labels=("result",))
+        h = registry.histogram("repro_lat", buckets=(1.0, 2.0, 5.0))
+        threads, calls = 8, 10_000
+        values = (1.0, 2.0, 4.0, 9.0)  # one per bucket, +Inf included
+        start = threading.Barrier(threads)
+
+        def hammer(worker):
+            start.wait()
+            for i in range(calls):
+                c.inc(result="hit" if (worker + i) % 2 else "miss")
+                h.observe(values[i % len(values)])
+
+        pool = [threading.Thread(target=hammer, args=(w,)) for w in range(threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads mid read-modify-write
+        try:
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in pool)
+        assert c.value(result="hit") == c.value(result="miss") == threads * calls / 2
+        assert h.count() == threads * calls
+        (_, counts, total_sum, _), = h.series()
+        assert counts == [threads * calls // len(values)] * len(values)
+        assert total_sum == threads * calls // len(values) * sum(values)
+
+    @pytest.mark.parametrize("kind", ["counter", "gauge", "histogram"])
+    def test_wrong_label_set_raises_after_a_good_call(self, registry, kind):
+        family = getattr(registry, kind)("repro_x", labels=("result",))
+        update = family.observe if kind == "histogram" else (
+            family.set if kind == "gauge" else family.inc
+        )
+        update(1.0, result="hit")  # fills the memo
+        for _ in range(3):
+            for wrong in ({}, {"shard": "hit"}, {"result": "hit", "shard": "0"}):
+                with pytest.raises(ValueError):
+                    update(1.0, **wrong)
+        update(1.0, result="hit")
+        assert len(family.series()) == 1
+
+    def test_unlabelled_family_rejects_labels(self, registry):
+        c = registry.counter("repro_x_total")
+        c.inc()
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                c.inc(result="hit")
+        assert c.value() == 1
+
+    def test_label_values_are_keyed_by_their_text(self, registry):
+        c = registry.counter("repro_q_total", labels=("result",))
+        c.inc(result=1)
+        c.inc(result="1")
+        c.inc(result=1)
+        assert c.series() == [(("1",), 3.0)]
+        # 1, 1.0 and True hash alike but print differently.
+        c.inc(result=True)
+        c.inc(result=1.0)
+        assert c.series() == [(("1",), 3.0), (("1.0",), 1.0), (("True",), 1.0)]
+
+    def test_str_subclass_keeps_its_own_text(self, registry):
+        class Shout(str):
+            def __str__(self):
+                return self.upper()
+
+        c = registry.counter("repro_q_total", labels=("result",))
+        c.inc(result="hit")
+        c.inc(result=Shout("hit"))
+        assert c.series() == [(("HIT",), 1.0), (("hit",), 1.0)]
+
+    def test_every_edge_counts_in_its_own_bucket(self, registry):
+        h = registry.histogram("repro_lat")
+        for edge in DEFAULT_LATENCY_BUCKETS:
+            h.observe(edge)
+        h.observe(1)  # an int on the 1.0 edge
+        (_, counts, _, _), = h.series()
+        expected = [1] * len(DEFAULT_LATENCY_BUCKETS) + [0]
+        expected[DEFAULT_LATENCY_BUCKETS.index(1.0)] += 1
+        assert counts == expected
+
+    def test_nan_and_infinities(self, registry):
+        h = registry.histogram("repro_h", buckets=(1.0, 2.0))
+        h.observe(float("nan"))
+        h.observe(math.inf)
+        h.observe(-math.inf)
+        (_, counts, _, total), = h.series()
+        assert counts == [1, 0, 2]  # NaN and +inf in +Inf, -inf in le=1
+        assert total == 3
 
 
 class TestExpositionFormat:

@@ -16,6 +16,8 @@ from repro.core.dynamic import DynamicCH, DynamicH2H
 from repro.core.oracle import DijkstraOracle
 from repro.errors import GraphError, UpdateError
 from repro.graph.generators import grid_network, road_network
+from repro.obs import names
+from repro.obs.registry import Gauge, _Metric
 from repro.reliability import cow_apply
 from repro.serve import (
     DistanceServer,
@@ -344,6 +346,52 @@ def test_server_state_is_flat_across_publishes():
     for name in metrics.names():
         if name.startswith("repro_serve_"):
             assert "epoch" not in metrics.get(name).label_names
+
+
+def test_warm_read_resolves_no_labels_and_writes_no_gauge(small_grid, monkeypatch):
+    """After one hit and one miss, a read costs one counter add and one
+    histogram observe: no label validation and no gauge write, whether
+    the cache is filling or full.  ``repro_serve_cache_entries`` still
+    reads ``len(server.cache)`` throughout."""
+    server = DistanceServer(DynamicH2H(small_grid), cache_capacity=8, workers=1)
+    entries = server.metrics.get(names.SERVE_CACHE_ENTRIES)
+    assert entries.value() == 0
+    server.distance(0, 1)
+    server.distance(0, 1)
+
+    calls = {"labels": 0, "set": 0}
+    label_values, gauge_set = _Metric._label_values, Gauge.set
+
+    def counting_label_values(self, labels):
+        calls["labels"] += 1
+        return label_values(self, labels)
+
+    def counting_set(self, value, **labels):
+        calls["set"] += 1
+        return gauge_set(self, value, **labels)
+
+    monkeypatch.setattr(_Metric, "_label_values", counting_label_values)
+    monkeypatch.setattr(Gauge, "set", counting_set)
+    pairs = [(s, t) for s in range(small_grid.n) for t in range(s + 2, small_grid.n)]
+    for s, t in pairs[:40]:  # misses: the cache fills, then evicts as it fills
+        server.distance(s, t)
+        assert entries.value() == len(server.cache)
+    for s, t in pairs[32:40]:  # hits
+        server.distance(s, t)
+    assert calls == {"labels": 0, "set": 0}
+    assert len(server.cache) == 8
+    queries = server.metrics.get(names.SERVE_QUERIES)
+    assert queries.value(result="miss") == 41 and queries.value(result="hit") == 9
+    assert server.metrics.get(names.SERVE_QUERY_LATENCY).count() == 50
+
+    server.apply([((0, 1), small_grid.weight(0, 1) * 4)])  # evicts by AFF
+    assert entries.value() == len(server.cache) < 8
+    server.distance(*pairs[0])
+    assert entries.value() == len(server.cache)
+    assert "repro_serve_cache_entries %d\n" % len(server.cache) in (
+        server.metrics.expose_text()
+    )
+    server.close()
 
 
 # ----------------------------------------------------------------------

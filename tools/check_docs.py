@@ -7,8 +7,8 @@ strings:
 
 1. **Links** — every relative markdown link in README.md,
    EXPERIMENTS.md and docs/*.md points at a file that exists.
-2. **Anchors** — every ``src/<file>.py:<line>`` anchor in
-   docs/boundedness.md names an existing file, a line inside it, and
+2. **Anchors** — every ``src/<file>.py:<line>`` anchor in those same
+   files names an existing file, a line inside it, and
    (when a symbol is given as ``(`symbol`)``) a ``def``/``class`` of
    that name within ±10 lines of the cited line.
 3. **Observability catalogue** — every metric/span name documented in

@@ -7,24 +7,49 @@ to* H2HIndexing (``O(||AFF|| log ||AFF||)``) and IncH2H- additionally
 
 Both algorithms first update the shortcut graph with DCH (line 2) —
 IncH2H belongs to the INC_H2H class of Section 3.3, which maintains
-``sc(G)`` as a subtask — and then propagate through super-shortcuts:
+``sc(G)`` as a subtask — and then propagate through super-shortcuts.
+The dependents of an entry ``(u, a)`` are found without scanning the
+whole index: they are exactly the entries ``(v, a)`` for
+``v in nbr-(u)`` (lines 15-18) and ``(v, u)`` for
+``v in nbr-(a) ∩ des(u)`` (lines 19-22), the latter a contiguous range
+of ``nbr-(a)`` located by ``first(<<u, a>>)``.
 
-* a priority queue processes affected super-shortcuts ``<<u, a>>`` in
-  non-ascending rank of the *descendant* endpoint ``u``, so that every
-  Equation (*) dependency (which always points to higher-ranked
-  vertices) is final before an entry is consumed;
-* the dependents of an entry ``(u, a)`` are found without scanning the
-  whole index: they are exactly the entries ``(v, a)`` for
-  ``v in nbr-(u)`` (lines 15-18) and ``(v, u)`` for
-  ``v in nbr-(a) ∩ des(u)`` (lines 19-22), the latter enumerated as a
-  contiguous range of ``nbr-(a)`` via ``first(<<u, a>>)``.
+Level-synchronous schedule
+--------------------------
+The paper's queue pops entries in non-ascending rank of ``u`` so that
+every Equation (*) dependency is final before an entry is consumed.
+Section 5.3 (ParIncH2H) observes that non-descending ``depth(u)`` is an
+equally valid order: every dependency of ``<<u, a>>`` lives at a
+strictly smaller depth, and every dependent at a strictly larger one.
+The entries of one depth are therefore mutually independent, and each
+level runs here as a few flat numpy operations over the tree's CSRs
+(:meth:`repro.h2h.tree.TreeDecomposition._build_csr`) and the index's
+slot weights (:attr:`repro.h2h.index.H2HIndex.weights`), in blocks of
+at most :data:`LEVEL_CHUNK` entries.
+
+The result is bit-identical to the one-entry-at-a-time queue — the same
+``dis``/``sup`` matrices, changed multiset, op counts and work log —
+because each entry still sees final values and every cross-entry effect
+is order-free:
+
+* IncH2H+ support decrements commute; an entry whose count reaches 0
+  (after a ``unique``/count over the level's hits) enters the queue
+  exactly when the one-at-a-time run would have pushed it;
+* the IncH2H- relax rule over a fixed candidate multiset is a per-target
+  ``min`` with a tie count — improvement resets the support to the
+  number of candidates attaining the min, a tie adds it;
+* each candidate goes through the same IEEE-754 ``weight + value``
+  addition as the scalar loop.
+
+The queue is counted as before: one ``queue_push`` and one ``queue_pop``
+per processed entry.
 
 As in DCH-, the decrease pass maintains exact ``sup`` values on the fly
 (the paper's "without affecting the complexity" note at the end of
-Section 5.2): every changed candidate is re-evaluated exactly once with
-final values — the pop order guarantees finality, and a per-seed memo
-(``seed_rows``) prevents the one case where a seed evaluation and a
-dependent-entry pop would apply the same candidate twice.
+Section 5.2): every changed candidate is applied exactly once with final
+values, and a per-seed memo (``seed_rows``) prevents the one case where
+a seed evaluation and a dependent relaxation would apply the same
+candidate twice.
 
 A ``work_log`` hook records ``(depth(u), u, cost)`` per processed entry
 for the ParIncH2H scheduling simulation (Section 5.3).
@@ -33,7 +58,7 @@ for the ParIncH2H scheduling simulation (Section 5.3).
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,13 +67,19 @@ from repro.graph.graph import WeightUpdate
 from repro.h2h.index import H2HIndex
 from repro.obs import names
 from repro.obs.trace import span
+from repro.perf import kernels
 from repro.utils.counters import OpCounter, resolve_counter
-from repro.utils.heap import AddressableHeap
 
 __all__ = ["inch2h_increase", "inch2h_decrease", "ChangedSuperShortcut"]
 
 #: A changed super-shortcut: ((descendant u, depth of ancestor a), old, new).
 ChangedSuperShortcut = Tuple[Tuple[int, int], float, float]
+
+#: Most entries of one level processed in one numpy block.  Blocks of a
+#: level are independent (their writes land on deeper levels or on their
+#: own entries), so the split bounds temporary memory without changing
+#: any result.
+LEVEL_CHUNK = 2048
 
 _INF = math.inf
 
@@ -81,7 +112,116 @@ def _trace_h2h_boundedness(
     )
 
 
-def _ancestor_scan_increase(index, changed_shortcuts, queue, ops) -> None:
+class _Levels:
+    """The queue of pending super-shortcuts, bucketed by tree depth.
+
+    Entries are flat ``dis`` indices ``u * width + da``.  In the decrease
+    direction each push carries the entry's value before that
+    improvement; values only fall, so the largest is the original.
+    """
+
+    def __init__(self, index: H2HIndex) -> None:
+        self.depth = index.tree.depth
+        self.width = index.dis.shape[1]
+        self.keys: Dict[int, List[np.ndarray]] = {}
+        self.values: Dict[int, List[np.ndarray]] = {}
+
+    def push(self, keys: np.ndarray, values: Optional[np.ndarray] = None) -> None:
+        if not len(keys):
+            return
+        depths = self.depth[keys // self.width]
+        order = depths.argsort()
+        depths = depths[order]
+        starts = _run_starts(depths)
+        bounds = starts.tolist() + [len(keys)]
+        for level, lo, hi in zip(depths[starts].tolist(), bounds, bounds[1:]):
+            part = order[lo:hi]
+            self.keys.setdefault(level, []).append(keys[part])
+            if values is not None:
+                self.values.setdefault(level, []).append(values[part])
+
+    def __iter__(self) -> Iterator[Tuple[int, np.ndarray, Optional[np.ndarray]]]:
+        """Pop levels shallowest first: ``(depth, distinct sorted keys,
+        their original values or None)``.  A level is popped only once
+        every shallower one is done, so nothing can join it later."""
+        while self.keys:
+            level = min(self.keys)
+            keys = np.concatenate(self.keys.pop(level))
+            if level not in self.values:
+                keys.sort()
+                yield level, keys[_run_starts(keys)], None
+                continue
+            values = np.concatenate(self.values.pop(level))
+            order = keys.argsort()
+            keys = keys[order]
+            first = _run_starts(keys)
+            yield level, keys[first], np.maximum.reduceat(values[order], first)
+
+
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """Where each run of equal values starts in a sorted, non-empty array."""
+    change = np.empty(len(ordered), dtype=bool)
+    change[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=change[1:])
+    return change.nonzero()[0]
+
+
+def _tally(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct *keys*, sorted, and how often each occurs."""
+    if not len(keys):
+        return keys, keys
+    keys = np.sort(keys)
+    first = _run_starts(keys)
+    return keys[first], _run_lengths(first, len(keys))
+
+
+def _run_lengths(first: np.ndarray, total: int) -> np.ndarray:
+    """Lengths of the runs starting at *first* in an array of *total*."""
+    lengths = np.empty_like(first)
+    lengths[:-1] = first[1:] - first[:-1]
+    lengths[-1] = total - first[-1]
+    return lengths
+
+
+def _blocks(keys: np.ndarray, width: int):
+    """Split one level's entries into ``(keys, u, da)`` blocks."""
+    for lo in range(0, len(keys), LEVEL_CHUNK):
+        block = keys[lo : lo + LEVEL_CHUNK]
+        yield block, block // width, block % width
+
+
+def _dependents(tree, u, da, level, active, width, with_via=False):
+    """Lines 15-22 for one block: every dependent slot of the active
+    (finite) entries.
+
+    Returns ``(entry, slot, target, via)``: the block position of the
+    source entry, the ``down_idx`` slot whose weight joins it, the flat
+    index of the dependent entry, and (*with_via*, else None) the
+    seed-memo partner: ``u`` for ``(v, a)`` targets, ``a`` for ``(v, u)``
+    targets.
+    """
+    ids = active.nonzero()[0]
+    if len(ids) < len(u):
+        u, da = u[ids], da[ids]
+    down_start = tree.down_ptr[u]
+    a = tree.anc_flat[tree.anc_ptr[u] + da].astype(np.int64)
+    lo, hi = tree.descendant_ranges(a, u)
+    row, slot = kernels.csr_slots(
+        np.concatenate((down_start, lo)),
+        np.concatenate((tree.down_ptr[u + 1] - down_start, hi - lo)),
+    )
+    column = np.concatenate((da, np.full(len(ids), level, dtype=np.int64)))
+    target = tree.down_idx[slot].astype(np.int64) * width + column[row]
+    entry = np.concatenate((ids, ids))[row]
+    via = np.concatenate((u, a))[row] if with_via else None
+    return entry, slot, target, via
+
+
+def _log_work(work_log, level, u, cost) -> None:
+    work_log.extend(zip([level] * len(u), u.tolist(), cost.tolist()))
+
+
+def _ancestor_scan_increase(index, changed_shortcuts, levels, ops) -> None:
     """Lines 3-12 of Algorithm 4: per changed shortcut <u, v>, test every
     super-shortcut <<u, a>> for support loss using *original* weights.
 
@@ -93,6 +233,8 @@ def _ancestor_scan_increase(index, changed_shortcuts, queue, ops) -> None:
     depth = index.tree.depth
     dis = index.dis
     sup = index.sup
+    width = dis.shape[1]
+    seeds = []
     for (a_end, b_end), old_w, _new_w in changed_shortcuts:
         u, v = (a_end, b_end) if rank[a_end] < rank[b_end] else (b_end, a_end)
         du = int(depth[u])
@@ -105,8 +247,8 @@ def _ancestor_scan_increase(index, changed_shortcuts, queue, ops) -> None:
             da = int(da)
             sup[u, da] -= 1
             if sup[u, da] == 0:
-                queue.push((u, da), (-rank[u], da))
-                ops.add("queue_push")
+                seeds.append(u * width + da)
+    levels.push(np.array(seeds, dtype=np.int64))
 
 
 def inch2h_increase(
@@ -124,8 +266,9 @@ def inch2h_increase(
     updates:
         ``((u, v), new_weight)`` pairs, each >= the current weight.
     counter:
-        Optional instrumentation; channels include ``anc_scan``,
-        ``down_inspect``, ``desc_inspect``, ``star_term``, ``queue_*``.
+        Optional instrumentation; the IncH2H channels are ``anc_scan``
+        (lines 3-12), ``queue_push``/``queue_pop``, ``dependent_inspect``
+        (lines 15-22) and ``star_term`` (line 23), besides DCH's.
     work_log:
         Optional list; receives ``(depth(u), u, cost)`` per processed
         super-shortcut for the ParIncH2H simulation.
@@ -133,7 +276,8 @@ def inch2h_increase(
     Returns
     -------
     list of ((u, depth_a), old_value, new_value)
-        The super-shortcuts whose distance value changed (AFF_3).
+        The super-shortcuts whose distance value changed (AFF_3), in
+        ascending ``depth(u)``, then ``u``, then ``depth_a``.
     """
     with span(names.SPAN_INCH2H_INCREASE) as sp:
         if sp.active and counter is None:
@@ -142,141 +286,62 @@ def inch2h_increase(
         ops_before = ops.as_dict() if sp.active else None
         # Line 2: update sc(G); C = shortcuts changed, with original weights.
         changed_shortcuts = dch_increase(index.sc, updates, counter)
-
-        rank = index.sc.ordering.rank
-        depth = index.tree.depth
-        tree = index.tree
-        sc = index.sc
-        dis = index.dis
-        sup = index.sup
-        queue: AddressableHeap[Tuple[int, int]] = AddressableHeap()
+        index.patch_weights(changed_shortcuts)
+        levels = _Levels(index)
 
         with span(names.SPAN_INCH2H_INCREASE_SEED, delta=len(updates)):
-            _ancestor_scan_increase(index, changed_shortcuts, queue, ops)
+            _ancestor_scan_increase(index, changed_shortcuts, levels, ops)
 
-        changed: List[ChangedSuperShortcut] = []
-        # Lines 13-23: process in non-ascending rank of the descendant u.
-        #
-        # Entries of the same vertex pop consecutively — the priority is
-        # (-rank(u), depth) and every push targets a strictly lower-ranked
-        # (deeper) vertex — and they are mutually independent: the
-        # dependent scans read only rows of deeper vertices, the Equation
-        # (*) recompute only rows of ancestors.  Popping the whole depth
-        # group of a vertex at once therefore lets the vectorized kernels
-        # handle it in one pass, bit-identical to one entry at a time.
-        adj = sc._adj
         with span(names.SPAN_INCH2H_INCREASE_PROPAGATE) as sp_prop:
-            while queue:
-                (u, da), _ = queue.pop()
-                ops.add("queue_pop")
-                das = [da]
-                while True:
-                    head = queue.peek()
-                    if head is None or head[0][0] != u:
-                        break
-                    queue.pop()
-                    ops.add("queue_pop")
-                    das.append(head[0][1])
-                du = int(depth[u])
-                up_count = len(sc.upward(u))
-                if len(das) == 1:
-                    # Scalar body: a one-entry group gains nothing from
-                    # numpy gathers (the common case for sparse batches).
-                    a = int(tree.anc[u][da])
-                    old_val = float(dis[u, da])
-                    cost = up_count
-                    if not math.isinf(old_val):
-                        dis_col = dis[:, da]
-                        # Lines 15-18: entries (v, a) for downward neighbors v
-                        # of u.  Infinite shortcut legs (deleted roads) support
-                        # nothing, so an inf == inf match must not decrement
-                        # (dis inf => sup 0).  The adjacency is symmetric
-                        # (mirror entries / one shared slot), so the fixed
-                        # endpoint's row is hoisted out of the loop.
-                        row_u = adj[u]
-                        for v in sc.downward(u):
-                            cost += 1
-                            candidate = row_u[v] + old_val
-                            if candidate != _INF and candidate == dis_col[v]:
-                                sup[v, da] -= 1
-                                if sup[v, da] == 0:
-                                    queue.push((v, da), (-rank[v], da))
-                                    ops.add("queue_push")
-                        dis_col_u = dis[:, du]
-                        row_a = adj[a]
-                        # Lines 19-22: entries (v, u) for v in nbr-(a) ∩ des(u).
-                        for v in tree.down_in_descendants(a, u):
-                            cost += 1
-                            candidate = row_a[v] + old_val
-                            if candidate != _INF and candidate == dis_col_u[v]:
-                                sup[v, du] -= 1
-                                if sup[v, du] == 0:
-                                    queue.push((v, du), (-rank[v], du))
-                                    ops.add("queue_push")
-                    ops.add("dependent_inspect", cost - up_count)
-                    # Line 23: recompute from Equation (*).
-                    new_val = index.recompute_entry(u, da, ops)
-                    if new_val != old_val:
-                        changed.append(((u, da), old_val, new_val))
-                    if work_log is not None:
-                        work_log.append((du, u, cost))
-                    continue
-                das_arr = np.asarray(das, dtype=np.intp)
-                old_vals = dis[u, das_arr].copy()
-                costs = [up_count] * len(das)
-                act = np.nonzero(~np.isinf(old_vals))[0]
-                if act.size:
-                    sub = das_arr[act]
-                    vals = old_vals[act]
-                    down = sc.downward(u)
-                    row_u = adj[u]
-                    # Lines 15-18 for the whole group: one gather per
-                    # downward neighbor instead of one per (neighbor, depth).
-                    for v in down:
-                        cand = row_u[v] + vals
-                        hits = np.nonzero((cand == dis[v, sub]) & ~np.isinf(cand))[0]
-                        for j in hits:
-                            td = int(sub[j])
-                            sup[v, td] -= 1
-                            if sup[v, td] == 0:
-                                queue.push((v, td), (-rank[v], td))
-                                ops.add("queue_push")
-                    dis_col_u = dis[:, du]
-                    dep_total = len(down) * int(act.size)
-                    # Lines 19-22 stay per depth: each depth has its own
-                    # ancestor a, hence its own nbr-(a) ∩ des(u) range.
-                    for i in act:
-                        da_i = int(das_arr[i])
-                        val = float(old_vals[i])
-                        a = int(tree.anc[u][da_i])
-                        row_a = adj[a]
-                        extra = 0
-                        for v in tree.down_in_descendants(a, u):
-                            extra += 1
-                            candidate = row_a[v] + val
-                            if candidate != _INF and candidate == dis_col_u[v]:
-                                sup[v, du] -= 1
-                                if sup[v, du] == 0:
-                                    queue.push((v, du), (-rank[v], du))
-                                    ops.add("queue_push")
-                        costs[i] += len(down) + extra
-                        dep_total += extra
-                    ops.add("dependent_inspect", dep_total)
-                # Line 23, batched: one Equation (*) candidate block covers
-                # the group (same weight + sd additions, exact column min).
-                new_vals = index.recompute_entries(u, das_arr, ops)
-                for i, da_i in enumerate(das):
-                    if new_vals[i] != old_vals[i]:
-                        changed.append(
-                            ((u, da_i), float(old_vals[i]), float(new_vals[i]))
-                        )
-                    if work_log is not None:
-                        work_log.append((du, u, costs[i]))
+            changed = _increase_propagate(index, levels, ops, work_log)
             sp_prop.set(changed=len(changed))
         if sp.active:
             _trace_h2h_boundedness(
                 sp, index, len(updates), changed_shortcuts, changed, ops, ops_before
             )
+    return changed
+
+
+def _increase_propagate(index, levels, ops, work_log) -> List[ChangedSuperShortcut]:
+    """Lines 13-23 of Algorithm 4, one depth level at a time."""
+    tree = index.tree
+    dis, sup, weights = index.dis, index.sup, index.weights
+    width = levels.width
+    changed: List[ChangedSuperShortcut] = []
+    for level, keys, _ in levels:
+        ops.add("queue_push", len(keys))
+        ops.add("queue_pop", len(keys))
+        for block, u, da in _blocks(keys, width):
+            old = dis.take(block)
+            entry, slot, target, _via = _dependents(
+                tree, u, da, level, old != _INF, width
+            )
+            ops.add("dependent_inspect", len(slot))
+            # Lines 15-22: a dependent loses one support per source whose
+            # old value attained it (infinite legs support nothing).
+            candidate = weights[slot] + old[entry]
+            hit = (candidate == dis.take(target)) & (candidate != _INF)
+            hit_keys, losses = _tally(target[hit])
+            before = sup.take(hit_keys)
+            after = before - losses
+            sup.put(hit_keys, after)
+            levels.push(hit_keys[(before > 0) & (after <= 0)])
+            # Line 23: recompute from Equation (*).
+            new, support = kernels.star_eval(index, u, da, ops)
+            dis.put(block, new)
+            sup.put(block, support)
+            moved = (new != old).nonzero()[0]
+            changed.extend(
+                zip(
+                    zip(u[moved].tolist(), da[moved].tolist()),
+                    old[moved].tolist(),
+                    new[moved].tolist(),
+                )
+            )
+            if work_log is not None:
+                up_count = tree.up_ptr[u + 1] - tree.up_ptr[u]
+                inspected = np.bincount(entry, minlength=len(block))
+                _log_work(work_log, level, u, up_count + inspected)
     return changed
 
 
@@ -289,12 +354,15 @@ def inch2h_decrease(
     """IncH2H- (Algorithm 5): apply weight *decreases* to the H2H index.
 
     Mirrors :func:`inch2h_increase`; relaxes instead of recomputing and
-    keeps every support counter exact on the fly.
+    keeps every support counter exact on the fly.  Its IncH2H channels
+    are ``anc_scan``, ``queue_push``/``queue_pop`` and
+    ``dependent_inspect``.
 
     Returns
     -------
     list of ((u, depth_a), old_value, new_value)
-        The super-shortcuts whose distance value changed (AFF_3).
+        The super-shortcuts whose distance value changed (AFF_3), in
+        ascending ``depth(u)``, then ``u``, then ``depth_a``.
     """
     with span(names.SPAN_INCH2H_DECREASE) as sp:
         if sp.active and counter is None:
@@ -303,9 +371,12 @@ def inch2h_decrease(
         ops_before = ops.as_dict() if sp.active else None
         # Line 2: update sc(G); C = shortcuts changed, with final weights.
         changed_shortcuts = dch_decrease(index.sc, updates, counter)
-        changed = _inch2h_decrease_propagate(
-            index, updates, changed_shortcuts, ops, work_log
-        )
+        index.patch_weights(changed_shortcuts)
+        levels = _Levels(index)
+        with span(names.SPAN_INCH2H_DECREASE_SEED, delta=len(updates)):
+            seed_rows = _decrease_seed_scan(index, changed_shortcuts, levels, ops)
+        with span(names.SPAN_INCH2H_DECREASE_PROPAGATE):
+            changed = _decrease_propagate(index, levels, seed_rows, ops, work_log)
         if sp.active:
             _trace_h2h_boundedness(
                 sp, index, len(updates), changed_shortcuts, changed, ops, ops_before
@@ -313,7 +384,7 @@ def inch2h_decrease(
     return changed
 
 
-def _decrease_seed_scan(index, changed_shortcuts, queue, original, ops) -> dict:
+def _decrease_seed_scan(index, changed_shortcuts, levels, ops) -> dict:
     """Lines 3-12 of Algorithm 5: seed relaxations from the changed
     shortcuts.  Supports are maintained exactly on the fly: every seed
     candidate strictly decreased (its shortcut changed), so a tie means
@@ -322,15 +393,16 @@ def _decrease_seed_scan(index, changed_shortcuts, queue, original, ops) -> dict:
     value is erased later by the relaxation that finalizes the entry
     (which resets support).
 
-    Returns ``seed_rows``, a ``(u, v) -> candidate row`` memo: the pop
-    loops use it to tell whether a seed already applied a candidate at
-    its final value (the candidate's sd entry may have been finalized by
-    an earlier seed) and must not apply it twice.
+    Returns ``seed_rows``, a ``(u, v) -> candidate row`` memo: the
+    propagation uses it to tell whether a seed already applied a
+    candidate at its final value (the candidate's sd entry may have been
+    finalized by an earlier seed) and must not apply it twice.
     """
     rank = index.sc.ordering.rank
     depth = index.tree.depth
     dis = index.dis
     sup = index.sup
+    width = dis.shape[1]
     seed_rows: dict = {}
     for (a_end, b_end), _old_w, new_w in changed_shortcuts:
         u, v = (a_end, b_end) if rank[a_end] < rank[b_end] else (b_end, a_end)
@@ -345,175 +417,101 @@ def _decrease_seed_scan(index, changed_shortcuts, queue, original, ops) -> dict:
         ties = np.nonzero((tmp == row) & ~np.isinf(tmp))[0]
         if len(ties):
             sup[u, ties] += 1
-        for da in better:
-            da = int(da)
-            original.setdefault((u, da), float(dis[u, da]))
-            dis[u, da] = tmp[da]
-            sup[u, da] = 1
-            if (u, da) not in queue:
-                queue.push((u, da), (-rank[u], da))
-                ops.add("queue_push")
+        if len(better):
+            levels.push(u * width + better, row[better].copy())
+            row[better] = tmp[better]
+            sup[u, better] = 1
     return seed_rows
 
 
-def _inch2h_decrease_propagate(
-    index: H2HIndex,
-    updates: Sequence[WeightUpdate],
-    changed_shortcuts,
-    ops: OpCounter,
-    work_log: Optional[list],
+class _SeedMemo:
+    """``seed_rows`` as flat arrays, for a whole block of candidates."""
+
+    def __init__(self, seed_rows: dict, n: int) -> None:
+        self.n = n
+        pairs = sorted(seed_rows)
+        self.pairs = np.array([u * n + v for u, v in pairs], dtype=np.int64)
+        lengths = [len(seed_rows[pair]) for pair in pairs]
+        self.starts = np.cumsum([0] + lengths[:-1]).astype(np.int64)
+        self.values = np.concatenate([seed_rows[pair] for pair in pairs])
+
+    def applied(self, vertex, via, column, candidate) -> np.ndarray:
+        """True where the seed of shortcut ``<vertex, via>`` already
+        applied ``candidate`` at depth ``column``."""
+        wanted = vertex * self.n + via
+        at = np.minimum(np.searchsorted(self.pairs, wanted), len(self.pairs) - 1)
+        found = (self.pairs[at] == wanted).nonzero()[0]
+        out = np.zeros(len(wanted), dtype=bool)
+        if len(found):
+            seeded = self.values[self.starts[at[found]] + column[found]]
+            out[found] = seeded == candidate[found]
+        return out
+
+
+def _decrease_propagate(
+    index, levels, seed_rows, ops, work_log
 ) -> List[ChangedSuperShortcut]:
-    """Lines 3-22 of Algorithm 5 (split out so the tracing wrapper in
-    :func:`inch2h_decrease` stays flat)."""
-    rank = index.sc.ordering.rank
-    depth = index.tree.depth
+    """Lines 13-22 of Algorithm 5, one depth level at a time.
+
+    A level's entries are final (every source is shallower), so each
+    dependent candidate is applied exactly once with final values:
+    improvements reset the dependent's support, ties add to it.
+    """
     tree = index.tree
-    sc = index.sc
-    dis = index.dis
-    queue: AddressableHeap[Tuple[int, int]] = AddressableHeap()
-    original: dict = {}
-    sup = index.sup
-
-    with span(names.SPAN_INCH2H_DECREASE_SEED, delta=len(updates)):
-        seed_rows = _decrease_seed_scan(
-            index, changed_shortcuts, queue, original, ops
-        )
-
-    # Lines 13-22: propagate relaxations downward.  A popped entry is
-    # final (its dependencies all rank higher and popped first), so each
-    # dependent candidate is evaluated here exactly once with final
-    # values: improvements reset the dependent's support, ties add one.
-    # A popped group's depth entries are independent exactly as in the
-    # increase direction: loop 1 writes column da < depth(u), loop 2
-    # column depth(u), never a row of u itself, so grouping the pops and
-    # vectorizing loop 1 across the depth slice is bit-identical to the
-    # one-entry-at-a-time order (distinct targets, live view reads).
-    adj = sc._adj
-    with span(names.SPAN_INCH2H_DECREASE_PROPAGATE):
-        while queue:
-            (u, da), _ = queue.pop()
-            ops.add("queue_pop")
-            das = [da]
-            while True:
-                head = queue.peek()
-                if head is None or head[0][0] != u:
-                    break
-                queue.pop()
-                ops.add("queue_pop")
-                das.append(head[0][1])
-            du = int(depth[u])
-            if len(das) == 1:
-                # Scalar body (one-entry groups dominate sparse batches).
-                a = int(tree.anc[u][da])
-                val = float(dis[u, da])
-                cost = 0
-                if not math.isinf(val):
-                    dis_col = dis[:, da]
-                    row_u = adj[u]  # symmetric rows: adj[v][u] == adj[u][v]
-                    for v in sc.downward(u):
-                        cost += 1
-                        candidate = row_u[v] + val
-                        seed_row = seed_rows.get((v, u))
-                        if seed_row is not None and seed_row[da] == candidate:
-                            continue  # the seed already applied this candidate
-                        current = dis_col[v]
-                        if candidate < current:
-                            original.setdefault((v, da), float(current))
-                            dis_col[v] = candidate
-                            sup[v, da] = 1
-                            if (v, da) not in queue:
-                                queue.push((v, da), (-rank[v], da))
-                                ops.add("queue_push")
-                        elif candidate == current and candidate != _INF:
-                            sup[v, da] += 1
-                    dis_col_u = dis[:, du]
-                    row_a = adj[a]
-                    for v in tree.down_in_descendants(a, u):
-                        cost += 1
-                        candidate = row_a[v] + val
-                        seed_row = seed_rows.get((v, a))
-                        if seed_row is not None and seed_row[du] == candidate:
-                            continue  # the seed already applied this candidate
-                        current = dis_col_u[v]
-                        if candidate < current:
-                            original.setdefault((v, du), float(current))
-                            dis_col_u[v] = candidate
-                            sup[v, du] = 1
-                            if (v, du) not in queue:
-                                queue.push((v, du), (-rank[v], du))
-                                ops.add("queue_push")
-                        elif candidate == current and candidate != _INF:
-                            sup[v, du] += 1
-                ops.add("dependent_inspect", cost)
-                if work_log is not None:
-                    work_log.append((du, u, cost))
-                continue
-            das_arr = np.asarray(das, dtype=np.intp)
-            group_vals = dis[u, das_arr].copy()
-            costs = [0] * len(das)
-            act = np.nonzero(~np.isinf(group_vals))[0]
-            if act.size:
-                sub = das_arr[act]
-                vals = group_vals[act]
-                down = sc.downward(u)
-                row_u = adj[u]
-                # Lines 15-18 for the whole group, one gather per neighbor.
-                for v in down:
-                    cand = row_u[v] + vals
-                    seed_row = seed_rows.get((v, u))
-                    if seed_row is None:
-                        applicable = np.ones(len(sub), dtype=bool)
-                    else:
-                        applicable = seed_row[sub] != cand
-                    current = dis[v, sub]
-                    improve = np.nonzero(applicable & (cand < current))[0]
-                    ties = np.nonzero(
-                        applicable & (cand == current) & ~np.isinf(cand)
-                    )[0]
-                    for j in improve:
-                        td = int(sub[j])
-                        original.setdefault((v, td), float(dis[v, td]))
-                        dis[v, td] = cand[j]
-                        sup[v, td] = 1
-                        if (v, td) not in queue:
-                            queue.push((v, td), (-rank[v], td))
-                            ops.add("queue_push")
-                    if len(ties):
-                        sup[v, sub[ties]] += 1
-                dis_col_u = dis[:, du]
-                dep_total = len(down) * int(act.size)
-                # Lines 19-22 per depth (each has its own ancestor range).
-                for i in act:
-                    da_i = int(das_arr[i])
-                    val = float(group_vals[i])
-                    a = int(tree.anc[u][da_i])
-                    row_a = adj[a]
-                    extra = 0
-                    for v in tree.down_in_descendants(a, u):
-                        extra += 1
-                        candidate = row_a[v] + val
-                        seed_row = seed_rows.get((v, a))
-                        if seed_row is not None and seed_row[du] == candidate:
-                            continue  # the seed already applied this candidate
-                        current = dis_col_u[v]
-                        if candidate < current:
-                            original.setdefault((v, du), float(current))
-                            dis_col_u[v] = candidate
-                            sup[v, du] = 1
-                            if (v, du) not in queue:
-                                queue.push((v, du), (-rank[v], du))
-                                ops.add("queue_push")
-                        elif candidate == current and candidate != _INF:
-                            sup[v, du] += 1
-                    costs[i] += len(down) + extra
-                    dep_total += extra
-                ops.add("dependent_inspect", dep_total)
+    dis, sup, weights = index.dis, index.sup, index.weights
+    width = levels.width
+    memo = _SeedMemo(seed_rows, tree.n) if seed_rows else None
+    changed: List[ChangedSuperShortcut] = []
+    for level, keys, originals in levels:
+        ops.add("queue_push", len(keys))
+        ops.add("queue_pop", len(keys))
+        for block, u, da in _blocks(keys, width):
+            value = dis.take(block)
+            entry, slot, target, via = _dependents(
+                tree, u, da, level, value != _INF, width, memo is not None
+            )
+            ops.add("dependent_inspect", len(slot))
             if work_log is not None:
-                for i in range(len(das)):
-                    work_log.append((du, u, costs[i]))
+                _log_work(
+                    work_log, level, u, np.bincount(entry, minlength=len(block))
+                )
+            candidate = weights[slot] + value[entry]
+            # Only finite candidates at or below the live value can act.
+            live = (candidate <= dis.take(target)) & (candidate != _INF)
+            target, candidate = target[live], candidate[live]
+            if memo is not None:
+                keep = ~memo.applied(
+                    target // width, via[live], target % width, candidate
+                )
+                target, candidate = target[keep], candidate[keep]
+            _relax(dis, sup, levels, target, candidate)
+        new = dis.take(keys)
+        moved = (new != originals).nonzero()[0]
+        changed.extend(
+            zip(
+                zip((keys[moved] // width).tolist(), (keys[moved] % width).tolist()),
+                originals[moved].tolist(),
+                new[moved].tolist(),
+            )
+        )
+    return changed
 
-    return [
-        (key, old, float(dis[key[0], key[1]]))
-        for key, old in original.items()
-        if dis[key[0], key[1]] != old
-    ]
+
+def _relax(dis, sup, levels, target, candidate) -> None:
+    """Apply finite candidates ``<= dis`` to their targets: per target,
+    the min and how many candidates attain it; a min below the current
+    value replaces it with that count as support, an equal min adds the
+    count."""
+    if not len(target):
+        return
+    order = target.argsort()
+    target, candidate = target[order], candidate[order]
+    first = _run_starts(target)
+    keys, best = target[first], np.minimum.reduceat(candidate, first)
+    attained = candidate == best.repeat(_run_lengths(first, len(target)))
+    ties = np.add.reduceat(attained.astype(np.int64), first)
+    current = dis.take(keys)
+    improved = best < current
+    sup.put(keys, np.where(improved, ties, sup.take(keys) + ties))
+    dis.put(keys[improved], best[improved])
+    levels.push(keys[improved], current[improved])

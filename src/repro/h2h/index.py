@@ -17,8 +17,8 @@ attaining the minimum; the paper's ``sup(<<u, a>>)``).  Row ``u`` is
 valid for depths ``0 .. depth(u)``; ``dis[u, depth(u)] = 0`` by
 definition and carries no support.  The padded layout lets
 :func:`repro.h2h.indexing.h2h_indexing` evaluate Equation (*) for a
-whole vertex with vectorized numpy gathers, while the incremental
-algorithms mutate single entries in place.
+whole vertex with vectorized numpy gathers, and the incremental
+algorithms a whole tree depth through flat indices ``u * width + d``.
 """
 
 from __future__ import annotations
@@ -56,6 +56,12 @@ class H2HIndex:
         ``dis[u, d]`` = distance from ``u`` to its depth-``d`` ancestor.
     sup:
         ``sup[u, d]`` = number of Equation (*) terms attaining it.
+    weights:
+        ``weights[s]`` = ``phi`` of the shortcut in slot *s* of the tree's
+        downward CSR (``tree.down_idx``): the float64 face of ``sc``'s
+        weights that the level-synchronous IncH2H± gathers from.  Built
+        from ``sc`` when not given; maintenance patches it from DCH's
+        change list (:meth:`patch_weights`).
     """
 
     def __init__(
@@ -64,20 +70,51 @@ class H2HIndex:
         tree: TreeDecomposition,
         dis: np.ndarray,
         sup: np.ndarray,
+        weights: Optional[np.ndarray] = None,
     ) -> None:
         self.sc = sc
         self.tree = tree
         self.dis = dis
         self.sup = sup
+        self.weights = self._slot_weights() if weights is None else weights
+
+    def _slot_weights(self) -> np.ndarray:
+        """``sc``'s weights in the order of ``tree.down_idx``."""
+        adj = self.sc._adj
+        return np.fromiter(
+            (
+                adj[a][v]
+                for a, row in enumerate(self.tree.down_by_disc)
+                for v in row
+            ),
+            dtype=np.float64,
+            count=len(self.tree.down_idx),
+        )
 
     def clone(self) -> "H2HIndex":
         """An independent copy sharing the weight-independent structure.
 
         The tree decomposition never changes under weight updates, so it
-        is shared; the embedded shortcut graph and the ``dis``/``sup``
-        matrices — everything maintenance mutates — are copied.
+        is shared; the embedded shortcut graph, the ``dis``/``sup``
+        matrices and the slot weights — everything maintenance mutates —
+        are copied.
         """
-        return H2HIndex(self.sc.clone(), self.tree, self.dis.copy(), self.sup.copy())
+        return H2HIndex(
+            self.sc.clone(),
+            self.tree,
+            self.dis.copy(),
+            self.sup.copy(),
+            self.weights.copy(),
+        )
+
+    def patch_weights(self, changed_shortcuts) -> None:
+        """Copy DCH's change list ``C`` (``((x, y), old, new)`` records,
+        line 2 of Algorithms 4-5) into :attr:`weights`."""
+        if not changed_shortcuts:
+            return
+        ends = np.array([key for key, _old, _new in changed_shortcuts])
+        slots = self.tree.shortcut_slots(ends[:, 0], ends[:, 1])
+        self.weights[slots] = [new for _key, _old, new in changed_shortcuts]
 
     @property
     def n(self) -> int:
@@ -165,24 +202,6 @@ class H2HIndex:
         one row per upward neighbor (``|nbr+(u)| x len(depths)``)."""
         return kernels.candidate_block(self, u, depths)
 
-    def recompute_entries(
-        self, u: int, depths: np.ndarray, counter: Optional[OpCounter] = None
-    ) -> np.ndarray:
-        """Batched :meth:`recompute_entry` over one vertex's depth slice
-        (line 23 of Algorithm 4 for a whole popped group).  Returns the
-        new values; bit-identical to the per-depth scalar loop."""
-        return kernels.star_recompute(self, u, depths, counter)
-
-    def refresh_support(self, u: int, depths: np.ndarray) -> None:
-        """Vectorized support repair for the given entries of *u*.
-
-        Recomputes ``sup[u, depths]`` from Equation (*) (without touching
-        the distances, which must already be at their fixpoint); used by
-        the decrease algorithms' post-pass (Section 5.2's on-the-fly
-        note) where a per-entry Python loop would dominate the run time.
-        """
-        kernels.refresh_support(self, u, depths)
-
     def distance_many(
         self, sources, targets, counter: Optional[OpCounter] = None
     ) -> np.ndarray:
@@ -221,10 +240,19 @@ class H2HIndex:
         return static + extra + self.sc.size_in_bytes(incremental)
 
     def validate(self) -> None:
-        """Check every entry against Equation (*); raise on mismatch.
+        """Check every entry against Equation (*) and :attr:`weights`
+        against ``sc`` slot for slot; raise on mismatch.
 
         O(#SSC x avg degree): meant for tests on small networks.
         """
+        expected = self._slot_weights()
+        stale = np.nonzero(self.weights != expected)[0]
+        if len(stale):
+            s = int(stale[0])
+            raise IndexError_(
+                f"weights[{s}] = {self.weights[s]}, shortcut weight "
+                f"{expected[s]}"
+            )
         depth = self.tree.depth
         for u in range(self.n):
             du = int(depth[u])

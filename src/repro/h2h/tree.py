@@ -22,7 +22,9 @@ the auxiliary structures of Section 5 ("Auxiliary Structures"):
   ancestor-descendant tests;
 * for each vertex ``a``, its downward shortcut neighbors ``nbr-(a)``
   sorted by discovery time, so that ``nbr-(a) ∩ des(u)`` is a contiguous
-  range located by binary search — the paper's ``first(<<u, a>>)``.
+  range located by binary search — the paper's ``first(<<u, a>>)``;
+* ``nbr-`` and ``nbr+`` as flat CSR arrays, which the level-synchronous
+  IncH2H± gathers over a whole tree depth at a time.
 
 It also holds the weight-independent *query pages* of the batch read
 plane (:func:`repro.perf.kernels.pos_scan_many`): the LCA sparse table
@@ -33,7 +35,7 @@ every clone and epoch.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from itertools import chain
 from typing import Iterator, List, Tuple
 
 import numpy as np
@@ -72,7 +74,8 @@ class TreeDecomposition:
     anc:
         ``anc[u]`` is a numpy array with ``anc[u][d]`` = the ancestor of
         ``u`` at depth ``d`` (``anc[u][depth[u]] = u``), the paper's
-        ancestor array.
+        ancestor array.  Every row is a view into one flat int32 array,
+        ``anc_flat``, at ``anc_ptr[u] .. anc_ptr[u + 1]``.
     pos:
         ``pos[u]`` is a numpy array of the depths of
         ``X(u) = nbr+(u) ∪ {u}``, the paper's position array.
@@ -80,6 +83,8 @@ class TreeDecomposition:
         ``pos`` as one ``n x max|pos|`` int32 matrix and its row lengths.
         Row ``u`` is padded with copies of ``pos[u][0]``, so a ``min``
         over a padded row equals the ``min`` over ``pos[u]``.
+    down_ptr / down_idx / down_key, up_ptr / up_idx / up_slot:
+        ``nbr-`` and ``nbr+`` as flat CSRs (see :meth:`_build_csr`).
     """
 
     def __init__(self, sc: ShortcutGraph) -> None:
@@ -108,11 +113,9 @@ class TreeDecomposition:
                 children[p].append(v)
         self.children = children
 
-        # Depth and ancestor arrays, top-down (iterative BFS keeps memory
-        # proportional to the output).
+        # Depths, top-down (iterative BFS keeps memory proportional to
+        # the output).
         depth = np.zeros(n, dtype=np.int32)
-        anc: List[np.ndarray] = [np.empty(0, dtype=np.int32)] * n
-        anc[self.root] = np.array([self.root], dtype=np.int32)
         order_top_down: List[int] = [self.root]
         frontier = [self.root]
         while frontier:
@@ -120,7 +123,6 @@ class TreeDecomposition:
             for p in frontier:
                 for c in children[p]:
                     depth[c] = depth[p] + 1
-                    anc[c] = np.append(anc[p], np.int32(c))
                     next_frontier.append(c)
             order_top_down.extend(next_frontier)
             frontier = next_frontier
@@ -130,9 +132,26 @@ class TreeDecomposition:
                 "the graph must be connected"
             )
         self.depth = depth
-        self.anc = anc
         #: Vertices in a valid top-down (BFS) processing order.
         self.top_down_order = order_top_down
+
+        # Ancestor arrays: one flat int32 array, row u at
+        # anc_ptr[u] .. anc_ptr[u + 1] (its parent's row, then u).
+        anc_ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(depth + 1, out=anc_ptr[1:])
+        anc_flat = np.empty(int(anc_ptr[-1]), dtype=np.int32)
+        starts = anc_ptr.tolist()
+        for u in order_top_down:
+            s, d = starts[u], int(depth[u])
+            if d:
+                ps = starts[parent[u]]
+                anc_flat[s : s + d] = anc_flat[ps : ps + d]
+            anc_flat[s + d] = u
+        self.anc_flat = anc_flat
+        self.anc_ptr = anc_ptr
+        self.anc: List[np.ndarray] = [
+            anc_flat[starts[u] : starts[u + 1]] for u in range(n)
+        ]
 
         # Position arrays: depths of X(u) = nbr+(u) + {u}, ascending.
         self.pos: List[np.ndarray] = [
@@ -161,16 +180,54 @@ class TreeDecomposition:
         self.disc = disc
         self.fin = fin
 
-        # nbr-(a) sorted by discovery time, plus the matching key arrays
-        # for binary search (the basis of first(<<u, a>>)).
+        # nbr-(a) sorted by discovery time (the basis of first(<<u, a>>)).
         self.down_by_disc: List[List[int]] = [
             sorted(sc.downward(a), key=lambda x: disc[x]) for a in range(n)
         ]
-        self.down_disc_keys: List[List[int]] = [
-            [int(disc[x]) for x in row] for row in self.down_by_disc
-        ]
+        self._build_csr(sc)
 
         self._lca = LCAOracle(parent)
+
+    def _build_csr(self, sc: ShortcutGraph) -> None:
+        """The weight-independent CSRs of the level-synchronous IncH2H±
+        (:mod:`repro.h2h.inch2h`): int32 vertex ids, int64 offsets/keys.
+
+        ``down_idx`` lists ``nbr-(a)`` sorted by discovery time, row *a*
+        at ``down_ptr[a] .. down_ptr[a + 1]``; ``down_key`` holds
+        ``a * key_base + disc[v]`` per slot, ascending, so one
+        ``searchsorted`` locates ``first(<<u, a>>)`` for a whole level.
+        ``up_idx`` lists ``nbr+(u)`` in :meth:`ShortcutGraph.upward`
+        order, and ``up_slot[i]`` is the ``down_idx`` slot of the same
+        shortcut, so one weight array aligned to the downward slots
+        (:attr:`repro.h2h.index.H2HIndex.weights`) serves both.
+        """
+        n = self.n
+        self.key_base = 2 * n + 1  # DFS times run 1 .. 2n
+        down_len = np.fromiter(
+            (len(row) for row in self.down_by_disc), dtype=np.int64, count=n
+        )
+        self.down_ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(down_len, out=self.down_ptr[1:])
+        self.down_idx = np.fromiter(
+            chain.from_iterable(self.down_by_disc),
+            dtype=np.int32,
+            count=int(self.down_ptr[-1]),
+        )
+        rows = np.repeat(np.arange(n, dtype=np.int64), down_len)
+        self.down_key = rows * self.key_base + self.disc[self.down_idx]
+        up_len = np.fromiter(
+            (len(sc.upward(u)) for u in range(n)), dtype=np.int64, count=n
+        )
+        self.up_ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(up_len, out=self.up_ptr[1:])
+        self.up_idx = np.fromiter(
+            chain.from_iterable(sc.upward(u) for u in range(n)),
+            dtype=np.int32,
+            count=int(self.up_ptr[-1]),
+        )
+        self.up_slot = self.shortcut_slots(
+            np.repeat(np.arange(n, dtype=np.int64), up_len), self.up_idx
+        ).astype(np.int32)
 
     # ------------------------------------------------------------------
     # Relations
@@ -203,7 +260,19 @@ class TreeDecomposition:
         binary search costs ``O(log |nbr-(a)|)``, which fits inside the
         ``||AFF|| log ||AFF||`` budget of relative subboundedness.
         """
-        return bisect_right(self.down_disc_keys[a], int(self.disc[u]))
+        lo, _hi = self.descendant_ranges(a, u)
+        return int(lo) - int(self.down_ptr[a])
+
+    def descendant_ranges(self, a, u) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``down_idx`` slots ``lo .. hi`` holding ``nbr-(a) ∩ des(u)``
+        for each pair ``(a[i], u[i])`` (or one scalar pair), *a* an
+        ancestor of *u*: two binary searches on ``down_key``, one for
+        ``first(<<u, a>>)`` and one for the last vertex discovered before
+        *u* finished."""
+        base = np.asarray(a, dtype=np.int64) * self.key_base
+        lo = np.searchsorted(self.down_key, base + self.disc[u], side="right")
+        hi = np.searchsorted(self.down_key, base + self.fin[u], side="right")
+        return lo, hi
 
     def down_in_descendants(self, a: int, u: int) -> Iterator[int]:
         """Iterate ``nbr-(a) ∩ des(u)`` (proper descendants of *u*).
@@ -213,13 +282,19 @@ class TreeDecomposition:
         ``first(u, a)`` and ending at the last vertex discovered before
         *u* finished.
         """
-        row = self.down_by_disc[a]
-        fin_u = self.fin[u]
-        for i in range(self.first(u, a), len(row)):
-            v = row[i]
-            if self.disc[v] > fin_u:
-                break
-            yield v
+        lo, hi = self.descendant_ranges(a, u)
+        return iter(self.down_idx[lo:hi].tolist())
+
+    def shortcut_slots(self, x, y) -> np.ndarray:
+        """The ``down_idx`` slot of each shortcut ``<x[i], y[i]>``: the
+        entry of the lower endpoint in the row of the higher one (the
+        higher endpoint is the ancestor, so the shallower)."""
+        x = np.asarray(x, dtype=np.int64)
+        y = np.asarray(y, dtype=np.int64)
+        x_higher = self.depth[x] < self.depth[y]
+        high = np.where(x_higher, x, y)
+        low = np.where(x_higher, y, x)
+        return np.searchsorted(self.down_key, high * self.key_base + self.disc[low])
 
     # ------------------------------------------------------------------
     # Statistics
@@ -238,8 +313,14 @@ class TreeDecomposition:
         """Check the decomposition's structural invariants.
 
         Verifies property (2) of Section 2 — every upward neighbor of
-        ``u`` is an ancestor of ``u`` — plus parent/depth/DFS coherence.
+        ``u`` is an ancestor of ``u`` — plus parent/depth/DFS coherence,
+        that every ``anc`` row is its slice of ``anc_flat`` (its parent's
+        row, then *u*), and that the CSRs list ``nbr-``/``nbr+`` with
+        ``up_slot`` pointing at the same shortcut.
         """
+        down_key = self.down_key
+        if np.any(down_key[1:] <= down_key[:-1]):
+            raise IndexError_("down_key is not strictly ascending")
         for u in range(self.n):
             p = self.parent[u]
             if p >= 0 and self.depth[u] != self.depth[p] + 1:
@@ -250,8 +331,27 @@ class TreeDecomposition:
                         f"upward neighbor {v} of {u} is not an ancestor"
                     )
             ancestors = self.anc[u]
-            if int(ancestors[self.depth[u]]) != u:
-                raise IndexError_(f"anc({u}) does not end at {u}")
+            lo, hi = int(self.anc_ptr[u]), int(self.anc_ptr[u + 1])
+            if ancestors.base is not self.anc_flat or not np.array_equal(
+                ancestors, self.anc_flat[lo:hi]
+            ):
+                raise IndexError_(f"anc({u}) is not its slice of anc_flat")
+            if int(ancestors[self.depth[u]]) != u or (
+                p >= 0 and not np.array_equal(ancestors[:-1], self.anc[p])
+            ):
+                raise IndexError_(f"anc({u}) is not anc({p}) followed by {u}")
+            down = self.down_idx[self.down_ptr[u] : self.down_ptr[u + 1]]
+            if down.tolist() != self.down_by_disc[u]:
+                raise IndexError_(f"down_idx row {u} differs from nbr-({u})")
+            up = slice(self.up_ptr[u], self.up_ptr[u + 1])
+            if self.up_idx[up].tolist() != list(self.sc.upward(u)):
+                raise IndexError_(f"up_idx row {u} differs from nbr+({u})")
+            slots = self.up_slot[up]
+            owners = np.searchsorted(self.down_ptr, slots, side="right") - 1
+            if np.any(self.down_idx[slots] != u) or not np.array_equal(
+                owners, self.up_idx[up]
+            ):
+                raise IndexError_(f"up_slot row {u} misses its shortcuts")
 
     def __repr__(self) -> str:
         return (

@@ -11,8 +11,8 @@ kernel                       replaces
 :func:`candidate_row`        per-ancestor seed scans of Algorithms 4/5
 :func:`candidate_block`      per-entry Equation (*) terms (one neighbor at
                              a time) in recompute loops
-:func:`star_eval` /          ``evaluate_entry``/``recompute_entry`` called
-:func:`star_recompute`       once per popped depth of the same vertex
+:func:`star_eval`            ``evaluate_entry`` called once per entry of
+                             a whole IncH2H+ level (line 23 of Algorithm 4)
 :func:`fill_row`             the per-depth construction loop of
                              H2HIndexing step 3
 :func:`directed_sd_row` /    the per-depth ``_sd`` loops of the directed
@@ -40,13 +40,12 @@ over the same candidate set, and exact ``==`` tie counting — no
 reassociation, no fused intermediates.
 
 The kernels duck-type their ``index`` argument: anything exposing
-``sc``/``tree``/``dis``/``sup`` the way :class:`repro.h2h.index.H2HIndex`
-does.
+``sc``/``tree``/``dis``/``sup`` (and, for :func:`star_eval`, ``weights``)
+the way :class:`repro.h2h.index.H2HIndex` does.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -58,9 +57,8 @@ __all__ = [
     "DCH_KERNEL_MIN_TRIPLES",
     "candidate_row",
     "candidate_block",
+    "csr_slots",
     "star_eval",
-    "star_recompute",
-    "refresh_support",
     "fill_row",
     "directed_sd_row",
     "directed_candidate_row",
@@ -124,52 +122,54 @@ def candidate_block(index, u: int, depths: np.ndarray) -> np.ndarray:
     return block
 
 
+def csr_slots(starts: np.ndarray, counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Expand CSR rows: for rows ``starts[i] .. starts[i] + counts[i]``,
+    return ``(row, slot)`` with one element per slot, rows in order."""
+    ends = counts.cumsum()
+    row = np.arange(len(counts), dtype=np.int64).repeat(counts)
+    slot = np.arange(len(row), dtype=np.int64) + (starts - ends + counts)[row]
+    return row, slot
+
+
 def star_eval(
-    index, u: int, depths: np.ndarray, counter: Optional[OpCounter] = None
+    index, u, depths: np.ndarray, counter: Optional[OpCounter] = None
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Evaluate Equation (*) for super-shortcuts ``(u, da)`` over a whole
-    depth slice at once; returns ``(values, supports)`` without mutating.
+    """Evaluate Equation (*) for super-shortcuts ``(u[i], depths[i])``
+    at once (*u* may be one vertex for a whole depth slice); returns
+    ``(values, supports)`` without mutating.  Every ``depths[i]`` must
+    be a proper ancestor depth of ``u[i]``.
 
-    Bit-identical to calling ``index.evaluate_entry(u, da)`` per depth:
-    the same ``weight + sd`` candidates, an exact columnwise ``min``, and
-    the support as the count of finite candidates attaining it.
+    Bit-identical to calling ``index.evaluate_entry(u, da)`` per entry:
+    one flat gather over the tree's upward CSR builds the same
+    ``weight + sd`` candidates (``sd`` by Equation (nabla): ``dis(v)[da]``
+    for a shallow ancestor, ``dis(anc(u)[da])[depth(v)]`` past *v*), an
+    exact ``minimum.reduceat`` takes each entry's min, and the support
+    counts the finite candidates attaining it.
     """
-    ops = resolve_counter(counter)
-    upward = index.sc.upward(u)
-    ops.add("star_term", len(upward) * len(depths))
-    if len(depths) == 0 or not upward:
-        values = np.full(len(depths), math.inf, dtype=np.float64)
-        return values, np.zeros(len(depths), dtype=np.int64)
-    block = candidate_block(index, u, depths)
-    values = block.min(axis=0)
-    finite = ~np.isinf(block)
-    supports = ((block == values) & finite).sum(axis=0)
+    tree = index.tree
+    dis = index.dis
+    depths = np.asarray(depths, dtype=np.int64)
+    us = np.asarray(u, dtype=np.int64)
+    if us.shape != depths.shape:
+        us = np.full(depths.shape, us)
+    starts = tree.up_ptr[us]
+    counts = tree.up_ptr[us + 1] - starts
+    row, slot = csr_slots(starts, counts)
+    resolve_counter(counter).add("star_term", len(slot))
+    if not len(depths):
+        return np.empty(0, dtype=np.float64), np.zeros(0, dtype=np.int64)
+    v = tree.up_idx[slot].astype(np.int64)
+    dv = tree.depth[v]
+    da = depths[row]
+    anc = tree.anc_flat[tree.anc_ptr[us] + depths][row].astype(np.int64)
+    width = dis.shape[1]
+    sd_at = np.where(da <= dv, v * width + da, anc * width + dv)
+    candidates = index.weights[tree.up_slot[slot]] + dis.take(sd_at)
+    bounds = counts.cumsum() - counts  # every entry has >= 1 term
+    values = np.minimum.reduceat(candidates, bounds)
+    attained = (candidates == values[row]) & ~np.isinf(candidates)
+    supports = np.add.reduceat(attained.astype(np.int64), bounds)
     return values, supports
-
-
-def star_recompute(
-    index, u: int, depths: np.ndarray, counter: Optional[OpCounter] = None
-) -> np.ndarray:
-    """Recompute and store ``dis[u, depths]`` / ``sup[u, depths]`` from
-    Equation (*) — line 23 of Algorithm 4, batched over one vertex's
-    popped depth group.  Returns the new values."""
-    values, supports = star_eval(index, u, depths, counter)
-    index.dis[u, depths] = values
-    index.sup[u, depths] = supports
-    return values
-
-
-def refresh_support(index, u: int, depths: np.ndarray) -> None:
-    """Vectorized support repair for the given entries of *u*.
-
-    Recomputes ``sup[u, depths]`` from Equation (*) (without touching the
-    distances, which must already be at their fixpoint)."""
-    if len(depths) == 0:
-        return
-    block = candidate_block(index, u, depths)
-    best = index.dis[u, depths]
-    finite = ~np.isinf(block)
-    index.sup[u, depths] = ((block == best) & finite).sum(axis=0)
 
 
 def fill_row(sc, tree, dis: np.ndarray, sup: np.ndarray, u: int) -> None:

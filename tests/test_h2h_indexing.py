@@ -110,15 +110,6 @@ class TestVectorizedKernels:
             block = index.candidate_block(u, depths)
             assert np.array_equal(block.min(axis=0), index.dis[u, :du])
 
-    def test_refresh_support_restores_corruption(self, paper_h2h):
-        paper_h2h.sup[1, :4] = 77
-        paper_h2h.refresh_support(1, np.arange(4, dtype=np.int64))
-        paper_h2h.validate()
-
-    def test_refresh_support_empty_depths_noop(self, paper_h2h):
-        paper_h2h.refresh_support(1, np.empty(0, dtype=np.int64))
-        paper_h2h.validate()
-
 
 class TestValidation:
     def test_validate_catches_bad_distance(self, paper_h2h):
@@ -135,6 +126,20 @@ class TestValidation:
         paper_h2h.dis[1, int(paper_h2h.tree.depth[1])] = 5.0
         with pytest.raises(IndexError_):
             paper_h2h.validate()
+
+    def test_validate_catches_stale_weight_slot(self, paper_h2h):
+        paper_h2h.validate()
+        paper_h2h.weights[3] += 1.0
+        with pytest.raises(IndexError_, match=r"weights\[3\]"):
+            paper_h2h.validate()
+
+    def test_weights_follow_shortcut_slots(self, paper_h2h):
+        tree = paper_h2h.tree
+        for a in range(paper_h2h.n):
+            for s in range(tree.down_ptr[a], tree.down_ptr[a + 1]):
+                v = int(tree.down_idx[s])
+                assert paper_h2h.weights[s] == paper_h2h.sc.weight(a, v)
+                assert tree.shortcut_slots([v], [a])[0] == s
 
 
 class TestSizeAndViews:

@@ -8,7 +8,8 @@ which answers an H2H batch with one vectorised ``distance_many``.  The
 check runs on the built index and again after each seeded increase,
 restore, decrease and mixed batch published through the server
 (``cow_apply``, clone-then-swap).  Pairs are grouped by source so one
-Dijkstra run serves every pair from that source.
+Dijkstra run serves every pair from that source.  The same pipeline runs
+in tier-1 at n = 150.
 
 Every weight stays a multiple of 0.25 (integer road weights, a 1.5
 reverse factor, batches that double or halve), so every path sum is
@@ -32,16 +33,17 @@ from repro.graph.generators import road_network
 from repro.serve.server import DistanceServer
 
 N = 2025
+SMOKE_N = 150
 EDGES_PER_BATCH = 60
 SOURCES, TARGETS = 8, 120
 
 
-def undirected():
-    return DynamicH2H(road_network(N)), dijkstra
+def undirected(n=N):
+    return DynamicH2H(road_network(n)), dijkstra
 
 
-def directed():
-    digraph = DiRoadNetwork.from_undirected(road_network(N), asymmetry=1.5)
+def directed(n=N):
+    digraph = DiRoadNetwork.from_undirected(road_network(n), asymmetry=1.5)
     return DynamicDiH2H(digraph), directed_dijkstra
 
 
@@ -79,10 +81,7 @@ def assert_reads_match_dijkstra(server, shortest, rng):
     assert server.query_many(pairs) == truth
 
 
-@pytest.mark.slow
-@pytest.mark.parametrize("build", [undirected, directed])
-def test_mid_size_read_differential(build):
-    oracle, shortest = build()
+def read_differential(oracle, shortest):
     rng = random.Random(7)
     with DistanceServer(oracle, workers=1) as server:
         assert_reads_match_dijkstra(server, shortest, rng)
@@ -90,3 +89,14 @@ def test_mid_size_read_differential(build):
             server.apply(batch)
             assert_reads_match_dijkstra(server, shortest, rng)
         assert server.epoch == 5
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("build", [undirected, directed])
+def test_mid_size_read_differential(build):
+    read_differential(*build())
+
+
+@pytest.mark.parametrize("build", [undirected, directed])
+def test_small_read_pipeline(build):
+    read_differential(*build(SMOKE_N))

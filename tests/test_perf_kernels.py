@@ -66,31 +66,6 @@ class TestStarKernels:
                 for da in range(du):
                     assert row[da] == w + index.sd_between(u, v, da)
 
-    def test_star_recompute_is_batched_recompute_entry(self, index):
-        clone_a = index.clone()
-        clone_b = index.clone()
-        depth = index.tree.depth
-        for u in range(index.n):
-            du = int(depth[u])
-            if du == 0:
-                continue
-            depths = np.arange(du, dtype=np.intp)
-            kernels.star_recompute(clone_a, u, depths)
-            for da in range(du):
-                clone_b.recompute_entry(u, da)
-        assert np.array_equal(clone_a.dis, clone_b.dis)
-        assert np.array_equal(clone_a.sup, clone_b.sup)
-
-    def test_refresh_support_preserves_fixpoint(self, index):
-        clone = index.clone()
-        depth = index.tree.depth
-        for u in range(index.n):
-            du = int(depth[u])
-            if du:
-                kernels.refresh_support(clone, u, np.arange(du, dtype=np.intp))
-        assert np.array_equal(clone.sup, index.sup)
-        assert np.array_equal(clone.dis, index.dis)
-
 
 class TestDirectedKernels:
     def test_directed_fill_matches_evaluate_entry(self, directed_index):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.ch.indexing import ch_indexing
-from repro.errors import DisconnectedGraphError
+from repro.errors import DisconnectedGraphError, IndexError_
 from repro.graph.graph import RoadNetwork
 from repro.h2h.tree import TreeDecomposition
 from repro.order.ordering import Ordering
@@ -73,6 +73,16 @@ class TestStructure:
 
     def test_validate_passes(self, medium_tree):
         medium_tree.validate()
+
+    def test_anc_rows_are_views_of_one_array(self, medium_tree):
+        for u in range(medium_tree.n):
+            assert medium_tree.anc[u].base is medium_tree.anc_flat
+
+    def test_validate_catches_corrupt_csr(self, paper_h2h):
+        tree = paper_h2h.tree
+        tree.up_slot[0] = (tree.up_slot[0] + 1) % len(tree.down_idx)
+        with pytest.raises(IndexError_, match="up_slot"):
+            tree.validate()
 
     def test_disconnected_graph_rejected(self):
         g = RoadNetwork(3)

@@ -3,7 +3,7 @@
 The paper presents CH/H2H and their maintenance for undirected graphs
 "for ease of exposition, emphasizing that our results and algorithms
 can be extended to the directed case".  This subpackage carries out
-that extension for the CH side of the stack:
+that extension for CH and H2H and their maintenance:
 
 * :class:`~repro.directed.graph.DiRoadNetwork` — arc-weighted directed
   graphs (one-way streets, asymmetric transit times);
@@ -16,7 +16,15 @@ that extension for the CH side of the stack:
   backward-upward bidirectional query;
 * :func:`~repro.directed.dch.directed_dch_increase` /
   :func:`~repro.directed.dch.directed_dch_decrease` — DCH per
-  direction, with per-direction supports.
+  direction, with per-direction supports;
+* :func:`~repro.directed.h2h.directed_h2h_indexing` and
+  :func:`~repro.directed.h2h.directed_h2h_distance` — H2H with ``TO``
+  and ``FROM`` labels per vertex–ancestor pair over the skeleton's tree
+  decomposition;
+* :func:`~repro.directed.h2h.directed_inch2h_increase` /
+  :func:`~repro.directed.h2h.directed_inch2h_decrease` — IncH2H± on
+  the level-synchronous engine of :mod:`repro.h2h.inch2h`, run over the
+  two label matrices.
 """
 
 from repro.directed.ch import (

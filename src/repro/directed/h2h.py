@@ -23,18 +23,21 @@ A query is one position-array scan, as in the undirected case::
 
     sd(s -> t) = min over i in pos(lca) of dis_to(s)[i] + dis_from(t)[i]
 
-The incremental algorithms mirror Algorithms 4-5 per direction.  The
-dependents of a changed ``TO`` entry ``sd(u -> a)`` are the ``TO``
-entries of ``nbr-(u)`` at the same ancestor depth and the ``FROM``
-entries ``sd(u -> x)``-side of ``nbr-(a) ∩ des(u)``; symmetrically for
-a changed ``FROM`` entry — the same two-loop structure as the
-undirected IncH2H, with directions threaded through.
+The labels are one ``(2, n, width)`` array per kind (``dis[TO]``,
+``dis[FROM]``), and the slot weights one ``(2, slots)`` array over the
+tree's downward CSR: ``weights[TO][s] = phi(low -> high)`` and
+``weights[FROM][s] = phi(high -> low)`` for the slot ``s`` of shortcut
+``(high, low)``.  Directed IncH2H± is the undirected level-synchronous
+engine of :mod:`repro.h2h.inch2h` over these two matrices: only DCH
+and the label row each changed arc seeds (lines 3-12 of Algorithms 4-5)
+are directed here.
 """
 
 from __future__ import annotations
 
+import copy
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,13 +50,19 @@ from repro.directed.dch import (
 )
 from repro.directed.graph import DiRoadNetwork
 from repro.errors import IndexError_, QueryError
+from repro.h2h.inch2h import (
+    _decrease_propagate,
+    _increase_propagate,
+    _Levels,
+    _seed_decrease,
+    _seed_increase,
+)
 from repro.h2h.tree import TreeDecomposition
 from repro.obs import names
 from repro.obs.trace import span
 from repro.order.ordering import Ordering
 from repro.perf import kernels
 from repro.utils.counters import OpCounter, resolve_counter
-from repro.utils.heap import AddressableHeap
 
 __all__ = [
     "DirectedH2HIndex",
@@ -68,28 +77,59 @@ TO, FROM = 0, 1
 
 
 class DirectedH2HIndex:
-    """The directed H2H index: tree + two distance/support matrix pairs."""
+    """The directed H2H index: tree + ``(2, n, width)`` distance and
+    support arrays (``dis[TO]``, ``dis[FROM]``) + ``(2, slots)`` slot
+    weights."""
 
     def __init__(
         self,
         sc: DirectedShortcutGraph,
         tree: TreeDecomposition,
-        dis: Tuple[np.ndarray, np.ndarray],
-        sup: Tuple[np.ndarray, np.ndarray],
+        dis: np.ndarray,
+        sup: np.ndarray,
     ) -> None:
         self.sc = sc
         self.tree = tree
-        self.dis = dis  # (dis_to, dis_from)
+        self.dis = dis  # dis_to, dis_from = dis
         self.sup = sup
+        self.weights = self._slot_weights()
+
+    def _slot_weights(self) -> np.ndarray:
+        """``sc``'s weights in the order of ``tree.down_idx``: row ``TO``
+        holds ``phi(low -> high)``, row ``FROM`` ``phi(high -> low)``."""
+        w = self.sc._w
+        slots = [
+            (high, low)
+            for high, row in enumerate(self.tree.down_by_disc)
+            for low in row
+        ]
+        weights = np.empty((2, len(slots)), dtype=np.float64)
+        weights[TO] = [w[low][high] for high, low in slots]
+        weights[FROM] = [w[high][low] for high, low in slots]
+        return weights
 
     def clone(self) -> "DirectedH2HIndex":
         """An independent copy sharing the weight-independent tree."""
-        return DirectedH2HIndex(
-            self.sc.clone(),
-            self.tree,
-            (self.dis[TO].copy(), self.dis[FROM].copy()),
-            (self.sup[TO].copy(), self.sup[FROM].copy()),
+        dup = copy.copy(self)
+        dup.sc = self.sc.clone()
+        dup.dis = self.dis.copy()
+        dup.sup = self.sup.copy()
+        dup.weights = self.weights.copy()
+        return dup
+
+    def patch_weights(self, changed_arcs) -> None:
+        """Copy directed DCH's changed arcs (``((u, v), old, new)``
+        records) into :attr:`weights`: an arc out of the lower (deeper)
+        end goes to row ``TO``, one into it to row ``FROM``."""
+        if not changed_arcs:
+            return
+        arcs = np.array([arc for arc, _old, _new in changed_arcs])
+        tails, heads = arcs[:, 0], arcs[:, 1]
+        rows = np.where(
+            self.tree.depth[tails] > self.tree.depth[heads], TO, FROM
         )
+        slots = self.tree.shortcut_slots(tails, heads)
+        self.weights[rows, slots] = [new for _arc, _old, new in changed_arcs]
 
     @property
     def n(self) -> int:
@@ -136,16 +176,6 @@ class DirectedH2HIndex:
         ops.add("star_term", terms)
         return best, count
 
-    def recompute_entry(
-        self, direction: int, u: int, da: int,
-        counter: Optional[OpCounter] = None,
-    ) -> float:
-        """Recompute and store one entry from the directed Equation (*)."""
-        value, support = self.evaluate_entry(direction, u, da, counter)
-        self.dis[direction][u, da] = value
-        self.sup[direction][u, da] = support
-        return value
-
     def distance_many(
         self, sources, targets, counter: Optional[OpCounter] = None
     ) -> np.ndarray:
@@ -157,7 +187,16 @@ class DirectedH2HIndex:
         )
 
     def validate(self) -> None:
-        """Check every entry of both directions against Equation (*)."""
+        """Check :attr:`weights` against ``sc`` slot for slot and every
+        entry of both directions against Equation (*)."""
+        expected = self._slot_weights()
+        stale = np.argwhere(self.weights != expected)
+        if len(stale):
+            d, s = (int(i) for i in stale[0])
+            raise IndexError_(
+                f"weights[{d}][{s}] = {self.weights[d, s]}, shortcut weight "
+                f"{expected[d, s]}"
+            )
         depth = self.tree.depth
         for u in range(self.n):
             du = int(depth[u])
@@ -196,11 +235,9 @@ def directed_h2h_indexing(
     n = tree.n
     height = tree.height
     depth = tree.depth
-    dis_to = np.full((n, height), np.inf, dtype=np.float64)
-    dis_from = np.full((n, height), np.inf, dtype=np.float64)
-    sup_to = np.zeros((n, height), dtype=np.int32)
-    sup_from = np.zeros((n, height), dtype=np.int32)
-    index = DirectedH2HIndex(sc, tree, (dis_to, dis_from), (sup_to, sup_from))
+    dis = np.full((2, n, height), np.inf, dtype=np.float64)
+    sup = np.zeros((2, n, height), dtype=np.int32)
+    index = DirectedH2HIndex(sc, tree, dis, sup)
 
     ops = resolve_counter(counter)
     for u in tree.top_down_order:
@@ -237,22 +274,30 @@ def directed_h2h_distance(
 # Incremental maintenance
 # ----------------------------------------------------------------------
 
-#: A queue entry: (direction, descendant vertex, ancestor depth).
+#: A changed entry: (direction, descendant vertex, ancestor depth).
 Entry = Tuple[int, int, int]
 
 
-def _seed_candidates(index, arc, weight):
-    """Yield ``(direction, lower_endpoint)`` affected by a changed arc.
+def _arc_rows(index, changed_arcs, ops, increase: bool) -> Iterator[tuple]:
+    """The label row each changed arc feeds, as ``(direction, low, high,
+    old, new)``: an arc ``l -> h`` (skeleton lower endpoint ``l``) feeds
+    the TO row of ``l`` (candidates ``phi(l -> h) + sd(h -> a)``), an arc
+    ``h -> l`` its FROM row (candidates ``sd(a -> h) + phi(h -> l)``).
 
-    An arc ``l -> h`` (skeleton lower endpoint ``l``) feeds the TO
-    entries of ``l``; an arc ``h -> l`` feeds the FROM entries of ``l``.
+    Counts one ``anc_scan`` per ancestor of ``l``, but not for an arc
+    whose old weight was inf (increase) or a root row (decrease).
     """
-    u, v = arc
-    low = index.sc.lower_endpoint(u, v)
-    if u == low:
-        yield TO, low, v  # candidates phi(l -> h) + sd(h -> a)
-    else:
-        yield FROM, low, u  # candidates sd(a -> h) + phi(h -> l)
+    depth = index.tree.depth
+    for (tail, head), old_w, new_w in changed_arcs:
+        if increase and math.isinf(old_w):
+            continue
+        low = index.sc.lower_endpoint(tail, head)
+        d, high = (TO, head) if tail == low else (FROM, tail)
+        du = int(depth[low])
+        if du or increase:
+            ops.add("anc_scan", du)
+        if du:
+            yield d, low, high, old_w, new_w
 
 
 def directed_inch2h_increase(
@@ -260,99 +305,23 @@ def directed_inch2h_increase(
     updates: Sequence[ArcUpdate],
     counter: Optional[OpCounter] = None,
 ) -> List[Tuple[Entry, float, float]]:
-    """Directed IncH2H+ : weight increases through both label matrices."""
+    """Directed IncH2H+ : weight increases through both label matrices.
+
+    Returns ``((direction, u, depth_a), old, new)`` per changed entry, in
+    ascending ``depth(u)``, then direction, ``u`` and ``depth_a``.
+    """
     with span(names.SPAN_DIRECTED_INCH2H_INCREASE) as sp:
         if sp.active and counter is None:
             counter = OpCounter()
-        ops_before = resolve_counter(counter).as_dict() if sp.active else None
-        changed = _directed_inch2h_increase_impl(index, updates, counter)
+        ops = resolve_counter(counter)
+        ops_before = ops.as_dict() if sp.active else None
+        changed_arcs = directed_dch_increase(index.sc, updates, counter)
+        index.patch_weights(changed_arcs)
+        levels = _Levels(index)
+        _seed_increase(index, levels, _arc_rows(index, changed_arcs, ops, True))
+        changed = _increase_propagate(index, levels, ops, None)
         if sp.active:
-            trace_directed_call(
-                sp, len(updates), len(changed), resolve_counter(counter), ops_before
-            )
-    return changed
-
-
-def _directed_inch2h_increase_impl(
-    index: DirectedH2HIndex,
-    updates: Sequence[ArcUpdate],
-    counter: Optional[OpCounter],
-) -> List[Tuple[Entry, float, float]]:
-    ops = resolve_counter(counter)
-    changed_arcs = directed_dch_increase(index.sc, updates, counter)
-
-    sc = index.sc
-    tree = index.tree
-    rank = sc.ordering.rank
-    depth = tree.depth
-    weights = sc._w
-    queue: AddressableHeap[Entry] = AddressableHeap()
-
-    # Seeds: per changed arc, test every entry of the lower endpoint —
-    # the whole ancestor slice at once with the directed Equation (*)
-    # kernel (same weight + sd additions, bit-identical hit test).
-    for arc, old_w, _new_w in changed_arcs:
-        if math.isinf(old_w):
-            continue
-        for direction, u, via in _seed_candidates(index, arc, old_w):
-            du = int(depth[u])
-            ops.add("anc_scan", du)
-            if du == 0:
-                continue
-            dis_dir = index.dis[direction]
-            sup_dir = index.sup[direction]
-            tmp = kernels.directed_candidate_row(index, direction, u, via, old_w)
-            hits = np.nonzero((tmp == dis_dir[u, :du]) & ~np.isinf(tmp))[0]
-            for da in hits:
-                da = int(da)
-                sup_dir[u, da] -= 1
-                if sup_dir[u, da] == 0:
-                    queue.push((direction, u, da), (-rank[u], direction, da))
-                    ops.add("queue_push")
-
-    changed: List[Tuple[Entry, float, float]] = []
-    while queue:
-        (direction, u, da), _ = queue.pop()
-        ops.add("queue_pop")
-        a = int(tree.anc[u][da])
-        du = int(depth[u])
-        dis_dir = index.dis[direction]
-        old_val = float(dis_dir[u, da])
-        if not math.isinf(old_val):
-            sup_dir = index.sup[direction]
-            # Loop 1: same-direction entries of downward neighbors.
-            # (Infinite legs — one-way streets — support nothing.)
-            for x in sc.downward(u):
-                ops.add("dependent_inspect")
-                leg = weights[x][u] if direction == TO else weights[u][x]
-                if not math.isinf(leg) and leg + old_val == dis_dir[x, da]:
-                    sup_dir[x, da] -= 1
-                    if sup_dir[x, da] == 0:
-                        queue.push((direction, x, da), (-rank[x], direction, da))
-                        ops.add("queue_push")
-            # Loop 2: opposite-position entries of nbr-(a) ∩ des(u):
-            # a changed sd(u -> a) feeds sd(x -> ...) via phi(x -> a)?
-            # No — it feeds the *same* direction read through the deeper
-            # side: entries (x, depth(u)) of direction `direction` whose
-            # candidate via a reads dis[1 - direction]... the candidate
-            # via neighbor a of entry (x, du, direction) is
-            #   TO:   phi(x -> a) + sd(a -> u) = phi(x -> a) + dis_FROM[u, da]
-            #   FROM: sd(u -> a)... = dis_TO[u, da] + phi(a -> x)
-            # so a changed (u, da, TO) feeds FROM entries and vice versa.
-            other = 1 - direction
-            dis_other = index.dis[other]
-            sup_other = index.sup[other]
-            for x in tree.down_in_descendants(a, u):
-                ops.add("dependent_inspect")
-                leg = weights[a][x] if direction == TO else weights[x][a]
-                if not math.isinf(leg) and leg + old_val == dis_other[x, du]:
-                    sup_other[x, du] -= 1
-                    if sup_other[x, du] == 0:
-                        queue.push((other, x, du), (-rank[x], other, du))
-                        ops.add("queue_push")
-        new_val = index.recompute_entry(direction, u, da, ops)
-        if new_val != old_val:
-            changed.append(((direction, u, da), old_val, new_val))
+            trace_directed_call(sp, len(updates), len(changed), ops, ops_before)
     return changed
 
 
@@ -361,116 +330,22 @@ def directed_inch2h_decrease(
     updates: Sequence[ArcUpdate],
     counter: Optional[OpCounter] = None,
 ) -> List[Tuple[Entry, float, float]]:
-    """Directed IncH2H- : weight decreases with on-the-fly supports."""
+    """Directed IncH2H- : weight decreases with on-the-fly supports.
+
+    Returns changed entries as :func:`directed_inch2h_increase` does.
+    """
     with span(names.SPAN_DIRECTED_INCH2H_DECREASE) as sp:
         if sp.active and counter is None:
             counter = OpCounter()
-        ops_before = resolve_counter(counter).as_dict() if sp.active else None
-        changed = _directed_inch2h_decrease_impl(index, updates, counter)
+        ops = resolve_counter(counter)
+        ops_before = ops.as_dict() if sp.active else None
+        changed_arcs = directed_dch_decrease(index.sc, updates, counter)
+        index.patch_weights(changed_arcs)
+        levels = _Levels(index)
+        seed_rows = _seed_decrease(
+            index, levels, _arc_rows(index, changed_arcs, ops, False)
+        )
+        changed = _decrease_propagate(index, levels, seed_rows, ops, None)
         if sp.active:
-            trace_directed_call(
-                sp, len(updates), len(changed), resolve_counter(counter), ops_before
-            )
+            trace_directed_call(sp, len(updates), len(changed), ops, ops_before)
     return changed
-
-
-def _directed_inch2h_decrease_impl(
-    index: DirectedH2HIndex,
-    updates: Sequence[ArcUpdate],
-    counter: Optional[OpCounter],
-) -> List[Tuple[Entry, float, float]]:
-    ops = resolve_counter(counter)
-    changed_arcs = directed_dch_decrease(index.sc, updates, counter)
-
-    sc = index.sc
-    tree = index.tree
-    rank = sc.ordering.rank
-    depth = tree.depth
-    weights = sc._w
-    queue: AddressableHeap[Entry] = AddressableHeap()
-    original: dict = {}
-    # Seed memo: (direction, u, via) -> candidate array (du long), to
-    # dedupe against later pop-loop evaluations at identical values.
-    seed_rows: Dict[Tuple[int, int, int], np.ndarray] = {}
-
-    for arc, _old_w, new_w in changed_arcs:
-        for direction, u, via in _seed_candidates(index, arc, new_w):
-            du = int(depth[u])
-            if du == 0:
-                continue
-            ops.add("anc_scan", du)
-            dis_dir = index.dis[direction]
-            sup_dir = index.sup[direction]
-            # Whole ancestor slice at once (directed Equation (*) kernel);
-            # ties and improvements target distinct depths, so applying
-            # them from one pre-write gather matches the per-depth order.
-            row = kernels.directed_candidate_row(index, direction, u, via, new_w)
-            seed_rows[(direction, u, via)] = row
-            current_row = dis_dir[u, :du]
-            better = np.nonzero(row < current_row)[0]
-            ties = np.nonzero((row == current_row) & ~np.isinf(row))[0]
-            if len(ties):
-                sup_dir[u, ties] += 1
-            for da in better:
-                da = int(da)
-                original.setdefault((direction, u, da), float(dis_dir[u, da]))
-                dis_dir[u, da] = row[da]
-                sup_dir[u, da] = 1
-                if (direction, u, da) not in queue:
-                    queue.push((direction, u, da),
-                               (-rank[u], direction, da))
-                    ops.add("queue_push")
-
-    while queue:
-        (direction, u, da), _ = queue.pop()
-        ops.add("queue_pop")
-        a = int(tree.anc[u][da])
-        du = int(depth[u])
-        dis_dir = index.dis[direction]
-        val = float(dis_dir[u, da])
-        if math.isinf(val):
-            continue
-        sup_dir = index.sup[direction]
-        for x in sc.downward(u):
-            ops.add("dependent_inspect")
-            leg = weights[x][u] if direction == TO else weights[u][x]
-            candidate = leg + val
-            seed_row = seed_rows.get((direction, x, u))
-            if seed_row is not None and seed_row[da] == candidate:
-                continue
-            current = dis_dir[x, da]
-            if candidate < current:
-                original.setdefault((direction, x, da), float(current))
-                dis_dir[x, da] = candidate
-                sup_dir[x, da] = 1
-                if (direction, x, da) not in queue:
-                    queue.push((direction, x, da), (-rank[x], direction, da))
-                    ops.add("queue_push")
-            elif candidate == current and not math.isinf(candidate):
-                sup_dir[x, da] += 1
-        other = 1 - direction
-        dis_other = index.dis[other]
-        sup_other = index.sup[other]
-        for x in tree.down_in_descendants(a, u):
-            ops.add("dependent_inspect")
-            leg = weights[a][x] if direction == TO else weights[x][a]
-            candidate = leg + val
-            seed_row = seed_rows.get((other, x, a))
-            if seed_row is not None and seed_row[du] == candidate:
-                continue
-            current = dis_other[x, du]
-            if candidate < current:
-                original.setdefault((other, x, du), float(current))
-                dis_other[x, du] = candidate
-                sup_other[x, du] = 1
-                if (other, x, du) not in queue:
-                    queue.push((other, x, du), (-rank[x], other, du))
-                    ops.add("queue_push")
-            elif candidate == current and not math.isinf(candidate):
-                sup_other[x, du] += 1
-
-    return [
-        (entry, old, float(index.dis[entry[0]][entry[1], entry[2]]))
-        for entry, old in original.items()
-        if index.dis[entry[0]][entry[1], entry[2]] != old
-    ]

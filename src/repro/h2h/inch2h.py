@@ -53,11 +53,31 @@ candidate twice.
 
 A ``work_log`` hook records ``(depth(u), u, cost)`` per processed entry
 for the ParIncH2H scheduling simulation (Section 5.3).
+
+Direction axis
+--------------
+The propagation runs over ``D`` label matrices stacked as one
+``(D, n, width)`` store, with entries keyed ``(d * n + u) * width + da``
+and slot weights ``W`` of shape ``(D, slots)``: the undirected index is
+``D = 1`` (its ``dis`` and 1-D ``weights`` are matrix 0), the directed
+index of :mod:`repro.directed.h2h` ``D = 2`` (``TO``, ``FROM``).  With
+``other = [0]`` undirected and ``[1, 0]`` directed, entry ``(d, u, da)``
+
+* takes its line-23 terms from ``W[d]``, reading the deep Equation
+  (nabla) case from matrix ``other[d]``;
+* feeds loop 1 (lines 15-18) in matrix ``d`` through ``W[d]``;
+* feeds loop 2 (lines 19-22) in matrix ``other[d]`` through
+  ``W[other[d]]``.
+
+Section 5.3's depth argument holds per direction: every directed
+dependency of ``(d, u, a)`` is an ancestor row of ``u`` and every
+dependent a descendant row, so one depth of one matrix is a level.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -113,49 +133,63 @@ def _trace_h2h_boundedness(
 
 
 class _Levels:
-    """The queue of pending super-shortcuts, bucketed by tree depth.
+    """The queue of pending super-shortcuts, bucketed by tree depth and
+    label matrix.
 
-    Entries are flat ``dis`` indices ``u * width + da``.  In the decrease
+    Entries are flat indices ``(d * n + u) * width + da`` into the
+    ``(D, n, width)`` label store (``D = 1`` for the undirected ``dis``).
+    Bucket ``depth(u) * D + d`` holds one depth of one matrix, and
+    buckets pop in ascending order, so depths ascend.  In the decrease
     direction each push carries the entry's value before that
     improvement; values only fall, so the largest is the original.
     """
 
-    def __init__(self, index: H2HIndex) -> None:
-        self.depth = index.tree.depth
-        self.width = index.dis.shape[1]
+    def __init__(self, index) -> None:
+        tree = index.tree
+        self.n = tree.n
+        self.width = index.dis.shape[-1]
+        self.count = index.dis.size // (self.n * self.width)
+        # The bucket of every label row d * n + u.
+        self.bucket = (
+            tree.depth * self.count + np.arange(self.count)[:, None]
+        ).ravel()
         self.keys: Dict[int, List[np.ndarray]] = {}
         self.values: Dict[int, List[np.ndarray]] = {}
 
     def push(self, keys: np.ndarray, values: Optional[np.ndarray] = None) -> None:
         if not len(keys):
             return
-        depths = self.depth[keys // self.width]
-        order = depths.argsort()
-        depths = depths[order]
-        starts = _run_starts(depths)
+        buckets = self.bucket[keys // self.width]
+        order = buckets.argsort()
+        buckets = buckets[order]
+        starts = _run_starts(buckets)
         bounds = starts.tolist() + [len(keys)]
-        for level, lo, hi in zip(depths[starts].tolist(), bounds, bounds[1:]):
+        for bucket, lo, hi in zip(buckets[starts].tolist(), bounds, bounds[1:]):
             part = order[lo:hi]
-            self.keys.setdefault(level, []).append(keys[part])
+            self.keys.setdefault(bucket, []).append(keys[part])
             if values is not None:
-                self.values.setdefault(level, []).append(values[part])
+                self.values.setdefault(bucket, []).append(values[part])
 
-    def __iter__(self) -> Iterator[Tuple[int, np.ndarray, Optional[np.ndarray]]]:
-        """Pop levels shallowest first: ``(depth, distinct sorted keys,
-        their original values or None)``.  A level is popped only once
-        every shallower one is done, so nothing can join it later."""
+    def __iter__(
+        self,
+    ) -> Iterator[Tuple[int, int, np.ndarray, Optional[np.ndarray]]]:
+        """Pop buckets in ascending order: ``(depth, matrix, distinct
+        sorted keys, their original values or None)``.  A bucket is popped
+        only once every shallower depth is done, so nothing can join it
+        later."""
         while self.keys:
-            level = min(self.keys)
-            keys = np.concatenate(self.keys.pop(level))
-            if level not in self.values:
+            bucket = min(self.keys)
+            level, d = divmod(bucket, self.count)
+            keys = np.concatenate(self.keys.pop(bucket))
+            if bucket not in self.values:
                 keys.sort()
-                yield level, keys[_run_starts(keys)], None
+                yield level, d, keys[_run_starts(keys)], None
                 continue
-            values = np.concatenate(self.values.pop(level))
+            values = np.concatenate(self.values.pop(bucket))
             order = keys.argsort()
             keys = keys[order]
             first = _run_starts(keys)
-            yield level, keys[first], np.maximum.reduceat(values[order], first)
+            yield level, d, keys[first], np.maximum.reduceat(values[order], first)
 
 
 def _run_starts(ordered: np.ndarray) -> np.ndarray:
@@ -183,19 +217,26 @@ def _run_lengths(first: np.ndarray, total: int) -> np.ndarray:
     return lengths
 
 
-def _blocks(keys: np.ndarray, width: int):
-    """Split one level's entries into ``(keys, u, da)`` blocks."""
+def _blocks(keys: np.ndarray, levels: _Levels, d: int):
+    """Split one bucket's entries, all of matrix *d*, into ``(keys, u,
+    da)`` blocks."""
+    width = levels.width
     for lo in range(0, len(keys), LEVEL_CHUNK):
         block = keys[lo : lo + LEVEL_CHUNK]
-        yield block, block // width, block % width
+        u = block // width
+        if d:  # row d * n + u of the store
+            u -= d * levels.n
+        yield block, u, block % width
 
 
-def _dependents(tree, u, da, level, active, width, with_via=False):
-    """Lines 15-22 for one block: every dependent slot of the active
-    (finite) entries.
+def _dependents(tree, levels, d, u, da, level, active, weights, with_via=False):
+    """Lines 15-22 for one block of matrix *d*: every dependent of the
+    active (finite) entries.  Loop 1 feeds entries ``(v, a)`` of matrix
+    *d* through ``weights[d]``; loop 2 feeds entries ``(v, u)`` of matrix
+    ``other(d)`` through ``weights[other(d)]``.
 
-    Returns ``(entry, slot, target, via)``: the block position of the
-    source entry, the ``down_idx`` slot whose weight joins it, the flat
+    Returns ``(entry, leg, target, via)``: the block position of the
+    source entry, the weight of the shortcut that joins it, the flat
     index of the dependent entry, and (*with_via*, else None) the
     seed-memo partner: ``u`` for ``(v, a)`` targets, ``a`` for ``(v, u)``
     targets.
@@ -204,50 +245,80 @@ def _dependents(tree, u, da, level, active, width, with_via=False):
     if len(ids) < len(u):
         u, da = u[ids], da[ids]
     down_start = tree.down_ptr[u]
+    down_count = tree.down_ptr[u + 1] - down_start
     a = tree.anc_flat[tree.anc_ptr[u] + da].astype(np.int64)
     lo, hi = tree.descendant_ranges(a, u)
     row, slot = kernels.csr_slots(
-        np.concatenate((down_start, lo)),
-        np.concatenate((tree.down_ptr[u + 1] - down_start, hi - lo)),
+        np.concatenate((down_start, lo)), np.concatenate((down_count, hi - lo))
     )
-    column = np.concatenate((da, np.full(len(ids), level, dtype=np.int64)))
-    target = tree.down_idx[slot].astype(np.int64) * width + column[row]
+    other = kernels.other(levels.count, d)
+    plane = levels.n * levels.width  # one label matrix
+    column = np.concatenate(
+        (
+            da + d * plane if d else da,
+            np.full(len(ids), level + other * plane, dtype=np.int64),
+        )
+    )
+    target = tree.down_idx[slot].astype(np.int64) * levels.width + column[row]
+    leg = weights[d][slot]
+    if other != d:
+        loop2 = int(down_count.sum())
+        leg[loop2:] = weights[other][slot[loop2:]]
     entry = np.concatenate((ids, ids))[row]
     via = np.concatenate((u, a))[row] if with_via else None
-    return entry, slot, target, via
+    return entry, leg, target, via
+
+
+def _record(changed: list, levels: _Levels, d, u, da, old, new) -> None:
+    """Append ``(key, old, new)`` records for entries ``(d, u[i], da[i])``
+    to *changed*, with ``key`` = ``(u, da)`` for one label matrix and
+    ``(d, u, da)`` for several."""
+    if levels.count == 1:
+        keys = zip(u.tolist(), da.tolist())
+    else:
+        keys = zip(repeat(d), u.tolist(), da.tolist())
+    changed.extend(zip(keys, old.tolist(), new.tolist()))
 
 
 def _log_work(work_log, level, u, cost) -> None:
     work_log.extend(zip([level] * len(u), u.tolist(), cost.tolist()))
 
 
-def _ancestor_scan_increase(index, changed_shortcuts, levels, ops) -> None:
-    """Lines 3-12 of Algorithm 4: per changed shortcut <u, v>, test every
-    super-shortcut <<u, a>> for support loss using *original* weights.
-
-    The per-ancestor candidate vector is evaluated with the vectorized
-    Equation (*) kernel; the op count is unchanged (one ``anc_scan`` per
-    ancestor), only the interpreter overhead moves into numpy.
-    """
+def _shortcut_rows(index, changed_shortcuts, ops) -> Iterator[tuple]:
+    """The label row each changed shortcut ``<u, v>`` feeds, as
+    ``(0, u, v, old, new)`` with ``u`` the lower end.  Counts one
+    ``anc_scan`` per ancestor of ``u``; a root row feeds nothing."""
     rank = index.sc.ordering.rank
     depth = index.tree.depth
-    dis = index.dis
-    sup = index.sup
-    width = dis.shape[1]
-    seeds = []
-    for (a_end, b_end), old_w, _new_w in changed_shortcuts:
+    for (a_end, b_end), old_w, new_w in changed_shortcuts:
         u, v = (a_end, b_end) if rank[a_end] < rank[b_end] else (b_end, a_end)
         du = int(depth[u])
         ops.add("anc_scan", du)
-        if du == 0 or math.isinf(old_w):
+        if du:
+            yield 0, u, v, old_w, new_w
+
+
+def _seed_increase(index, levels, rows) -> None:
+    """Lines 3-12 of Algorithm 4.  Each of *rows*, ``(d, u, v, old,
+    new)``, is a shortcut joining label row ``(d, u)`` through upward
+    neighbor ``v``: every super-shortcut of the row that its candidate
+    attained at the *original* weight loses one support, and one that
+    reaches 0 is queued.  The row's candidates come from the vectorized
+    Equation (*) kernel; the callers count ``anc_scan``."""
+    dis = index.dis.reshape(levels.count, levels.n, levels.width)
+    sup = index.sup.reshape(dis.shape)
+    seeds = []
+    for d, u, v, old_w, _new_w in rows:
+        if math.isinf(old_w):
             continue
-        tmp = index.candidate_row(u, v, old_w)
-        hits = np.nonzero((tmp == dis[u, :du]) & ~np.isinf(tmp))[0]
-        for da in hits:
-            da = int(da)
-            sup[u, da] -= 1
-            if sup[u, da] == 0:
-                seeds.append(u * width + da)
+        tmp = kernels.candidate_row(index, d, u, v, old_w)
+        hits = np.nonzero((tmp == dis[d, u, : len(tmp)]) & ~np.isinf(tmp))[0]
+        row_sup = sup[d, u]
+        first = (d * levels.n + u) * levels.width
+        for da in hits.tolist():
+            row_sup[da] -= 1
+            if row_sup[da] == 0:
+                seeds.append(first + da)
     levels.push(np.array(seeds, dtype=np.int64))
 
 
@@ -290,7 +361,7 @@ def inch2h_increase(
         levels = _Levels(index)
 
         with span(names.SPAN_INCH2H_INCREASE_SEED, delta=len(updates)):
-            _ancestor_scan_increase(index, changed_shortcuts, levels, ops)
+            _seed_increase(index, levels, _shortcut_rows(index, changed_shortcuts, ops))
 
         with span(names.SPAN_INCH2H_INCREASE_PROPAGATE) as sp_prop:
             changed = _increase_propagate(index, levels, ops, work_log)
@@ -302,24 +373,25 @@ def inch2h_increase(
     return changed
 
 
-def _increase_propagate(index, levels, ops, work_log) -> List[ChangedSuperShortcut]:
-    """Lines 13-23 of Algorithm 4, one depth level at a time."""
+def _increase_propagate(index, levels, ops, work_log) -> list:
+    """Lines 13-23 of Algorithm 4, one depth level of one label matrix
+    at a time."""
     tree = index.tree
-    dis, sup, weights = index.dis, index.sup, index.weights
-    width = levels.width
-    changed: List[ChangedSuperShortcut] = []
-    for level, keys, _ in levels:
+    dis, sup = index.dis, index.sup
+    weights = list(index.weights.reshape(levels.count, -1))
+    changed: list = []
+    for level, d, keys, _ in levels:
         ops.add("queue_push", len(keys))
         ops.add("queue_pop", len(keys))
-        for block, u, da in _blocks(keys, width):
+        for block, u, da in _blocks(keys, levels, d):
             old = dis.take(block)
-            entry, slot, target, _via = _dependents(
-                tree, u, da, level, old != _INF, width
+            entry, leg, target, _via = _dependents(
+                tree, levels, d, u, da, level, old != _INF, weights
             )
-            ops.add("dependent_inspect", len(slot))
+            ops.add("dependent_inspect", len(leg))
             # Lines 15-22: a dependent loses one support per source whose
             # old value attained it (infinite legs support nothing).
-            candidate = weights[slot] + old[entry]
+            candidate = leg + old[entry]
             hit = (candidate == dis.take(target)) & (candidate != _INF)
             hit_keys, losses = _tally(target[hit])
             before = sup.take(hit_keys)
@@ -327,17 +399,11 @@ def _increase_propagate(index, levels, ops, work_log) -> List[ChangedSuperShortc
             sup.put(hit_keys, after)
             levels.push(hit_keys[(before > 0) & (after <= 0)])
             # Line 23: recompute from Equation (*).
-            new, support = kernels.star_eval(index, u, da, ops)
+            new, support = kernels.star_eval(index, d, u, da, ops)
             dis.put(block, new)
             sup.put(block, support)
             moved = (new != old).nonzero()[0]
-            changed.extend(
-                zip(
-                    zip(u[moved].tolist(), da[moved].tolist()),
-                    old[moved].tolist(),
-                    new[moved].tolist(),
-                )
-            )
+            _record(changed, levels, d, u[moved], da[moved], old[moved], new[moved])
             if work_log is not None:
                 up_count = tree.up_ptr[u + 1] - tree.up_ptr[u]
                 inspected = np.bincount(entry, minlength=len(block))
@@ -374,7 +440,9 @@ def inch2h_decrease(
         index.patch_weights(changed_shortcuts)
         levels = _Levels(index)
         with span(names.SPAN_INCH2H_DECREASE_SEED, delta=len(updates)):
-            seed_rows = _decrease_seed_scan(index, changed_shortcuts, levels, ops)
+            seed_rows = _seed_decrease(
+                index, levels, _shortcut_rows(index, changed_shortcuts, ops)
+            )
         with span(names.SPAN_INCH2H_DECREASE_PROPAGATE):
             changed = _decrease_propagate(index, levels, seed_rows, ops, work_log)
         if sp.active:
@@ -384,43 +452,37 @@ def inch2h_decrease(
     return changed
 
 
-def _decrease_seed_scan(index, changed_shortcuts, levels, ops) -> dict:
-    """Lines 3-12 of Algorithm 5: seed relaxations from the changed
-    shortcuts.  Supports are maintained exactly on the fly: every seed
-    candidate strictly decreased (its shortcut changed), so a tie means
-    one new supporting term and an improvement resets the support to
-    that term alone; any stale tie recorded against a not-yet-final sd
-    value is erased later by the relaxation that finalizes the entry
-    (which resets support).
+def _seed_decrease(index, levels, rows) -> dict:
+    """Lines 3-12 of Algorithm 5: relax each of *rows* (as in
+    :func:`_seed_increase`) at the shortcut's new weight.  Supports are
+    maintained exactly on the fly: every seed candidate strictly
+    decreased (its shortcut changed), so a tie means one new supporting
+    term and an improvement resets the support to that term alone; any
+    stale tie recorded against a not-yet-final sd value is erased later
+    by the relaxation that finalizes the entry (which resets support).
 
-    Returns ``seed_rows``, a ``(u, v) -> candidate row`` memo: the
+    Returns ``seed_rows``, a ``(d, u, v) -> candidate row`` memo: the
     propagation uses it to tell whether a seed already applied a
     candidate at its final value (the candidate's sd entry may have been
     finalized by an earlier seed) and must not apply it twice.
     """
-    rank = index.sc.ordering.rank
-    depth = index.tree.depth
-    dis = index.dis
-    sup = index.sup
-    width = dis.shape[1]
+    dis = index.dis.reshape(levels.count, levels.n, levels.width)
+    sup = index.sup.reshape(dis.shape)
     seed_rows: dict = {}
-    for (a_end, b_end), _old_w, new_w in changed_shortcuts:
-        u, v = (a_end, b_end) if rank[a_end] < rank[b_end] else (b_end, a_end)
-        du = int(depth[u])
-        ops.add("anc_scan", du)
-        if du == 0:
-            continue
-        tmp = index.candidate_row(u, v, new_w)
-        seed_rows[(u, v)] = tmp
-        row = dis[u, :du]
+    for d, u, v, _old_w, new_w in rows:
+        tmp = kernels.candidate_row(index, d, u, v, new_w)
+        seed_rows[(d, u, v)] = tmp
+        row = dis[d, u, : len(tmp)]
+        row_sup = sup[d, u]
         better = np.nonzero(tmp < row)[0]
         ties = np.nonzero((tmp == row) & ~np.isinf(tmp))[0]
         if len(ties):
-            sup[u, ties] += 1
+            row_sup[ties] += 1
         if len(better):
-            levels.push(u * width + better, row[better].copy())
+            first = (d * levels.n + u) * levels.width
+            levels.push(first + better, row[better].copy())
             row[better] = tmp[better]
-            sup[u, better] = 1
+            row_sup[better] = 1
     return seed_rows
 
 
@@ -429,16 +491,19 @@ class _SeedMemo:
 
     def __init__(self, seed_rows: dict, n: int) -> None:
         self.n = n
-        pairs = sorted(seed_rows)
-        self.pairs = np.array([u * n + v for u, v in pairs], dtype=np.int64)
-        lengths = [len(seed_rows[pair]) for pair in pairs]
+        keys = sorted(seed_rows)
+        self.pairs = np.array(
+            [(d * n + u) * n + via for d, u, via in keys], dtype=np.int64
+        )
+        lengths = [len(seed_rows[key]) for key in keys]
         self.starts = np.cumsum([0] + lengths[:-1]).astype(np.int64)
-        self.values = np.concatenate([seed_rows[pair] for pair in pairs])
+        self.values = np.concatenate([seed_rows[key] for key in keys])
 
-    def applied(self, vertex, via, column, candidate) -> np.ndarray:
-        """True where the seed of shortcut ``<vertex, via>`` already
-        applied ``candidate`` at depth ``column``."""
-        wanted = vertex * self.n + via
+    def applied(self, row, via, column, candidate) -> np.ndarray:
+        """True where the seed of label row ``row = d * n + u`` through
+        upward neighbor ``via`` already applied ``candidate`` at depth
+        ``column``."""
+        wanted = row * self.n + via
         at = np.minimum(np.searchsorted(self.pairs, wanted), len(self.pairs) - 1)
         found = (self.pairs[at] == wanted).nonzero()[0]
         out = np.zeros(len(wanted), dtype=bool)
@@ -448,34 +513,35 @@ class _SeedMemo:
         return out
 
 
-def _decrease_propagate(
-    index, levels, seed_rows, ops, work_log
-) -> List[ChangedSuperShortcut]:
-    """Lines 13-22 of Algorithm 5, one depth level at a time.
+def _decrease_propagate(index, levels, seed_rows, ops, work_log) -> list:
+    """Lines 13-22 of Algorithm 5, one depth level of one label matrix at
+    a time.
 
     A level's entries are final (every source is shallower), so each
     dependent candidate is applied exactly once with final values:
     improvements reset the dependent's support, ties add to it.
     """
     tree = index.tree
-    dis, sup, weights = index.dis, index.sup, index.weights
+    dis, sup = index.dis, index.sup
+    weights = list(index.weights.reshape(levels.count, -1))
     width = levels.width
     memo = _SeedMemo(seed_rows, tree.n) if seed_rows else None
-    changed: List[ChangedSuperShortcut] = []
-    for level, keys, originals in levels:
+    changed: list = []
+    for level, d, keys, originals in levels:
         ops.add("queue_push", len(keys))
         ops.add("queue_pop", len(keys))
-        for block, u, da in _blocks(keys, width):
+        for block, u, da in _blocks(keys, levels, d):
             value = dis.take(block)
-            entry, slot, target, via = _dependents(
-                tree, u, da, level, value != _INF, width, memo is not None
+            entry, leg, target, via = _dependents(
+                tree, levels, d, u, da, level, value != _INF, weights,
+                memo is not None,
             )
-            ops.add("dependent_inspect", len(slot))
+            ops.add("dependent_inspect", len(leg))
             if work_log is not None:
                 _log_work(
                     work_log, level, u, np.bincount(entry, minlength=len(block))
                 )
-            candidate = weights[slot] + value[entry]
+            candidate = leg + value[entry]
             # Only finite candidates at or below the live value can act.
             live = (candidate <= dis.take(target)) & (candidate != _INF)
             target, candidate = target[live], candidate[live]
@@ -487,13 +553,9 @@ def _decrease_propagate(
             _relax(dis, sup, levels, target, candidate)
         new = dis.take(keys)
         moved = (new != originals).nonzero()[0]
-        changed.extend(
-            zip(
-                zip((keys[moved] // width).tolist(), (keys[moved] % width).tolist()),
-                originals[moved].tolist(),
-                new[moved].tolist(),
-            )
-        )
+        row, da = np.divmod(keys[moved], width)
+        u = row - d * levels.n if d else row
+        _record(changed, levels, d, u, da, originals[moved], new[moved])
     return changed
 
 

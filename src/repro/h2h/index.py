@@ -195,7 +195,7 @@ class H2HIndex:
         the *old* weight it reproduces the support test of IncH2H+, with
         the *new* weight the relaxation candidates of IncH2H-.
         """
-        return kernels.candidate_row(self, u, v, weight)
+        return kernels.candidate_row(self, 0, u, v, weight)
 
     def candidate_block(self, u: int, depths: np.ndarray) -> np.ndarray:
         """Equation (*) candidates of *u* for the given ancestor depths,

@@ -36,7 +36,6 @@ __all__ = [
     "ParallelReport",
     "simulate_parallel_update",
     "lpt_makespan",
-    "lpt_assign",
 ]
 
 
@@ -55,29 +54,6 @@ def lpt_makespan(costs: Sequence[float], processors: int) -> float:
     for cost in sorted(costs, reverse=True):
         heapq.heapreplace(loads, loads[0] + cost)
     return max(loads)
-
-
-def lpt_assign(costs: Sequence[float], processors: int) -> List[List[int]]:
-    """LPT *assignment*: which items each processor runs.
-
-    Same greedy rule as :func:`lpt_makespan`, but returns the buckets —
-    ``result[p]`` lists the indices into *costs* pinned to processor
-    ``p`` — for the multiprocess ParIncH2H backend, which must actually
-    dispatch the vertex groups, not just price the schedule.  The
-    assignment is deterministic: ties in cost break by item index, ties
-    in load by processor index.
-    """
-    if processors < 1:
-        raise UpdateError(f"processors must be >= 1, got {processors}")
-    buckets: List[List[int]] = [[] for _ in range(processors)]
-    loads: List[Tuple[float, int]] = [(0.0, p) for p in range(processors)]
-    heapq.heapify(loads)
-    order = sorted(range(len(costs)), key=lambda i: (-costs[i], i))
-    for i in order:
-        load, p = heapq.heappop(loads)
-        buckets[p].append(i)
-        heapq.heappush(loads, (load + costs[i], p))
-    return buckets
 
 
 @dataclass

@@ -8,21 +8,30 @@ in the maintenance layer:
 ===========================  ==============================================
 kernel                       replaces
 ===========================  ==============================================
-:func:`candidate_row`        per-ancestor seed scans of Algorithms 4/5
-:func:`candidate_block`      per-entry Equation (*) terms (one neighbor at
-                             a time) in recompute loops
+:func:`candidate_row`        per-ancestor seed scans of Algorithms 4/5 and
+                             the per-depth loops of directed H2HIndexing
+:func:`candidate_block`      per-neighbor Equation (*) terms of DTDHL's
+                             row refresh
 :func:`star_eval`            ``evaluate_entry`` called once per entry of
                              a whole IncH2H+ level (line 23 of Algorithm 4)
 :func:`fill_row`             the per-depth construction loop of
                              H2HIndexing step 3
-:func:`directed_sd_row` /    the per-depth ``_sd`` loops of the directed
-:func:`directed_candidate_row`  seed scans and construction
 :func:`relax_arrays`         the per-triple weight reads of the DCH±
                              ``scp+`` pop loops
 :func:`pos_scan_many`        one ``h2h_distance`` /
                              ``directed_h2h_distance`` call per pair of
                              a query batch
 ===========================  ==============================================
+
+Direction axis
+--------------
+:func:`candidate_row` and :func:`star_eval` read a ``(D, n, width)``
+label store: ``D = 1`` for the undirected index (its ``(n, width)``
+``dis`` viewed as one matrix) and ``D = 2`` for the directed one
+(``dis[TO]``, ``dis[FROM]``).  Label matrix *d* of vertex *u* reads the
+deep Equation (nabla) case from matrix ``other(d) = D - 1 - d``: the
+undirected index reads its own matrix, ``sd(a -> v)`` for a ``TO`` entry
+comes from the ``FROM`` row of ``a`` and vice versa.
 
 Bit-identity contract
 ---------------------
@@ -41,7 +50,8 @@ reassociation, no fused intermediates.
 
 The kernels duck-type their ``index`` argument: anything exposing
 ``sc``/``tree``/``dis``/``sup`` (and, for :func:`star_eval`, ``weights``)
-the way :class:`repro.h2h.index.H2HIndex` does.
+the way :class:`repro.h2h.index.H2HIndex` and
+:class:`repro.directed.h2h.DirectedH2HIndex` do.
 """
 
 from __future__ import annotations
@@ -58,10 +68,9 @@ __all__ = [
     "candidate_row",
     "candidate_block",
     "csr_slots",
+    "other",
     "star_eval",
     "fill_row",
-    "directed_sd_row",
-    "directed_candidate_row",
     "directed_fill_vertex",
     "relax_arrays",
     "pos_scan_many",
@@ -75,27 +84,36 @@ DCH_KERNEL_MIN_TRIPLES = 16
 
 
 # ----------------------------------------------------------------------
-# Undirected Equation (*) kernels
+# Equation (*) kernels
 # ----------------------------------------------------------------------
-def candidate_row(index, u: int, v: int, weight: float) -> np.ndarray:
-    """The Equation (*) candidates of *u* contributed by one upward
-    neighbor *v* at the given shortcut weight, over every proper
-    ancestor depth ``0 .. depth(u)-1``.
+def other(count: int, d: int) -> int:
+    """The label matrix, of *count*, that matrix *d* reads its deep
+    Equation (nabla) case from: ``[0]`` for one, ``[1, 0]`` for two."""
+    return count - 1 - d
 
-    ``sd(v, a)`` comes from Equation (nabla): one contiguous slice of
-    ``dis(v)`` for the ancestors of *v* (the diagonal ``dis(v)[depth(v)]
-    = 0`` covers ``a = v``) plus one fancy-indexed gather of column
-    ``depth(v)`` along ``anc(u)`` for the deeper ancestors.
+
+def candidate_row(index, d: int, u: int, v: int, weight: float) -> np.ndarray:
+    """The Equation (*) candidates of label row ``(d, u)`` contributed by
+    one upward neighbor *v* at the given shortcut weight, over every
+    proper ancestor depth ``0 .. depth(u)-1``.
+
+    ``sd`` comes from Equation (nabla): one contiguous slice of matrix
+    *d*'s row of *v* for the ancestors of *v* (the diagonal
+    ``dis(v)[depth(v)] = 0`` covers ``a = v``) plus one fancy-indexed
+    gather of column ``depth(v)`` of matrix ``other(d)`` along
+    ``anc(u)`` for the deeper ancestors.  *weight* is the leg matrix *d*
+    adds: ``phi(u, v)`` undirected, ``phi(u -> v)`` for ``TO`` and
+    ``phi(v -> u)`` for ``FROM``.
     """
     tree = index.tree
     du = int(tree.depth[u])
     dv = int(tree.depth[v])
-    dis = index.dis
+    labels = index.dis.reshape(-1, tree.n, index.dis.shape[-1])
     row = np.empty(du, dtype=np.float64)
     split = min(dv + 1, du)
-    row[:split] = dis[v, :split]
+    row[:split] = labels[d, v, :split]
     if split < du:
-        row[split:] = dis[tree.anc[u][split:du], dv]
+        row[split:] = labels[other(len(labels), d), tree.anc[u][split:du], dv]
     row += weight
     return row
 
@@ -132,22 +150,27 @@ def csr_slots(starts: np.ndarray, counts: np.ndarray) -> Tuple[np.ndarray, np.nd
 
 
 def star_eval(
-    index, u, depths: np.ndarray, counter: Optional[OpCounter] = None
+    index, d: int, u, depths: np.ndarray, counter: Optional[OpCounter] = None
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Evaluate Equation (*) for super-shortcuts ``(u[i], depths[i])``
-    at once (*u* may be one vertex for a whole depth slice); returns
-    ``(values, supports)`` without mutating.  Every ``depths[i]`` must
-    be a proper ancestor depth of ``u[i]``.
+    """Evaluate Equation (*) for the entries ``(d, u[i], depths[i])`` of
+    label matrix *d* at once (*u* may be one vertex for a whole depth
+    slice); returns ``(values, supports)`` without mutating.  Every
+    ``depths[i]`` must be a proper ancestor depth of ``u[i]``.
 
-    Bit-identical to calling ``index.evaluate_entry(u, da)`` per entry:
-    one flat gather over the tree's upward CSR builds the same
-    ``weight + sd`` candidates (``sd`` by Equation (nabla): ``dis(v)[da]``
-    for a shallow ancestor, ``dis(anc(u)[da])[depth(v)]`` past *v*), an
-    exact ``minimum.reduceat`` takes each entry's min, and the support
-    counts the finite candidates attaining it.
+    Bit-identical to calling ``index.evaluate_entry`` per entry: one flat
+    gather over the tree's upward CSR builds the same ``weight + sd``
+    candidates, an exact ``minimum.reduceat`` takes each entry's min, and
+    the support counts the finite candidates attaining it.  The weight is
+    ``index.weights[d]`` of the shortcut's slot (the 1-D undirected
+    ``weights`` is matrix 0); ``sd`` is Equation (nabla): ``dis[d](v)[da]``
+    for a shallow ancestor, ``dis[other(d)](anc(u)[da])[depth(v)]`` past
+    *v*.
     """
     tree = index.tree
     dis = index.dis
+    n = tree.n
+    width = dis.shape[-1]
+    deep = other(dis.size // (n * width), d)
     depths = np.asarray(depths, dtype=np.int64)
     us = np.asarray(u, dtype=np.int64)
     if us.shape != depths.shape:
@@ -161,10 +184,15 @@ def star_eval(
     v = tree.up_idx[slot].astype(np.int64)
     dv = tree.depth[v]
     da = depths[row]
-    anc = tree.anc_flat[tree.anc_ptr[us] + depths][row].astype(np.int64)
-    width = dis.shape[1]
+    anc = tree.anc_flat[tree.anc_ptr[us] + depths]
+    if deep != d:  # the deep case reads matrix other(d): shift its rows
+        anc = anc + (deep - d) * n
+    anc = anc[row].astype(np.int64)
     sd_at = np.where(da <= dv, v * width + da, anc * width + dv)
-    candidates = index.weights[tree.up_slot[slot]] + dis.take(sd_at)
+    if d:  # flat indices count from the start of matrix d
+        sd_at += d * n * width
+    weights = index.weights[d] if index.weights.ndim > 1 else index.weights
+    candidates = weights[tree.up_slot[slot]] + dis.take(sd_at)
     bounds = counts.cumsum() - counts  # every entry has >= 1 term
     values = np.minimum.reduceat(candidates, bounds)
     attained = (candidates == values[row]) & ~np.isinf(candidates)
@@ -206,43 +234,6 @@ def fill_row(sc, tree, dis: np.ndarray, sup: np.ndarray, u: int) -> None:
     sup[u, du] = 0
 
 
-# ----------------------------------------------------------------------
-# Directed Equation (*) kernels
-# ----------------------------------------------------------------------
-def directed_sd_row(index, direction: int, u: int, via: int) -> np.ndarray:
-    """Directed Equation (nabla) over a whole ancestor slice:
-    ``sd(via -> a)`` (TO) or ``sd(a -> via)`` (FROM) for every proper
-    ancestor depth ``0 .. depth(u)-1`` of *u*, with *via* an ancestor
-    of *u*.
-
-    Same gather shape as :func:`candidate_row`: shallow depths read the
-    ``dis[direction]`` row of *via* (its zero diagonal covers
-    ``a = via``), deeper depths read column ``depth(via)`` of the
-    *opposite* matrix along ``anc(u)``.
-    """
-    tree = index.tree
-    du = int(tree.depth[u])
-    dv = int(tree.depth[via])
-    row = np.empty(du, dtype=np.float64)
-    split = min(dv + 1, du)
-    row[:split] = index.dis[direction][via, :split]
-    if split < du:
-        row[split:] = index.dis[1 - direction][tree.anc[u][split:du], dv]
-    return row
-
-
-def directed_candidate_row(
-    index, direction: int, u: int, via: int, weight: float
-) -> np.ndarray:
-    """Directed Equation (*) candidates of *u* through one upward
-    neighbor *via* at the given arc weight, over depths
-    ``0 .. depth(u)-1`` (``weight + sd`` — commutative, so the TO and
-    FROM operand orders of the scalar path give the same bits)."""
-    row = directed_sd_row(index, direction, u, via)
-    row += weight
-    return row
-
-
 def directed_fill_vertex(index, u: int) -> None:
     """Compute both directed distance rows of *u* from Equation (*),
     vectorized — the construction inner loop of directed H2HIndexing.
@@ -266,9 +257,8 @@ def directed_fill_vertex(index, u: int) -> None:
         upward = index.sc.upward(u)
         block = np.empty((len(upward), du), dtype=np.float64)
         for i, v in enumerate(upward):
-            row = directed_sd_row(index, direction, u, v)
             w = weights[u][v] if direction == 0 else weights[v][u]
-            np.add(row, w, out=block[i])
+            block[i] = candidate_row(index, direction, u, v, w)
         best = block.min(axis=0)
         dis[u, :du] = best
         finite = ~np.isinf(block)

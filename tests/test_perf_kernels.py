@@ -48,7 +48,7 @@ class TestStarKernels:
             if du == 0:
                 continue
             depths = np.arange(du, dtype=np.intp)
-            values, supports = kernels.star_eval(index, u, depths)
+            values, supports = kernels.star_eval(index, 0, u, depths)
             for da in range(du):
                 value, support = index.evaluate_entry(u, da)
                 assert values[da] == value  # exact, not approx
@@ -62,7 +62,7 @@ class TestStarKernels:
                 continue
             for v in sc.upward(u):
                 w = sc.weight(u, v)
-                row = kernels.candidate_row(index, u, v, w)
+                row = kernels.candidate_row(index, 0, u, v, w)
                 for da in range(du):
                     assert row[da] == w + index.sd_between(u, v, da)
 
@@ -89,7 +89,7 @@ class TestDirectedKernels:
                 continue
             for v in index.sc.upward(u):
                 for direction in (TO, FROM):
-                    row = kernels.directed_candidate_row(index, direction, u, v, 2.5)
+                    row = kernels.candidate_row(index, direction, u, v, 2.5)
                     for da in range(du):
                         assert row[da] == 2.5 + index._sd(direction, u, v, da)
 
@@ -136,7 +136,7 @@ class TestMicrobenchGate:
 
         def vector_pass():
             for u, depths in rows:
-                kernels.star_eval(index, u, depths)
+                kernels.star_eval(index, 0, u, depths)
 
         # Warm both paths, then take best-of-three to shake scheduler noise.
         scalar_pass()

@@ -124,6 +124,42 @@ def _run_directed_stream(
             server.close()
 
 
+def _mixed_arcs(digraph: DiRoadNetwork, count: int, rng: random.Random):
+    """The directed twin of :func:`mixed_batch`: half the sampled arcs
+    x2, half x0.5."""
+    arcs = rng.sample(list(digraph.arcs()), count)
+    half = len(arcs) // 2
+    return [((u, v), w * 2.0) for u, v, w in arcs[:half]] + [
+        ((u, v), w * 0.5) for u, v, w in arcs[half:]
+    ]
+
+
+INTEGRITY_STREAMS = {
+    "h2h": (
+        lambda: DynamicH2H(road_network(100, seed=9)),
+        lambda graph, rng: mixed_batch(graph, 6, rng=rng),
+    ),
+    "dih2h": (
+        lambda: DynamicDiH2H(DiRoadNetwork.from_undirected(road_network(100, seed=9))),
+        lambda digraph, rng: _mixed_arcs(digraph, 6, rng),
+    ),
+}
+
+
+def _run_integrity_stream(kind: str, epochs: int) -> None:
+    """The served index stays Equation (<>)/(*) consistent per epoch."""
+    build, batch = INTEGRITY_STREAMS[kind]
+    rng = random.Random(77)
+    server = DistanceServer(build(), workers=1)
+    try:
+        for _ in range(epochs):
+            base = server.snapshot().graph
+            server.apply(batch(base, rng))
+            server.snapshot().oracle.index.validate()
+    finally:
+        server.close()
+
+
 # ----------------------------------------------------------------------
 # Tier-1 cases
 # ----------------------------------------------------------------------
@@ -144,6 +180,11 @@ def test_differential_directed_stream():
         grid_network(4, 4, seed=5), asymmetry=1.5
     )
     _run_directed_stream(digraph, epochs=3, batch=5, queries=25, seed=303)
+
+
+@pytest.mark.parametrize("kind", sorted(INTEGRITY_STREAMS))
+def test_index_integrity_along_short_stream(kind):
+    _run_integrity_stream(kind, epochs=2)
 
 
 # ----------------------------------------------------------------------
@@ -173,14 +214,6 @@ def test_differential_fuzz_sweep_directed(seed):
 
 
 @pytest.mark.slow
-def test_differential_index_integrity_along_stream():
-    """The served indexes stay Equation (<>)/(*) consistent per epoch."""
-    rng = random.Random(77)
-    server = DistanceServer(DynamicH2H(road_network(100, seed=9)), workers=1)
-    try:
-        for _ in range(5):
-            base = server.snapshot().graph
-            server.apply(mixed_batch(base, 6, rng=rng))
-            server.snapshot().oracle.index.validate()
-    finally:
-        server.close()
+@pytest.mark.parametrize("kind", sorted(INTEGRITY_STREAMS))
+def test_differential_index_integrity_along_stream(kind):
+    _run_integrity_stream(kind, epochs=5)

@@ -176,9 +176,7 @@ def dch_increase(
                     # the mid w varies, so the partner weights gathered up
                     # front cannot be perturbed by the support writes below
                     # (partners are pairwise distinct, legs never written).
-                    cands, currents = kernels.relax_arrays(
-                        index._adj, triples, old_weight
-                    )
+                    cands, currents = kernels.relax_arrays(index, triples, old_weight)
                     hits = np.nonzero(~np.isinf(cands) & (currents == cands))[0]
                     for i in hits:
                         _x, w_mid, y = triples[i]
@@ -280,8 +278,7 @@ def dch_decrease(
                     # gathers, partner gathers and queue-membership skip
                     # mask computed up front all stay exact while the
                     # relaxations below write partner weights.
-                    adj = index._adj
-                    cands, currents = kernels.relax_arrays(adj, triples, weight_e)
+                    cands, currents = kernels.relax_arrays(index, triples, weight_e)
                     live = np.fromiter(
                         (index.key(x, w_mid) not in queue for x, w_mid, _y in triples),
                         dtype=bool,
@@ -295,7 +292,7 @@ def dch_decrease(
                         x, w_mid, y = triples[i]
                         partner = index.key(w_mid, y)
                         candidate = float(cands[i])
-                        current = adj[w_mid][y]
+                        current = index.weight(w_mid, y)
                         if candidate < current:
                             original.setdefault(partner, current)
                             index.set_weight(*partner, candidate)
@@ -311,8 +308,8 @@ def dch_decrease(
                         if (index.key(x, w_mid)) in queue:
                             continue  # the other member's pop will evaluate this pair
                         partner = index.key(w_mid, y)
-                        candidate = weight_e + index._adj[x][w_mid]
-                        current = index._adj[w_mid][y]
+                        candidate = weight_e + index.weight(x, w_mid)
+                        current = index.weight(*partner)
                         if candidate < current:
                             original.setdefault(partner, current)
                             index.set_weight(*partner, candidate)

@@ -15,14 +15,17 @@ the paper handles them asymmetrically:
   with a worklist in ascending rank of the lower endpoint (each new
   shortcut can only create shortcuts with higher lower endpoints, so one
   monotone pass suffices), after which weights are restored by Equation
-  (<>) recomputations plus a DCH- style downstream relaxation.
+  (<>) recomputations plus a DCH- style downstream relaxation.  The
+  closure is registered in one structural change
+  (:meth:`repro.ch.shortcut_graph.ShortcutGraph.add_structure`), which
+  gives the index a structure of its own: clones that shared the old
+  one keep it unchanged.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import insort
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import UpdateError
 from repro.ch.dch import ChangedShortcut, dch_increase
@@ -48,19 +51,6 @@ def delete_edge(
     if not index.is_graph_edge(u, v):
         raise UpdateError(f"({u}, {v}) is not an edge of G")
     return dch_increase(index, [((u, v), math.inf)], counter)
-
-
-def _register_shortcut(index: ShortcutGraph, a: int, b: int) -> None:
-    """Add shortcut ``<a, b>`` to the frozen structure with weight inf."""
-    rank = index.ordering.rank
-    index._adj[a][b] = math.inf
-    index._adj[b][a] = math.inf
-    low, high = (a, b) if rank[a] < rank[b] else (b, a)
-    insort(index._up[low], high, key=rank.__getitem__)
-    insort(index._down[high], low, key=rank.__getitem__)
-    index._sup[index.key(a, b)] = 0
-    index._via[index.key(a, b)] = None
-    index._m_shortcuts += 1
 
 
 def insert_edge(
@@ -98,37 +88,45 @@ def insert_edge(
     ops = resolve_counter(counter)
     rank = index.ordering.rank
 
-    index._edge_w[index.key(u, v)] = weight
-
     # ------------------------------------------------------------------
     # Phase 1: structural closure (new shortcuts), monotone worklist.
+    # The new shortcuts collect beside the index and are registered in
+    # one structural change at the end.
     # ------------------------------------------------------------------
     new_shortcuts: List[Shortcut] = []
+    added: Set[Shortcut] = set()
+    added_up: Dict[int, List[int]] = {}
     worklist: AddressableHeap[Shortcut] = AddressableHeap()
 
     def priority(key: Shortcut) -> Tuple[int, int]:
         a, b = key
         return (min(rank[a], rank[b]), max(rank[a], rank[b]))
 
-    if not index.has_shortcut(u, v):
-        key = index.key(u, v)
-        _register_shortcut(index, u, v)
+    def register(a: int, b: int) -> None:
+        key = index.key(a, b)
+        low = index.lower_endpoint(a, b)
+        added.add(key)
+        added_up.setdefault(low, []).append(a + b - low)
         new_shortcuts.append(key)
         worklist.push(key, priority(key))
+
+    if not index.has_shortcut(u, v):
+        register(u, v)
 
     while worklist:
         (a, b), _ = worklist.pop()
         ops.add("closure_pop")
         low = index.lower_endpoint(a, b)
         high = b if low == a else a
-        for c in list(index.upward(low)):
+        for c in index.upward(low) + added_up.get(low, []):
             if c == high or index.has_shortcut(high, c):
                 continue
+            if index.key(high, c) in added:
+                continue
             ops.add("closure_new")
-            key = index.key(high, c)
-            _register_shortcut(index, high, c)
-            new_shortcuts.append(key)
-            worklist.push(key, priority(key))
+            register(high, c)
+
+    index.add_structure(new_shortcuts, (u, v), weight)
 
     # ------------------------------------------------------------------
     # Phase 2: weights.  New shortcuts are evaluated bottom-up, then a

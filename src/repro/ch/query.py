@@ -36,8 +36,9 @@ def upward_search(
     decomposition proofs use the whole search space.  Each settled
     vertex relaxes exactly ``nbr+(u)``, counted in one bulk add.
     """
-    up = index._up  # hot loop: direct access by design
-    up_weights = index.upward_weight_row
+    # Hot loop: direct access by design.  Row u's weights are the
+    # contiguous slots ptr[u] .. ptr[u + 1] of the slot store.
+    up, weights, ptr = index._up, index._wv, index._ptr
     heappush, heappop = heapq.heappush, heapq.heappop
     dist: Dict[int, float] = {source: 0.0}
     parent: Dict[int, int] = {source: -1}
@@ -49,7 +50,7 @@ def upward_search(
             continue
         nbrs = up[u]
         relaxed += len(nbrs)
-        for v, w in zip(nbrs, up_weights(u)):
+        for v, w in zip(nbrs, weights[ptr[u] : ptr[u + 1]].tolist()):
             nd = d + w
             if nd < dist.get(v, math.inf):
                 dist[v] = nd
@@ -70,8 +71,9 @@ def _bidirectional(
     reaches *best* -- the rule ``min(top_f, top_b) >= best``.  A settled
     vertex meets the other side through its distance there and relaxes
     exactly ``nbr+(u)``: the list ``index._up[u]``, walked together
-    with its weight row.  Distances are dense lists (``inf`` when
-    unreached), so a relaxation reads no dict; parents stay dicts, which
+    with its weight row, one contiguous slice of the slot store.
+    Distances are dense lists (``inf`` when unreached), so a relaxation
+    reads no dict; parents stay dicts, which
     keeps the per-query allocation to two lists.  Relaxations are
     tallied locally and added to *counter* once.
     """
@@ -82,8 +84,8 @@ def _bidirectional(
         raise QueryError(f"target {t} out of range [0, {n})")
     if s == t:
         return 0.0, s, {s: -1}, {t: -1}
-    up = index._up  # hot loop: direct access by design
-    up_weights = index.upward_weight_row
+    # Hot loop: direct access by design (see upward_search).
+    up, weights, ptr = index._up, index._wv, index._ptr
     heappush, heappop = heapq.heappush, heapq.heappop
     inf = math.inf
     dist_f = [inf] * n
@@ -117,7 +119,7 @@ def _bidirectional(
             meet = u
         nbrs = up[u]
         relaxed += len(nbrs)
-        for v, w in zip(nbrs, up_weights(u)):
+        for v, w in zip(nbrs, weights[ptr[u] : ptr[u + 1]].tolist()):
             nd = d + w
             if nd < dist[v]:
                 dist[v] = nd

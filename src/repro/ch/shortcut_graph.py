@@ -14,12 +14,6 @@ Equation (<>) of the paper::
 where ``(e_i', e_i'')`` ranges over the *downward shortcut pairs* of
 ``e`` — pairs ``(<t, u>, <t, v>)`` with ``pi(t) < min(pi(u), pi(v))``.
 
-Because the paper's CH variant is weight independent (Section 2), the
-shortcut *set* is fixed at construction; weight updates only change
-shortcut weights.  :class:`ShortcutGraph` therefore freezes the upward /
-downward neighbor lists at build time and exposes mutation only through
-weight setters, which is exactly the contract DCH/UE/IncH2H rely on.
-
 Besides weights, the index stores per shortcut:
 
 * ``sup(e)`` — the *support*: how many terms of Equation (<>) attain the
@@ -27,15 +21,42 @@ Besides weights, the index stores per shortcut:
   grow);
 * ``via(e)`` — a witness: ``None`` when the original edge attains the
   minimum, else a common lower neighbor ``t`` attaining it (used for path
-  unpacking).
+  unpacking);
+* ``phi(e, G)`` — the edge's weight in ``G`` (``inf`` for a pure
+  shortcut or a deleted road), which Algorithms 2-5 read and write.
+
+One flat slot store
+-------------------
+Every shortcut owns a *slot*: an index into flat per-shortcut arrays.
+Slots follow the ``nbr+`` rows — the shortcuts ``<u, v>``, ``v`` in
+``nbr+(u)``, occupy ``ptr[u] .. ptr[u + 1]`` in rank order of ``v`` —
+so :meth:`ShortcutGraph.upward_weight_row` is one contiguous slice and
+the slot order is the tree decomposition's ``nbr+`` CSR.
+
+The paper's CH is weight independent (Section 2): weight updates never
+change the shortcut set.  The store is therefore split in two:
+
+* a :class:`ShortcutStructure` — the ``nbr+``/``nbr-`` lists, each
+  vertex's neighbor-to-slot map, the row offsets, the slot endpoints and
+  which slots are edges of ``G`` — built once and shared by every clone;
+* four arrays indexed by slot — ``phi(e)`` and ``phi(e, G)`` (float64),
+  ``sup(e)`` and ``via(e)`` (int64, ``-1`` for the original edge) — which
+  :meth:`ShortcutGraph.clone` copies.  Scalar reads and writes go
+  through memoryviews over them, so the maintenance loops trade plain
+  Python floats and ints, never numpy scalars.
+
+Only Section 7's edge insertion changes the structure
+(:meth:`ShortcutGraph.add_structure`); it builds a new structure for
+that index alone (copy-on-structure), so clones sharing the old one
+never see the change.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import accumulate, chain
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,10 +65,12 @@ from repro.graph.graph import RoadNetwork
 from repro.order.ordering import Ordering
 from repro.utils.counters import OpCounter, resolve_counter
 
-__all__ = ["Shortcut", "ShortcutGraph"]
+__all__ = ["Shortcut", "ShortcutGraph", "ShortcutStructure"]
 
 #: A shortcut identified by its canonical endpoint pair (smaller id first).
 Shortcut = Tuple[int, int]
+
+_INF = math.inf
 
 
 @dataclass(frozen=True)
@@ -57,6 +80,61 @@ class _RecomputeResult:
     weight: float
     support: int
     via: Optional[int]
+
+
+class ShortcutStructure:
+    """The weight-independent half of the slot store, shared by clones.
+
+    Attributes
+    ----------
+    up / down:
+        ``nbr+(u)`` / ``nbr-(u)`` per vertex, in rank order.
+    down_slots:
+        The slot of ``<t, u>`` for each ``t`` in ``down[u]``, aligned.
+    slot:
+        ``slot[u][v]``: the slot of ``<u, v>``, one dict per vertex.
+    ptr:
+        Row offsets: ``nbr+(u)``'s shortcuts hold slots
+        ``ptr[u] .. ptr[u + 1]``.
+    low / high:
+        The lower- and higher-ranked endpoint of every slot (int32).
+    edge:
+        ``edge[s]``: slot *s* is an edge of ``G`` (bool).
+    """
+
+    __slots__ = ("up", "down", "down_slots", "slot", "ptr", "low", "high", "edge")
+
+    def __init__(self, rank: Sequence[int], up: List[List[int]]) -> None:
+        n = len(up)
+        lengths = [len(row) for row in up]
+        ptr = [0, *accumulate(lengths)]
+        low = np.repeat(np.arange(n, dtype=np.int32), lengths)
+        high = np.fromiter(chain.from_iterable(up), dtype=np.int32, count=ptr[-1])
+        # nbr-(v): the slots whose higher end is v, by rank of the lower end.
+        by_high = np.lexsort((np.asarray(rank)[low], high))
+        bounds = [0, *accumulate(np.bincount(high, minlength=n).tolist())]
+        lows = low[by_high].tolist()
+        slots = by_high.tolist()
+        rows = list(zip(bounds, bounds[1:]))
+        self.up = up
+        self.down = [lows[a:b] for a, b in rows]
+        self.down_slots = [slots[a:b] for a, b in rows]
+        self.slot: List[Dict[int, int]] = [
+            dict(zip(row, range(ptr[u], ptr[u + 1]))) for u, row in enumerate(up)
+        ]
+        for by_v, row, row_slots in zip(self.slot, self.down, self.down_slots):
+            by_v.update(zip(row, row_slots))
+        self.ptr = ptr
+        self.low = low
+        self.high = high
+        self.edge = np.zeros(ptr[-1], dtype=bool)
+
+    def canonical(self) -> Tuple[List[int], List[int]]:
+        """Both endpoints of every slot, smaller id first."""
+        return (
+            np.minimum(self.low, self.high).tolist(),
+            np.maximum(self.low, self.high).tolist(),
+        )
 
 
 class ShortcutGraph:
@@ -70,13 +148,20 @@ class ShortcutGraph:
     __slots__ = (
         "ordering",
         "_rank",
-        "_adj",
+        "_st",
         "_up",
         "_down",
-        "_edge_w",
+        "_down_slots",
+        "_slot",
+        "_ptr",
+        "_w",
+        "_ew",
         "_sup",
         "_via",
-        "_m_shortcuts",
+        "_wv",
+        "_ewv",
+        "_supv",
+        "_viav",
     )
 
     def __init__(
@@ -85,57 +170,104 @@ class ShortcutGraph:
         adj: List[Dict[int, float]],
         edge_weights: Dict[Shortcut, float],
     ) -> None:
+        """Lay out *adj* (``adj[u][v] = phi(<u, v>)``, symmetric) and the
+        edges of ``G`` (*edge_weights*, canonical keys) in one pass;
+        supports start at 0 and witnesses at ``None``."""
         self.ordering = ordering
-        self._rank = ordering.rank
-        self._adj = adj
-        rank = self._rank
-        self._up: List[List[int]] = [
-            sorted((v for v in adj[u] if rank[v] > rank[u]), key=rank.__getitem__)
-            for u in range(len(adj))
+        self._rank = rank = ordering.rank
+        up = [
+            sorted((v for v in nbrs if rank[v] > rank[u]), key=rank.__getitem__)
+            for u, nbrs in enumerate(adj)
         ]
-        self._down: List[List[int]] = [
-            sorted((v for v in adj[u] if rank[v] < rank[u]), key=rank.__getitem__)
-            for u in range(len(adj))
-        ]
-        self._edge_w = edge_weights
-        self._sup: Dict[Shortcut, int] = {}
-        self._via: Dict[Shortcut, Optional[int]] = {}
-        self._m_shortcuts = sum(len(nbrs) for nbrs in adj) // 2
+        st = ShortcutStructure(rank, up)
+        m = st.ptr[-1]
+        weights = np.array(
+            [nbrs[v] for nbrs, row in zip(adj, up) for v in row], dtype=np.float64
+        )
+        try:
+            edge_slots = [st.slot[u][v] for u, v in edge_weights]
+        except (KeyError, IndexError):
+            raise IndexError_("every edge of G must be a shortcut") from None
+        st.edge[edge_slots] = True
+        edge_w = np.full(m, _INF)
+        edge_w[edge_slots] = list(edge_weights.values())
+        self._adopt(
+            st,
+            weights,
+            edge_w,
+            np.zeros(m, dtype=np.int64),
+            np.full(m, -1, dtype=np.int64),
+        )
+
+    def _adopt(self, st, weights, edge_w, sup, via) -> None:
+        """Install structure *st* and the four slot arrays."""
+        self._st = st
+        self._up = st.up
+        self._down = st.down
+        self._down_slots = st.down_slots
+        self._slot = st.slot
+        self._ptr = st.ptr
+        self._w, self._ew, self._sup, self._via = weights, edge_w, sup, via
+        self._wv = memoryview(weights)
+        self._ewv = memoryview(edge_w)
+        self._supv = memoryview(sup)
+        self._viav = memoryview(via)
 
     def clone(self) -> "ShortcutGraph":
         """An independent copy sharing the weight-independent structure.
 
-        The shortcut *set* (and hence the ``nbr+``/``nbr-`` lists and the
-        ordering) is fixed at construction, so clones share it; only the
-        mutable state — weights, supports, witnesses and the stored
-        ``phi(e, G)`` map — is copied.  Mutating the clone (maintenance,
-        rollback) never touches the original, which is what the
-        epoch-snapshot serving layer relies on.
+        The shortcut *set* (the ``nbr+``/``nbr-`` lists, the slot maps and
+        the ordering) is fixed under weight updates, so clones share one
+        :class:`ShortcutStructure`; only the four slot arrays — weights,
+        supports, witnesses and ``phi(e, G)`` — are copied.  Mutating the
+        clone (maintenance, rollback, even edge insertion, which replaces
+        the clone's structure) never touches the original, which is what
+        the epoch-snapshot serving layer relies on.
         """
         dup = ShortcutGraph.__new__(ShortcutGraph)
         dup.ordering = self.ordering
         dup._rank = self._rank
-        dup._adj = [dict(nbrs) for nbrs in self._adj]
-        dup._up = self._up
-        dup._down = self._down
-        dup._edge_w = dict(self._edge_w)
-        dup._sup = dict(self._sup)
-        dup._via = dict(self._via)
-        dup._m_shortcuts = self._m_shortcuts
+        dup._adopt(
+            self._st,
+            self._w.copy(),
+            self._ew.copy(),
+            self._sup.copy(),
+            self._via.copy(),
+        )
         return dup
+
+    @property
+    def structure(self) -> ShortcutStructure:
+        """The weight-independent structure (shared with clones)."""
+        return self._st
+
+    @property
+    def slot_weights(self) -> np.ndarray:
+        """``phi`` of every slot, slots in ``nbr+`` row order: the live
+        float64 array the vectorised kernels gather from.  Read only —
+        write through :meth:`set_weight`."""
+        return self._w
+
+    def slot(self, u: int, v: int) -> int:
+        """The slot of shortcut ``<u, v>``."""
+        try:
+            return self._slot[u][v]
+        except (KeyError, IndexError):
+            raise IndexError_(f"no shortcut between {u} and {v}") from None
+
+    def row_slots(self, u: int, vs: Iterable[int]) -> List[int]:
+        """The slots of the shortcuts ``<u, v>``, ``v`` in *vs*."""
+        return list(map(self._slot[u].__getitem__, vs))
 
     def upward_weights(self, u: int) -> np.ndarray:
         """``phi(<u, v>)`` for ``v in nbr+(u)``, aligned with
-        :meth:`upward`."""
-        return np.array(self.upward_weight_row(u), dtype=np.float64)
+        :meth:`upward`: a view of the store's row, for reading only."""
+        return self._w[self._ptr[u] : self._ptr[u + 1]]
 
-    def upward_weight_row(self, u: int) -> Sequence[float]:
+    def upward_weight_row(self, u: int) -> List[float]:
         """:meth:`upward_weights` as Python floats: the row the CH query
         loop walks beside ``nbr+(u)``."""
-        up_u = self._up[u]
-        if len(up_u) < 2:  # itemgetter returns a bare value for one key
-            return [self._adj[u][v] for v in up_u]
-        return itemgetter(*up_u)(self._adj[u])
+        return self._wv[self._ptr[u] : self._ptr[u + 1]].tolist()
 
     # ------------------------------------------------------------------
     # Identity / canonical keys
@@ -148,12 +280,12 @@ class ShortcutGraph:
     @property
     def n(self) -> int:
         """Number of vertices."""
-        return len(self._adj)
+        return len(self._slot)
 
     @property
     def num_shortcuts(self) -> int:
         """Number of shortcuts (the paper's "# of SCs", Table 2)."""
-        return self._m_shortcuts
+        return len(self._w)
 
     def rank(self, v: int) -> int:
         """``pi(v)``."""
@@ -168,18 +300,15 @@ class ShortcutGraph:
     # ------------------------------------------------------------------
     def has_shortcut(self, u: int, v: int) -> bool:
         """True if shortcut ``<u, v>`` exists."""
-        return v in self._adj[u]
+        return v in self._slot[u]
 
     def shortcuts(self) -> Iterator[Shortcut]:
-        """All shortcuts in canonical form."""
-        for u, nbrs in enumerate(self._adj):
-            for v in nbrs:
-                if u < v:
-                    yield (u, v)
+        """All shortcuts in canonical form, in slot order."""
+        return zip(*self._st.canonical())
 
     def neighbors(self, u: int) -> Iterator[int]:
         """All shortcut neighbors of *u*."""
-        return iter(self._adj[u])
+        return iter(self._slot[u])
 
     def upward(self, u: int) -> List[int]:
         """``nbr+(u)``: shortcut neighbors ranked above *u* (rank order)."""
@@ -191,7 +320,46 @@ class ShortcutGraph:
 
     def degree(self, u: int) -> int:
         """Number of shortcuts incident to *u*."""
-        return len(self._adj[u])
+        return len(self._slot[u])
+
+    def add_structure(
+        self, shortcuts: Sequence[Shortcut], edge: Shortcut, edge_weight: float
+    ) -> None:
+        """Register edge *edge* of ``G`` at *edge_weight* and the new
+        *shortcuts* (weight ``inf``, support 0, no witness) — the only
+        structural change, Section 7's edge insertion.
+
+        Copy-on-structure: this index gets a new :class:`ShortcutStructure`
+        and re-laid-out slot arrays; clones keep the old structure.
+        """
+        rank = self._rank
+        st = self._st
+        grown: Dict[int, List[int]] = {}
+        for a, b in shortcuts:
+            low = self.lower_endpoint(a, b)
+            grown.setdefault(low, list(st.up[low])).append(a + b - low)
+        up = list(st.up)
+        for low, row in grown.items():
+            up[low] = sorted(row, key=rank.__getitem__)
+        new = ShortcutStructure(rank, up)
+        n = len(up)
+        rank_arr = np.asarray(rank, dtype=np.int64)
+        keys = new.low.astype(np.int64) * n + rank_arr[new.high]
+        moved = np.searchsorted(keys, st.low.astype(np.int64) * n + rank_arr[st.high])
+        new.edge[moved] = st.edge
+        m = len(keys)
+        weights = np.full(m, _INF)
+        edge_w = np.full(m, _INF)
+        sup = np.zeros(m, dtype=np.int64)
+        via = np.full(m, -1, dtype=np.int64)
+        weights[moved] = self._w
+        edge_w[moved] = self._ew
+        sup[moved] = self._sup
+        via[moved] = self._via
+        s = new.slot[edge[0]][edge[1]]
+        new.edge[s] = True
+        edge_w[s] = edge_weight
+        self._adopt(new, weights, edge_w, sup, via)
 
     # ------------------------------------------------------------------
     # Weights
@@ -205,16 +373,17 @@ class ShortcutGraph:
             If the shortcut does not exist.
         """
         try:
-            return self._adj[u][v]
+            return self._wv[self._slot[u][v]]
         except (KeyError, IndexError):
             raise IndexError_(f"no shortcut between {u} and {v}") from None
 
     def set_weight(self, u: int, v: int, weight: float) -> None:
         """Overwrite ``phi(<u, v>)`` (maintenance algorithms only)."""
-        if v not in self._adj[u]:
-            raise IndexError_(f"no shortcut between {u} and {v}")
-        self._adj[u][v] = weight
-        self._adj[v][u] = weight
+        try:
+            s = self._slot[u][v]
+        except (KeyError, IndexError):
+            raise IndexError_(f"no shortcut between {u} and {v}") from None
+        self._wv[s] = weight
 
     def edge_weight(self, u: int, v: int) -> float:
         """``phi(e, G)``: the weight of edge ``(u, v)`` in ``G``, or ``inf``.
@@ -223,65 +392,79 @@ class ShortcutGraph:
         maintenance algorithms (Algorithms 2-5) read and write
         ``phi(e, G)`` as part of their state.
         """
-        return self._edge_w.get(self.key(u, v), math.inf)
+        try:
+            s = self._slot[u].get(v)
+        except IndexError:
+            return _INF
+        return _INF if s is None else self._ewv[s]
 
     def set_edge_weight(self, u: int, v: int, weight: float) -> None:
         """Overwrite the stored ``phi(e, G)`` of edge ``(u, v)``."""
-        key = self.key(u, v)
-        if key not in self._edge_w:
+        if not self.is_graph_edge(u, v):
             raise IndexError_(f"({u}, {v}) is not an edge of G")
-        self._edge_w[key] = weight
+        self._ewv[self._slot[u][v]] = weight
 
     def is_graph_edge(self, u: int, v: int) -> bool:
         """True if ``(u, v)`` is an original edge of ``G``."""
-        return self.key(u, v) in self._edge_w
+        try:
+            s = self._slot[u].get(v)
+        except IndexError:
+            return False
+        return s is not None and bool(self._st.edge[s])
 
     def edge_weights(self) -> Dict[Shortcut, float]:
         """A copy of the stored ``phi(e, G)`` map, keyed canonically.
 
-        This is the public read face of the index's private edge-weight
-        store; persistence and recovery rebuild the road network from it.
+        This is the public read face of the index's edge-weight store;
+        persistence and recovery rebuild the road network from it.
         """
-        return dict(self._edge_w)
+        edges = np.flatnonzero(self._st.edge)
+        low, high = self._st.low[edges], self._st.high[edges]
+        return dict(
+            zip(
+                zip(np.minimum(low, high).tolist(), np.maximum(low, high).tolist()),
+                self._ew[edges].tolist(),
+            )
+        )
 
     def num_graph_edges(self) -> int:
         """Number of original graph edges tracked by the index."""
-        return len(self._edge_w)
+        return int(np.count_nonzero(self._st.edge))
 
     def shortcut_records(
         self,
     ) -> Iterator[Tuple[int, int, float, int, Optional[int]]]:
         """All shortcuts as ``(u, v, weight, sup, via)`` records.
 
-        Canonical order (``u < v``); the public iteration face used by
-        :mod:`repro.persist` and the integrity verifier so neither has to
-        reach into the private ``_sup`` / ``_via`` dictionaries.
+        Canonical endpoints (``u < v``), slot order; the public iteration
+        face used by :mod:`repro.persist` and the integrity verifier.
         """
-        for u, nbrs in enumerate(self._adj):
-            for v, w in nbrs.items():
-                if u < v:
-                    key = (u, v)
-                    yield u, v, w, self._sup[key], self._via[key]
+        lo, hi = self._st.canonical()
+        for u, v, w, sup, via in zip(
+            lo, hi, self._w.tolist(), self._sup.tolist(), self._via.tolist()
+        ):
+            yield u, v, w, sup, (None if via < 0 else via)
 
     # ------------------------------------------------------------------
     # Support / witness
     # ------------------------------------------------------------------
     def support(self, u: int, v: int) -> int:
         """``sup(<u, v>)``: number of Equation (<>) terms attaining the min."""
-        return self._sup[self.key(u, v)]
+        return self._supv[self._slot[u][v]]
 
     def set_support(self, u: int, v: int, value: int) -> None:
         """Overwrite ``sup(<u, v>)``."""
-        self._sup[self.key(u, v)] = value
+        self._supv[self._slot[u][v]] = value
 
     def via(self, u: int, v: int) -> Optional[int]:
         """A witness for ``phi(<u, v>)``: ``None`` for the original edge,
         else a common lower neighbor whose downward pair attains the min."""
-        return self._via[self.key(u, v)]
+        witness = self._viav[self._slot[u][v]]
+        return None if witness < 0 else witness
 
     def set_via(self, u: int, v: int, witness: Optional[int]) -> None:
         """Overwrite the path-unpacking witness of ``<u, v>``."""
-        self._via[self.key(u, v)] = witness
+        self._viav[self._slot[u][v]] = -1 if witness is None else witness
 
     # ------------------------------------------------------------------
     # Shortcut-pair enumeration (Section 2)
@@ -296,9 +479,9 @@ class ShortcutGraph:
         limit = min(rank[u], rank[v])
         down_u, down_v = self._down[u], self._down[v]
         if len(down_u) <= len(down_v):
-            smaller, other = down_u, self._adj[v]
+            smaller, other = down_u, self._slot[v]
         else:
-            smaller, other = down_v, self._adj[u]
+            smaller, other = down_v, self._slot[u]
         for t in smaller:
             if rank[t] < limit and t in other:
                 yield t
@@ -314,14 +497,53 @@ class ShortcutGraph:
         """
         rank = self._rank
         x, y = (u, v) if rank[u] < rank[v] else (v, u)
-        adj_y = self._adj[y]
+        slot_y = self._slot[y]
         for w in self._up[x]:
-            if w != y and w in adj_y:
+            if w != y and w in slot_y:
                 yield (x, w, y)
 
     # ------------------------------------------------------------------
     # Equation (<>)
     # ------------------------------------------------------------------
+    def _equation(
+        self, u: int, v: int, counter: Optional[OpCounter]
+    ) -> Tuple[float, int, int]:
+        """Equation (<>) for ``<u, v>``: ``(weight, support, witness)``,
+        the witness ``-1`` for the original edge."""
+        slot_u, slot_v = self._slot[u], self._slot[v]
+        wv = self._wv
+        s = slot_u.get(v)
+        edge_w = _INF if s is None else self._ewv[s]
+        best = edge_w
+        support = 0 if best == _INF else 1
+        witness = -1
+        # Inlined scp_minus over the smaller nbr- list (rank order, so the
+        # first t at or above the limit ends it), with both legs' slots.
+        rank = self._rank
+        limit = min(rank[u], rank[v])
+        if len(self._down[u]) <= len(self._down[v]):
+            smaller, smaller_slots, other = self._down[u], self._down_slots[u], slot_v
+        else:
+            smaller, smaller_slots, other = self._down[v], self._down_slots[v], slot_u
+        inspected = 0
+        for t, s_t in zip(smaller, smaller_slots):
+            if rank[t] >= limit:
+                break
+            if t in other:
+                inspected += 1
+                candidate = wv[s_t] + wv[other[t]]
+                if candidate < best:
+                    best = candidate
+                    support = 1
+                    witness = t
+                elif candidate == best and candidate != _INF:
+                    support += 1
+        resolve_counter(counter).add("scp_minus_inspect", inspected)
+        if best == edge_w:
+            # Prefer the original edge as the unpacking witness.
+            witness = -1
+        return best, support, witness
+
     def evaluate_equation(
         self, u: int, v: int, counter: Optional[OpCounter] = None
     ) -> _RecomputeResult:
@@ -330,37 +552,10 @@ class ShortcutGraph:
         Returns the minimum value, how many terms attain it, and a witness.
         Does **not** mutate the index; see :meth:`recompute`.
         """
-        ops = resolve_counter(counter)
-        adj_u, adj_v = self._adj[u], self._adj[v]
-        edge_w = self._edge_w.get(self.key(u, v), math.inf)
-        best = edge_w
-        support = 0 if math.isinf(best) else 1
-        witness: Optional[int] = None
-        # Inlined scp_minus: iterate the smaller downward list, membership
-        # via the other endpoint's adjacency dict (hot path).
-        rank = self._rank
-        limit = min(rank[u], rank[v])
-        down_u, down_v = self._down[u], self._down[v]
-        if len(down_u) <= len(down_v):
-            smaller, other = down_u, adj_v
-        else:
-            smaller, other = down_v, adj_u
-        inspected = 0
-        for t in smaller:
-            if rank[t] < limit and t in other:
-                inspected += 1
-                candidate = adj_u[t] + adj_v[t]
-                if candidate < best:
-                    best = candidate
-                    support = 1
-                    witness = t
-                elif candidate == best and not math.isinf(candidate):
-                    support += 1
-        ops.add("scp_minus_inspect", inspected)
-        if best == edge_w:
-            # Prefer the original edge as the unpacking witness.
-            witness = None
-        return _RecomputeResult(weight=best, support=support, via=witness)
+        weight, support, witness = self._equation(u, v, counter)
+        return _RecomputeResult(
+            weight=weight, support=support, via=None if witness < 0 else witness
+        )
 
     def recompute(
         self, u: int, v: int, counter: Optional[OpCounter] = None
@@ -369,12 +564,12 @@ class ShortcutGraph:
 
         Returns the new weight.  This is line 13 of Algorithm 2 (DCH+).
         """
-        result = self.evaluate_equation(u, v, counter)
-        self.set_weight(u, v, result.weight)
-        key = self.key(u, v)
-        self._sup[key] = result.support
-        self._via[key] = result.via
-        return result.weight
+        weight, support, witness = self._equation(u, v, counter)
+        s = self._slot[u][v]
+        self._wv[s] = weight
+        self._supv[s] = support
+        self._viav[s] = witness
+        return weight
 
     def rebuild_supports(self, counter: Optional[OpCounter] = None) -> None:
         """Recompute ``sup``/``via`` of every shortcut from Equation (<>).
@@ -382,36 +577,39 @@ class ShortcutGraph:
         Called once at indexing time; weights must already satisfy
         Equation (<>) (they do after :func:`repro.ch.indexing.ch_indexing`).
         """
-        for u, v in self.shortcuts():
-            result = self.evaluate_equation(u, v, counter)
-            if result.weight != self._adj[u][v]:
+        weights = self._w.tolist()
+        sups: List[int] = []
+        vias: List[int] = []
+        for u, v, stored in zip(self._st.low.tolist(), self._st.high.tolist(), weights):
+            weight, support, witness = self._equation(u, v, counter)
+            if weight != stored:
+                a, b = self.key(u, v)
                 raise IndexError_(
-                    f"shortcut <{u}, {v}> weight {self._adj[u][v]} violates "
-                    f"Equation (<>) value {result.weight}"
+                    f"shortcut <{a}, {b}> weight {stored} violates "
+                    f"Equation (<>) value {weight}"
                 )
-            key = (u, v)
-            self._sup[key] = result.support
-            self._via[key] = result.via
+            sups.append(support)
+            vias.append(witness)
+        self._sup[:] = sups
+        self._via[:] = vias
 
     # ------------------------------------------------------------------
     # Whole-index views (tests, experiments)
     # ------------------------------------------------------------------
     def weight_snapshot(self) -> Dict[Shortcut, float]:
         """A copy of all shortcut weights, keyed canonically."""
-        return {
-            (u, v): w
-            for u, nbrs in enumerate(self._adj)
-            for v, w in nbrs.items()
-            if u < v
-        }
+        return dict(zip(self.shortcuts(), self._w.tolist()))
 
     def support_snapshot(self) -> Dict[Shortcut, int]:
         """A copy of all support counters."""
-        return dict(self._sup)
+        return dict(zip(self.shortcuts(), self._sup.tolist()))
 
     def via_snapshot(self) -> Dict[Shortcut, Optional[int]]:
         """A copy of all path-unpacking witnesses."""
-        return dict(self._via)
+        return {
+            key: None if via < 0 else via
+            for key, via in zip(self.shortcuts(), self._via.tolist())
+        }
 
     def size_in_bytes(self, incremental: bool = True) -> int:
         """Approximate index size for Fig. 3b.
@@ -421,34 +619,53 @@ class ShortcutGraph:
         *incremental*) ``sup`` and ``via`` per shortcut.
         """
         per_shortcut = 3 + (2 if incremental else 0)
-        return 8 * (per_shortcut * self._m_shortcuts + len(self._edge_w))
+        return 8 * (per_shortcut * self.num_shortcuts + self.num_graph_edges())
 
     def validate(self) -> None:
         """Check internal consistency; raise :class:`IndexError_` on failure.
 
-        Verifies symmetry of the adjacency, Equation (<>) for every
-        shortcut, and correctness of every support counter and witness.
+        Verifies the structure — every slot's endpoints map back to that
+        slot, and ``nbr+(u)`` / ``nbr-(u)`` are exactly the rank-sorted
+        higher / lower shortcut neighbors of ``u`` — then Equation (<>)
+        for every shortcut and every support counter.
         """
-        for u, nbrs in enumerate(self._adj):
-            for v, w in nbrs.items():
-                if self._adj[v].get(u) != w:
-                    raise IndexError_(f"asymmetric weight on <{u}, {v}>")
+        self._validate_structure()
         for u, v in self.shortcuts():
-            result = self.evaluate_equation(u, v)
-            key = (u, v)
-            if result.weight != self._adj[u][v]:
+            weight, support, _witness = self._equation(u, v, None)
+            s = self._slot[u][v]
+            if weight != self._wv[s]:
                 raise IndexError_(
-                    f"<{u}, {v}>: stored weight {self._adj[u][v]}, "
-                    f"Equation (<>) gives {result.weight}"
+                    f"<{u}, {v}>: stored weight {self._wv[s]}, "
+                    f"Equation (<>) gives {weight}"
                 )
-            if self._sup.get(key) != result.support:
+            if self._supv[s] != support:
                 raise IndexError_(
-                    f"<{u}, {v}>: stored support {self._sup.get(key)}, "
-                    f"actual {result.support}"
+                    f"<{u}, {v}>: stored support {self._supv[s]}, "
+                    f"actual {support}"
                 )
 
+    def _validate_structure(self) -> None:
+        st, rank = self._st, self._rank
+        for s, (low, high) in enumerate(zip(st.low.tolist(), st.high.tolist())):
+            if st.slot[low].get(high) != s or st.slot[high].get(low) != s:
+                raise IndexError_(f"slot {s} <{low}, {high}> does not map back")
+        if sum(map(len, st.slot)) != 2 * len(st.low):
+            raise IndexError_("a slot map holds a pair with no slot")
+        by_rank = rank.__getitem__
+        for u, nbrs in enumerate(st.slot):
+            higher = sorted((v for v in nbrs if rank[v] > rank[u]), key=by_rank)
+            lower = sorted((v for v in nbrs if rank[v] < rank[u]), key=by_rank)
+            if st.up[u] != higher:
+                raise IndexError_(f"nbr+({u}) is not its higher neighbors")
+            if st.down[u] != lower:
+                raise IndexError_(f"nbr-({u}) is not its lower neighbors")
+            if st.high[st.ptr[u] : st.ptr[u + 1]].tolist() != higher:
+                raise IndexError_(f"slots of row {u} are not nbr+({u})")
+            if [nbrs[t] for t in lower] != st.down_slots[u]:
+                raise IndexError_(f"down_slots({u}) do not match nbr-({u})")
+
     def __repr__(self) -> str:
-        return f"ShortcutGraph(n={self.n}, shortcuts={self._m_shortcuts})"
+        return f"ShortcutGraph(n={self.n}, shortcuts={self.num_shortcuts})"
 
 
 def edge_weight_map(graph: RoadNetwork) -> Dict[Shortcut, float]:

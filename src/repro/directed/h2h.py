@@ -24,10 +24,11 @@ A query is one position-array scan, as in the undirected case::
     sd(s -> t) = min over i in pos(lca) of dis_to(s)[i] + dis_from(t)[i]
 
 The labels are one ``(2, n, width)`` array per kind (``dis[TO]``,
-``dis[FROM]``), and the slot weights one ``(2, slots)`` array over the
-tree's downward CSR: ``weights[TO][s] = phi(low -> high)`` and
+``dis[FROM]``), and the slot weights one ``(2, slots)`` array in the
+slot order of the tree's upward CSR (the undirected shortcut store's
+order): ``weights[TO][s] = phi(low -> high)`` and
 ``weights[FROM][s] = phi(high -> low)`` for the slot ``s`` of shortcut
-``(high, low)``.  Directed IncH2H± is the undirected level-synchronous
+``(low, high)``.  Directed IncH2H± is the undirected level-synchronous
 engine of :mod:`repro.h2h.inch2h` over these two matrices: only DCH
 and the label row each changed arc seeds (lines 3-12 of Algorithms 4-5)
 are directed here.
@@ -95,18 +96,20 @@ class DirectedH2HIndex:
         self.weights = self._slot_weights()
 
     def _slot_weights(self) -> np.ndarray:
-        """``sc``'s weights in the order of ``tree.down_idx``: row ``TO``
-        holds ``phi(low -> high)``, row ``FROM`` ``phi(high -> low)``."""
+        """``sc``'s weights in the slot order of ``tree.up_idx``: row
+        ``TO`` holds ``phi(low -> high)``, row ``FROM``
+        ``phi(high -> low)``."""
         w = self.sc._w
-        slots = [
-            (high, low)
-            for high, row in enumerate(self.tree.down_by_disc)
-            for low in row
-        ]
+        slots = [(low, high) for low in range(self.n) for high in self.sc.upward(low)]
         weights = np.empty((2, len(slots)), dtype=np.float64)
-        weights[TO] = [w[low][high] for high, low in slots]
-        weights[FROM] = [w[high][low] for high, low in slots]
+        weights[TO] = [w[low][high] for low, high in slots]
+        weights[FROM] = [w[high][low] for low, high in slots]
         return weights
+
+    def slot_weights(self) -> np.ndarray:
+        """:attr:`weights`, the ``(2, slots)`` store the level engine
+        gathers from."""
+        return self.weights
 
     def clone(self) -> "DirectedH2HIndex":
         """An independent copy sharing the weight-independent tree."""
@@ -128,7 +131,7 @@ class DirectedH2HIndex:
         rows = np.where(
             self.tree.depth[tails] > self.tree.depth[heads], TO, FROM
         )
-        slots = self.tree.shortcut_slots(tails, heads)
+        slots = self.tree.down_slot[self.tree.shortcut_slots(tails, heads)]
         self.weights[rows, slots] = [new for _arc, _old, new in changed_arcs]
 
     @property

@@ -48,7 +48,6 @@ def _run(
         changed_shortcuts = dch_increase(index.sc, updates, counter)
     else:
         changed_shortcuts = dch_decrease(index.sc, updates, counter)
-    index.patch_weights(changed_shortcuts)
 
     rank = index.sc.ordering.rank
     depth = index.tree.depth

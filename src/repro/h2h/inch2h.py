@@ -24,8 +24,9 @@ strictly smaller depth, and every dependent at a strictly larger one.
 The entries of one depth are therefore mutually independent, and each
 level runs here as a few flat numpy operations over the tree's CSRs
 (:meth:`repro.h2h.tree.TreeDecomposition._build_csr`) and the index's
-slot weights (:attr:`repro.h2h.index.H2HIndex.weights`), in blocks of
-at most :data:`LEVEL_CHUNK` entries.
+slot weights (:meth:`repro.h2h.index.H2HIndex.slot_weights`, a view of
+the shortcut store DCH± has just written), in blocks of at most
+:data:`LEVEL_CHUNK` entries.
 
 The result is bit-identical to the one-entry-at-a-time queue — the same
 ``dis``/``sup`` matrices, changed multiset, op counts and work log —
@@ -59,8 +60,9 @@ Direction axis
 The propagation runs over ``D`` label matrices stacked as one
 ``(D, n, width)`` store, with entries keyed ``(d * n + u) * width + da``
 and slot weights ``W`` of shape ``(D, slots)``: the undirected index is
-``D = 1`` (its ``dis`` and 1-D ``weights`` are matrix 0), the directed
-index of :mod:`repro.directed.h2h` ``D = 2`` (``TO``, ``FROM``).  With
+``D = 1`` (its ``dis`` and the shortcut store's weights are matrix 0),
+the directed index of :mod:`repro.directed.h2h` ``D = 2`` (``TO``,
+``FROM``).  With
 ``other = [0]`` undirected and ``[1, 0]`` directed, entry ``(d, u, da)``
 
 * takes its line-23 terms from ``W[d]``, reading the deep Equation
@@ -260,6 +262,7 @@ def _dependents(tree, levels, d, u, da, level, active, weights, with_via=False):
         )
     )
     target = tree.down_idx[slot].astype(np.int64) * levels.width + column[row]
+    slot = tree.down_slot[slot]  # the weights are in shortcut-store order
     leg = weights[d][slot]
     if other != d:
         loop2 = int(down_count.sum())
@@ -357,7 +360,6 @@ def inch2h_increase(
         ops_before = ops.as_dict() if sp.active else None
         # Line 2: update sc(G); C = shortcuts changed, with original weights.
         changed_shortcuts = dch_increase(index.sc, updates, counter)
-        index.patch_weights(changed_shortcuts)
         levels = _Levels(index)
 
         with span(names.SPAN_INCH2H_INCREASE_SEED, delta=len(updates)):
@@ -378,7 +380,7 @@ def _increase_propagate(index, levels, ops, work_log) -> list:
     at a time."""
     tree = index.tree
     dis, sup = index.dis, index.sup
-    weights = list(index.weights.reshape(levels.count, -1))
+    weights = index.slot_weights()
     changed: list = []
     for level, d, keys, _ in levels:
         ops.add("queue_push", len(keys))
@@ -437,7 +439,6 @@ def inch2h_decrease(
         ops_before = ops.as_dict() if sp.active else None
         # Line 2: update sc(G); C = shortcuts changed, with final weights.
         changed_shortcuts = dch_decrease(index.sc, updates, counter)
-        index.patch_weights(changed_shortcuts)
         levels = _Levels(index)
         with span(names.SPAN_INCH2H_DECREASE_SEED, delta=len(updates)):
             seed_rows = _seed_decrease(
@@ -523,7 +524,7 @@ def _decrease_propagate(index, levels, seed_rows, ops, work_log) -> list:
     """
     tree = index.tree
     dis, sup = index.dis, index.sup
-    weights = list(index.weights.reshape(levels.count, -1))
+    weights = index.slot_weights()
     width = levels.width
     memo = _SeedMemo(seed_rows, tree.n) if seed_rows else None
     changed: list = []

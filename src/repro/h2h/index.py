@@ -56,12 +56,6 @@ class H2HIndex:
         ``dis[u, d]`` = distance from ``u`` to its depth-``d`` ancestor.
     sup:
         ``sup[u, d]`` = number of Equation (*) terms attaining it.
-    weights:
-        ``weights[s]`` = ``phi`` of the shortcut in slot *s* of the tree's
-        downward CSR (``tree.down_idx``): the float64 face of ``sc``'s
-        weights that the level-synchronous IncH2H± gathers from.  Built
-        from ``sc`` when not given; maintenance patches it from DCH's
-        change list (:meth:`patch_weights`).
     """
 
     def __init__(
@@ -70,51 +64,28 @@ class H2HIndex:
         tree: TreeDecomposition,
         dis: np.ndarray,
         sup: np.ndarray,
-        weights: Optional[np.ndarray] = None,
     ) -> None:
         self.sc = sc
         self.tree = tree
         self.dis = dis
         self.sup = sup
-        self.weights = self._slot_weights() if weights is None else weights
-
-    def _slot_weights(self) -> np.ndarray:
-        """``sc``'s weights in the order of ``tree.down_idx``."""
-        adj = self.sc._adj
-        return np.fromiter(
-            (
-                adj[a][v]
-                for a, row in enumerate(self.tree.down_by_disc)
-                for v in row
-            ),
-            dtype=np.float64,
-            count=len(self.tree.down_idx),
-        )
 
     def clone(self) -> "H2HIndex":
         """An independent copy sharing the weight-independent structure.
 
         The tree decomposition never changes under weight updates, so it
-        is shared; the embedded shortcut graph, the ``dis``/``sup``
-        matrices and the slot weights — everything maintenance mutates —
-        are copied.
+        is shared, and the embedded shortcut graph shares its structure
+        too (:meth:`ShortcutGraph.clone`); the shortcut graph's slot
+        arrays and the ``dis``/``sup`` matrices — everything maintenance
+        mutates — are copied.
         """
-        return H2HIndex(
-            self.sc.clone(),
-            self.tree,
-            self.dis.copy(),
-            self.sup.copy(),
-            self.weights.copy(),
-        )
+        return H2HIndex(self.sc.clone(), self.tree, self.dis.copy(), self.sup.copy())
 
-    def patch_weights(self, changed_shortcuts) -> None:
-        """Copy DCH's change list ``C`` (``((x, y), old, new)`` records,
-        line 2 of Algorithms 4-5) into :attr:`weights`."""
-        if not changed_shortcuts:
-            return
-        ends = np.array([key for key, _old, _new in changed_shortcuts])
-        slots = self.tree.shortcut_slots(ends[:, 0], ends[:, 1])
-        self.weights[slots] = [new for _key, _old, new in changed_shortcuts]
+    def slot_weights(self) -> np.ndarray:
+        """The ``(1, slots)`` shortcut weights the level-synchronous
+        IncH2H± gathers from: a view of ``sc``'s slot store, whose slot
+        order is the tree's ``nbr+`` CSR (one label matrix, ``D = 1``)."""
+        return self.sc.slot_weights.reshape(1, -1)
 
     @property
     def n(self) -> int:
@@ -153,10 +124,9 @@ class H2HIndex:
         dis = self.dis
         depth = self.tree.depth
         anc_u = self.tree.anc[u]
-        adj_u = self.sc._adj[u]
         best = math.inf
         count = 0
-        for v in self.sc.upward(u):
+        for v, weight in zip(self.sc.upward(u), self.sc.upward_weight_row(u)):
             ops.add("star_term")
             dv = depth[v]
             if dv > da:
@@ -165,7 +135,7 @@ class H2HIndex:
                 sd = dis[anc_u[da], dv]
             else:
                 sd = 0.0
-            candidate = adj_u[v] + sd
+            candidate = weight + sd
             if candidate < best:
                 best = candidate
                 count = 1
@@ -240,19 +210,17 @@ class H2HIndex:
         return static + extra + self.sc.size_in_bytes(incremental)
 
     def validate(self) -> None:
-        """Check every entry against Equation (*) and :attr:`weights`
-        against ``sc`` slot for slot; raise on mismatch.
+        """Check that the tree's ``nbr+`` CSR is ``sc``'s slot order and
+        every entry against Equation (*); raise on mismatch.
 
         O(#SSC x avg degree): meant for tests on small networks.
         """
-        expected = self._slot_weights()
-        stale = np.nonzero(self.weights != expected)[0]
-        if len(stale):
-            s = int(stale[0])
-            raise IndexError_(
-                f"weights[{s}] = {self.weights[s]}, shortcut weight "
-                f"{expected[s]}"
-            )
+        st = self.sc.structure
+        if not (
+            np.array_equal(self.tree.up_ptr, st.ptr)
+            and np.array_equal(self.tree.up_idx, st.high)
+        ):
+            raise IndexError_("the tree's nbr+ CSR is not the shortcut slot order")
         depth = self.tree.depth
         for u in range(self.n):
             du = int(depth[u])

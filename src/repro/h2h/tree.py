@@ -83,7 +83,7 @@ class TreeDecomposition:
         ``pos`` as one ``n x max|pos|`` int32 matrix and its row lengths.
         Row ``u`` is padded with copies of ``pos[u][0]``, so a ``min``
         over a padded row equals the ``min`` over ``pos[u]``.
-    down_ptr / down_idx / down_key, up_ptr / up_idx / up_slot:
+    down_ptr / down_idx / down_key / down_slot, up_ptr / up_idx:
         ``nbr-`` and ``nbr+`` as flat CSRs (see :meth:`_build_csr`).
     """
 
@@ -197,9 +197,11 @@ class TreeDecomposition:
         ``a * key_base + disc[v]`` per slot, ascending, so one
         ``searchsorted`` locates ``first(<<u, a>>)`` for a whole level.
         ``up_idx`` lists ``nbr+(u)`` in :meth:`ShortcutGraph.upward`
-        order, and ``up_slot[i]`` is the ``down_idx`` slot of the same
-        shortcut, so one weight array aligned to the downward slots
-        (:attr:`repro.h2h.index.H2HIndex.weights`) serves both.
+        order — the slot order of the shortcut store — and
+        ``down_slot[i]`` is the ``up_idx`` slot of the same shortcut as
+        ``down_idx[i]``, so one weight array in slot order
+        (:attr:`repro.ch.shortcut_graph.ShortcutGraph.slot_weights`)
+        serves both CSRs.
         """
         n = self.n
         self.key_base = 2 * n + 1  # DFS times run 1 .. 2n
@@ -225,9 +227,11 @@ class TreeDecomposition:
             dtype=np.int32,
             count=int(self.up_ptr[-1]),
         )
-        self.up_slot = self.shortcut_slots(
+        up_to_down = self.shortcut_slots(
             np.repeat(np.arange(n, dtype=np.int64), up_len), self.up_idx
-        ).astype(np.int32)
+        )
+        self.down_slot = np.empty(len(up_to_down), dtype=np.int32)
+        self.down_slot[up_to_down] = np.arange(len(up_to_down), dtype=np.int32)
 
     # ------------------------------------------------------------------
     # Relations
@@ -316,7 +320,7 @@ class TreeDecomposition:
         ``u`` is an ancestor of ``u`` — plus parent/depth/DFS coherence,
         that every ``anc`` row is its slice of ``anc_flat`` (its parent's
         row, then *u*), and that the CSRs list ``nbr-``/``nbr+`` with
-        ``up_slot`` pointing at the same shortcut.
+        ``down_slot`` pointing at the same shortcut.
         """
         down_key = self.down_key
         if np.any(down_key[1:] <= down_key[:-1]):
@@ -346,12 +350,10 @@ class TreeDecomposition:
             up = slice(self.up_ptr[u], self.up_ptr[u + 1])
             if self.up_idx[up].tolist() != list(self.sc.upward(u)):
                 raise IndexError_(f"up_idx row {u} differs from nbr+({u})")
-            slots = self.up_slot[up]
-            owners = np.searchsorted(self.down_ptr, slots, side="right") - 1
-            if np.any(self.down_idx[slots] != u) or not np.array_equal(
-                owners, self.up_idx[up]
-            ):
-                raise IndexError_(f"up_slot row {u} misses its shortcuts")
+            slots = self.down_slot[self.down_ptr[u] : self.down_ptr[u + 1]]
+            owners = np.searchsorted(self.up_ptr, slots, side="right") - 1
+            if np.any(self.up_idx[slots] != u) or not np.array_equal(owners, down):
+                raise IndexError_(f"down_slot row {u} misses its shortcuts")
 
     def __repr__(self) -> str:
         return (

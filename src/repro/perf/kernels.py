@@ -49,9 +49,11 @@ over the same candidate set, and exact ``==`` tie counting — no
 reassociation, no fused intermediates.
 
 The kernels duck-type their ``index`` argument: anything exposing
-``sc``/``tree``/``dis``/``sup`` (and, for :func:`star_eval`, ``weights``)
-the way :class:`repro.h2h.index.H2HIndex` and
-:class:`repro.directed.h2h.DirectedH2HIndex` do.
+``sc``/``tree``/``dis``/``sup`` (and, for :func:`star_eval`,
+``slot_weights()``: ``(D, slots)`` weights in the slot order of the
+tree's ``nbr+`` CSR) the way :class:`repro.h2h.index.H2HIndex` and
+:class:`repro.directed.h2h.DirectedH2HIndex` do.  :func:`relax_arrays`
+takes the :class:`repro.ch.shortcut_graph.ShortcutGraph` itself.
 """
 
 from __future__ import annotations
@@ -161,8 +163,8 @@ def star_eval(
     gather over the tree's upward CSR builds the same ``weight + sd``
     candidates, an exact ``minimum.reduceat`` takes each entry's min, and
     the support counts the finite candidates attaining it.  The weight is
-    ``index.weights[d]`` of the shortcut's slot (the 1-D undirected
-    ``weights`` is matrix 0); ``sd`` is Equation (nabla): ``dis[d](v)[da]``
+    row *d* of ``index.slot_weights()`` at the upward CSR slot itself (the
+    CSR is the slot order); ``sd`` is Equation (nabla): ``dis[d](v)[da]``
     for a shallow ancestor, ``dis[other(d)](anc(u)[da])[depth(v)]`` past
     *v*.
     """
@@ -191,8 +193,7 @@ def star_eval(
     sd_at = np.where(da <= dv, v * width + da, anc * width + dv)
     if d:  # flat indices count from the start of matrix d
         sd_at += d * n * width
-    weights = index.weights[d] if index.weights.ndim > 1 else index.weights
-    candidates = weights[tree.up_slot[slot]] + dis.take(sd_at)
+    candidates = index.slot_weights()[d][slot] + dis.take(sd_at)
     bounds = counts.cumsum() - counts  # every entry has >= 1 term
     values = np.minimum.reduceat(candidates, bounds)
     attained = (candidates == values[row]) & ~np.isinf(candidates)
@@ -269,13 +270,15 @@ def directed_fill_vertex(index, u: int) -> None:
 # DCH shortcut-relaxation gathers
 # ----------------------------------------------------------------------
 def relax_arrays(
-    adj, triples: Sequence[Tuple[int, int, int]], base: float
+    index, triples: Sequence[Tuple[int, int, int]], base: float
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Batched Equation (<>) terms for one popped shortcut's ``scp+``
     triples ``(x, w, y)``: returns ``(candidates, currents)`` where
     ``candidates[i] = base + phi(<x_i, w_i>)`` and
-    ``currents[i] = phi(<w_i, y_i>)`` — the two weight gathers the DCH±
-    pop loops otherwise perform one dict lookup at a time.
+    ``currents[i] = phi(<w_i, y_i>)`` — two gathers off the shortcut
+    store's slot weights (:attr:`ShortcutGraph.slot_weights`) in place of
+    one scalar read per term.  All triples share ``x`` and ``y`` (they
+    come from one ``scp_plus`` call).
 
     Safe to gather up front: within one pop the partner shortcuts
     ``<w, y>`` are pairwise distinct, and in the increase direction no
@@ -285,13 +288,11 @@ def relax_arrays(
     aliases a later triple's *leg*, which the skip rule of Algorithm 3
     would have skipped anyway).
     """
-    count = len(triples)
-    legs = np.fromiter(
-        (adj[x][w] for x, w, _y in triples), dtype=np.float64, count=count
-    )
-    currents = np.fromiter(
-        (adj[w][y] for _x, w, y in triples), dtype=np.float64, count=count
-    )
+    x, _w, y = triples[0]  # one pop: x and y are fixed, only w varies
+    mids = [w for _x, w, _y in triples]
+    weights = index.slot_weights
+    legs = weights[index.row_slots(x, mids)]
+    currents = weights[index.row_slots(y, mids)]
     legs += base
     return legs, currents
 

@@ -38,10 +38,9 @@ def reference_increase(
     """IncH2H+ (Algorithm 4), one queue entry at a time."""
     ops = resolve_counter(counter)
     changed_shortcuts = dch_increase(index.sc, updates, counter)
-    index.patch_weights(changed_shortcuts)
     sc, tree = index.sc, index.tree
     rank, depth = sc.ordering.rank, tree.depth
-    dis, sup, adj = index.dis, index.sup, sc._adj
+    dis, sup = index.dis, index.sup
     queue: AddressableHeap = AddressableHeap()
 
     def decrement(v, d):
@@ -73,13 +72,13 @@ def reference_increase(
             # Lines 15-18: entries (v, a) for v in nbr-(u).
             for v in sc.downward(u):
                 inspected += 1
-                candidate = adj[u][v] + old_val
+                candidate = sc.weight(u, v) + old_val
                 if candidate != _INF and candidate == dis[v, da]:
                     decrement(v, da)
             # Lines 19-22: entries (v, u) for v in nbr-(a) ∩ des(u).
             for v in tree.down_in_descendants(a, u):
                 inspected += 1
-                candidate = adj[a][v] + old_val
+                candidate = sc.weight(a, v) + old_val
                 if candidate != _INF and candidate == dis[v, du]:
                     decrement(v, du)
         ops.add("dependent_inspect", inspected)
@@ -102,10 +101,9 @@ def reference_decrease(
     exact on the fly with the ``seed_rows`` skip rule."""
     ops = resolve_counter(counter)
     changed_shortcuts = dch_decrease(index.sc, updates, counter)
-    index.patch_weights(changed_shortcuts)
     sc, tree = index.sc, index.tree
     rank, depth = sc.ordering.rank, tree.depth
-    dis, sup, adj = index.dis, index.sup, sc._adj
+    dis, sup = index.dis, index.sup
     queue: AddressableHeap = AddressableHeap()
     original: dict = {}
     seed_rows: dict = {}
@@ -154,10 +152,10 @@ def reference_decrease(
         if not math.isinf(val):
             for v in sc.downward(u):
                 inspected += 1
-                relax(v, da, adj[u][v] + val, u)
+                relax(v, da, sc.weight(u, v) + val, u)
             for v in tree.down_in_descendants(a, u):
                 inspected += 1
-                relax(v, du, adj[a][v] + val, a)
+                relax(v, du, sc.weight(a, v) + val, a)
         ops.add("dependent_inspect", inspected)
         if work_log is not None:
             work_log.append((du, u, inspected))

@@ -132,3 +132,27 @@ class TestInsertion:
         delete_edge(sc, u, v)
         for (s, t), d in before.items():
             assert ch_distance(sc, s, t) == d
+
+
+class TestInsertOnClone:
+    def test_insert_on_clone_leaves_original_intact(self):
+        from repro.core.dynamic import DynamicCH
+        from repro.graph import grid_network
+
+        original = DynamicCH(grid_network(4, 4, seed=3))
+        n = original.graph.n
+        up = [list(original.index.upward(u)) for u in range(n)]
+        down = [list(original.index.downward(u)) for u in range(n)]
+        clone = original.clone()
+        new_shortcuts, _changed = insert_edge(clone.index, 0, 15, 1.0)
+        assert new_shortcuts  # the insertion changed the clone's structure
+        assert [original.index.upward(u) for u in range(n)] == up
+        assert [original.index.downward(u) for u in range(n)] == down
+        original.index.validate()
+        for s, t in random_pairs(n, 30, seed=1) + [(0, 15)]:
+            assert original.distance(s, t) == dijkstra(original.graph, s)[t]
+        inserted = original.graph.copy()
+        inserted.add_edge(0, 15, 1.0)
+        clone.index.validate()
+        for s, t in random_pairs(n, 30, seed=2) + [(0, 15)]:
+            assert ch_distance(clone.index, s, t) == dijkstra(inserted, s)[t]

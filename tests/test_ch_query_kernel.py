@@ -89,7 +89,8 @@ def assert_exact_against_dijkstra(graph, sc, pairs) -> None:
         assert path_weight(graph, path) == d, (s, t)
 
 
-# The case ids name the index store under test: the dict store.
+# The case ids keep the store name of an older layout ("dict"); the index
+# has one store, the flat slot store of repro.ch.shortcut_graph.
 cases = pytest.mark.parametrize(
     "name", list(GRAPHS), ids=[f"{g}-dict" for g in GRAPHS]
 )

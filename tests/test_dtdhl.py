@@ -19,7 +19,7 @@ class TestCorrectness:
         inch2h_increase(a, batch)
         dtdhl_increase(b, batch)
         assert np.array_equal(a.dis, b.dis)
-        assert np.array_equal(a.weights, b.weights)
+        assert a.sc.weight_snapshot() == b.sc.weight_snapshot()
 
     def test_decrease_matches_inch2h(self, medium_road):
         a = h2h_indexing(medium_road)

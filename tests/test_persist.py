@@ -170,3 +170,48 @@ class TestInconsistentArchives:
         rewrite_archive(h2h_archive, sup_matrix=np.ones((n, 1), dtype=np.int32))
         with pytest.raises(IntegrityError, match="support matrix shape"):
             load_h2h(h2h_archive)
+
+
+class TestArchiveCompatibility:
+    """The slot store saves through ``shortcut_records``/``edge_weights``:
+    save -> load -> save repeats every column, and a clone of a loaded
+    index is independent of it."""
+
+    @staticmethod
+    def _columns(path):
+        with np.load(path) as data:
+            return {key: data[key].copy() for key in data.files}
+
+    def _assert_same_columns(self, first, second):
+        a, b = self._columns(first), self._columns(second)
+        assert sorted(a) == sorted(b)
+        for key in a:
+            assert np.array_equal(a[key], b[key]), key
+
+    def test_ch_save_load_save(self, small_grid, tmp_path):
+        index = ch_indexing(small_grid)
+        batch = increase_batch(sample_edges(small_grid, 6, seed=3), 2.0)
+        dch_increase(index, batch)
+        save_ch(index, tmp_path / "a.npz")
+        loaded = load_ch(tmp_path / "a.npz")
+        save_ch(loaded, tmp_path / "b.npz")
+        self._assert_same_columns(tmp_path / "a.npz", tmp_path / "b.npz")
+        clone = loaded.clone()
+        dch_increase(clone, increase_batch(sample_edges(small_grid, 6, seed=4), 3.0))
+        save_ch(loaded, tmp_path / "c.npz")
+        self._assert_same_columns(tmp_path / "a.npz", tmp_path / "c.npz")
+        loaded.validate()
+
+    def test_h2h_save_load_save(self, small_grid, tmp_path):
+        index = h2h_indexing(small_grid)
+        batch = increase_batch(sample_edges(small_grid, 6, seed=3), 2.0)
+        inch2h_increase(index, batch)
+        save_h2h(index, tmp_path / "a.npz")
+        loaded = load_h2h(tmp_path / "a.npz")
+        save_h2h(loaded, tmp_path / "b.npz")
+        self._assert_same_columns(tmp_path / "a.npz", tmp_path / "b.npz")
+        clone = loaded.clone()
+        inch2h_increase(clone, increase_batch(sample_edges(small_grid, 6, seed=4), 3.0))
+        save_h2h(loaded, tmp_path / "c.npz")
+        self._assert_same_columns(tmp_path / "a.npz", tmp_path / "c.npz")
+        loaded.validate()

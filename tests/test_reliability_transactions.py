@@ -117,7 +117,8 @@ CASES = {
 }
 
 
-# The case ids also name the index store under test: the dict store.
+# The case ids keep the store name of an older layout ("dict"); the index
+# has one store, the flat slot store of repro.ch.shortcut_graph.
 @pytest.fixture(params=sorted(CASES), ids=lambda c: f"{c}-dict")
 def case(request, small_grid):
     cls, module, decrease, increase = CASES[request.param]

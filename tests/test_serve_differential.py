@@ -187,19 +187,31 @@ def test_index_integrity_along_short_stream(kind):
     _run_integrity_stream(kind, epochs=2)
 
 
+def test_differential_fuzz_sweep_undirected_smoke():
+    """The slow undirected sweep's body at a tier-1 size: one seed over
+    the served clone chain."""
+    _fuzz_sweep_undirected(11, n=60, epochs=2, batch=4, queries=20)
+
+
 # ----------------------------------------------------------------------
 # Slow sweeps (dedicated CI job: pytest -m "slow or stress")
 # ----------------------------------------------------------------------
+def _fuzz_sweep_undirected(
+    seed: int, *, n: int, epochs: int, batch: int, queries: int
+) -> None:
+    _run_undirected_stream(
+        road_network(n, seed=seed),
+        epochs=epochs,
+        batch=batch,
+        queries=queries,
+        seed=1000 + seed,
+    )
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("seed", [11, 23, 47])
 def test_differential_fuzz_sweep_undirected(seed):
-    _run_undirected_stream(
-        road_network(250, seed=seed),
-        epochs=8,
-        batch=12,
-        queries=60,
-        seed=1000 + seed,
-    )
+    _fuzz_sweep_undirected(seed, n=250, epochs=8, batch=12, queries=60)
 
 
 @pytest.mark.slow

@@ -61,9 +61,26 @@ def test_h2h_clone_is_independent(small_grid):
 def test_clone_shares_weight_independent_structure(small_grid):
     oracle = DynamicCH(small_grid)
     dup = oracle.clone()
-    assert dup.index.ordering is oracle.index.ordering
-    assert dup.index._up is oracle.index._up
-    assert dup.index._adj is not oracle.index._adj
+    sc, dup_sc = oracle.index, dup.index
+    assert dup_sc.ordering is sc.ordering
+    assert dup_sc.structure is sc.structure
+    snapshots = (
+        sc.weight_snapshot(),
+        sc.support_snapshot(),
+        sc.via_snapshot(),
+        sc.edge_weights(),
+    )
+    u, v = next(iter(sc.edge_weights()))
+    dup_sc.set_weight(u, v, 1e9)
+    dup_sc.set_support(u, v, 7)
+    dup_sc.set_via(u, v, 3)
+    dup_sc.set_edge_weight(u, v, 1e9)
+    assert (
+        sc.weight_snapshot(),
+        sc.support_snapshot(),
+        sc.via_snapshot(),
+        sc.edge_weights(),
+    ) == snapshots
 
 
 def test_cow_apply_leaves_original_untouched(small_grid):

@@ -109,6 +109,33 @@ class TestEquationEvaluation:
         with pytest.raises(IndexError_):
             paper_sc.validate()
 
+    def test_validate_catches_corrupt_upward_list(self, paper_sc):
+        paper_sc.validate()
+        up = next(
+            row for row in map(paper_sc.upward, range(paper_sc.n)) if len(row) >= 2
+        )
+        up[0], up[1] = up[1], up[0]  # out of rank order
+        with pytest.raises(IndexError_, match=r"nbr\+"):
+            paper_sc.validate()
+
+    def test_validate_catches_extra_upward_neighbor(self, paper_sc):
+        u = v(1)
+        stranger = next(
+            x for x in range(paper_sc.n)
+            if paper_sc.rank(x) > paper_sc.rank(u) and not paper_sc.has_shortcut(u, x)
+        )
+        paper_sc.upward(u).append(stranger)  # a neighbor with no slot
+        with pytest.raises(IndexError_, match=r"nbr\+"):
+            paper_sc.validate()
+
+    def test_validate_catches_slot_not_mapping_back(self, paper_sc):
+        slot = paper_sc.structure.slot
+        a, b = next(paper_sc.shortcuts())
+        c, d = list(paper_sc.shortcuts())[1]
+        slot[a][b] = paper_sc.slot(c, d)
+        with pytest.raises(IndexError_, match="map back"):
+            paper_sc.validate()
+
 
 class TestScpEnumeration:
     def test_scp_minus_symmetric_in_arguments(self, paper_sc):

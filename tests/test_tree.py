@@ -80,8 +80,8 @@ class TestStructure:
 
     def test_validate_catches_corrupt_csr(self, paper_h2h):
         tree = paper_h2h.tree
-        tree.up_slot[0] = (tree.up_slot[0] + 1) % len(tree.down_idx)
-        with pytest.raises(IndexError_, match="up_slot"):
+        tree.down_slot[0] = (tree.down_slot[0] + 1) % len(tree.down_idx)
+        with pytest.raises(IndexError_, match="down_slot"):
             tree.validate()
 
     def test_disconnected_graph_rejected(self):

@@ -12,39 +12,47 @@ Algorithm 3 (DCH-) of the paper.  Section 4.2 proves:
 Both functions return the set of shortcuts whose weight changed (the
 paper's set ``C``), which IncH2H consumes directly (Algorithms 4-5).
 
-Support maintenance under decreases
------------------------------------
-Algorithm 3 does not spell out how ``sup`` is kept exact; the paper notes
-it "can be done on-the-fly".  Doing it literally on the fly is delicate
-because the same shortcut pair can be re-evaluated from both of its
-members, so this implementation instead recomputes ``sup``/``via`` from
-Equation (<>) for every shortcut *touched* by the decrease pass (weight
-changed, or inspected as an upward-pair partner).  The extra work is
-tallied in the separate ``"support_fixup"`` counter channel so the
-relative-boundedness measurements of the core algorithm stay faithful to
-Algorithm 3 as printed.
+Slot-native queue
+-----------------
+Both algorithms run on the slots of the flat store
+(:mod:`repro.ch.shortcut_graph`).  The queue ``Q`` is one ``heapq`` of
+``(priority, slot)``, the priority ``rank(x) * n + rank(y)`` of
+``<x, y>`` (``x`` the lower end) read from the structure's shared
+``prio`` array, so pops come in the paper's order: lowest lower end
+first.  Queue membership is a per-call ``bytearray`` indexed by slot.
+
+The upward pairs ``scp+(<x, y>)`` are the ``nbr+(x)`` row itself: the
+CH is weight independent and ``nbr+(x)`` is a clique (the elimination
+fill), so for every ``w`` in it other than ``y`` the leg ``<x, w>`` is
+slot ``ptr[x] + k`` and the partner ``<w, y>`` exists
+(:meth:`ShortcutGraph.validate` checks both facts).  A pop reads the
+legs' weights and queue flags as one row slice up front: no partner
+``<w, y>`` is a leg ``<x, w'>`` (neither ``w`` nor ``y`` is ``x``), so
+nothing the walk writes can change them.  Line 13 of DCH+ stays the
+scalar Equation (<>) of :meth:`ShortcutGraph.recompute_slot`.
+``tests/reference_dch.py`` keeps the key-based form and
+``tests/test_dch_slots.py`` holds this one bit-equal to it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Set, Tuple
-
-import numpy as np
+from heapq import heappop, heappush
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import UpdateError
 from repro.ch.shortcut_graph import Shortcut, ShortcutGraph
 from repro.graph.graph import WeightUpdate
 from repro.obs import names
 from repro.obs.trace import span
-from repro.perf import kernels
 from repro.utils.counters import OpCounter, resolve_counter
-from repro.utils.heap import AddressableHeap
 
 __all__ = ["dch_increase", "dch_decrease", "ChangedShortcut"]
 
 #: A changed shortcut with its weight before and after the update.
 ChangedShortcut = Tuple[Shortcut, float, float]
+
+_INF = math.inf
 
 
 def _validate_batch(
@@ -130,75 +138,70 @@ def dch_increase(
             counter = OpCounter()
         ops = resolve_counter(counter)
         ops_before = ops.as_dict() if sp.active else None
-        rank = index.ordering.rank
-        queue: AddressableHeap[Shortcut] = AddressableHeap()
-
-        def priority(key: Shortcut) -> Tuple[int, int]:
-            u, v = key
-            return (min(rank[u], rank[v]), max(rank[u], rank[v]))
+        st = index.structure
+        slot, up, ptr = st.slot, st.up, st.ptr
+        low, high, prio = st.low_view, st.high_view, st.prio_view
+        wv, ewv, supv, _viav = index.slot_views()
+        queue: List[Tuple[int, int]] = []
+        queued = bytearray(len(low))
 
         # Lines 2-6: consume Delta G.
         with span(names.SPAN_DCH_INCREASE_SEED, delta=len(updates)):
             for (u, v), w in updates:
                 ops.add("delta_inspect")
-                key = index.key(u, v)
-                old_edge_weight = index.edge_weight(u, v)
-                if w > old_edge_weight and not math.isinf(old_edge_weight) and (
-                    old_edge_weight == index.weight(u, v)
+                s = slot[u][v]
+                old_edge_weight = ewv[s]
+                if w > old_edge_weight and old_edge_weight != _INF and (
+                    old_edge_weight == wv[s]
                 ):
-                    sup = index.support(u, v) - 1
-                    index.set_support(u, v, sup)
+                    sup = supv[s] - 1
+                    supv[s] = sup
                     if sup == 0:
-                        queue.push(key, priority(key))
+                        if not queued[s]:
+                            queued[s] = 1
+                            heappush(queue, (prio[s], s))
                         ops.add("queue_push")
-                index.set_edge_weight(u, v, w)
+                ewv[s] = w
 
         changed: List[ChangedShortcut] = []
         # Lines 7-13: propagate, lowest lower-endpoint rank first.
         with span(names.SPAN_DCH_INCREASE_PROPAGATE) as sp_prop:
             while queue:
-                key, _ = queue.pop()
+                s = heappop(queue)[1]
+                queued[s] = 0
                 ops.add("queue_pop")
-                u, v = key
-                old_weight = index.weight(u, v)
-                # Lines 9-12: the weight of <u, v> is about to increase; any
-                # upward-pair partner it currently supports loses one support.
-                # Infinite weights (deleted roads) support nothing by convention,
-                # matching evaluate_equation's support counting.
-                triples = (
-                    list(index.scp_plus(u, v))
-                    if not math.isinf(old_weight)
-                    else []
-                )
-                ops.add("scp_plus_inspect", len(triples))
-                if len(triples) >= kernels.DCH_KERNEL_MIN_TRIPLES:
-                    # Batched: within one pop, x and y are fixed and only
-                    # the mid w varies, so the partner weights gathered up
-                    # front cannot be perturbed by the support writes below
-                    # (partners are pairwise distinct, legs never written).
-                    cands, currents = kernels.relax_arrays(index, triples, old_weight)
-                    hits = np.nonzero(~np.isinf(cands) & (currents == cands))[0]
-                    for i in hits:
-                        _x, w_mid, y = triples[i]
-                        partner = index.key(w_mid, y)
-                        sup = index.support(*partner) - 1
-                        index.set_support(*partner, sup)
-                        if sup == 0:
-                            queue.push(partner, priority(partner))
-                            ops.add("queue_push")
+                x, y = low[s], high[s]
+                old_weight = wv[s]
+                # Lines 9-12: the weight of <x, y> is about to increase; any
+                # upward-pair partner <w, y> it currently supports loses one
+                # support.  Infinite weights (deleted roads) support nothing
+                # by convention, matching evaluate_equation's support counting.
+                if old_weight == _INF:
+                    ops.add("scp_plus_inspect", 0)
                 else:
-                    for x, w_mid, y in triples:
-                        partner = index.key(w_mid, y)
-                        candidate = old_weight + index.weight(x, w_mid)
-                        if not math.isinf(candidate) and index.weight(*partner) == candidate:
-                            sup = index.support(*partner) - 1
-                            index.set_support(*partner, sup)
+                    row = up[x]
+                    ops.add("scp_plus_inspect", len(row) - 1)
+                    slot_y = slot[y]
+                    legs = wv[ptr[x] : ptr[x + 1]].tolist()
+                    for w_mid, leg_weight in zip(row, legs):
+                        if w_mid == y:
+                            continue
+                        candidate = old_weight + leg_weight
+                        if candidate == _INF:
+                            continue
+                        partner = slot_y[w_mid]
+                        if wv[partner] == candidate:
+                            sup = supv[partner] - 1
+                            supv[partner] = sup
                             if sup == 0:
-                                queue.push(partner, priority(partner))
+                                if not queued[partner]:
+                                    queued[partner] = 1
+                                    heappush(queue, (prio[partner], partner))
                                 ops.add("queue_push")
                 # Line 13: recompute weight and support from Equation (<>).
-                new_weight = index.recompute(u, v, counter)
+                new_weight = index.recompute_slot(s, counter)
                 if new_weight != old_weight:
+                    key = (x, y) if x < y else (y, x)
                     changed.append((key, old_weight, new_weight))
             sp_prop.set(changed=len(changed))
         if sp.active:
@@ -213,8 +216,8 @@ def dch_decrease(
 ) -> List[ChangedShortcut]:
     """DCH- (Algorithm 3): apply weight *decreases* to the CH index.
 
-    Mirrors :func:`dch_increase`; see the module docstring for how
-    supports are restored after the relaxation pass.
+    Mirrors :func:`dch_increase`; supports are kept exact on the fly
+    (see the propagation loop).
 
     Returns
     -------
@@ -228,14 +231,13 @@ def dch_decrease(
             counter = OpCounter()
         ops = resolve_counter(counter)
         ops_before = ops.as_dict() if sp.active else None
-        rank = index.ordering.rank
-        queue: AddressableHeap[Shortcut] = AddressableHeap()
-
-        def priority(key: Shortcut) -> Tuple[int, int]:
-            u, v = key
-            return (min(rank[u], rank[v]), max(rank[u], rank[v]))
-
-        original: dict = {}
+        st = index.structure
+        slot, up, ptr = st.slot, st.up, st.ptr
+        low, high, prio = st.low_view, st.high_view, st.prio_view
+        wv, ewv, supv, viav = index.slot_views()
+        queue: List[Tuple[int, int]] = []
+        queued = bytearray(len(low))
+        original: Dict[int, float] = {}  # slot -> pre-batch weight
 
         # Lines 2-6: consume Delta G.  A strictly smaller edge weight either
         # relaxes the shortcut (support resets to the edge term alone) or ties
@@ -243,20 +245,21 @@ def dch_decrease(
         with span(names.SPAN_DCH_DECREASE_SEED, delta=len(updates)):
             for (u, v), w in updates:
                 ops.add("delta_inspect")
-                key = index.key(u, v)
-                old_edge_w = index.edge_weight(u, v)
-                index.set_edge_weight(u, v, w)
-                current = index.weight(u, v)
+                s = slot[u][v]
+                old_edge_w = ewv[s]
+                ewv[s] = w
+                current = wv[s]
                 if w < current:
-                    original.setdefault(key, current)
-                    index.set_weight(u, v, w)
-                    index.set_support(u, v, 1)
-                    index.set_via(u, v, None)
-                    if key not in queue:
-                        queue.push(key, priority(key))
+                    original.setdefault(s, current)
+                    wv[s] = w
+                    supv[s] = 1
+                    viav[s] = -1
+                    if not queued[s]:
+                        queued[s] = 1
+                        heappush(queue, (prio[s], s))
                         ops.add("queue_push")
-                elif w == current and w < old_edge_w and not math.isinf(w):
-                    index.set_support(u, v, index.support(u, v) + 1)
+                elif w == current and w < old_edge_w and w != _INF:
+                    supv[s] += 1
 
         # Lines 7-12: propagate relaxations.  Supports are maintained exactly
         # on the fly: all weights sharing a lower endpoint are final before
@@ -266,66 +269,40 @@ def dch_decrease(
         # (other member still queued) skips it and the later pop applies it.
         with span(names.SPAN_DCH_DECREASE_PROPAGATE):
             while queue:
-                key, _ = queue.pop()
+                s = heappop(queue)[1]
+                queued[s] = 0
                 ops.add("queue_pop")
-                u, v = key
-                weight_e = index.weight(u, v)
-                triples = list(index.scp_plus(u, v))
-                ops.add("scp_plus_inspect", len(triples))
-                if len(triples) >= kernels.DCH_KERNEL_MIN_TRIPLES:
-                    # Batched: x and y are fixed within one pop, so legs
-                    # (x, w) and partners (w, y) never coincide — the leg
-                    # gathers, partner gathers and queue-membership skip
-                    # mask computed up front all stay exact while the
-                    # relaxations below write partner weights.
-                    cands, currents = kernels.relax_arrays(index, triples, weight_e)
-                    live = np.fromiter(
-                        (index.key(x, w_mid) not in queue for x, w_mid, _y in triples),
-                        dtype=bool,
-                        count=len(triples),
-                    )
-                    finite = ~np.isinf(cands)
-                    acted = np.nonzero(
-                        live & ((cands < currents) | ((cands == currents) & finite))
-                    )[0]
-                    for i in acted:
-                        x, w_mid, y = triples[i]
-                        partner = index.key(w_mid, y)
-                        candidate = float(cands[i])
-                        current = index.weight(w_mid, y)
-                        if candidate < current:
-                            original.setdefault(partner, current)
-                            index.set_weight(*partner, candidate)
-                            index.set_support(*partner, 1)
-                            index.set_via(*partner, x)
-                            if partner not in queue:
-                                queue.push(partner, priority(partner))
-                                ops.add("queue_push")
-                        else:
-                            index.set_support(*partner, index.support(*partner) + 1)
-                else:
-                    for x, w_mid, y in triples:
-                        if (index.key(x, w_mid)) in queue:
-                            continue  # the other member's pop will evaluate this pair
-                        partner = index.key(w_mid, y)
-                        candidate = weight_e + index.weight(x, w_mid)
-                        current = index.weight(*partner)
-                        if candidate < current:
-                            original.setdefault(partner, current)
-                            index.set_weight(*partner, candidate)
-                            index.set_support(*partner, 1)
-                            index.set_via(*partner, x)
-                            if partner not in queue:
-                                queue.push(partner, priority(partner))
-                                ops.add("queue_push")
-                        elif candidate == current and not math.isinf(candidate):
-                            index.set_support(*partner, index.support(*partner) + 1)
+                x, y = low[s], high[s]
+                weight_e = wv[s]
+                row = up[x]
+                ops.add("scp_plus_inspect", len(row) - 1)
+                slot_y = slot[y]
+                a, b = ptr[x], ptr[x + 1]
+                for w_mid, leg_weight, leg_queued in zip(
+                    row, wv[a:b].tolist(), queued[a:b]
+                ):
+                    if w_mid == y or leg_queued:
+                        continue  # not a pair, or the queued leg's pop evaluates it
+                    partner = slot_y[w_mid]
+                    candidate = weight_e + leg_weight
+                    current = wv[partner]
+                    if candidate < current:
+                        original.setdefault(partner, current)
+                        wv[partner] = candidate
+                        supv[partner] = 1
+                        viav[partner] = x
+                        if not queued[partner]:
+                            queued[partner] = 1
+                            heappush(queue, (prio[partner], partner))
+                            ops.add("queue_push")
+                    elif candidate == current and candidate != _INF:
+                        supv[partner] += 1
 
-        changed = [
-            (key, old, index.weight(*key))
-            for key, old in original.items()
-            if index.weight(*key) != old
-        ]
+        changed = []
+        for s, old in original.items():
+            if wv[s] != old:
+                x, y = low[s], high[s]
+                changed.append(((x, y) if x < y else (y, x), old, wv[s]))
         if sp.active:
             _trace_boundedness(sp, index, len(updates), changed, ops, ops_before)
     return changed

@@ -37,8 +37,9 @@ The paper's CH is weight independent (Section 2): weight updates never
 change the shortcut set.  The store is therefore split in two:
 
 * a :class:`ShortcutStructure` — the ``nbr+``/``nbr-`` lists, each
-  vertex's neighbor-to-slot map, the row offsets, the slot endpoints and
-  which slots are edges of ``G`` — built once and shared by every clone;
+  vertex's neighbor-to-slot map, the row offsets, the slot endpoints,
+  DCH±'s queue priorities and which slots are edges of ``G`` — built
+  once and shared by every clone;
 * four arrays indexed by slot — ``phi(e)`` and ``phi(e, G)`` (float64),
   ``sup(e)`` and ``via(e)`` (int64, ``-1`` for the original edge) — which
   :meth:`ShortcutGraph.clone` copies.  Scalar reads and writes go
@@ -98,11 +99,31 @@ class ShortcutStructure:
         ``ptr[u] .. ptr[u + 1]``.
     low / high:
         The lower- and higher-ranked endpoint of every slot (int32).
+    prio:
+        ``rank[low] * n + rank[high]`` per slot (int64): DCH±'s queue
+        order, lower endpoint's rank first.  Weight independent, so every
+        clone shares it.
+    low_view / high_view / prio_view:
+        Memoryviews over ``low``, ``high`` and ``prio``: the maintenance
+        loops read plain Python ints through them.
     edge:
         ``edge[s]``: slot *s* is an edge of ``G`` (bool).
     """
 
-    __slots__ = ("up", "down", "down_slots", "slot", "ptr", "low", "high", "edge")
+    __slots__ = (
+        "up",
+        "down",
+        "down_slots",
+        "slot",
+        "ptr",
+        "low",
+        "high",
+        "prio",
+        "low_view",
+        "high_view",
+        "prio_view",
+        "edge",
+    )
 
     def __init__(self, rank: Sequence[int], up: List[List[int]]) -> None:
         n = len(up)
@@ -110,8 +131,9 @@ class ShortcutStructure:
         ptr = [0, *accumulate(lengths)]
         low = np.repeat(np.arange(n, dtype=np.int32), lengths)
         high = np.fromiter(chain.from_iterable(up), dtype=np.int32, count=ptr[-1])
+        rank_arr = np.asarray(rank, dtype=np.int64)
         # nbr-(v): the slots whose higher end is v, by rank of the lower end.
-        by_high = np.lexsort((np.asarray(rank)[low], high))
+        by_high = np.lexsort((rank_arr[low], high))
         bounds = [0, *accumulate(np.bincount(high, minlength=n).tolist())]
         lows = low[by_high].tolist()
         slots = by_high.tolist()
@@ -127,6 +149,10 @@ class ShortcutStructure:
         self.ptr = ptr
         self.low = low
         self.high = high
+        self.prio = rank_arr[low] * n + rank_arr[high]
+        self.low_view = memoryview(low)
+        self.high_view = memoryview(high)
+        self.prio_view = memoryview(self.prio)
         self.edge = np.zeros(ptr[-1], dtype=bool)
 
     def canonical(self) -> Tuple[List[int], List[int]]:
@@ -258,6 +284,13 @@ class ShortcutGraph:
     def row_slots(self, u: int, vs: Iterable[int]) -> List[int]:
         """The slots of the shortcuts ``<u, v>``, ``v`` in *vs*."""
         return list(map(self._slot[u].__getitem__, vs))
+
+    def slot_views(self) -> Tuple[memoryview, memoryview, memoryview, memoryview]:
+        """Memoryviews over the four slot arrays — ``phi``, ``phi(e, G)``,
+        ``sup`` and ``via`` (``-1`` for the original edge) — for the
+        slot-native maintenance loops of :mod:`repro.ch.dch`.  Writes go
+        straight into this index's store."""
+        return self._wv, self._ewv, self._supv, self._viav
 
     def upward_weights(self, u: int) -> np.ndarray:
         """``phi(<u, v>)`` for ``v in nbr+(u)``, aligned with
@@ -564,8 +597,14 @@ class ShortcutGraph:
 
         Returns the new weight.  This is line 13 of Algorithm 2 (DCH+).
         """
-        weight, support, witness = self._equation(u, v, counter)
-        s = self._slot[u][v]
+        return self.recompute_slot(self._slot[u][v], counter)
+
+    def recompute_slot(self, s: int, counter: Optional[OpCounter] = None) -> float:
+        """:meth:`recompute` for the shortcut in slot *s*."""
+        st = self._st
+        weight, support, witness = self._equation(
+            st.low_view[s], st.high_view[s], counter
+        )
         self._wv[s] = weight
         self._supv[s] = support
         self._viav[s] = witness
@@ -625,9 +664,10 @@ class ShortcutGraph:
         """Check internal consistency; raise :class:`IndexError_` on failure.
 
         Verifies the structure — every slot's endpoints map back to that
-        slot, and ``nbr+(u)`` / ``nbr-(u)`` are exactly the rank-sorted
-        higher / lower shortcut neighbors of ``u`` — then Equation (<>)
-        for every shortcut and every support counter.
+        slot, ``nbr+(u)`` / ``nbr-(u)`` are exactly the rank-sorted
+        higher / lower shortcut neighbors of ``u``, every ``nbr+(u)`` is a
+        clique and the slot priorities match the ranks — then
+        Equation (<>) for every shortcut and every support counter.
         """
         self._validate_structure()
         for u, v in self.shortcuts():
@@ -663,6 +703,16 @@ class ShortcutGraph:
                 raise IndexError_(f"slots of row {u} are not nbr+({u})")
             if [nbrs[t] for t in lower] != st.down_slots[u]:
                 raise IndexError_(f"down_slots({u}) do not match nbr-({u})")
+            # DCH± walks nbr+(x) as the scp+ row of every <x, y>, reading
+            # each partner <w, y> without a membership test.
+            for i, a in enumerate(higher):
+                if not all(map(st.slot[a].__contains__, higher[i + 1 :])):
+                    raise IndexError_(f"nbr+({u}) is not a clique")
+        rank_arr = np.asarray(rank, dtype=np.int64)
+        if not np.array_equal(
+            st.prio, rank_arr[st.low] * len(st.up) + rank_arr[st.high]
+        ):
+            raise IndexError_("slot priorities do not match the ranks")
 
     def __repr__(self) -> str:
         return f"ShortcutGraph(n={self.n}, shortcuts={self.num_shortcuts})"

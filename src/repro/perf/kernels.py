@@ -16,8 +16,6 @@ kernel                       replaces
                              a whole IncH2H+ level (line 23 of Algorithm 4)
 :func:`fill_row`             the per-depth construction loop of
                              H2HIndexing step 3
-:func:`relax_arrays`         the per-triple weight reads of the DCH±
-                             ``scp+`` pop loops
 :func:`pos_scan_many`        one ``h2h_distance`` /
                              ``directed_h2h_distance`` call per pair of
                              a query batch
@@ -37,28 +35,27 @@ Bit-identity contract
 ---------------------
 All kernels are drop-in replacements for the scalar reference paths
 (``H2HIndex.evaluate_entry``, ``DirectedH2HIndex.evaluate_entry``, the
-per-triple DCH loops, the scalar H2H queries), which stay in the
-codebase precisely so the differential tests in
-``tests/test_perf_kernels.py`` and ``tests/test_h2h_batch_query.py``
-can assert the two produce bit-identical ``dis``/``sup``/shortcut state
-and answers.  The identity holds exactly (not approximately) because
-each kernel performs the same IEEE-754 operations as its scalar
-counterpart: one ``weight + sd`` addition per candidate (float
-addition is commutative, so operand order is free), an exact ``min``
-over the same candidate set, and exact ``==`` tie counting — no
-reassociation, no fused intermediates.
+scalar H2H queries), which stay in the codebase precisely so the
+differential tests in ``tests/test_perf_kernels.py`` and
+``tests/test_h2h_batch_query.py`` can assert the two produce
+bit-identical ``dis``/``sup``/shortcut state and answers.  The
+identity holds exactly (not approximately) because each kernel
+performs the same IEEE-754 operations as its scalar counterpart: one
+``weight + sd`` addition per candidate (float addition is commutative,
+so operand order is free), an exact ``min`` over the same candidate
+set, and exact ``==`` tie counting — no reassociation, no fused
+intermediates.
 
 The kernels duck-type their ``index`` argument: anything exposing
 ``sc``/``tree``/``dis``/``sup`` (and, for :func:`star_eval`,
 ``slot_weights()``: ``(D, slots)`` weights in the slot order of the
 tree's ``nbr+`` CSR) the way :class:`repro.h2h.index.H2HIndex` and
-:class:`repro.directed.h2h.DirectedH2HIndex` do.  :func:`relax_arrays`
-takes the :class:`repro.ch.shortcut_graph.ShortcutGraph` itself.
+:class:`repro.directed.h2h.DirectedH2HIndex` do.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -66,7 +63,6 @@ from repro.errors import QueryError
 from repro.utils.counters import OpCounter, resolve_counter
 
 __all__ = [
-    "DCH_KERNEL_MIN_TRIPLES",
     "candidate_row",
     "candidate_block",
     "csr_slots",
@@ -74,15 +70,8 @@ __all__ = [
     "star_eval",
     "fill_row",
     "directed_fill_vertex",
-    "relax_arrays",
     "pos_scan_many",
 ]
-
-#: Below this many ``scp+`` triples the DCH pop loops stay scalar: numpy
-#: gather/compare setup costs more than a handful of float compares, and
-#: the microbench gate requires the kernels to never lose to the scalar
-#: path on small inputs.
-DCH_KERNEL_MIN_TRIPLES = 16
 
 
 # ----------------------------------------------------------------------
@@ -264,37 +253,6 @@ def directed_fill_vertex(index, u: int) -> None:
         dis[u, :du] = best
         finite = ~np.isinf(block)
         sup[u, :du] = ((block == best) & finite).sum(axis=0)
-
-
-# ----------------------------------------------------------------------
-# DCH shortcut-relaxation gathers
-# ----------------------------------------------------------------------
-def relax_arrays(
-    index, triples: Sequence[Tuple[int, int, int]], base: float
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Batched Equation (<>) terms for one popped shortcut's ``scp+``
-    triples ``(x, w, y)``: returns ``(candidates, currents)`` where
-    ``candidates[i] = base + phi(<x_i, w_i>)`` and
-    ``currents[i] = phi(<w_i, y_i>)`` — two gathers off the shortcut
-    store's slot weights (:attr:`ShortcutGraph.slot_weights`) in place of
-    one scalar read per term.  All triples share ``x`` and ``y`` (they
-    come from one ``scp_plus`` call).
-
-    Safe to gather up front: within one pop the partner shortcuts
-    ``<w, y>`` are pairwise distinct, and in the increase direction no
-    weight changes until the post-loop recompute.  The decrease
-    direction additionally re-checks each hit against the live queue
-    before applying it (a partner relaxed earlier in the same pop
-    aliases a later triple's *leg*, which the skip rule of Algorithm 3
-    would have skipped anyway).
-    """
-    x, _w, y = triples[0]  # one pop: x and y are fixed, only w varies
-    mids = [w for _x, w, _y in triples]
-    weights = index.slot_weights
-    legs = weights[index.row_slots(x, mids)]
-    currents = weights[index.row_slots(y, mids)]
-    legs += base
-    return legs, currents
 
 
 # ----------------------------------------------------------------------

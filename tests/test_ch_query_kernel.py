@@ -181,9 +181,12 @@ class TestDirected:
         assert ops.as_dict() == {"query_relax": GOLDEN_DIRECTED_RELAX[name]}
 
 
-@pytest.mark.slow
-def test_mid_size_differential():
-    """Distances and unpacked paths equal Dijkstra at mid size."""
-    graph = road_network(2025)
+@pytest.mark.parametrize(
+    "n, pairs", [pytest.param(2025, 200, marks=pytest.mark.slow), (150, 20)]
+)
+def test_mid_size_differential(n, pairs):
+    """Distances and unpacked paths equal Dijkstra at mid size (and, in
+    tier-1, on a tiny graph through the same body)."""
+    graph = road_network(n)
     sc = ch_indexing(graph)
-    assert_exact_against_dijkstra(graph, sc, seeded_pairs(graph.n, 200))
+    assert_exact_against_dijkstra(graph, sc, seeded_pairs(graph.n, pairs))

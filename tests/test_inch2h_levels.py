@@ -155,8 +155,11 @@ def test_level_chunks_do_not_change_results(road400, monkeypatch):
     rounds(road400, twins, 10)
 
 
-@pytest.mark.slow
-def test_batches_match_reference_at_mid_size():
-    graph = road_network(2025)
+@pytest.mark.parametrize(
+    "n, edges_per_batch",
+    [pytest.param(2025, 60, marks=pytest.mark.slow), (150, 6)],
+)
+def test_batches_match_reference_at_mid_size(n, edges_per_batch):
+    graph = road_network(n)
     twins = Twins(h2h_indexing(graph))
-    rounds(graph, twins, 60)
+    rounds(graph, twins, edges_per_batch)

@@ -10,7 +10,8 @@ replaced.  A change to them is a change to the algorithms, not to how a
 version is published.
 
 The same pipeline runs in tier-1 at n = 150 with the Dijkstra checks
-only, so a broken signature anywhere on it fails in seconds.
+and its own golden totals, so a broken signature or a changed count
+anywhere on it fails in seconds.
 """
 
 from __future__ import annotations
@@ -65,6 +66,38 @@ GOLDEN = {
         },
         "aff_norm": 4334500,
         "diff": 2491640,
+    },
+}
+
+#: The same totals at ``SMOKE_N``, recorded before DCH± moved onto slot
+#: ids, so the tier-1 smoke run pins the maintenance too.
+SMOKE_GOLDEN = {
+    "DynamicCH": {
+        "changed": 1397,
+        "ops": {
+            "delta_inspect": 300,
+            "queue_push": 1397,
+            "queue_pop": 1397,
+            "scp_plus_inspect": 6351,
+            "scp_minus_inspect": 1730,
+        },
+        "aff_norm": 11669,
+        "diff": 8048,
+    },
+    "DynamicH2H": {
+        "changed": 10792,
+        "ops": {
+            "delta_inspect": 300,
+            "queue_push": 12189,
+            "queue_pop": 12189,
+            "scp_plus_inspect": 6351,
+            "scp_minus_inspect": 1730,
+            "anc_scan": 19161,
+            "dependent_inspect": 32867,
+            "star_term": 16738,
+        },
+        "aff_norm": 67960,
+        "diff": 44259,
     },
 }
 
@@ -149,3 +182,4 @@ def test_small_maintenance_pipeline(oracle_cls):
     records = run(oracle_cls, SMOKE_N)
     assert len(records) == 5
     assert all(record["aff_norm"] for record in records)
+    assert totals(records) == SMOKE_GOLDEN[oracle_cls.__name__]

@@ -2,28 +2,25 @@
 
 Every kernel in :mod:`repro.perf.kernels` claims bit-identity with a
 scalar reference path that stays in the codebase for exactly this
-purpose (``H2HIndex.evaluate_entry``, ``DirectedH2HIndex.evaluate_entry``,
-per-triple dict lookups).  These tests sweep whole indexes and assert
-the identity exactly — ``==`` on floats, no tolerances — plus a
-slow-suite microbench gate: the vectorized row evaluation must not lose
-to the scalar loop even on a small network.
+purpose (``H2HIndex.evaluate_entry``, ``DirectedH2HIndex.evaluate_entry``).
+These tests sweep whole indexes and assert the identity exactly —
+``==`` on floats, no tolerances — plus a slow-suite microbench gate:
+the vectorized row evaluation must not lose to the scalar loop even on
+a small network.
 """
 
 from __future__ import annotations
 
-import math
 from time import perf_counter
 
 import numpy as np
 import pytest
 
-from repro.ch.shortcut_graph import ShortcutGraph
 from repro.directed.graph import DiRoadNetwork
 from repro.directed.h2h import TO, FROM, directed_h2h_indexing
 from repro.graph.generators import road_network
 from repro.graph import grid_network
 from repro.h2h.indexing import h2h_indexing
-from repro.order.ordering import Ordering
 from repro.perf import kernels
 
 
@@ -94,27 +91,6 @@ class TestDirectedKernels:
                     row = kernels.candidate_row(index, direction, u, v, 2.5)
                     for da in range(du):
                         assert row[da] == 2.5 + index._sd(direction, u, v, da)
-
-
-class TestRelaxArrays:
-    def test_matches_dict_lookups(self, index):
-        sc = index.sc
-        for u in range(min(index.n, 20)):
-            for v in sc.upward(u):
-                triples = list(sc.scp_plus(u, v))
-                if not triples:
-                    continue
-                cands, currents = kernels.relax_arrays(sc, triples, 3.25)
-                for i, (x, w_mid, y) in enumerate(triples):
-                    assert cands[i] == sc.weight(x, w_mid) + 3.25
-                    assert currents[i] == sc.weight(w_mid, y)
-
-    def test_handles_infinite_legs(self):
-        adj = [{1: math.inf}, {0: math.inf, 2: 4.0}, {1: 4.0}]
-        sc = ShortcutGraph(Ordering([0, 1, 2]), adj, {(1, 2): 4.0})
-        cands, currents = kernels.relax_arrays(sc, [(0, 1, 2)], 1.0)
-        assert math.isinf(cands[0])
-        assert currents[0] == 4.0
 
 
 @pytest.mark.slow

@@ -136,6 +136,38 @@ class TestEquationEvaluation:
         with pytest.raises(IndexError_, match="map back"):
             paper_sc.validate()
 
+    def test_validate_catches_missing_fill_shortcut(self, paper_sc):
+        # DCH± reads every partner <w, y> of an nbr+(x) row without a
+        # membership test, so a missing fill shortcut must fail validate().
+        edges = paper_sc.edge_weights()
+        fill = next(key for key in paper_sc.shortcuts() if key not in edges)
+        adj = [{} for _ in range(paper_sc.n)]
+        for (a, b), w in paper_sc.weight_snapshot().items():
+            if (a, b) != fill:
+                adj[a][b] = adj[b][a] = w
+        broken = ShortcutGraph(paper_sc.ordering, adj, edges)
+        with pytest.raises(IndexError_, match="clique"):
+            broken.validate()
+
+    def test_validate_catches_wrong_priority(self, paper_sc):
+        paper_sc.structure.prio[0] += 1
+        with pytest.raises(IndexError_, match="priorities"):
+            paper_sc.validate()
+
+    def test_insert_edge_on_clone_rebuilds_priorities(self, medium_road):
+        from repro.ch.edge_updates import insert_edge
+
+        sc = ch_indexing(medium_road)
+        clone = sc.clone()
+        u = 0
+        far = next(t for t in range(sc.n - 1, 0, -1) if not sc.has_shortcut(u, t))
+        new_shortcuts, _changed = insert_edge(clone, u, far, 1.0)
+        assert new_shortcuts
+        assert clone.structure is not sc.structure
+        assert len(clone.structure.prio) == clone.num_shortcuts
+        clone.validate()
+        sc.validate()
+
 
 class TestScpEnumeration:
     def test_scp_minus_symmetric_in_arguments(self, paper_sc):

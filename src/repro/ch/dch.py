@@ -91,12 +91,7 @@ def _trace_boundedness(sp, index, delta, changed, ops, ops_before) -> None:
     from repro.core.changed import ch_change_metrics  # circular at module level
 
     metrics = ch_change_metrics(index, delta, changed)
-    current = ops.as_dict()
-    call_ops = {
-        channel: count - ops_before.get(channel, 0)
-        for channel, count in current.items()
-        if count - ops_before.get(channel, 0)
-    }
+    call_ops = ops.since(ops_before)
     sp.set(
         delta=delta,
         changed=len(changed),

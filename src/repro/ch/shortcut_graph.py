@@ -57,7 +57,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate, chain
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -161,6 +161,39 @@ class ShortcutStructure:
             np.minimum(self.low, self.high).tolist(),
             np.maximum(self.low, self.high).tolist(),
         )
+
+    def validate(self, rank: Sequence[int]) -> None:
+        """Raise :class:`IndexError_` unless every slot maps back,
+        ``nbr+(u)`` / ``nbr-(u)`` are the rank-sorted higher / lower
+        neighbors of ``u`` matching the slot rows, every ``nbr+(u)`` is a
+        clique and the priorities match *rank* (both CH stores call it)."""
+        for s, (low, high) in enumerate(zip(self.low.tolist(), self.high.tolist())):
+            if self.slot[low].get(high) != s or self.slot[high].get(low) != s:
+                raise IndexError_(f"slot {s} <{low}, {high}> does not map back")
+        if sum(map(len, self.slot)) != 2 * len(self.low):
+            raise IndexError_("a slot map holds a pair with no slot")
+        by_rank = rank.__getitem__
+        for u, nbrs in enumerate(self.slot):
+            higher = sorted((v for v in nbrs if rank[v] > rank[u]), key=by_rank)
+            lower = sorted((v for v in nbrs if rank[v] < rank[u]), key=by_rank)
+            if self.up[u] != higher:
+                raise IndexError_(f"nbr+({u}) is not its higher neighbors")
+            if self.down[u] != lower:
+                raise IndexError_(f"nbr-({u}) is not its lower neighbors")
+            if self.high[self.ptr[u] : self.ptr[u + 1]].tolist() != higher:
+                raise IndexError_(f"slots of row {u} are not nbr+({u})")
+            if [nbrs[t] for t in lower] != self.down_slots[u]:
+                raise IndexError_(f"down_slots({u}) do not match nbr-({u})")
+            # DCH± walks nbr+(x) as the scp+ row of every <x, y>, reading
+            # each partner <w, y> without a membership test.
+            for i, a in enumerate(higher):
+                if not all(map(self.slot[a].__contains__, higher[i + 1 :])):
+                    raise IndexError_(f"nbr+({u}) is not a clique")
+        rank_arr = np.asarray(rank, dtype=np.int64)
+        if not np.array_equal(
+            self.prio, rank_arr[self.low] * len(self.up) + rank_arr[self.high]
+        ):
+            raise IndexError_("slot priorities do not match the ranks")
 
 
 class ShortcutGraph:
@@ -280,10 +313,6 @@ class ShortcutGraph:
             return self._slot[u][v]
         except (KeyError, IndexError):
             raise IndexError_(f"no shortcut between {u} and {v}") from None
-
-    def row_slots(self, u: int, vs: Iterable[int]) -> List[int]:
-        """The slots of the shortcuts ``<u, v>``, ``v`` in *vs*."""
-        return list(map(self._slot[u].__getitem__, vs))
 
     def slot_views(self) -> Tuple[memoryview, memoryview, memoryview, memoryview]:
         """Memoryviews over the four slot arrays — ``phi``, ``phi(e, G)``,
@@ -669,7 +698,7 @@ class ShortcutGraph:
         clique and the slot priorities match the ranks — then
         Equation (<>) for every shortcut and every support counter.
         """
-        self._validate_structure()
+        self._st.validate(self._rank)
         for u, v in self.shortcuts():
             weight, support, _witness = self._equation(u, v, None)
             s = self._slot[u][v]
@@ -683,36 +712,6 @@ class ShortcutGraph:
                     f"<{u}, {v}>: stored support {self._supv[s]}, "
                     f"actual {support}"
                 )
-
-    def _validate_structure(self) -> None:
-        st, rank = self._st, self._rank
-        for s, (low, high) in enumerate(zip(st.low.tolist(), st.high.tolist())):
-            if st.slot[low].get(high) != s or st.slot[high].get(low) != s:
-                raise IndexError_(f"slot {s} <{low}, {high}> does not map back")
-        if sum(map(len, st.slot)) != 2 * len(st.low):
-            raise IndexError_("a slot map holds a pair with no slot")
-        by_rank = rank.__getitem__
-        for u, nbrs in enumerate(st.slot):
-            higher = sorted((v for v in nbrs if rank[v] > rank[u]), key=by_rank)
-            lower = sorted((v for v in nbrs if rank[v] < rank[u]), key=by_rank)
-            if st.up[u] != higher:
-                raise IndexError_(f"nbr+({u}) is not its higher neighbors")
-            if st.down[u] != lower:
-                raise IndexError_(f"nbr-({u}) is not its lower neighbors")
-            if st.high[st.ptr[u] : st.ptr[u + 1]].tolist() != higher:
-                raise IndexError_(f"slots of row {u} are not nbr+({u})")
-            if [nbrs[t] for t in lower] != st.down_slots[u]:
-                raise IndexError_(f"down_slots({u}) do not match nbr-({u})")
-            # DCH± walks nbr+(x) as the scp+ row of every <x, y>, reading
-            # each partner <w, y> without a membership test.
-            for i, a in enumerate(higher):
-                if not all(map(st.slot[a].__contains__, higher[i + 1 :])):
-                    raise IndexError_(f"nbr+({u}) is not a clique")
-        rank_arr = np.asarray(rank, dtype=np.int64)
-        if not np.array_equal(
-            st.prio, rank_arr[st.low] * len(st.up) + rank_arr[st.high]
-        ):
-            raise IndexError_("slot priorities do not match the ranks")
 
     def __repr__(self) -> str:
         return f"ShortcutGraph(n={self.n}, shortcuts={self.num_shortcuts})"

@@ -13,14 +13,30 @@ Equation (<>)::
 Queries run a forward upward search from ``s`` over out-weights and a
 backward upward search from ``t`` over in-weights; the answer is the
 best meeting point, as in the classic directed CH [26].
+
+One slot store for both directions
+----------------------------------
+The skeleton is laid out once in the undirected index's
+:class:`~repro.ch.shortcut_graph.ShortcutStructure`, shared by every
+clone together with ``(2, slots)`` arc flags.  Shortcut ``<low, high>``
+in slot ``s`` owns column ``s`` of three ``(2, slots)`` arrays — the
+weights ``phi``, the arc weights ``phi_G`` (``inf`` off G) and the
+supports — row ``TO`` for ``low -> high``, row ``FROM`` for
+``high -> low``; clones copy only these.  Flattened, direction ``d`` of
+slot ``s`` is the *arc id* ``d * slots + s`` that directed DCH±
+(:mod:`repro.directed.dch`) queues.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from itertools import chain
 from typing import Dict, Iterator, List, Optional, Tuple
 
+import numpy as np
+
+from repro.ch.shortcut_graph import ShortcutStructure
 from repro.directed.graph import DiRoadNetwork
 from repro.errors import IndexError_, QueryError
 from repro.order.min_degree import minimum_degree_ordering
@@ -32,11 +48,17 @@ __all__ = ["DirectedShortcutGraph", "directed_ch_indexing", "directed_ch_distanc
 #: A directed shortcut: the ordered pair (tail, head).
 Arc = Tuple[int, int]
 
+#: Rows of the ``(2, slots)`` arrays: ``low -> high`` and ``high -> low``.
+TO, FROM = 0, 1
+
+_INF = math.inf
+
 
 class DirectedShortcutGraph:
-    """The directed CH index: per-direction shortcut weights + supports."""
+    """The directed CH index: two weights and supports per skeleton slot."""
 
-    __slots__ = ("ordering", "_rank", "_w", "_up", "_down", "_arc_w", "_sup")
+    __slots__ = ("ordering", "_rank", "_st", "_arc", "_phi", "_phi_g", "_count",
+                 "_phiv", "_phigv", "_countv")
 
     def __init__(
         self,
@@ -44,186 +66,235 @@ class DirectedShortcutGraph:
         weights: List[Dict[int, float]],
         arc_weights: Dict[Arc, float],
     ) -> None:
+        """Lay out *weights* (``weights[u][v] = phi(u -> v)``, key sets
+        symmetric) and the arcs of G (*arc_weights*) in one pass;
+        supports start at 0."""
         self.ordering = ordering
-        self._rank = ordering.rank
-        self._w = weights  # _w[u][v] = phi(u -> v); key sets symmetric
-        rank = self._rank
-        self._up: List[List[int]] = [
-            sorted((v for v in weights[u] if rank[v] > rank[u]),
-                   key=rank.__getitem__)
-            for u in range(len(weights))
+        self._rank = rank = ordering.rank
+        up = [
+            sorted((v for v in nbrs if rank[v] > rank[u]), key=rank.__getitem__)
+            for u, nbrs in enumerate(weights)
         ]
-        self._down: List[List[int]] = [
-            sorted((v for v in weights[u] if rank[v] < rank[u]),
-                   key=rank.__getitem__)
-            for u in range(len(weights))
-        ]
-        self._arc_w = arc_weights
-        self._sup: Dict[Arc, int] = {}
+        st = ShortcutStructure(rank, up)
+        pairs = list(zip(st.low.tolist(), st.high.tolist()))
+        forward = [weights[x][y] for x, y in pairs]  # row TO
+        phi = np.array([forward, [weights[y][x] for x, y in pairs]], dtype=np.float64)
+        self._arc = np.zeros(phi.shape, dtype=bool)
+        self._adopt(st, phi, np.full(phi.shape, _INF), np.zeros(phi.shape, np.int64))
+        arcs = [self.arc_id(u, v) for u, v in arc_weights]
+        self._arc.reshape(-1)[arcs] = True
+        self._phi_g.reshape(-1)[arcs] = list(arc_weights.values())
+        st.edge[:] = self._arc.any(axis=0)
+
+    def _adopt(self, st, phi, phi_g, count) -> None:
+        """Install structure *st* and the three weight-dependent arrays."""
+        self._st = st
+        self._phi, self._phi_g, self._count = phi, phi_g, count
+        self._phiv = memoryview(phi.reshape(-1))
+        self._phigv = memoryview(phi_g.reshape(-1))
+        self._countv = memoryview(count.reshape(-1))
 
     def clone(self) -> "DirectedShortcutGraph":
-        """An independent copy sharing the weight-independent skeleton."""
+        """An independent copy sharing the structure and the arc flags;
+        only ``phi``, ``phi_G`` and the supports are copied."""
         dup = DirectedShortcutGraph.__new__(DirectedShortcutGraph)
         dup.ordering = self.ordering
         dup._rank = self._rank
-        dup._w = [dict(nbrs) for nbrs in self._w]
-        dup._up = self._up
-        dup._down = self._down
-        dup._arc_w = dict(self._arc_w)
-        dup._sup = dict(self._sup)
+        dup._arc = self._arc
+        dup._adopt(
+            self._st, self._phi.copy(), self._phi_g.copy(), self._count.copy()
+        )
         return dup
 
     # ------------------------------------------------------------------
     @property
     def n(self) -> int:
         """Number of vertices."""
-        return len(self._w)
+        return len(self._st.slot)
 
     @property
     def num_shortcuts(self) -> int:
         """Number of skeleton shortcuts (each carries two weights)."""
-        return sum(len(nbrs) for nbrs in self._w) // 2
+        return len(self._st.low)
+
+    @property
+    def structure(self) -> ShortcutStructure:
+        """The weight-independent skeleton (shared with clones)."""
+        return self._st
+
+    @property
+    def slot_weights(self) -> np.ndarray:
+        """The live ``(2, slots)`` weights: row ``TO`` ``phi(low -> high)``,
+        row ``FROM`` ``phi(high -> low)``.  Read only."""
+        return self._phi
+
+    def slot_views(self) -> Tuple[memoryview, memoryview, memoryview]:
+        """Flat memoryviews over ``phi``, ``phi_G`` and the supports,
+        indexed by arc id, for the slot-native loops of
+        :mod:`repro.directed.dch`.  Writes go straight into this index."""
+        return self._phiv, self._phigv, self._countv
+
+    def arc_id(self, u: int, v: int) -> int:
+        """The arc id ``d * slots + s`` of the directed shortcut ``u -> v``."""
+        try:
+            s = self._st.slot[u][v]
+        except (KeyError, IndexError):
+            raise IndexError_(f"no shortcut between {u} and {v}") from None
+        return s if self._rank[u] < self._rank[v] else s + len(self._st.low)
 
     def has_shortcut(self, u: int, v: int) -> bool:
         """True if the skeleton shortcut between *u* and *v* exists."""
-        return v in self._w[u]
+        return v in self._st.slot[u]
 
     def weight(self, u: int, v: int) -> float:
         """``phi(u -> v)``."""
-        try:
-            return self._w[u][v]
-        except (KeyError, IndexError):
-            raise IndexError_(f"no shortcut between {u} and {v}") from None
+        return self._phiv[self.arc_id(u, v)]
 
     def set_weight(self, u: int, v: int, weight: float) -> None:
         """Overwrite ``phi(u -> v)`` (maintenance only)."""
-        if v not in self._w[u]:
-            raise IndexError_(f"no shortcut between {u} and {v}")
-        self._w[u][v] = weight
+        self._phiv[self.arc_id(u, v)] = weight
 
     def arc_weight(self, u: int, v: int) -> float:
         """``phi_G(u -> v)``: the arc's weight in G, or inf."""
-        return self._arc_w.get((u, v), math.inf)
+        try:
+            return self._phigv[self.arc_id(u, v)]
+        except IndexError_:
+            return _INF
 
     def set_arc_weight(self, u: int, v: int, weight: float) -> None:
         """Overwrite the stored arc weight of ``u -> v``."""
-        if (u, v) not in self._arc_w:
+        if not self.is_arc(u, v):
             raise IndexError_(f"({u} -> {v}) is not an arc of G")
-        self._arc_w[(u, v)] = weight
+        self._phigv[self.arc_id(u, v)] = weight
 
     def is_arc(self, u: int, v: int) -> bool:
         """True if ``u -> v`` is an original arc of G."""
-        return (u, v) in self._arc_w
+        try:
+            return bool(self._arc.reshape(-1)[self.arc_id(u, v)])
+        except IndexError_:
+            return False
 
     def support(self, u: int, v: int) -> int:
         """Number of directed Equation (<>) terms attaining ``phi(u -> v)``."""
-        return self._sup[(u, v)]
+        return self._countv[self.arc_id(u, v)]
 
     def set_support(self, u: int, v: int, value: int) -> None:
         """Overwrite the support of the directed shortcut ``u -> v``."""
-        self._sup[(u, v)] = value
+        self._countv[self.arc_id(u, v)] = value
 
     def upward(self, u: int) -> List[int]:
         """Skeleton upward neighbors of *u*."""
-        return self._up[u]
+        return self._st.up[u]
 
     def downward(self, u: int) -> List[int]:
         """Skeleton downward neighbors of *u*."""
-        return self._down[u]
+        return self._st.down[u]
 
-    def upward_out_weights(self, u: int) -> List[float]:
-        """``phi(u -> v)`` for ``v in nbr+(u)``, aligned with :meth:`upward`."""
-        w_u = self._w[u]
-        return [w_u[v] for v in self._up[u]]
-
-    def upward_in_weights(self, u: int) -> List[float]:
-        """``phi(v -> u)`` for ``v in nbr+(u)``, aligned with :meth:`upward`."""
-        w = self._w
-        return [w[v][u] for v in self._up[u]]
+    def upward_weight_row(self, u: int, d: int) -> List[float]:
+        """Row *d* of ``nbr+(u)``'s slots as Python floats, aligned with
+        :meth:`upward`: ``phi(u -> v)`` for ``TO``, ``phi(v -> u)`` for
+        ``FROM``."""
+        ptr, off = self._st.ptr, d * len(self._st.low)
+        return self._phiv[off + ptr[u] : off + ptr[u + 1]].tolist()
 
     def lower_endpoint(self, u: int, v: int) -> int:
         """The skeleton endpoint with the smaller rank."""
         return u if self._rank[u] < self._rank[v] else v
 
     def shortcut_arcs(self) -> Iterator[Arc]:
-        """All directed shortcuts (two per skeleton shortcut)."""
-        for u, nbrs in enumerate(self._w):
-            for v in nbrs:
-                yield (u, v)
-
-    def scp_minus(self, u: int, v: int) -> Iterator[int]:
-        """Shared vertices *t* of the skeleton's downward pairs."""
-        rank = self._rank
-        limit = min(rank[u], rank[v])
-        down_u, down_v = self._down[u], self._down[v]
-        if len(down_u) <= len(down_v):
-            smaller, other = down_u, self._w[v]
-        else:
-            smaller, other = down_v, self._w[u]
-        for t in smaller:
-            if rank[t] < limit and t in other:
-                yield t
+        """All directed shortcuts (two per skeleton shortcut), by arc id."""
+        low, high = self._st.low.tolist(), self._st.high.tolist()
+        return chain(zip(low, high), zip(high, low))
 
     # ------------------------------------------------------------------
+    def _equation(self, k: int, counter: Optional[OpCounter]) -> Tuple[float, int]:
+        """Directed Equation (<>) for arc id *k*: ``(value, support)``."""
+        st, rank = self._st, self._rank
+        m = len(st.low)
+        d, s = divmod(k, m)
+        x, y = st.low_view[s], st.high_view[s]
+        u, v = (x, y) if d == TO else (y, x)
+        wv = self._phiv
+        best = self._phigv[k]
+        support = 0 if best == _INF else 1
+        # Terms phi(u -> t) + phi(t -> v) over the common lower neighbors t:
+        # u -> t is row FROM of <t, u>, t -> v row TO of <t, v>.  Walk the
+        # smaller nbr- list (rank order, so the first t at or above x's
+        # rank ends it) beside its slots.
+        if len(st.down[u]) <= len(st.down[v]):
+            smaller, smaller_slots, other = st.down[u], st.down_slots[u], st.slot[v]
+            own, far = m, 0
+        else:
+            smaller, smaller_slots, other = st.down[v], st.down_slots[v], st.slot[u]
+            own, far = 0, m
+        limit = rank[x]
+        inspected = 0
+        for t, s_t in zip(smaller, smaller_slots):
+            if rank[t] >= limit:
+                break
+            if t in other:
+                inspected += 1
+                candidate = wv[own + s_t] + wv[far + other[t]]
+                if candidate < best:
+                    best = candidate
+                    support = 1
+                elif candidate == best and candidate != _INF:
+                    support += 1
+        resolve_counter(counter).add("scp_minus_inspect", inspected)
+        return best, support
+
     def evaluate_arc(
         self, u: int, v: int, counter: Optional[OpCounter] = None
     ) -> Tuple[float, int]:
         """Directed Equation (<>) for ``u -> v``: ``(value, support)``."""
-        ops = resolve_counter(counter)
-        w_u = self._w[u]
-        arc = self._arc_w.get((u, v), math.inf)
-        best = arc
-        support = 0 if math.isinf(best) else 1
-        inspected = 0
-        for t in self.scp_minus(u, v):
-            inspected += 1
-            candidate = w_u[t] + self._w[t][v]
-            if candidate < best:
-                best = candidate
-                support = 1
-            elif candidate == best and not math.isinf(candidate):
-                support += 1
-        ops.add("scp_minus_inspect", inspected)
-        return best, support
+        return self._equation(self.arc_id(u, v), counter)
 
     def recompute_arc(
         self, u: int, v: int, counter: Optional[OpCounter] = None
     ) -> float:
         """Recompute and store ``phi(u -> v)`` and its support."""
-        value, support = self.evaluate_arc(u, v, counter)
-        self._w[u][v] = value
-        self._sup[(u, v)] = support
+        return self.recompute_id(self.arc_id(u, v), counter)
+
+    def recompute_id(self, k: int, counter: Optional[OpCounter] = None) -> float:
+        """:meth:`recompute_arc` for arc id *k*."""
+        value, support = self._equation(k, counter)
+        self._phiv[k] = value
+        self._countv[k] = support
         return value
 
-    def rebuild_supports(self) -> None:
-        """Initialize supports for every directed shortcut."""
-        for u, v in self.shortcut_arcs():
-            value, support = self.evaluate_arc(u, v)
-            if value != self._w[u][v]:
+    def _check_arcs(self, store: bool) -> None:
+        """Every arc against the directed Equation (<>): store its support
+        (*store*) or check the stored one."""
+        for k, (u, v) in enumerate(self.shortcut_arcs()):
+            value, support = self._equation(k, None)
+            if value != self._phiv[k]:
                 raise IndexError_(
-                    f"arc {u}->{v}: stored {self._w[u][v]}, equation {value}"
+                    f"arc {u}->{v}: stored {self._phiv[k]}, equation {value}"
                 )
-            self._sup[(u, v)] = support
-
-    def validate(self) -> None:
-        """Check both directed weights and supports of every shortcut."""
-        for u, v in self.shortcut_arcs():
-            value, support = self.evaluate_arc(u, v)
-            if value != self._w[u][v]:
+            if store:
+                self._countv[k] = support
+            elif self._countv[k] != support:
                 raise IndexError_(
-                    f"arc {u}->{v}: stored {self._w[u][v]}, equation {value}"
-                )
-            if self._sup.get((u, v)) != support:
-                raise IndexError_(
-                    f"arc {u}->{v}: stored support {self._sup.get((u, v))}, "
+                    f"arc {u}->{v}: stored support {self._countv[k]}, "
                     f"actual {support}"
                 )
 
+    def rebuild_supports(self) -> None:
+        """Initialize supports for every directed shortcut."""
+        self._check_arcs(store=True)
+
+    def validate(self) -> None:
+        """Check the shared structure, that only arcs of G carry a finite
+        ``phi_G``, and both directed weights and supports of every
+        shortcut."""
+        self._st.validate(self._rank)
+        stray = np.flatnonzero(~self._arc & (self._phi_g != _INF))
+        if len(stray):
+            raise IndexError_(f"arc id {int(stray[0])} is not an arc of G")
+        self._check_arcs(store=False)
+
     def __repr__(self) -> str:
-        return (
-            f"DirectedShortcutGraph(n={self.n}, "
-            f"shortcuts={self.num_shortcuts})"
-        )
+        return f"DirectedShortcutGraph(n={self.n}, shortcuts={self.num_shortcuts})"
 
 
 def directed_ch_indexing(
@@ -259,13 +330,11 @@ def directed_ch_indexing(
                 # v -> u -> w and w -> u -> v.
                 for a, b in ((v, w), (w, v)):
                     candidate = weights[a][u] + weights[u][b]
-                    current = weights[a].get(b, math.inf)
-                    if candidate < current:
+                    if candidate < weights[a].get(b, math.inf):
                         weights[a][b] = candidate
-                        weights[b].setdefault(a, math.inf)
-                    elif b not in weights[a]:
-                        weights[a][b] = math.inf
-                        weights[b].setdefault(a, math.inf)
+                    else:
+                        weights[a].setdefault(b, math.inf)
+                    weights[b].setdefault(a, math.inf)
 
     index = DirectedShortcutGraph(
         ordering, weights, {(u, v): w for u, v, w in graph.arcs()}
@@ -283,8 +352,9 @@ def directed_ch_distance(
     """``sd(s -> t)`` via forward-upward / backward-upward searches.
 
     The loop of :func:`repro.ch.query.ch_distance`: the forward side
-    relaxes ``nbr+(u)`` over out-weights ``phi(u -> v)``, the backward
-    side over in-weights ``phi(v -> u)``.
+    relaxes ``nbr+(u)`` over out-weights ``phi(u -> v)`` (row ``TO`` of
+    the slot row), the backward side over in-weights ``phi(v -> u)``
+    (row ``FROM``).
     """
     n = index.n
     if not 0 <= s < n:
@@ -293,9 +363,12 @@ def directed_ch_distance(
         raise QueryError(f"target {t} out of range [0, {n})")
     if s == t:
         return 0.0
-    up = index._up  # hot loop: direct access by design
-    out_weights = index.upward_out_weights
-    in_weights = index.upward_in_weights
+    # Hot loop: row u's weights in direction d are the contiguous arc ids
+    # d * slots + ptr[u] .. d * slots + ptr[u + 1].
+    st = index.structure
+    up, ptr = st.up, st.ptr
+    weights = index.slot_views()[0]
+    backward = index.num_shortcuts
     heappush, heappop = heapq.heappush, heapq.heappop
     inf = math.inf
     dist_f = [inf] * n
@@ -312,11 +385,11 @@ def directed_ch_distance(
         if top_f <= top_b:
             if top_f >= best:  # min(top_f, top_b) >= best
                 break
-            heap, dist, other, weights = heap_f, dist_f, dist_b, out_weights
+            heap, dist, other, off = heap_f, dist_f, dist_b, 0
         else:
             if top_b >= best:
                 break
-            heap, dist, other, weights = heap_b, dist_b, dist_f, in_weights
+            heap, dist, other, off = heap_b, dist_b, dist_f, backward
         d, u = heappop(heap)
         if d > dist[u]:
             continue
@@ -325,7 +398,7 @@ def directed_ch_distance(
             best = through
         nbrs = up[u]
         relaxed += len(nbrs)
-        for v, w in zip(nbrs, weights(u)):
+        for v, w in zip(nbrs, weights[off + ptr[u] : off + ptr[u + 1]].tolist()):
             nd = d + w
             if nd < dist[v]:
                 dist[v] = nd

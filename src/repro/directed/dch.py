@@ -14,19 +14,32 @@ and each skeleton upward neighbor ``w`` of ``l``:
 Priorities, supports and the decrease-pass dedup rule (skip a pair when
 its other leg is still queued) all work exactly as in the undirected
 implementation, applied per directed shortcut.
+
+Slot-native queue
+-----------------
+Both run on the arc ids ``d * slots + s`` of the flat store
+(:mod:`repro.directed.ch`) as :mod:`repro.ch.dch` runs on slots: one
+``heapq`` of ``(2 * prio[s] + d, arc id)`` (so ``l -> h`` pops just
+before ``h -> l``) and a per-call ``bytearray`` of queue flags.  A pop
+on ``<l, h>`` walks the ``nbr+(l)`` row: the leg through ``w`` is slot
+``ptr[l] + k`` in the other direction, and the partner ``slot[h][w]``
+keeps the popped direction until the walk passes ``h`` (the row is rank
+sorted).  The loops stay apart from the undirected ones, whose every pop
+a direction branch would cost.  ``tests/test_directed_dch_slots.py``
+holds them bit-equal to ``tests/reference_directed_dch.py``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Set, Tuple
+from heapq import heappop, heappush
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.directed.ch import Arc, DirectedShortcutGraph
+from repro.directed.ch import TO, Arc, DirectedShortcutGraph
 from repro.errors import UpdateError
 from repro.obs import names
 from repro.obs.trace import span
 from repro.utils.counters import OpCounter, resolve_counter
-from repro.utils.heap import AddressableHeap
 
 __all__ = ["directed_dch_increase", "directed_dch_decrease"]
 
@@ -35,6 +48,8 @@ ArcUpdate = Tuple[Arc, float]
 
 #: A changed directed shortcut with old and new weight.
 ChangedArc = Tuple[Arc, float, float]
+
+_INF = math.inf
 
 
 def _validate(
@@ -56,34 +71,6 @@ def _validate(
             raise UpdateError(f"decrease got an increase on ({u} -> {v})")
 
 
-def _priority(index: DirectedShortcutGraph, arc: Arc) -> Tuple[int, int, int]:
-    rank = index.ordering.rank
-    u, v = arc
-    return (min(rank[u], rank[v]), max(rank[u], rank[v]), rank[u])
-
-
-def _partners(index: DirectedShortcutGraph, arc: Arc):
-    """Yield ``(other_leg, partner)`` for every candidate *arc* feeds.
-
-    ``other_leg`` is the second directed shortcut in the candidate sum
-    and ``partner`` the directed shortcut the candidate bounds.
-    """
-    u, v = arc
-    low = index.lower_endpoint(u, v)
-    if u == low:
-        # arc = l -> h: candidate phi(w -> l) + phi(l -> h) for (w -> h).
-        high = v
-        for w_mid in index.upward(low):
-            if w_mid != high and w_mid in index._w[high]:
-                yield (w_mid, low), (w_mid, high)
-    else:
-        # arc = h -> l: candidate phi(h -> l) + phi(l -> w) for (h -> w).
-        high = u
-        for w_mid in index.upward(low):
-            if w_mid != high and w_mid in index._w[high]:
-                yield (low, w_mid), (high, w_mid)
-
-
 def trace_directed_call(sp, delta: int, changed_count: int, ops, ops_before) -> None:
     """Attach batch size, |C| and per-call op counts to a directed span.
 
@@ -91,12 +78,7 @@ def trace_directed_call(sp, delta: int, changed_count: int, ops, ops_before) -> 
     outer call only (no per-phase spans, no AFF/DIFF currencies — the
     change-metrics helpers are defined for the undirected index).
     """
-    current = ops.as_dict()
-    call_ops = {
-        channel: count - ops_before.get(channel, 0)
-        for channel, count in current.items()
-        if count - ops_before.get(channel, 0)
-    }
+    call_ops = ops.since(ops_before)
     sp.set(
         delta=delta,
         changed=changed_count,
@@ -117,40 +99,64 @@ def directed_dch_increase(
             counter = OpCounter()
         ops = resolve_counter(counter)
         ops_before = ops.as_dict() if sp.active else None
-        queue: AddressableHeap[Arc] = AddressableHeap()
+        st = index.structure
+        slot, up, ptr = st.slot, st.up, st.ptr
+        low, high, prio = st.low_view, st.high_view, st.prio_view
+        wv, gv, supv = index.slot_views()
+        m = len(low)
+        queue: List[Tuple[int, int]] = []
+        queued = bytearray(2 * m)
 
         for (u, v), w in updates:
             ops.add("delta_inspect")
-            old_arc = index.arc_weight(u, v)
-            if w > old_arc and not math.isinf(old_arc) and (
-                old_arc == index.weight(u, v)
-            ):
-                sup = index.support(u, v) - 1
-                index.set_support(u, v, sup)
+            k = index.arc_id(u, v)
+            old_arc = gv[k]
+            if w > old_arc and old_arc != _INF and old_arc == wv[k]:
+                sup = supv[k] - 1
+                supv[k] = sup
                 if sup == 0:
-                    queue.push((u, v), _priority(index, (u, v)))
+                    if not queued[k]:
+                        queued[k] = 1
+                        heappush(queue, (2 * prio[k % m] + k // m, k))
                     ops.add("queue_push")
-            index.set_arc_weight(u, v, w)
+            gv[k] = w
 
         changed: List[ChangedArc] = []
         while queue:
-            arc, _ = queue.pop()
+            k = heappop(queue)[1]
+            queued[k] = 0
             ops.add("queue_pop")
-            u, v = arc
-            old_weight = index.weight(u, v)
-            if not math.isinf(old_weight):
-                for (a, b), (p, q) in _partners(index, arc):
-                    ops.add("scp_plus_inspect")
-                    candidate = old_weight + index._w[a][b]
-                    if not math.isinf(candidate) and index._w[p][q] == candidate:
-                        sup = index.support(p, q) - 1
-                        index.set_support(p, q, sup)
+            d, s = divmod(k, m)
+            x, y = low[s], high[s]
+            old_weight = wv[k]
+            # An infinite weight supports nothing.
+            if old_weight != _INF:
+                row = up[x]
+                if len(row) > 1:
+                    ops.add("scp_plus_inspect", len(row) - 1)
+                slot_y = slot[y]
+                a, b = (1 - d) * m + ptr[x], (1 - d) * m + ptr[x + 1]
+                partner_d = d
+                for w_mid, leg_weight in zip(row, wv[a:b].tolist()):
+                    if w_mid == y:
+                        partner_d = 1 - d  # past y, w is the low end
+                        continue
+                    candidate = old_weight + leg_weight
+                    if candidate == _INF:
+                        continue
+                    p_s = slot_y[w_mid]
+                    partner = partner_d * m + p_s
+                    if wv[partner] == candidate:
+                        sup = supv[partner] - 1
+                        supv[partner] = sup
                         if sup == 0:
-                            queue.push((p, q), _priority(index, (p, q)))
+                            if not queued[partner]:
+                                queued[partner] = 1
+                                heappush(queue, (2 * prio[p_s] + partner_d, partner))
                             ops.add("queue_push")
-            new_weight = index.recompute_arc(u, v, ops)
+            new_weight = index.recompute_id(k, counter)
             if new_weight != old_weight:
-                changed.append((arc, old_weight, new_weight))
+                changed.append(((x, y) if d == TO else (y, x), old_weight, new_weight))
         if sp.active:
             trace_directed_call(sp, len(updates), len(changed), ops, ops_before)
     return changed
@@ -168,52 +174,74 @@ def directed_dch_decrease(
             counter = OpCounter()
         ops = resolve_counter(counter)
         ops_before = ops.as_dict() if sp.active else None
-        queue: AddressableHeap[Arc] = AddressableHeap()
-        original: dict = {}
+        st = index.structure
+        slot, up, ptr = st.slot, st.up, st.ptr
+        low, high, prio = st.low_view, st.high_view, st.prio_view
+        wv, gv, supv = index.slot_views()
+        m = len(low)
+        queue: List[Tuple[int, int]] = []
+        queued = bytearray(2 * m)
+        original: Dict[int, float] = {}  # arc id -> pre-batch weight
 
         for (u, v), w in updates:
             ops.add("delta_inspect")
-            old_arc = index.arc_weight(u, v)
-            index.set_arc_weight(u, v, w)
-            current = index.weight(u, v)
+            k = index.arc_id(u, v)
+            old_arc = gv[k]
+            gv[k] = w
+            current = wv[k]
             if w < current:
-                original.setdefault((u, v), current)
-                index.set_weight(u, v, w)
-                index.set_support(u, v, 1)
-                if (u, v) not in queue:
-                    queue.push((u, v), _priority(index, (u, v)))
+                original.setdefault(k, current)
+                wv[k] = w
+                supv[k] = 1
+                if not queued[k]:
+                    queued[k] = 1
+                    heappush(queue, (2 * prio[k % m] + k // m, k))
                     ops.add("queue_push")
-            elif w == current and w < old_arc and not math.isinf(w):
-                index.set_support(u, v, index.support(u, v) + 1)
+            elif w == current and w < old_arc and w != _INF:
+                supv[k] += 1
 
+        # A popped weight is finite: only a smaller value is ever queued.
         while queue:
-            arc, _ = queue.pop()
+            k = heappop(queue)[1]
+            queued[k] = 0
             ops.add("queue_pop")
-            u, v = arc
-            weight_e = index.weight(u, v)
-            if math.isinf(weight_e):
-                continue
-            for (a, b), (p, q) in _partners(index, arc):
-                ops.add("scp_plus_inspect")
-                if (a, b) in queue:
+            d, s = divmod(k, m)
+            x, y = low[s], high[s]
+            weight_e = wv[k]
+            row = up[x]
+            if len(row) > 1:
+                ops.add("scp_plus_inspect", len(row) - 1)
+            slot_y = slot[y]
+            a, b = (1 - d) * m + ptr[x], (1 - d) * m + ptr[x + 1]
+            partner_d = d
+            for w_mid, leg_weight, leg_queued in zip(
+                row, wv[a:b].tolist(), queued[a:b]
+            ):
+                if w_mid == y:
+                    partner_d = 1 - d  # past y, w is the low end
+                    continue
+                if leg_queued:
                     continue  # the other leg's pop evaluates this candidate
-                candidate = weight_e + index._w[a][b]
-                current = index._w[p][q]
+                p_s = slot_y[w_mid]
+                partner = partner_d * m + p_s
+                candidate = weight_e + leg_weight
+                current = wv[partner]
                 if candidate < current:
-                    original.setdefault((p, q), current)
-                    index.set_weight(p, q, candidate)
-                    index.set_support(p, q, 1)
-                    if (p, q) not in queue:
-                        queue.push((p, q), _priority(index, (p, q)))
+                    original.setdefault(partner, current)
+                    wv[partner] = candidate
+                    supv[partner] = 1
+                    if not queued[partner]:
+                        queued[partner] = 1
+                        heappush(queue, (2 * prio[p_s] + partner_d, partner))
                         ops.add("queue_push")
-                elif candidate == current and not math.isinf(candidate):
-                    index.set_support(p, q, index.support(p, q) + 1)
+                elif candidate == current and candidate != _INF:
+                    supv[partner] += 1
 
-        changed = [
-            (arc, old, index.weight(*arc))
-            for arc, old in original.items()
-            if index.weight(*arc) != old
-        ]
+        changed = []
+        for k, old in original.items():
+            if wv[k] != old:
+                x, y = low[k % m], high[k % m]
+                changed.append(((x, y) if k < m else (y, x), old, wv[k]))
         if sp.active:
             trace_directed_call(sp, len(updates), len(changed), ops, ops_before)
     return changed

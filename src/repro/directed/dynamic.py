@@ -65,7 +65,58 @@ def _split(
     return increases, decreases
 
 
-class DynamicDiCH:
+class _DirectedOracle:
+    """What the two directed facades share: the network, the counter,
+    cloning and :meth:`apply`, which splits a batch and hands each half to
+    the subclass's :meth:`_maintain`, collecting the changes in the report
+    list named :attr:`_changed`."""
+
+    _changed = ""
+
+    def clone(self):
+        """An independent copy: same answers, disjoint mutable state."""
+        dup = type(self).__new__(type(self))
+        dup._graph = self._graph.copy()
+        dup.counter = OpCounter()
+        dup.index = self.index.clone()
+        return dup
+
+    @property
+    def graph(self) -> DiRoadNetwork:
+        """The directed network in its current state."""
+        return self._graph
+
+    def apply(
+        self, updates: Sequence[ArcUpdate], *, coalesce: bool = False
+    ) -> DirectedUpdateReport:
+        """Apply a (possibly mixed) batch of arc-weight updates.
+
+        With *coalesce*, the raw stream is first merged per ordered arc
+        (last write wins) so each direction of a road coalesces
+        independently; final state matches per-update application.
+        """
+        superseded = dropped = 0
+        if coalesce:
+            batch = coalesce_updates(updates, self._graph.weight, directed=True)
+            updates = batch.updates
+            superseded, dropped = batch.superseded, batch.dropped
+        increases, decreases = _split(self._graph, updates)
+        ops = OpCounter()
+        report = DirectedUpdateReport(
+            len(increases), len(decreases), superseded=superseded, dropped=dropped
+        )
+        changed = getattr(report, self._changed)
+        for increase, batch in ((True, increases), (False, decreases)):
+            if batch:
+                for (u, v), w in batch:
+                    self._graph.set_weight(u, v, w)
+                changed += self._maintain(increase, batch, ops)
+        report.ops = ops.as_dict()
+        self.counter.merge(ops)
+        return report
+
+
+class DynamicDiCH(_DirectedOracle):
     """A directed contraction hierarchy under live arc-weight updates.
 
     Example
@@ -77,6 +128,8 @@ class DynamicDiCH:
     4.0
     """
 
+    _changed = "changed_shortcut_arcs"
+
     def __init__(
         self, graph: DiRoadNetwork, ordering: Optional[Ordering] = None
     ) -> None:
@@ -84,60 +137,13 @@ class DynamicDiCH:
         self.counter = OpCounter()
         self.index = directed_ch_indexing(graph, ordering, self.counter)
 
-    def clone(self) -> "DynamicDiCH":
-        """An independent copy: same answers, disjoint mutable state."""
-        dup = DynamicDiCH.__new__(DynamicDiCH)
-        dup._graph = self._graph.copy()
-        dup.counter = OpCounter()
-        dup.index = self.index.clone()
-        return dup
-
-    @property
-    def graph(self) -> DiRoadNetwork:
-        """The directed network in its current state."""
-        return self._graph
-
     def distance(self, s: int, t: int) -> float:
         """``sd(s -> t)`` under current weights."""
         return directed_ch_distance(self.index, s, t, self.counter)
 
-    def apply(
-        self, updates: Sequence[ArcUpdate], *, coalesce: bool = False
-    ) -> DirectedUpdateReport:
-        """Apply a (possibly mixed) batch of arc-weight updates.
-
-        With *coalesce*, the raw stream is first merged per ordered arc
-        (last write wins) so each direction of a road coalesces
-        independently; final state matches per-update application.
-        """
-        superseded = dropped = 0
-        if coalesce:
-            batch = coalesce_updates(updates, self._graph.weight, directed=True)
-            updates = batch.updates
-            superseded, dropped = batch.superseded, batch.dropped
-        increases, decreases = _split(self._graph, updates)
-        ops = OpCounter()
-        report = DirectedUpdateReport(
-            increases=len(increases),
-            decreases=len(decreases),
-            superseded=superseded,
-            dropped=dropped,
-        )
-        if increases:
-            for (u, v), w in increases:
-                self._graph.set_weight(u, v, w)
-            report.changed_shortcut_arcs += directed_dch_increase(
-                self.index, increases, ops
-            )
-        if decreases:
-            for (u, v), w in decreases:
-                self._graph.set_weight(u, v, w)
-            report.changed_shortcut_arcs += directed_dch_decrease(
-                self.index, decreases, ops
-            )
-        report.ops = ops.as_dict()
-        self.counter.merge(ops)
-        return report
+    def _maintain(self, increase: bool, batch, ops) -> List:
+        run = directed_dch_increase if increase else directed_dch_decrease
+        return run(self.index, batch, ops)
 
     def rebuild(self) -> None:
         """Recompute the index from the current network."""
@@ -146,8 +152,10 @@ class DynamicDiCH:
         )
 
 
-class DynamicDiH2H:
+class DynamicDiH2H(_DirectedOracle):
     """A directed H2H oracle under live arc-weight updates."""
+
+    _changed = "changed_super_shortcuts"
 
     def __init__(
         self, graph: DiRoadNetwork, ordering: Optional[Ordering] = None
@@ -156,65 +164,18 @@ class DynamicDiH2H:
         self.counter = OpCounter()
         self.index = directed_h2h_indexing(graph, ordering, self.counter)
 
-    def clone(self) -> "DynamicDiH2H":
-        """An independent copy: same answers, disjoint mutable state."""
-        dup = DynamicDiH2H.__new__(DynamicDiH2H)
-        dup._graph = self._graph.copy()
-        dup.counter = OpCounter()
-        dup.index = self.index.clone()
-        return dup
-
-    @property
-    def graph(self) -> DiRoadNetwork:
-        """The directed network in its current state."""
-        return self._graph
-
     def distance(self, s: int, t: int) -> float:
         """``sd(s -> t)`` read from the directed labels."""
         return directed_h2h_distance(self.index, s, t, self.counter)
+
+    def _maintain(self, increase: bool, batch, ops) -> List:
+        run = directed_inch2h_increase if increase else directed_inch2h_decrease
+        return run(self.index, batch, ops)
 
     def distance_many(self, sources, targets) -> np.ndarray:
         """:meth:`distance` for every pair ``(sources[i], targets[i])``
         in one vectorised scan (:meth:`DirectedH2HIndex.distance_many`)."""
         return self.index.distance_many(sources, targets, self.counter)
-
-    def apply(
-        self, updates: Sequence[ArcUpdate], *, coalesce: bool = False
-    ) -> DirectedUpdateReport:
-        """Apply a (possibly mixed) batch of arc-weight updates.
-
-        With *coalesce*, the raw stream is first merged per ordered arc
-        (last write wins) so each direction of a road coalesces
-        independently; final state matches per-update application.
-        """
-        superseded = dropped = 0
-        if coalesce:
-            batch = coalesce_updates(updates, self._graph.weight, directed=True)
-            updates = batch.updates
-            superseded, dropped = batch.superseded, batch.dropped
-        increases, decreases = _split(self._graph, updates)
-        ops = OpCounter()
-        report = DirectedUpdateReport(
-            increases=len(increases),
-            decreases=len(decreases),
-            superseded=superseded,
-            dropped=dropped,
-        )
-        if increases:
-            for (u, v), w in increases:
-                self._graph.set_weight(u, v, w)
-            report.changed_super_shortcuts += directed_inch2h_increase(
-                self.index, increases, ops
-            )
-        if decreases:
-            for (u, v), w in decreases:
-                self._graph.set_weight(u, v, w)
-            report.changed_super_shortcuts += directed_inch2h_decrease(
-                self.index, decreases, ops
-            )
-        report.ops = ops.as_dict()
-        self.counter.merge(ops)
-        return report
 
     def rebuild(self) -> None:
         """Recompute the index from the current network."""

@@ -24,14 +24,14 @@ A query is one position-array scan, as in the undirected case::
     sd(s -> t) = min over i in pos(lca) of dis_to(s)[i] + dis_from(t)[i]
 
 The labels are one ``(2, n, width)`` array per kind (``dis[TO]``,
-``dis[FROM]``), and the slot weights one ``(2, slots)`` array in the
-slot order of the tree's upward CSR (the undirected shortcut store's
-order): ``weights[TO][s] = phi(low -> high)`` and
-``weights[FROM][s] = phi(high -> low)`` for the slot ``s`` of shortcut
-``(low, high)``.  Directed IncH2H± is the undirected level-synchronous
-engine of :mod:`repro.h2h.inch2h` over these two matrices: only DCH
-and the label row each changed arc seeds (lines 3-12 of Algorithms 4-5)
-are directed here.
+``dis[FROM]``).  The slot weights are the directed CH store's own
+``(2, slots)`` array, whose slot order is the tree's upward CSR:
+``phi(low -> high)`` in row ``TO`` and ``phi(high -> low)`` in row
+``FROM`` for the slot of shortcut ``(low, high)``; directed DCH writes
+them in place, so the labels never read a stale copy.  Directed IncH2H±
+is the undirected level-synchronous engine of :mod:`repro.h2h.inch2h`
+over these two matrices: only DCH and the label row each changed arc
+seeds (lines 3-12 of Algorithms 4-5) are directed here.
 """
 
 from __future__ import annotations
@@ -79,8 +79,8 @@ TO, FROM = 0, 1
 
 class DirectedH2HIndex:
     """The directed H2H index: tree + ``(2, n, width)`` distance and
-    support arrays (``dis[TO]``, ``dis[FROM]``) + ``(2, slots)`` slot
-    weights."""
+    support arrays (``dis[TO]``, ``dis[FROM]``) over the directed CH
+    store ``sc``."""
 
     def __init__(
         self,
@@ -93,23 +93,11 @@ class DirectedH2HIndex:
         self.tree = tree
         self.dis = dis  # dis_to, dis_from = dis
         self.sup = sup
-        self.weights = self._slot_weights()
-
-    def _slot_weights(self) -> np.ndarray:
-        """``sc``'s weights in the slot order of ``tree.up_idx``: row
-        ``TO`` holds ``phi(low -> high)``, row ``FROM``
-        ``phi(high -> low)``."""
-        w = self.sc._w
-        slots = [(low, high) for low in range(self.n) for high in self.sc.upward(low)]
-        weights = np.empty((2, len(slots)), dtype=np.float64)
-        weights[TO] = [w[low][high] for low, high in slots]
-        weights[FROM] = [w[high][low] for low, high in slots]
-        return weights
 
     def slot_weights(self) -> np.ndarray:
-        """:attr:`weights`, the ``(2, slots)`` store the level engine
+        """``sc``'s ``(2, slots)`` weights, the store the level engine
         gathers from."""
-        return self.weights
+        return self.sc.slot_weights
 
     def clone(self) -> "DirectedH2HIndex":
         """An independent copy sharing the weight-independent tree."""
@@ -117,22 +105,7 @@ class DirectedH2HIndex:
         dup.sc = self.sc.clone()
         dup.dis = self.dis.copy()
         dup.sup = self.sup.copy()
-        dup.weights = self.weights.copy()
         return dup
-
-    def patch_weights(self, changed_arcs) -> None:
-        """Copy directed DCH's changed arcs (``((u, v), old, new)``
-        records) into :attr:`weights`: an arc out of the lower (deeper)
-        end goes to row ``TO``, one into it to row ``FROM``."""
-        if not changed_arcs:
-            return
-        arcs = np.array([arc for arc, _old, _new in changed_arcs])
-        tails, heads = arcs[:, 0], arcs[:, 1]
-        rows = np.where(
-            self.tree.depth[tails] > self.tree.depth[heads], TO, FROM
-        )
-        slots = self.tree.down_slot[self.tree.shortcut_slots(tails, heads)]
-        self.weights[rows, slots] = [new for _arc, _old, new in changed_arcs]
 
     @property
     def n(self) -> int:
@@ -161,16 +134,13 @@ class DirectedH2HIndex:
     ) -> Tuple[float, int]:
         """Directed Equation (*): ``(value, support)`` of one entry."""
         ops = resolve_counter(counter)
-        weights = self.sc._w
         best = math.inf
         count = 0
         terms = 0
-        for v in self.sc.upward(u):
+        # Row TO holds phi(u -> v), row FROM phi(v -> u).
+        for v, w in zip(self.sc.upward(u), self.sc.upward_weight_row(u, direction)):
             terms += 1
-            if direction == TO:
-                candidate = weights[u][v] + self._sd(TO, u, v, da)
-            else:
-                candidate = self._sd(FROM, u, v, da) + weights[v][u]
+            candidate = w + self._sd(direction, u, v, da)
             if candidate < best:
                 best = candidate
                 count = 1
@@ -190,16 +160,7 @@ class DirectedH2HIndex:
         )
 
     def validate(self) -> None:
-        """Check :attr:`weights` against ``sc`` slot for slot and every
-        entry of both directions against Equation (*)."""
-        expected = self._slot_weights()
-        stale = np.argwhere(self.weights != expected)
-        if len(stale):
-            d, s = (int(i) for i in stale[0])
-            raise IndexError_(
-                f"weights[{d}][{s}] = {self.weights[d, s]}, shortcut weight "
-                f"{expected[d, s]}"
-            )
+        """Check every entry of both directions against Equation (*)."""
         depth = self.tree.depth
         for u in range(self.n):
             du = int(depth[u])
@@ -319,7 +280,6 @@ def directed_inch2h_increase(
         ops = resolve_counter(counter)
         ops_before = ops.as_dict() if sp.active else None
         changed_arcs = directed_dch_increase(index.sc, updates, counter)
-        index.patch_weights(changed_arcs)
         levels = _Levels(index)
         _seed_increase(index, levels, _arc_rows(index, changed_arcs, ops, True))
         changed = _increase_propagate(index, levels, ops, None)
@@ -343,7 +303,6 @@ def directed_inch2h_decrease(
         ops = resolve_counter(counter)
         ops_before = ops.as_dict() if sp.active else None
         changed_arcs = directed_dch_decrease(index.sc, updates, counter)
-        index.patch_weights(changed_arcs)
         levels = _Levels(index)
         seed_rows = _seed_decrease(
             index, levels, _arc_rows(index, changed_arcs, ops, False)

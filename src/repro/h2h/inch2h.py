@@ -117,12 +117,7 @@ def _trace_h2h_boundedness(
     from repro.core.changed import h2h_change_metrics  # circular at module level
 
     metrics = h2h_change_metrics(index, delta, changed_shortcuts, changed)
-    current = ops.as_dict()
-    call_ops = {
-        channel: count - ops_before.get(channel, 0)
-        for channel, count in current.items()
-        if count - ops_before.get(channel, 0)
-    }
+    call_ops = ops.since(ops_before)
     sp.set(
         delta=delta,
         changed_shortcuts=len(changed_shortcuts),

@@ -8,12 +8,12 @@ in the maintenance layer:
 ===========================  ==============================================
 kernel                       replaces
 ===========================  ==============================================
-:func:`candidate_row`        per-ancestor seed scans of Algorithms 4/5 and
-                             the per-depth loops of directed H2HIndexing
+:func:`candidate_row`        per-ancestor seed scans of Algorithms 4/5
 :func:`candidate_block`      per-neighbor Equation (*) terms of DTDHL's
                              row refresh
 :func:`star_eval`            ``evaluate_entry`` called once per entry of
                              a whole IncH2H+ level (line 23 of Algorithm 4)
+                             or of a vertex in directed H2HIndexing
 :func:`fill_row`             the per-depth construction loop of
                              H2HIndexing step 3
 :func:`pos_scan_many`        one ``h2h_distance`` /
@@ -225,8 +225,9 @@ def fill_row(sc, tree, dis: np.ndarray, sup: np.ndarray, u: int) -> None:
 
 
 def directed_fill_vertex(index, u: int) -> None:
-    """Compute both directed distance rows of *u* from Equation (*),
-    vectorized — the construction inner loop of directed H2HIndexing.
+    """Compute both directed distance rows of *u* from Equation (*) —
+    the construction inner loop of directed H2HIndexing, one
+    :func:`star_eval` per direction.
 
     ``dis[TO][u, da]  = min over v in nbr+(u) of phi(u -> v) + sd(v -> a)``
     ``dis[FROM][u, da] = min over v in nbr+(u) of sd(a -> v) + phi(v -> u)``
@@ -234,25 +235,14 @@ def directed_fill_vertex(index, u: int) -> None:
     Requires the rows of every upward neighbor to be final (top-down
     order).  Sets the zero diagonal and both support rows.
     """
-    tree = index.tree
-    du = int(tree.depth[u])
-    weights = index.sc._w
-    for direction in (0, 1):
-        dis = index.dis[direction]
-        sup = index.sup[direction]
-        dis[u, du] = 0.0
-        sup[u, du] = 0
-        if du == 0:
-            continue
-        upward = index.sc.upward(u)
-        block = np.empty((len(upward), du), dtype=np.float64)
-        for i, v in enumerate(upward):
-            w = weights[u][v] if direction == 0 else weights[v][u]
-            block[i] = candidate_row(index, direction, u, v, w)
-        best = block.min(axis=0)
-        dis[u, :du] = best
-        finite = ~np.isinf(block)
-        sup[u, :du] = ((block == best) & finite).sum(axis=0)
+    du = int(index.tree.depth[u])
+    for d in (0, 1):
+        index.dis[d][u, du] = 0.0
+        index.sup[d][u, du] = 0
+        if du:
+            values, supports = star_eval(index, d, u, np.arange(du))
+            index.dis[d][u, :du] = values
+            index.sup[d][u, :du] = supports
 
 
 # ----------------------------------------------------------------------

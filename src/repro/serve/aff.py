@@ -48,8 +48,10 @@ def ch_affected_vertices(sc, changed_shortcuts: Sequence) -> Set[int]:
 
     *changed_shortcuts* is the DCH change list: ``((u, v), old, new)``
     triples (the paper's set ``C``).  Works for the directed skeleton
-    too — :class:`DirectedShortcutGraph` exposes the same ``downward``
-    face and the up-down path argument is per-direction identical.
+    too — :class:`DirectedShortcutGraph` lays its skeleton out in the
+    same :class:`ShortcutStructure`, so ``downward`` is the same
+    ``nbr-`` list, and the up-down path argument is per-direction
+    identical.
     """
     seen: Set[int] = set()
     stack = []

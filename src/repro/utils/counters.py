@@ -67,6 +67,16 @@ class OpCounter:
         """A copy of the raw channel -> count mapping."""
         return dict(self._counts)
 
+    def since(self, before: Dict[str, int]) -> Dict[str, int]:
+        """The channels that grew since *before* (an :meth:`as_dict`
+        snapshot), mapped to how much: one call's own operations."""
+        grown = {}
+        for channel, count in self._counts.items():
+            delta = count - before.get(channel, 0)
+            if delta:
+                grown[channel] = delta
+        return grown
+
     def clear(self) -> None:
         """Reset all channels to zero."""
         self._counts.clear()

@@ -21,6 +21,7 @@ import pytest
 
 from repro import persist
 from repro.ch.indexing import ch_indexing
+from repro.directed.graph import DiRoadNetwork
 from repro.graph.generators import grid_network, random_connected_network, road_network
 from repro.graph.graph import RoadNetwork
 from repro.h2h.indexing import h2h_indexing
@@ -89,6 +90,24 @@ def medium_road() -> RoadNetwork:
 def random_net() -> RoadNetwork:
     """A small random connected graph (unstructured input)."""
     return random_connected_network(60, 50, seed=11)
+
+
+@pytest.fixture
+def one_way_city():
+    """A road network where 30% of streets are one-way."""
+    base = road_network(120, seed=13)
+    rng = random.Random(3)
+    digraph = DiRoadNetwork(base.n)
+    for u, v, w in base.edges():
+        roll = rng.random()
+        if roll < 0.15:
+            digraph.add_arc(u, v, w)
+        elif roll < 0.30:
+            digraph.add_arc(v, u, w)
+        else:
+            digraph.add_arc(u, v, w)
+            digraph.add_arc(v, u, w * rng.choice([1.0, 1.5, 2.0]))
+    return digraph
 
 
 @pytest.fixture

@@ -5,7 +5,7 @@ Algorithms 4 and 5 per direction, as the directed index ran them before
 it moved onto the shared level-synchronous engine of
 :mod:`repro.h2h.inch2h`: one addressable priority queue of entries
 ``(direction, u, da)`` popped in non-ascending rank of ``u``, every
-dependent visited in a Python loop over ``sc._w``, line 23 recomputed
+dependent visited in a Python loop over ``sc.weight``, line 23 recomputed
 with the scalar :meth:`DirectedH2HIndex.evaluate_entry`.  It shares no
 code with the level path past directed DCH and the Equation (*) seed
 rows (:func:`repro.perf.kernels.candidate_row`), so
@@ -70,13 +70,12 @@ def reference_increase(
     """Directed IncH2H+, one queue entry at a time."""
     ops = resolve_counter(counter)
     changed_arcs = directed_dch_increase(index.sc, updates, counter)
-    index.patch_weights(changed_arcs)
 
     sc = index.sc
     tree = index.tree
     rank = sc.ordering.rank
     depth = tree.depth
-    weights = sc._w
+    weight = sc.weight
     queue: AddressableHeap[Entry] = AddressableHeap()
 
     # Seeds: per changed arc, test every entry of the lower endpoint —
@@ -115,7 +114,7 @@ def reference_increase(
             # (Infinite legs — one-way streets — support nothing.)
             for x in sc.downward(u):
                 ops.add("dependent_inspect")
-                leg = weights[x][u] if direction == TO else weights[u][x]
+                leg = weight(x, u) if direction == TO else weight(u, x)
                 if not math.isinf(leg) and leg + old_val == dis_dir[x, da]:
                     sup_dir[x, da] -= 1
                     if sup_dir[x, da] == 0:
@@ -134,7 +133,7 @@ def reference_increase(
             sup_other = index.sup[other]
             for x in tree.down_in_descendants(a, u):
                 ops.add("dependent_inspect")
-                leg = weights[a][x] if direction == TO else weights[x][a]
+                leg = weight(a, x) if direction == TO else weight(x, a)
                 if not math.isinf(leg) and leg + old_val == dis_other[x, du]:
                     sup_other[x, du] -= 1
                     if sup_other[x, du] == 0:
@@ -155,13 +154,12 @@ def reference_decrease(
     ``(direction, u, via)`` seed memo."""
     ops = resolve_counter(counter)
     changed_arcs = directed_dch_decrease(index.sc, updates, counter)
-    index.patch_weights(changed_arcs)
 
     sc = index.sc
     tree = index.tree
     rank = sc.ordering.rank
     depth = tree.depth
-    weights = sc._w
+    weight = sc.weight
     queue: AddressableHeap[Entry] = AddressableHeap()
     original: dict = {}
     # Seed memo: (direction, u, via) -> candidate array (du long), to
@@ -208,7 +206,7 @@ def reference_decrease(
         sup_dir = index.sup[direction]
         for x in sc.downward(u):
             ops.add("dependent_inspect")
-            leg = weights[x][u] if direction == TO else weights[u][x]
+            leg = weight(x, u) if direction == TO else weight(u, x)
             candidate = leg + val
             seed_row = seed_rows.get((direction, x, u))
             if seed_row is not None and seed_row[da] == candidate:
@@ -228,7 +226,7 @@ def reference_decrease(
         sup_other = index.sup[other]
         for x in tree.down_in_descendants(a, u):
             ops.add("dependent_inspect")
-            leg = weights[a][x] if direction == TO else weights[x][a]
+            leg = weight(a, x) if direction == TO else weight(x, a)
             candidate = leg + val
             seed_row = seed_rows.get((other, x, a))
             if seed_row is not None and seed_row[du] == candidate:

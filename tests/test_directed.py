@@ -11,26 +11,7 @@ from repro.directed.ch import directed_ch_distance, directed_ch_indexing
 from repro.directed.dch import directed_dch_decrease, directed_dch_increase
 from repro.directed.dijkstra import directed_dijkstra, directed_distance
 from repro.directed.graph import DiRoadNetwork
-from repro.errors import GraphError, QueryError, UpdateError
-from repro.graph.generators import road_network
-
-
-@pytest.fixture
-def one_way_city():
-    """A road network where 30% of streets are one-way."""
-    base = road_network(120, seed=13)
-    rng = random.Random(3)
-    digraph = DiRoadNetwork(base.n)
-    for u, v, w in base.edges():
-        roll = rng.random()
-        if roll < 0.15:
-            digraph.add_arc(u, v, w)
-        elif roll < 0.30:
-            digraph.add_arc(v, u, w)
-        else:
-            digraph.add_arc(u, v, w)
-            digraph.add_arc(v, u, w * rng.choice([1.0, 1.5, 2.0]))
-    return digraph
+from repro.errors import GraphError, IndexError_, QueryError, UpdateError
 
 
 class TestDiRoadNetwork:
@@ -145,6 +126,32 @@ class TestDirectedCH:
 
     def test_validates(self, one_way_city):
         directed_ch_indexing(one_way_city).validate()
+
+    @pytest.mark.parametrize(
+        "corrupt", ["to_weight", "from_support", "arc_weight", "priority"]
+    )
+    def test_validate_catches_corruption(self, one_way_city, corrupt):
+        index = directed_ch_indexing(one_way_city)
+        # A slot <low, high> whose arc low -> high has a finite weight.
+        low, high, _w = next(
+            (u, v, w) for u, v, w in one_way_city.arcs()
+            if index.lower_endpoint(u, v) == u
+        )
+        index.validate()
+        if corrupt == "to_weight":
+            index.set_weight(low, high, index.weight(low, high) + 1.0)
+            match = f"arc {low}->{high}: stored {index.weight(low, high)}"
+        elif corrupt == "from_support":
+            index.set_support(high, low, index.support(high, low) + 1)
+            match = f"arc {high}->{low}: stored support"
+        elif corrupt == "arc_weight":
+            index.set_arc_weight(low, high, 0.0)
+            match = f"arc {low}->{high}: .* equation 0.0"
+        else:
+            index.structure.prio[0] += 1
+            match = "priorities"
+        with pytest.raises(IndexError_, match=match):
+            index.validate()
 
     def test_matches_undirected_on_symmetric_input(self, medium_road):
         from repro.ch.indexing import ch_indexing

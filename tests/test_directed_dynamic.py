@@ -93,3 +93,27 @@ class TestFacades:
                      for (u, v), _ in ups]
             oracle.apply(downs)
         oracle.index.validate()
+
+    def test_clone_leaves_original_unchanged(self, oracle, city):
+        # Clones share the skeleton and the arc flags; a mixed batch on
+        # the clone must leave the original's phi, phi_G and supports in
+        # both directions, and its labels, bit-identical.
+        def state(index):
+            sc = getattr(index, "sc", index)
+            labels = (index.dis, index.sup) if sc is not index else ()
+            return [view.tobytes() for view in (*sc.slot_views(), *labels)]
+
+        before = state(oracle.index)
+        clone = oracle.clone()
+        shared = getattr(oracle.index, "sc", oracle.index).structure
+        assert getattr(clone.index, "sc", clone.index).structure is shared
+        sample = random.Random(5).sample(list(city.arcs()), 12)
+        batch = [((u, v), w * 3.0) for u, v, w in sample[:6]]
+        batch += [((u, v), w * 0.25) for u, v, w in sample[6:]]
+        report = clone.apply(batch)
+        assert report.increases == report.decreases == 6
+        assert state(clone.index) != before
+        assert state(oracle.index) == before
+        assert all(oracle.graph.weight(u, v) == w for u, v, w in sample)
+        oracle.index.validate()
+        clone.index.validate()

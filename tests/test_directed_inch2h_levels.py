@@ -36,14 +36,12 @@ REFERENCE = {"increase": reference_increase, "decrease": reference_decrease}
 
 
 def state(index):
-    sc = index.sc
+    """Labels, supports and the shortcut store's ``phi``, ``phi_G`` and
+    supports (the slot weights the level engine reads) as bytes."""
     return (
         index.dis.tobytes(),
         index.sup.tobytes(),
-        index.weights.tobytes(),
-        sc._w,
-        sc._sup,
-        sc._arc_w,
+        *(view.tobytes() for view in index.sc.slot_views()),
     )
 
 

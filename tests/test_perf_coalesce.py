@@ -71,10 +71,10 @@ def _assert_same_sc(sc_a, sc_b) -> None:
 
 
 def _assert_same_dsc(sc_a, sc_b) -> None:
-    """DirectedShortcutGraph state equality."""
-    assert sc_a._w == sc_b._w
-    assert sc_a._sup == sc_b._sup
-    assert sc_a._arc_w == sc_b._arc_w
+    """DirectedShortcutGraph state equality: ``phi``, supports and
+    ``phi_G`` of clones of one index, compared as bytes."""
+    for view_a, view_b in zip(sc_a.slot_views(), sc_b.slot_views()):
+        assert view_a.tobytes() == view_b.tobytes()
 
 
 def _assert_same_state(kind: str, seq, bat) -> None:

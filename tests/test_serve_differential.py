@@ -193,6 +193,11 @@ def test_differential_fuzz_sweep_undirected_smoke():
     _fuzz_sweep_undirected(11, n=60, epochs=2, batch=4, queries=20)
 
 
+def test_differential_fuzz_sweep_directed_smoke():
+    """The slow directed sweep's body at a tier-1 size."""
+    _fuzz_sweep_directed(5, n=60, epochs=2, batch=4, queries=20)
+
+
 # ----------------------------------------------------------------------
 # Slow sweeps (dedicated CI job: pytest -m "slow or stress")
 # ----------------------------------------------------------------------
@@ -214,15 +219,21 @@ def test_differential_fuzz_sweep_undirected(seed):
     _fuzz_sweep_undirected(seed, n=250, epochs=8, batch=12, queries=60)
 
 
+def _fuzz_sweep_directed(
+    seed: int, *, n: int, epochs: int, batch: int, queries: int
+) -> None:
+    digraph = DiRoadNetwork.from_undirected(
+        road_network(n, seed=seed), asymmetry=2.0
+    )
+    _run_directed_stream(
+        digraph, epochs=epochs, batch=batch, queries=queries, seed=2000 + seed
+    )
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("seed", [5, 17])
 def test_differential_fuzz_sweep_directed(seed):
-    digraph = DiRoadNetwork.from_undirected(
-        road_network(80, seed=seed), asymmetry=2.0
-    )
-    _run_directed_stream(
-        digraph, epochs=6, batch=8, queries=40, seed=2000 + seed
-    )
+    _fuzz_sweep_directed(seed, n=80, epochs=6, batch=8, queries=40)
 
 
 @pytest.mark.slow

@@ -38,8 +38,9 @@ change the shortcut set.  The store is therefore split in two:
 
 * a :class:`ShortcutStructure` — the ``nbr+``/``nbr-`` lists, each
   vertex's neighbor-to-slot map, the row offsets, the slot endpoints,
-  DCH±'s queue priorities and which slots are edges of ``G`` — built
-  once and shared by every clone;
+  DCH±'s queue priorities, which slots are edges of ``G`` and the
+  elimination tree with its pre-order ranges — built once and shared by
+  every clone;
 * four arrays indexed by slot — ``phi(e)`` and ``phi(e, G)`` (float64),
   ``sup(e)`` and ``via(e)`` (int64, ``-1`` for the original edge) — which
   :meth:`ShortcutGraph.clone` copies.  Scalar reads and writes go
@@ -108,6 +109,18 @@ class ShortcutStructure:
         loops read plain Python ints through them.
     edge:
         ``edge[s]``: slot *s* is an edge of ``G`` (bool).
+    parent:
+        The elimination tree: ``parent[v]`` is the lowest-ranked vertex of
+        ``nbr+(v)`` (H2H's ``x(v)``), or ``-1`` when ``nbr+(v)`` is empty
+        (a root; a disconnected graph gives a forest).
+    order / pre / size:
+        A pre-order of that forest (``order[pre[v]] == v``) and each
+        vertex's subtree size, so the subtree of ``v`` is exactly
+        ``order[pre[v] : pre[v] + size[v]]``.  Because every ``nbr+(v)``
+        is a clique, every vertex of ``nbr+(v)`` is an ancestor of ``v``:
+        the subtree of ``x`` is the set of vertices that can climb to
+        ``x`` along ``nbr+``, which is what the serving layer's CH
+        ``V_aff`` (:func:`repro.serve.aff.ch_affected_vertices`) needs.
     """
 
     __slots__ = (
@@ -123,6 +136,10 @@ class ShortcutStructure:
         "high_view",
         "prio_view",
         "edge",
+        "parent",
+        "order",
+        "pre",
+        "size",
     )
 
     def __init__(self, rank: Sequence[int], up: List[List[int]]) -> None:
@@ -154,6 +171,44 @@ class ShortcutStructure:
         self.high_view = memoryview(high)
         self.prio_view = memoryview(self.prio)
         self.edge = np.zeros(ptr[-1], dtype=bool)
+        self._build_tree(rank)
+
+    def _build_tree(self, rank: Sequence[int]) -> None:
+        """``parent``, ``order``, ``pre`` and ``size`` of the elimination
+        forest.  A parent outranks its children, so sizes accumulate in
+        ascending rank and pre-order positions are handed out in
+        descending rank: each vertex takes the next free position under
+        its parent and reserves ``size`` positions for its subtree."""
+        n = len(self.up)
+        parent = [row[0] if row else -1 for row in self.up]
+        by_rank = [0] * n
+        for v, r in enumerate(rank):
+            by_rank[r] = v
+        size = [1] * n
+        for v in by_rank:
+            p = parent[v]
+            if p >= 0:
+                size[p] += size[v]
+        pre = [0] * n
+        free = [0] * n  # next unassigned pre-order position under v
+        roots = 0
+        for v in reversed(by_rank):
+            p = parent[v]
+            if p < 0:
+                at = roots
+                roots += size[v]
+            else:
+                at = free[p]
+                free[p] = at + size[v]
+            pre[v] = at
+            free[v] = at + 1
+        order = [0] * n
+        for v, at in enumerate(pre):
+            order[at] = v
+        self.parent = parent
+        self.order = order
+        self.pre = pre
+        self.size = size
 
     def canonical(self) -> Tuple[List[int], List[int]]:
         """Both endpoints of every slot, smaller id first."""
@@ -166,7 +221,8 @@ class ShortcutStructure:
         """Raise :class:`IndexError_` unless every slot maps back,
         ``nbr+(u)`` / ``nbr-(u)`` are the rank-sorted higher / lower
         neighbors of ``u`` matching the slot rows, every ``nbr+(u)`` is a
-        clique and the priorities match *rank* (both CH stores call it)."""
+        clique, the priorities match *rank* and the elimination-tree
+        arrays describe the tree of ``nbr+`` (both CH stores call it)."""
         for s, (low, high) in enumerate(zip(self.low.tolist(), self.high.tolist())):
             if self.slot[low].get(high) != s or self.slot[high].get(low) != s:
                 raise IndexError_(f"slot {s} <{low}, {high}> does not map back")
@@ -194,6 +250,32 @@ class ShortcutStructure:
             self.prio, rank_arr[self.low] * len(self.up) + rank_arr[self.high]
         ):
             raise IndexError_("slot priorities do not match the ranks")
+        self._validate_tree()
+
+    def _validate_tree(self) -> None:
+        """Raise :class:`IndexError_` unless ``parent`` is the first
+        ``nbr+`` entry, ``order`` / ``pre`` are inverse permutations,
+        every ``size`` is 1 plus its children's and every child's range
+        nests inside its parent's — together, each range
+        ``order[pre[v] : pre[v] + size[v]]`` is exactly ``v``'s subtree."""
+        n = len(self.up)
+        parent, order, pre, size = self.parent, self.order, self.pre, self.size
+        if parent != [row[0] if row else -1 for row in self.up]:
+            raise IndexError_("tree parent is not the first nbr+ entry")
+        if sorted(order) != list(range(n)) or any(
+            pre[v] != at for at, v in enumerate(order)
+        ):
+            raise IndexError_("tree order and pre are not inverse permutations")
+        total = [1] * n
+        for v, p in enumerate(parent):
+            if p >= 0:
+                total[p] += size[v]
+                if not (pre[p] < pre[v] and pre[v] + size[v] <= pre[p] + size[p]):
+                    raise IndexError_(
+                        f"pre-order range of {v} is not inside its parent's"
+                    )
+        if total != size:
+            raise IndexError_("tree size is not 1 plus the children's sizes")
 
 
 class ShortcutGraph:
@@ -307,12 +389,18 @@ class ShortcutGraph:
         write through :meth:`set_weight`."""
         return self._w
 
+    def _find(self, u: int, v: int) -> Optional[int]:
+        """The slot of ``<u, v>``, or ``None`` if there is none.  An id
+        outside ``[0, n)`` has none: a negative *u* must not index the
+        map of vertex ``n + u``."""
+        return self._slot[u].get(v) if 0 <= u < len(self._slot) else None
+
     def slot(self, u: int, v: int) -> int:
         """The slot of shortcut ``<u, v>``."""
-        try:
-            return self._slot[u][v]
-        except (KeyError, IndexError):
-            raise IndexError_(f"no shortcut between {u} and {v}") from None
+        s = self._find(u, v)
+        if s is None:
+            raise IndexError_(f"no shortcut between {u} and {v}")
+        return s
 
     def slot_views(self) -> Tuple[memoryview, memoryview, memoryview, memoryview]:
         """Memoryviews over the four slot arrays — ``phi``, ``phi(e, G)``,
@@ -362,7 +450,7 @@ class ShortcutGraph:
     # ------------------------------------------------------------------
     def has_shortcut(self, u: int, v: int) -> bool:
         """True if shortcut ``<u, v>`` exists."""
-        return v in self._slot[u]
+        return self._find(u, v) is not None
 
     def shortcuts(self) -> Iterator[Shortcut]:
         """All shortcuts in canonical form, in slot order."""
@@ -434,18 +522,11 @@ class ShortcutGraph:
         IndexError_
             If the shortcut does not exist.
         """
-        try:
-            return self._wv[self._slot[u][v]]
-        except (KeyError, IndexError):
-            raise IndexError_(f"no shortcut between {u} and {v}") from None
+        return self._wv[self.slot(u, v)]
 
     def set_weight(self, u: int, v: int, weight: float) -> None:
         """Overwrite ``phi(<u, v>)`` (maintenance algorithms only)."""
-        try:
-            s = self._slot[u][v]
-        except (KeyError, IndexError):
-            raise IndexError_(f"no shortcut between {u} and {v}") from None
-        self._wv[s] = weight
+        self._wv[self.slot(u, v)] = weight
 
     def edge_weight(self, u: int, v: int) -> float:
         """``phi(e, G)``: the weight of edge ``(u, v)`` in ``G``, or ``inf``.
@@ -454,24 +535,18 @@ class ShortcutGraph:
         maintenance algorithms (Algorithms 2-5) read and write
         ``phi(e, G)`` as part of their state.
         """
-        try:
-            s = self._slot[u].get(v)
-        except IndexError:
-            return _INF
+        s = self._find(u, v)
         return _INF if s is None else self._ewv[s]
 
     def set_edge_weight(self, u: int, v: int, weight: float) -> None:
         """Overwrite the stored ``phi(e, G)`` of edge ``(u, v)``."""
         if not self.is_graph_edge(u, v):
             raise IndexError_(f"({u}, {v}) is not an edge of G")
-        self._ewv[self._slot[u][v]] = weight
+        self._ewv[self.slot(u, v)] = weight
 
     def is_graph_edge(self, u: int, v: int) -> bool:
         """True if ``(u, v)`` is an original edge of ``G``."""
-        try:
-            s = self._slot[u].get(v)
-        except IndexError:
-            return False
+        s = self._find(u, v)
         return s is not None and bool(self._st.edge[s])
 
     def edge_weights(self) -> Dict[Shortcut, float]:
@@ -512,21 +587,21 @@ class ShortcutGraph:
     # ------------------------------------------------------------------
     def support(self, u: int, v: int) -> int:
         """``sup(<u, v>)``: number of Equation (<>) terms attaining the min."""
-        return self._supv[self._slot[u][v]]
+        return self._supv[self.slot(u, v)]
 
     def set_support(self, u: int, v: int, value: int) -> None:
         """Overwrite ``sup(<u, v>)``."""
-        self._supv[self._slot[u][v]] = value
+        self._supv[self.slot(u, v)] = value
 
     def via(self, u: int, v: int) -> Optional[int]:
         """A witness for ``phi(<u, v>)``: ``None`` for the original edge,
         else a common lower neighbor whose downward pair attains the min."""
-        witness = self._viav[self._slot[u][v]]
+        witness = self._viav[self.slot(u, v)]
         return None if witness < 0 else witness
 
     def set_via(self, u: int, v: int, witness: Optional[int]) -> None:
         """Overwrite the path-unpacking witness of ``<u, v>``."""
-        self._viav[self._slot[u][v]] = -1 if witness is None else witness
+        self._viav[self.slot(u, v)] = -1 if witness is None else witness
 
     # ------------------------------------------------------------------
     # Shortcut-pair enumeration (Section 2)
@@ -626,7 +701,7 @@ class ShortcutGraph:
 
         Returns the new weight.  This is line 13 of Algorithm 2 (DCH+).
         """
-        return self.recompute_slot(self._slot[u][v], counter)
+        return self.recompute_slot(self.slot(u, v), counter)
 
     def recompute_slot(self, s: int, counter: Optional[OpCounter] = None) -> float:
         """:meth:`recompute` for the shortcut in slot *s*."""
@@ -695,7 +770,8 @@ class ShortcutGraph:
         Verifies the structure — every slot's endpoints map back to that
         slot, ``nbr+(u)`` / ``nbr-(u)`` are exactly the rank-sorted
         higher / lower shortcut neighbors of ``u``, every ``nbr+(u)`` is a
-        clique and the slot priorities match the ranks — then
+        clique, the slot priorities match the ranks and the elimination
+        tree's pre-order ranges are its subtrees — then
         Equation (<>) for every shortcut and every support counter.
         """
         self._st.validate(self._rank)

@@ -136,15 +136,21 @@ class DirectedShortcutGraph:
 
     def arc_id(self, u: int, v: int) -> int:
         """The arc id ``d * slots + s`` of the directed shortcut ``u -> v``."""
-        try:
-            s = self._st.slot[u][v]
-        except (KeyError, IndexError):
-            raise IndexError_(f"no shortcut between {u} and {v}") from None
+        s = self._find(u, v)
+        if s is None:
+            raise IndexError_(f"no shortcut between {u} and {v}")
         return s if self._rank[u] < self._rank[v] else s + len(self._st.low)
+
+    def _find(self, u: int, v: int) -> Optional[int]:
+        """The skeleton slot of ``{u, v}``, or ``None`` if there is none.
+        An id outside ``[0, n)`` has none: a negative *u* must not index
+        the map of vertex ``n + u``."""
+        slot = self._st.slot
+        return slot[u].get(v) if 0 <= u < len(slot) else None
 
     def has_shortcut(self, u: int, v: int) -> bool:
         """True if the skeleton shortcut between *u* and *v* exists."""
-        return v in self._st.slot[u]
+        return self._find(u, v) is not None
 
     def weight(self, u: int, v: int) -> float:
         """``phi(u -> v)``."""

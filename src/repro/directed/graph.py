@@ -63,9 +63,9 @@ class DiRoadNetwork:
 
     def copy(self) -> "DiRoadNetwork":
         """An independent deep copy."""
-        clone = DiRoadNetwork(self.n)
-        clone._out = [dict(arcs) for arcs in self._out]
-        clone._in = [dict(arcs) for arcs in self._in]
+        clone = DiRoadNetwork.__new__(DiRoadNetwork)
+        clone._out = [arcs.copy() for arcs in self._out]
+        clone._in = [arcs.copy() for arcs in self._in]
         clone._m = self._m
         return clone
 

@@ -195,7 +195,8 @@ def directed_h2h_indexing(
     """Build the directed H2H index (top-down directed Equation (*),
     vectorized per vertex by :func:`repro.perf.kernels.directed_fill_vertex`)."""
     sc = directed_ch_indexing(graph, ordering, counter)
-    tree = TreeDecomposition(sc)  # duck-typed: needs ordering/upward/downward
+    # Duck-typed: the tree reads ordering, structure, upward and downward.
+    tree = TreeDecomposition(sc)
     n = tree.n
     height = tree.height
     depth = tree.depth

@@ -78,8 +78,8 @@ class RoadNetwork:
 
     def copy(self) -> "RoadNetwork":
         """An independent deep copy of this network."""
-        clone = RoadNetwork(self.n)
-        clone._adj = [dict(nbrs) for nbrs in self._adj]
+        clone = RoadNetwork.__new__(RoadNetwork)
+        clone._adj = [nbrs.copy() for nbrs in self._adj]
         clone._m = self._m
         return clone
 

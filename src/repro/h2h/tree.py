@@ -91,20 +91,19 @@ class TreeDecomposition:
         n = sc.n
         if n == 0:
             raise IndexError_("cannot decompose an empty shortcut graph")
-        ordering = sc.ordering
-        parent = [-1] * n
-        for u in range(n):
-            up = sc.upward(u)
-            if up:
-                parent[u] = up[0]  # lowest-ranked upward neighbor = x(u)
-            elif u != ordering.top():
+        # x(u), the lowest-ranked upward neighbor: the shortcut
+        # structure's elimination tree, shared with every clone.
+        parent = sc.structure.parent
+        top = sc.ordering.top()
+        for u, p in enumerate(parent):
+            if p < 0 and u != top:
                 raise DisconnectedGraphError(
                     f"vertex {u} has no upward neighbors but is not the "
                     "top-ranked vertex; the graph must be connected"
                 )
         self.sc = sc
         self.parent: List[int] = parent
-        self.root: int = ordering.top()
+        self.root: int = top
         self.n = n
 
         children: List[List[int]] = [[] for _ in range(n)]

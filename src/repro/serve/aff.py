@@ -25,10 +25,22 @@ increases rank), and symmetrically for ``t``.  If no changed shortcut
 has an endpoint in either closure, no up-down path between the pair
 changed weight, so the minimum is unchanged.  ``s``'s upward closure
 meets a changed endpoint ``x`` exactly when ``s`` lies in the *downward
-closure* of ``x`` — computed here by a reverse BFS along ``nbr-`` from
-all changed endpoints.  This over-approximates (a pair may be affected
-by the closure without its distance actually changing) but never
-under-approximates, which is the direction cache correctness needs.
+closure* of ``x``.  That closure is a subtree of the elimination tree
+(``parent(v)`` = the lowest-ranked vertex of ``nbr+(v)``, H2H's
+``x(v)``):
+
+* every ``nbr+(v)`` is a clique (the structure validates it), so each
+  ``w`` in ``nbr+(v)`` other than ``p = parent(v)`` lies in ``nbr+(p)``;
+  by induction on rank from the top, every vertex of ``nbr+(v)`` is an
+  ancestor of ``v``;
+* so the upward closure of ``s`` is exactly ``s`` and its ancestors,
+* and the downward closure of ``x`` is exactly ``x``'s subtree, the
+  pre-order range ``order[pre[x] : pre[x] + size[x]]``.
+
+``V_aff`` is the union of those ranges over the changed endpoints.
+This over-approximates (a pair may be affected by the closure without
+its distance actually changing) but never under-approximates, which is
+the direction cache correctness needs.
 """
 
 from __future__ import annotations
@@ -44,29 +56,29 @@ __all__ = [
 
 def ch_affected_vertices(sc, changed_shortcuts: Sequence) -> Set[int]:
     """``V_aff`` for a CH update: the downward closure of every endpoint
-    of a changed shortcut, along ``nbr-`` lists of *sc*.
+    of a changed shortcut — the union of their elimination-tree subtrees,
+    read as pre-order ranges of *sc*'s structure.
 
     *changed_shortcuts* is the DCH change list: ``((u, v), old, new)``
     triples (the paper's set ``C``).  Works for the directed skeleton
     too — :class:`DirectedShortcutGraph` lays its skeleton out in the
-    same :class:`ShortcutStructure`, so ``downward`` is the same
-    ``nbr-`` list, and the up-down path argument is per-direction
-    identical.
+    same :class:`ShortcutStructure`, so the tree is the same, and the
+    up-down path argument is per-direction identical.
+
+    Subtree ranges nest or are disjoint, so after sorting the distinct
+    range starts, a start inside the previous kept range is covered by
+    it: the cost is ``O(|C| log |C|)`` plus the size of the answer.
     """
-    seen: Set[int] = set()
-    stack = []
-    for (u, v), _old, _new in changed_shortcuts:
-        for x in (u, v):
-            if x not in seen:
-                seen.add(x)
-                stack.append(x)
-    while stack:
-        u = stack.pop()
-        for v in sc.downward(u):
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return seen
+    st = sc.structure
+    pre, size, order = st.pre, st.size, st.order
+    starts = sorted({pre[x] for edge, _old, _new in changed_shortcuts for x in edge})
+    affected: Set[int] = set()
+    end = 0
+    for lo in starts:
+        if lo >= end:
+            end = lo + size[order[lo]]
+            affected.update(order[lo:end])
+    return affected
 
 
 def h2h_affected_vertices(changed_super_shortcuts: Sequence) -> Set[int]:
@@ -100,6 +112,6 @@ def affected_vertices(oracle, report) -> Optional[Set[int]]:
     index = getattr(oracle, "index", None)
     if super_changed is not None and hasattr(index, "dis"):
         return h2h_affected_vertices(super_changed)
-    if shortcut_changed is not None and hasattr(index, "downward"):
+    if shortcut_changed is not None and hasattr(index, "structure"):
         return ch_affected_vertices(index, shortcut_changed)
     return None

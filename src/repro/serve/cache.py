@@ -27,7 +27,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable, Optional, Set, Tuple
+from typing import Iterable, Optional, Tuple
 
 __all__ = ["QueryCache", "CacheStats"]
 
@@ -133,7 +133,8 @@ class QueryCache:
     ) -> Tuple[int, int]:
         """Re-stamp survivors to *new_epoch*; drop pairs hit by the update.
 
-        *affected* is the update's ``V_aff``; ``None`` means the AFF set
+        *affected* is the update's ``V_aff`` (a set is read as is, any
+        other iterable is collected into one); ``None`` means the AFF set
         is unknown and the whole cache is flushed (always sound).
         Entries stamped with epochs older than the immediately preceding
         one are dropped too — their pairs were already invalidated once.
@@ -147,7 +148,7 @@ class QueryCache:
                 self.stats.flushes += 1
                 self.stats.evicted_aff += evicted
                 return 0, evicted
-            aff: Set[int] = set(affected)
+            aff = affected if isinstance(affected, (set, frozenset)) else set(affected)
             carried = 0
             evicted = 0
             previous = new_epoch - 1

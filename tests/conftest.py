@@ -95,7 +95,12 @@ def random_net() -> RoadNetwork:
 @pytest.fixture
 def one_way_city():
     """A road network where 30% of streets are one-way."""
-    base = road_network(120, seed=13)
+    return one_way_network()
+
+
+def one_way_network(n: int = 120, seed: int = 13) -> DiRoadNetwork:
+    """``road_network(n, seed)`` with 30% of its streets one-way."""
+    base = road_network(n, seed=seed)
     rng = random.Random(3)
     digraph = DiRoadNetwork(base.n)
     for u, v, w in base.edges():

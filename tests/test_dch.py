@@ -11,7 +11,8 @@ from repro.baselines.dijkstra import dijkstra
 from repro.ch.dch import dch_decrease, dch_increase
 from repro.ch.indexing import ch_indexing
 from repro.ch.query import ch_distance
-from repro.errors import UpdateError
+from repro.errors import IndexError_, UpdateError
+from repro.graph.generators import road_network
 from repro.utils.counters import OpCounter
 from repro.workloads.updates import increase_batch, restore_batch, sample_edges
 
@@ -33,6 +34,22 @@ class TestValidation:
     def test_duplicate_edge_rejected(self, paper_sc):
         with pytest.raises(UpdateError):
             dch_increase(paper_sc, [((2, 4), 5.0), ((4, 2), 6.0)])
+
+    @pytest.mark.parametrize("run", [dch_increase, dch_decrease])
+    def test_negative_vertex_id_rejected(self, run):
+        # -1 must not wrap to vertex n - 1: (n - 1, x) is an edge of G.
+        sc = ch_indexing(road_network(30, seed=1))
+        x = next(x for x in range(sc.n) if sc.is_graph_edge(sc.n - 1, x))
+        before = (sc.slot_weights.tobytes(), sc.slot_views()[1].tobytes())
+        assert not sc.is_graph_edge(-1, x) and not sc.has_shortcut(-1, x)
+        with pytest.raises(IndexError_):
+            sc.slot(-1, x)
+        with pytest.raises(IndexError_):
+            sc.weight(-1, x)
+        w = sc.edge_weight(sc.n - 1, x)
+        with pytest.raises(UpdateError):
+            run(sc, [((-1, x), w * 2 if run is dch_increase else w / 2)])
+        assert (sc.slot_weights.tobytes(), sc.slot_views()[1].tobytes()) == before
 
     def test_decrease_given_to_increase_rejected(self, paper_sc):
         with pytest.raises(UpdateError):

@@ -73,6 +73,24 @@ class TestDiRoadNetwork:
         clone.set_weight(u, v, 999.0)
         assert one_way_city.weight(u, v) != 999.0
 
+    def test_mutating_the_copy_leaves_the_original_intact(self, one_way_city):
+        before = sorted(one_way_city.arcs())
+        preds = [dict(one_way_city.predecessors(v)) for v in range(one_way_city.n)]
+        clone = one_way_city.copy()
+        assert clone == one_way_city
+        a, b, w = before[0]
+        clone.set_weight(a, b, w * 3)
+        tail, head = next(
+            (u, x) for u in range(clone.n) for x in range(clone.n)
+            if u != x and not one_way_city.has_arc(u, x)
+        )
+        clone.add_arc(tail, head, 1.0)
+        assert sorted(one_way_city.arcs()) == before
+        assert one_way_city.m == len(before)
+        assert [
+            dict(one_way_city.predecessors(v)) for v in range(one_way_city.n)
+        ] == preds
+
 
 class TestDirectedDijkstra:
     def test_asymmetric_distances(self):

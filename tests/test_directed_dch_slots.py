@@ -19,6 +19,7 @@ import pytest
 from repro.directed.ch import directed_ch_indexing
 from repro.directed.dch import directed_dch_decrease, directed_dch_increase
 from repro.directed.graph import DiRoadNetwork
+from repro.errors import IndexError_, UpdateError
 from repro.graph.generators import road_network
 from repro.utils.counters import OpCounter
 
@@ -122,3 +123,19 @@ def test_infinite_arc_then_restore_matches_reference(road400):
         assert math.isinf(sc.weight(hub, x)) and sc.support(hub, x) == 0
     assert twins.apply("decrease", [((a, b), c) for a, b, c in cut])
     sc.validate()
+
+
+@pytest.mark.parametrize("direction", ["increase", "decrease"])
+def test_negative_vertex_id_rejected(direction):
+    # -1 must not wrap to vertex n - 1: n - 1 -> x is an arc of G.
+    digraph = DiRoadNetwork.from_undirected(road_network(30, seed=1), asymmetry=2.0)
+    sc = directed_ch_indexing(digraph)
+    x = next(x for x in range(sc.n) if sc.is_arc(sc.n - 1, x))
+    before = state(sc)
+    assert not sc.is_arc(-1, x) and not sc.has_shortcut(-1, x)
+    with pytest.raises(IndexError_):
+        sc.arc_id(-1, x)
+    w = sc.arc_weight(sc.n - 1, x)
+    with pytest.raises(UpdateError):
+        SLOTS[direction](sc, [((-1, x), w * 2 if direction == "increase" else w / 2)])
+    assert state(sc) == before

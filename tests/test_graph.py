@@ -7,6 +7,7 @@ import math
 import pytest
 
 from repro.errors import GraphError, QueryError
+from repro.graph.generators import road_network
 from repro.graph.graph import INFINITY, RoadNetwork, canonical_edge
 
 
@@ -34,6 +35,22 @@ class TestConstruction:
     def test_copy_equals_original(self):
         g = RoadNetwork.from_edges(3, [(0, 1, 1.0), (1, 2, 2.0)])
         assert g.copy() == g
+
+    def test_mutating_the_copy_leaves_the_original_intact(self):
+        g = road_network(60, seed=4)
+        before = sorted(g.edges())
+        clone = g.copy()
+        (a, b, w), (c, d, _w) = before[:2]
+        clone.set_weight(a, b, w * 3)
+        clone.remove_edge(c, d)
+        u, x = next(
+            (u, x) for u in g.vertices() for x in g.vertices()
+            if u < x and not g.has_edge(u, x)
+        )
+        clone.add_edge(u, x, 1.0)
+        assert sorted(g.edges()) == before
+        assert g.m == len(before)
+        assert not g.has_edge(u, x) and g.has_edge(c, d)
 
     def test_repr(self):
         assert repr(RoadNetwork(3)) == "RoadNetwork(n=3, m=0)"

@@ -9,7 +9,10 @@ import pytest
 from repro.ch.indexing import ch_indexing
 from repro.ch.shortcut_graph import ShortcutGraph
 from repro.errors import IndexError_
+from repro.graph.graph import RoadNetwork
+from repro.h2h.tree import TreeDecomposition
 from repro.order.min_degree import minimum_degree_ordering
+from repro.order.ordering import Ordering
 from repro.utils.counters import OpCounter
 
 from conftest import v
@@ -167,6 +170,55 @@ class TestEquationEvaluation:
         assert len(clone.structure.prio) == clone.num_shortcuts
         clone.validate()
         sc.validate()
+
+
+class TestEliminationTree:
+    def test_ranges_are_downward_closures(self, medium_road):
+        st = ch_indexing(medium_road).structure
+        for x in range(0, len(st.up), 7):
+            closure, stack = {x}, [x]
+            while stack:
+                for t in st.down[stack.pop()]:
+                    if t not in closure:
+                        closure.add(t)
+                        stack.append(t)
+            lo = st.pre[x]
+            assert set(st.order[lo : lo + st.size[x]]) == closure
+
+    def test_forest_of_a_disconnected_graph(self):
+        g = RoadNetwork.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
+        sc = ch_indexing(g, Ordering([0, 2, 1, 3]))
+        st = sc.structure
+        assert st.parent == [1, -1, 3, -1]
+        assert sorted(st.order) == [0, 1, 2, 3]
+        assert st.size == [1, 2, 1, 2]
+        sc.validate()
+
+    def test_h2h_tree_reads_the_structure_parent(self, medium_road):
+        sc = ch_indexing(medium_road)
+        assert TreeDecomposition(sc).parent is sc.structure.parent
+
+    @pytest.mark.parametrize("corrupt, message", [
+        ("parent", "first nbr"),
+        ("pre", "inverse permutations"),
+        ("size", "size"),
+        ("swap", "inside its parent"),
+    ])
+    def test_validate_catches_corrupt_tree(self, paper_sc, corrupt, message):
+        paper_sc.validate()
+        st = paper_sc.structure
+        top, child = st.order[0], st.order[1]
+        if corrupt == "parent":
+            st.parent[child] = child
+        elif corrupt == "pre":
+            st.pre[child] = 0
+        elif corrupt == "size":
+            st.size[top] += 1
+        else:  # consistent permutations, but a child now precedes its parent
+            st.order[0], st.order[1] = child, top
+            st.pre[top], st.pre[child] = 1, 0
+        with pytest.raises(IndexError_, match=message):
+            paper_sc.validate()
 
 
 class TestScpEnumeration:

@@ -2,8 +2,9 @@
 
 * ``test_exp1_figures_2a_2e`` regenerates the four network panels and
   the affected-fraction series, asserting the paper's shape: IncH2H-
-  at most IncH2H+ (on aggregate), both beating the recompute baseline
-  on small batches, and a monotone-ish affected fraction.
+  at most IncH2H+ (on aggregate, judged on the median of ``RUNS``
+  runs), both beating the recompute baseline on small batches, and a
+  monotone-ish affected fraction.
 * ``test_fig2f_traffic`` regenerates the update-rate-vs-time-of-day
   series from the synthetic trace.
 * The ``bench_*`` micro-benchmarks time one IncH2H+/- batch at the
@@ -12,12 +13,18 @@
 
 from __future__ import annotations
 
+from statistics import median
+
 import pytest
 
 from repro.experiments import exp1
 from repro.experiments.datasets import build_h2h, build_network
 from repro.h2h.inch2h import inch2h_decrease, inch2h_increase
 from repro.workloads.updates import increase_batch, restore_batch, sample_edges
+
+#: Runs of the experiment whose median judges the IncH2H-/IncH2H+ ratio:
+#: one run's ratio near its threshold passes or fails with host noise.
+RUNS = 3
 
 
 def test_exp1_figures_2a_2e(benchmark, profile, save_result):
@@ -28,6 +35,9 @@ def test_exp1_figures_2a_2e(benchmark, profile, save_result):
         rounds=1, iterations=1,
     )
     save_result(result, "exp1_fig2a-2e")
+    runs = [result] + [
+        exp1.run(networks=networks, profile=profile) for _ in range(RUNS - 1)
+    ]
 
     for name in networks:
         inc = result.series_by_name(f"{name}/IncH2H+").y
@@ -39,8 +49,10 @@ def test_exp1_figures_2a_2e(benchmark, profile, save_result):
         assert dec[0] < baseline
         # IncH2H- is relatively bounded as well: not slower on aggregate.
         # (Only checked once the timings are large enough to be stable.)
-        if sum(inc) > 0.05:
-            assert sum(dec) <= sum(inc) * 1.25
+        inc_sums = [sum(r.series_by_name(f"{name}/IncH2H+").y) for r in runs]
+        dec_sums = [sum(r.series_by_name(f"{name}/IncH2H-").y) for r in runs]
+        if median(inc_sums) > 0.05:
+            assert median(d / i for d, i in zip(dec_sums, inc_sums)) <= 1.25
         # Fig 2e shape: affected fraction grows with |dG| overall.
         assert affected[-1] > affected[0]
 

@@ -3,22 +3,29 @@
 One-by-one updates across eight weight-factor groups for DCH, UE,
 IncH2H and DTDHL.  The shape assertions encode the paper's findings:
 DCH orders of magnitude faster than IncH2H, DTDHL slower than IncH2H,
-UE slower than DCH.
+UE slower than DCH.  The DCH-vs-IncH2H gap is judged on the median of
+``RUNS`` runs.
 """
 
 from __future__ import annotations
 
+from statistics import median
+
 from repro.experiments import exp4
+
+#: Runs of the experiment whose median judges the DCH+/IncH2H+ ratio:
+#: one run's ratio near its threshold passes or fails with host noise.
+RUNS = 3
 
 
 def test_exp4_figures(benchmark, profile, save_result):
     networks = ("WUS", "CUS", "US")
-    result = benchmark.pedantic(
-        lambda: exp4.run(networks=networks, updates_per_group=10,
-                         profile=profile),
-        rounds=1, iterations=1,
-    )
+    def run():
+        return exp4.run(networks=networks, updates_per_group=10, profile=profile)
+
+    result = benchmark.pedantic(run, rounds=1, iterations=1)
     save_result(result, "exp4_fig2j-2k_2o-2q")
+    runs = [result] + [run() for _ in range(RUNS - 1)]
 
     for name in networks:
         dch_up = sum(result.series_by_name(f"{name}/DCH+").y)
@@ -30,7 +37,11 @@ def test_exp4_figures(benchmark, profile, save_result):
 
         # Fig 2o-2q: DCH is far faster per update than IncH2H (they
         # maintain different oracles; Section 6.2).
-        assert dch_up * 5 < inch2h_up
+        assert median(
+            sum(r.series_by_name(f"{name}/DCH+").y) * 5
+            / sum(r.series_by_name(f"{name}/IncH2H+").y)
+            for r in runs
+        ) < 1
         # DTDHL+ is markedly slower than IncH2H+.
         assert dtdhl_up > inch2h_up
         # Fig 2j-2k: UE does at least as much work as DCH.

@@ -1,29 +1,41 @@
-"""CHIndexing — Algorithm 1 of the paper.
+"""CHIndexing — Algorithm 1 of the paper, as a symbolic elimination
+followed by a level pass.
 
-Builds the shortcut graph ``sc(G)`` by contracting vertices in the order
-``pi``: when ``u`` is contracted, every pair of its higher-ranked
-neighbors in the *current* shortcut graph receives (or relaxes) a
-shortcut weighted ``phi(<u, v>) + phi(<u, w>)``.  The resulting weights
-satisfy Equation (<>) ([39], restated in Section 2).
+Algorithm 1 contracts vertices in the order ``pi``: when ``u`` is
+contracted, every pair of its higher-ranked neighbors ``v, w`` receives
+(or relaxes) a shortcut weighted ``phi(<u, v>) + phi(<u, w>)``.  The
+shortcut *set* this produces does not depend on the weights (Section 2),
+so the build splits in two:
 
-The paper uses the minimum degree heuristic to produce ``pi`` on the fly;
-here the ordering is computed first (:func:`repro.order.minimum_degree_ordering`)
-and contraction replays it, which yields the identical index and keeps
-the two concerns testable in isolation.
+1. **Structure.**  :func:`repro.order.min_degree.eliminate` eliminates
+   ``G`` symbolically — in minimum degree order when no ``pi`` is given
+   (the paper's default, following [39]; its fill is reused rather than
+   recomputed), in ``pi`` otherwise — and the shortcuts ``E`` plus fill
+   are laid out as one :class:`~repro.ch.shortcut_graph.ShortcutStructure`
+   with its elimination tree.
+2. **Weights, supports, witnesses.**  Every contraction step of
+   Algorithm 1 is one triangle ``(u; v, w)`` of that structure, and the
+   vertices of one elimination-tree height are an independent set whose
+   legs are final once the lower heights are done.  The level pass of
+   :mod:`repro.perf.kernels` relaxes each height in one vectorised step,
+   so the weights satisfy Equation (<>), then counts the tying terms of
+   every shortcut (``sup``) and picks its witness (``via``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Iterable, Optional, Tuple
 
-from repro.errors import OrderingError
+import numpy as np
+
 from repro.graph.graph import RoadNetwork
-from repro.order.min_degree import minimum_degree_ordering
+from repro.order.min_degree import check_connected, eliminate
 from repro.order.ordering import Ordering
-from repro.ch.shortcut_graph import ShortcutGraph, edge_weight_map
+from repro.ch.shortcut_graph import ShortcutGraph, ShortcutStructure
+from repro.perf import kernels
 from repro.utils.counters import OpCounter, resolve_counter
 
-__all__ = ["ch_indexing"]
+__all__ = ["ch_indexing", "edge_columns", "eliminated_structure"]
 
 
 def ch_indexing(
@@ -42,9 +54,10 @@ def ch_indexing(
         The contraction order ``pi``; computed with the minimum degree
         heuristic when omitted (the paper's default, following [39]).
     counter:
-        Optional :class:`OpCounter`; contraction work is tallied under
-        ``"contract_pair"`` and support construction under
-        ``"scp_minus_inspect"``.
+        Optional :class:`OpCounter`; every contraction term (one per
+        triangle of the shortcut graph) is tallied under
+        ``"contract_pair"`` and, again, under ``"scp_minus_inspect"``
+        when supports are built.
     with_support:
         Also build the ``sup``/``via`` auxiliaries needed by the
         incremental algorithms (adds one Equation (<>) pass).
@@ -60,33 +73,50 @@ def ch_indexing(
     >>> sc.num_shortcuts >= grid_network(3, 3, seed=1).m
     True
     """
-    if ordering is None:
-        ordering = minimum_degree_ordering(graph)
-    if len(ordering) != graph.n:
-        raise OrderingError(
-            f"ordering covers {len(ordering)} vertices, graph has {graph.n}"
-        )
-    ops = resolve_counter(counter)
+    u, v, w = edge_columns(graph.edges())
+    ordering, st = eliminated_structure(graph, ordering, u, v)
     rank = ordering.rank
-
-    # Working adjacency: starts as a copy of G, accumulates shortcuts.
-    adj: List[Dict[int, float]] = [
-        {v: w for v, w in graph.neighbor_items(u)} for u in range(graph.n)
-    ]
-
-    for u in ordering.order:
-        higher = [(v, w) for v, w in adj[u].items() if rank[v] > rank[u]]
-        for i, (v, w_uv) in enumerate(higher):
-            adj_v = adj[v]
-            for w, w_uw in higher[i + 1 :]:
-                ops.add("contract_pair")
-                candidate = w_uv + w_uw
-                current = adj_v.get(w)
-                if current is None or candidate < current:
-                    adj_v[w] = candidate
-                    adj[w][v] = candidate
-
-    index = ShortcutGraph(ordering, adj, edge_weight_map(graph))
+    edge_slots = st.slots_of(rank, u, v)
+    st.edge[edge_slots] = True
+    edge_w = np.full((1, len(st.low)), np.inf)
+    edge_w[0, edge_slots] = w
+    weights, terms = kernels.level_weights(st, edge_w)
+    ops = resolve_counter(counter)
+    if terms:
+        ops.add("contract_pair", terms)
     if with_support:
-        index.rebuild_supports(counter)
-    return index
+        sup, via = kernels.level_supports(st, rank, edge_w, weights, witnesses=True)
+        if len(st.low):
+            ops.add("scp_minus_inspect", terms)
+    else:
+        sup = np.zeros_like(weights, dtype=np.int64)
+        via = np.full_like(sup, -1)
+    return ShortcutGraph.from_slots(ordering, st, weights[0], edge_w[0], sup[0], via[0])
+
+
+def eliminated_structure(
+    graph: RoadNetwork, ordering: Optional[Ordering], u: np.ndarray, v: np.ndarray
+) -> Tuple[Ordering, ShortcutStructure]:
+    """The order (minimum degree when *ordering* is ``None``; *graph*
+    must then be connected) and the shortcut structure of eliminating
+    *graph*, whose edges are ``(u[i], v[i])``: those edges plus the
+    fill."""
+    if ordering is None:
+        check_connected(graph)
+    ordering, fill = eliminate(graph, ordering)
+    fill_u, fill_v = np.array(fill, dtype=np.int64).reshape(-1, 2).T
+    st = ShortcutStructure.from_pairs(
+        ordering.rank, np.concatenate((u, fill_u)), np.concatenate((v, fill_v))
+    )
+    return ordering, st
+
+
+def edge_columns(
+    triples: Iterable[Tuple[int, int, float]]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(u, v, weight)`` triples as two int64 id columns and a float64
+    weight column."""
+    rows = list(triples)
+    ids = np.array([row[:2] for row in rows], dtype=np.int64).reshape(-1, 2)
+    weights = np.array([row[2] for row in rows], dtype=np.float64)
+    return ids[:, 0], ids[:, 1], weights

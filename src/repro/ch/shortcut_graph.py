@@ -39,8 +39,8 @@ change the shortcut set.  The store is therefore split in two:
 * a :class:`ShortcutStructure` — the ``nbr+``/``nbr-`` lists, each
   vertex's neighbor-to-slot map, the row offsets, the slot endpoints,
   DCH±'s queue priorities, which slots are edges of ``G`` and the
-  elimination tree with its pre-order ranges — built once and shared by
-  every clone;
+  elimination tree with its pre-order ranges and heights — built once
+  and shared by every clone;
 * four arrays indexed by slot — ``phi(e)`` and ``phi(e, G)`` (float64),
   ``sup(e)`` and ``via(e)`` (int64, ``-1`` for the original edge) — which
   :meth:`ShortcutGraph.clone` copies.  Scalar reads and writes go
@@ -63,8 +63,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import IndexError_
-from repro.graph.graph import RoadNetwork
 from repro.order.ordering import Ordering
+from repro.perf.kernels import csr_slots
 from repro.utils.counters import OpCounter, resolve_counter
 
 __all__ = ["Shortcut", "ShortcutGraph", "ShortcutStructure"]
@@ -121,6 +121,11 @@ class ShortcutStructure:
         the subtree of ``x`` is the set of vertices that can climb to
         ``x`` along ``nbr+``, which is what the serving layer's CH
         ``V_aff`` (:func:`repro.serve.aff.ch_affected_vertices`) needs.
+    height:
+        Each vertex's height in that forest (0 for a leaf, else 1 plus
+        its tallest child's).  Every vertex of ``nbr+(v)`` is an
+        ancestor of ``v``, so it stands strictly taller than ``v``: the
+        build's level pass (:meth:`triangles`) groups by it.
     """
 
     __slots__ = (
@@ -140,6 +145,7 @@ class ShortcutStructure:
         "order",
         "pre",
         "size",
+        "height",
     )
 
     def __init__(self, rank: Sequence[int], up: List[List[int]]) -> None:
@@ -185,10 +191,13 @@ class ShortcutStructure:
         for v, r in enumerate(rank):
             by_rank[r] = v
         size = [1] * n
+        height = [0] * n
         for v in by_rank:
             p = parent[v]
             if p >= 0:
                 size[p] += size[v]
+                if height[p] <= height[v]:
+                    height[p] = height[v] + 1
         pre = [0] * n
         free = [0] * n  # next unassigned pre-order position under v
         roots = 0
@@ -209,6 +218,76 @@ class ShortcutStructure:
         self.order = order
         self.pre = pre
         self.size = size
+        self.height = height
+
+    @classmethod
+    def from_pairs(
+        cls, rank: Sequence[int], a: np.ndarray, b: np.ndarray
+    ) -> "ShortcutStructure":
+        """The structure whose shortcuts are the pairs ``<a[i], b[i]>``
+        (each pair once, in either orientation): one sort by slot key
+        lays out every ``nbr+`` row.  The rows hold one int object per
+        vertex, not one per slot."""
+        n = len(rank)
+        rank_arr = np.asarray(rank, dtype=np.int64)
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        lower = rank_arr[a] < rank_arr[b]
+        low = np.where(lower, a, b)
+        high = np.where(lower, b, a)
+        sorted_high = high[np.argsort(low * n + rank_arr[high])].tolist()
+        highs = list(map(list(range(n)).__getitem__, sorted_high))
+        ptr = [0, *accumulate(np.bincount(low, minlength=n).tolist())]
+        return cls(rank, [highs[p:q] for p, q in zip(ptr, ptr[1:])])
+
+    def slots_of(self, rank: Sequence[int], a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The slots of the shortcuts ``<a[i], b[i]>``, which must exist
+        (either orientation; int64)."""
+        rank_arr = np.asarray(rank, dtype=np.int64)
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        lower = rank_arr[a] < rank_arr[b]
+        keys = np.where(lower, a, b) * len(self.up) + rank_arr[np.where(lower, b, a)]
+        return np.searchsorted(self._keys(), keys)
+
+    def _keys(self) -> np.ndarray:
+        """``low * n + rank[high]`` per slot (int64), ascending: slots are
+        sorted by lower endpoint, then by the rank of the higher one, so
+        a pair's slot is one ``searchsorted`` away."""
+        n = len(self.up)
+        return self.low.astype(np.int64) * n + self.prio % n
+
+    def triangles(self) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Every scp+ triangle ``(u; v, w)`` — ``v`` before ``w`` in
+        ``nbr+(u)`` — as three int32 slot arrays: the legs ``<u, v>`` and
+        ``<u, w>`` and the target ``<v, w>``.
+
+        One group per elimination-tree height of ``u``, ascending.  A
+        target's lower end ``v`` is an ancestor of ``u``, so it stands
+        taller: a group's legs were the targets of earlier groups only,
+        and a pass over the groups in order reads final leg values.
+        Each triangle is one Equation (<>) term of its target, and each
+        term is one triangle.
+        """
+        m = len(self.low)
+        if m == 0:
+            return
+        n = len(self.up)
+        keys = self._keys()
+        high = self.high.astype(np.int64)
+        high_rank = self.prio % n
+        ptr = np.asarray(self.ptr, dtype=np.int64)
+        # Partners of slot s: the later slots of its row, one triangle each.
+        partners = (ptr[1:][self.low] - np.arange(1, m + 1)).astype(np.int32)
+        level = np.asarray(self.height, dtype=np.int64)[self.low]
+        legs = np.flatnonzero(partners)
+        legs = legs[np.argsort(level[legs], kind="stable")].astype(np.int32)
+        cuts = np.flatnonzero(np.diff(level[legs])) + 1
+        for group in np.split(legs, cuts):
+            row, b = csr_slots(group + 1, partners[group])
+            a = group[row]
+            t = np.searchsorted(keys, high[a] * n + high_rank[b])
+            yield a, b.astype(np.int32), t.astype(np.int32)
 
     def canonical(self) -> Tuple[List[int], List[int]]:
         """Both endpoints of every slot, smaller id first."""
@@ -257,7 +336,9 @@ class ShortcutStructure:
         ``nbr+`` entry, ``order`` / ``pre`` are inverse permutations,
         every ``size`` is 1 plus its children's and every child's range
         nests inside its parent's — together, each range
-        ``order[pre[v] : pre[v] + size[v]]`` is exactly ``v``'s subtree."""
+        ``order[pre[v] : pre[v] + size[v]]`` is exactly ``v``'s subtree —
+        and every ``height`` is 0 for a leaf, else 1 plus its tallest
+        child's."""
         n = len(self.up)
         parent, order, pre, size = self.parent, self.order, self.pre, self.size
         if parent != [row[0] if row else -1 for row in self.up]:
@@ -276,6 +357,12 @@ class ShortcutStructure:
                     )
         if total != size:
             raise IndexError_("tree size is not 1 plus the children's sizes")
+        tall = [0] * n
+        for v, p in enumerate(parent):
+            if p >= 0 and tall[p] <= self.height[v]:
+                tall[p] = self.height[v] + 1
+        if tall != self.height:
+            raise IndexError_("tree height is not 1 plus the tallest child's")
 
 
 class ShortcutGraph:
@@ -340,6 +427,24 @@ class ShortcutGraph:
             np.full(m, -1, dtype=np.int64),
         )
 
+    @classmethod
+    def from_slots(
+        cls,
+        ordering: Ordering,
+        st: ShortcutStructure,
+        weights: np.ndarray,
+        edge_w: np.ndarray,
+        sup: np.ndarray,
+        via: np.ndarray,
+    ) -> "ShortcutGraph":
+        """Wrap structure *st* (over *ordering*) and its four slot arrays
+        as they are, without copying."""
+        index = cls.__new__(cls)
+        index.ordering = ordering
+        index._rank = ordering.rank
+        index._adopt(st, weights, edge_w, sup, via)
+        return index
+
     def _adopt(self, st, weights, edge_w, sup, via) -> None:
         """Install structure *st* and the four slot arrays."""
         self._st = st
@@ -365,17 +470,14 @@ class ShortcutGraph:
         the clone's structure) never touches the original, which is what
         the epoch-snapshot serving layer relies on.
         """
-        dup = ShortcutGraph.__new__(ShortcutGraph)
-        dup.ordering = self.ordering
-        dup._rank = self._rank
-        dup._adopt(
+        return ShortcutGraph.from_slots(
+            self.ordering,
             self._st,
             self._w.copy(),
             self._ew.copy(),
             self._sup.copy(),
             self._via.copy(),
         )
-        return dup
 
     @property
     def structure(self) -> ShortcutStructure:
@@ -394,6 +496,14 @@ class ShortcutGraph:
         outside ``[0, n)`` has none: a negative *u* must not index the
         map of vertex ``n + u``."""
         return self._slot[u].get(v) if 0 <= u < len(self._slot) else None
+
+    def _check_pair(self, u: int, v: int) -> None:
+        """Raise :class:`IndexError_` unless both ids lie in ``[0, n)`` —
+        the range :meth:`_find` accepts — before a rank or ``nbr-`` list
+        is indexed with them."""
+        n = len(self._slot)
+        if not (0 <= u < n and 0 <= v < n):
+            raise IndexError_(f"vertex pair ({u}, {v}) out of range [0, {n})")
 
     def slot(self, u: int, v: int) -> int:
         """The slot of shortcut ``<u, v>``."""
@@ -492,12 +602,9 @@ class ShortcutGraph:
         for low, row in grown.items():
             up[low] = sorted(row, key=rank.__getitem__)
         new = ShortcutStructure(rank, up)
-        n = len(up)
-        rank_arr = np.asarray(rank, dtype=np.int64)
-        keys = new.low.astype(np.int64) * n + rank_arr[new.high]
-        moved = np.searchsorted(keys, st.low.astype(np.int64) * n + rank_arr[st.high])
+        moved = new.slots_of(rank, st.low, st.high)
         new.edge[moved] = st.edge
-        m = len(keys)
+        m = len(new.low)
         weights = np.full(m, _INF)
         edge_w = np.full(m, _INF)
         sup = np.zeros(m, dtype=np.int64)
@@ -610,8 +717,10 @@ class ShortcutGraph:
         """Downward shortcut pairs of ``<u, v>`` as their shared vertex *t*.
 
         Yields each ``t`` with ``pi(t) < min(pi(u), pi(v))`` adjacent to
-        both endpoints; the pair itself is ``(<t, u>, <t, v>)``.
+        both endpoints; the pair itself is ``(<t, u>, <t, v>)``.  An id
+        outside ``[0, n)`` raises :class:`IndexError_` at the call.
         """
+        self._check_pair(u, v)
         rank = self._rank
         limit = min(rank[u], rank[v])
         down_u, down_v = self._down[u], self._down[v]
@@ -619,9 +728,7 @@ class ShortcutGraph:
             smaller, other = down_u, self._slot[v]
         else:
             smaller, other = down_v, self._slot[u]
-        for t in smaller:
-            if rank[t] < limit and t in other:
-                yield t
+        return (t for t in smaller if rank[t] < limit and t in other)
 
     def scp_plus(self, u: int, v: int) -> Iterator[Tuple[int, int, int]]:
         """Upward shortcut pairs of ``<u, v>``.
@@ -630,14 +737,14 @@ class ShortcutGraph:
         Yields triples ``(x, w, y)`` meaning the pair
         ``(<x, w>, <w, y>)`` — i.e. ``<x, y>`` together with ``<x, w>``
         forms a downward pair of ``<w, y>``, so a change of ``<x, y>``
-        can affect ``<w, y>``.
+        can affect ``<w, y>``.  An id outside ``[0, n)`` raises
+        :class:`IndexError_` at the call.
         """
+        self._check_pair(u, v)
         rank = self._rank
         x, y = (u, v) if rank[u] < rank[v] else (v, u)
         slot_y = self._slot[y]
-        for w in self._up[x]:
-            if w != y and w in slot_y:
-                yield (x, w, y)
+        return ((x, w, y) for w in self._up[x] if w != y and w in slot_y)
 
     # ------------------------------------------------------------------
     # Equation (<>)
@@ -689,6 +796,7 @@ class ShortcutGraph:
         Returns the minimum value, how many terms attain it, and a witness.
         Does **not** mutate the index; see :meth:`recompute`.
         """
+        self._check_pair(u, v)
         weight, support, witness = self._equation(u, v, counter)
         return _RecomputeResult(
             weight=weight, support=support, via=None if witness < 0 else witness
@@ -713,28 +821,6 @@ class ShortcutGraph:
         self._supv[s] = support
         self._viav[s] = witness
         return weight
-
-    def rebuild_supports(self, counter: Optional[OpCounter] = None) -> None:
-        """Recompute ``sup``/``via`` of every shortcut from Equation (<>).
-
-        Called once at indexing time; weights must already satisfy
-        Equation (<>) (they do after :func:`repro.ch.indexing.ch_indexing`).
-        """
-        weights = self._w.tolist()
-        sups: List[int] = []
-        vias: List[int] = []
-        for u, v, stored in zip(self._st.low.tolist(), self._st.high.tolist(), weights):
-            weight, support, witness = self._equation(u, v, counter)
-            if weight != stored:
-                a, b = self.key(u, v)
-                raise IndexError_(
-                    f"shortcut <{a}, {b}> weight {stored} violates "
-                    f"Equation (<>) value {weight}"
-                )
-            sups.append(support)
-            vias.append(witness)
-        self._sup[:] = sups
-        self._via[:] = vias
 
     # ------------------------------------------------------------------
     # Whole-index views (tests, experiments)
@@ -791,8 +877,3 @@ class ShortcutGraph:
 
     def __repr__(self) -> str:
         return f"ShortcutGraph(n={self.n}, shortcuts={self.num_shortcuts})"
-
-
-def edge_weight_map(graph: RoadNetwork) -> Dict[Shortcut, float]:
-    """Canonical ``(u, v) -> phi(e, G)`` map of *graph*'s edges."""
-    return {(u, v): w for u, v, w in graph.edges()}

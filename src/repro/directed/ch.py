@@ -32,15 +32,16 @@ from __future__ import annotations
 import heapq
 import math
 from itertools import chain
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from repro.ch.indexing import edge_columns, eliminated_structure
 from repro.ch.shortcut_graph import ShortcutStructure
 from repro.directed.graph import DiRoadNetwork
 from repro.errors import IndexError_, QueryError
-from repro.order.min_degree import minimum_degree_ordering
 from repro.order.ordering import Ordering
+from repro.perf import kernels
 from repro.utils.counters import OpCounter, resolve_counter
 
 __all__ = ["DirectedShortcutGraph", "directed_ch_indexing", "directed_ch_distance"]
@@ -63,28 +64,19 @@ class DirectedShortcutGraph:
     def __init__(
         self,
         ordering: Ordering,
-        weights: List[Dict[int, float]],
-        arc_weights: Dict[Arc, float],
+        st: ShortcutStructure,
+        arc: np.ndarray,
+        phi: np.ndarray,
+        phi_g: np.ndarray,
+        count: np.ndarray,
     ) -> None:
-        """Lay out *weights* (``weights[u][v] = phi(u -> v)``, key sets
-        symmetric) and the arcs of G (*arc_weights*) in one pass;
-        supports start at 0."""
+        """Wrap structure *st* (over *ordering*), its ``(2, slots)`` arc
+        flags *arc* and the three ``(2, slots)`` weight-dependent arrays
+        as they are, without copying."""
         self.ordering = ordering
-        self._rank = rank = ordering.rank
-        up = [
-            sorted((v for v in nbrs if rank[v] > rank[u]), key=rank.__getitem__)
-            for u, nbrs in enumerate(weights)
-        ]
-        st = ShortcutStructure(rank, up)
-        pairs = list(zip(st.low.tolist(), st.high.tolist()))
-        forward = [weights[x][y] for x, y in pairs]  # row TO
-        phi = np.array([forward, [weights[y][x] for x, y in pairs]], dtype=np.float64)
-        self._arc = np.zeros(phi.shape, dtype=bool)
-        self._adopt(st, phi, np.full(phi.shape, _INF), np.zeros(phi.shape, np.int64))
-        arcs = [self.arc_id(u, v) for u, v in arc_weights]
-        self._arc.reshape(-1)[arcs] = True
-        self._phi_g.reshape(-1)[arcs] = list(arc_weights.values())
-        st.edge[:] = self._arc.any(axis=0)
+        self._rank = ordering.rank
+        self._arc = arc
+        self._adopt(st, phi, phi_g, count)
 
     def _adopt(self, st, phi, phi_g, count) -> None:
         """Install structure *st* and the three weight-dependent arrays."""
@@ -97,14 +89,14 @@ class DirectedShortcutGraph:
     def clone(self) -> "DirectedShortcutGraph":
         """An independent copy sharing the structure and the arc flags;
         only ``phi``, ``phi_G`` and the supports are copied."""
-        dup = DirectedShortcutGraph.__new__(DirectedShortcutGraph)
-        dup.ordering = self.ordering
-        dup._rank = self._rank
-        dup._arc = self._arc
-        dup._adopt(
-            self._st, self._phi.copy(), self._phi_g.copy(), self._count.copy()
+        return DirectedShortcutGraph(
+            self.ordering,
+            self._st,
+            self._arc,
+            self._phi.copy(),
+            self._phi_g.copy(),
+            self._count.copy(),
         )
-        return dup
 
     # ------------------------------------------------------------------
     @property
@@ -268,26 +260,20 @@ class DirectedShortcutGraph:
         self._countv[k] = support
         return value
 
-    def _check_arcs(self, store: bool) -> None:
-        """Every arc against the directed Equation (<>): store its support
-        (*store*) or check the stored one."""
+    def _check_arcs(self) -> None:
+        """Every arc's weight and support against the directed
+        Equation (<>)."""
         for k, (u, v) in enumerate(self.shortcut_arcs()):
             value, support = self._equation(k, None)
             if value != self._phiv[k]:
                 raise IndexError_(
                     f"arc {u}->{v}: stored {self._phiv[k]}, equation {value}"
                 )
-            if store:
-                self._countv[k] = support
-            elif self._countv[k] != support:
+            if self._countv[k] != support:
                 raise IndexError_(
                     f"arc {u}->{v}: stored support {self._countv[k]}, "
                     f"actual {support}"
                 )
-
-    def rebuild_supports(self) -> None:
-        """Initialize supports for every directed shortcut."""
-        self._check_arcs(store=True)
 
     def validate(self) -> None:
         """Check the shared structure, that only arcs of G carry a finite
@@ -297,7 +283,7 @@ class DirectedShortcutGraph:
         stray = np.flatnonzero(~self._arc & (self._phi_g != _INF))
         if len(stray):
             raise IndexError_(f"arc id {int(stray[0])} is not an arc of G")
-        self._check_arcs(store=False)
+        self._check_arcs()
 
     def __repr__(self) -> str:
         return f"DirectedShortcutGraph(n={self.n}, shortcuts={self.num_shortcuts})"
@@ -312,41 +298,30 @@ def directed_ch_indexing(
 
     The ordering defaults to the minimum degree heuristic on the
     symmetrized graph; the skeleton therefore matches the undirected
-    index of the same network.
+    index of the same network.  The level pass of
+    :mod:`repro.perf.kernels` then runs over the ``(2, slots)`` store:
+    triangle ``(u; v, w)`` offers ``TO(v, w)`` the term
+    ``FROM(u, v) + TO(u, w)`` (``v -> u -> w``) and ``FROM(v, w)`` the
+    term ``FROM(u, w) + TO(u, v)`` (``w -> u -> v``).
     """
     skeleton = graph.symmetrized()
-    if ordering is None:
-        ordering = minimum_degree_ordering(skeleton)
-    ops = resolve_counter(counter)
+    u, v, _ = edge_columns(skeleton.edges())
+    ordering, st = eliminated_structure(skeleton, ordering, u, v)
     rank = ordering.rank
-    n = graph.n
-
-    # weights[u][v] = phi(u -> v); initialized from arcs, inf for the
-    # missing direction of one-way streets.
-    weights: List[Dict[int, float]] = [{} for _ in range(n)]
-    for u, v, w in graph.arcs():
-        weights[u][v] = w
-        weights[v].setdefault(u, math.inf)
-
-    for u in ordering.order:
-        higher = [v for v in weights[u] if rank[v] > rank[u]]
-        for i, v in enumerate(higher):
-            for w in higher[i + 1 :]:
-                ops.add("contract_pair")
-                # v -> u -> w and w -> u -> v.
-                for a, b in ((v, w), (w, v)):
-                    candidate = weights[a][u] + weights[u][b]
-                    if candidate < weights[a].get(b, math.inf):
-                        weights[a][b] = candidate
-                    else:
-                        weights[a].setdefault(b, math.inf)
-                    weights[b].setdefault(a, math.inf)
-
-    index = DirectedShortcutGraph(
-        ordering, weights, {(u, v): w for u, v, w in graph.arcs()}
-    )
-    index.rebuild_supports()
-    return index
+    tail, head, w = edge_columns(graph.arcs())
+    slots = len(st.low)
+    rank_arr = np.asarray(rank, dtype=np.int64)
+    ids = st.slots_of(rank, tail, head) + slots * (rank_arr[tail] > rank_arr[head])
+    arc = np.zeros((2, slots), dtype=bool)
+    arc.reshape(-1)[ids] = True
+    phi_g = np.full((2, slots), _INF)
+    phi_g.reshape(-1)[ids] = w
+    st.edge[:] = arc.any(axis=0)
+    phi, terms = kernels.level_weights(st, phi_g)
+    count, _ = kernels.level_supports(st, rank, phi_g, phi, witnesses=False)
+    if terms:
+        resolve_counter(counter).add("contract_pair", terms)
+    return DirectedShortcutGraph(ordering, st, arc, phi, phi_g, count)
 
 
 def directed_ch_distance(

@@ -14,6 +14,9 @@ kernel                       replaces
 :func:`star_eval`            ``evaluate_entry`` called once per entry of
                              a whole IncH2H+ level (line 23 of Algorithm 4)
                              or of a vertex in directed H2HIndexing
+:func:`level_weights` /      CHIndexing's contraction loop and its scalar
+:func:`level_supports`       Equation (<>) support pass, undirected and
+                             directed
 :func:`fill_row`             the per-depth construction loop of
                              H2HIndexing step 3
 :func:`pos_scan_many`        one ``h2h_distance`` /
@@ -29,7 +32,10 @@ label store: ``D = 1`` for the undirected index (its ``(n, width)``
 (``dis[TO]``, ``dis[FROM]``).  Label matrix *d* of vertex *u* reads the
 deep Equation (nabla) case from matrix ``other(d) = D - 1 - d``: the
 undirected index reads its own matrix, ``sd(a -> v)`` for a ``TO`` entry
-comes from the ``FROM`` row of ``a`` and vice versa.
+comes from the ``FROM`` row of ``a`` and vice versa.  The CHIndexing
+level pass (:func:`level_weights`, :func:`level_supports`) follows the
+same rule over a ``(D, slots)`` shortcut store: row *d* of a target
+takes its first leg from row ``other(d)``.
 
 Bit-identity contract
 ---------------------
@@ -38,7 +44,10 @@ All kernels are drop-in replacements for the scalar reference paths
 scalar H2H queries), which stay in the codebase precisely so the
 differential tests in ``tests/test_perf_kernels.py`` and
 ``tests/test_h2h_batch_query.py`` can assert the two produce
-bit-identical ``dis``/``sup``/shortcut state and answers.  The
+bit-identical ``dis``/``sup``/shortcut state and answers.  The level
+pass's scalar twin, the dict contraction plus one Equation (<>) call
+per shortcut, is ``tests/reference_ch_build.py``, held byte-equal by
+``tests/test_ch_build_levels.py``.  The
 identity holds exactly (not approximately) because each kernel
 performs the same IEEE-754 operations as its scalar counterpart: one
 ``weight + sd`` addition per candidate (float addition is commutative,
@@ -70,6 +79,8 @@ __all__ = [
     "star_eval",
     "fill_row",
     "directed_fill_vertex",
+    "level_weights",
+    "level_supports",
     "pos_scan_many",
 ]
 
@@ -243,6 +254,66 @@ def directed_fill_vertex(index, u: int) -> None:
             values, supports = star_eval(index, d, u, np.arange(du))
             index.dis[d][u, :du] = values
             index.sup[d][u, :du] = supports
+
+
+# ----------------------------------------------------------------------
+# Equation (<>) level pass (CHIndexing)
+# ----------------------------------------------------------------------
+def level_weights(st, phi_g: np.ndarray) -> Tuple[np.ndarray, int]:
+    """Equation (<>) weights of every slot, and the number of terms.
+
+    *phi_g* is ``phi(e, G)`` as a ``(D, slots)`` array (``inf`` off
+    ``G``): ``D = 1`` undirected, ``D = 2`` directed (rows ``TO`` and
+    ``FROM``).  Row *d* of target ``<v, w>`` takes the term
+    ``phi[other(d)][<u, v>] + phi[d][<u, w>]`` of each triangle
+    ``(u; v, w)`` of :meth:`~repro.ch.shortcut_graph.ShortcutStructure.triangles`
+    — one ``np.minimum.at`` per row and elimination-tree height, whose
+    legs are final by then.  This is Algorithm 1's contraction, one
+    independent set of vertices at a time.
+    """
+    phi = phi_g.copy()
+    rows = len(phi)
+    terms = 0
+    for a, b, t in st.triangles():
+        for d in range(rows):
+            np.minimum.at(phi[d], t, phi[other(rows, d)][a] + phi[d][b])
+        terms += len(t)
+    return phi, terms
+
+
+def level_supports(
+    st, rank, phi_g: np.ndarray, phi: np.ndarray, witnesses: bool
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """``sup`` of every slot of :func:`level_weights`' output *phi*, and
+    (*witnesses*) ``via``.
+
+    The tie rule of the scalar Equation (<>): a finite ``phi(e, G)``
+    equal to ``phi`` counts one, and so does every finite term equal to
+    it.  ``via`` is the lowest-ranked apex ``u`` of a tying term, or
+    ``-1`` where ``phi(e, G)`` attains the minimum (an ``inf`` shortcut
+    included).
+    """
+    rows, slots = phi.shape
+    sup = ((phi_g == phi) & (phi_g != np.inf)).astype(np.int64)
+    n = len(rank)
+    rank_arr = np.asarray(rank, dtype=np.int64)
+    apex_rank = rank_arr[st.low]
+    # Lowest tying apex rank per slot; n where no term ties.
+    best = np.full((rows, slots), n, dtype=np.int64) if witnesses else None
+    for a, b, t in st.triangles():
+        for d in range(rows):
+            terms = phi[other(rows, d)][a] + phi[d][b]
+            tie = (terms == phi[d][t]) & (terms != np.inf)
+            tied = t[tie]
+            np.add.at(sup[d], tied, 1)
+            if witnesses:
+                np.minimum.at(best[d], tied, apex_rank[a[tie]])
+    if not witnesses:
+        return sup, None
+    order = np.argsort(rank_arr)
+    via = np.where(best < n, order[np.minimum(best, n - 1)], -1)
+    via[phi_g == phi] = -1
+    return sup, via
 
 
 # ----------------------------------------------------------------------

@@ -105,6 +105,31 @@ class TestMinimumDegree:
         assert len(fill) == 1
 
 
+class TestGivenOrderElimination:
+    def test_reproduces_the_minimum_degree_fill(self):
+        g = road_network(200, seed=4)
+        ordering, fill = eliminate(g)
+        again, given_fill = eliminate(g, ordering)
+        assert again is ordering
+        assert sorted(given_fill) == sorted(fill)
+
+    def test_fill_is_canonical_and_new(self):
+        g = grid_network(5, 5, seed=2)
+        _, fill = eliminate(g, random_ordering(g, seed=5))
+        assert fill
+        assert len(set(fill)) == len(fill)
+        assert all(u < v and not g.has_edge(u, v) for u, v in fill)
+
+    def test_star_center_first_cliques_the_leaves(self):
+        g = RoadNetwork.from_edges(4, [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0)])
+        _, fill = eliminate(g, Ordering([0, 1, 2, 3]))
+        assert sorted(fill) == [(1, 2), (1, 3), (2, 3)]
+
+    def test_wrong_length_rejected(self):
+        with pytest.raises(OrderingError):
+            eliminate(grid_network(3, 3, seed=0), Ordering([0, 1, 2]))
+
+
 class TestAlternativeOrderings:
     def test_degree_ordering_sorted_by_degree(self):
         g = RoadNetwork.from_edges(4, [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0)])

@@ -113,17 +113,30 @@ def test_readers_vs_writer_h2h():
     )
 
 
+def _readers_vs_writer_scenario(oracle_cls, n: int, readers: int, epochs: int,
+                                batch: int) -> None:
+    """The stress scenario's body, at any size."""
+    _run_readers_vs_writer(
+        road_network(n, seed=6),
+        oracle_cls=oracle_cls,
+        readers=readers,
+        epochs=epochs,
+        batch=batch,
+        seed=17,
+    )
+
+
+@pytest.mark.parametrize("oracle_cls", [DynamicCH, DynamicH2H])
+def test_readers_vs_writer_stress_smoke(oracle_cls):
+    """The stress scenario at a size that fails in seconds on a
+    signature change."""
+    _readers_vs_writer_scenario(oracle_cls, n=30, readers=2, epochs=2, batch=3)
+
+
 @pytest.mark.stress
 @pytest.mark.parametrize("oracle_cls", [DynamicCH, DynamicH2H])
 def test_readers_vs_writer_stress(oracle_cls):
-    _run_readers_vs_writer(
-        road_network(150, seed=6),
-        oracle_cls=oracle_cls,
-        readers=8,
-        epochs=10,
-        batch=10,
-        seed=17,
-    )
+    _readers_vs_writer_scenario(oracle_cls, n=150, readers=8, epochs=10, batch=10)
 
 
 # ----------------------------------------------------------------------

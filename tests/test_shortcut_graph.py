@@ -9,6 +9,7 @@ import pytest
 from repro.ch.indexing import ch_indexing
 from repro.ch.shortcut_graph import ShortcutGraph
 from repro.errors import IndexError_
+from repro.graph.generators import road_network
 from repro.graph.graph import RoadNetwork
 from repro.h2h.tree import TreeDecomposition
 from repro.order.min_degree import minimum_degree_ordering
@@ -192,6 +193,7 @@ class TestEliminationTree:
         assert st.parent == [1, -1, 3, -1]
         assert sorted(st.order) == [0, 1, 2, 3]
         assert st.size == [1, 2, 1, 2]
+        assert st.height == [0, 1, 0, 1]
         sc.validate()
 
     def test_h2h_tree_reads_the_structure_parent(self, medium_road):
@@ -203,6 +205,7 @@ class TestEliminationTree:
         ("pre", "inverse permutations"),
         ("size", "size"),
         ("swap", "inside its parent"),
+        ("height", "height"),
     ])
     def test_validate_catches_corrupt_tree(self, paper_sc, corrupt, message):
         paper_sc.validate()
@@ -214,6 +217,8 @@ class TestEliminationTree:
             st.pre[child] = 0
         elif corrupt == "size":
             st.size[top] += 1
+        elif corrupt == "height":
+            st.height[top] += 1
         else:  # consistent permutations, but a child now precedes its parent
             st.order[0], st.order[1] = child, top
             st.pre[top], st.pre[child] = 1, 0
@@ -231,6 +236,16 @@ class TestScpEnumeration:
         for x, w_mid, y in paper_sc.scp_plus(v(8), v(7)):
             assert x == v(7)  # the lower-ranked endpoint
             assert paper_sc.has_shortcut(w_mid, y)
+
+    @pytest.mark.parametrize("pair", [(-1, 23), (23, -1), (30, 23)])
+    def test_ids_outside_range_raise(self, pair):
+        # A negative id must not index the lists of vertex n - 1: (-1, 23)
+        # would otherwise read shortcut (29, 23).
+        sc = ch_indexing(road_network(30, seed=1))
+        assert sc.has_shortcut(29, 23)
+        for call in (sc.evaluate_equation, sc.scp_minus, sc.scp_plus):
+            with pytest.raises(IndexError_, match="out of range"):
+                call(*pair)
 
     def test_scp_pairs_are_duals(self, medium_road):
         """(e, e') is a downward pair of e'' iff scp_plus reports e''."""

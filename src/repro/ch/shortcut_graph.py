@@ -158,14 +158,19 @@ class ShortcutStructure:
         # nbr-(v): the slots whose higher end is v, by rank of the lower end.
         by_high = np.lexsort((rank_arr[low], high))
         bounds = [0, *accumulate(np.bincount(high, minlength=n).tolist())]
-        lows = low[by_high].tolist()
-        slots = by_high.tolist()
+        # One int object per vertex and one per slot, shared by the rows
+        # and both slot maps: an object array indexes by reference, where
+        # tolist() of an int array makes a fresh int per entry.
+        slot_ids = np.arange(ptr[-1]).astype(object)
+        lows = np.arange(n).astype(object)[low[by_high]].tolist()
+        slots = slot_ids[by_high].tolist()
+        slot_ids = slot_ids.tolist()
         rows = list(zip(bounds, bounds[1:]))
         self.up = up
         self.down = [lows[a:b] for a, b in rows]
         self.down_slots = [slots[a:b] for a, b in rows]
         self.slot: List[Dict[int, int]] = [
-            dict(zip(row, range(ptr[u], ptr[u + 1]))) for u, row in enumerate(up)
+            dict(zip(row, slot_ids[ptr[u] : ptr[u + 1]])) for u, row in enumerate(up)
         ]
         for by_v, row, row_slots in zip(self.slot, self.down, self.down_slots):
             by_v.update(zip(row, row_slots))

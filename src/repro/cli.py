@@ -383,8 +383,12 @@ def _cmd_serve_bench(args) -> int:
     print(f"  build             {result.build_s:8.2f} s")
     print(f"  baseline (uncached) {result.baseline_per_query_s * 1e6:8.1f} us/query")
     print(f"  cold (first pass)   {result.cold_per_query_s * 1e6:8.1f} us/query")
-    print(f"  warm (cache hits)   {result.warm_per_query_s * 1e6:8.1f} us/query")
-    print(f"  speedup             {result.speedup:8.1f} x")
+    if result.stats.get("cache") is None:
+        print(f"  warm (labels)       {result.warm_per_query_s * 1e6:8.1f} us/query")
+        print("  speedup             no cache (label oracle)")
+    else:
+        print(f"  warm (cache hits)   {result.warm_per_query_s * 1e6:8.1f} us/query")
+        print(f"  speedup             {result.speedup:8.1f} x")
     if result.update_throughput:
         tput = result.update_throughput
         print(f"  update throughput   {tput['sequential_updates_per_s']:8.1f} "
@@ -716,6 +720,9 @@ def _cmd_cache_stats(args) -> int:
         data = json.load(handle)
     stats = data.get("stats", data)  # accept a bare stats() dump too
     cache = stats.get("cache", {})
+    if cache is None:
+        print(f"epoch {stats.get('epoch', '?')}: no cache (label oracle)")
+        return 0
     print(f"epoch {stats.get('epoch', '?')}: "
           f"{stats.get('cache_size', '?')}/{stats.get('cache_capacity', '?')} "
           f"entries cached")

@@ -101,7 +101,6 @@ class DynamicCH:
         self, graph: RoadNetwork, ordering: Optional[Ordering] = None
     ) -> None:
         self._graph = graph
-        self._ordering = ordering
         self.counter = OpCounter()
         self.index = ch_indexing(graph, ordering, self.counter)
 
@@ -112,7 +111,6 @@ class DynamicCH:
         index was built on, in its current state."""
         oracle = cls.__new__(cls)
         oracle._graph = graph
-        oracle._ordering = index.ordering
         oracle.counter = OpCounter()
         oracle.index = index
         return oracle
@@ -173,8 +171,11 @@ class DynamicCH:
         return report
 
     def rebuild(self) -> None:
-        """Recompute the index from the current network (CHIndexing)."""
-        self.index = ch_indexing(self._graph, self._ordering, self.counter)
+        """Recompute the index from the current network (CHIndexing).
+
+        The vertex order is weight independent, so the index's own order
+        is reused instead of running minimum degree again."""
+        self.index = ch_indexing(self._graph, self.index.ordering, self.counter)
 
 
 class DynamicH2H:

@@ -6,9 +6,10 @@ keeps them *queryable* while maintenance is in flight:
 * :mod:`repro.serve.epoch` — copy-on-write versions published by atomic
   epoch swap; readers are lock-free and always see one consistent index.
 * :mod:`repro.serve.cache` — a bounded LRU of answers with epoch-exact
-  hits and AFF-scoped invalidation.
-* :mod:`repro.serve.aff` — turns DCH / IncH2H change lists into the
-  sound affected-vertex sets the cache evicts by.
+  hits and AFF-scoped invalidation, kept for oracles that answer by
+  search (H2H answers straight from its labels).
+* :mod:`repro.serve.aff` — turns DCH change lists into the sound
+  affected-vertex sets the cache evicts by.
 * :mod:`repro.serve.server` — :class:`DistanceServer`: the batched,
   thread-pooled front end.
 * :mod:`repro.serve.bench` — the ``repro serve-bench`` harness.
@@ -17,7 +18,6 @@ keeps them *queryable* while maintenance is in flight:
 from repro.serve.aff import (
     affected_vertices,
     ch_affected_vertices,
-    h2h_affected_vertices,
 )
 from repro.serve.bench import BenchConfig, BenchResult, serve_bench
 from repro.serve.cache import CacheStats, QueryCache
@@ -35,6 +35,5 @@ __all__ = [
     "ServeReport",
     "affected_vertices",
     "ch_affected_vertices",
-    "h2h_affected_vertices",
     "serve_bench",
 ]

@@ -1,24 +1,20 @@
 """AFF-driven cache invalidation: which (s, t) answers can an update change?
 
-The maintenance algorithms already compute exactly what the serving
-layer needs: DCH returns the set of shortcuts whose weight changed
-(``AFF_2``, Example 4.1) and IncH2H the set of super-shortcuts whose
-value changed (``AFF_3``, Section 5).  This module turns those change
-lists into a *sound* vertex set ``V_aff`` such that any query pair
-``(s, t)`` with ``s not in V_aff`` and ``t not in V_aff`` provably has
-the same distance before and after the update — so the query cache only
-evicts pairs touching ``V_aff`` instead of flushing wholesale.
+DCH returns the set of shortcuts whose weight changed (``AFF_2``,
+Example 4.1).  This module turns that change list into a *sound* vertex
+set ``V_aff`` such that any query pair ``(s, t)`` with ``s not in
+V_aff`` and ``t not in V_aff`` provably has the same distance before
+and after the update — so the query cache only evicts pairs touching
+``V_aff`` instead of flushing wholesale.
 
-Soundness arguments
--------------------
-*H2H.*  ``h2h_distance(s, t)`` reads only rows ``dis(s)`` and ``dis(t)``
-of the distance matrix (Section 2, "Query": a pos-scan over the LCA's
-vertex set).  IncH2H reports every entry it changed, so if neither row
-changed the scanned values — and hence the minimum — are identical.
-``V_aff`` is simply the set of descendants of changed super-shortcuts,
-which makes the invalidation *exact at row granularity*.
+Only oracles that answer by search keep a cache
+(:class:`~repro.serve.server.DistanceServer`).  An H2H answer is a scan
+of two labels, about the cost of a cache lookup, so H2H servers keep no
+cache and never ask for a ``V_aff``.
 
-*CH.*  ``sd(s, t)`` is the minimum weight over up-down paths in
+Soundness argument
+------------------
+``sd(s, t)`` is the minimum weight over up-down paths in
 ``sc(G)`` (Section 2).  Every shortcut on the ascending half has both
 endpoints inside the upward closure of ``s`` (each hop strictly
 increases rank), and symmetrically for ``t``.  If no changed shortcut
@@ -49,7 +45,6 @@ from typing import Optional, Sequence, Set
 
 __all__ = [
     "ch_affected_vertices",
-    "h2h_affected_vertices",
     "affected_vertices",
 ]
 
@@ -81,37 +76,15 @@ def ch_affected_vertices(sc, changed_shortcuts: Sequence) -> Set[int]:
     return affected
 
 
-def h2h_affected_vertices(changed_super_shortcuts: Sequence) -> Set[int]:
-    """``V_aff`` for an H2H update: every vertex whose distance row
-    changed.
-
-    *changed_super_shortcuts* is the IncH2H change list —
-    ``((u, da), old, new)`` for the undirected index,
-    ``((direction, u, da), old, new)`` for the directed one; in both the
-    second-to-last key component is the descendant whose ``dis`` row
-    holds the entry.
-    """
-    affected: Set[int] = set()
-    for key, _old, _new in changed_super_shortcuts:
-        affected.add(key[-2])
-    return affected
-
-
 def affected_vertices(oracle, report) -> Optional[Set[int]]:
-    """Dispatch: ``V_aff`` of one :class:`UpdateReport`-like object, or
-    ``None`` when the oracle kind is unknown (meaning: assume everything
-    is affected and flush the cache — always sound).
-
-    H2H reports are preferred over CH ones when both change lists are
-    present because the H2H query path never reads shortcut weights.
-    """
-    super_changed = getattr(report, "changed_super_shortcuts", None)
-    shortcut_changed = getattr(report, "changed_shortcuts", None)
-    if shortcut_changed is None:
-        shortcut_changed = getattr(report, "changed_shortcut_arcs", None)
+    """Dispatch: ``V_aff`` of one CH :class:`UpdateReport`-like object
+    (undirected or directed), or ``None`` when the oracle has no shortcut
+    structure (meaning: assume everything is affected and flush the
+    cache — always sound)."""
+    changed = getattr(report, "changed_shortcuts", None)
+    if changed is None:
+        changed = getattr(report, "changed_shortcut_arcs", None)
     index = getattr(oracle, "index", None)
-    if super_changed is not None and hasattr(index, "dis"):
-        return h2h_affected_vertices(super_changed)
-    if shortcut_changed is not None and hasattr(index, "structure"):
-        return ch_affected_vertices(index, shortcut_changed)
+    if changed is not None and hasattr(index, "structure"):
+        return ch_affected_vertices(index, changed)
     return None

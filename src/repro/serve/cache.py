@@ -1,5 +1,11 @@
 """A bounded query cache with epoch-exact hits and AFF-scoped eviction.
 
+:class:`~repro.serve.server.DistanceServer` puts one in front of oracles
+that answer by search (CH, directed CH, Dijkstra), where a miss costs a
+search.  Label oracles (H2H, directed H2H) go without: their answer is a
+scan of two labels, about what a get and a put cost, and a migration
+walks the whole cache on every publish.
+
 Entries are keyed on the query pair — canonicalized to the unordered
 pair when the metric is symmetric, kept ordered for directed oracles
 where ``sd(s -> t) != sd(t -> s)`` — and *stamped with the epoch*

@@ -2,20 +2,28 @@
 
 The front end the ROADMAP's "heavy traffic" goal needs: reader threads
 answer ``sd(s, t)`` lock-free against the current epoch snapshot while a
-writer applies DCH / IncH2H maintenance copy-on-write; a bounded LRU
-cache short-circuits repeated pairs and survives updates through
-AFF-scoped invalidation instead of wholesale flushes.
+writer applies DCH / IncH2H maintenance copy-on-write.  Oracles that
+answer by search (CH, directed CH, Dijkstra, :class:`ResilientOracle`)
+sit behind a bounded LRU cache that short-circuits repeated pairs and
+survives updates through AFF-scoped invalidation instead of wholesale
+flushes.  Label oracles (``distance_many``: :class:`DynamicH2H`,
+:class:`DynamicDiH2H`) keep no cache: an answer is a scan of two labels,
+which costs about what a cache get and put would, so ``server.cache``
+is ``None`` and every read goes straight to the labels.
 
 Read path (hot, lock-free except one cache-dict lock):
     snapshot = epochs.current          # atomic reference read
     cache.get(snapshot.epoch, s, t)    # epoch-exact, no stale hits
     snapshot.oracle.distance(s, t)     # on miss; snapshot never mutates
+    (label oracles: the oracle call only, counted as a miss)
 
 Write path (serialized):
     next_oracle, report = cow_apply(frozen_oracle, batch)
     V_aff = affected_vertices(next_oracle, report)
     publish(next_oracle)               # atomic epoch swap
     cache.migrate(new_epoch, V_aff)    # evict only pairs touching V_aff
+    (label oracles: cow_apply and the swap only; an H2H snapshot never
+    mutates, so retired epochs keep answering their own truth)
 
 With a :class:`~repro.reliability.degrade.DegradePolicy` attached the
 write path gains overload-aware admission control
@@ -68,10 +76,16 @@ _STATE_VALUES = {
 
 @dataclass
 class ServeReport:
-    """What one :meth:`DistanceServer.apply` publish did (DESIGN.md §4b)."""
+    """What one :meth:`DistanceServer.apply` publish did (DESIGN.md §4b).
+
+    A server over a label oracle keeps no cache, so its publishes compute
+    no ``V_aff`` and migrate nothing: ``affected`` is ``None`` and
+    ``carried`` and ``evicted`` are 0.
+    """
 
     epoch: int  #: the newly published epoch
-    affected: Optional[int]  #: |V_aff| (None: unknown, cache flushed)
+    #: |V_aff| (None: unknown and the cache flushed, or no cache at all)
+    affected: Optional[int]
     carried: int  #: cache entries that survived migration
     evicted: int  #: cache entries dropped by migration
     report: object = field(default=None, repr=False)  #: the oracle's own report
@@ -104,7 +118,9 @@ class DistanceServer:
         oracle becomes epoch 0's frozen snapshot and must not be mutated
         by anyone else afterwards.
     cache_capacity:
-        Bound on cached pairs (LRU beyond it).
+        Bound on cached pairs (LRU beyond it).  Ignored for label
+        oracles (those with ``distance_many``), which keep no cache:
+        ``server.cache`` is then ``None``.
     workers:
         Worker threads for per-pair :meth:`query_many` batches (oracles
         without ``distance_many``).
@@ -146,7 +162,11 @@ class DistanceServer:
         # Directed graphs expose arcs(); their metric is asymmetric, so
         # the cache must keep (s, t) and (t, s) apart.
         symmetric = not hasattr(getattr(oracle, "graph", None), "arcs")
-        self.cache = QueryCache(cache_capacity, symmetric=symmetric)
+        # A label oracle answers with two label reads, which cost about
+        # what a cache get and put would; only search oracles get a cache.
+        self.cache: Optional[QueryCache] = None
+        if not hasattr(oracle, "distance_many"):
+            self.cache = QueryCache(cache_capacity, symmetric=symmetric)
         if degrade is None or degrade is False:
             self._deferral: Optional[DeferredMaintenance] = None
         else:
@@ -183,10 +203,14 @@ class DistanceServer:
         self._m_epoch = m.gauge(names.SERVE_EPOCH, "Currently served epoch.")
         # Read from the cache when the gauge is read: a miss changes the
         # size unless the LRU is full, so a written gauge would cost a
-        # write on nearly every miss.
-        m.gauge(
+        # write on nearly every miss.  Without a cache it stays at 0.
+        entries = m.gauge(
             names.SERVE_CACHE_ENTRIES, "Cached (s, t) pairs right now."
-        ).set_function(self.cache.__len__)
+        )
+        if self.cache is None:
+            entries.set(0)
+        else:
+            entries.set_function(self.cache.__len__)
         self._m_cache_capacity = m.gauge(
             names.SERVE_CACHE_CAPACITY, "Cache capacity (LRU bound)."
         )
@@ -204,7 +228,7 @@ class DistanceServer:
         )
         self._m_affected = m.histogram(
             names.SERVE_AFFECTED_VERTICES,
-            "|V_aff| per publish (Equation (star) seeds, see serve/aff.py).",
+            "|V_aff| per publish of a cached server (see serve/aff.py).",
             buckets=COUNT_BUCKETS,
         )
         # Degraded-tier instrumentation (docs/degraded-mode.md) —
@@ -248,7 +272,7 @@ class DistanceServer:
         for result in ("hit", "miss"):
             self._m_queries.inc(0, result=result)
         self._m_epoch.set(0)
-        self._m_cache_capacity.set(cache_capacity)
+        self._m_cache_capacity.set(0 if self.cache is None else cache_capacity)
 
     # ------------------------------------------------------------------
     # Read path
@@ -325,21 +349,26 @@ class DistanceServer:
         """``sd(s, t)`` on a pinned *snapshot*, cache first.
 
         Valid for retired snapshots too: the cache key includes the
-        epoch, so answers from different versions never mix.
+        epoch, so answers from different versions never mix.  Without a
+        cache (label oracles) the snapshot's oracle answers every read,
+        counted as a miss.
         """
         with span(names.SPAN_SERVE_QUERY) as sp:
             trace_id = sp.trace_id if sp.active else None
             start = perf_counter()
-            cached = self.cache.get(snapshot.epoch, s, t)
-            if cached is not None:
-                self._record(
-                    hit=True, latency=perf_counter() - start, trace_id=trace_id
-                )
-                if sp.active:
-                    sp.set(epoch=snapshot.epoch, hit=True)
-                return cached
+            cache = self.cache
+            if cache is not None:
+                cached = cache.get(snapshot.epoch, s, t)
+                if cached is not None:
+                    self._record(
+                        hit=True, latency=perf_counter() - start, trace_id=trace_id
+                    )
+                    if sp.active:
+                        sp.set(epoch=snapshot.epoch, hit=True)
+                    return cached
             distance = snapshot.oracle.distance(s, t)
-            self.cache.put(snapshot.epoch, s, t, distance)
+            if cache is not None:
+                cache.put(snapshot.epoch, s, t, distance)
             self._record(
                 hit=False, latency=perf_counter() - start, trace_id=trace_id
             )
@@ -406,8 +435,9 @@ class DistanceServer:
         Builds the next version copy-on-write (readers keep answering on
         the old snapshot throughout), swaps it in atomically, then
         evicts exactly the cached pairs the update's AFF set can have
-        changed.  Writers are serialized; on failure nothing is
-        published and the cache is untouched.
+        changed (a server without a cache stops after the swap).
+        Writers are serialized; on failure nothing is published and the
+        cache is untouched.
 
         *coalesce* (default on — serving feeds re-report edges) merges
         the raw stream into its per-edge net effect before maintenance,
@@ -477,9 +507,12 @@ class DistanceServer:
             next_oracle, report = cow_apply(
                 current.oracle, updates, coalesce=coalesce
             )
-            aff = affected_vertices(next_oracle, report)
+            cache = self.cache
+            aff = None if cache is None else affected_vertices(next_oracle, report)
             snapshot = self._epochs.publish(next_oracle, epsilon=self.epsilon)
-            carried, evicted = self.cache.migrate(snapshot.epoch, aff)
+            carried = evicted = 0
+            if cache is not None:
+                carried, evicted = cache.migrate(snapshot.epoch, aff)
             superseded = getattr(report, "superseded", 0) or 0
             dropped = getattr(report, "dropped", 0) or 0
             self._m_coalesce_superseded.inc(superseded)
@@ -737,12 +770,17 @@ class DistanceServer:
         self._m_latency.observe(latency, trace_id)
 
     def stats(self) -> dict:
-        """Everything ``repro cache-stats`` prints, as one dict."""
+        """Everything ``repro cache-stats`` prints, as one dict.
+
+        Without a cache (label oracles) ``cache`` is ``None`` and the
+        size and capacity read 0, as their gauges do.
+        """
+        cache = self.cache
         out = {
             "epoch": self.epoch,
-            "cache_size": len(self.cache),
-            "cache_capacity": self.cache.capacity,
-            "cache": self.cache.stats.as_dict(),
+            "cache_size": 0 if cache is None else len(cache),
+            "cache_capacity": 0 if cache is None else cache.capacity,
+            "cache": None if cache is None else cache.stats.as_dict(),
         }
         if self._deferral is not None:
             with self._ingress_lock:

@@ -8,7 +8,7 @@ import pytest
 
 from repro.cli import main
 from repro.baselines.dijkstra import distance as dijkstra_distance
-from repro.core.dynamic import DynamicCH
+from repro.core.dynamic import DynamicCH, DynamicH2H
 from repro.graph.generators import grid_network
 from repro.graph.io import read_dimacs
 from repro.serve import DistanceServer
@@ -145,3 +145,28 @@ class TestCacheStats:
         assert out.startswith("epoch 2: ")
         assert "queries" not in out and "mean-lat" not in out
         assert len(out.splitlines()) == 3
+
+    def test_label_oracle_dump_has_no_cache(self, tmp_path, capsys):
+        server = DistanceServer(DynamicH2H(grid_network(4, 4, seed=3)), workers=1)
+        u, v, w = next(iter(server.snapshot().graph.edges()))
+        server.distance(0, 15)
+        server.apply([((u, v), w * 2)])
+        server.query_many([(0, 15), (3, 12)])
+        stats = server.stats()
+        assert stats["cache"] is None
+        path = tmp_path / "stats.json"
+        path.write_text(json.dumps(stats))
+        assert main(["cache-stats", "--stats", str(path)]) == 0
+        assert capsys.readouterr().out == "epoch 1: no cache (label oracle)\n"
+
+    def test_serve_bench_text_names_a_label_oracle(self, tmp_path, capsys):
+        stats = tmp_path / "serve.json"
+        assert main(["serve-bench", "--oracle", "h2h", "--vertices", "60",
+                     "--queries", "20", "--repeats", "1", "--updates", "1",
+                     "--batch", "2", "--throughput-edges", "0",
+                     "--json", str(stats)]) == 0
+        out = capsys.readouterr().out
+        assert "  speedup             no cache (label oracle)\n" in out
+        assert "carried=0 evicted=0" in out
+        assert main(["cache-stats", "--stats", str(stats)]) == 0
+        assert "no cache (label oracle)" in capsys.readouterr().out

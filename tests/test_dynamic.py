@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.baselines.dijkstra import dijkstra
+from repro.ch.indexing import ch_indexing
 from repro.core.dynamic import DynamicCH, DynamicH2H
 from repro.core.oracle import DijkstraOracle, DistanceOracle
 from repro.errors import UpdateError
@@ -96,6 +98,32 @@ class TestCHPath:
                 oracle.graph.weight(a, b) for a, b in zip(path, path[1:])
             )
             assert total == oracle.distance(s, t)
+
+
+class TestCHRebuild:
+    def test_rebuild_reuses_the_order(self, medium_road, monkeypatch):
+        """The order is weight independent: after weight changes,
+        rebuild() keeps the index's ordering object, runs no minimum
+        degree, and builds the same phi, phi(e, G), sup and via bytes as
+        ch_indexing with that order on the current graph."""
+        import repro.order.min_degree as min_degree
+
+        oracle = DynamicCH(medium_road.copy())
+        ordering = oracle.index.ordering
+        oracle.apply(mixed_batch(medium_road, 6, seed=8))
+
+        def not_called(graph):
+            raise AssertionError("rebuild() ran minimum degree again")
+
+        monkeypatch.setattr(min_degree, "_minimum_degree", not_called)
+        oracle.rebuild()
+        assert oracle.index.ordering is ordering
+        fresh = ch_indexing(oracle.graph.copy(), ordering)
+        for name, x, y in zip(("phi", "phi(e, G)", "sup", "via"),
+                              oracle.index.slot_views(), fresh.slot_views()):
+            x, y = np.asarray(x), np.asarray(y)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+        oracle.index.validate()
 
 
 class TestH2HWeightsOnlyRebuild:

@@ -223,8 +223,8 @@ def test_server_batches_h2h_through_distance_many():
         pairs = batch(100, 80, seed=2)
         got = server.query_many(pairs)
         assert got == [server.snapshot().oracle.distance(s, t) for s, t in pairs]
-        # The batch bypasses the per-pair cache and counts as misses.
-        assert len(server.cache) == 0
+        # A label oracle keeps no cache; the batch counts as misses.
+        assert server.cache is None
         queries = server.metrics.get(names.SERVE_QUERIES)
         assert queries.value(result="miss") == len(pairs)
         assert server.query_many([]) == []

@@ -201,7 +201,7 @@ def test_no_stale_hits_after_publish():
     prove the fresh values were computed, not resurrected."""
     graph = road_network(100, seed=5)
     pairs = random_pairs(graph.n, 80, seed=3)
-    with DistanceServer(DynamicH2H(graph.copy()), workers=1) as server:
+    with DistanceServer(DynamicCH(graph.copy()), workers=1) as server:
         before = {p: server.distance(*p) for p in pairs}
         # A near-free edge reroutes many shortest paths at once, so the
         # update is guaranteed to change some of the sampled pairs.
@@ -227,24 +227,20 @@ def test_no_stale_hits_after_publish():
 # ----------------------------------------------------------------------
 _PROP_GRAPH = road_network(60, seed=8)
 _PROP_EDGES = list(_PROP_GRAPH.edges())
-_PROP_BASES = {
-    "ch": DynamicCH(_PROP_GRAPH.copy()),
-    "h2h": DynamicH2H(_PROP_GRAPH.copy()),
-}
+_PROP_BASE = DynamicCH(_PROP_GRAPH.copy())
 
 
 @settings(max_examples=25, deadline=None)
 @given(
-    kind=st.sampled_from(sorted(_PROP_BASES)),
     edge_index=st.integers(min_value=0, max_value=len(_PROP_EDGES) - 1),
     factor=st.sampled_from([0.2, 0.5, 4.0, 20.0]),
     pair_seed=st.integers(min_value=0, max_value=2**16),
 )
-def test_aff_eviction_is_sound(kind, edge_index, factor, pair_seed):
+def test_aff_eviction_is_sound(edge_index, factor, pair_seed):
     """If an update changed sd(s, t) for a cached pair, migration must
     have evicted it — a carried entry with a wrong value would be an
     unsound cache, no matter how rarely it is hit."""
-    server = DistanceServer(_PROP_BASES[kind].clone(), workers=1)
+    server = DistanceServer(_PROP_BASE.clone(), workers=1)
     try:
         pairs = random_pairs(_PROP_GRAPH.n, 40, seed=pair_seed)
         before = {p: server.distance(*p) for p in pairs}

@@ -63,13 +63,15 @@ def _run_undirected_stream(
                 # Path 1: query_many (CH: thread pool, misses; H2H: one
                 # vectorised distance_many call that bypasses the cache).
                 got = server.query_many(pairs)
-                # Path 2: point queries (hits for CH, misses for H2H),
-                # then again (hits for both).
+                # Path 2: point queries (hits for CH; H2H keeps no cache
+                # and reads its labels), then again (hits for CH).
                 again = [server.distance(s, t) for s, t in pairs]
                 assert got == again, f"{kind}: point answers diverge from the batch"
-                hits = server.cache.stats.hits
+                if server.cache is not None:
+                    hits = server.cache.stats.hits
                 cached = [server.distance(s, t) for s, t in pairs]
-                assert server.cache.stats.hits - hits == len(pairs)
+                if server.cache is not None:
+                    assert server.cache.stats.hits - hits == len(pairs)
                 assert cached == got, f"{kind}: hit answers diverge from misses"
                 for (s, t), d in zip(pairs, got):
                     assert d == bidirectional_distance(truth_graph, s, t), (

@@ -25,7 +25,6 @@ from repro.serve import (
     QueryCache,
     affected_vertices,
     ch_affected_vertices,
-    h2h_affected_vertices,
 )
 from repro.serve.bench import BenchConfig, serve_bench
 from conftest import random_pairs
@@ -219,13 +218,6 @@ def test_cache_rejects_bad_capacity():
 # ----------------------------------------------------------------------
 # AFF extraction
 # ----------------------------------------------------------------------
-def test_h2h_affected_vertices_extracts_rows():
-    changed = [((4, 1), 2.0, 3.0), ((7, 0), 5.0, 6.0)]
-    assert h2h_affected_vertices(changed) == {4, 7}
-    directed = [((0, 4, 1), 2.0, 3.0), ((1, 9, 2), 5.0, 6.0)]
-    assert h2h_affected_vertices(directed) == {4, 9}
-
-
 def test_ch_affected_vertices_is_downward_closure(paper_sc):
     # Shortcut <v6, v9> (ids 5, 8): its endpoints plus everything that
     # can climb to them — here every vertex that reaches rank >= 5.
@@ -252,11 +244,6 @@ def test_affected_vertices_dispatch(small_grid):
     ch = DynamicCH(small_grid.copy())
     report = ch.apply([((0, 1), small_grid.weight(0, 1) * 4)])
     assert affected_vertices(ch, report) is not None
-
-    h2h = DynamicH2H(small_grid.copy())
-    report = h2h.apply([((0, 1), small_grid.weight(0, 1) * 4)])
-    aff = affected_vertices(h2h, report)
-    assert aff == h2h_affected_vertices(report.changed_super_shortcuts)
 
     plain = DijkstraOracle(small_grid.copy())
     assert affected_vertices(plain, plain.apply([])) is None
@@ -299,6 +286,69 @@ def test_server_query_many_single_snapshot(small_grid, oracle_cls):
         assert serial.query_many(pairs) == expected
 
 
+def _label_server(directed: bool):
+    """A server over a label oracle, its Dijkstra, and its two heaviest
+    edges (made near-free, they reroute many pairs)."""
+    if directed:
+        from repro.directed.dijkstra import directed_distance
+        from repro.directed.dynamic import DynamicDiH2H
+        from repro.directed.graph import DiRoadNetwork
+
+        graph = DiRoadNetwork.from_undirected(road_network(80, seed=4), asymmetry=1.5)
+        oracle, truth, edges = DynamicDiH2H(graph), directed_distance, graph.arcs()
+    else:
+        graph = road_network(80, seed=4)
+        oracle, truth, edges = DynamicH2H(graph), bidirectional_distance, graph.edges()
+    return DistanceServer(oracle, cache_capacity=8, workers=2), truth, sorted(edges, key=lambda e: -e[2])[:2]
+
+
+@pytest.mark.parametrize("directed", [False, True], ids=["h2h", "dih2h"])
+def test_label_server_reads_straight_from_the_labels(directed, monkeypatch):
+    """A label oracle is served without a cache: per-call reads equal
+    the batch and Dijkstra, pinned snapshots keep their epoch's answers,
+    every read counts as a miss, the cache series read 0, and a publish
+    neither computes V_aff nor migrates."""
+    import repro.serve.server as server_module
+
+    def not_called(*args, **kwargs):
+        raise AssertionError("a label server computed V_aff or migrated")
+
+    monkeypatch.setattr(server_module, "affected_vertices", not_called)
+    monkeypatch.setattr(QueryCache, "migrate", not_called)
+    server, truth, edges = _label_server(directed)
+    assert server.cache is None
+    pairs = random_pairs(80, 40, seed=7)
+    pinned, answers = [], []
+    for epoch, edge in enumerate([None, *edges]):
+        if edge is not None:
+            u, v, _w = edge
+            report = server.apply([((u, v), 1.0)])
+            assert (report.epoch, report.affected) == (epoch, None)
+            assert report.carried == report.evicted == 0
+        snapshot = server.snapshot()
+        got = [server.distance(s, t) for s, t in pairs]
+        assert got == server.query_many(pairs)
+        assert got == [truth(snapshot.graph, s, t) for s, t in pairs]
+        pinned.append(snapshot)
+        answers.append(got)
+    assert answers[0] != answers[1] != answers[2]
+    # A reader pinned to epoch k - 1 across two publishes.
+    for k in (1, 2):
+        assert [server.distance_on(pinned[k - 1], s, t) for s, t in pairs] == (
+            answers[k - 1]
+        )
+    queries = server.metrics.get(names.SERVE_QUERIES)
+    assert queries.value(result="miss") == 3 * 2 * len(pairs) + 2 * len(pairs)
+    assert queries.value(result="hit") == 0
+    assert server.metrics.get(names.SERVE_CACHE_ENTRIES).value() == 0
+    assert server.metrics.get(names.SERVE_CACHE_CAPACITY).value() == 0
+    assert "repro_serve_cache_entries 0\n" in server.metrics.expose_text()
+    assert server.stats() == {
+        "epoch": 2, "cache_size": 0, "cache_capacity": 0, "cache": None
+    }
+    server.close()
+
+
 def test_server_flushes_cache_for_unknown_aff(small_grid):
     with DistanceServer(DijkstraOracle(small_grid), workers=1) as server:
         server.distance(0, 24)
@@ -311,8 +361,8 @@ def test_server_flushes_cache_for_unknown_aff(small_grid):
 
 
 def test_server_aff_migration_keeps_remote_pairs(medium_road):
-    """A targeted H2H update keeps cached pairs outside V_aff warm."""
-    with DistanceServer(DynamicH2H(medium_road), workers=1) as server:
+    """A targeted CH update keeps cached pairs outside V_aff warm."""
+    with DistanceServer(DynamicCH(medium_road), workers=1) as server:
         pairs = random_pairs(medium_road.n, 100, seed=9)
         for s, t in pairs:
             server.distance(s, t)
@@ -370,7 +420,7 @@ def test_warm_read_resolves_no_labels_and_writes_no_gauge(small_grid, monkeypatc
     histogram observe: no label validation and no gauge write, whether
     the cache is filling or full.  ``repro_serve_cache_entries`` still
     reads ``len(server.cache)`` throughout."""
-    server = DistanceServer(DynamicH2H(small_grid), cache_capacity=8, workers=1)
+    server = DistanceServer(DynamicCH(small_grid), cache_capacity=8, workers=1)
     entries = server.metrics.get(names.SERVE_CACHE_ENTRIES)
     assert entries.value() == 0
     server.distance(0, 1)

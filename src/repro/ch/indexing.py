@@ -28,6 +28,7 @@ from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
+from repro.errors import IndexError_
 from repro.graph.graph import RoadNetwork
 from repro.order.min_degree import check_connected, eliminate
 from repro.order.ordering import Ordering
@@ -35,7 +36,7 @@ from repro.ch.shortcut_graph import ShortcutGraph, ShortcutStructure
 from repro.perf import kernels
 from repro.utils.counters import OpCounter, resolve_counter
 
-__all__ = ["ch_indexing", "edge_columns", "eliminated_structure"]
+__all__ = ["ch_indexing", "edge_columns", "eliminated_structure", "weigh_structure"]
 
 
 def ch_indexing(
@@ -75,8 +76,33 @@ def ch_indexing(
     """
     u, v, w = edge_columns(graph.edges())
     ordering, st = eliminated_structure(graph, ordering, u, v)
+    return weigh_structure(ordering, st, u, v, w, counter, with_support)
+
+
+def weigh_structure(
+    ordering: Ordering,
+    st: ShortcutStructure,
+    u: np.ndarray,
+    v: np.ndarray,
+    w: np.ndarray,
+    counter: Optional[OpCounter] = None,
+    with_support: bool = True,
+) -> ShortcutGraph:
+    """Step 2 of :func:`ch_indexing` on a structure already built: the
+    weights, supports and witnesses of the edges ``(u[i], v[i])`` at
+    weights ``w[i]``, which must all be shortcuts of *st*.
+
+    The structure is weight independent, so a rebuild after weight
+    updates (:meth:`repro.core.dynamic.DynamicCH.rebuild`) passes the
+    index's own structure and skips the elimination; the result, op
+    counts included, equals a fresh :func:`ch_indexing` in *ordering*.
+    """
     rank = ordering.rank
     edge_slots = st.slots_of(rank, u, v)
+    at = np.minimum(edge_slots, len(st.low) - 1)
+    low, high = st.low[at], st.high[at]
+    if not (((low == u) & (high == v)) | ((low == v) & (high == u))).all():
+        raise IndexError_("every edge of G must be a shortcut")
     st.edge[edge_slots] = True
     edge_w = np.full((1, len(st.low)), np.inf)
     edge_w[0, edge_slots] = w

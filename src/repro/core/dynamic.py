@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.ch.dch import dch_decrease, dch_increase
-from repro.ch.indexing import ch_indexing
+from repro.ch.indexing import ch_indexing, edge_columns, weigh_structure
 from repro.ch.query import ch_distance, ch_path
 from repro.errors import UpdateError
 from repro.graph.graph import RoadNetwork, WeightUpdate
@@ -82,6 +82,14 @@ def _split_batch(
         elif w < old:
             decreases.append(((u, v), w))
     return increases, decreases
+
+
+def _reweigh(graph: RoadNetwork, sc, counter: OpCounter):
+    """CHIndexing of *graph* on the order and structure of *sc*, which
+    weight updates never change (:func:`weigh_structure`)."""
+    return weigh_structure(
+        sc.ordering, sc.structure, *edge_columns(graph.edges()), counter
+    )
 
 
 class DynamicCH:
@@ -173,9 +181,11 @@ class DynamicCH:
     def rebuild(self) -> None:
         """Recompute the index from the current network (CHIndexing).
 
-        The vertex order is weight independent, so the index's own order
-        is reused instead of running minimum degree again."""
-        self.index = ch_indexing(self._graph, self.index.ordering, self.counter)
+        The vertex order and the shortcut structure are weight
+        independent, so the index's own are reused: only the weights,
+        supports and witnesses are recomputed, equal to a fresh
+        :func:`ch_indexing` in the same order."""
+        self.index = _reweigh(self._graph, self.index, self.counter)
 
 
 class DynamicH2H:
@@ -277,8 +287,7 @@ class DynamicH2H:
         shortcut weights and distance arrays are rebuilt.
         """
         if weights_only:
-            sc = ch_indexing(self._graph, self.index.sc.ordering, self.counter)
-            tree = TreeDecomposition(sc)
-            self.index = fill_distance_arrays(sc, tree, self.counter)
+            sc = _reweigh(self._graph, self.index.sc, self.counter)
+            self.index = fill_distance_arrays(sc, self.index.tree, self.counter)
         else:
             self.index = h2h_indexing(self._graph, self._ordering, self.counter)

@@ -36,7 +36,6 @@ seeds (lines 3-12 of Algorithms 4-5) are directed here.
 
 from __future__ import annotations
 
-import copy
 import math
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -51,6 +50,7 @@ from repro.directed.dch import (
 )
 from repro.directed.graph import DiRoadNetwork
 from repro.errors import IndexError_, QueryError
+from repro.h2h.index import LabelBuffers
 from repro.h2h.inch2h import (
     _decrease_propagate,
     _increase_propagate,
@@ -77,10 +77,12 @@ __all__ = [
 TO, FROM = 0, 1
 
 
-class DirectedH2HIndex:
+class DirectedH2HIndex(LabelBuffers):
     """The directed H2H index: tree + ``(2, n, width)`` distance and
     support arrays (``dis[TO]``, ``dis[FROM]``) over the directed CH
-    store ``sc``."""
+    store ``sc``.  Clones recycle retired label matrices exactly as the
+    undirected index does (:class:`repro.h2h.index.LabelBuffers`): the
+    level engine logs its flat ``(d * n + u) * width + da`` keys."""
 
     def __init__(
         self,
@@ -89,10 +91,9 @@ class DirectedH2HIndex:
         dis: np.ndarray,
         sup: np.ndarray,
     ) -> None:
+        super().__init__(dis, sup)  # dis_to, dis_from = dis
         self.sc = sc
         self.tree = tree
-        self.dis = dis  # dis_to, dis_from = dis
-        self.sup = sup
 
     def slot_weights(self) -> np.ndarray:
         """``sc``'s ``(2, slots)`` weights, the store the level engine
@@ -100,12 +101,14 @@ class DirectedH2HIndex:
         return self.sc.slot_weights
 
     def clone(self) -> "DirectedH2HIndex":
-        """An independent copy sharing the weight-independent tree."""
-        dup = copy.copy(self)
-        dup.sc = self.sc.clone()
-        dup.dis = self.dis.copy()
-        dup.sup = self.sup.copy()
-        return dup
+        """An independent copy sharing the weight-independent tree.
+
+        The arc store's slot arrays are copied; the label matrices are
+        this index's recycled spare with its logged cells copied in, or
+        full copies, as in :meth:`repro.h2h.index.H2HIndex.clone`.  The
+        clone gets a spare and log of its own, never this index's."""
+        dis, sup = self._clone_labels()
+        return self._lend(DirectedH2HIndex(self.sc.clone(), self.tree, dis, sup))
 
     @property
     def n(self) -> int:

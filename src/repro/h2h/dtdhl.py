@@ -49,6 +49,7 @@ def _run(
     else:
         changed_shortcuts = dch_decrease(index.sc, updates, counter)
 
+    index.drop_log()  # DTDHL writes labels outside the logged engine
     rank = index.sc.ordering.rank
     depth = index.tree.depth
     tree = index.tree

@@ -55,6 +55,20 @@ candidate twice.
 A ``work_log`` hook records ``(depth(u), u, cost)`` per processed entry
 for the ParIncH2H scheduling simulation (Section 5.3).
 
+Write log
+---------
+Every label cell the engine writes is reported, as an array of flat
+keys, to the index's :meth:`~repro.h2h.index.LabelBuffers.log_writes`:
+the seed hits of IncH2H+, the ties and improvements of the IncH2H-
+seeds, the dependents that lose support in the IncH2H+ propagation, and
+the relaxed targets of IncH2H-.  The entries IncH2H+ recomputes (line
+23) need no keys of their own: an entry is queued only once a logged
+support decrement has brought its support to 0.
+A clone keeps those keys so that its own clone can recycle a retired
+epoch's matrices by copying just those cells
+(:meth:`repro.h2h.index.H2HIndex.clone`).  Keys may repeat; the log
+changes no result and no op count.
+
 Direction axis
 --------------
 The propagation runs over ``D`` label matrices stacked as one
@@ -313,6 +327,7 @@ def _seed_increase(index, levels, rows) -> None:
         hits = np.nonzero((tmp == dis[d, u, : len(tmp)]) & ~np.isinf(tmp))[0]
         row_sup = sup[d, u]
         first = (d * levels.n + u) * levels.width
+        index.log_writes(first + hits)
         for da in hits.tolist():
             row_sup[da] -= 1
             if row_sup[da] == 0:
@@ -393,9 +408,12 @@ def _increase_propagate(index, levels, ops, work_log) -> list:
             hit_keys, losses = _tally(target[hit])
             before = sup.take(hit_keys)
             after = before - losses
+            index.log_writes(hit_keys)
             sup.put(hit_keys, after)
             levels.push(hit_keys[(before > 0) & (after <= 0)])
-            # Line 23: recompute from Equation (*).
+            # Line 23: recompute from Equation (*).  The block needs no
+            # log entry: each of its keys was queued by a logged support
+            # decrement (a seed hit or a hit key above).
             new, support = kernels.star_eval(index, d, u, da, ops)
             dis.put(block, new)
             sup.put(block, support)
@@ -472,10 +490,12 @@ def _seed_decrease(index, levels, rows) -> dict:
         row_sup = sup[d, u]
         better = np.nonzero(tmp < row)[0]
         ties = np.nonzero((tmp == row) & ~np.isinf(tmp))[0]
+        first = (d * levels.n + u) * levels.width
         if len(ties):
+            index.log_writes(first + ties)
             row_sup[ties] += 1
         if len(better):
-            first = (d * levels.n + u) * levels.width
+            index.log_writes(first + better)
             levels.push(first + better, row[better].copy())
             row[better] = tmp[better]
             row_sup[better] = 1
@@ -518,7 +538,7 @@ def _decrease_propagate(index, levels, seed_rows, ops, work_log) -> list:
     improvements reset the dependent's support, ties add to it.
     """
     tree = index.tree
-    dis, sup = index.dis, index.sup
+    dis = index.dis
     weights = index.slot_weights()
     width = levels.width
     memo = _SeedMemo(seed_rows, tree.n) if seed_rows else None
@@ -546,7 +566,7 @@ def _decrease_propagate(index, levels, seed_rows, ops, work_log) -> list:
                     target // width, via[live], target % width, candidate
                 )
                 target, candidate = target[keep], candidate[keep]
-            _relax(dis, sup, levels, target, candidate)
+            _relax(index, levels, target, candidate)
         new = dis.take(keys)
         moved = (new != originals).nonzero()[0]
         row, da = np.divmod(keys[moved], width)
@@ -555,19 +575,21 @@ def _decrease_propagate(index, levels, seed_rows, ops, work_log) -> list:
     return changed
 
 
-def _relax(dis, sup, levels, target, candidate) -> None:
+def _relax(index, levels, target, candidate) -> None:
     """Apply finite candidates ``<= dis`` to their targets: per target,
     the min and how many candidates attain it; a min below the current
     value replaces it with that count as support, an equal min adds the
     count."""
     if not len(target):
         return
+    dis, sup = index.dis, index.sup
     order = target.argsort()
     target, candidate = target[order], candidate[order]
     first = _run_starts(target)
     keys, best = target[first], np.minimum.reduceat(candidate, first)
     attained = candidate == best.repeat(_run_lengths(first, len(target)))
     ties = np.add.reduceat(attained.astype(np.int64), first)
+    index.log_writes(keys)
     current = dis.take(keys)
     improved = best < current
     sup.put(keys, np.where(improved, ties, sup.take(keys) + ties))

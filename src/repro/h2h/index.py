@@ -19,12 +19,34 @@ definition and carries no support.  The padded layout lets
 :func:`repro.h2h.indexing.h2h_indexing` evaluate Equation (*) for a
 whole vertex with vectorized numpy gathers, and the incremental
 algorithms a whole tree depth through flat indices ``u * width + d``.
+
+Recycled label buffers
+----------------------
+A serving publish clones the current index and maintains the clone
+(:func:`repro.reliability.transactions.cow_apply`), so without help it
+would copy both matrices whole although IncH2H± rewrites only the
+entries of ``AFF``.  :class:`LabelBuffers` lets a clone reuse the
+matrices of the epoch before its parent instead:
+
+* a clone keeps a *spare*: a reference to its parent's ``dis``/``sup``,
+  which hold exactly the clone's labels before maintenance;
+* a clone keeps a *write log*: the flat keys of every cell the IncH2H±
+  level engine writes (:mod:`repro.h2h.inch2h`);
+* when the clone is itself cloned, its spare is recycled if nothing else
+  references it any more (the parent epoch retired and no reader pins
+  it or a view of its labels) and the parent was not written after
+  lending it; only the logged cells are copied into it.  In every other
+  case the matrices are copied whole.
+
+Writers outside the engine (:meth:`H2HIndex.recompute_entry`, DTDHL,
+the directed row fill) drop the log, so the next clone copies whole.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+import sys
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -34,13 +56,114 @@ from repro.h2h.tree import TreeDecomposition
 from repro.perf import kernels
 from repro.utils.counters import OpCounter, resolve_counter
 
-__all__ = ["H2HIndex"]
+__all__ = ["H2HIndex", "LabelBuffers"]
 
 #: A super-shortcut identified by (descendant, depth of ancestor).
 SuperShortcut = Tuple[int, int]
 
 
-class H2HIndex:
+def _refcount(array) -> int:
+    return sys.getrefcount(array)
+
+
+def _sole_reference_count() -> int:
+    """What :func:`_refcount` reads for an array held only by the
+    caller's local variable (interpreter dependent, so measured)."""
+    probe = np.empty(0)
+    return _refcount(probe)
+
+
+_SOLE = _sole_reference_count()
+
+
+class LabelBuffers:
+    """The ``dis``/``sup`` label matrices of an index, and the spare and
+    write log that let a clone recycle a retired epoch's matrices (see
+    the module docstring).
+
+    Attributes
+    ----------
+    dis, sup:
+        The label matrices; their flat cell keys are the level engine's
+        entry keys.
+    log:
+        The flat keys written since this index was cloned from its
+        parent (a list of int64 arrays), or ``None``: an index that is
+        not a clone, has been cloned itself, was written outside the
+        engine, or logged more keys than its matrices hold cells (a full
+        copy is then cheaper than replaying the log) keeps none.
+    """
+
+    def __init__(self, dis: np.ndarray, sup: np.ndarray) -> None:
+        self.dis = dis
+        self.sup = sup
+        self.log: Optional[List[np.ndarray]] = None
+        self._logged = 0
+        # (parent dis, parent sup, lease) when this index is a clone.
+        self._spare: Optional[tuple] = None
+        # The lease shared with the spares of this index's clones:
+        # ``lease[0]`` turns False when this index is written after
+        # lending its matrices.
+        self._lease: Optional[List[bool]] = None
+
+    def log_writes(self, keys: np.ndarray) -> None:
+        """Record that the level engine wrote cells *keys* (flat) of
+        ``dis`` and/or ``sup``."""
+        if self._lease is not None:
+            self._spoil_lease()
+        log = self.log
+        if log is not None:
+            self._logged += len(keys)
+            if self._logged > self.dis.size:
+                self.log = None
+            else:
+                log.append(keys)
+
+    def drop_log(self) -> None:
+        """Cells are about to be written without logging: the next clone
+        copies the matrices whole."""
+        if self._lease is not None:
+            self._spoil_lease()
+        self.log = None
+
+    def _spoil_lease(self) -> None:
+        self._lease[0] = False
+        self._lease = None
+
+    def _clone_labels(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Label matrices for a clone: the recycled spare with this
+        index's logged cells copied in, or fresh copies."""
+        spare, self._spare = self._spare, None
+        log, self.log = self.log, None
+        if spare is None or log is None:
+            return self.dis.copy(), self.sup.copy()
+        dis, sup, lease = spare
+        del spare
+        if not (
+            lease[0]
+            and dis.base is None
+            and sup.base is None
+            and _refcount(dis) == _SOLE
+            and _refcount(sup) == _SOLE
+        ):
+            return self.dis.copy(), self.sup.copy()
+        if log:
+            keys = np.concatenate(log)
+            dis.put(keys, self.dis.take(keys))
+            sup.put(keys, self.sup.take(keys))
+        return dis, sup
+
+    def _lend(self, clone: "LabelBuffers") -> "LabelBuffers":
+        """Make this index's matrices *clone*'s spare and start *clone*'s
+        log; returns *clone*."""
+        if self._lease is None:
+            self._lease = [True]
+        clone._spare = (self.dis, self.sup, self._lease)
+        clone.log = []
+        return clone
+
+
+class H2HIndex(LabelBuffers):
     """The H2H index: tree decomposition + distance/support matrices.
 
     Instances are produced by :func:`repro.h2h.indexing.h2h_indexing`.
@@ -65,10 +188,9 @@ class H2HIndex:
         dis: np.ndarray,
         sup: np.ndarray,
     ) -> None:
+        super().__init__(dis, sup)
         self.sc = sc
         self.tree = tree
-        self.dis = dis
-        self.sup = sup
 
     def clone(self) -> "H2HIndex":
         """An independent copy sharing the weight-independent structure.
@@ -76,10 +198,16 @@ class H2HIndex:
         The tree decomposition never changes under weight updates, so it
         is shared, and the embedded shortcut graph shares its structure
         too (:meth:`ShortcutGraph.clone`); the shortcut graph's slot
-        arrays and the ``dis``/``sup`` matrices — everything maintenance
-        mutates — are copied.
+        arrays are copied.  The ``dis``/``sup`` matrices are this
+        index's spare — its parent's matrices, once no reader holds them
+        — with the cells this index's maintenance wrote copied in, or
+        full copies when there is no usable spare (see
+        :class:`LabelBuffers`).  Either way the clone starts bit-equal
+        to this index and shares no mutable array with it; this index's
+        own matrices become the clone's spare.
         """
-        return H2HIndex(self.sc.clone(), self.tree, self.dis.copy(), self.sup.copy())
+        dis, sup = self._clone_labels()
+        return self._lend(H2HIndex(self.sc.clone(), self.tree, dis, sup))
 
     def slot_weights(self) -> np.ndarray:
         """The ``(1, slots)`` shortcut weights the level-synchronous
@@ -149,6 +277,7 @@ class H2HIndex:
         """Recompute and store ``dis[u, da]`` / ``sup[u, da]`` from
         Equation (*) — line 23 of Algorithm 4.  Returns the new value."""
         value, support = self.evaluate_entry(u, da, counter)
+        self.drop_log()
         self.dis[u, da] = value
         self.sup[u, da] = support
         return value

@@ -247,6 +247,7 @@ def directed_fill_vertex(index, u: int) -> None:
     order).  Sets the zero diagonal and both support rows.
     """
     du = int(index.tree.depth[u])
+    index.drop_log()
     for d in (0, 1):
         index.dis[d][u, du] = 0.0
         index.sup[d][u, du] = 0

@@ -69,6 +69,7 @@ def reference_increase(
 ) -> List[Tuple[Entry, float, float]]:
     """Directed IncH2H+, one queue entry at a time."""
     ops = resolve_counter(counter)
+    index.drop_log()  # writes the labels directly, unlogged
     changed_arcs = directed_dch_increase(index.sc, updates, counter)
 
     sc = index.sc
@@ -153,6 +154,7 @@ def reference_decrease(
     """Directed IncH2H-, one queue entry at a time, with the
     ``(direction, u, via)`` seed memo."""
     ops = resolve_counter(counter)
+    index.drop_log()  # writes the labels directly, unlogged
     changed_arcs = directed_dch_decrease(index.sc, updates, counter)
 
     sc = index.sc

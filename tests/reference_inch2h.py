@@ -37,6 +37,7 @@ def reference_increase(
 ) -> List[Tuple[Tuple[int, int], float, float]]:
     """IncH2H+ (Algorithm 4), one queue entry at a time."""
     ops = resolve_counter(counter)
+    index.drop_log()  # writes the labels directly, unlogged
     changed_shortcuts = dch_increase(index.sc, updates, counter)
     sc, tree = index.sc, index.tree
     rank, depth = sc.ordering.rank, tree.depth
@@ -100,6 +101,7 @@ def reference_decrease(
     """IncH2H- (Algorithm 5), one queue entry at a time, supports kept
     exact on the fly with the ``seed_rows`` skip rule."""
     ops = resolve_counter(counter)
+    index.drop_log()  # writes the labels directly, unlogged
     changed_shortcuts = dch_decrease(index.sc, updates, counter)
     sc, tree = index.sc, index.tree
     rank, depth = sc.ordering.rank, tree.depth

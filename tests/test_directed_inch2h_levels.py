@@ -75,10 +75,11 @@ class Twins:
         self.apply("decrease", downs)
 
 
-def one_way_city() -> DiRoadNetwork:
-    """A road network with about 30% one-way streets and asymmetric
-    two-way ones."""
-    base = road_network(110, seed=19)
+def one_way_city(base=None) -> DiRoadNetwork:
+    """A road network (*base*, by default ``road_network(110, seed=19)``)
+    with about 30% one-way streets and asymmetric two-way ones."""
+    if base is None:
+        base = road_network(110, seed=19)
     rng = random.Random(5)
     digraph = DiRoadNetwork(base.n)
     for u, v, w in base.edges():

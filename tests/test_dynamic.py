@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 
 from repro.baselines.dijkstra import dijkstra
+import repro.ch.indexing as ch_indexing_module
 from repro.ch.indexing import ch_indexing
 from repro.core.dynamic import DynamicCH, DynamicH2H
 from repro.core.oracle import DijkstraOracle, DistanceOracle
 from repro.errors import UpdateError
+from repro.h2h.indexing import h2h_indexing
+from repro.utils.counters import OpCounter
 from repro.workloads.updates import mixed_batch, sample_edges
 
 from conftest import random_pairs
@@ -124,6 +127,87 @@ class TestCHRebuild:
             x, y = np.asarray(x), np.asarray(y)
             assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
         oracle.index.validate()
+
+
+def _no_elimination(monkeypatch):
+    """Make any rebuild of the weight-independent structure fail."""
+
+    def not_called(*args):
+        raise AssertionError("rebuild() eliminated the graph again")
+
+    monkeypatch.setattr(ch_indexing_module, "eliminated_structure", not_called)
+
+
+def _counted(build):
+    """``(result, OpCounter dict)`` of ``build(counter)``."""
+    ops = OpCounter()
+    return build(ops), ops.as_dict()
+
+
+def _assert_same_slots(index, fresh):
+    for name, x, y in zip(("phi", "phi(e, G)", "sup", "via"),
+                          index.slot_views(), fresh.slot_views()):
+        x, y = np.asarray(x), np.asarray(y)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+
+class TestRebuildKeepsStructure:
+    """Weight updates never change the order, the shortcut structure or
+    the tree, so rebuild() recomputes only the weights on the ones the
+    index holds: the same bytes and op counts as a fresh build."""
+
+    def test_ch_rebuild(self, medium_road, monkeypatch):
+        oracle = DynamicCH(medium_road.copy())
+        structure = oracle.index.structure
+        oracle.apply(mixed_batch(medium_road, 6, seed=8))
+        fresh, fresh_ops = _counted(
+            lambda ops: ch_indexing(oracle.graph.copy(), oracle.index.ordering, ops)
+        )
+        _no_elimination(monkeypatch)
+        oracle.counter = OpCounter()
+        oracle.rebuild()
+        assert oracle.index.structure is structure
+        _assert_same_slots(oracle.index, fresh)
+        assert oracle.counter.as_dict() == fresh_ops
+
+    def test_h2h_weights_only_rebuild(self, medium_road, monkeypatch):
+        oracle = DynamicH2H(medium_road.copy())
+        tree = oracle.tree
+        oracle.apply(mixed_batch(medium_road, 6, seed=8))
+        fresh, fresh_ops = _counted(
+            lambda ops: h2h_indexing(
+                oracle.graph.copy(), oracle.index.sc.ordering, ops
+            )
+        )
+        _no_elimination(monkeypatch)
+        oracle.counter = OpCounter()
+        oracle.rebuild(weights_only=True)
+        assert oracle.tree is tree
+        _assert_same_slots(oracle.index.sc, fresh.sc)
+        for name in ("dis", "sup"):
+            x, y = getattr(oracle.index, name), getattr(fresh, name)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+        assert oracle.counter.as_dict() == fresh_ops
+
+    def test_edge_missing_from_the_structure_is_rejected(self, medium_road):
+        """A graph edge the structure does not hold fails loudly instead
+        of weighing some other slot."""
+        from repro.ch.indexing import edge_columns, weigh_structure
+        from repro.errors import IndexError_
+
+        index = ch_indexing(medium_road.copy())
+        st = index.structure
+        u, v, w = edge_columns(medium_road.edges())
+        held = {(int(a), int(b)) for a, b in zip(st.low, st.high)}
+        missing = next(
+            (a, b) for a in range(medium_road.n) for b in range(a + 1, medium_road.n)
+            if (a, b) not in held and (b, a) not in held
+        )
+        with pytest.raises(IndexError_):
+            weigh_structure(
+                index.ordering, st,
+                np.append(u, missing[0]), np.append(v, missing[1]), np.append(w, 1.0),
+            )
 
 
 class TestH2HWeightsOnlyRebuild:

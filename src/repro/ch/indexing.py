@@ -24,7 +24,7 @@ so the build splits in two:
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,7 +36,13 @@ from repro.ch.shortcut_graph import ShortcutGraph, ShortcutStructure
 from repro.perf import kernels
 from repro.utils.counters import OpCounter, resolve_counter
 
-__all__ = ["ch_indexing", "edge_columns", "eliminated_structure", "weigh_structure"]
+__all__ = [
+    "ch_indexing",
+    "edge_columns",
+    "eliminated_structure",
+    "held_slots",
+    "weigh_structure",
+]
 
 
 def ch_indexing(
@@ -98,11 +104,7 @@ def weigh_structure(
     counts included, equals a fresh :func:`ch_indexing` in *ordering*.
     """
     rank = ordering.rank
-    edge_slots = st.slots_of(rank, u, v)
-    at = np.minimum(edge_slots, len(st.low) - 1)
-    low, high = st.low[at], st.high[at]
-    if not (((low == u) & (high == v)) | ((low == v) & (high == u))).all():
-        raise IndexError_("every edge of G must be a shortcut")
+    edge_slots = held_slots(st, rank, u, v)
     st.edge[edge_slots] = True
     edge_w = np.full((1, len(st.low)), np.inf)
     edge_w[0, edge_slots] = w
@@ -118,6 +120,20 @@ def weigh_structure(
         sup = np.zeros_like(weights, dtype=np.int64)
         via = np.full_like(sup, -1)
     return ShortcutGraph.from_slots(ordering, st, weights[0], edge_w[0], sup[0], via[0])
+
+
+def held_slots(
+    st: ShortcutStructure, rank: Sequence[int], u: np.ndarray, v: np.ndarray
+) -> np.ndarray:
+    """The slots of the pairs ``{u[i], v[i]}`` in *st*; raises
+    :class:`IndexError_` if *st* lacks one, instead of naming some other
+    slot (:meth:`ShortcutStructure.slots_of` assumes every pair exists)."""
+    slots = st.slots_of(rank, u, v)
+    at = np.minimum(slots, len(st.low) - 1)
+    low, high = st.low[at], st.high[at]
+    if not (((low == u) & (high == v)) | ((low == v) & (high == u))).all():
+        raise IndexError_("every edge of G must be a shortcut")
+    return slots
 
 
 def eliminated_structure(

@@ -54,7 +54,9 @@ class DijkstraOracle:
         self._graph = graph
 
     def clone(self) -> "DijkstraOracle":
-        """An independent copy over a deep copy of the network."""
+        """An independent copy over a copy of the network whose rows are
+        shared with this one until first written (:meth:`RoadNetwork.copy`;
+        copying while another thread mutates the network is unsupported)."""
         return DijkstraOracle(self._graph.copy())
 
     @property

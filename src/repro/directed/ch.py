@@ -36,7 +36,7 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.ch.indexing import edge_columns, eliminated_structure
+from repro.ch.indexing import edge_columns, eliminated_structure, held_slots
 from repro.ch.shortcut_graph import ShortcutStructure
 from repro.directed.graph import DiRoadNetwork
 from repro.errors import IndexError_, QueryError
@@ -44,7 +44,12 @@ from repro.order.ordering import Ordering
 from repro.perf import kernels
 from repro.utils.counters import OpCounter, resolve_counter
 
-__all__ = ["DirectedShortcutGraph", "directed_ch_indexing", "directed_ch_distance"]
+__all__ = [
+    "DirectedShortcutGraph",
+    "directed_ch_indexing",
+    "weigh_directed_structure",
+    "directed_ch_distance",
+]
 
 #: A directed shortcut: the ordered pair (tail, head).
 Arc = Tuple[int, int]
@@ -298,20 +303,38 @@ def directed_ch_indexing(
 
     The ordering defaults to the minimum degree heuristic on the
     symmetrized graph; the skeleton therefore matches the undirected
-    index of the same network.  The level pass of
-    :mod:`repro.perf.kernels` then runs over the ``(2, slots)`` store:
-    triangle ``(u; v, w)`` offers ``TO(v, w)`` the term
-    ``FROM(u, v) + TO(u, w)`` (``v -> u -> w``) and ``FROM(v, w)`` the
-    term ``FROM(u, w) + TO(u, v)`` (``w -> u -> v``).
+    index of the same network.  The weights come from
+    :func:`weigh_directed_structure` on that skeleton.
     """
     skeleton = graph.symmetrized()
     u, v, _ = edge_columns(skeleton.edges())
     ordering, st = eliminated_structure(skeleton, ordering, u, v)
+    return weigh_directed_structure(ordering, st, graph, counter)
+
+
+def weigh_directed_structure(
+    ordering: Ordering,
+    st: ShortcutStructure,
+    graph: DiRoadNetwork,
+    counter: Optional[OpCounter] = None,
+) -> DirectedShortcutGraph:
+    """The weighing step of :func:`directed_ch_indexing` on a skeleton
+    already built, which must hold every arc's edge.
+
+    The level pass of :mod:`repro.perf.kernels` runs over the
+    ``(2, slots)`` store: triangle ``(u; v, w)`` offers ``TO(v, w)`` the
+    term ``FROM(u, v) + TO(u, w)`` (``v -> u -> w``) and ``FROM(v, w)``
+    the term ``FROM(u, w) + TO(u, v)`` (``w -> u -> v``).  The skeleton
+    is weight independent, so :meth:`repro.directed.dynamic.DynamicDiCH.rebuild`
+    passes the index's own and skips the elimination; the result, op
+    counts included, equals a fresh :func:`directed_ch_indexing` in
+    *ordering*.
+    """
     rank = ordering.rank
     tail, head, w = edge_columns(graph.arcs())
     slots = len(st.low)
     rank_arr = np.asarray(rank, dtype=np.int64)
-    ids = st.slots_of(rank, tail, head) + slots * (rank_arr[tail] > rank_arr[head])
+    ids = held_slots(st, rank, tail, head) + slots * (rank_arr[tail] > rank_arr[head])
     arc = np.zeros((2, slots), dtype=bool)
     arc.reshape(-1)[ids] = True
     phi_g = np.full((2, slots), _INF)

@@ -13,7 +13,11 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.directed.ch import directed_ch_distance, directed_ch_indexing
+from repro.directed.ch import (
+    directed_ch_distance,
+    directed_ch_indexing,
+    weigh_directed_structure,
+)
 from repro.directed.dch import (
     ArcUpdate,
     directed_dch_decrease,
@@ -21,6 +25,7 @@ from repro.directed.dch import (
 )
 from repro.directed.graph import DiRoadNetwork
 from repro.directed.h2h import (
+    directed_fill_labels,
     directed_h2h_distance,
     directed_h2h_indexing,
     directed_inch2h_decrease,
@@ -45,6 +50,12 @@ class DirectedUpdateReport:
     ops: dict = field(default_factory=dict)
     superseded: int = 0
     dropped: int = 0
+
+
+def _reweigh(graph: DiRoadNetwork, sc, counter: OpCounter):
+    """Directed CHIndexing of *graph* on the order and skeleton of *sc*,
+    which weight updates never change (:func:`weigh_directed_structure`)."""
+    return weigh_directed_structure(sc.ordering, sc.structure, graph, counter)
 
 
 def _split(
@@ -146,10 +157,13 @@ class DynamicDiCH(_DirectedOracle):
         return run(self.index, batch, ops)
 
     def rebuild(self) -> None:
-        """Recompute the index from the current network."""
-        self.index = directed_ch_indexing(
-            self._graph, self.index.ordering, self.counter
-        )
+        """Recompute the index from the current network.
+
+        The order and the skeleton are weight independent, so the
+        index's own are reused: only the weights and supports are
+        recomputed, equal to a fresh :func:`directed_ch_indexing` in the
+        same order."""
+        self.index = _reweigh(self._graph, self.index, self.counter)
 
 
 class DynamicDiH2H(_DirectedOracle):
@@ -178,7 +192,11 @@ class DynamicDiH2H(_DirectedOracle):
         return self.index.distance_many(sources, targets, self.counter)
 
     def rebuild(self) -> None:
-        """Recompute the index from the current network."""
-        self.index = directed_h2h_indexing(
-            self._graph, self.index.sc.ordering, self.counter
-        )
+        """Recompute the index from the current network.
+
+        The skeleton and the tree decomposition are weight independent,
+        so the index's own are kept: the arc store is reweighed and the
+        labels refilled, equal to a fresh :func:`directed_h2h_indexing`
+        in the same order."""
+        sc = _reweigh(self._graph, self.index.sc, self.counter)
+        self.index = directed_fill_labels(sc, self.index.tree, self.counter)

@@ -30,13 +30,17 @@ class DiRoadNetwork:
     (True, False)
     """
 
-    __slots__ = ("_out", "_in", "_m")
+    __slots__ = ("_out", "_in", "_own_out", "_own_in", "_m")
 
     def __init__(self, n: int) -> None:
         if n < 0:
             raise GraphError(f"vertex count must be non-negative, got {n}")
         self._out: List[Dict[int, float]] = [{} for _ in range(n)]
         self._in: List[Dict[int, float]] = [{} for _ in range(n)]
+        # Per-row ownership flags, as RoadNetwork._own: 0 once a copy()
+        # may share the row, so the first write copies it (_rows).
+        self._own_out = bytearray(b"\x01") * n
+        self._own_in = bytearray(b"\x01") * n
         self._m = 0
 
     # ------------------------------------------------------------------
@@ -62,12 +66,32 @@ class DiRoadNetwork:
         return digraph
 
     def copy(self) -> "DiRoadNetwork":
-        """An independent deep copy."""
+        """An independent copy, copy-on-write per row.
+
+        The copy shares every out- and in-row with this network until
+        either side first writes that row, which then gets a row of its
+        own (:meth:`RoadNetwork.copy`).  Copying a network while another
+        thread mutates it is unsupported.
+        """
+        n = len(self._out)
         clone = DiRoadNetwork.__new__(DiRoadNetwork)
-        clone._out = [arcs.copy() for arcs in self._out]
-        clone._in = [arcs.copy() for arcs in self._in]
+        clone._out = list(self._out)
+        clone._in = list(self._in)
+        clone._own_out, clone._own_in = bytearray(n), bytearray(n)
         clone._m = self._m
+        self._own_out, self._own_in = bytearray(n), bytearray(n)
         return clone
+
+    def _rows(self, u: int, v: int) -> Tuple[Dict[int, float], Dict[int, float]]:
+        """The out-row of *u* and the in-row of *v*, writable: each is
+        copied first if a copy may share it."""
+        if not self._own_out[u]:
+            self._out[u] = self._out[u].copy()
+            self._own_out[u] = 1
+        if not self._own_in[v]:
+            self._in[v] = self._in[v].copy()
+            self._own_in[v] = 1
+        return self._out[u], self._in[v]
 
     # ------------------------------------------------------------------
     @property
@@ -145,16 +169,16 @@ class DiRoadNetwork:
         if v in self._out[u]:
             raise GraphError(f"arc ({u} -> {v}) already exists")
         w = self._check_weight(weight)
-        self._out[u][v] = w
-        self._in[v][u] = w
+        out, into = self._rows(u, v)
+        out[v] = into[u] = w
         self._m += 1
 
     def set_weight(self, u: int, v: int, weight: float) -> float:
         """Change the weight of arc ``u -> v``; return the old weight."""
         old = self.weight(u, v)
         w = self._check_weight(weight)
-        self._out[u][v] = w
-        self._in[v][u] = w
+        out, into = self._rows(u, v)
+        out[v] = into[u] = w
         return old
 
     # ------------------------------------------------------------------

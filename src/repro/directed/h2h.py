@@ -68,6 +68,7 @@ from repro.utils.counters import OpCounter, resolve_counter
 __all__ = [
     "DirectedH2HIndex",
     "directed_h2h_indexing",
+    "directed_fill_labels",
     "directed_h2h_distance",
     "directed_inch2h_increase",
     "directed_inch2h_decrease",
@@ -199,7 +200,19 @@ def directed_h2h_indexing(
     vectorized per vertex by :func:`repro.perf.kernels.directed_fill_vertex`)."""
     sc = directed_ch_indexing(graph, ordering, counter)
     # Duck-typed: the tree reads ordering, structure, upward and downward.
-    tree = TreeDecomposition(sc)
+    return directed_fill_labels(sc, TreeDecomposition(sc), counter)
+
+
+def directed_fill_labels(
+    sc: DirectedShortcutGraph,
+    tree: TreeDecomposition,
+    counter: Optional[OpCounter] = None,
+) -> DirectedH2HIndex:
+    """The label step of :func:`directed_h2h_indexing`: ``dis``/``sup``
+    filled top-down over a tree already built.  The tree is weight
+    independent, so :meth:`repro.directed.dynamic.DynamicDiH2H.rebuild`
+    passes the index's own (as :func:`repro.h2h.indexing.fill_distance_arrays`
+    does for the undirected index)."""
     n = tree.n
     height = tree.height
     depth = tree.depth

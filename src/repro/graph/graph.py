@@ -55,12 +55,15 @@ class RoadNetwork:
     [0, 2]
     """
 
-    __slots__ = ("_adj", "_m")
+    __slots__ = ("_adj", "_own", "_m")
 
     def __init__(self, n: int) -> None:
         if n < 0:
             raise GraphError(f"vertex count must be non-negative, got {n}")
         self._adj: List[Dict[int, float]] = [{} for _ in range(n)]
+        # _own[u] is 1 while row _adj[u] is this network's alone; 0 after
+        # a copy() may share it, so the first write copies it (_row).
+        self._own = bytearray(b"\x01") * n
         self._m = 0
 
     # ------------------------------------------------------------------
@@ -77,11 +80,29 @@ class RoadNetwork:
         return graph
 
     def copy(self) -> "RoadNetwork":
-        """An independent deep copy of this network."""
+        """An independent copy of this network, copy-on-write per row.
+
+        The copy shares every adjacency row with this network until
+        either side first writes that row: the writer then copies the
+        row and writes its own, so a write to one side never shows in
+        the other.  Copying costs O(n) references, not O(n + m) entries.
+        Copying a network while another thread mutates it is unsupported.
+        """
+        n = len(self._adj)
         clone = RoadNetwork.__new__(RoadNetwork)
-        clone._adj = [nbrs.copy() for nbrs in self._adj]
+        clone._adj = list(self._adj)
+        clone._own = bytearray(n)
         clone._m = self._m
+        self._own = bytearray(n)
         return clone
+
+    def _row(self, u: int) -> Dict[int, float]:
+        """Row *u*, writable: copied first if a copy may share it."""
+        if self._own[u]:
+            return self._adj[u]
+        row = self._adj[u] = self._adj[u].copy()
+        self._own[u] = 1
+        return row
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -174,15 +195,15 @@ class RoadNetwork:
         if v in self._adj[u]:
             raise GraphError(f"edge ({u}, {v}) already exists")
         w = self._check_weight(weight)
-        self._adj[u][v] = w
-        self._adj[v][u] = w
+        self._row(u)[v] = w
+        self._row(v)[u] = w
         self._m += 1
 
     def remove_edge(self, u: int, v: int) -> float:
         """Remove edge ``(u, v)`` and return its last weight."""
         w = self.weight(u, v)
-        del self._adj[u][v]
-        del self._adj[v][u]
+        del self._row(u)[v]
+        del self._row(v)[u]
         self._m -= 1
         return w
 
@@ -190,8 +211,8 @@ class RoadNetwork:
         """Change the weight of an existing edge; return the old weight."""
         old = self.weight(u, v)
         w = self._check_weight(weight)
-        self._adj[u][v] = w
-        self._adj[v][u] = w
+        self._row(u)[v] = w
+        self._row(v)[u] = w
         return old
 
     def apply_batch(self, updates: Sequence[WeightUpdate]) -> List[WeightUpdate]:
@@ -211,8 +232,8 @@ class RoadNetwork:
             validated.append((u, v, self._check_weight(w), old))
         inverse: List[WeightUpdate] = []
         for u, v, w, old in validated:
-            self._adj[u][v] = w
-            self._adj[v][u] = w
+            self._row(u)[v] = w
+            self._row(v)[u] = w
             inverse.append(((u, v), old))
         return inverse
 

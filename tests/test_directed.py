@@ -92,6 +92,73 @@ class TestDiRoadNetwork:
         ] == preds
 
 
+def _shared_rows(a, b):
+    """Vertices whose out-row and in-row are the same objects in *a* and *b*."""
+    return [
+        u for u in range(a.n) if a._out[u] is b._out[u] and a._in[u] is b._in[u]
+    ]
+
+
+class TestDiCopyOnWriteRows:
+    """DiRoadNetwork.copy() shares out- and in-rows until first written."""
+
+    @pytest.mark.parametrize("writer", ["parent", "copy"])
+    def test_write_on_either_side_stays_there(self, one_way_city, writer):
+        g = one_way_city.copy()
+        before = sorted(g.arcs())
+        u, v, w = before[0]
+        clone = g.copy()
+        side, other = (g, clone) if writer == "parent" else (clone, g)
+        side.set_weight(u, v, w * 3)
+        assert sorted(other.arcs()) == before
+        assert dict(other.predecessors(v))[u] == w
+        assert dict(side.predecessors(v))[u] == w * 3
+        # Only u's out-row and v's in-row were copied.
+        assert g._out[u] is not clone._out[u] and g._in[v] is not clone._in[v]
+        assert g._in[u] is clone._in[u] and g._out[v] is clone._out[v]
+        assert _shared_rows(g, clone) == [x for x in range(g.n) if x not in (u, v)]
+
+    @pytest.mark.parametrize("writer", ["parent", "copy"])
+    def test_add_arc_on_either_side(self, one_way_city, writer):
+        g = one_way_city.copy()
+        before, m = sorted(g.arcs()), g.m
+        tail, head = next(
+            (u, x) for u in range(g.n) for x in range(g.n)
+            if u != x and not g.has_arc(u, x)
+        )
+        clone = g.copy()
+        side, other = (g, clone) if writer == "parent" else (clone, g)
+        side.add_arc(tail, head, 1.0)
+        assert sorted(other.arcs()) == before and other.m == m
+        assert not other.has_arc(tail, head) and head not in dict(other.successors(tail))
+        assert tail not in dict(other.predecessors(head))
+        assert side.m == m + 1 and dict(side.predecessors(head))[tail] == 1.0
+
+    def test_three_deep_chain(self, one_way_city):
+        u, v, w = next(iter(one_way_city.arcs()))
+        chain = [one_way_city.copy()]
+        for k in range(1, 4):
+            chain.append(chain[-1].copy())
+            chain[-1].set_weight(u, v, w + k)
+        chain[1].set_weight(u, v, w + 10)
+        assert [g.weight(u, v) for g in chain] == [w, w + 10, w + 2, w + 3]
+        assert [dict(g.predecessors(v))[u] for g in chain] == [w, w + 10, w + 2, w + 3]
+
+    def test_facade_clone_copies_only_written_rows(self, one_way_city):
+        """A directed facade's clone plus a one-arc apply copies the
+        arc's two rows; the parent keeps its weight."""
+        from repro.directed.dynamic import DynamicDiCH
+
+        oracle = DynamicDiCH(one_way_city.copy())
+        u, v, w = sorted(oracle.graph.arcs())[5]
+        nxt = oracle.clone()
+        nxt.apply([((u, v), w * 2)])
+        assert _shared_rows(oracle.graph, nxt.graph) == [
+            x for x in range(one_way_city.n) if x not in (u, v)
+        ]
+        assert oracle.graph.weight(u, v) == w and nxt.graph.weight(u, v) == w * 2
+
+
 class TestDirectedDijkstra:
     def test_asymmetric_distances(self):
         g = DiRoadNetwork(3)

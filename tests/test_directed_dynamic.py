@@ -6,11 +6,16 @@ import random
 
 import pytest
 
+import repro.directed.ch as directed_ch_module
+import repro.directed.h2h as directed_h2h_module
+from repro.directed.ch import directed_ch_indexing
 from repro.directed.dijkstra import directed_distance
 from repro.directed.dynamic import DynamicDiCH, DynamicDiH2H
 from repro.directed.graph import DiRoadNetwork
-from repro.errors import UpdateError
+from repro.directed.h2h import directed_h2h_indexing
+from repro.errors import IndexError_, UpdateError
 from repro.graph.generators import road_network
+from repro.utils.counters import OpCounter
 
 
 @pytest.fixture
@@ -117,3 +122,86 @@ class TestFacades:
         assert all(oracle.graph.weight(u, v) == w for u, v, w in sample)
         oracle.index.validate()
         clone.index.validate()
+
+
+def _counted(build):
+    """``(result, OpCounter dict)`` of ``build(counter)``."""
+    ops = OpCounter()
+    return build(ops), ops.as_dict()
+
+
+def _state(sc):
+    """Bytes of the arc flags, ``phi``, ``phi_G`` and the supports."""
+    return [sc._arc.tobytes()] + [view.tobytes() for view in sc.slot_views()]
+
+
+class TestRebuildKeepsStructure:
+    """The skeleton, the order and the tree are weight independent, so a
+    directed rebuild reweighs the ones the index holds: the same bytes and
+    op counts as a fresh build in the same order, with no elimination and
+    no new tree."""
+
+    @staticmethod
+    def _forbid_restructuring(monkeypatch):
+        def not_called(*args):
+            raise AssertionError("rebuild() rebuilt weight-independent structure")
+
+        monkeypatch.setattr(directed_ch_module, "eliminated_structure", not_called)
+        monkeypatch.setattr(directed_h2h_module, "TreeDecomposition", not_called)
+
+    @staticmethod
+    def _updated(cls, city):
+        oracle = cls(city.copy())
+        sample = random.Random(8).sample(list(city.arcs()), 10)
+        oracle.apply([((u, v), w * 2.0) for u, v, w in sample[:5]])
+        oracle.apply([((u, v), w * 0.5) for u, v, w in sample[5:]])
+        return oracle
+
+    def test_ch_rebuild(self, city, monkeypatch):
+        oracle = self._updated(DynamicDiCH, city)
+        structure = oracle.index.structure
+        fresh, fresh_ops = _counted(
+            lambda ops: directed_ch_indexing(
+                oracle.graph.copy(), oracle.index.ordering, ops
+            )
+        )
+        self._forbid_restructuring(monkeypatch)
+        oracle.counter = OpCounter()
+        oracle.rebuild()
+        assert oracle.index.structure is structure
+        assert _state(oracle.index) == _state(fresh)
+        assert oracle.counter.as_dict() == fresh_ops
+        oracle.index.validate()
+
+    def test_h2h_rebuild(self, city, monkeypatch):
+        oracle = self._updated(DynamicDiH2H, city)
+        tree = oracle.index.tree
+        fresh, fresh_ops = _counted(
+            lambda ops: directed_h2h_indexing(
+                oracle.graph.copy(), oracle.index.sc.ordering, ops
+            )
+        )
+        self._forbid_restructuring(monkeypatch)
+        oracle.counter = OpCounter()
+        oracle.rebuild()
+        assert oracle.index.tree is tree
+        assert _state(oracle.index.sc) == _state(fresh.sc)
+        for name in ("dis", "sup"):
+            x, y = getattr(oracle.index, name), getattr(fresh, name)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+        assert oracle.counter.as_dict() == fresh_ops
+        oracle.index.validate()
+
+    def test_arc_missing_from_the_skeleton_is_rejected(self, city):
+        """An arc whose edge the skeleton lacks fails loudly instead of
+        weighing some other slot."""
+        oracle = DynamicDiCH(city.copy())
+        st = oracle.index.structure
+        held = {(int(a), int(b)) for a, b in zip(st.low, st.high)}
+        tail, head = next(
+            (a, b) for a in range(city.n) for b in range(a + 1, city.n)
+            if (a, b) not in held and (b, a) not in held
+        )
+        oracle.graph.add_arc(tail, head, 1.0)
+        with pytest.raises(IndexError_):
+            oracle.rebuild()

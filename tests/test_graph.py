@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import math
+import random
+import sys
+import threading
 
 import pytest
 
@@ -54,6 +57,138 @@ class TestConstruction:
 
     def test_repr(self):
         assert repr(RoadNetwork(3)) == "RoadNetwork(n=3, m=0)"
+
+
+class TestCopyOnWriteRows:
+    """copy() shares every adjacency row; whichever side writes a row
+    first gets a private copy of it, so no write crosses over."""
+
+    @staticmethod
+    def _shared(a, b):
+        return [u for u in a.vertices() if a._adj[u] is b._adj[u]]
+
+    def test_write_to_the_parent_leaves_the_copy_unchanged(self):
+        g = road_network(40, seed=2)
+        u, v, w = next(iter(g.edges()))
+        clone = g.copy()
+        g.set_weight(u, v, w + 7)
+        assert clone.weight(u, v) == w and clone.weight(v, u) == w
+        assert g.weight(v, u) == w + 7
+        assert self._shared(g, clone) == [x for x in g.vertices() if x not in (u, v)]
+
+    def test_write_to_the_copy_leaves_the_parent_unchanged(self):
+        g = road_network(40, seed=2)
+        before = sorted(g.edges())
+        u, v, w = before[3]
+        clone = g.copy()
+        clone.apply_batch([((u, v), w * 2)])
+        assert sorted(g.edges()) == before
+        assert clone.weight(v, u) == w * 2
+        # A second write to an owned row copies nothing more.
+        row = clone._adj[u]
+        clone.set_weight(u, v, w * 3)
+        assert clone._adj[u] is row
+        assert g.weight(u, v) == w
+
+    def test_three_deep_chain(self):
+        g = road_network(40, seed=2)
+        u, v, w = next(iter(g.edges()))
+        b = g.copy()
+        b.set_weight(u, v, w + 1)
+        c = b.copy()
+        c.set_weight(u, v, w + 2)
+        d = c.copy()
+        d.set_weight(u, v, w + 3)
+        b.set_weight(u, v, w + 10)  # b copied again after c shared it
+        assert [x.weight(u, v) for x in (g, b, c, d)] == [w, w + 10, w + 2, w + 3]
+        assert [x.weight(v, u) for x in (g, b, c, d)] == [w, w + 10, w + 2, w + 3]
+        assert c._adj[u] is not d._adj[u]
+        others = [x for x in g.vertices() if x not in (u, v)]
+        assert self._shared(g, d) == others
+
+    @pytest.mark.parametrize("writer", ["parent", "copy"])
+    def test_add_and_remove_edge_on_either_side(self, writer):
+        g = road_network(40, seed=2)
+        before, m = sorted(g.edges()), g.m
+        a, b, _w = before[0]
+        x, y = next(
+            (x, y) for x in g.vertices() for y in g.vertices()
+            if x < y and not g.has_edge(x, y)
+        )
+        clone = g.copy()
+        side, other = (g, clone) if writer == "parent" else (clone, g)
+        side.remove_edge(a, b)
+        side.add_edge(x, y, 4.0)
+        assert sorted(other.edges()) == before and other.m == m
+        assert other.has_edge(a, b) and not other.has_edge(x, y)
+        assert not side.has_edge(b, a) and side.weight(y, x) == 4.0
+        assert side.m == m
+        assert set(g.vertices()) - set(self._shared(g, clone)) == {a, b, x, y}
+
+    def test_rejected_batch_leaves_every_row_shared(self):
+        g = road_network(40, seed=2)
+        (u, v, w), (p, q, _w) = list(g.edges())[:2]
+        clone = g.copy()
+        with pytest.raises(GraphError):
+            clone.apply_batch([((u, v), w * 2), ((p, q), -1.0)])
+        assert self._shared(g, clone) == list(g.vertices())
+        assert clone == g
+
+    def test_readers_of_copies_race_a_writer(self):
+        """Readers sum every epoch of a copy chain while a writer copies
+        and writes the newest (more threads than cores, a short switch
+        interval): each epoch keeps the total it had when published."""
+        graph = road_network(120, seed=3)
+        edges = list(graph.edges())
+        published = [(graph, graph.total_weight())]
+        stop = threading.Event()
+        errors: list = []
+
+        def reader(seed):
+            rng = random.Random(seed)
+            while not stop.is_set():
+                g, total = published[rng.randrange(len(published))]
+                if g.total_weight() != total:
+                    errors.append((seed, total))
+                    return
+
+        threads = [threading.Thread(target=reader, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            rng = random.Random(9)
+            current = graph
+            for _ in range(60):
+                current = current.copy()
+                batch = [((u, v), w * rng.choice([0.5, 2.0]))
+                         for u, v, w in rng.sample(edges, 3)]
+                current.apply_batch(batch)
+                published.append((current, current.total_weight()))
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+
+    def test_one_edge_publish_copies_two_rows(self):
+        """A DynamicCH clone plus a one-edge apply copies exactly the
+        edge's two endpoint rows; every other row stays shared."""
+        from repro.core.dynamic import DynamicCH
+
+        oracle = DynamicCH(road_network(60, seed=5))
+        u, v, w = sorted(oracle.graph.edges())[7]
+        nxt = oracle.clone()
+        nxt.apply([((u, v), w * 2)])
+        parent, child = oracle.graph._adj, nxt.graph._adj
+        assert child[u] is not parent[u] and child[v] is not parent[v]
+        assert self._shared(oracle.graph, nxt.graph) == [
+            x for x in oracle.graph.vertices() if x not in (u, v)
+        ]
+        assert oracle.graph.weight(u, v) == w and nxt.graph.weight(u, v) == w * 2
 
 
 class TestEdges:

@@ -126,6 +126,11 @@ class ShortcutStructure:
         its tallest child's).  Every vertex of ``nbr+(v)`` is an
         ancestor of ``v``, so it stands strictly taller than ``v``: the
         build's level pass (:meth:`triangles`) groups by it.
+    batch_tree:
+        The weight-independent tree data of the batch CH query
+        (:func:`repro.ch.query.ch_distance_many`): depths and an
+        :class:`~repro.utils.lca.LCAOracle`, built on the first batch
+        and shared by every clone from then on (``None`` until then).
     """
 
     __slots__ = (
@@ -146,6 +151,7 @@ class ShortcutStructure:
         "pre",
         "size",
         "height",
+        "batch_tree",
     )
 
     def __init__(self, rank: Sequence[int], up: List[List[int]]) -> None:
@@ -183,6 +189,7 @@ class ShortcutStructure:
         self.prio_view = memoryview(self.prio)
         self.edge = np.zeros(ptr[-1], dtype=bool)
         self._build_tree(rank)
+        self.batch_tree = None
 
     def _build_tree(self, rank: Sequence[int]) -> None:
         """``parent``, ``order``, ``pre`` and ``size`` of the elimination

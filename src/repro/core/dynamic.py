@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.ch.dch import dch_decrease, dch_increase
 from repro.ch.indexing import ch_indexing, edge_columns, weigh_structure
-from repro.ch.query import ch_distance, ch_path
+from repro.ch.query import ch_distance, ch_distance_many, ch_path
 from repro.errors import UpdateError
 from repro.graph.graph import RoadNetwork, WeightUpdate
 from repro.h2h.inch2h import inch2h_decrease, inch2h_increase
@@ -141,6 +141,12 @@ class DynamicCH:
         """Shortest distance via bidirectional upward search."""
         return ch_distance(self.index, s, t, self.counter)
 
+    def distance_many(self, sources, targets) -> np.ndarray:
+        """:meth:`distance` for every pair ``(sources[i], targets[i])``
+        from one upward label pass over the batch's elimination-tree
+        ancestors (:func:`repro.ch.query.ch_distance_many`)."""
+        return ch_distance_many(self.index, sources, targets, self.counter)
+
     def path(self, s: int, t: int):
         """A shortest path with shortcuts unpacked to real edges."""
         return ch_path(self.index, s, t, self.counter)
@@ -198,6 +204,11 @@ class DynamicH2H:
     >>> oracle.distance(0, 15) == DynamicCH(grid_network(4, 4, seed=3)).distance(0, 15)
     True
     """
+
+    #: A per-call read scans two labels, which costs about what a cache
+    #: get and put would: :class:`~repro.serve.DistanceServer` keeps no
+    #: cache in front of an oracle that says so.
+    reads_labels = True
 
     def __init__(
         self, graph: RoadNetwork, ordering: Optional[Ordering] = None

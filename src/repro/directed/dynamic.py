@@ -13,6 +13,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.ch.query import ch_distance_many
 from repro.directed.ch import (
     directed_ch_distance,
     directed_ch_indexing,
@@ -152,6 +153,12 @@ class DynamicDiCH(_DirectedOracle):
         """``sd(s -> t)`` under current weights."""
         return directed_ch_distance(self.index, s, t, self.counter)
 
+    def distance_many(self, sources, targets) -> np.ndarray:
+        """:meth:`distance` for every pair ``(sources[i], targets[i])``:
+        the undirected batch kernel over the store's ``(2, slots)`` rows
+        (:func:`repro.ch.query.ch_distance_many`)."""
+        return ch_distance_many(self.index, sources, targets, self.counter)
+
     def _maintain(self, increase: bool, batch, ops) -> List:
         run = directed_dch_increase if increase else directed_dch_decrease
         return run(self.index, batch, ops)
@@ -170,6 +177,9 @@ class DynamicDiH2H(_DirectedOracle):
     """A directed H2H oracle under live arc-weight updates."""
 
     _changed = "changed_super_shortcuts"
+    #: Per-call reads scan labels: served without a cache (see
+    #: :attr:`repro.core.dynamic.DynamicH2H.reads_labels`).
+    reads_labels = True
 
     def __init__(
         self, graph: DiRoadNetwork, ordering: Optional[Ordering] = None

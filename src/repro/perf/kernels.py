@@ -82,6 +82,7 @@ __all__ = [
     "level_weights",
     "level_supports",
     "pos_scan_many",
+    "query_ids",
 ]
 
 
@@ -320,6 +321,24 @@ def level_supports(
 # ----------------------------------------------------------------------
 # Batch H2H query (Section 2, "Query")
 # ----------------------------------------------------------------------
+def query_ids(n: int, sources, targets) -> Tuple[np.ndarray, np.ndarray]:
+    """A batch's source and target ids as int64 arrays.
+
+    Raises
+    ------
+    QueryError
+        If any id lies outside ``[0, n)`` (negative ones included,
+        which numpy indexing would otherwise wrap).
+    """
+    s = np.asarray(sources, dtype=np.int64)
+    t = np.asarray(targets, dtype=np.int64)
+    for ids, role in ((s, "source"), (t, "target")):
+        bad = (ids < 0) | (ids >= n)
+        if bad.any():
+            raise QueryError(f"{role} {int(ids[bad][0])} out of range [0, {n})")
+    return s, t
+
+
 def pos_scan_many(
     tree,
     left: np.ndarray,
@@ -345,13 +364,7 @@ def pos_scan_many(
         If any vertex id is out of range (negative ones included, which
         numpy indexing would otherwise wrap).
     """
-    s = np.asarray(sources, dtype=np.int64)
-    t = np.asarray(targets, dtype=np.int64)
-    n = tree.n
-    for ids, role in ((s, "source"), (t, "target")):
-        bad = (ids < 0) | (ids >= n)
-        if bad.any():
-            raise QueryError(f"{role} {int(ids[bad][0])} out of range [0, {n})")
+    s, t = query_ids(tree.n, sources, targets)
     if not s.size:
         return np.empty(0, dtype=np.float64)
     lca = tree.lca_many(s, t)

@@ -15,13 +15,10 @@ cache and never ask for a ``V_aff``.
 Soundness argument
 ------------------
 ``sd(s, t)`` is the minimum weight over up-down paths in
-``sc(G)`` (Section 2).  Every shortcut on the ascending half has both
-endpoints inside the upward closure of ``s`` (each hop strictly
-increases rank), and symmetrically for ``t``.  If no changed shortcut
-has an endpoint in either closure, no up-down path between the pair
-changed weight, so the minimum is unchanged.  ``s``'s upward closure
-meets a changed endpoint ``x`` exactly when ``s`` lies in the *downward
-closure* of ``x``.  That closure is a subtree of the elimination tree
+``sc(G)`` (Section 2).  Each hop of the ascending half strictly
+increases rank, so every shortcut on it has both endpoints in the
+upward closure of ``s``; symmetrically for the descending half and
+``t``.  That closure is a chain of the elimination tree
 (``parent(v)`` = the lowest-ranked vertex of ``nbr+(v)``, H2H's
 ``x(v)``):
 
@@ -30,12 +27,23 @@ closure* of ``x``.  That closure is a subtree of the elimination tree
   by induction on rank from the top, every vertex of ``nbr+(v)`` is an
   ancestor of ``v``;
 * so the upward closure of ``s`` is exactly ``s`` and its ancestors,
-* and the downward closure of ``x`` is exactly ``x``'s subtree, the
-  pre-order range ``order[pre[x] : pre[x] + size[x]]``.
+  ``anc*(s)``.
 
-``V_aff`` is the union of those ranges over the changed endpoints.
-This over-approximates (a pair may be affected by the closure without
-its distance actually changing) but never under-approximates, which is
+Take a changed shortcut ``<x, y>`` with ``r(x) < r(y)``.  If it lies on
+an up-down ``s``–``t`` path, its lower endpoint ``x`` lies in
+``anc*(s)`` or in ``anc*(t)``: ``s`` or ``t`` is in ``x``'s subtree, the
+pre-order range ``order[pre[x] : pre[x] + size[x]]``.  The rest of
+``y``'s subtree adds nothing: a vertex there that is not below ``x``
+never climbs to ``x``, so the shortcut is on none of its up-down paths.
+If no changed shortcut lies on an up-down path of the pair, the minimum
+is unchanged.  The same holds per direction on the directed store,
+whose arcs ``x -> y`` and ``y -> x`` share the skeleton's tree.
+
+``V_aff`` is therefore the union of the lower endpoints' subtrees.  An
+ancestor's pre-order position is smaller than its descendants', so the
+lower endpoint of ``<u, v>`` is the one with the larger ``pre``.  This
+over-approximates (a pair may be affected by the closure without its
+distance actually changing) but never under-approximates, which is
 the direction cache correctness needs.
 """
 
@@ -50,9 +58,9 @@ __all__ = [
 
 
 def ch_affected_vertices(sc, changed_shortcuts: Sequence) -> Set[int]:
-    """``V_aff`` for a CH update: the downward closure of every endpoint
-    of a changed shortcut — the union of their elimination-tree subtrees,
-    read as pre-order ranges of *sc*'s structure.
+    """``V_aff`` for a CH update: the subtree of the lower endpoint of
+    every changed shortcut — read as pre-order ranges of *sc*'s
+    structure (the module docstring has the proof).
 
     *changed_shortcuts* is the DCH change list: ``((u, v), old, new)``
     triples (the paper's set ``C``).  Works for the directed skeleton
@@ -66,7 +74,7 @@ def ch_affected_vertices(sc, changed_shortcuts: Sequence) -> Set[int]:
     """
     st = sc.structure
     pre, size, order = st.pre, st.size, st.order
-    starts = sorted({pre[x] for edge, _old, _new in changed_shortcuts for x in edge})
+    starts = sorted({max(pre[u], pre[v]) for (u, v), _old, _new in changed_shortcuts})
     affected: Set[int] = set()
     end = 0
     for lo in starts:

@@ -2,11 +2,12 @@
 
 The front end the ROADMAP's "heavy traffic" goal needs: reader threads
 answer ``sd(s, t)`` lock-free against the current epoch snapshot while a
-writer applies DCH / IncH2H maintenance copy-on-write.  Oracles that
-answer by search (CH, directed CH, Dijkstra, :class:`ResilientOracle`)
+writer applies DCH / IncH2H maintenance copy-on-write.  The cache is
+decided by what an oracle's per-call read is.  Oracles whose per-call
+read is a search (CH, directed CH, Dijkstra, :class:`ResilientOracle`)
 sit behind a bounded LRU cache that short-circuits repeated pairs and
 survives updates through AFF-scoped invalidation instead of wholesale
-flushes.  Label oracles (``distance_many``: :class:`DynamicH2H`,
+flushes.  Label oracles (``reads_labels``: :class:`DynamicH2H`,
 :class:`DynamicDiH2H`) keep no cache: an answer is a scan of two labels,
 which costs about what a cache get and put would, so ``server.cache``
 is ``None`` and every read goes straight to the labels.
@@ -16,6 +17,13 @@ Read path (hot, lock-free except one cache-dict lock):
     cache.get(snapshot.epoch, s, t)    # epoch-exact, no stale hits
     snapshot.oracle.distance(s, t)     # on miss; snapshot never mutates
     (label oracles: the oracle call only, counted as a miss)
+
+Batch read path (query_many, one snapshot for the whole batch):
+    oracles with distance_many (CH, H2H and their directed twins):
+    cache hits first (when there is a cache), then every miss in one
+    snapshot.oracle.distance_many call, its answers put back;
+    the others (Dijkstra, ResilientOracle): distance_on per pair,
+    chunked over the worker pool
 
 Write path (serialized):
     next_oracle, report = cow_apply(frozen_oracle, batch)
@@ -119,11 +127,11 @@ class DistanceServer:
         by anyone else afterwards.
     cache_capacity:
         Bound on cached pairs (LRU beyond it).  Ignored for label
-        oracles (those with ``distance_many``), which keep no cache:
-        ``server.cache`` is then ``None``.
+        oracles (those whose ``reads_labels`` is true), which keep no
+        cache: ``server.cache`` is then ``None``.
     workers:
         Worker threads for per-pair :meth:`query_many` batches (oracles
-        without ``distance_many``).
+        without ``distance_many``: Dijkstra, :class:`ResilientOracle`).
     degrade:
         ``None`` (default) keeps every apply exact.  A
         :class:`DegradePolicy` (or ``True`` for the default policy)
@@ -165,7 +173,7 @@ class DistanceServer:
         # A label oracle answers with two label reads, which cost about
         # what a cache get and put would; only search oracles get a cache.
         self.cache: Optional[QueryCache] = None
-        if not hasattr(oracle, "distance_many"):
+        if not getattr(oracle, "reads_labels", False):
             self.cache = QueryCache(cache_capacity, symmetric=symmetric)
         if degrade is None or degrade is False:
             self._deferral: Optional[DeferredMaintenance] = None
@@ -380,13 +388,15 @@ class DistanceServer:
         """Answer a batch of pairs against ONE consistent snapshot.
 
         The whole batch sees the same epoch even if a publish lands
-        mid-batch.  An oracle with ``distance_many`` (H2H) answers the
-        whole batch in one vectorised call under one ``serve.query_many``
-        span, bypassing the per-pair cache.  Otherwise each pair takes
-        the :meth:`distance_on` path: with more than one worker, the
-        batch is chunked across the thread pool; the caller's trace
-        context is carried into the workers so every per-pair
-        ``serve.query`` span lands under the caller's span tree.
+        mid-batch.  An oracle with ``distance_many`` (CH, H2H and their
+        directed twins) answers under one ``serve.query_many`` span: the
+        cache answers the pairs it holds (when the server has a cache),
+        every miss goes to one vectorised call and its answers are
+        stored back.  Otherwise each pair takes the :meth:`distance_on`
+        path: with more than one worker, the batch is chunked across the
+        thread pool; the caller's trace context is carried into the
+        workers so every per-pair ``serve.query`` span lands under the
+        caller's span tree.
         """
         snapshot = self._epochs.current
         distance_many = getattr(snapshot.oracle, "distance_many", None)
@@ -409,14 +419,28 @@ class DistanceServer:
     def _query_vectorised(
         self, snapshot: EpochSnapshot, distance_many, pairs
     ) -> List[float]:
-        """:meth:`query_many` through the oracle's batch query: every
-        pair is counted as a miss."""
+        """:meth:`query_many` through the oracle's batch query: cache
+        hits first, then all misses in one *distance_many* call."""
         with span(names.SPAN_SERVE_QUERY_MANY) as sp:
             if sp.active:
                 sp.set(epoch=snapshot.epoch, pairs=len(pairs))
             ids = np.asarray(pairs, dtype=np.int64).reshape(len(pairs), 2)
-            answers = distance_many(ids[:, 0], ids[:, 1]).tolist()
-            self._m_queries.inc(len(answers), result="miss")
+            cache = self.cache
+            if cache is None:
+                answers = distance_many(ids[:, 0], ids[:, 1]).tolist()
+                self._m_queries.inc(len(answers), result="miss")
+                return answers
+            epoch = snapshot.epoch
+            answers = [cache.get(epoch, s, t) for s, t in ids.tolist()]
+            missing = [i for i, d in enumerate(answers) if d is None]
+            if missing:
+                miss = ids[missing]
+                found = distance_many(miss[:, 0], miss[:, 1]).tolist()
+                for i, (s, t), d in zip(missing, miss.tolist(), found):
+                    answers[i] = d
+                    cache.put(epoch, s, t, d)
+            self._m_queries.inc(len(answers) - len(missing), result="hit")
+            self._m_queries.inc(len(missing), result="miss")
             return answers
 
     def _query_chunk(self, snapshot: EpochSnapshot, part, ctx) -> List[float]:

@@ -80,6 +80,10 @@ class LCAOracle:
         #: Between two trees the tour's range minimum is a root, so
         #: only this check tells a cross-tree pair from a real LCA.
         self._tree_of: Optional[List[int]] = tree_of if len(roots) > 1 else None
+        #: Each vertex's depth and the root of its tree, as int64 arrays
+        #: for batch callers.
+        self.depths = np.asarray(depth, dtype=np.int64)
+        self.roots = np.asarray(tree_of, dtype=np.int64)
         # The scalar :meth:`lca` reads Python lists (``_first``,
         # ``_tour_list``, ``_depths_list``) and ``_table.item``: an int
         # from a list costs a fraction of a numpy scalar index.
@@ -158,8 +162,7 @@ class LCAOracle:
         wrap a negative index silently.
         """
         if self._tree_of is not None:
-            tree_of = np.asarray(self._tree_of)
-            if np.any(tree_of[us] != tree_of[vs]):
+            if np.any(self.roots[us] != self.roots[vs]):
                 raise ValueError("a pair's vertices are not in the same tree")
         a, b = self.first[us], self.first[vs]
         lo = np.minimum(a, b)

@@ -177,3 +177,46 @@ def test_directed_one_way_city(n, epochs):
     digraph = one_way_network(n)
     batches = arc_batches(digraph, epochs, 2, seed=n)
     run_stream(DynamicDiCH(digraph), batches, random_pairs(n, 120, seed=n))
+
+
+def reference_both_endpoints(sc, changed):
+    """The former seed: the subtrees of both endpoints."""
+    st = sc.structure
+    return {
+        v
+        for (a, b), _old, _new in changed
+        for x in (a, b)
+        for v in st.order[st.pre[x] : st.pre[x] + st.size[x]]
+    }
+
+
+@pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+def test_lower_endpoint_subtrees_are_sound_over_a_stream(directed):
+    """Over many publishes, every pair whose distance changed has an
+    endpoint in ``V_aff`` — the subtrees of the changed shortcuts'
+    lower endpoints only."""
+    if directed:
+        graph = one_way_network(150)
+        oracle = DynamicDiCH(graph)
+        batches = arc_batches(graph, 30, 2, seed=8)
+    else:
+        graph = road_network(300, seed=8)
+        oracle = DynamicCH(graph)
+        batches = road_batches(graph, 30, 2, seed=8)
+    pairs = random_pairs(graph.n, 300, seed=8)
+    before = [oracle.distance(s, t) for s, t in pairs]
+    changed_pairs = narrower = 0
+    for batch in batches:
+        changed = changed_list(oracle.apply(batch))
+        aff = ch_affected_vertices(oracle.index, changed)
+        after = [oracle.distance(s, t) for s, t in pairs]
+        for (s, t), old, new in zip(pairs, before, after):
+            if old != new:
+                changed_pairs += 1
+                assert s in aff or t in aff, (s, t, old, new)
+        everything = reference_both_endpoints(oracle.index, changed)
+        assert aff <= everything
+        narrower += len(aff) < len(everything)
+        before = after
+    assert changed_pairs > 0 and narrower > 0
+

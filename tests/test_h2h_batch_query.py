@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 
 from repro.baselines.dijkstra import dijkstra
-from repro.core.dynamic import DynamicCH, DynamicH2H
+from repro.core.dynamic import DynamicH2H
+from repro.core.oracle import DijkstraOracle
 from repro.directed.dijkstra import directed_dijkstra
 from repro.directed.dynamic import DynamicDiH2H
 from repro.directed.graph import DiRoadNetwork
@@ -235,7 +236,9 @@ def test_server_batches_h2h_through_distance_many():
 
 
 @pytest.mark.parametrize(
-    "oracle", [DynamicCH, lambda g: ResilientOracle(DynamicH2H(g))], ids=["ch", "resilient"]
+    "oracle",
+    [DijkstraOracle, lambda g: ResilientOracle(DynamicH2H(g))],
+    ids=["dijkstra", "resilient"],
 )
 def test_server_keeps_the_per_pair_path_without_distance_many(oracle):
     with DistanceServer(oracle(road_network(60, seed=6)), workers=2) as server:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import random
 import sys
 import threading
-import time
 import weakref
 
 import numpy as np
@@ -332,11 +331,19 @@ def test_never_cloned_oracle_keeps_no_log():
 def test_readers_racing_recycling_publishes():
     """Readers that hold each snapshot for one read only, so publishes
     recycle label matrices while they run (more readers than cores, a
-    short switch interval): every answer equals its own epoch's truth."""
+    short switch interval): every answer equals its own epoch's truth.
+
+    Before every other publish the readers park on an event, holding no
+    snapshot, so nothing references the epoch before last: each of
+    those publishes must recycle, whatever the scheduling.  The other
+    publishes race the readers."""
     graph = road_network(80, seed=2)
     server = DistanceServer(DynamicH2H(graph.copy()))
     graphs = {0: server.snapshot().graph}
     stop = threading.Event()
+    running = threading.Event()
+    running.set()
+    parked = threading.Semaphore(0)
     records: list = []
     errors: list = []
 
@@ -344,6 +351,10 @@ def test_readers_racing_recycling_publishes():
         rng = random.Random(seed)
         try:
             while not stop.is_set():
+                if not running.is_set():
+                    parked.release()  # between reads: no snapshot held
+                    running.wait()
+                    continue
                 s, t = rng.randrange(graph.n), rng.randrange(graph.n)
                 snapshot = server.snapshot()
                 d = server.distance_on(snapshot, s, t)
@@ -356,24 +367,30 @@ def test_readers_racing_recycling_publishes():
     threads = [threading.Thread(target=reader, args=(k,)) for k in range(4)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
-    recycled = 0
+    recycled = parked_publishes = 0
     try:
         for thread in threads:
             thread.start()
         before_last = None
         for k in range(12):
+            park = k % 2 == 1
+            if park:
+                running.clear()
+                for _ in threads:
+                    assert parked.acquire(timeout=60), "a reader never parked"
             last = weakref.ref(server.snapshot().oracle.index.dis)
             report = server.apply(mixed_batch(server.snapshot().graph, 6, seed=k))
             current = server.snapshot()
             graphs[report.epoch] = current.graph
-            recycled += before_last is not None and (
-                current.oracle.index.dis is before_last()
-            )
+            if park:
+                parked_publishes += 1
+                recycled += current.oracle.index.dis is before_last()
+                running.set()
             del current
             before_last = last
-            time.sleep(0.005)  # let the readers drop the retired epoch
     finally:
         stop.set()
+        running.set()
         for thread in threads:
             thread.join(timeout=60)
         sys.setswitchinterval(interval)
@@ -383,4 +400,5 @@ def test_readers_racing_recycling_publishes():
     assert records
     for epoch, s, t, d in records:
         assert d == dijkstra_distance(graphs[epoch], s, t), (epoch, s, t)
-    assert recycled > 0
+    assert parked_publishes == 6
+    assert recycled == parked_publishes

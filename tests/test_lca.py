@@ -92,6 +92,19 @@ class TestRandomTrees:
                 depth += 1
             assert oracle.depth(u) == depth
 
+    def test_depth_and_root_arrays_of_a_forest(self):
+        rng = random.Random(4)
+        n = 90
+        parent = [-1 if i % 30 == 0 else rng.randrange(i - i % 30, i)
+                  for i in range(n)]
+        oracle = LCAOracle(parent)
+        for u in range(n):
+            root = u
+            while parent[root] != -1:
+                root = parent[root]
+            assert oracle.roots[u] == root
+            assert oracle.depths[u] == oracle.depth(u)
+
 
 class TestDeepTree:
     def test_long_path_no_recursion_error(self):

@@ -133,10 +133,12 @@ class TestThreadPoolPropagation:
     """query_many hands the submitting context to its worker threads."""
 
     def test_query_many_workers_share_the_outer_trace(self):
-        from repro.core.dynamic import DynamicCH
+        # Only oracles without distance_many (Dijkstra, ResilientOracle)
+        # take the per-pair pool.
+        from repro.core.oracle import DijkstraOracle
         from repro.serve.server import DistanceServer
 
-        oracle = DynamicCH(grid_network(4, 4, seed=1))
+        oracle = DijkstraOracle(grid_network(4, 4, seed=1))
         sink = MemorySink()
         server = DistanceServer(oracle, workers=2)
         try:
@@ -154,10 +156,10 @@ class TestThreadPoolPropagation:
         assert {r["parent_id"] for r in queries} == {outer_span_id}
 
     def test_query_many_without_outer_span_roots_each_query(self):
-        from repro.core.dynamic import DynamicCH
+        from repro.core.oracle import DijkstraOracle
         from repro.serve.server import DistanceServer
 
-        oracle = DynamicCH(grid_network(4, 4, seed=1))
+        oracle = DijkstraOracle(grid_network(4, 4, seed=1))
         sink = MemorySink()
         server = DistanceServer(oracle, workers=2)
         try:

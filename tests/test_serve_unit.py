@@ -219,13 +219,18 @@ def test_cache_rejects_bad_capacity():
 # AFF extraction
 # ----------------------------------------------------------------------
 def test_ch_affected_vertices_is_downward_closure(paper_sc):
-    # Shortcut <v6, v9> (ids 5, 8): its endpoints plus everything that
-    # can climb to them — here every vertex that reaches rank >= 5.
+    # Shortcut <v6, v9> (ids 5, 8): its lower-ranked endpoint plus
+    # everything that can climb to it.  The higher endpoint's other
+    # descendants cannot use the shortcut, so they stay out.
+    rank = paper_sc.ordering.rank
+    low, high = sorted((5, 8), key=rank.__getitem__)
     closure = ch_affected_vertices(paper_sc, [((5, 8), 2.0, 4.0)])
-    assert {5, 8} <= closure
-    for v in closure - {5, 8}:
+    assert low in closure and high not in closure
+    for v in closure - {low}:
         up = set(paper_sc.upward(v))
         assert up & closure, f"{v} has no upward path into the closure"
+    st = paper_sc.structure
+    assert closure == set(st.order[st.pre[low] : st.pre[low] + st.size[low]])
 
 
 def test_ch_affected_vertices_soundness(medium_road):
@@ -384,7 +389,8 @@ def test_server_rejects_bad_workers(small_grid):
 
 
 def test_server_close_falls_back_to_serial(small_grid):
-    server = DistanceServer(DynamicCH(small_grid), workers=4)
+    # Dijkstra has no distance_many, so its batches take the pool.
+    server = DistanceServer(DijkstraOracle(small_grid), workers=4)
     pairs = random_pairs(small_grid.n, 32, seed=1)
     parallel = server.query_many(pairs)
     server.close()

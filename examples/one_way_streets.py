@@ -4,7 +4,8 @@
 Section 2 of the paper notes the algorithms "can be extended to the
 directed case"; this example exercises that extension.  A downtown grid
 gets one-way streets and direction-dependent transit times; the
-directed CH answers asymmetric distance queries and directed DCH
+directed CH answers asymmetric distance queries (through the same
+``ch_distance`` as the undirected index) and directed DCH
 absorbs a congestion wave that only slows the inbound direction.
 
 Run:  python examples/one_way_streets.py
@@ -14,8 +15,8 @@ from __future__ import annotations
 
 import random
 
-from repro import DiRoadNetwork, road_network
-from repro.directed.ch import directed_ch_distance, directed_ch_indexing
+from repro import DiRoadNetwork, ch_distance, road_network
+from repro.directed.ch import directed_ch_indexing
 from repro.directed.dch import directed_dch_decrease, directed_dch_increase
 from repro.directed.dijkstra import directed_distance
 
@@ -44,8 +45,8 @@ def main() -> None:
           "two weights each")
 
     s, t = 0, city.n - 1
-    there = directed_ch_distance(index, s, t)
-    back = directed_ch_distance(index, t, s)
+    there = ch_distance(index, s, t)
+    back = ch_distance(index, t, s)
     assert there == directed_distance(city, s, t)
     assert back == directed_distance(city, t, s)
     print(f"\nsd({s} -> {t}) = {there}")
@@ -61,8 +62,8 @@ def main() -> None:
     print(f"\nmorning rush: {len(batch)} inbound arcs 3x slower "
           f"({len(changed)} directed shortcut weights updated)")
 
-    there_rush = directed_ch_distance(index, s, t)
-    back_rush = directed_ch_distance(index, t, s)
+    there_rush = ch_distance(index, s, t)
+    back_rush = ch_distance(index, t, s)
     assert there_rush == directed_distance(city, s, t)
     assert back_rush == directed_distance(city, t, s)
     print(f"sd({s} -> {t}) = {there_rush}   (was {there})")
@@ -72,8 +73,8 @@ def main() -> None:
     directed_dch_decrease(index, [((u, v), float(w)) for u, v, w in inbound])
     for u, v, w in inbound:
         city.set_weight(u, v, w)
-    assert directed_ch_distance(index, s, t) == there
-    assert directed_ch_distance(index, t, s) == back
+    assert ch_distance(index, s, t) == there
+    assert ch_distance(index, t, s) == back
     index.validate()
     print("\nevening: weights restored, index validated "
           "(both directions of every shortcut exact).")

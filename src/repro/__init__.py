@@ -54,11 +54,7 @@ from repro.graph import (
     road_network,
     write_dimacs,
 )
-from repro.directed import (
-    DiRoadNetwork,
-    directed_ch_distance,
-    directed_ch_indexing,
-)
+from repro.directed import DiRoadNetwork, directed_ch_indexing
 from repro.h2h import h2h_distance, h2h_indexing
 from repro.knn import POIIndex
 from repro.order import Ordering, minimum_degree_ordering
@@ -103,7 +99,6 @@ __all__ = [
     "ch_indexing",
     "ch_path",
     "dijkstra",
-    "directed_ch_distance",
     "directed_ch_indexing",
     "distance",
     "grid_network",

@@ -82,7 +82,7 @@ def upward_search(
 
 
 def _bidirectional(
-    index: ShortcutGraph, s: int, t: int, counter: Optional[OpCounter]
+    index, s: int, t: int, counter: Optional[OpCounter]
 ) -> Tuple[float, int, Dict[int, int], Dict[int, int]]:
     """Shared engine: returns (distance, meeting vertex, parents_f, parents_b).
 
@@ -90,12 +90,19 @@ def _bidirectional(
     heap top is smaller (forward on ties) and stops once that top
     reaches *best* -- the rule ``min(top_f, top_b) >= best``.  A settled
     vertex meets the other side through its distance there and relaxes
-    exactly ``nbr+(u)``: the list ``index._up[u]``, walked together
+    exactly ``nbr+(u)``: the structure's list ``up[u]``, walked together
     with its weight row, one contiguous slice of the slot store.
     Distances are dense lists (``inf`` when unreached), so a relaxation
     reads no dict; parents stay dicts, which
     keeps the per-query allocation to two lists.  Relaxations are
     tallied locally and added to *counter* once.
+
+    *index* is a :class:`ShortcutGraph` or a directed store: each side
+    reads its own view of the flat slot weights, sliced once here.  On
+    the undirected store both views are the whole store; on the
+    directed one the forward side reads row ``TO`` (``phi(u -> v)``,
+    out of ``s``) and the backward side row ``FROM`` (``phi(v -> u)``,
+    into ``t``).
     """
     n = index.n
     if not 0 <= s < n:
@@ -104,8 +111,12 @@ def _bidirectional(
         raise QueryError(f"target {t} out of range [0, {n})")
     if s == t:
         return 0.0, s, {s: -1}, {t: -1}
-    # Hot loop: direct access by design (see upward_search).
-    up, weights, ptr = index._up, index._wv, index._ptr
+    # Hot loop: direct access by design (see upward_search).  Slot row u
+    # of a side is weights[ptr[u] : ptr[u + 1]] of that side's view.
+    st = index.structure
+    up, ptr, flat = st.up, st.ptr, index.slot_views()[0]
+    slots = len(st.low)
+    weights_f, weights_b = flat[:slots], flat[len(flat) - slots :]
     heappush, heappop = heapq.heappush, heapq.heappop
     inf = math.inf
     dist_f = [inf] * n
@@ -126,10 +137,12 @@ def _bidirectional(
             if top_f >= best:  # min(top_f, top_b) >= best
                 break
             heap, dist, parent, other = heap_f, dist_f, parent_f, dist_b
+            weights = weights_f
         else:
             if top_b >= best:
                 break
             heap, dist, parent, other = heap_b, dist_b, parent_b, dist_f
+            weights = weights_b
         d, u = heappop(heap)
         if d > dist[u]:
             continue
@@ -151,12 +164,18 @@ def _bidirectional(
 
 
 def ch_distance(
-    index: ShortcutGraph,
+    index,
     s: int,
     t: int,
     counter: Optional[OpCounter] = None,
 ) -> float:
-    """The shortest distance ``sd(s, t)`` (``inf`` when disconnected)."""
+    """The shortest distance ``sd(s, t)`` (``inf`` when disconnected).
+
+    *index* is a :class:`ShortcutGraph` or a directed store
+    (:class:`~repro.directed.ch.DirectedShortcutGraph`), for which the
+    answer is ``sd(s -> t)``: a forward-upward search from ``s`` over
+    out-weights meets a backward-upward search from ``t`` over
+    in-weights, as in the classic directed CH."""
     best, _, _, _ = _bidirectional(index, s, t, counter)
     return best
 

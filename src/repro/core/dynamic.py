@@ -7,20 +7,23 @@ may mix increases and decreases; the facade splits it and dispatches the
 increase part to the ``+`` algorithm and the decrease part to the ``-``
 algorithm, exactly as the paper's experiments do (Exp-4 applies an
 increase batch, then restores with a decrease batch).
+
+The directed facades (:mod:`repro.directed.dynamic`) share the same base,
+:class:`DynamicOracle`, and the same :class:`UpdateReport`: only the
+build, the queries, the maintenance steps and the rebuild differ.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.ch.dch import dch_decrease, dch_increase
 from repro.ch.indexing import ch_indexing, edge_columns, weigh_structure
 from repro.ch.query import ch_distance, ch_distance_many, ch_path
-from repro.errors import UpdateError
-from repro.graph.graph import RoadNetwork, WeightUpdate
+from repro.graph.graph import RoadNetwork, WeightUpdate, validate_batch
 from repro.h2h.inch2h import inch2h_decrease, inch2h_increase
 from repro.h2h.indexing import fill_distance_arrays, h2h_indexing
 from repro.h2h.query import h2h_distance
@@ -29,21 +32,23 @@ from repro.order.ordering import Ordering
 from repro.perf.coalesce import coalesce_updates
 from repro.utils.counters import OpCounter
 
-__all__ = ["DynamicCH", "DynamicH2H", "UpdateReport"]
+__all__ = ["DynamicCH", "DynamicH2H", "DynamicOracle", "UpdateReport"]
 
 
 @dataclass
 class UpdateReport:
-    """What one :meth:`apply` call did.
+    """What one :meth:`DynamicOracle.apply` call did.
 
     Attributes
     ----------
     increases / decreases:
-        Number of edges whose weight went up / down.
+        Number of edges (arcs, on a directed network) whose weight went
+        up / down.
     changed_shortcuts:
-        Shortcuts whose weight changed (AFF_2).
+        Shortcuts whose weight changed (AFF_2); directed CH lists the
+        changed arcs ``((tail, head), old, new)``.  Empty for H2H.
     changed_super_shortcuts:
-        Super-shortcuts whose value changed (AFF_3); 0 for CH.
+        Super-shortcuts whose value changed (AFF_3); empty for CH.
     ops:
         Operation counts of the maintenance work, by channel.
     superseded / dropped:
@@ -61,29 +66,6 @@ class UpdateReport:
     dropped: int = 0
 
 
-def _split_batch(
-    graph: RoadNetwork, updates: Sequence[WeightUpdate]
-) -> Tuple[List[WeightUpdate], List[WeightUpdate]]:
-    """Split a mixed batch into (increases, decreases) vs current weights.
-
-    No-op updates (same weight) are dropped; duplicate edges rejected.
-    """
-    increases: List[WeightUpdate] = []
-    decreases: List[WeightUpdate] = []
-    seen = set()
-    for (u, v), w in updates:
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise UpdateError(f"edge ({u}, {v}) appears twice in one batch")
-        seen.add(key)
-        old = graph.weight(u, v)
-        if w > old:
-            increases.append(((u, v), w))
-        elif w < old:
-            decreases.append(((u, v), w))
-    return increases, decreases
-
-
 def _reweigh(graph: RoadNetwork, sc, counter: OpCounter):
     """CHIndexing of *graph* on the order and structure of *sc*, which
     weight updates never change (:func:`weigh_structure`)."""
@@ -92,7 +74,97 @@ def _reweigh(graph: RoadNetwork, sc, counter: OpCounter):
     )
 
 
-class DynamicCH:
+class DynamicOracle:
+    """What the four facades share: the network, the counter, the index,
+    cloning and :meth:`apply`.
+
+    A subclass supplies ``_build(graph, ordering, counter)``, the
+    queries, ``_maintain(increase, batch, ops)`` (which returns the
+    changes to list in the report field named by ``_changed``) and
+    ``rebuild()``.
+    """
+
+    #: The :class:`UpdateReport` list :meth:`_maintain`'s changes go in.
+    _changed = "changed_shortcuts"
+
+    def __init__(self, graph, ordering: Optional[Ordering] = None) -> None:
+        self._graph = graph
+        self.counter = OpCounter()
+        self.index = self._build(graph, ordering, self.counter)
+
+    @classmethod
+    def from_index(cls, graph, index):
+        """Wrap an already-built index (e.g. loaded from an archive)
+        without paying its indexing again; *graph* must be the network
+        the index was built on, in its current state."""
+        oracle = cls.__new__(cls)
+        oracle._graph = graph
+        oracle.counter = OpCounter()
+        oracle.index = index
+        return oracle
+
+    def clone(self):
+        """An independent copy: same answers, disjoint mutable state.
+
+        Applying updates to the clone leaves this oracle (and its
+        answers) untouched — the copy-on-write primitive behind
+        :mod:`repro.serve`'s epoch snapshots.
+        """
+        return type(self).from_index(self._graph.copy(), self.index.clone())
+
+    @property
+    def graph(self):
+        """The network in its current state."""
+        return self._graph
+
+    def apply(
+        self, updates: Sequence[WeightUpdate], *, coalesce: bool = False
+    ) -> UpdateReport:
+        """Apply a (possibly mixed) weight-update batch.
+
+        The whole batch is checked first (:func:`validate_batch`: every
+        edge known, every weight a non-negative number, no edge twice;
+        keyed per ordered arc on a directed network), so a rejected batch
+        changes nothing.  It is then split against the current weights;
+        no-op updates are dropped, the increases are written and
+        maintained, then the decreases.
+
+        With *coalesce*, the raw stream is first merged into its net
+        effect (:func:`repro.perf.coalesce.coalesce_updates`): one
+        propagation per direction for the whole batch, same final state
+        as applying the stream one update at a time.
+        """
+        superseded = dropped = 0
+        if coalesce:
+            batch = coalesce_updates(
+                updates, self._graph.weight, directed=hasattr(self._graph, "arcs")
+            )
+            updates = batch.updates
+            superseded, dropped = batch.superseded, batch.dropped
+        updates = list(updates)
+        increases: List[WeightUpdate] = []
+        decreases: List[WeightUpdate] = []
+        for update, (_key, old) in zip(updates, validate_batch(self._graph, updates)):
+            if update[1] > old:
+                increases.append(update)
+            elif update[1] < old:
+                decreases.append(update)
+        ops = OpCounter()
+        report = UpdateReport(
+            len(increases), len(decreases), superseded=superseded, dropped=dropped
+        )
+        changed = getattr(report, self._changed)
+        for increase, half in ((True, increases), (False, decreases)):
+            if half:
+                for (u, v), w in half:
+                    self._graph.set_weight(u, v, w)
+                changed += self._maintain(increase, half, ops)
+        report.ops = ops.as_dict()
+        self.counter.merge(ops)
+        return report
+
+
+class DynamicCH(DynamicOracle):
     """A contraction hierarchy that stays correct under weight updates.
 
     Example
@@ -105,37 +177,8 @@ class DynamicCH:
     True
     """
 
-    def __init__(
-        self, graph: RoadNetwork, ordering: Optional[Ordering] = None
-    ) -> None:
-        self._graph = graph
-        self.counter = OpCounter()
-        self.index = ch_indexing(graph, ordering, self.counter)
-
-    @classmethod
-    def from_index(cls, graph: RoadNetwork, index) -> "DynamicCH":
-        """Wrap an already-built CH index (e.g. loaded from an archive)
-        without paying CHIndexing again; *graph* must be the network the
-        index was built on, in its current state."""
-        oracle = cls.__new__(cls)
-        oracle._graph = graph
-        oracle.counter = OpCounter()
-        oracle.index = index
-        return oracle
-
-    def clone(self) -> "DynamicCH":
-        """An independent copy: same answers, disjoint mutable state.
-
-        Applying updates to the clone leaves this oracle (and its
-        answers) untouched — the copy-on-write primitive behind
-        :mod:`repro.serve`'s epoch snapshots.
-        """
-        return DynamicCH.from_index(self._graph.copy(), self.index.clone())
-
-    @property
-    def graph(self) -> RoadNetwork:
-        """The road network in its current state."""
-        return self._graph
+    def _build(self, graph, ordering, counter):
+        return ch_indexing(graph, ordering, counter)
 
     def distance(self, s: int, t: int) -> float:
         """Shortest distance via bidirectional upward search."""
@@ -151,38 +194,9 @@ class DynamicCH:
         """A shortest path with shortcuts unpacked to real edges."""
         return ch_path(self.index, s, t, self.counter)
 
-    def apply(
-        self, updates: Sequence[WeightUpdate], *, coalesce: bool = False
-    ) -> UpdateReport:
-        """Apply a (possibly mixed) weight-update batch with DCH.
-
-        With *coalesce*, the raw stream is first merged into its net
-        effect (:func:`repro.perf.coalesce.coalesce_updates`): one DCH
-        propagation per direction for the whole batch, same final state
-        as applying the stream one update at a time.
-        """
-        superseded = dropped = 0
-        if coalesce:
-            batch = coalesce_updates(updates, self._graph.weight)
-            updates = batch.updates
-            superseded, dropped = batch.superseded, batch.dropped
-        increases, decreases = _split_batch(self._graph, updates)
-        ops = OpCounter()
-        report = UpdateReport(
-            increases=len(increases),
-            decreases=len(decreases),
-            superseded=superseded,
-            dropped=dropped,
-        )
-        if increases:
-            self._graph.apply_batch(increases)
-            report.changed_shortcuts += dch_increase(self.index, increases, ops)
-        if decreases:
-            self._graph.apply_batch(decreases)
-            report.changed_shortcuts += dch_decrease(self.index, decreases, ops)
-        report.ops = ops.as_dict()
-        self.counter.merge(ops)
-        return report
+    def _maintain(self, increase: bool, batch, ops) -> List:
+        run = dch_increase if increase else dch_decrease
+        return run(self.index, batch, ops)
 
     def rebuild(self) -> None:
         """Recompute the index from the current network (CHIndexing).
@@ -194,7 +208,7 @@ class DynamicCH:
         self.index = _reweigh(self._graph, self.index, self.counter)
 
 
-class DynamicH2H:
+class DynamicH2H(DynamicOracle):
     """A hierarchical 2-hop index that stays correct under weight updates.
 
     Example
@@ -205,39 +219,14 @@ class DynamicH2H:
     True
     """
 
+    _changed = "changed_super_shortcuts"
     #: A per-call read scans two labels, which costs about what a cache
     #: get and put would: :class:`~repro.serve.DistanceServer` keeps no
     #: cache in front of an oracle that says so.
     reads_labels = True
 
-    def __init__(
-        self, graph: RoadNetwork, ordering: Optional[Ordering] = None
-    ) -> None:
-        self._graph = graph
-        self._ordering = ordering
-        self.counter = OpCounter()
-        self.index = h2h_indexing(graph, ordering, self.counter)
-
-    @classmethod
-    def from_index(cls, graph: RoadNetwork, index) -> "DynamicH2H":
-        """Wrap an already-built H2H index (e.g. loaded from an archive)
-        without paying H2HIndexing again; *graph* must be the network the
-        index was built on, in its current state."""
-        oracle = cls.__new__(cls)
-        oracle._graph = graph
-        oracle._ordering = index.sc.ordering
-        oracle.counter = OpCounter()
-        oracle.index = index
-        return oracle
-
-    def clone(self) -> "DynamicH2H":
-        """An independent copy: same answers, disjoint mutable state."""
-        return DynamicH2H.from_index(self._graph.copy(), self.index.clone())
-
-    @property
-    def graph(self) -> RoadNetwork:
-        """The road network in its current state."""
-        return self._graph
+    def _build(self, graph, ordering, counter):
+        return h2h_indexing(graph, ordering, counter)
 
     @property
     def tree(self) -> TreeDecomposition:
@@ -253,52 +242,14 @@ class DynamicH2H:
         in one vectorised scan (:meth:`H2HIndex.distance_many`)."""
         return self.index.distance_many(sources, targets, self.counter)
 
-    def apply(
-        self, updates: Sequence[WeightUpdate], *, coalesce: bool = False
-    ) -> UpdateReport:
-        """Apply a (possibly mixed) weight-update batch with IncH2H.
+    def _maintain(self, increase: bool, batch, ops) -> List:
+        run = inch2h_increase if increase else inch2h_decrease
+        return run(self.index, batch, ops)
 
-        With *coalesce*, the raw stream is first merged into its net
-        effect (:func:`repro.perf.coalesce.coalesce_updates`): one
-        IncH2H propagation per direction for the whole batch, same final
-        state as applying the stream one update at a time.
-        """
-        superseded = dropped = 0
-        if coalesce:
-            batch = coalesce_updates(updates, self._graph.weight)
-            updates = batch.updates
-            superseded, dropped = batch.superseded, batch.dropped
-        increases, decreases = _split_batch(self._graph, updates)
-        ops = OpCounter()
-        report = UpdateReport(
-            increases=len(increases),
-            decreases=len(decreases),
-            superseded=superseded,
-            dropped=dropped,
-        )
-        if increases:
-            self._graph.apply_batch(increases)
-            report.changed_super_shortcuts += inch2h_increase(
-                self.index, increases, ops
-            )
-        if decreases:
-            self._graph.apply_batch(decreases)
-            report.changed_super_shortcuts += inch2h_decrease(
-                self.index, decreases, ops
-            )
-        report.ops = ops.as_dict()
-        self.counter.merge(ops)
-        return report
-
-    def rebuild(self, weights_only: bool = True) -> None:
-        """Recompute from the current network.
-
-        With *weights_only* (the paper's recompute baseline), the tree
-        decomposition is kept — it is weight independent — and only the
-        shortcut weights and distance arrays are rebuilt.
-        """
-        if weights_only:
-            sc = _reweigh(self._graph, self.index.sc, self.counter)
-            self.index = fill_distance_arrays(sc, self.index.tree, self.counter)
-        else:
-            self.index = h2h_indexing(self._graph, self._ordering, self.counter)
+    def rebuild(self) -> None:
+        """Recompute from the current network (the paper's recompute
+        baseline).  The tree decomposition is weight independent, so it
+        is kept: only the shortcut weights and distance arrays are
+        rebuilt."""
+        sc = _reweigh(self._graph, self.index.sc, self.counter)
+        self.index = fill_distance_arrays(sc, self.index.tree, self.counter)

@@ -12,7 +12,8 @@ Equation (<>)::
 
 Queries run a forward upward search from ``s`` over out-weights and a
 backward upward search from ``t`` over in-weights; the answer is the
-best meeting point, as in the classic directed CH [26].
+best meeting point, as in the classic directed CH [26].  The undirected
+query functions of :mod:`repro.ch.query` serve this store as they are.
 
 One slot store for both directions
 ----------------------------------
@@ -29,7 +30,6 @@ slot ``s`` is the *arc id* ``d * slots + s`` that directed DCH±
 
 from __future__ import annotations
 
-import heapq
 import math
 from itertools import chain
 from typing import Iterator, List, Optional, Tuple
@@ -39,7 +39,7 @@ import numpy as np
 from repro.ch.indexing import edge_columns, eliminated_structure, held_slots
 from repro.ch.shortcut_graph import ShortcutStructure
 from repro.directed.graph import DiRoadNetwork
-from repro.errors import IndexError_, QueryError
+from repro.errors import IndexError_
 from repro.order.ordering import Ordering
 from repro.perf import kernels
 from repro.utils.counters import OpCounter, resolve_counter
@@ -48,7 +48,6 @@ __all__ = [
     "DirectedShortcutGraph",
     "directed_ch_indexing",
     "weigh_directed_structure",
-    "directed_ch_distance",
 ]
 
 #: A directed shortcut: the ordered pair (tail, head).
@@ -345,68 +344,3 @@ def weigh_directed_structure(
     if terms:
         resolve_counter(counter).add("contract_pair", terms)
     return DirectedShortcutGraph(ordering, st, arc, phi, phi_g, count)
-
-
-def directed_ch_distance(
-    index: DirectedShortcutGraph,
-    s: int,
-    t: int,
-    counter: Optional[OpCounter] = None,
-) -> float:
-    """``sd(s -> t)`` via forward-upward / backward-upward searches.
-
-    The loop of :func:`repro.ch.query.ch_distance`: the forward side
-    relaxes ``nbr+(u)`` over out-weights ``phi(u -> v)`` (row ``TO`` of
-    the slot row), the backward side over in-weights ``phi(v -> u)``
-    (row ``FROM``).
-    """
-    n = index.n
-    if not 0 <= s < n:
-        raise QueryError(f"source {s} out of range [0, {n})")
-    if not 0 <= t < n:
-        raise QueryError(f"target {t} out of range [0, {n})")
-    if s == t:
-        return 0.0
-    # Hot loop: row u's weights in direction d are the contiguous arc ids
-    # d * slots + ptr[u] .. d * slots + ptr[u + 1].
-    st = index.structure
-    up, ptr = st.up, st.ptr
-    weights = index.slot_views()[0]
-    backward = index.num_shortcuts
-    heappush, heappop = heapq.heappush, heapq.heappop
-    inf = math.inf
-    dist_f = [inf] * n
-    dist_b = [inf] * n
-    dist_f[s] = 0.0
-    dist_b[t] = 0.0
-    heap_f: List[Tuple[float, int]] = [(0.0, s)]
-    heap_b: List[Tuple[float, int]] = [(0.0, t)]
-    best = inf
-    relaxed = 0
-    while True:
-        top_f = heap_f[0][0] if heap_f else inf
-        top_b = heap_b[0][0] if heap_b else inf
-        if top_f <= top_b:
-            if top_f >= best:  # min(top_f, top_b) >= best
-                break
-            heap, dist, other, off = heap_f, dist_f, dist_b, 0
-        else:
-            if top_b >= best:
-                break
-            heap, dist, other, off = heap_b, dist_b, dist_f, backward
-        d, u = heappop(heap)
-        if d > dist[u]:
-            continue
-        through = d + other[u]
-        if through < best:
-            best = through
-        nbrs = up[u]
-        relaxed += len(nbrs)
-        for v, w in zip(nbrs, weights[off + ptr[u] : off + ptr[u + 1]].tolist()):
-            nd = d + w
-            if nd < dist[v]:
-                dist[v] = nd
-                heappush(heap, (nd, v))
-    if relaxed:
-        resolve_counter(counter).add("query_relax", relaxed)
-    return best

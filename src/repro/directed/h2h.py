@@ -19,7 +19,8 @@ deeper, via the directed Equation (nabla)::
     sd(v -> a) = dis_to(v)[depth(a)]    if depth(v) > depth(a)
                  dis_from(a)[depth(v)]  if depth(v) < depth(a)
 
-A query is one position-array scan, as in the undirected case::
+A query is one position-array scan, as in the undirected case
+(:func:`repro.h2h.query.h2h_distance` reads either index)::
 
     sd(s -> t) = min over i in pos(lca) of dis_to(s)[i] + dis_from(t)[i]
 
@@ -49,7 +50,7 @@ from repro.directed.dch import (
     trace_directed_call,
 )
 from repro.directed.graph import DiRoadNetwork
-from repro.errors import IndexError_, QueryError
+from repro.errors import IndexError_
 from repro.h2h.index import LabelBuffers
 from repro.h2h.inch2h import (
     _decrease_propagate,
@@ -69,7 +70,6 @@ __all__ = [
     "DirectedH2HIndex",
     "directed_h2h_indexing",
     "directed_fill_labels",
-    "directed_h2h_distance",
     "directed_inch2h_increase",
     "directed_inch2h_decrease",
 ]
@@ -157,7 +157,7 @@ class DirectedH2HIndex(LabelBuffers):
         self, sources, targets, counter: Optional[OpCounter] = None
     ) -> np.ndarray:
         """``sd(s -> t)`` for every pair ``(sources[i], targets[i])``:
-        the batch form of :func:`directed_h2h_distance`, bit-identical
+        the batch form of :func:`repro.h2h.query.h2h_distance`, bit-identical
         to it pair by pair (raises ``QueryError`` on an out-of-range id)."""
         return kernels.pos_scan_many(
             self.tree, self.dis[TO], self.dis[FROM], sources, targets, counter
@@ -225,30 +225,6 @@ def directed_fill_labels(
         kernels.directed_fill_vertex(index, u)
         ops.add("star_term", 2 * len(sc.upward(u)) * int(depth[u]))
     return index
-
-
-def directed_h2h_distance(
-    index: DirectedH2HIndex,
-    s: int,
-    t: int,
-    counter: Optional[OpCounter] = None,
-) -> float:
-    """``sd(s -> t)`` read from the directed labels (one pos scan)."""
-    n = index.n
-    if not 0 <= s < n:
-        raise QueryError(f"source {s} out of range [0, {n})")
-    if not 0 <= t < n:
-        raise QueryError(f"target {t} out of range [0, {n})")
-    if s == t:
-        return 0.0
-    ops = resolve_counter(counter)
-    a = index.tree.lca(s, t)
-    positions = index.tree.pos[a]
-    ops.add("pos_scan", len(positions))
-    dis_to, dis_from = index.dis
-    return float(
-        (dis_to[s].take(positions) + dis_from[t].take(positions)).min()
-    )
 
 
 # ----------------------------------------------------------------------

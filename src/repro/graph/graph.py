@@ -20,9 +20,15 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
-from repro.errors import GraphError, QueryError
+from repro.errors import GraphError, QueryError, UpdateError
 
-__all__ = ["RoadNetwork", "WeightUpdate", "INFINITY", "canonical_edge"]
+__all__ = [
+    "RoadNetwork",
+    "WeightUpdate",
+    "INFINITY",
+    "canonical_edge",
+    "validate_batch",
+]
 
 #: The weight used to represent a deleted / impassable road.
 INFINITY = math.inf
@@ -34,6 +40,38 @@ WeightUpdate = Tuple[Tuple[int, int], float]
 def canonical_edge(u: int, v: int) -> Tuple[int, int]:
     """The canonical (sorted) form of an undirected edge."""
     return (u, v) if u < v else (v, u)
+
+
+def validate_batch(
+    graph, updates: Sequence[WeightUpdate]
+) -> List[Tuple[Tuple[int, int], float]]:
+    """Validate a batch against *graph* without mutating anything.
+
+    Checks that every edge exists and every weight is a valid
+    non-negative number, and returns the pre-update weight of each
+    distinct edge.  On a directed graph (one with ``arcs``) an update
+    names an ordered arc, so ``(u, v)`` and ``(v, u)`` are distinct —
+    the same keying :func:`repro.perf.coalesce.coalesce_updates` uses.
+
+    Raises
+    ------
+    GraphError
+        If an edge is unknown or a weight is invalid.
+    UpdateError
+        If the same edge (or arc) appears twice in the batch.
+    """
+    directed = hasattr(graph, "arcs")
+    pre: List[Tuple[Tuple[int, int], float]] = []
+    seen = set()
+    for (u, v), w in updates:
+        key = (u, v) if directed else canonical_edge(u, v)
+        if key in seen:
+            what = f"arc ({u} -> {v})" if directed else f"edge ({u}, {v})"
+            raise UpdateError(f"{what} appears twice in one batch")
+        seen.add(key)
+        pre.append((key, graph.weight(u, v)))
+        graph._check_weight(w)
+    return pre
 
 
 class RoadNetwork:

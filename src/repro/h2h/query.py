@@ -10,6 +10,11 @@ guarantees every member of ``X(a)`` appears in both distance arrays, so
 the scan is both correct and only ``|X(a)|`` long — no graph search at
 all, which is why H2H answers queries one to three orders of magnitude
 faster than CH (Exp-3).
+
+The directed index (:class:`~repro.directed.h2h.DirectedH2HIndex`) is
+read by the same scan, over ``dis_to(s)`` and ``dis_from(t)``::
+
+    sd(s -> t) = min over i in pos(a) of  dis_to(s)[i] + dis_from(t)[i]
 """
 
 from __future__ import annotations
@@ -29,7 +34,9 @@ def h2h_distance(
     t: int,
     counter: Optional[OpCounter] = None,
 ) -> float:
-    """The shortest distance ``sd(s, t)`` read from the H2H index.
+    """The shortest distance ``sd(s, t)`` read from the H2H index, or
+    ``sd(s -> t)`` from a directed one, whose ``(2, n, width)`` labels
+    give ``s``'s row from ``dis[TO]`` and ``t``'s from ``dis[FROM]``.
 
     Raises
     ------
@@ -48,4 +55,5 @@ def h2h_distance(
     positions = index.tree.pos[a]
     ops.add("pos_scan", len(positions))
     dis = index.dis
-    return float((dis[s].take(positions) + dis[t].take(positions)).min())
+    dis_s, dis_t = (dis, dis) if dis.ndim == 2 else dis
+    return float((dis_s[s].take(positions) + dis_t[t].take(positions)).min())

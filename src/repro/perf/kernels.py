@@ -19,9 +19,8 @@ kernel                       replaces
                              directed
 :func:`fill_row`             the per-depth construction loop of
                              H2HIndexing step 3
-:func:`pos_scan_many`        one ``h2h_distance`` /
-                             ``directed_h2h_distance`` call per pair of
-                             a query batch
+:func:`pos_scan_many`        one ``h2h_distance`` call per pair of a
+                             query batch, undirected or directed
 ===========================  ==============================================
 
 Direction axis
@@ -351,8 +350,8 @@ def pos_scan_many(
     every pair ``(sources[j], targets[j])``, as a float64 array.
 
     The H2H query of :func:`repro.h2h.query.h2h_distance` (``left`` and
-    ``right`` both ``dis``) or of the directed twin (``dis_to`` and
-    ``dis_from``) for a whole batch: one :meth:`lca_many`, one gather of
+    ``right`` both ``dis``, or ``dis_to`` and ``dis_from`` on a directed
+    index) for a whole batch: one :meth:`lca_many`, one gather of
     the padded ``pos`` rows and a row-wise ``min``.  Padding repeats an
     entry of its own row, so it never changes a minimum; ``s == t``
     answers 0.0 without a scan, as the scalar query does.  Adds the

@@ -17,44 +17,12 @@ pre-image is taken: a version nobody else can see needs no undo.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence
 
 from repro.errors import UpdateError
-from repro.graph.graph import WeightUpdate, canonical_edge
+from repro.graph.graph import WeightUpdate, validate_batch
 
 __all__ = ["cow_apply", "validate_batch"]
-
-
-def validate_batch(
-    graph, updates: Sequence[WeightUpdate]
-) -> List[Tuple[Tuple[int, int], float]]:
-    """Validate a batch against *graph* without mutating anything.
-
-    Checks that every edge exists and every weight is a valid
-    non-negative number, and returns the pre-update weight of each
-    distinct edge.  On a directed graph (one with ``arcs``) an update
-    names an ordered arc, so ``(u, v)`` and ``(v, u)`` are distinct —
-    the same keying :func:`repro.perf.coalesce.coalesce_updates` uses.
-
-    Raises
-    ------
-    GraphError
-        If an edge is unknown or a weight is invalid.
-    UpdateError
-        If the same edge (or arc) appears twice in the batch.
-    """
-    directed = hasattr(graph, "arcs")
-    pre: List[Tuple[Tuple[int, int], float]] = []
-    seen = set()
-    for (u, v), w in updates:
-        key = (u, v) if directed else canonical_edge(u, v)
-        if key in seen:
-            what = f"arc ({u} -> {v})" if directed else f"edge ({u}, {v})"
-            raise UpdateError(f"{what} appears twice in one batch")
-        seen.add(key)
-        pre.append((key, graph.weight(u, v)))
-        graph._check_weight(w)
-    return pre
 
 
 def cow_apply(

@@ -85,13 +85,13 @@ def ch_affected_vertices(sc, changed_shortcuts: Sequence) -> Set[int]:
 
 
 def affected_vertices(oracle, report) -> Optional[Set[int]]:
-    """Dispatch: ``V_aff`` of one CH :class:`UpdateReport`-like object
-    (undirected or directed), or ``None`` when the oracle has no shortcut
-    structure (meaning: assume everything is affected and flush the
-    cache — always sound)."""
+    """Dispatch: ``V_aff`` of one CH
+    :class:`~repro.core.dynamic.UpdateReport` — its ``changed_shortcuts``,
+    which list changed arcs on the directed CH — or ``None`` when the
+    oracle has no shortcut structure or the report no change list
+    (meaning: assume everything is affected and flush the cache — always
+    sound)."""
     changed = getattr(report, "changed_shortcuts", None)
-    if changed is None:
-        changed = getattr(report, "changed_shortcut_arcs", None)
     index = getattr(oracle, "index", None)
     if changed is not None and hasattr(index, "structure"):
         return ch_affected_vertices(index, changed)

@@ -36,12 +36,6 @@ from conftest import one_way_network, random_pairs
 from reference_aff import reference_ch_affected_vertices
 
 
-def changed_list(report):
-    """The DCH change list of an oracle report, either direction kind."""
-    changed = getattr(report, "changed_shortcuts", None)
-    return report.changed_shortcut_arcs if changed is None else changed
-
-
 def run_stream(oracle, batches, pool):
     """Serve *oracle* twice, publishing each batch through the subtree
     ranges and through the BFS; read every pair of *pool* before each
@@ -64,7 +58,7 @@ def run_stream(oracle, batches, pool):
                 old.evicted,
             )
             index = ranges.snapshot().oracle.index
-            changed = changed_list(new.report)
+            changed = new.report.changed_shortcuts
             aff = ch_affected_vertices(index, changed)
             assert aff == reference_ch_affected_vertices(index, changed)
             assert len(aff) == new.affected
@@ -207,7 +201,7 @@ def test_lower_endpoint_subtrees_are_sound_over_a_stream(directed):
     before = [oracle.distance(s, t) for s, t in pairs]
     changed_pairs = narrower = 0
     for batch in batches:
-        changed = changed_list(oracle.apply(batch))
+        changed = oracle.apply(batch).changed_shortcuts
         aff = ch_affected_vertices(oracle.index, changed)
         after = [oracle.distance(s, t) for s, t in pairs]
         for (s, t), old, new in zip(pairs, before, after):

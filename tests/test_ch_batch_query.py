@@ -3,7 +3,7 @@
 :func:`repro.ch.query.ch_distance_many` answers a batch from upward
 labels filled over the batch's elimination-tree ancestors, undirected
 and over the directed store's ``(2, slots)`` rows.  Its answers must be
-``==`` — no tolerance — to ``ch_distance`` / ``directed_ch_distance``
+``==`` — no tolerance — to ``ch_distance`` on either store
 pair by pair: on the paper example, after DCH± on clones that share one
 structure, after an edge insertion that moves a parent, on a forest, and
 for ``s == t``, empty batches and bad ids.  It must leave the per-query
@@ -26,7 +26,6 @@ from repro.ch.edge_updates import insert_edge
 from repro.ch.query import ch_distance, ch_distance_many
 from repro.core.dynamic import DynamicCH, DynamicH2H
 from repro.core.oracle import DijkstraOracle
-from repro.directed.ch import directed_ch_distance
 from repro.directed.dynamic import DynamicDiCH, DynamicDiH2H
 from repro.directed.graph import DiRoadNetwork
 from repro.errors import QueryError
@@ -135,7 +134,7 @@ def test_disconnected_forest():
             digraph.add_arc(u, v, w)
             digraph.add_arc(v, u, w * 1.5)
     directed = DynamicDiCH(digraph, ordering)
-    check(directed.index, pairs, directed_ch_distance)
+    check(directed.index, pairs, ch_distance)
 
 
 @pytest.mark.parametrize("n", [150, pytest.param(2025, marks=pytest.mark.slow)])
@@ -143,7 +142,7 @@ def test_directed_after_dch_on_clones(n):
     digraph = one_way_network(n)
     oracle = DynamicDiCH(digraph)
     pairs = pairs_of(n, 300, seed=n)
-    check(oracle.index, pairs, directed_ch_distance)
+    check(oracle.index, pairs, ch_distance)
     arcs = list(digraph.arcs())
     rng = random.Random(n)
     current = oracle
@@ -152,7 +151,7 @@ def test_directed_after_dch_on_clones(n):
         picked = rng.sample(arcs, 10)
         nxt.apply([((u, v), w * rng.choice([2.0, 0.5])) for u, v, w in picked])
         assert nxt.index.structure is oracle.index.structure
-        check(nxt.index, pairs, directed_ch_distance)
+        check(nxt.index, pairs, ch_distance)
         current = nxt
     # One direction's labels come from TO, the other's from FROM.
     assert current.distance_many(*zip(*pairs)).tolist() == [

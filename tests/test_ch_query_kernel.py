@@ -1,7 +1,7 @@
 """The CH query kernel: answers, paths and operation counts.
 
-``ch_distance`` / ``ch_path``, ``upward_search`` and
-``directed_ch_distance`` run the paper's upward searches (Section 2)
+``ch_distance`` (on either store) / ``ch_path`` and ``upward_search``
+run the paper's upward searches (Section 2)
 over ``nbr+(u)`` only.  Each is checked against Dijkstra on a grid and
 on a generated road network.  Their
 ``query_relax`` / ``upward_relax`` totals over seeded pairs are pinned
@@ -19,7 +19,7 @@ import pytest
 from repro.baselines.dijkstra import dijkstra
 from repro.ch.indexing import ch_indexing
 from repro.ch.query import ch_distance, ch_path, upward_search
-from repro.directed.ch import directed_ch_distance, directed_ch_indexing
+from repro.directed.ch import directed_ch_indexing
 from repro.directed.dijkstra import directed_dijkstra
 from repro.directed.graph import DiRoadNetwork
 from repro.errors import QueryError
@@ -155,13 +155,13 @@ class TestDirected:
         for s, t in seeded_pairs(digraph.n):
             if s not in truth:
                 truth[s] = directed_dijkstra(digraph, s)
-            assert directed_ch_distance(index, s, t) == truth[s][t], (s, t)
+            assert ch_distance(index, s, t) == truth[s][t], (s, t)
 
     def test_same_vertex_is_free(self, name):
         digraph, index = directed(name)
         ops = OpCounter()
         for v in (0, digraph.n - 1):
-            assert directed_ch_distance(index, v, v, ops) == 0.0
+            assert ch_distance(index, v, v, ops) == 0.0
         assert ops.as_dict() == {}
 
     @pytest.mark.parametrize("bad", [-1, "n"])
@@ -169,15 +169,15 @@ class TestDirected:
         digraph, index = directed(name)
         bad = digraph.n if bad == "n" else bad
         with pytest.raises(QueryError):
-            directed_ch_distance(index, bad, 0)
+            ch_distance(index, bad, 0)
         with pytest.raises(QueryError):
-            directed_ch_distance(index, 0, bad)
+            ch_distance(index, 0, bad)
 
     def test_query_relax_total_is_pinned(self, name):
         digraph, index = directed(name)
         ops = OpCounter()
         for s, t in seeded_pairs(digraph.n):
-            directed_ch_distance(index, s, t, ops)
+            ch_distance(index, s, t, ops)
         assert ops.as_dict() == {"query_relax": GOLDEN_DIRECTED_RELAX[name]}
 
 

@@ -7,7 +7,8 @@ import random
 
 import pytest
 
-from repro.directed.ch import directed_ch_distance, directed_ch_indexing
+from repro.ch.query import ch_distance
+from repro.directed.ch import directed_ch_indexing
 from repro.directed.dch import directed_dch_decrease, directed_dch_increase
 from repro.directed.dijkstra import directed_dijkstra, directed_distance
 from repro.directed.graph import DiRoadNetwork
@@ -185,7 +186,7 @@ class TestDirectedCH:
         rng = random.Random(1)
         for _ in range(60):
             s, t = rng.randrange(one_way_city.n), rng.randrange(one_way_city.n)
-            assert directed_ch_distance(index, s, t) == directed_distance(
+            assert ch_distance(index, s, t) == directed_distance(
                 one_way_city, s, t
             )
 
@@ -206,8 +207,8 @@ class TestDirectedCH:
         g = DiRoadNetwork(2)
         g.add_arc(0, 1, 4.0)
         index = directed_ch_indexing(g)
-        assert directed_ch_distance(index, 0, 1) == 4.0
-        assert math.isinf(directed_ch_distance(index, 1, 0))
+        assert ch_distance(index, 0, 1) == 4.0
+        assert math.isinf(ch_distance(index, 1, 0))
 
     def test_validates(self, one_way_city):
         directed_ch_indexing(one_way_city).validate()
@@ -248,7 +249,7 @@ class TestDirectedCH:
         rng = random.Random(2)
         for _ in range(25):
             s, t = rng.randrange(medium_road.n), rng.randrange(medium_road.n)
-            assert directed_ch_distance(directed, s, t) == ch_distance(
+            assert ch_distance(directed, s, t) == ch_distance(
                 undirected, s, t
             )
 
@@ -320,7 +321,7 @@ class TestDirectedDCH:
             for _ in range(15):
                 s, t = (rng.randrange(one_way_city.n),
                         rng.randrange(one_way_city.n))
-                assert directed_ch_distance(index, s, t) == directed_distance(
+                assert ch_distance(index, s, t) == directed_distance(
                     one_way_city, s, t
                 )
 

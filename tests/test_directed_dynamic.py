@@ -1,19 +1,22 @@
-"""Tests for the directed dynamic oracle facades."""
+"""Tests for the directed dynamic oracle facades, and the facade
+contract all four oracles share through one base class."""
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
 
 import repro.directed.ch as directed_ch_module
 import repro.directed.h2h as directed_h2h_module
+from repro.core.dynamic import DynamicCH, DynamicH2H
 from repro.directed.ch import directed_ch_indexing
 from repro.directed.dijkstra import directed_distance
 from repro.directed.dynamic import DynamicDiCH, DynamicDiH2H
 from repro.directed.graph import DiRoadNetwork
 from repro.directed.h2h import directed_h2h_indexing
-from repro.errors import IndexError_, UpdateError
+from repro.errors import GraphError, IndexError_, UpdateError
 from repro.graph.generators import road_network
 from repro.utils.counters import OpCounter
 
@@ -30,10 +33,46 @@ def city():
     return digraph
 
 
+#: The four facades on their one base class; the unmarked ids are the
+#: directed ones this module is about.
+FACADES = {
+    "ch": DynamicDiCH,
+    "h2h": DynamicDiH2H,
+    "ch-undirected": DynamicCH,
+    "h2h-undirected": DynamicH2H,
+}
+
+
 @pytest.fixture(params=["ch", "h2h"])
 def oracle(request, city):
-    cls = DynamicDiCH if request.param == "ch" else DynamicDiH2H
-    return cls(city.copy())
+    return FACADES[request.param](city.copy())
+
+
+@pytest.fixture(params=list(FACADES))
+def facade(request, city):
+    """Each facade over ``city`` (directed) or its undirected base."""
+    cls = FACADES[request.param]
+    if cls in (DynamicDiCH, DynamicDiH2H):
+        return cls(city.copy())
+    return cls(road_network(90, seed=23))
+
+
+def links(graph):
+    """Every arc (edge, on an undirected graph) as ``(u, v, weight)``."""
+    return list(graph.arcs() if hasattr(graph, "arcs") else graph.edges())
+
+
+def index_bytes(index):
+    """The bytes of an index's slot arrays and, for H2H, its labels."""
+    sc = getattr(index, "sc", index)
+    labels = (index.dis, index.sup) if sc is not index else ()
+    return [view.tobytes() for view in (*sc.slot_views(), *labels)]
+
+
+def unknown_link(graph):
+    """A pair ``(0, b)`` that is no arc (edge) of *graph*."""
+    has = graph.has_arc if hasattr(graph, "arcs") else graph.has_edge
+    return 0, next(b for b in range(1, graph.n) if not has(0, b))
 
 
 class TestFacades:
@@ -57,15 +96,46 @@ class TestFacades:
             s, t = rng.randrange(city.n), rng.randrange(city.n)
             assert oracle.distance(s, t) == directed_distance(reference, s, t)
 
-    def test_duplicate_arc_rejected(self, oracle, city):
-        u, v, w = next(iter(city.arcs()))
+    def test_duplicate_arc_rejected(self, facade):
+        u, v, w = links(facade.graph)[0]
         with pytest.raises(UpdateError):
-            oracle.apply([((u, v), w * 2), ((u, v), w * 3)])
+            facade.apply([((u, v), w * 2), ((u, v), w * 3)])
 
-    def test_noop_batch(self, oracle, city):
-        u, v, w = next(iter(city.arcs()))
-        report = oracle.apply([((u, v), w)])
+    def test_noop_batch(self, facade):
+        u, v, w = links(facade.graph)[0]
+        report = facade.apply([((u, v), w)])
         assert report.increases == 0 and report.decreases == 0
+        assert report.changed_shortcuts == []
+        assert report.changed_super_shortcuts == []
+
+    @pytest.mark.parametrize(
+        "bad", ["negative", "nan", "unknown", "duplicate"]
+    )
+    def test_rejected_batch_changes_nothing(self, facade, bad):
+        """A batch that fails its check raises before any write: a valid
+        increase and decrease ride in front of the bad update, and the
+        graph weights, the index bytes and the answers stay as they were."""
+        graph = facade.graph
+        (u1, v1, w1), (u2, v2, w2), (u3, v3, _w3) = links(graph)[:3]
+        batch = [((u1, v1), w1 * 4.0), ((u2, v2), w2 * 0.5)]
+        update, error = {
+            "negative": (((u3, v3), -1.0), GraphError),
+            "nan": (((u3, v3), math.nan), GraphError),
+            "unknown": ((unknown_link(graph), 1.0), GraphError),
+            "duplicate": (((u2, v2), w2 * 0.25), UpdateError),
+        }[bad]
+        batch.append(update)
+        rng = random.Random(6)
+        pairs = [(rng.randrange(graph.n), rng.randrange(graph.n))
+                 for _ in range(30)]
+        weights = links(graph)
+        state = index_bytes(facade.index)
+        answers = [facade.distance(s, t) for s, t in pairs]
+        with pytest.raises(error):
+            facade.apply(batch)
+        assert links(facade.graph) == weights
+        assert index_bytes(facade.index) == state
+        assert [facade.distance(s, t) for s, t in pairs] == answers
 
     def test_rebuild_preserves_answers(self, oracle, city):
         rng = random.Random(3)
@@ -75,16 +145,16 @@ class TestFacades:
         oracle.rebuild()
         assert [oracle.distance(s, t) for s, t in pairs] == before
 
-    def test_graph_kept_in_sync(self, oracle, city):
-        u, v, w = next(iter(city.arcs()))
-        oracle.apply([((u, v), w * 2)])
-        assert oracle.graph.weight(u, v) == w * 2
+    def test_graph_kept_in_sync(self, facade):
+        u, v, w = links(facade.graph)[0]
+        facade.apply([((u, v), w * 2)])
+        assert facade.graph.weight(u, v) == w * 2
 
-    def test_counter_accumulates(self, oracle, city):
-        base_ops = oracle.counter.total()
-        u, v, w = next(iter(city.arcs()))
-        oracle.apply([((u, v), w * 2)])
-        assert oracle.counter.total() > base_ops
+    def test_counter_accumulates(self, facade):
+        base_ops = facade.counter.total()
+        u, v, w = links(facade.graph)[0]
+        facade.apply([((u, v), w * 2)])
+        assert facade.counter.total() > base_ops
 
     def test_indexes_stay_valid_over_rounds(self, oracle, city):
         rng = random.Random(4)
@@ -99,28 +169,28 @@ class TestFacades:
             oracle.apply(downs)
         oracle.index.validate()
 
-    def test_clone_leaves_original_unchanged(self, oracle, city):
-        # Clones share the skeleton and the arc flags; a mixed batch on
-        # the clone must leave the original's phi, phi_G and supports in
-        # both directions, and its labels, bit-identical.
-        def state(index):
-            sc = getattr(index, "sc", index)
-            labels = (index.dis, index.sup) if sc is not index else ()
-            return [view.tobytes() for view in (*sc.slot_views(), *labels)]
-
-        before = state(oracle.index)
-        clone = oracle.clone()
-        shared = getattr(oracle.index, "sc", oracle.index).structure
+    def test_clone_leaves_original_unchanged(self, facade):
+        # Clones share the structure (and the tree, for H2H); a mixed
+        # batch on the clone must leave the original's slot arrays, in
+        # both directions on a directed store, and its labels
+        # bit-identical.
+        before = index_bytes(facade.index)
+        clone = facade.clone()
+        assert type(clone) is type(facade)
+        shared = getattr(facade.index, "sc", facade.index).structure
         assert getattr(clone.index, "sc", clone.index).structure is shared
-        sample = random.Random(5).sample(list(city.arcs()), 12)
+        assert getattr(clone.index, "tree", None) is getattr(
+            facade.index, "tree", None
+        )
+        sample = random.Random(5).sample(links(facade.graph), 12)
         batch = [((u, v), w * 3.0) for u, v, w in sample[:6]]
         batch += [((u, v), w * 0.25) for u, v, w in sample[6:]]
         report = clone.apply(batch)
         assert report.increases == report.decreases == 6
-        assert state(clone.index) != before
-        assert state(oracle.index) == before
-        assert all(oracle.graph.weight(u, v) == w for u, v, w in sample)
-        oracle.index.validate()
+        assert index_bytes(clone.index) != before
+        assert index_bytes(facade.index) == before
+        assert all(facade.graph.weight(u, v) == w for u, v, w in sample)
+        facade.index.validate()
         clone.index.validate()
 
 

@@ -12,13 +12,13 @@ from repro.directed.dijkstra import directed_dijkstra
 from repro.directed.h2h import (
     FROM,
     TO,
-    directed_h2h_distance,
     directed_h2h_indexing,
     directed_inch2h_decrease,
     directed_inch2h_increase,
 )
 from repro.errors import QueryError
 from repro.graph.generators import road_network
+from repro.h2h.query import h2h_distance
 
 
 @pytest.fixture
@@ -48,15 +48,15 @@ class TestStatic:
         for s in range(0, one_way_city.n, 13):
             dist = directed_dijkstra(one_way_city, s)
             for t in range(one_way_city.n):
-                assert directed_h2h_distance(index, s, t) == dist[t]
+                assert h2h_distance(index, s, t) == dist[t]
 
     def test_asymmetry_preserved(self, index, one_way_city):
         rng = random.Random(1)
         found_asymmetric = False
         for _ in range(50):
             s, t = rng.randrange(index.n), rng.randrange(index.n)
-            there = directed_h2h_distance(index, s, t)
-            back = directed_h2h_distance(index, t, s)
+            there = h2h_distance(index, s, t)
+            back = h2h_distance(index, t, s)
             if there != back:
                 found_asymmetric = True
             assert there == directed_dijkstra(one_way_city, s)[t]
@@ -66,11 +66,11 @@ class TestStatic:
         index.validate()
 
     def test_self_distance(self, index):
-        assert directed_h2h_distance(index, 7, 7) == 0.0
+        assert h2h_distance(index, 7, 7) == 0.0
 
     def test_out_of_range(self, index):
         with pytest.raises(QueryError):
-            directed_h2h_distance(index, 0, 10**6)
+            h2h_distance(index, 0, 10**6)
 
     def test_label_semantics(self, index, one_way_city):
         """dis_to / dis_from are sd(u -> a) / sd(a -> u) exactly."""
@@ -96,7 +96,7 @@ class TestStatic:
         rng = random.Random(2)
         for _ in range(30):
             s, t = rng.randrange(medium_road.n), rng.randrange(medium_road.n)
-            assert directed_h2h_distance(directed, s, t) == h2h_distance(
+            assert h2h_distance(directed, s, t) == h2h_distance(
                 undirected, s, t
             )
 
@@ -113,7 +113,7 @@ class TestIncremental:
         for s in range(0, one_way_city.n, 19):
             dist = directed_dijkstra(one_way_city, s)
             for t in range(one_way_city.n):
-                assert directed_h2h_distance(index, s, t) == dist[t]
+                assert h2h_distance(index, s, t) == dist[t]
 
     def test_roundtrip_restores(self, index, one_way_city):
         dis_to_before = index.dis[TO].copy()
@@ -174,7 +174,7 @@ class TestIncremental:
         for s in range(0, one_way_city.n, 31):
             dist = directed_dijkstra(one_way_city, s)
             for t in range(one_way_city.n):
-                assert directed_h2h_distance(index, s, t) == dist[t]
+                assert h2h_distance(index, s, t) == dist[t]
         # Restore.
         directed_inch2h_decrease(index, [((u, v), float(w))])
         one_way_city.set_weight(u, v, float(w))

@@ -65,13 +65,6 @@ class TestUpdateReports:
         assert report.decreases == 3
         assert report.ops
 
-    def test_noop_updates_dropped(self, medium_road):
-        oracle = DynamicCH(medium_road.copy())
-        u, v, w = next(iter(medium_road.edges()))
-        report = oracle.apply([((u, v), w)])
-        assert report.increases == 0 and report.decreases == 0
-        assert report.changed_shortcuts == []
-
     def test_duplicate_edges_rejected(self, medium_road):
         oracle = DynamicH2H(medium_road.copy())
         u, v, w = next(iter(medium_road.edges()))
@@ -181,7 +174,7 @@ class TestRebuildKeepsStructure:
         )
         _no_elimination(monkeypatch)
         oracle.counter = OpCounter()
-        oracle.rebuild(weights_only=True)
+        oracle.rebuild()
         assert oracle.tree is tree
         _assert_same_slots(oracle.index.sc, fresh.sc)
         for name in ("dis", "sup"):
@@ -215,19 +208,6 @@ class TestH2HWeightsOnlyRebuild:
         oracle = DynamicH2H(medium_road.copy())
         tree_before = oracle.tree
         oracle.apply(mixed_batch(medium_road, 6, seed=8))
-        oracle.rebuild(weights_only=True)
+        oracle.rebuild()
         assert oracle.tree.parent == tree_before.parent
         oracle.index.validate()
-
-    def test_full_rebuild(self, medium_road):
-        oracle = DynamicH2H(medium_road.copy())
-        oracle.rebuild(weights_only=False)
-        oracle.index.validate()
-
-
-class TestCumulativeCounter:
-    def test_counter_accumulates(self, medium_road):
-        oracle = DynamicCH(medium_road.copy())
-        build_ops = oracle.counter.total()
-        oracle.apply(mixed_batch(medium_road, 5, seed=9))
-        assert oracle.counter.total() > build_ops

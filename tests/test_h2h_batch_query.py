@@ -3,8 +3,8 @@
 ``H2HIndex.distance_many`` / ``DirectedH2HIndex.distance_many`` answer a
 whole batch with one vectorised LCA and one padded ``pos`` gather
 (:func:`repro.perf.kernels.pos_scan_many`).  They must be ``==`` — no
-tolerance — to the scalar queries (``h2h_distance`` /
-``directed_h2h_distance``) and to Dijkstra, and count the same
+tolerance — to the scalar query (``h2h_distance``, which reads either
+index) and to Dijkstra, and count the same
 ``pos_scan`` work.  ``DistanceServer.query_many``
 routes H2H batches through them.
 """
@@ -22,7 +22,6 @@ from repro.core.oracle import DijkstraOracle
 from repro.directed.dijkstra import directed_dijkstra
 from repro.directed.dynamic import DynamicDiH2H
 from repro.directed.graph import DiRoadNetwork
-from repro.directed.h2h import directed_h2h_distance
 from repro.errors import QueryError
 from repro.graph.generators import grid_network, road_network
 from repro.h2h.query import h2h_distance
@@ -129,7 +128,7 @@ def test_directed_equals_scalar_and_dijkstra(oracle_cls):
     pairs += [(t, s) for s, t in pairs[:50]]
     pairs += [(index.tree.root, v) for v in range(0, digraph.n, 7)]
     scalar_ops, batch_ops = OpCounter(), OpCounter()
-    scalar = [directed_h2h_distance(index, s, t, scalar_ops) for s, t in pairs]
+    scalar = [h2h_distance(index, s, t, scalar_ops) for s, t in pairs]
     got = run_many(index.distance_many, pairs, batch_ops)
     assert got == scalar
     assert batch_ops["pos_scan"] == scalar_ops["pos_scan"] > 0

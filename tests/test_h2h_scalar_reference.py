@@ -1,7 +1,7 @@
 """The scalar H2H query and the LCA against references written here.
 
-``distance_many`` is checked against ``h2h_distance`` and
-``directed_h2h_distance`` (tests/test_h2h_batch_query.py), so the scalar
+``distance_many`` is checked against ``h2h_distance`` on both indexes
+(tests/test_h2h_batch_query.py), so the scalar
 queries need a check of their own that does not run through them: a
 parent-walk LCA and a Python ``min`` over ``pos(LCA)`` of the label
 rows.  Answers must be ``==`` (no tolerance) and the ``pos_scan`` total
@@ -17,7 +17,6 @@ import pytest
 from repro.core.dynamic import DynamicH2H
 from repro.directed.dynamic import DynamicDiH2H
 from repro.directed.graph import DiRoadNetwork
-from repro.directed.h2h import directed_h2h_distance
 from repro.graph.generators import grid_network, road_network
 from repro.h2h.query import h2h_distance
 from repro.utils.counters import OpCounter
@@ -97,7 +96,7 @@ def test_directed_scalar_query_equals_reference(name):
     pairs = query_pairs(tree, 400, seed=5)
     pairs += [(t, s) for s, t in pairs[:100]]
     ops = OpCounter()
-    got = [directed_h2h_distance(index, s, t, ops) for s, t in pairs]
+    got = [h2h_distance(index, s, t, ops) for s, t in pairs]
     reference = [scan_reference(tree, dis_to[s], dis_from[t], s, t) for s, t in pairs]
     assert got == [d for d, _ in reference]
     assert ops["pos_scan"] == sum(k for _, k in reference) > 0

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from repro.ch.edge_updates import delete_edge, insert_edge
 from repro.ch.indexing import ch_indexing
-from repro.directed.ch import directed_ch_distance, directed_ch_indexing
+from repro.ch.query import ch_distance
+from repro.directed.ch import directed_ch_indexing
 from repro.directed.dch import directed_dch_decrease, directed_dch_increase
 from repro.directed.dijkstra import directed_dijkstra
 from repro.directed.graph import DiRoadNetwork
@@ -104,7 +105,7 @@ class TestDirectedProperties:
         for s in range(0, digraph.n, max(1, digraph.n // 4)):
             dist = directed_dijkstra(digraph, s)
             for t in range(digraph.n):
-                assert directed_ch_distance(index, s, t) == dist[t]
+                assert ch_distance(index, s, t) == dist[t]
 
     @common_settings
     @given(digraphs(), st.integers(1, 4))
@@ -120,7 +121,7 @@ class TestDirectedProperties:
         for s in range(0, digraph.n, max(1, digraph.n // 4)):
             dist = directed_dijkstra(digraph, s)
             for t in range(digraph.n):
-                assert directed_ch_distance(index, s, t) == dist[t]
+                assert ch_distance(index, s, t) == dist[t]
         directed_dch_decrease(index, downs)
         for (u, v), w in downs:
             digraph.set_weight(u, v, w)

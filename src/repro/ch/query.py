@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import QueryError
+from repro.errors import IndexError_, QueryError
 from repro.ch.shortcut_graph import ShortcutGraph, ShortcutStructure
 from repro.perf.kernels import csr_slots, query_ids
 from repro.utils.counters import OpCounter, resolve_counter
@@ -83,8 +83,8 @@ def upward_search(
 
 def _bidirectional(
     index, s: int, t: int, counter: Optional[OpCounter]
-) -> Tuple[float, int, Dict[int, int], Dict[int, int]]:
-    """Shared engine: returns (distance, meeting vertex, parents_f, parents_b).
+) -> Tuple[float, int, List[float], List[float]]:
+    """Shared engine: returns (distance, meeting vertex, dist_f, dist_b).
 
     One loop runs both upward searches.  Each step pops the side whose
     heap top is smaller (forward on ties) and stops once that top
@@ -93,16 +93,12 @@ def _bidirectional(
     exactly ``nbr+(u)``: the structure's list ``up[u]``, walked together
     with its weight row, one contiguous slice of the slot store.
     Distances are dense lists (``inf`` when unreached), so a relaxation
-    reads no dict; parents stay dicts, which
-    keeps the per-query allocation to two lists.  Relaxations are
+    reads no dict, and no parent is recorded: :func:`ch_path` rebuilds
+    the meeting path from the two distance lists.  Relaxations are
     tallied locally and added to *counter* once.
 
     *index* is a :class:`ShortcutGraph` or a directed store: each side
-    reads its own view of the flat slot weights, sliced once here.  On
-    the undirected store both views are the whole store; on the
-    directed one the forward side reads row ``TO`` (``phi(u -> v)``,
-    out of ``s``) and the backward side row ``FROM`` (``phi(v -> u)``,
-    into ``t``).
+    reads its own view of the flat slot weights (:func:`_side_weights`).
     """
     n = index.n
     if not 0 <= s < n:
@@ -110,21 +106,18 @@ def _bidirectional(
     if not 0 <= t < n:
         raise QueryError(f"target {t} out of range [0, {n})")
     if s == t:
-        return 0.0, s, {s: -1}, {t: -1}
+        return 0.0, s, [], []  # no search, so no distances to walk
     # Hot loop: direct access by design (see upward_search).  Slot row u
     # of a side is weights[ptr[u] : ptr[u + 1]] of that side's view.
     st = index.structure
-    up, ptr, flat = st.up, st.ptr, index.slot_views()[0]
-    slots = len(st.low)
-    weights_f, weights_b = flat[:slots], flat[len(flat) - slots :]
+    up, ptr = st.up, st.ptr
+    weights_f, weights_b = _side_weights(index)
     heappush, heappop = heapq.heappush, heapq.heappop
     inf = math.inf
     dist_f = [inf] * n
     dist_b = [inf] * n
     dist_f[s] = 0.0
     dist_b[t] = 0.0
-    parent_f: Dict[int, int] = {s: -1}
-    parent_b: Dict[int, int] = {t: -1}
     heap_f: List[Tuple[float, int]] = [(0.0, s)]
     heap_b: List[Tuple[float, int]] = [(0.0, t)]
     best = inf
@@ -136,12 +129,12 @@ def _bidirectional(
         if top_f <= top_b:
             if top_f >= best:  # min(top_f, top_b) >= best
                 break
-            heap, dist, parent, other = heap_f, dist_f, parent_f, dist_b
+            heap, dist, other = heap_f, dist_f, dist_b
             weights = weights_f
         else:
             if top_b >= best:
                 break
-            heap, dist, parent, other = heap_b, dist_b, parent_b, dist_f
+            heap, dist, other = heap_b, dist_b, dist_f
             weights = weights_b
         d, u = heappop(heap)
         if d > dist[u]:
@@ -156,11 +149,41 @@ def _bidirectional(
             nd = d + w
             if nd < dist[v]:
                 dist[v] = nd
-                parent[v] = u
                 heappush(heap, (nd, v))
     if relaxed:
         resolve_counter(counter).add("query_relax", relaxed)
-    return best, meet, parent_f, parent_b
+    return best, meet, dist_f, dist_b
+
+
+def _side_weights(index):
+    """The forward and backward views of *index*'s flat slot weights.
+    On the undirected store both are the whole store; on the directed
+    one the forward side reads row ``TO`` (``phi(u -> v)``, out of
+    ``s``) and the backward side row ``FROM`` (``phi(v -> u)``, into
+    ``t``)."""
+    flat = index.slot_views()[0]
+    slots = len(index.structure.low)
+    return flat[:slots], flat[len(flat) - slots :]
+
+
+def _walk_down(st, weights, dist: List[float], x: int, source: int) -> List[int]:
+    """The upward search path from *source* to *x*, read back from the
+    search's final distances: from *x*, step to a lower neighbour ``p``
+    with ``dist[p] + phi(p, x) == dist[x]``.  Such a ``p`` exists for
+    every reached vertex (the one whose relaxation set ``dist[x]``, with
+    the same float addition, settled before it), and each step lowers
+    the rank, so the walk ends at *source*."""
+    path = [x]
+    while x != source:
+        for p, slot in zip(st.down[x], st.down_slots[x]):
+            if dist[p] + weights[slot] == dist[x]:
+                x = p
+                break
+        else:  # unreachable after a consistent search: fail, never loop
+            raise IndexError_(f"no search predecessor of vertex {x}")
+        path.append(x)
+    path.reverse()
+    return path
 
 
 def ch_distance(
@@ -351,21 +374,17 @@ def ch_path(
     unreachable.  Shortcuts on the up-down meeting path are unpacked into
     original edges via the ``via`` witnesses.
     """
-    best, meet, parent_f, parent_b = _bidirectional(index, s, t, counter)
+    best, meet, dist_f, dist_b = _bidirectional(index, s, t, counter)
     if math.isinf(best):
         return None
     if s == t:
         return [s]
 
     # Shortcut-level path: s -> ... -> meet -> ... -> t.
-    forward: List[int] = [meet]
-    while parent_f[forward[-1]] != -1:
-        forward.append(parent_f[forward[-1]])
-    forward.reverse()  # s ... meet
-    backward: List[int] = [meet]
-    while parent_b[backward[-1]] != -1:
-        backward.append(parent_b[backward[-1]])
-    # backward is meet ... t already in the right direction.
+    st = index.structure
+    weights_f, weights_b = _side_weights(index)
+    forward = _walk_down(st, weights_f, dist_f, meet, s)  # s ... meet
+    backward = _walk_down(st, weights_b, dist_b, meet, t)[::-1]  # meet ... t
 
     hops = list(zip(forward[:-1], forward[1:])) + list(
         zip(backward[:-1], backward[1:])

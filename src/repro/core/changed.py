@@ -21,11 +21,13 @@ Table 3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Union
+
+import numpy as np
 
 from repro.ch.dch import ChangedShortcut
 from repro.ch.shortcut_graph import ShortcutGraph
-from repro.h2h.inch2h import ChangedSuperShortcut
+from repro.h2h.inch2h import ChangedLabels, ChangedSuperShortcut
 from repro.h2h.index import H2HIndex
 
 __all__ = [
@@ -108,9 +110,16 @@ def h2h_change_metrics(
     index: H2HIndex,
     delta_size: int,
     changed_shortcuts: Sequence[ChangedShortcut],
-    changed_super_shortcuts: Sequence[ChangedSuperShortcut],
+    changed_super_shortcuts: Union[ChangedLabels, Sequence[ChangedSuperShortcut]],
 ) -> H2HChangeMetrics:
-    """Measure CHANGED/AFF/DIFF for an H2H batch from its change lists."""
+    """Measure CHANGED/AFF/DIFF for an H2H batch from its change lists.
+
+    *changed_super_shortcuts* is what IncH2H± returns
+    (:class:`~repro.h2h.inch2h.ChangedLabels`) or any sequence of
+    ``((u, depth_a), old, new)`` tuples.  The AFF_3 sums are read off
+    the tree's CSR row lengths and one ``descendant_ranges`` search for
+    all entries at once.
+    """
     sc = index.sc
     tree = index.tree
     rank = sc.ordering.rank
@@ -121,20 +130,20 @@ def h2h_change_metrics(
         u = a_end if rank[a_end] < rank[b_end] else b_end
         k_anc += int(tree.depth[u]) + 1
 
-    aff3_norm = 0
-    k_double_prime = 0
-    for (u, da), _old, _new in changed_super_shortcuts:
-        a = int(tree.anc[u][da])
-        down_in_desc = sum(1 for _ in tree.down_in_descendants(a, u))
-        up_u = len(sc.upward(u))
-        down_u = len(sc.downward(u))
-        aff3_norm += up_u + down_u + down_in_desc
-        k_double_prime += down_u + down_in_desc
-
+    if isinstance(changed_super_shortcuts, ChangedLabels):
+        _d, u, da = changed_super_shortcuts.decode()
+    else:
+        keys = [key for key, _old, _new in changed_super_shortcuts]
+        u = np.array([key[0] for key in keys], dtype=np.int64)
+        da = np.array([key[1] for key in keys], dtype=np.int64)
+    a = tree.anc_flat[tree.anc_ptr[u] + da]
+    lo, hi = tree.descendant_ranges(a, u)
+    # |nbr-(u)| + |nbr-(a) ∩ des(u)|, and |nbr+(u)| on top for ||AFF_3||.
+    down = int((tree.down_len[u] + (hi - lo)).sum())
     return H2HChangeMetrics(
         ch=ch,
-        aff3=len(changed_super_shortcuts),
-        aff3_norm=aff3_norm,
+        aff3=len(u),
+        aff3_norm=down + int(tree.up_len[u].sum()),
         k_anc=k_anc,
-        k_double_prime=k_double_prime,
+        k_double_prime=down,
     )

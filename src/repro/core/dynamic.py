@@ -24,7 +24,7 @@ from repro.ch.dch import dch_decrease, dch_increase
 from repro.ch.indexing import ch_indexing, edge_columns, weigh_structure
 from repro.ch.query import ch_distance, ch_distance_many, ch_path
 from repro.graph.graph import RoadNetwork, WeightUpdate, validate_batch
-from repro.h2h.inch2h import inch2h_decrease, inch2h_increase
+from repro.h2h.inch2h import ChangedLabels, inch2h_decrease, inch2h_increase
 from repro.h2h.indexing import fill_distance_arrays, h2h_indexing
 from repro.h2h.query import h2h_distance
 from repro.h2h.tree import TreeDecomposition
@@ -48,7 +48,12 @@ class UpdateReport:
         Shortcuts whose weight changed (AFF_2); directed CH lists the
         changed arcs ``((tail, head), old, new)``.  Empty for H2H.
     changed_super_shortcuts:
-        Super-shortcuts whose value changed (AFF_3); empty for CH.
+        Super-shortcuts whose value changed (AFF_3), as
+        :class:`~repro.h2h.inch2h.ChangedLabels` arrays: a mixed batch
+        lists its increase half, then its decrease half.  Iterating
+        yields ``((u, depth_a), old, new)`` (``((direction, u, depth_a),
+        old, new)`` on a directed network) and ``len`` is ``|AFF_3|``.
+        Empty for CH.
     ops:
         Operation counts of the maintenance work, by channel.
     superseded / dropped:
@@ -60,7 +65,7 @@ class UpdateReport:
     increases: int = 0
     decreases: int = 0
     changed_shortcuts: List = field(default_factory=list)
-    changed_super_shortcuts: List = field(default_factory=list)
+    changed_super_shortcuts: ChangedLabels = field(default_factory=ChangedLabels)
     ops: dict = field(default_factory=dict)
     superseded: int = 0
     dropped: int = 0
@@ -153,12 +158,13 @@ class DynamicOracle:
         report = UpdateReport(
             len(increases), len(decreases), superseded=superseded, dropped=dropped
         )
-        changed = getattr(report, self._changed)
+        name = self._changed
         for increase, half in ((True, increases), (False, decreases)):
             if half:
                 for (u, v), w in half:
                     self._graph.set_weight(u, v, w)
-                changed += self._maintain(increase, half, ops)
+                changed = self._maintain(increase, half, ops)
+                setattr(report, name, getattr(report, name) + changed)
         report.ops = ops.as_dict()
         self.counter.merge(ops)
         return report

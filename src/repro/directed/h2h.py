@@ -38,7 +38,7 @@ seeds (lines 3-12 of Algorithms 4-5) are directed here.
 from __future__ import annotations
 
 import math
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,6 +53,7 @@ from repro.directed.graph import DiRoadNetwork
 from repro.errors import IndexError_
 from repro.h2h.index import LabelBuffers
 from repro.h2h.inch2h import (
+    ChangedLabels,
     _decrease_propagate,
     _increase_propagate,
     _Levels,
@@ -231,10 +232,6 @@ def directed_fill_labels(
 # Incremental maintenance
 # ----------------------------------------------------------------------
 
-#: A changed entry: (direction, descendant vertex, ancestor depth).
-Entry = Tuple[int, int, int]
-
-
 def _arc_rows(index, changed_arcs, ops, increase: bool) -> Iterator[tuple]:
     """The label row each changed arc feeds, as ``(direction, low, high,
     old, new)``: an arc ``l -> h`` (skeleton lower endpoint ``l``) feeds
@@ -261,11 +258,13 @@ def directed_inch2h_increase(
     index: DirectedH2HIndex,
     updates: Sequence[ArcUpdate],
     counter: Optional[OpCounter] = None,
-) -> List[Tuple[Entry, float, float]]:
+) -> ChangedLabels:
     """Directed IncH2H+ : weight increases through both label matrices.
 
-    Returns ``((direction, u, depth_a), old, new)`` per changed entry, in
-    ascending ``depth(u)``, then direction, ``u`` and ``depth_a``.
+    Returns the changed entries as :class:`~repro.h2h.inch2h.ChangedLabels`
+    over the ``(2, n, width)`` store: iterating yields ``((direction, u,
+    depth_a), old, new)`` in ascending ``depth(u)``, then direction,
+    ``u`` and ``depth_a``.
     """
     with span(names.SPAN_DIRECTED_INCH2H_INCREASE) as sp:
         if sp.active and counter is None:
@@ -285,7 +284,7 @@ def directed_inch2h_decrease(
     index: DirectedH2HIndex,
     updates: Sequence[ArcUpdate],
     counter: Optional[OpCounter] = None,
-) -> List[Tuple[Entry, float, float]]:
+) -> ChangedLabels:
     """Directed IncH2H- : weight decreases with on-the-fly supports.
 
     Returns changed entries as :func:`directed_inch2h_increase` does.
@@ -297,10 +296,10 @@ def directed_inch2h_decrease(
         ops_before = ops.as_dict() if sp.active else None
         changed_arcs = directed_dch_decrease(index.sc, updates, counter)
         levels = _Levels(index)
-        seed_rows = _seed_decrease(
+        _seed_decrease(
             index, levels, _arc_rows(index, changed_arcs, ops, False)
         )
-        changed = _decrease_propagate(index, levels, seed_rows, ops, None)
+        changed = _decrease_propagate(index, levels, ops, None)
         if sp.active:
             trace_directed_call(sp, len(updates), len(changed), ops, ops_before)
     return changed

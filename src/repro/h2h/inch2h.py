@@ -29,13 +29,14 @@ the shortcut store DCH± has just written), in blocks of at most
 :data:`LEVEL_CHUNK` entries.
 
 The result is bit-identical to the one-entry-at-a-time queue — the same
-``dis``/``sup`` matrices, changed multiset, op counts and work log —
+``dis``/``sup`` matrices, changed records, op counts and work log —
 because each entry still sees final values and every cross-entry effect
 is order-free:
 
-* IncH2H+ support decrements commute; an entry whose count reaches 0
-  (after a ``unique``/count over the level's hits) enters the queue
-  exactly when the one-at-a-time run would have pushed it;
+* IncH2H+ support decrements commute: they go in as one unbuffered
+  ``subtract.at`` per block, and an entry left with no support enters
+  the queue exactly when the one-at-a-time run would have pushed it
+  (the queue drops repeated keys);
 * the IncH2H- relax rule over a fixed candidate multiset is a per-target
   ``min`` with a tie count — improvement resets the support to the
   number of candidates attaining the min, a tie adds it;
@@ -43,25 +44,35 @@ is order-free:
   addition as the scalar loop.
 
 The queue is counted as before: one ``queue_push`` and one ``queue_pop``
-per processed entry.
+per processed entry.  The counts of a call are added to the counter
+once, at its end.
 
 As in DCH-, the decrease pass maintains exact ``sup`` values on the fly
 (the paper's "without affecting the complexity" note at the end of
 Section 5.2): every changed candidate is applied exactly once with final
-values, and a per-seed memo (``seed_rows``) prevents the one case where
-a seed evaluation and a dependent relaxation would apply the same
-candidate twice.
+values.  The seeds of lines 3-12 are relaxed all at once, each reading
+the labels as they were before the call; a seed term that reads an
+entry the call improves is stale, and the propagation from that entry
+supersedes it with the same term at its final, strictly smaller value
+(see :func:`_seed_decrease`).
 
 A ``work_log`` hook records ``(depth(u), u, cost)`` per processed entry
 for the ParIncH2H scheduling simulation (Section 5.3).
+
+Changed records
+---------------
+The changed super-shortcuts come back as :class:`ChangedLabels`: the
+flat keys of the processed entries, their old and their new values,
+concatenated once per call, with nothing built per entry.  Iterating
+decodes ``((u, depth_a), old, new)`` tuples on demand.
 
 Write log
 ---------
 Every label cell the engine writes is reported, as an array of flat
 keys, to the index's :meth:`~repro.h2h.index.LabelBuffers.log_writes`:
-the seed hits of IncH2H+, the ties and improvements of the IncH2H-
-seeds, the dependents that lose support in the IncH2H+ propagation, and
-the relaxed targets of IncH2H-.  The entries IncH2H+ recomputes (line
+the seed hits of IncH2H+, the dependents that lose support in the
+IncH2H+ propagation, and the relaxed targets of the IncH2H- seeds and
+propagation.  The entries IncH2H+ recomputes (line
 23) need no keys of their own: an entry is queued only once a logged
 support decrement has brought its support to 0.
 A clone keeps those keys so that its own clone can recycle a retired
@@ -93,8 +104,7 @@ dependent a descendant row, so one depth of one matrix is a level.
 from __future__ import annotations
 
 import math
-from itertools import repeat
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -106,7 +116,12 @@ from repro.obs.trace import span
 from repro.perf import kernels
 from repro.utils.counters import OpCounter, resolve_counter
 
-__all__ = ["inch2h_increase", "inch2h_decrease", "ChangedSuperShortcut"]
+__all__ = [
+    "inch2h_increase",
+    "inch2h_decrease",
+    "ChangedLabels",
+    "ChangedSuperShortcut",
+]
 
 #: A changed super-shortcut: ((descendant u, depth of ancestor a), old, new).
 ChangedSuperShortcut = Tuple[Tuple[int, int], float, float]
@@ -118,6 +133,105 @@ ChangedSuperShortcut = Tuple[Tuple[int, int], float, float]
 LEVEL_CHUNK = 2048
 
 _INF = math.inf
+_NO_KEYS = np.empty(0, dtype=np.int64)
+_NO_VALUES = np.empty(0, dtype=np.float64)
+
+
+class ChangedLabels:
+    """The super-shortcuts one IncH2H± call changed (AFF_3), as arrays.
+
+    ``keys`` are flat indices ``(d * n + u) * width + da`` into the
+    ``(count, n, width)`` label store, ``old`` and ``new`` the values
+    before and after, in ascending ``depth(u)``, then matrix ``d``, ``u``
+    and ``da``.  Nothing per entry is built until asked for: iterating
+    decodes ``((u, da), old, new)`` tuples for one label matrix and
+    ``((d, u, da), old, new)`` for several, in that order, and ``len`` is
+    ``|AFF_3|``.  ``a + b`` lists *a*'s entries, then *b*'s (a mixed
+    batch: its increase half, then its decrease half).
+    """
+
+    __slots__ = ("keys", "old", "new", "n", "width", "count")
+
+    def __init__(
+        self,
+        keys: np.ndarray = _NO_KEYS,
+        old: np.ndarray = _NO_VALUES,
+        new: np.ndarray = _NO_VALUES,
+        n: int = 0,
+        width: int = 0,
+        count: int = 1,
+    ) -> None:
+        self.keys, self.old, self.new = keys, old, new
+        self.n, self.width, self.count = n, width, count
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def decode(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(d, u, da)`` of every entry, as int64 arrays."""
+        if not len(self.keys):
+            return _NO_KEYS, _NO_KEYS, _NO_KEYS
+        row, da = np.divmod(self.keys, self.width)
+        d, u = np.divmod(row, self.n)
+        return d, u, da
+
+    def __iter__(self) -> Iterator[tuple]:
+        d, u, da = self.decode()
+        if self.count == 1:
+            keys = zip(u.tolist(), da.tolist())
+        else:
+            keys = zip(d.tolist(), u.tolist(), da.tolist())
+        return zip(keys, self.old.tolist(), self.new.tolist())
+
+    def _shape(self) -> Tuple[int, int, int]:
+        return self.n, self.width, self.count
+
+    def __add__(self, other: "ChangedLabels") -> "ChangedLabels":
+        if not isinstance(other, ChangedLabels):
+            return NotImplemented
+        if not len(other):
+            return self
+        if not len(self):
+            return other
+        if self._shape() != other._shape():
+            raise ValueError("changed labels of differently shaped stores")
+        return ChangedLabels(
+            np.concatenate((self.keys, other.keys)),
+            np.concatenate((self.old, other.old)),
+            np.concatenate((self.new, other.new)),
+            *self._shape(),
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ChangedLabels):
+            return NotImplemented
+        return (
+            len(self) == len(other)
+            and (not len(self) or self._shape() == other._shape())
+            and np.array_equal(self.keys, other.keys)
+            and np.array_equal(self.old, other.old)
+            and np.array_equal(self.new, other.new)
+        )
+
+    __hash__ = None  # mutable arrays
+
+    def __repr__(self) -> str:
+        return f"ChangedLabels({len(self)} entries)"
+
+
+def _changed(levels: "_Levels", keys: np.ndarray, old: np.ndarray) -> ChangedLabels:
+    """The entries among the processed *keys* whose value moved from
+    *old*.  A processed entry is never written again in its call (every
+    later write lands on a deeper level), so its value now is final."""
+    new = levels.dis.take(keys)
+    moved = (new != old).nonzero()[0]
+    return ChangedLabels(
+        keys[moved], old[moved], new[moved], levels.n, levels.width, levels.count
+    )
+
+
+def _cat(parts: list, empty: np.ndarray) -> np.ndarray:
+    return np.concatenate(parts) if parts else empty
 
 
 def _trace_h2h_boundedness(
@@ -145,14 +259,17 @@ def _trace_h2h_boundedness(
 
 class _Levels:
     """The queue of pending super-shortcuts, bucketed by tree depth and
-    label matrix.
+    label matrix, and the flat views of the label store the level engine
+    writes through.
 
     Entries are flat indices ``(d * n + u) * width + da`` into the
     ``(D, n, width)`` label store (``D = 1`` for the undirected ``dis``).
     Bucket ``depth(u) * D + d`` holds one depth of one matrix, and
-    buckets pop in ascending order, so depths ascend.  In the decrease
-    direction each push carries the entry's value before that
-    improvement; values only fall, so the largest is the original.
+    buckets pop in ascending order, so depths ascend.  A push is sorted
+    by bucket once and filed as one slice per bucket; a pop merges its
+    bucket's slices and drops repeated keys.  In the decrease direction
+    each push carries the entry's value before that improvement; values
+    only fall, so the largest is the original.
     """
 
     def __init__(self, index) -> None:
@@ -164,22 +281,41 @@ class _Levels:
         self.bucket = (
             tree.depth * self.count + np.arange(self.count)[:, None]
         ).ravel()
-        self.keys: Dict[int, List[np.ndarray]] = {}
-        self.values: Dict[int, List[np.ndarray]] = {}
+        # The slices filed under each bucket, None where there are none
+        # (the label width is the tree's height, so width * count bounds
+        # the buckets); pops scan upward from ``cursor``, below which
+        # nothing is left.
+        self.pending: List[Optional[list]] = [None] * (self.width * self.count)
+        self.cursor = 0
+        self.filed = 0  # buckets holding slices
+        #: Entries popped so far: each is one queue push and one pop.
+        self.popped = 0
+        #: Flat views of the label store, for ``put``/``take`` and the
+        #: unbuffered ``ufunc.at`` updates.
+        self.dis = np.reshape(index.dis, -1, copy=False)
+        self.sup = np.reshape(index.sup, -1, copy=False)
 
     def push(self, keys: np.ndarray, values: Optional[np.ndarray] = None) -> None:
+        """Queue *keys* (repeats allowed), each in a bucket not popped
+        yet."""
         if not len(keys):
             return
         buckets = self.bucket[keys // self.width]
         order = buckets.argsort()
-        buckets = buckets[order]
+        buckets, keys = buckets[order], keys[order]
+        if values is not None:
+            values = values[order]
         starts = _run_starts(buckets)
         bounds = starts.tolist() + [len(keys)]
+        pending = self.pending
         for bucket, lo, hi in zip(buckets[starts].tolist(), bounds, bounds[1:]):
-            part = order[lo:hi]
-            self.keys.setdefault(bucket, []).append(keys[part])
-            if values is not None:
-                self.values.setdefault(bucket, []).append(values[part])
+            part = (keys[lo:hi], None if values is None else values[lo:hi])
+            parts = pending[bucket]
+            if parts is None:
+                pending[bucket] = [part]
+                self.filed += 1
+            else:
+                parts.append(part)
 
     def __iter__(
         self,
@@ -188,19 +324,37 @@ class _Levels:
         sorted keys, their original values or None)``.  A bucket is popped
         only once every shallower depth is done, so nothing can join it
         later."""
-        while self.keys:
-            bucket = min(self.keys)
+        pending = self.pending
+        while self.filed:
+            bucket = self.cursor
+            while pending[bucket] is None:
+                bucket += 1
+            keys, values = _merge(pending[bucket])
+            pending[bucket] = None
+            self.filed -= 1
+            self.cursor = bucket + 1
             level, d = divmod(bucket, self.count)
-            keys = np.concatenate(self.keys.pop(bucket))
-            if bucket not in self.values:
-                keys.sort()
-                yield level, d, keys[_run_starts(keys)], None
-                continue
-            values = np.concatenate(self.values.pop(bucket))
-            order = keys.argsort()
-            keys = keys[order]
-            first = _run_starts(keys)
-            yield level, d, keys[first], np.maximum.reduceat(values[order], first)
+            if values is None:
+                keys = np.sort(keys)
+                keys = keys[_run_starts(keys)]
+            else:
+                order = keys.argsort()
+                keys = keys[order]
+                first = _run_starts(keys)
+                keys, values = keys[first], np.maximum.reduceat(values[order], first)
+            self.popped += len(keys)
+            yield level, d, keys, values
+
+
+def _merge(parts: list) -> tuple:
+    """One ``(keys, values)`` pair from a list of them."""
+    if len(parts) == 1:
+        return parts[0]
+    keys, values = zip(*parts)
+    return (
+        np.concatenate(keys),
+        None if values[0] is None else np.concatenate(values),
+    )
 
 
 def _run_starts(ordered: np.ndarray) -> np.ndarray:
@@ -211,85 +365,75 @@ def _run_starts(ordered: np.ndarray) -> np.ndarray:
     return change.nonzero()[0]
 
 
-def _tally(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The distinct *keys*, sorted, and how often each occurs."""
-    if not len(keys):
-        return keys, keys
-    keys = np.sort(keys)
-    first = _run_starts(keys)
-    return keys[first], _run_lengths(first, len(keys))
-
-
-def _run_lengths(first: np.ndarray, total: int) -> np.ndarray:
-    """Lengths of the runs starting at *first* in an array of *total*."""
-    lengths = np.empty_like(first)
-    lengths[:-1] = first[1:] - first[:-1]
-    lengths[-1] = total - first[-1]
-    return lengths
-
-
-def _blocks(keys: np.ndarray, levels: _Levels, d: int):
+def _blocks(keys: np.ndarray, levels: _Levels, tree, d: int):
     """Split one bucket's entries, all of matrix *d*, into ``(keys, u,
-    da)`` blocks."""
+    da, a)`` blocks of at most :data:`LEVEL_CHUNK`: ``a`` is each
+    entry's ancestor, gathered once for the dependents and Equation
+    (*)."""
     width = levels.width
     for lo in range(0, len(keys), LEVEL_CHUNK):
         block = keys[lo : lo + LEVEL_CHUNK]
-        u = block // width
-        if d:  # row d * n + u of the store
-            u -= d * levels.n
-        yield block, u, block % width
+        row = block // width
+        da = block - row * width
+        u = row - d * levels.n if d else row
+        yield block, u, da, tree.anc_flat[tree.anc_ptr[u] + da]
 
 
-def _dependents(tree, levels, d, u, da, level, active, weights, with_via=False):
-    """Lines 15-22 for one block of matrix *d*: every dependent of the
-    active (finite) entries.  Loop 1 feeds entries ``(v, a)`` of matrix
-    *d* through ``weights[d]``; loop 2 feeds entries ``(v, u)`` of matrix
+def _dependents(tree, levels, d, u, da, a, level, weights, finite):
+    """Lines 15-22 for one block of matrix *d*, entries ``(d, u[i],
+    da[i])`` with ancestors ``a[i]``: every dependent of the entries
+    whose value is *finite* (an infinite one supports and relaxes
+    nothing).  Loop 1 feeds entries ``(v, a)`` of matrix *d* through
+    ``weights[d]``; loop 2 feeds entries ``(v, u)`` of matrix
     ``other(d)`` through ``weights[other(d)]``.
 
-    Returns ``(entry, leg, target, via)``: the block position of the
-    source entry, the weight of the shortcut that joins it, the flat
-    index of the dependent entry, and (*with_via*, else None) the
-    seed-memo partner: ``u`` for ``(v, a)`` targets, ``a`` for ``(v, u)``
-    targets.
+    Returns ``(entry, leg, target)``: the block position of each
+    dependent's source entry, the weight of the shortcut that joins
+    them, and the flat index of the dependent entry.
     """
-    ids = active.nonzero()[0]
-    if len(ids) < len(u):
-        u, da = u[ids], da[ids]
-    down_start = tree.down_ptr[u]
-    down_count = tree.down_ptr[u + 1] - down_start
-    a = tree.anc_flat[tree.anc_ptr[u] + da].astype(np.int64)
+    ids = None
+    if np.count_nonzero(finite) < len(finite):
+        ids = finite.nonzero()[0]
+        u, da, a = u[ids], da[ids], a[ids]
+    m = len(u)
+    if not m:
+        return _NO_KEYS, _NO_VALUES, _NO_KEYS
     lo, hi = tree.descendant_ranges(a, u)
-    row, slot = kernels.csr_slots(
-        np.concatenate((down_start, lo)), np.concatenate((down_count, hi - lo))
-    )
+    # CSR rows 0 .. m-1 list nbr-(u[i]) (loop 1), rows m .. 2m-1 the
+    # range of nbr-(a[i]) inside des(u[i]) (loop 2).
+    counts = np.concatenate((tree.down_len[u], hi - lo))
+    ends = counts.cumsum()
+    loop1 = int(ends[m - 1])
+    entry = np.arange(2 * m).repeat(counts)
+    slot = np.concatenate((tree.down_ptr[u], lo)) - ends + counts
+    slot = slot[entry]
+    slot += np.arange(len(slot))
+    entry[loop1:] -= m
     other = kernels.other(levels.count, d)
     plane = levels.n * levels.width  # one label matrix
-    column = np.concatenate(
-        (
-            da + d * plane if d else da,
-            np.full(len(ids), level + other * plane, dtype=np.int64),
-        )
-    )
-    target = tree.down_idx[slot].astype(np.int64) * levels.width + column[row]
+    target = tree.down_base[slot]
+    column = da[entry[:loop1]]
+    target[:loop1] += column + d * plane if d else column
+    target[loop1:] += level + other * plane
     slot = tree.down_slot[slot]  # the weights are in shortcut-store order
     leg = weights[d][slot]
     if other != d:
-        loop2 = int(down_count.sum())
-        leg[loop2:] = weights[other][slot[loop2:]]
-    entry = np.concatenate((ids, ids))[row]
-    via = np.concatenate((u, a))[row] if with_via else None
-    return entry, leg, target, via
+        leg[loop1:] = weights[other][slot[loop1:]]
+    if ids is not None:
+        entry = ids[entry]
+    return entry, leg, target
 
 
-def _record(changed: list, levels: _Levels, d, u, da, old, new) -> None:
-    """Append ``(key, old, new)`` records for entries ``(d, u[i], da[i])``
-    to *changed*, with ``key`` = ``(u, da)`` for one label matrix and
-    ``(d, u, da)`` for several."""
-    if levels.count == 1:
-        keys = zip(u.tolist(), da.tolist())
-    else:
-        keys = zip(repeat(d), u.tolist(), da.tolist())
-    changed.extend(zip(keys, old.tolist(), new.tolist()))
+def _count(ops, levels: _Levels, inspected: int, star_terms: int = 0) -> None:
+    """Add one call's counts: one ``queue_push`` and one ``queue_pop``
+    per processed entry, the ``dependent_inspect`` total and (IncH2H+)
+    the line-23 ``star_term`` total."""
+    if levels.popped:
+        ops.add("queue_push", levels.popped)
+        ops.add("queue_pop", levels.popped)
+        ops.add("dependent_inspect", inspected)
+        if star_terms:
+            ops.add("star_term", star_terms)
 
 
 def _log_work(work_log, level, u, cost) -> None:
@@ -310,29 +454,36 @@ def _shortcut_rows(index, changed_shortcuts, ops) -> Iterator[tuple]:
             yield 0, u, v, old_w, new_w
 
 
+def _columns(rows: list) -> tuple:
+    """Seed rows ``(d, u, v, old, new)`` as five arrays."""
+    return tuple(np.array(column) for column in zip(*rows))
+
+
+def _candidates(index, levels, d, u, v, weight):
+    """The flat key of every super-shortcut of label rows ``(d[i],
+    u[i])`` and its Equation (*) candidate through upward neighbor
+    ``v[i]`` at ``weight[i]``."""
+    row, da, values = kernels.candidate_rows(index, d, u, v, weight)
+    return ((d * levels.n + u) * levels.width)[row] + da, values
+
+
 def _seed_increase(index, levels, rows) -> None:
     """Lines 3-12 of Algorithm 4.  Each of *rows*, ``(d, u, v, old,
     new)``, is a shortcut joining label row ``(d, u)`` through upward
     neighbor ``v``: every super-shortcut of the row that its candidate
-    attained at the *original* weight loses one support, and one that
-    reaches 0 is queued.  The row's candidates come from the vectorized
-    Equation (*) kernel; the callers count ``anc_scan``."""
-    dis = index.dis.reshape(levels.count, levels.n, levels.width)
-    sup = index.sup.reshape(dis.shape)
-    seeds = []
-    for d, u, v, old_w, _new_w in rows:
-        if math.isinf(old_w):
-            continue
-        tmp = kernels.candidate_row(index, d, u, v, old_w)
-        hits = np.nonzero((tmp == dis[d, u, : len(tmp)]) & ~np.isinf(tmp))[0]
-        row_sup = sup[d, u]
-        first = (d * levels.n + u) * levels.width
-        index.log_writes(first + hits)
-        for da in hits.tolist():
-            row_sup[da] -= 1
-            if row_sup[da] == 0:
-                seeds.append(first + da)
-    levels.push(np.array(seeds, dtype=np.int64))
+    attained at the *original* weight loses one support, and one left
+    with none is queued.  All rows' candidates come from one vectorized
+    Equation (*) gather (supports only fall, so no row sees another's
+    effect); the callers count ``anc_scan``."""
+    rows = [row for row in rows if not math.isinf(row[3])]
+    if not rows:
+        return
+    d, u, v, old_w, _new_w = _columns(rows)
+    keys, tmp = _candidates(index, levels, d, u, v, old_w)
+    hits = keys[(tmp == levels.dis.take(keys)) & (tmp != _INF)]
+    index.log_writes(hits)
+    np.subtract.at(levels.sup, hits, 1)
+    levels.push(hits[levels.sup.take(hits) <= 0])
 
 
 def inch2h_increase(
@@ -340,7 +491,7 @@ def inch2h_increase(
     updates: Sequence[WeightUpdate],
     counter: Optional[OpCounter] = None,
     work_log: Optional[list] = None,
-) -> List[ChangedSuperShortcut]:
+) -> ChangedLabels:
     """IncH2H+ (Algorithm 4): apply weight *increases* to the H2H index.
 
     Parameters
@@ -359,9 +510,11 @@ def inch2h_increase(
 
     Returns
     -------
-    list of ((u, depth_a), old_value, new_value)
-        The super-shortcuts whose distance value changed (AFF_3), in
-        ascending ``depth(u)``, then ``u``, then ``depth_a``.
+    ChangedLabels
+        The super-shortcuts whose distance value changed (AFF_3), as
+        arrays of flat keys, old and new values; iterating yields
+        ``((u, depth_a), old_value, new_value)`` in ascending
+        ``depth(u)``, then ``u``, then ``depth_a``.
     """
     with span(names.SPAN_INCH2H_INCREASE) as sp:
         if sp.active and counter is None:
@@ -385,45 +538,49 @@ def inch2h_increase(
     return changed
 
 
-def _increase_propagate(index, levels, ops, work_log) -> list:
+def _increase_propagate(index, levels, ops, work_log) -> ChangedLabels:
     """Lines 13-23 of Algorithm 4, one depth level of one label matrix
     at a time."""
     tree = index.tree
-    dis, sup = index.dis, index.sup
+    dis, sup = index.dis, levels.sup
     weights = index.slot_weights()
-    changed: list = []
+    done: list = []
+    olds: list = []
+    inspected = 0
     for level, d, keys, _ in levels:
-        ops.add("queue_push", len(keys))
-        ops.add("queue_pop", len(keys))
-        for block, u, da in _blocks(keys, levels, d):
+        for block, u, da, a in _blocks(keys, levels, tree, d):
             old = dis.take(block)
-            entry, leg, target, _via = _dependents(
-                tree, levels, d, u, da, level, old != _INF, weights
+            entry, leg, target = _dependents(
+                tree, levels, d, u, da, a, level, weights, old != _INF
             )
-            ops.add("dependent_inspect", len(leg))
+            inspected += len(leg)
             # Lines 15-22: a dependent loses one support per source whose
-            # old value attained it (infinite legs support nothing).
+            # old value attained it (infinite legs support nothing).  One
+            # left with none is queued: a finite entry off the diagonal
+            # has support >= 1 until its call brings it to 0, so one at 0
+            # or below was queued then or is now, and the queue drops
+            # the repeats.
             candidate = leg + old[entry]
-            hit = (candidate == dis.take(target)) & (candidate != _INF)
-            hit_keys, losses = _tally(target[hit])
-            before = sup.take(hit_keys)
-            after = before - losses
-            index.log_writes(hit_keys)
-            sup.put(hit_keys, after)
-            levels.push(hit_keys[(before > 0) & (after <= 0)])
+            hit = target[(candidate == dis.take(target)) & (candidate != _INF)]
+            np.subtract.at(sup, hit, 1)
+            index.log_writes(hit)
+            levels.push(hit[sup.take(hit) <= 0])
             # Line 23: recompute from Equation (*).  The block needs no
             # log entry: each of its keys was queued by a logged support
-            # decrement (a seed hit or a hit key above).
-            new, support = kernels.star_eval(index, d, u, da, ops)
+            # decrement (a seed hit or a hit above).
+            new, support = kernels.star_eval(index, d, u, da, anc=a)
             dis.put(block, new)
             sup.put(block, support)
-            moved = (new != old).nonzero()[0]
-            _record(changed, levels, d, u[moved], da[moved], old[moved], new[moved])
+            done.append(block)
+            olds.append(old)
             if work_log is not None:
-                up_count = tree.up_ptr[u + 1] - tree.up_ptr[u]
-                inspected = np.bincount(entry, minlength=len(block))
-                _log_work(work_log, level, u, up_count + inspected)
-    return changed
+                inspected_by = np.bincount(entry, minlength=len(block))
+                _log_work(work_log, level, u, tree.up_len[u] + inspected_by)
+    keys = _cat(done, _NO_KEYS)
+    # Line 23 inspects nbr+(u) once per processed entry.
+    terms = tree.up_len[keys // levels.width % levels.n].sum()
+    _count(ops, levels, inspected, int(terms))
+    return _changed(levels, keys, _cat(olds, _NO_VALUES))
 
 
 def inch2h_decrease(
@@ -431,7 +588,7 @@ def inch2h_decrease(
     updates: Sequence[WeightUpdate],
     counter: Optional[OpCounter] = None,
     work_log: Optional[list] = None,
-) -> List[ChangedSuperShortcut]:
+) -> ChangedLabels:
     """IncH2H- (Algorithm 5): apply weight *decreases* to the H2H index.
 
     Mirrors :func:`inch2h_increase`; relaxes instead of recomputing and
@@ -441,9 +598,9 @@ def inch2h_decrease(
 
     Returns
     -------
-    list of ((u, depth_a), old_value, new_value)
-        The super-shortcuts whose distance value changed (AFF_3), in
-        ascending ``depth(u)``, then ``u``, then ``depth_a``.
+    ChangedLabels
+        The super-shortcuts whose distance value changed (AFF_3), as
+        :func:`inch2h_increase` returns them.
     """
     with span(names.SPAN_INCH2H_DECREASE) as sp:
         if sp.active and counter is None:
@@ -454,11 +611,11 @@ def inch2h_decrease(
         changed_shortcuts = dch_decrease(index.sc, updates, counter)
         levels = _Levels(index)
         with span(names.SPAN_INCH2H_DECREASE_SEED, delta=len(updates)):
-            seed_rows = _seed_decrease(
+            _seed_decrease(
                 index, levels, _shortcut_rows(index, changed_shortcuts, ops)
             )
         with span(names.SPAN_INCH2H_DECREASE_PROPAGATE):
-            changed = _decrease_propagate(index, levels, seed_rows, ops, work_log)
+            changed = _decrease_propagate(index, levels, ops, work_log)
         if sp.active:
             _trace_h2h_boundedness(
                 sp, index, len(updates), changed_shortcuts, changed, ops, ops_before
@@ -466,70 +623,30 @@ def inch2h_decrease(
     return changed
 
 
-def _seed_decrease(index, levels, rows) -> dict:
+def _seed_decrease(index, levels, rows) -> None:
     """Lines 3-12 of Algorithm 5: relax each of *rows* (as in
-    :func:`_seed_increase`) at the shortcut's new weight.  Supports are
-    maintained exactly on the fly: every seed candidate strictly
-    decreased (its shortcut changed), so a tie means one new supporting
-    term and an improvement resets the support to that term alone; any
-    stale tie recorded against a not-yet-final sd value is erased later
-    by the relaxation that finalizes the entry (which resets support).
+    :func:`_seed_increase`) at the shortcut's new weight, all rows at
+    once.  Supports are maintained exactly on the fly: every seed
+    candidate strictly decreased (its shortcut changed), so a tie means
+    one new supporting term and an improvement resets the support to
+    the candidates attaining the new value (:func:`_relax`, which is
+    what relaxing the rows one after another leaves).
 
-    Returns ``seed_rows``, a ``(d, u, v) -> candidate row`` memo: the
-    propagation uses it to tell whether a seed already applied a
-    candidate at its final value (the candidate's sd entry may have been
-    finalized by an earlier seed) and must not apply it twice.
+    Every candidate reads the labels as they were before the seeds.  One
+    that reads an entry another seed improves is stale, and harmless:
+    the propagation from that entry delivers the same term at its final,
+    strictly smaller value, which improves the target again and resets
+    any stale tie.  So no term is applied twice at its final value.
     """
-    dis = index.dis.reshape(levels.count, levels.n, levels.width)
-    sup = index.sup.reshape(dis.shape)
-    seed_rows: dict = {}
-    for d, u, v, _old_w, new_w in rows:
-        tmp = kernels.candidate_row(index, d, u, v, new_w)
-        seed_rows[(d, u, v)] = tmp
-        row = dis[d, u, : len(tmp)]
-        row_sup = sup[d, u]
-        better = np.nonzero(tmp < row)[0]
-        ties = np.nonzero((tmp == row) & ~np.isinf(tmp))[0]
-        first = (d * levels.n + u) * levels.width
-        if len(ties):
-            index.log_writes(first + ties)
-            row_sup[ties] += 1
-        if len(better):
-            index.log_writes(first + better)
-            levels.push(first + better, row[better].copy())
-            row[better] = tmp[better]
-            row_sup[better] = 1
-    return seed_rows
+    rows = list(rows)
+    if rows:
+        d, u, v, _old_w, new_w = _columns(rows)
+        keys, tmp = _candidates(index, levels, d, u, v, new_w)
+        act = (tmp <= levels.dis.take(keys)) & (tmp != _INF)
+        _relax(index, levels, keys[act], tmp[act])
 
 
-class _SeedMemo:
-    """``seed_rows`` as flat arrays, for a whole block of candidates."""
-
-    def __init__(self, seed_rows: dict, n: int) -> None:
-        self.n = n
-        keys = sorted(seed_rows)
-        self.pairs = np.array(
-            [(d * n + u) * n + via for d, u, via in keys], dtype=np.int64
-        )
-        lengths = [len(seed_rows[key]) for key in keys]
-        self.starts = np.cumsum([0] + lengths[:-1]).astype(np.int64)
-        self.values = np.concatenate([seed_rows[key] for key in keys])
-
-    def applied(self, row, via, column, candidate) -> np.ndarray:
-        """True where the seed of label row ``row = d * n + u`` through
-        upward neighbor ``via`` already applied ``candidate`` at depth
-        ``column``."""
-        wanted = row * self.n + via
-        at = np.minimum(np.searchsorted(self.pairs, wanted), len(self.pairs) - 1)
-        found = (self.pairs[at] == wanted).nonzero()[0]
-        out = np.zeros(len(wanted), dtype=bool)
-        if len(found):
-            seeded = self.values[self.starts[at[found]] + column[found]]
-            out[found] = seeded == candidate[found]
-        return out
-
-
-def _decrease_propagate(index, levels, seed_rows, ops, work_log) -> list:
+def _decrease_propagate(index, levels, ops, work_log) -> ChangedLabels:
     """Lines 13-22 of Algorithm 5, one depth level of one label matrix at
     a time.
 
@@ -540,19 +657,16 @@ def _decrease_propagate(index, levels, seed_rows, ops, work_log) -> list:
     tree = index.tree
     dis = index.dis
     weights = index.slot_weights()
-    width = levels.width
-    memo = _SeedMemo(seed_rows, tree.n) if seed_rows else None
-    changed: list = []
-    for level, d, keys, originals in levels:
-        ops.add("queue_push", len(keys))
-        ops.add("queue_pop", len(keys))
-        for block, u, da in _blocks(keys, levels, d):
+    done: list = []
+    originals: list = []
+    inspected = 0
+    for level, d, keys, original in levels:
+        for block, u, da, a in _blocks(keys, levels, tree, d):
             value = dis.take(block)
-            entry, leg, target, via = _dependents(
-                tree, levels, d, u, da, level, value != _INF, weights,
-                memo is not None,
+            entry, leg, target = _dependents(
+                tree, levels, d, u, da, a, level, weights, value != _INF
             )
-            ops.add("dependent_inspect", len(leg))
+            inspected += len(leg)
             if work_log is not None:
                 _log_work(
                     work_log, level, u, np.bincount(entry, minlength=len(block))
@@ -560,38 +674,26 @@ def _decrease_propagate(index, levels, seed_rows, ops, work_log) -> list:
             candidate = leg + value[entry]
             # Only finite candidates at or below the live value can act.
             live = (candidate <= dis.take(target)) & (candidate != _INF)
-            target, candidate = target[live], candidate[live]
-            if memo is not None:
-                keep = ~memo.applied(
-                    target // width, via[live], target % width, candidate
-                )
-                target, candidate = target[keep], candidate[keep]
-            _relax(index, levels, target, candidate)
-        new = dis.take(keys)
-        moved = (new != originals).nonzero()[0]
-        row, da = np.divmod(keys[moved], width)
-        u = row - d * levels.n if d else row
-        _record(changed, levels, d, u, da, originals[moved], new[moved])
-    return changed
+            _relax(index, levels, target[live], candidate[live])
+        done.append(keys)
+        originals.append(original)
+    _count(ops, levels, inspected)
+    return _changed(levels, _cat(done, _NO_KEYS), _cat(originals, _NO_VALUES))
 
 
 def _relax(index, levels, target, candidate) -> None:
-    """Apply finite candidates ``<= dis`` to their targets: per target,
-    the min and how many candidates attain it; a min below the current
-    value replaces it with that count as support, an equal min adds the
-    count."""
+    """Apply finite candidates ``<= dis`` to their targets (which may
+    repeat): per target, the min and how many candidates attain it; a
+    min below the current value replaces it with that count as support,
+    an equal min adds the count."""
     if not len(target):
         return
-    dis, sup = index.dis, index.sup
-    order = target.argsort()
-    target, candidate = target[order], candidate[order]
-    first = _run_starts(target)
-    keys, best = target[first], np.minimum.reduceat(candidate, first)
-    attained = candidate == best.repeat(_run_lengths(first, len(target)))
-    ties = np.add.reduceat(attained.astype(np.int64), first)
-    index.log_writes(keys)
-    current = dis.take(keys)
+    dis, sup = levels.dis, levels.sup
+    index.log_writes(target)
+    current = dis.take(target)
+    np.minimum.at(dis, target, candidate)
+    best = dis.take(target)
     improved = best < current
-    sup.put(keys, np.where(improved, ties, sup.take(keys) + ties))
-    dis.put(keys[improved], best[improved])
-    levels.push(keys[improved], current[improved])
+    sup.put(target[improved], 0)
+    np.add.at(sup, target[candidate == best], 1)
+    levels.push(target[improved], current[improved])

@@ -83,8 +83,13 @@ class TreeDecomposition:
         ``pos`` as one ``n x max|pos|`` int32 matrix and its row lengths.
         Row ``u`` is padded with copies of ``pos[u][0]``, so a ``min``
         over a padded row equals the ``min`` over ``pos[u]``.
-    down_ptr / down_idx / down_key / down_slot, up_ptr / up_idx:
-        ``nbr-`` and ``nbr+`` as flat CSRs (see :meth:`_build_csr`).
+    down_ptr / down_len / down_idx / down_key / down_slot:
+        ``nbr-`` as a flat CSR (see :meth:`_build_csr`); likewise
+        up_ptr / up_len / up_idx for ``nbr+``.
+    down_base / up_base / up_depth / disc_fin:
+        Per CSR slot, where the listed vertex's row starts in an
+        ``(n, height)`` label matrix and (``nbr+``) its depth; per
+        vertex, ``[disc, fin]``.
     """
 
     def __init__(self, sc: ShortcutGraph) -> None:
@@ -192,7 +197,8 @@ class TreeDecomposition:
         (:mod:`repro.h2h.inch2h`): int32 vertex ids, int64 offsets/keys.
 
         ``down_idx`` lists ``nbr-(a)`` sorted by discovery time, row *a*
-        at ``down_ptr[a] .. down_ptr[a + 1]``; ``down_key`` holds
+        at ``down_ptr[a] .. down_ptr[a + 1]`` (``down_len[a]`` slots, and
+        likewise ``up_len`` for ``nbr+``); ``down_key`` holds
         ``a * key_base + disc[v]`` per slot, ascending, so one
         ``searchsorted`` locates ``first(<<u, a>>)`` for a whole level.
         ``up_idx`` lists ``nbr+(u)`` in :meth:`ShortcutGraph.upward`
@@ -201,12 +207,20 @@ class TreeDecomposition:
         ``down_idx[i]``, so one weight array in slot order
         (:attr:`repro.ch.shortcut_graph.ShortcutGraph.slot_weights`)
         serves both CSRs.
+
+        ``down_base`` / ``up_base`` hold ``v * height`` for the vertex
+        ``v`` of each slot (int64): the flat start of ``v``'s row in a
+        label matrix, whose width is the tree's height.  ``up_depth``
+        holds ``depth(v)``.  With ``disc_fin`` (``[disc, fin]`` per
+        vertex), they save the level engine one gather or product per
+        block.
         """
         n = self.n
         self.key_base = 2 * n + 1  # DFS times run 1 .. 2n
         down_len = np.fromiter(
             (len(row) for row in self.down_by_disc), dtype=np.int64, count=n
         )
+        self.down_len = down_len
         self.down_ptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(down_len, out=self.down_ptr[1:])
         self.down_idx = np.fromiter(
@@ -219,6 +233,7 @@ class TreeDecomposition:
         up_len = np.fromiter(
             (len(sc.upward(u)) for u in range(n)), dtype=np.int64, count=n
         )
+        self.up_len = up_len
         self.up_ptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(up_len, out=self.up_ptr[1:])
         self.up_idx = np.fromiter(
@@ -231,6 +246,11 @@ class TreeDecomposition:
         )
         self.down_slot = np.empty(len(up_to_down), dtype=np.int32)
         self.down_slot[up_to_down] = np.arange(len(up_to_down), dtype=np.int32)
+        height = np.int64(self.height)
+        self.down_base = self.down_idx * height
+        self.up_base = self.up_idx * height
+        self.up_depth = self.depth[self.up_idx]
+        self.disc_fin = np.stack((self.disc, self.fin), axis=1)
 
     # ------------------------------------------------------------------
     # Relations
@@ -273,9 +293,10 @@ class TreeDecomposition:
         ``first(<<u, a>>)`` and one for the last vertex discovered before
         *u* finished."""
         base = np.asarray(a, dtype=np.int64) * self.key_base
-        lo = np.searchsorted(self.down_key, base + self.disc[u], side="right")
-        hi = np.searchsorted(self.down_key, base + self.fin[u], side="right")
-        return lo, hi
+        found = self.down_key.searchsorted(
+            self.disc_fin[u] + base[..., None], side="right"
+        )
+        return found[..., 0], found[..., 1]
 
     def down_in_descendants(self, a: int, u: int) -> Iterator[int]:
         """Iterate ``nbr-(a) ∩ des(u)`` (proper descendants of *u*).

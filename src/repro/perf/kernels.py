@@ -8,7 +8,7 @@ in the maintenance layer:
 ===========================  ==============================================
 kernel                       replaces
 ===========================  ==============================================
-:func:`candidate_row`        per-ancestor seed scans of Algorithms 4/5
+:func:`candidate_rows`       per-ancestor seed scans of Algorithms 4/5
 :func:`candidate_block`      per-neighbor Equation (*) terms of DTDHL's
                              row refresh
 :func:`star_eval`            ``evaluate_entry`` called once per entry of
@@ -25,7 +25,7 @@ kernel                       replaces
 
 Direction axis
 --------------
-:func:`candidate_row` and :func:`star_eval` read a ``(D, n, width)``
+:func:`candidate_rows` and :func:`star_eval` read a ``(D, n, width)``
 label store: ``D = 1`` for the undirected index (its ``(n, width)``
 ``dis`` viewed as one matrix) and ``D = 2`` for the directed one
 (``dis[TO]``, ``dis[FROM]``).  Label matrix *d* of vertex *u* reads the
@@ -72,6 +72,7 @@ from repro.utils.counters import OpCounter, resolve_counter
 
 __all__ = [
     "candidate_row",
+    "candidate_rows",
     "candidate_block",
     "csr_slots",
     "other",
@@ -97,27 +98,43 @@ def other(count: int, d: int) -> int:
 def candidate_row(index, d: int, u: int, v: int, weight: float) -> np.ndarray:
     """The Equation (*) candidates of label row ``(d, u)`` contributed by
     one upward neighbor *v* at the given shortcut weight, over every
-    proper ancestor depth ``0 .. depth(u)-1``.
+    proper ancestor depth ``0 .. depth(u)-1``: :func:`candidate_rows` of
+    one row.  *weight* is the leg matrix *d* adds: ``phi(u, v)``
+    undirected, ``phi(u -> v)`` for ``TO`` and ``phi(v -> u)`` for
+    ``FROM``.
+    """
+    return candidate_rows(index, [d], [u], [v], [weight])[2]
 
-    ``sd`` comes from Equation (nabla): one contiguous slice of matrix
-    *d*'s row of *v* for the ancestors of *v* (the diagonal
-    ``dis(v)[depth(v)] = 0`` covers ``a = v``) plus one fancy-indexed
-    gather of column ``depth(v)`` of matrix ``other(d)`` along
-    ``anc(u)`` for the deeper ancestors.  *weight* is the leg matrix *d*
-    adds: ``phi(u, v)`` undirected, ``phi(u -> v)`` for ``TO`` and
-    ``phi(v -> u)`` for ``FROM``.
+
+def candidate_rows(
+    index, d, u, v, weight
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`candidate_row` of rows ``(d[i], u[i])`` through upward
+    neighbors ``v[i]`` at weights ``weight[i]``, in one flat gather.
+
+    Returns ``(row, da, values)`` per candidate, row by row, each row
+    over ``da = 0 .. depth(u[i])-1``.  ``sd`` comes from Equation
+    (nabla): matrix *d*'s row of ``v`` for the ancestors of ``v`` (the
+    diagonal ``dis(v)[depth(v)] = 0`` covers ``a = v``), column
+    ``depth(v)`` of matrix ``other(d)`` along ``anc(u)`` past it.
     """
     tree = index.tree
-    du = int(tree.depth[u])
-    dv = int(tree.depth[v])
-    labels = index.dis.reshape(-1, tree.n, index.dis.shape[-1])
-    row = np.empty(du, dtype=np.float64)
-    split = min(dv + 1, du)
-    row[:split] = labels[d, v, :split]
-    if split < du:
-        row[split:] = labels[other(len(labels), d), tree.anc[u][split:du], dv]
-    row += weight
-    return row
+    n = tree.n
+    width = index.dis.shape[-1]
+    count = index.dis.size // (n * width)
+    d = np.asarray(d, dtype=np.int64)
+    u = np.asarray(u, dtype=np.int64)
+    v = np.asarray(v, dtype=np.int64)
+    du = tree.depth[u]
+    bounds = du.cumsum() - du
+    row = np.arange(len(u)).repeat(du)
+    da = np.arange(len(row)) - bounds[row]
+    dv = tree.depth[v][row]
+    shallow = ((d * n + v) * width)[row] + da
+    deeper = ((count - 1 - d) * n)[row] + tree.anc_flat[tree.anc_ptr[u][row] + da]
+    at = np.where(da <= dv, shallow, deeper * width + dv)
+    values = index.dis.take(at) + np.asarray(weight, dtype=np.float64)[row]
+    return row, da, values
 
 
 def candidate_block(index, u: int, depths: np.ndarray) -> np.ndarray:
@@ -152,12 +169,19 @@ def csr_slots(starts: np.ndarray, counts: np.ndarray) -> Tuple[np.ndarray, np.nd
 
 
 def star_eval(
-    index, d: int, u, depths: np.ndarray, counter: Optional[OpCounter] = None
+    index,
+    d: int,
+    u,
+    depths: np.ndarray,
+    counter: Optional[OpCounter] = None,
+    anc: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Evaluate Equation (*) for the entries ``(d, u[i], depths[i])`` of
     label matrix *d* at once (*u* may be one vertex for a whole depth
     slice); returns ``(values, supports)`` without mutating.  Every
-    ``depths[i]`` must be a proper ancestor depth of ``u[i]``.
+    ``depths[i]`` must be a proper ancestor depth of ``u[i]``.  *anc*,
+    when the caller has it, is each entry's ancestor
+    ``anc(u[i])[depths[i]]``, which is then not gathered again.
 
     Bit-identical to calling ``index.evaluate_entry`` per entry: one flat
     gather over the tree's upward CSR builds the same ``weight + sd``
@@ -177,27 +201,31 @@ def star_eval(
     us = np.asarray(u, dtype=np.int64)
     if us.shape != depths.shape:
         us = np.full(depths.shape, us)
-    starts = tree.up_ptr[us]
-    counts = tree.up_ptr[us + 1] - starts
-    row, slot = csr_slots(starts, counts)
+    counts = tree.up_len[us]
+    ends = counts.cumsum()
+    bounds = ends - counts  # every entry has >= 1 term
+    row = np.arange(len(us)).repeat(counts)
+    slot = (tree.up_ptr[us] - bounds)[row]
+    slot += np.arange(len(slot))
     resolve_counter(counter).add("star_term", len(slot))
     if not len(depths):
         return np.empty(0, dtype=np.float64), np.zeros(0, dtype=np.int64)
-    v = tree.up_idx[slot].astype(np.int64)
-    dv = tree.depth[v]
+    if anc is None:
+        anc = tree.anc_flat[tree.anc_ptr[us] + depths]
+    dv = tree.up_depth[slot]
     da = depths[row]
-    anc = tree.anc_flat[tree.anc_ptr[us] + depths]
-    if deep != d:  # the deep case reads matrix other(d): shift its rows
-        anc = anc + (deep - d) * n
-    anc = anc[row].astype(np.int64)
-    sd_at = np.where(da <= dv, v * width + da, anc * width + dv)
-    if d:  # flat indices count from the start of matrix d
-        sd_at += d * n * width
+    # Flat indices: matrix d for the shallow case, other(d) for the deep.
+    shallow = tree.up_base[slot] + da
+    deeper = (anc * np.int64(width))[row] + dv
+    if d:
+        shallow += d * n * width
+    if deep:
+        deeper += deep * n * width
+    sd_at = np.where(da <= dv, shallow, deeper)
     candidates = index.slot_weights()[d][slot] + dis.take(sd_at)
-    bounds = counts.cumsum() - counts  # every entry has >= 1 term
     values = np.minimum.reduceat(candidates, bounds)
-    attained = (candidates == values[row]) & ~np.isinf(candidates)
-    supports = np.add.reduceat(attained.astype(np.int64), bounds)
+    supports = np.add.reduceat(candidates == values[row], bounds, dtype=np.int64)
+    supports[values == np.inf] = 0  # an infinite term supports nothing
     return values, supports
 
 

@@ -15,10 +15,18 @@ from repro.core.bounds import (
     subboundedness_ratio,
 )
 from repro.core.changed import ch_change_metrics, h2h_change_metrics
-from repro.h2h.inch2h import inch2h_increase
+from repro.graph.generators import road_network
+from repro.h2h.inch2h import inch2h_decrease, inch2h_increase
 from repro.h2h.indexing import h2h_indexing
 from repro.utils.counters import OpCounter
-from repro.workloads.updates import increase_batch, restore_batch, sample_edges
+from repro.workloads.updates import (
+    increase_batch,
+    mixed_batch,
+    restore_batch,
+    sample_edges,
+)
+
+from reference_change_metrics import reference_h2h_sums
 
 
 class TestChMetrics:
@@ -55,8 +63,6 @@ class TestH2HMetrics:
             (key, 0.0, 0.0) for key in set()
         ]  # shortcut list reconstructed below
         # Re-derive the changed shortcuts by restoring and re-running.
-        from repro.h2h.inch2h import inch2h_decrease
-
         inch2h_decrease(index, restore_batch(edges))
         sc_changed = dch_increase(index.sc, increase_batch(edges, 2.0))
         metrics = h2h_change_metrics(index, len(edges), sc_changed, changed_ssc)
@@ -72,6 +78,44 @@ class TestH2HMetrics:
         metrics = h2h_change_metrics(paper_h2h, 1, changed_sc, [])
         # Only <v6, v9> changes; |anc(v6)| = 3.
         assert metrics.k_anc == 3
+
+    @pytest.mark.parametrize("stream", ["raise", "restore", "mixed"])
+    def test_vectorised_sums_equal_the_loop_form(self, stream):
+        """The AFF_3 sums read off the CSRs equal the per-entry loop of
+        ``tests/reference_change_metrics.py``, for the engine's arrays
+        and for the same records as plain tuples."""
+        graph = road_network(400)
+        index = h2h_indexing(graph)
+        edges = sample_edges(graph, 20, seed=5)
+        raised = increase_batch(edges, 2.0)
+        if stream == "raise":
+            steps = [(True, raised)]
+        elif stream == "restore":
+            inch2h_increase(index, raised)
+            steps = [(False, restore_batch(edges))]
+        else:
+            batch = mixed_batch(graph, 20, seed=3)
+            weight = index.sc.edge_weight
+            steps = [
+                (True, [(e, w) for e, w in batch if w > weight(*e)]),
+                (False, [(e, w) for e, w in batch if w < weight(*e)]),
+            ]
+        for increase, batch in steps:
+            probe = index.clone()
+            dch = dch_increase if increase else dch_decrease
+            changed_sc = dch(probe.sc, batch)
+            run = inch2h_increase if increase else inch2h_decrease
+            changed = run(index, batch)
+            expected = reference_h2h_sums(index, changed_sc, list(changed))
+            assert expected[0] > 0
+            for records in (changed, list(changed)):
+                metrics = h2h_change_metrics(index, len(batch), changed_sc, records)
+                assert (
+                    metrics.aff3,
+                    metrics.aff3_norm,
+                    metrics.k_anc,
+                    metrics.k_double_prime,
+                ) == expected
 
 
 class TestLinearithmic:

@@ -7,20 +7,23 @@ the shared level-synchronous engine of :mod:`repro.h2h.inch2h` over the
 is the queue-driven scalar form they replaced.  On twin clones of one
 index, every batch must leave bit-equal labels, supports and slot
 weights of both directions and bit-equal directed shortcut state,
-return the same changed multiset and add the same ``OpCounter`` dict.
+return the same changed records (the reference's, put in the level
+engine's order of ``depth(u)``, direction, ``u``, ``depth_a``) and add
+the same ``OpCounter`` dict.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections import Counter
 
 import numpy as np
 import pytest
 
+from repro.directed.dch import directed_dch_decrease
 from repro.directed.graph import DiRoadNetwork
 from repro.directed.h2h import (
+    _arc_rows,
     directed_h2h_indexing,
     directed_inch2h_decrease,
     directed_inch2h_increase,
@@ -30,6 +33,7 @@ from repro.h2h import inch2h
 from repro.utils.counters import OpCounter
 
 from reference_directed_inch2h import reference_decrease, reference_increase
+from test_inch2h_levels import stale_seed_reads
 
 LEVEL = {"increase": directed_inch2h_increase, "decrease": directed_inch2h_decrease}
 REFERENCE = {"increase": reference_increase, "decrease": reference_decrease}
@@ -60,12 +64,19 @@ class Twins:
         ):
             ops = OpCounter()
             changed = run(index, batch, ops)
-            results.append((Counter(changed), ops.as_dict()))
+            results.append((changed, ops.as_dict()))
         (changed, ops), (ref_changed, ref_ops) = results
-        assert changed == ref_changed
+        assert list(changed) == sorted(ref_changed, key=self.order)
+        assert len(changed) == len(ref_changed)
         assert ops == ref_ops
         assert state(self.level) == state(self.reference)
         return changed
+
+    def order(self, record):
+        """The level engine's order: ``depth(u)``, then direction, ``u``
+        and ``depth_a``."""
+        (d, u, da), _old, _new = record
+        return int(self.level.tree.depth[u]), d, u, da
 
     def apply_mixed(self, batch):
         sc = self.level.sc
@@ -140,22 +151,16 @@ def scenarios(digraph, count, monkeypatch):
     twins.apply("decrease", [((u, v), w) for u, v, w in cut])
     twins.apply("decrease", [((u, v), w) for u, v, w in deleted])
 
-    # A decrease whose seeds already applied some dependent candidates:
-    # the memo must skip exactly those.
-    skipped = []
-    applied = inch2h._SeedMemo.applied
-
-    def counting(self, *args):
-        out = applied(self, *args)
-        skipped.append(int(out.sum()))
-        return out
-
-    with monkeypatch.context() as patch:
-        patch.setattr(inch2h._SeedMemo, "applied", counting)
-        memo = sample_arcs(digraph, 2 * count, seed=0)
-        twins.apply("decrease", [((u, v), w * 0.5) for u, v, w in memo])
-        twins.apply("increase", [((u, v), w) for u, v, w in memo])
-    assert sum(skipped) > 0
+    # A decrease whose seeds read entries the same call improves: the
+    # stale terms must leave exactly the reference's labels.
+    halved = sample_arcs(digraph, 2 * count, seed=0)
+    batch = [((u, v), w * 0.5) for u, v, w in halved]
+    probe = twins.level.clone()
+    changed_arcs = directed_dch_decrease(probe.sc, batch)
+    rows = list(_arc_rows(probe, changed_arcs, OpCounter(), False))
+    changed = twins.apply("decrease", batch)
+    assert stale_seed_reads(twins.level, rows, changed) > 0
+    twins.apply("increase", [((u, v), w) for u, v, w in halved])
 
     # Blocks of three entries split levels without changing any result.
     with monkeypatch.context() as patch:

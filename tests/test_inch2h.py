@@ -74,7 +74,7 @@ class TestIncrease:
                 break
         if target is None:
             pytest.skip("no slack edge")
-        assert inch2h_increase(index, [target]) == []
+        assert len(inch2h_increase(index, [target])) == 0
 
     def test_work_log_records_levels(self, paper_h2h):
         log: list = []

@@ -4,7 +4,8 @@
 one tree depth per numpy pass; ``tests/reference_inch2h.py`` is the
 queue-driven scalar form of Algorithms 4-5.  On twin clones of one
 index, every batch must leave bit-equal ``dis``/``sup`` and shortcut
-state, return the same changed multiset, add the same
+state, return the same changed records (the reference's, put in the
+level engine's order of ``depth(u)``, ``u``, ``depth_a``), add the same
 ``OpCounter`` dict and log the same ``work_log`` multiset (the ParIncH2H
 report is order-free).
 """
@@ -17,6 +18,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from repro.ch.dch import dch_decrease
 from repro.graph.generators import road_network
 from repro.h2h import inch2h
 from repro.h2h.inch2h import inch2h_decrease, inch2h_increase
@@ -54,6 +56,12 @@ class Twins:
         self.level = index
         self.reference = index.clone()
 
+    def order(self, record):
+        """The level engine's order: ``depth(u)``, then ``u``, then
+        ``depth_a``."""
+        (u, da), _old, _new = record
+        return int(self.level.tree.depth[u]), u, da
+
     def apply(self, direction, batch):
         results = []
         for run, index in (
@@ -62,9 +70,10 @@ class Twins:
         ):
             ops, log = OpCounter(), []
             changed = run(index, batch, ops, work_log=log)
-            results.append((Counter(changed), ops.as_dict(), Counter(log)))
+            results.append((changed, ops.as_dict(), Counter(log)))
         (changed, ops, log), (ref_changed, ref_ops, ref_log) = results
-        assert changed == ref_changed
+        assert list(changed) == sorted(ref_changed, key=self.order)
+        assert len(changed) == len(ref_changed)
         assert ops == ref_ops
         assert log == ref_log
         assert state(self.level) == state(self.reference)
@@ -130,22 +139,42 @@ def test_deletion_then_reinsertion_matches_reference(road400):
     twins.level.validate()
 
 
-def test_decrease_seed_memo_matches_reference(road400, monkeypatch):
-    """A decrease batch whose seeds already applied some dependent
-    candidates: the memo must skip exactly those."""
-    skipped = []
-    applied = inch2h._SeedMemo.applied
+def stale_seed_reads(index, rows, changed) -> int:
+    """How many Equation (*) terms of the seed *rows* (``(d, u, v, old,
+    new)``, as the engine derives them) read a label entry that the call
+    returning *changed* improved.  The seeds read the labels as they were
+    before the call, so each such term is stale: the propagation must
+    supersede it, and must not apply it twice."""
+    tree = index.tree
+    n, width = tree.n, index.dis.shape[-1]
+    count = index.dis.size // (n * width)
+    improved = set(changed.keys.tolist())
+    stale = 0
+    for d, u, v, _old, _new in rows:
+        dv = int(tree.depth[v])
+        for da in range(int(tree.depth[u])):
+            if da < dv:
+                key = (d * n + v) * width + da
+            elif da > dv:
+                key = ((count - 1 - d) * n + int(tree.anc[u][da])) * width + dv
+            else:
+                continue  # the zero diagonal of v
+            stale += key in improved
+    return stale
 
-    def counting(self, *args):
-        out = applied(self, *args)
-        skipped.append(int(out.sum()))
-        return out
 
-    monkeypatch.setattr(inch2h._SeedMemo, "applied", counting)
+def test_decrease_seeds_reading_improved_entries_match_reference(road400):
+    """A decrease batch whose seeds read entries the same call improves:
+    the stale terms must leave exactly the reference's labels."""
     twins = Twins(h2h_indexing(road400))
     edges = sample_edges(road400, 20, seed=0)
-    twins.apply("decrease", [((u, v), w * 0.5) for u, v, w in edges])
-    assert sum(skipped) > 0
+    batch = [((u, v), w * 0.5) for u, v, w in edges]
+    probe = twins.level.clone()
+    rows = list(
+        inch2h._shortcut_rows(probe, dch_decrease(probe.sc, batch), OpCounter())
+    )
+    changed = twins.apply("decrease", batch)
+    assert stale_seed_reads(twins.level, rows, changed) > 0
     twins.level.validate()
 
 

@@ -17,7 +17,7 @@ import random
 
 from repro import DiRoadNetwork, ch_distance, road_network
 from repro.directed.ch import directed_ch_indexing
-from repro.directed.dch import directed_dch_decrease, directed_dch_increase
+from repro.ch.dch import dch_decrease, dch_increase
 from repro.directed.dijkstra import directed_distance
 
 
@@ -56,7 +56,7 @@ def main() -> None:
     # Morning rush: inbound arcs toward low-numbered blocks slow 3x.
     inbound = [(u, v, w) for u, v, w in city.arcs() if v < u][:30]
     batch = [((u, v), w * 3.0) for u, v, w in inbound]
-    changed = directed_dch_increase(index, batch)
+    changed = dch_increase(index, batch)
     for (u, v), w in batch:
         city.set_weight(u, v, w)
     print(f"\nmorning rush: {len(batch)} inbound arcs 3x slower "
@@ -70,7 +70,7 @@ def main() -> None:
     print(f"sd({t} -> {s}) = {back_rush}   (was {back})")
 
     # Evening: the wave recedes.
-    directed_dch_decrease(index, [((u, v), float(w)) for u, v, w in inbound])
+    dch_decrease(index, [((u, v), float(w)) for u, v, w in inbound])
     for u, v, w in inbound:
         city.set_weight(u, v, w)
     assert ch_distance(index, s, t) == there

@@ -82,44 +82,75 @@ def ch_indexing(
     """
     u, v, w = edge_columns(graph.edges())
     ordering, st = eliminated_structure(graph, ordering, u, v)
-    return weigh_structure(ordering, st, u, v, w, counter, with_support)
+    return _weigh(ordering, st, 1, u, v, w, counter, with_support)
 
 
 def weigh_structure(
     ordering: Ordering,
     st: ShortcutStructure,
-    u: np.ndarray,
-    v: np.ndarray,
-    w: np.ndarray,
+    graph,
     counter: Optional[OpCounter] = None,
     with_support: bool = True,
 ) -> ShortcutGraph:
     """Step 2 of :func:`ch_indexing` on a structure already built: the
-    weights, supports and witnesses of the edges ``(u[i], v[i])`` at
-    weights ``w[i]``, which must all be shortcuts of *st*.
+    weights, supports and witnesses of *graph*'s edges, which must all be
+    shortcuts of *st*.  A directed *graph* (a
+    :class:`~repro.directed.graph.DiRoadNetwork`, which lists ``arcs()``)
+    gives the ``D = 2`` store of its arcs.
 
     The structure is weight independent, so a rebuild after weight
-    updates (:meth:`repro.core.dynamic.DynamicCH.rebuild`) passes the
+    updates (:meth:`repro.core.dynamic.DynamicCH.rebuild`,
+    :meth:`repro.directed.dynamic.DynamicDiCH.rebuild`) passes the
     index's own structure and skips the elimination; the result, op
-    counts included, equals a fresh :func:`ch_indexing` in *ordering*.
+    counts included, equals a fresh build in *ordering*.
     """
+    directed = hasattr(graph, "arcs")
+    tail, head, w = edge_columns(graph.arcs() if directed else graph.edges())
+    rows = 2 if directed else 1
+    return _weigh(ordering, st, rows, tail, head, w, counter, with_support)
+
+
+def _weigh(
+    ordering: Ordering,
+    st: ShortcutStructure,
+    rows: int,
+    tail: np.ndarray,
+    head: np.ndarray,
+    w: np.ndarray,
+    counter: Optional[OpCounter],
+    with_support: bool,
+) -> ShortcutGraph:
+    """:func:`weigh_structure` of the edges ``(tail[i], head[i])`` at
+    weights ``w[i]`` into a ``(rows, slots)`` store: an edge of ``G``
+    when *rows* is 1, the arc ``tail -> head`` when it is 2 (row ``FROM``
+    when *tail* is the higher end).  The level pass of
+    :mod:`repro.perf.kernels` runs over both rows: triangle ``(u; v, w)``
+    offers ``TO(v, w)`` the term ``FROM(u, v) + TO(u, w)`` and
+    ``FROM(v, w)`` the term ``FROM(u, w) + TO(u, v)``."""
     rank = ordering.rank
-    edge_slots = held_slots(st, rank, u, v)
-    st.edge[edge_slots] = True
-    edge_w = np.full((1, len(st.low)), np.inf)
-    edge_w[0, edge_slots] = w
+    slots = len(st.low)
+    rank_arr = np.asarray(rank, dtype=np.int64)
+    ids = held_slots(st, rank, tail, head)
+    ids += (rows - 1) * slots * (rank_arr[tail] > rank_arr[head])
+    edge = np.zeros((rows, slots), dtype=bool)
+    edge.reshape(-1)[ids] = True
+    edge_w = np.full((rows, slots), np.inf)
+    edge_w.reshape(-1)[ids] = w
     weights, terms = kernels.level_weights(st, edge_w)
     ops = resolve_counter(counter)
     if terms:
         ops.add("contract_pair", terms)
     if with_support:
         sup, via = kernels.level_supports(st, rank, edge_w, weights, witnesses=True)
-        if len(st.low):
+        if rows == 1 and len(st.low):
+            # The undirected build counts its support pass's terms as
+            # the scalar Equation (<>) pass did; the directed one never
+            # counted them.
             ops.add("scp_minus_inspect", terms)
     else:
         sup = np.zeros_like(weights, dtype=np.int64)
         via = np.full_like(sup, -1)
-    return ShortcutGraph.from_slots(ordering, st, weights[0], edge_w[0], sup[0], via[0])
+    return ShortcutGraph.from_slots(ordering, st, edge, weights, edge_w, sup, via)
 
 
 def held_slots(

@@ -97,8 +97,8 @@ def _bidirectional(
     the meeting path from the two distance lists.  Relaxations are
     tallied locally and added to *counter* once.
 
-    *index* is a :class:`ShortcutGraph` or a directed store: each side
-    reads its own view of the flat slot weights (:func:`_side_weights`).
+    *index* is a :class:`ShortcutGraph`, undirected or directed: each
+    side reads its own row of the slot weights (:func:`_side_weights`).
     """
     n = index.n
     if not 0 <= s < n:
@@ -156,14 +156,13 @@ def _bidirectional(
 
 
 def _side_weights(index):
-    """The forward and backward views of *index*'s flat slot weights.
-    On the undirected store both are the whole store; on the directed
-    one the forward side reads row ``TO`` (``phi(u -> v)``, out of
-    ``s``) and the backward side row ``FROM`` (``phi(v -> u)``, into
-    ``t``)."""
-    flat = index.slot_views()[0]
-    slots = len(index.structure.low)
-    return flat[:slots], flat[len(flat) - slots :]
+    """The forward and backward rows of *index*'s ``(D, slots)`` weights
+    as memoryviews: the forward side reads row ``TO`` (``phi(u -> v)``,
+    out of ``s``) and the backward side the last row, ``FROM``
+    (``phi(v -> u)``, into ``t``) on the directed store and the one row
+    on the undirected store."""
+    weights = index.slot_weights
+    return memoryview(weights[0]), memoryview(weights[-1])
 
 
 def _walk_down(st, weights, dist: List[float], x: int, source: int) -> List[int]:
@@ -194,11 +193,10 @@ def ch_distance(
 ) -> float:
     """The shortest distance ``sd(s, t)`` (``inf`` when disconnected).
 
-    *index* is a :class:`ShortcutGraph` or a directed store
-    (:class:`~repro.directed.ch.DirectedShortcutGraph`), for which the
-    answer is ``sd(s -> t)``: a forward-upward search from ``s`` over
-    out-weights meets a backward-upward search from ``t`` over
-    in-weights, as in the classic directed CH."""
+    *index* is a :class:`ShortcutGraph`; on the directed (``D = 2``)
+    store the answer is ``sd(s -> t)``: a forward-upward search from
+    ``s`` over out-weights meets a backward-upward search from ``t``
+    over in-weights, as in the classic directed CH."""
     best, _, _, _ = _bidirectional(index, s, t, counter)
     return best
 
@@ -293,7 +291,7 @@ def ch_distance_many(
     module docstring), then ``min over k <= depth(lca(s, t)) of L(s)[k]
     + L(t)[k]`` per pair, in steps of at most :data:`BLOCK` cells:
     ``inf`` across two trees of the forest, ``0.0`` for ``s == t``.
-    *index* is a :class:`ShortcutGraph` or a directed store, whose
+    *index* is a :class:`ShortcutGraph`; a directed store's
     ``(2, slots)`` weights give the sources' labels from row 0 (``TO``,
     up from ``s``) and the targets' from row 1 (``FROM``, down to
     ``t``).  Adds the relaxed label cells to *counter*'s
@@ -318,9 +316,9 @@ def ch_distance_many(
         return answers
     s, t = s[pick], t[pick]
     weights = index.slot_weights
-    if weights.ndim == 1:
+    if len(weights) == 1:  # both sides read the one row: one label pass
         labels_s, off_s, relaxed = _upward_labels(
-            tree, weights, np.concatenate((s, t))
+            tree, weights[0], np.concatenate((s, t))
         )
         labels_t, off_t = labels_s, off_s
     else:

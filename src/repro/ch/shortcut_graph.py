@@ -25,9 +25,9 @@ Besides weights, the index stores per shortcut:
 * ``phi(e, G)`` — the edge's weight in ``G`` (``inf`` for a pure
   shortcut or a deleted road), which Algorithms 2-5 read and write.
 
-One flat slot store
--------------------
-Every shortcut owns a *slot*: an index into flat per-shortcut arrays.
+One slot store, one or two directions
+-------------------------------------
+Every shortcut owns a *slot*: an index into per-shortcut arrays.
 Slots follow the ``nbr+`` rows — the shortcuts ``<u, v>``, ``v`` in
 ``nbr+(u)``, occupy ``ptr[u] .. ptr[u + 1]`` in rank order of ``v`` —
 so :meth:`ShortcutGraph.upward_weight_row` is one contiguous slice and
@@ -38,14 +38,29 @@ change the shortcut set.  The store is therefore split in two:
 
 * a :class:`ShortcutStructure` — the ``nbr+``/``nbr-`` lists, each
   vertex's neighbor-to-slot map, the row offsets, the slot endpoints,
-  DCH±'s queue priorities, which slots are edges of ``G`` and the
-  elimination tree with its pre-order ranges and heights — built once
-  and shared by every clone;
-* four arrays indexed by slot — ``phi(e)`` and ``phi(e, G)`` (float64),
-  ``sup(e)`` and ``via(e)`` (int64, ``-1`` for the original edge) — which
-  :meth:`ShortcutGraph.clone` copies.  Scalar reads and writes go
-  through memoryviews over them, so the maintenance loops trade plain
-  Python floats and ints, never numpy scalars.
+  DCH±'s queue priorities and the elimination tree with its pre-order
+  ranges and heights — built once and shared by every clone;
+* four ``(D, slots)`` arrays — ``phi(e)`` and ``phi(e, G)`` (float64),
+  ``sup(e)`` and ``via(e)`` (int64, ``-1`` for the original edge) —
+  which :meth:`ShortcutGraph.clone` copies, beside ``(D, slots)`` edge
+  flags that clones share.  Scalar reads and writes go through
+  memoryviews over them, so the maintenance loops trade plain Python
+  floats and ints, never numpy scalars.
+
+``D = 1`` is the undirected index.  ``D = 2`` is the directed one of
+:func:`repro.directed.ch.directed_ch_indexing`: row ``TO`` of slot
+``<low, high>`` holds the arc ``low -> high`` and row ``FROM`` the arc
+``high -> low``, each with its own directed Equation (<>)::
+
+    phi(u -> v) = min( phi_G(u -> v),
+                       min over t in scp-  of  phi(u -> t) + phi(t -> v) )
+
+Flattened, row ``d`` of slot ``s`` is the *arc id* ``d * slots + s``
+that DCH± (:mod:`repro.ch.dch`) queues; at ``D = 1`` it is the slot
+itself.  Every per-pair accessor — :meth:`ShortcutGraph.weight`,
+:meth:`~ShortcutGraph.edge_weight`, :meth:`~ShortcutGraph.support`,
+:meth:`~ShortcutGraph.evaluate_equation`, … — means the shortcut
+``<u, v>`` at ``D = 1`` and the arc ``u -> v`` at ``D = 2``.
 
 Only Section 7's edge insertion changes the structure
 (:meth:`ShortcutGraph.add_structure`); it builds a new structure for
@@ -107,8 +122,6 @@ class ShortcutStructure:
     low_view / high_view / prio_view:
         Memoryviews over ``low``, ``high`` and ``prio``: the maintenance
         loops read plain Python ints through them.
-    edge:
-        ``edge[s]``: slot *s* is an edge of ``G`` (bool).
     parent:
         The elimination tree: ``parent[v]`` is the lowest-ranked vertex of
         ``nbr+(v)`` (H2H's ``x(v)``), or ``-1`` when ``nbr+(v)`` is empty
@@ -145,7 +158,6 @@ class ShortcutStructure:
         "low_view",
         "high_view",
         "prio_view",
-        "edge",
         "parent",
         "order",
         "pre",
@@ -187,7 +199,6 @@ class ShortcutStructure:
         self.low_view = memoryview(low)
         self.high_view = memoryview(high)
         self.prio_view = memoryview(self.prio)
-        self.edge = np.zeros(ptr[-1], dtype=bool)
         self._build_tree(rank)
         self.batch_tree = None
 
@@ -301,19 +312,12 @@ class ShortcutStructure:
             t = np.searchsorted(keys, high[a] * n + high_rank[b])
             yield a, b.astype(np.int32), t.astype(np.int32)
 
-    def canonical(self) -> Tuple[List[int], List[int]]:
-        """Both endpoints of every slot, smaller id first."""
-        return (
-            np.minimum(self.low, self.high).tolist(),
-            np.maximum(self.low, self.high).tolist(),
-        )
-
     def validate(self, rank: Sequence[int]) -> None:
         """Raise :class:`IndexError_` unless every slot maps back,
         ``nbr+(u)`` / ``nbr-(u)`` are the rank-sorted higher / lower
         neighbors of ``u`` matching the slot rows, every ``nbr+(u)`` is a
         clique, the priorities match *rank* and the elimination-tree
-        arrays describe the tree of ``nbr+`` (both CH stores call it)."""
+        arrays describe the tree of ``nbr+``."""
         for s, (low, high) in enumerate(zip(self.low.tolist(), self.high.tolist())):
             if self.slot[low].get(high) != s or self.slot[high].get(low) != s:
                 raise IndexError_(f"slot {s} <{low}, {high}> does not map back")
@@ -378,11 +382,13 @@ class ShortcutStructure:
 
 
 class ShortcutGraph:
-    """The CH index: shortcut weights, supports and adjacency over ``pi``.
+    """The CH index: shortcut weights, supports and adjacency over ``pi``,
+    in one direction (``D = 1``) or two (``D = 2``, directed).
 
-    Instances are produced by :func:`repro.ch.indexing.ch_indexing`; the
-    constructor wires up pre-computed state and is not meant to be called
-    directly by library users.
+    Instances are produced by :func:`repro.ch.indexing.ch_indexing` and
+    :func:`repro.directed.ch.directed_ch_indexing`; the constructor wires
+    up pre-computed state and is not meant to be called directly by
+    library users.
     """
 
     __slots__ = (
@@ -394,6 +400,8 @@ class ShortcutGraph:
         "_down_slots",
         "_slot",
         "_ptr",
+        "_back",
+        "_edge",
         "_w",
         "_ew",
         "_sup",
@@ -402,6 +410,8 @@ class ShortcutGraph:
         "_ewv",
         "_supv",
         "_viav",
+        "_to",
+        "_from",
     )
 
     def __init__(
@@ -411,8 +421,8 @@ class ShortcutGraph:
         edge_weights: Dict[Shortcut, float],
     ) -> None:
         """Lay out *adj* (``adj[u][v] = phi(<u, v>)``, symmetric) and the
-        edges of ``G`` (*edge_weights*, canonical keys) in one pass;
-        supports start at 0 and witnesses at ``None``."""
+        edges of ``G`` (*edge_weights*, canonical keys) in one pass, at
+        ``D = 1``; supports start at 0 and witnesses at ``None``."""
         self.ordering = ordering
         self._rank = rank = ordering.rank
         up = [
@@ -420,23 +430,25 @@ class ShortcutGraph:
             for u, nbrs in enumerate(adj)
         ]
         st = ShortcutStructure(rank, up)
-        m = st.ptr[-1]
+        shape = (1, st.ptr[-1])
         weights = np.array(
             [nbrs[v] for nbrs, row in zip(adj, up) for v in row], dtype=np.float64
-        )
+        ).reshape(shape)
         try:
             edge_slots = [st.slot[u][v] for u, v in edge_weights]
         except (KeyError, IndexError):
             raise IndexError_("every edge of G must be a shortcut") from None
-        st.edge[edge_slots] = True
-        edge_w = np.full(m, _INF)
-        edge_w[edge_slots] = list(edge_weights.values())
+        edge = np.zeros(shape, dtype=bool)
+        edge[0, edge_slots] = True
+        edge_w = np.full(shape, _INF)
+        edge_w[0, edge_slots] = list(edge_weights.values())
         self._adopt(
             st,
+            edge,
             weights,
             edge_w,
-            np.zeros(m, dtype=np.int64),
-            np.full(m, -1, dtype=np.int64),
+            np.zeros(shape, dtype=np.int64),
+            np.full(shape, -1, dtype=np.int64),
         )
 
     @classmethod
@@ -444,39 +456,45 @@ class ShortcutGraph:
         cls,
         ordering: Ordering,
         st: ShortcutStructure,
+        edge: np.ndarray,
         weights: np.ndarray,
         edge_w: np.ndarray,
         sup: np.ndarray,
         via: np.ndarray,
     ) -> "ShortcutGraph":
-        """Wrap structure *st* (over *ordering*) and its four slot arrays
-        as they are, without copying."""
+        """Wrap structure *st* (over *ordering*), its ``(D, slots)`` edge
+        flags *edge* and the four ``(D, slots)`` slot arrays as they are,
+        without copying."""
         index = cls.__new__(cls)
         index.ordering = ordering
         index._rank = ordering.rank
-        index._adopt(st, weights, edge_w, sup, via)
+        index._adopt(st, edge, weights, edge_w, sup, via)
         return index
 
-    def _adopt(self, st, weights, edge_w, sup, via) -> None:
-        """Install structure *st* and the four slot arrays."""
+    def _adopt(self, st, edge, weights, edge_w, sup, via) -> None:
+        """Install structure *st*, the edge flags and the slot arrays."""
         self._st = st
         self._up = st.up
         self._down = st.down
         self._down_slots = st.down_slots
         self._slot = st.slot
         self._ptr = st.ptr
+        self._edge = edge
         self._w, self._ew, self._sup, self._via = weights, edge_w, sup, via
-        self._wv = memoryview(weights)
-        self._ewv = memoryview(edge_w)
-        self._supv = memoryview(sup)
-        self._viav = memoryview(via)
+        self._wv = wv = memoryview(weights.ravel())
+        self._ewv = memoryview(edge_w.ravel())
+        self._supv = memoryview(sup.ravel())
+        self._viav = memoryview(via.ravel())
+        # The first arc id of row FROM; 0 when the one row serves both.
+        self._back = back = len(wv) - weights.shape[1]
+        self._to, self._from = (wv[:back], wv[back:]) if back else (wv, wv)
 
     def clone(self) -> "ShortcutGraph":
         """An independent copy sharing the weight-independent structure.
 
-        The shortcut *set* (the ``nbr+``/``nbr-`` lists, the slot maps and
-        the ordering) is fixed under weight updates, so clones share one
-        :class:`ShortcutStructure`; only the four slot arrays — weights,
+        The shortcut *set* (the ``nbr+``/``nbr-`` lists, the slot maps,
+        the edge flags and the ordering) is fixed under weight updates,
+        so clones share it; only the four slot arrays — weights,
         supports, witnesses and ``phi(e, G)`` — are copied.  Mutating the
         clone (maintenance, rollback, even edge insertion, which replaces
         the clone's structure) never touches the original, which is what
@@ -485,6 +503,7 @@ class ShortcutGraph:
         return ShortcutGraph.from_slots(
             self.ordering,
             self._st,
+            self._edge,
             self._w.copy(),
             self._ew.copy(),
             self._sup.copy(),
@@ -498,16 +517,32 @@ class ShortcutGraph:
 
     @property
     def slot_weights(self) -> np.ndarray:
-        """``phi`` of every slot, slots in ``nbr+`` row order: the live
-        float64 array the vectorised kernels gather from.  Read only —
-        write through :meth:`set_weight`."""
+        """``phi`` of every slot as the live ``(D, slots)`` float64 array
+        the vectorised kernels gather from, slots in ``nbr+`` row order:
+        row ``TO`` ``phi(low -> high)``, row ``FROM`` ``phi(high -> low)``
+        at ``D = 2``.  Read only — write through :meth:`set_weight`."""
         return self._w
 
-    def _find(self, u: int, v: int) -> Optional[int]:
+    def _find_slot(self, u: int, v: int) -> Optional[int]:
         """The slot of ``<u, v>``, or ``None`` if there is none.  An id
         outside ``[0, n)`` has none: a negative *u* must not index the
         map of vertex ``n + u``."""
         return self._slot[u].get(v) if 0 <= u < len(self._slot) else None
+
+    def _find(self, u: int, v: int) -> Optional[int]:
+        """The arc id of ``<u, v>`` — its slot, in row ``FROM`` when *u*
+        is the higher end at ``D = 2`` — or ``None`` if there is none."""
+        s = self._find_slot(u, v)
+        if s is None or self._rank[u] < self._rank[v]:
+            return s
+        return s + self._back
+
+    def _locate(self, u: int, v: int) -> int:
+        """:meth:`_find`, raising :class:`IndexError_` when there is none."""
+        k = self._find(u, v)
+        if k is None:
+            raise IndexError_(f"no shortcut between {u} and {v}")
+        return k
 
     def _check_pair(self, u: int, v: int) -> None:
         """Raise :class:`IndexError_` unless both ids lie in ``[0, n)`` —
@@ -518,28 +553,32 @@ class ShortcutGraph:
             raise IndexError_(f"vertex pair ({u}, {v}) out of range [0, {n})")
 
     def slot(self, u: int, v: int) -> int:
-        """The slot of shortcut ``<u, v>``."""
-        s = self._find(u, v)
+        """The slot of shortcut ``<u, v>`` (either orientation)."""
+        s = self._find_slot(u, v)
         if s is None:
             raise IndexError_(f"no shortcut between {u} and {v}")
         return s
 
     def slot_views(self) -> Tuple[memoryview, memoryview, memoryview, memoryview]:
-        """Memoryviews over the four slot arrays — ``phi``, ``phi(e, G)``,
-        ``sup`` and ``via`` (``-1`` for the original edge) — for the
-        slot-native maintenance loops of :mod:`repro.ch.dch`.  Writes go
-        straight into this index's store."""
+        """Flat memoryviews over the four slot arrays — ``phi``,
+        ``phi(e, G)``, ``sup`` and ``via`` (``-1`` for the original edge)
+        — indexed by arc id, for the maintenance loops of
+        :mod:`repro.ch.dch`.  Writes go straight into this index's store."""
         return self._wv, self._ewv, self._supv, self._viav
 
     def upward_weights(self, u: int) -> np.ndarray:
-        """``phi(<u, v>)`` for ``v in nbr+(u)``, aligned with
-        :meth:`upward`: a view of the store's row, for reading only."""
-        return self._w[self._ptr[u] : self._ptr[u + 1]]
+        """``phi(<u, v>)`` (``phi(u -> v)`` at ``D = 2``) for ``v in
+        nbr+(u)``, aligned with :meth:`upward`: a view of the store's
+        row, for reading only."""
+        return self._w[0, self._ptr[u] : self._ptr[u + 1]]
 
-    def upward_weight_row(self, u: int) -> List[float]:
-        """:meth:`upward_weights` as Python floats: the row the CH query
-        loop walks beside ``nbr+(u)``."""
-        return self._wv[self._ptr[u] : self._ptr[u + 1]].tolist()
+    def upward_weight_row(self, u: int, d: int = 0) -> List[float]:
+        """Row *d* of ``nbr+(u)``'s slots as Python floats, aligned with
+        :meth:`upward`: the row the CH query loop walks beside
+        ``nbr+(u)``.  At ``D = 2``, ``phi(u -> v)`` for ``TO`` and
+        ``phi(v -> u)`` for ``FROM``."""
+        row = self._from if d else self._to
+        return row[self._ptr[u] : self._ptr[u + 1]].tolist()
 
     # ------------------------------------------------------------------
     # Identity / canonical keys
@@ -549,6 +588,19 @@ class ShortcutGraph:
         """Canonical dictionary key of the shortcut between *u* and *v*."""
         return (u, v) if u < v else (v, u)
 
+    def _keys(self, ids: np.ndarray) -> List[Shortcut]:
+        """The key of every arc id in *ids*: the canonical pair at
+        ``D = 1``, ``(tail, head)`` at ``D = 2``."""
+        st = self._st
+        s = ids - self._back * (ids >= len(st.low))
+        low, high = st.low[s], st.high[s]
+        if self._back:
+            back = s != ids
+            tail, head = np.where(back, high, low), np.where(back, low, high)
+        else:
+            tail, head = np.minimum(low, high), np.maximum(low, high)
+        return list(zip(tail.tolist(), head.tolist()))
+
     @property
     def n(self) -> int:
         """Number of vertices."""
@@ -556,8 +608,9 @@ class ShortcutGraph:
 
     @property
     def num_shortcuts(self) -> int:
-        """Number of shortcuts (the paper's "# of SCs", Table 2)."""
-        return len(self._w)
+        """Number of shortcuts (the paper's "# of SCs", Table 2); each
+        carries two arcs at ``D = 2``."""
+        return self._w.shape[1]
 
     def rank(self, v: int) -> int:
         """``pi(v)``."""
@@ -572,11 +625,12 @@ class ShortcutGraph:
     # ------------------------------------------------------------------
     def has_shortcut(self, u: int, v: int) -> bool:
         """True if shortcut ``<u, v>`` exists."""
-        return self._find(u, v) is not None
+        return self._find_slot(u, v) is not None
 
     def shortcuts(self) -> Iterator[Shortcut]:
-        """All shortcuts in canonical form, in slot order."""
-        return zip(*self._st.canonical())
+        """Every shortcut's key (see :meth:`_keys`), by arc id: each
+        shortcut once at ``D = 1``, both its arcs at ``D = 2``."""
+        return iter(self._keys(np.arange(self._w.size)))
 
     def neighbors(self, u: int) -> Iterator[int]:
         """All shortcut neighbors of *u*."""
@@ -602,7 +656,8 @@ class ShortcutGraph:
         structural change, Section 7's edge insertion.
 
         Copy-on-structure: this index gets a new :class:`ShortcutStructure`
-        and re-laid-out slot arrays; clones keep the old structure.
+        and re-laid-out slot arrays and edge flags; clones keep the old
+        ones.
         """
         rank = self._rank
         st = self._st
@@ -615,20 +670,24 @@ class ShortcutGraph:
             up[low] = sorted(row, key=rank.__getitem__)
         new = ShortcutStructure(rank, up)
         moved = new.slots_of(rank, st.low, st.high)
-        new.edge[moved] = st.edge
-        m = len(new.low)
-        weights = np.full(m, _INF)
-        edge_w = np.full(m, _INF)
-        sup = np.zeros(m, dtype=np.int64)
-        via = np.full(m, -1, dtype=np.int64)
-        weights[moved] = self._w
-        edge_w[moved] = self._ew
-        sup[moved] = self._sup
-        via[moved] = self._via
-        s = new.slot[edge[0]][edge[1]]
-        new.edge[s] = True
-        edge_w[s] = edge_weight
-        self._adopt(new, weights, edge_w, sup, via)
+        shape = (len(self._w), len(new.low))
+        flags = np.zeros(shape, dtype=bool)
+        weights = np.full(shape, _INF)
+        edge_w = np.full(shape, _INF)
+        sup = np.zeros(shape, dtype=np.int64)
+        via = np.full(shape, -1, dtype=np.int64)
+        for grown_array, old in (
+            (flags, self._edge),
+            (weights, self._w),
+            (edge_w, self._ew),
+            (sup, self._sup),
+            (via, self._via),
+        ):
+            grown_array[:, moved] = old
+        self._adopt(new, flags, weights, edge_w, sup, via)
+        k = self._locate(*edge)
+        flags.flat[k] = True
+        self._ewv[k] = edge_weight
 
     # ------------------------------------------------------------------
     # Weights
@@ -641,11 +700,11 @@ class ShortcutGraph:
         IndexError_
             If the shortcut does not exist.
         """
-        return self._wv[self.slot(u, v)]
+        return self._wv[self._locate(u, v)]
 
     def set_weight(self, u: int, v: int, weight: float) -> None:
         """Overwrite ``phi(<u, v>)`` (maintenance algorithms only)."""
-        self._wv[self.slot(u, v)] = weight
+        self._wv[self._locate(u, v)] = weight
 
     def edge_weight(self, u: int, v: int) -> float:
         """``phi(e, G)``: the weight of edge ``(u, v)`` in ``G``, or ``inf``.
@@ -654,50 +713,47 @@ class ShortcutGraph:
         maintenance algorithms (Algorithms 2-5) read and write
         ``phi(e, G)`` as part of their state.
         """
-        s = self._find(u, v)
-        return _INF if s is None else self._ewv[s]
+        k = self._find(u, v)
+        return _INF if k is None else self._ewv[k]
 
     def set_edge_weight(self, u: int, v: int, weight: float) -> None:
         """Overwrite the stored ``phi(e, G)`` of edge ``(u, v)``."""
         if not self.is_graph_edge(u, v):
             raise IndexError_(f"({u}, {v}) is not an edge of G")
-        self._ewv[self.slot(u, v)] = weight
+        self._ewv[self._locate(u, v)] = weight
 
     def is_graph_edge(self, u: int, v: int) -> bool:
         """True if ``(u, v)`` is an original edge of ``G``."""
-        s = self._find(u, v)
-        return s is not None and bool(self._st.edge[s])
+        k = self._find(u, v)
+        return k is not None and bool(self._edge.flat[k])
 
     def edge_weights(self) -> Dict[Shortcut, float]:
-        """A copy of the stored ``phi(e, G)`` map, keyed canonically.
+        """A copy of the stored ``phi(e, G)`` map, keyed as
+        :meth:`shortcuts` keys.
 
         This is the public read face of the index's edge-weight store;
         persistence and recovery rebuild the road network from it.
         """
-        edges = np.flatnonzero(self._st.edge)
-        low, high = self._st.low[edges], self._st.high[edges]
-        return dict(
-            zip(
-                zip(np.minimum(low, high).tolist(), np.maximum(low, high).tolist()),
-                self._ew[edges].tolist(),
-            )
-        )
+        edges = np.flatnonzero(self._edge)
+        return dict(zip(self._keys(edges), self._ew.reshape(-1)[edges].tolist()))
 
     def num_graph_edges(self) -> int:
         """Number of original graph edges tracked by the index."""
-        return int(np.count_nonzero(self._st.edge))
+        return int(np.count_nonzero(self._edge))
 
     def shortcut_records(
         self,
     ) -> Iterator[Tuple[int, int, float, int, Optional[int]]]:
         """All shortcuts as ``(u, v, weight, sup, via)`` records.
 
-        Canonical endpoints (``u < v``), slot order; the public iteration
+        Keyed as :meth:`shortcuts` keys, by arc id; the public iteration
         face used by :mod:`repro.persist` and the integrity verifier.
         """
-        lo, hi = self._st.canonical()
-        for u, v, w, sup, via in zip(
-            lo, hi, self._w.tolist(), self._sup.tolist(), self._via.tolist()
+        for (u, v), w, sup, via in zip(
+            self.shortcuts(),
+            self._wv.tolist(),
+            self._supv.tolist(),
+            self._viav.tolist(),
         ):
             yield u, v, w, sup, (None if via < 0 else via)
 
@@ -706,21 +762,21 @@ class ShortcutGraph:
     # ------------------------------------------------------------------
     def support(self, u: int, v: int) -> int:
         """``sup(<u, v>)``: number of Equation (<>) terms attaining the min."""
-        return self._supv[self.slot(u, v)]
+        return self._supv[self._locate(u, v)]
 
     def set_support(self, u: int, v: int, value: int) -> None:
         """Overwrite ``sup(<u, v>)``."""
-        self._supv[self.slot(u, v)] = value
+        self._supv[self._locate(u, v)] = value
 
     def via(self, u: int, v: int) -> Optional[int]:
         """A witness for ``phi(<u, v>)``: ``None`` for the original edge,
         else a common lower neighbor whose downward pair attains the min."""
-        witness = self._viav[self.slot(u, v)]
+        witness = self._viav[self._locate(u, v)]
         return None if witness < 0 else witness
 
     def set_via(self, u: int, v: int, witness: Optional[int]) -> None:
         """Overwrite the path-unpacking witness of ``<u, v>``."""
-        self._viav[self.slot(u, v)] = -1 if witness is None else witness
+        self._viav[self._locate(u, v)] = -1 if witness is None else witness
 
     # ------------------------------------------------------------------
     # Shortcut-pair enumeration (Section 2)
@@ -762,32 +818,35 @@ class ShortcutGraph:
     # Equation (<>)
     # ------------------------------------------------------------------
     def _equation(
-        self, u: int, v: int, counter: Optional[OpCounter]
+        self, u: int, v: int, edge_w: float, counter: Optional[OpCounter]
     ) -> Tuple[float, int, int]:
-        """Equation (<>) for ``<u, v>``: ``(weight, support, witness)``,
+        """Equation (<>) for ``<u, v>`` (the arc ``u -> v`` at ``D = 2``)
+        whose ``phi(e, G)`` is *edge_w*: ``(weight, support, witness)``,
         the witness ``-1`` for the original edge."""
-        slot_u, slot_v = self._slot[u], self._slot[v]
-        wv = self._wv
-        s = slot_u.get(v)
-        edge_w = _INF if s is None else self._ewv[s]
         best = edge_w
         support = 0 if best == _INF else 1
         witness = -1
-        # Inlined scp_minus over the smaller nbr- list (rank order, so the
-        # first t at or above the limit ends it), with both legs' slots.
+        # Terms phi(u -> t) + phi(t -> v) over the common lower neighbors
+        # t: u -> t is row FROM of <t, u>, t -> v row TO of <t, v> (rows
+        # D - 1 and 0, the one row at D = 1).  Inlined scp_minus over the
+        # smaller nbr- list (rank order, so the first t at or above the
+        # limit ends it), with both legs' slots.
         rank = self._rank
         limit = min(rank[u], rank[v])
-        if len(self._down[u]) <= len(self._down[v]):
-            smaller, smaller_slots, other = self._down[u], self._down_slots[u], slot_v
+        down, down_slots = self._down, self._down_slots
+        if len(down[u]) <= len(down[v]):
+            smaller, smaller_slots, other = down[u], down_slots[u], self._slot[v]
+            near, far = self._from, self._to
         else:
-            smaller, smaller_slots, other = self._down[v], self._down_slots[v], slot_u
+            smaller, smaller_slots, other = down[v], down_slots[v], self._slot[u]
+            near, far = self._to, self._from
         inspected = 0
         for t, s_t in zip(smaller, smaller_slots):
             if rank[t] >= limit:
                 break
             if t in other:
                 inspected += 1
-                candidate = wv[s_t] + wv[other[t]]
+                candidate = near[s_t] + far[other[t]]
                 if candidate < best:
                     best = candidate
                     support = 1
@@ -809,7 +868,9 @@ class ShortcutGraph:
         Does **not** mutate the index; see :meth:`recompute`.
         """
         self._check_pair(u, v)
-        weight, support, witness = self._equation(u, v, counter)
+        weight, support, witness = self._equation(
+            u, v, self.edge_weight(u, v), counter
+        )
         return _RecomputeResult(
             weight=weight, support=support, via=None if witness < 0 else witness
         )
@@ -821,35 +882,38 @@ class ShortcutGraph:
 
         Returns the new weight.  This is line 13 of Algorithm 2 (DCH+).
         """
-        return self.recompute_slot(self.slot(u, v), counter)
+        return self.recompute_slot(self._locate(u, v), counter)
 
-    def recompute_slot(self, s: int, counter: Optional[OpCounter] = None) -> float:
-        """:meth:`recompute` for the shortcut in slot *s*."""
+    def recompute_slot(self, k: int, counter: Optional[OpCounter] = None) -> float:
+        """:meth:`recompute` for arc id *k* (at ``D = 1``, the slot)."""
         st = self._st
-        weight, support, witness = self._equation(
-            st.low_view[s], st.high_view[s], counter
-        )
-        self._wv[s] = weight
-        self._supv[s] = support
-        self._viav[s] = witness
+        back = self._back
+        if back and k >= back:  # row FROM: the arc high -> low
+            u, v = st.high_view[k - back], st.low_view[k - back]
+        else:
+            u, v = st.low_view[k], st.high_view[k]
+        weight, support, witness = self._equation(u, v, self._ewv[k], counter)
+        self._wv[k] = weight
+        self._supv[k] = support
+        self._viav[k] = witness
         return weight
 
     # ------------------------------------------------------------------
     # Whole-index views (tests, experiments)
     # ------------------------------------------------------------------
     def weight_snapshot(self) -> Dict[Shortcut, float]:
-        """A copy of all shortcut weights, keyed canonically."""
-        return dict(zip(self.shortcuts(), self._w.tolist()))
+        """A copy of all shortcut weights, keyed as :meth:`shortcuts`."""
+        return dict(zip(self.shortcuts(), self._wv.tolist()))
 
     def support_snapshot(self) -> Dict[Shortcut, int]:
         """A copy of all support counters."""
-        return dict(zip(self.shortcuts(), self._sup.tolist()))
+        return dict(zip(self.shortcuts(), self._supv.tolist()))
 
     def via_snapshot(self) -> Dict[Shortcut, Optional[int]]:
         """A copy of all path-unpacking witnesses."""
         return {
             key: None if via < 0 else via
-            for key, via in zip(self.shortcuts(), self._via.tolist())
+            for key, via in zip(self.shortcuts(), self._viav.tolist())
         }
 
     def size_in_bytes(self, incremental: bool = True) -> int:
@@ -869,22 +933,25 @@ class ShortcutGraph:
         slot, ``nbr+(u)`` / ``nbr-(u)`` are exactly the rank-sorted
         higher / lower shortcut neighbors of ``u``, every ``nbr+(u)`` is a
         clique, the slot priorities match the ranks and the elimination
-        tree's pre-order ranges are its subtrees — then
-        Equation (<>) for every shortcut and every support counter.
+        tree's pre-order ranges are its subtrees — that only edges of
+        ``G`` carry a finite ``phi(e, G)``, then Equation (<>) for every
+        weight and every support counter (both arcs of a shortcut at
+        ``D = 2``).
         """
         self._st.validate(self._rank)
-        for u, v in self.shortcuts():
-            weight, support, _witness = self._equation(u, v, None)
-            s = self._slot[u][v]
-            if weight != self._wv[s]:
+        stray = np.flatnonzero(~self._edge & (self._ew != _INF))
+        if len(stray):
+            raise IndexError_(f"arc id {int(stray[0])} is not an edge of G")
+        for k, (u, v) in enumerate(self.shortcuts()):
+            weight, support, _witness = self._equation(u, v, self._ewv[k], None)
+            name = f"arc {u}->{v}" if self._back else f"<{u}, {v}>"
+            if weight != self._wv[k]:
                 raise IndexError_(
-                    f"<{u}, {v}>: stored weight {self._wv[s]}, "
-                    f"Equation (<>) gives {weight}"
+                    f"{name}: stored {self._wv[k]}, equation {weight}"
                 )
-            if self._supv[s] != support:
+            if self._supv[k] != support:
                 raise IndexError_(
-                    f"<{u}, {v}>: stored support {self._supv[s]}, "
-                    f"actual {support}"
+                    f"{name}: stored support {self._supv[k]}, actual {support}"
                 )
 
     def __repr__(self) -> str:

@@ -21,9 +21,9 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.ch.dch import dch_decrease, dch_increase
-from repro.ch.indexing import ch_indexing, edge_columns, weigh_structure
+from repro.ch.indexing import ch_indexing, weigh_structure
 from repro.ch.query import ch_distance, ch_distance_many, ch_path
-from repro.graph.graph import RoadNetwork, WeightUpdate, validate_batch
+from repro.graph.graph import WeightUpdate, validate_batch
 from repro.h2h.inch2h import ChangedLabels, inch2h_decrease, inch2h_increase
 from repro.h2h.indexing import fill_distance_arrays, h2h_indexing
 from repro.h2h.query import h2h_distance
@@ -71,12 +71,11 @@ class UpdateReport:
     dropped: int = 0
 
 
-def _reweigh(graph: RoadNetwork, sc, counter: OpCounter):
-    """CHIndexing of *graph* on the order and structure of *sc*, which
-    weight updates never change (:func:`weigh_structure`)."""
-    return weigh_structure(
-        sc.ordering, sc.structure, *edge_columns(graph.edges()), counter
-    )
+def _reweigh(graph, sc, counter: OpCounter):
+    """CHIndexing of *graph* (undirected or directed) on the order and
+    structure of *sc*, which weight updates never change
+    (:func:`weigh_structure`)."""
+    return weigh_structure(sc.ordering, sc.structure, graph, counter)
 
 
 class DynamicOracle:

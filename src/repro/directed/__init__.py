@@ -9,16 +9,17 @@ undirected code wherever the job is the same:
 * :class:`~repro.directed.graph.DiRoadNetwork` — arc-weighted directed
   graphs (one-way streets, asymmetric transit times);
 * :func:`~repro.directed.ch.directed_ch_indexing` — the contraction
-  hierarchy over per-direction shortcut weights (the shortcut *set*
-  stays symmetric — it is the elimination fill of the symmetrized
-  graph, weight independent as before — while each shortcut carries a
-  forward and a backward weight);
+  hierarchy over per-direction shortcut weights, the ``D = 2`` case of
+  the one CH store :class:`~repro.ch.shortcut_graph.ShortcutGraph` (the
+  shortcut *set* stays symmetric — it is the elimination fill of the
+  symmetrized graph, weight independent as before — while each shortcut
+  carries a forward and a backward weight);
 * queries — :func:`repro.ch.query.ch_distance` (forward-upward /
   backward-upward search), :func:`repro.ch.query.ch_distance_many` and
   :func:`repro.h2h.query.h2h_distance` take a directed index as they are;
-* :func:`~repro.directed.dch.directed_dch_increase` /
-  :func:`~repro.directed.dch.directed_dch_decrease` — DCH per
-  direction, with per-direction supports;
+* maintenance — :func:`repro.ch.dch.dch_increase` /
+  :func:`repro.ch.dch.dch_decrease` run on the directed store as they
+  are, with per-direction supports;
 * :func:`~repro.directed.h2h.directed_h2h_indexing` — H2H with ``TO``
   and ``FROM`` labels per vertex–ancestor pair over the skeleton's tree
   decomposition;
@@ -31,8 +32,7 @@ undirected code wherever the job is the same:
   base class and update report of :mod:`repro.core.dynamic`.
 """
 
-from repro.directed.ch import DirectedShortcutGraph, directed_ch_indexing
-from repro.directed.dch import directed_dch_decrease, directed_dch_increase
+from repro.directed.ch import directed_ch_indexing
 from repro.directed.dijkstra import directed_dijkstra
 from repro.directed.dynamic import DynamicDiCH, DynamicDiH2H
 from repro.directed.graph import DiRoadNetwork
@@ -46,12 +46,9 @@ from repro.directed.h2h import (
 __all__ = [
     "DiRoadNetwork",
     "DirectedH2HIndex",
-    "DirectedShortcutGraph",
     "DynamicDiCH",
     "DynamicDiH2H",
     "directed_ch_indexing",
-    "directed_dch_decrease",
-    "directed_dch_increase",
     "directed_dijkstra",
     "directed_h2h_indexing",
     "directed_inch2h_decrease",

@@ -4,7 +4,8 @@ The directed halves of :mod:`repro.core.dynamic`, on the same
 :class:`~repro.core.dynamic.DynamicOracle` base and the same
 :class:`~repro.core.dynamic.UpdateReport`: build once, then interleave
 asymmetric distance queries with per-arc weight updates; mixed batches
-are split and dispatched to directed DCH / directed IncH2H.
+are split and dispatched to DCH± on the directed store / directed
+IncH2H.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from typing import List
 import numpy as np
 
 from repro.ch.query import ch_distance, ch_distance_many
-from repro.core.dynamic import DynamicOracle
-from repro.directed.ch import directed_ch_indexing, weigh_directed_structure
-from repro.directed.dch import directed_dch_decrease, directed_dch_increase
+from repro.ch.dch import dch_decrease, dch_increase
+from repro.core.dynamic import DynamicOracle, _reweigh
+from repro.directed.ch import directed_ch_indexing
 from repro.directed.graph import DiRoadNetwork
 from repro.directed.h2h import (
     directed_fill_labels,
@@ -25,15 +26,8 @@ from repro.directed.h2h import (
     directed_inch2h_increase,
 )
 from repro.h2h.query import h2h_distance
-from repro.utils.counters import OpCounter
 
 __all__ = ["DynamicDiCH", "DynamicDiH2H"]
-
-
-def _reweigh(graph: DiRoadNetwork, sc, counter: OpCounter):
-    """Directed CHIndexing of *graph* on the order and skeleton of *sc*,
-    which weight updates never change (:func:`weigh_directed_structure`)."""
-    return weigh_directed_structure(sc.ordering, sc.structure, graph, counter)
 
 
 class DynamicDiCH(DynamicOracle):
@@ -63,7 +57,7 @@ class DynamicDiCH(DynamicOracle):
         return ch_distance_many(self.index, sources, targets, self.counter)
 
     def _maintain(self, increase: bool, batch, ops) -> List:
-        run = directed_dch_increase if increase else directed_dch_decrease
+        run = dch_increase if increase else dch_decrease
         return run(self.index, batch, ops)
 
     def rebuild(self) -> None:

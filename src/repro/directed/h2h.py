@@ -28,11 +28,12 @@ The labels are one ``(2, n, width)`` array per kind (``dis[TO]``,
 ``dis[FROM]``).  The slot weights are the directed CH store's own
 ``(2, slots)`` array, whose slot order is the tree's upward CSR:
 ``phi(low -> high)`` in row ``TO`` and ``phi(high -> low)`` in row
-``FROM`` for the slot of shortcut ``(low, high)``; directed DCH writes
-them in place, so the labels never read a stale copy.  Directed IncH2H±
-is the undirected level-synchronous engine of :mod:`repro.h2h.inch2h`
-over these two matrices: only DCH and the label row each changed arc
-seeds (lines 3-12 of Algorithms 4-5) are directed here.
+``FROM`` for the slot of shortcut ``(low, high)``; DCH± writes them in
+place, so the labels never read a stale copy.  Directed IncH2H± is the
+undirected level-synchronous engine of :mod:`repro.h2h.inch2h` over
+these two matrices, after DCH± (:mod:`repro.ch.dch`) on the ``D = 2``
+store: only the label row each changed arc seeds (lines 3-12 of
+Algorithms 4-5) is directed here.
 """
 
 from __future__ import annotations
@@ -42,15 +43,12 @@ from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.directed.ch import DirectedShortcutGraph, directed_ch_indexing
-from repro.directed.dch import (
-    ArcUpdate,
-    directed_dch_decrease,
-    directed_dch_increase,
-    trace_directed_call,
-)
+from repro.ch.dch import dch_decrease, dch_increase, trace_call
+from repro.ch.shortcut_graph import ShortcutGraph
+from repro.directed.ch import directed_ch_indexing
 from repro.directed.graph import DiRoadNetwork
 from repro.errors import IndexError_
+from repro.graph.graph import WeightUpdate
 from repro.h2h.index import LabelBuffers
 from repro.h2h.inch2h import (
     ChangedLabels,
@@ -88,7 +86,7 @@ class DirectedH2HIndex(LabelBuffers):
 
     def __init__(
         self,
-        sc: DirectedShortcutGraph,
+        sc: ShortcutGraph,
         tree: TreeDecomposition,
         dis: np.ndarray,
         sup: np.ndarray,
@@ -205,7 +203,7 @@ def directed_h2h_indexing(
 
 
 def directed_fill_labels(
-    sc: DirectedShortcutGraph,
+    sc: ShortcutGraph,
     tree: TreeDecomposition,
     counter: Optional[OpCounter] = None,
 ) -> DirectedH2HIndex:
@@ -256,7 +254,7 @@ def _arc_rows(index, changed_arcs, ops, increase: bool) -> Iterator[tuple]:
 
 def directed_inch2h_increase(
     index: DirectedH2HIndex,
-    updates: Sequence[ArcUpdate],
+    updates: Sequence[WeightUpdate],
     counter: Optional[OpCounter] = None,
 ) -> ChangedLabels:
     """Directed IncH2H+ : weight increases through both label matrices.
@@ -271,18 +269,18 @@ def directed_inch2h_increase(
             counter = OpCounter()
         ops = resolve_counter(counter)
         ops_before = ops.as_dict() if sp.active else None
-        changed_arcs = directed_dch_increase(index.sc, updates, counter)
+        changed_arcs = dch_increase(index.sc, updates, counter)
         levels = _Levels(index)
         _seed_increase(index, levels, _arc_rows(index, changed_arcs, ops, True))
         changed = _increase_propagate(index, levels, ops, None)
         if sp.active:
-            trace_directed_call(sp, len(updates), len(changed), ops, ops_before)
+            trace_call(sp, len(updates), len(changed), ops, ops_before)
     return changed
 
 
 def directed_inch2h_decrease(
     index: DirectedH2HIndex,
-    updates: Sequence[ArcUpdate],
+    updates: Sequence[WeightUpdate],
     counter: Optional[OpCounter] = None,
 ) -> ChangedLabels:
     """Directed IncH2H- : weight decreases with on-the-fly supports.
@@ -294,12 +292,12 @@ def directed_inch2h_decrease(
             counter = OpCounter()
         ops = resolve_counter(counter)
         ops_before = ops.as_dict() if sp.active else None
-        changed_arcs = directed_dch_decrease(index.sc, updates, counter)
+        changed_arcs = dch_decrease(index.sc, updates, counter)
         levels = _Levels(index)
         _seed_decrease(
             index, levels, _arc_rows(index, changed_arcs, ops, False)
         )
         changed = _decrease_propagate(index, levels, ops, None)
         if sp.active:
-            trace_directed_call(sp, len(updates), len(changed), ops, ops_before)
+            trace_call(sp, len(updates), len(changed), ops, ops_before)
     return changed

@@ -211,9 +211,9 @@ class H2HIndex(LabelBuffers):
 
     def slot_weights(self) -> np.ndarray:
         """The ``(1, slots)`` shortcut weights the level-synchronous
-        IncH2H± gathers from: a view of ``sc``'s slot store, whose slot
-        order is the tree's ``nbr+`` CSR (one label matrix, ``D = 1``)."""
-        return self.sc.slot_weights.reshape(1, -1)
+        IncH2H± gathers from: ``sc``'s live slot store, whose slot order
+        is the tree's ``nbr+`` CSR (one label matrix, ``D = 1``)."""
+        return self.sc.slot_weights
 
     @property
     def n(self) -> int:

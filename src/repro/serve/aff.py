@@ -63,9 +63,9 @@ def ch_affected_vertices(sc, changed_shortcuts: Sequence) -> Set[int]:
     structure (the module docstring has the proof).
 
     *changed_shortcuts* is the DCH change list: ``((u, v), old, new)``
-    triples (the paper's set ``C``).  Works for the directed skeleton
-    too — :class:`DirectedShortcutGraph` lays its skeleton out in the
-    same :class:`ShortcutStructure`, so the tree is the same, and the
+    triples (the paper's set ``C``).  Works for the directed store too
+    — its changed arcs ``(tail, head)`` sit on the same
+    :class:`ShortcutStructure`, so the tree is the same, and the
     up-down path argument is per-direction identical.
 
     Subtree ranges nest or are disjoint, so after sorting the distinct

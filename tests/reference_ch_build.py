@@ -17,7 +17,6 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.ch.shortcut_graph import ShortcutGraph, ShortcutStructure
-from repro.directed.ch import DirectedShortcutGraph
 from repro.directed.graph import DiRoadNetwork
 from repro.errors import IndexError_, OrderingError
 from repro.graph.graph import RoadNetwork
@@ -67,12 +66,14 @@ def reference_ch_indexing(
 
 
 def rebuild_supports(index: ShortcutGraph, counter: Optional[OpCounter] = None) -> None:
-    """Recompute ``sup``/``via`` of every shortcut from Equation (<>),
-    one shortcut at a time; the weights must already satisfy it."""
-    st = index.structure
+    """Recompute ``sup``/``via`` of every shortcut (every arc of a
+    directed store) from Equation (<>), one at a time; the weights must
+    already satisfy it."""
     weights, _, sups, vias = index.slot_views()
-    for s, (u, v) in enumerate(zip(st.low.tolist(), st.high.tolist())):
-        weight, support, witness = index._equation(u, v, counter)
+    for s, (u, v) in enumerate(index.shortcuts()):
+        weight, support, witness = index._equation(
+            u, v, index.edge_weight(u, v), counter
+        )
         if weight != weights[s]:
             raise IndexError_(
                 f"shortcut <{u}, {v}> weight {weights[s]} violates "
@@ -86,7 +87,7 @@ def reference_directed_ch_indexing(
     graph: DiRoadNetwork,
     ordering: Optional[Ordering] = None,
     counter: Optional[OpCounter] = None,
-) -> DirectedShortcutGraph:
+) -> ShortcutGraph:
     """Directed Algorithm 1 (one relax per direction) over dict-of-dicts,
     laid out in the ``(2, slots)`` store, then the scalar support pass."""
     skeleton = graph.symmetrized()
@@ -127,19 +128,15 @@ def reference_directed_ch_indexing(
         [[weights[x][y] for x, y in pairs], [weights[y][x] for x, y in pairs]],
         dtype=np.float64,
     )
+    slots = len(pairs)
     arc = np.zeros(phi.shape, dtype=bool)
     phi_g = np.full(phi.shape, math.inf)
-    index = DirectedShortcutGraph(
-        ordering, st, arc, phi, phi_g, np.zeros(phi.shape, dtype=np.int64)
-    )
-    arcs = [(index.arc_id(u, v), w) for u, v, w in graph.arcs()]
-    arc.reshape(-1)[[k for k, _ in arcs]] = True
-    phi_g.reshape(-1)[[k for k, _ in arcs]] = [w for _, w in arcs]
-    st.edge[:] = arc.any(axis=0)
-    phis, _, counts = index.slot_views()
-    for k in range(2 * len(pairs)):
-        value, support = index._equation(k, None)
-        if value != phis[k]:
-            raise IndexError_(f"arc id {k}: stored {phis[k]}, equation {value}")
-        counts[k] = support
+    for u, v, w in graph.arcs():
+        k = st.slot[u][v] + slots * (rank[u] > rank[v])
+        arc.reshape(-1)[k] = True
+        phi_g.reshape(-1)[k] = w
+    sup = np.zeros(phi.shape, dtype=np.int64)
+    via = np.full(phi.shape, -1, dtype=np.int64)
+    index = ShortcutGraph.from_slots(ordering, st, arc, phi, phi_g, sup, via)
+    rebuild_supports(index)
     return index

@@ -1,16 +1,16 @@
 """The key-based directed DCH± — the test reference of the slot path.
 
 This is directed Algorithms 2 and 3 as the library ran them before the
-slot-native rewrite of :mod:`repro.directed.dch`: an
+slot-native rewrite of :mod:`repro.ch.dch`: an
 :class:`AddressableHeap` of ``(tail, head)`` keys prioritised by
 ``(min rank, max rank, tail rank)`` tuples, each pop walking the
 upward neighbors of the lower endpoint and reading weights, supports
-and arc weights through the per-key accessors of
-:class:`DirectedShortcutGraph`.  It shares only batch validation and
+and arc weights through the per-key accessors of the directed
+:class:`ShortcutGraph`.  It shares only batch validation and
 trace bookkeeping with the slot path, so
 ``tests/test_directed_dch_slots.py`` can hold
-:func:`repro.directed.dch.directed_dch_increase` and
-:func:`repro.directed.dch.directed_dch_decrease` to it: bit-equal
+:func:`repro.ch.dch.dch_increase` and
+:func:`repro.ch.dch.dch_decrease` on a directed store to it: bit-equal
 ``phi``, ``phi_G`` and supports in both directions, the same changed
 arcs in the same order, and the same ``OpCounter`` dict.
 """
@@ -20,26 +20,22 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Sequence, Tuple
 
-from repro.directed.ch import Arc, DirectedShortcutGraph
-from repro.directed.dch import (
-    ArcUpdate,
-    ChangedArc,
-    _validate,
-    trace_directed_call,
-)
+from repro.ch.dch import ChangedShortcut, _validate_batch, trace_call
+from repro.ch.shortcut_graph import Shortcut, ShortcutGraph
+from repro.graph.graph import WeightUpdate
 from repro.obs import names
 from repro.obs.trace import span
 from repro.utils.counters import OpCounter, resolve_counter
 from repro.utils.heap import AddressableHeap
 
 
-def _priority(index: DirectedShortcutGraph, arc: Arc) -> Tuple[int, int, int]:
+def _priority(index: ShortcutGraph, arc: Shortcut) -> Tuple[int, int, int]:
     rank = index.ordering.rank
     u, v = arc
     return (min(rank[u], rank[v]), max(rank[u], rank[v]), rank[u])
 
 
-def _partners(index: DirectedShortcutGraph, arc: Arc):
+def _partners(index: ShortcutGraph, arc: Shortcut):
     """Yield ``(other_leg, partner)`` for every candidate *arc* feeds.
 
     ``other_leg`` is the second directed shortcut in the candidate sum
@@ -62,22 +58,22 @@ def _partners(index: DirectedShortcutGraph, arc: Arc):
 
 
 def reference_directed_dch_increase(
-    index: DirectedShortcutGraph,
-    updates: Sequence[ArcUpdate],
+    index: ShortcutGraph,
+    updates: Sequence[WeightUpdate],
     counter: Optional[OpCounter] = None,
-) -> List[ChangedArc]:
+) -> List[ChangedShortcut]:
     """DCH+ over directed shortcuts; returns the changed arcs."""
-    _validate(index, updates, "increase")
+    _validate_batch(index, updates, "increase")
     with span(names.SPAN_DIRECTED_DCH_INCREASE) as sp:
         if sp.active and counter is None:
             counter = OpCounter()
         ops = resolve_counter(counter)
         ops_before = ops.as_dict() if sp.active else None
-        queue: AddressableHeap[Arc] = AddressableHeap()
+        queue: AddressableHeap[Shortcut] = AddressableHeap()
 
         for (u, v), w in updates:
             ops.add("delta_inspect")
-            old_arc = index.arc_weight(u, v)
+            old_arc = index.edge_weight(u, v)
             if w > old_arc and not math.isinf(old_arc) and (
                 old_arc == index.weight(u, v)
             ):
@@ -86,9 +82,9 @@ def reference_directed_dch_increase(
                 if sup == 0:
                     queue.push((u, v), _priority(index, (u, v)))
                     ops.add("queue_push")
-            index.set_arc_weight(u, v, w)
+            index.set_edge_weight(u, v, w)
 
-        changed: List[ChangedArc] = []
+        changed: List[ChangedShortcut] = []
         while queue:
             arc, _ = queue.pop()
             ops.add("queue_pop")
@@ -104,33 +100,33 @@ def reference_directed_dch_increase(
                         if sup == 0:
                             queue.push((p, q), _priority(index, (p, q)))
                             ops.add("queue_push")
-            new_weight = index.recompute_arc(u, v, ops)
+            new_weight = index.recompute(u, v, ops)
             if new_weight != old_weight:
                 changed.append((arc, old_weight, new_weight))
         if sp.active:
-            trace_directed_call(sp, len(updates), len(changed), ops, ops_before)
+            trace_call(sp, len(updates), len(changed), ops, ops_before)
     return changed
 
 
 def reference_directed_dch_decrease(
-    index: DirectedShortcutGraph,
-    updates: Sequence[ArcUpdate],
+    index: ShortcutGraph,
+    updates: Sequence[WeightUpdate],
     counter: Optional[OpCounter] = None,
-) -> List[ChangedArc]:
+) -> List[ChangedShortcut]:
     """DCH- over directed shortcuts; returns the changed arcs."""
-    _validate(index, updates, "decrease")
+    _validate_batch(index, updates, "decrease")
     with span(names.SPAN_DIRECTED_DCH_DECREASE) as sp:
         if sp.active and counter is None:
             counter = OpCounter()
         ops = resolve_counter(counter)
         ops_before = ops.as_dict() if sp.active else None
-        queue: AddressableHeap[Arc] = AddressableHeap()
+        queue: AddressableHeap[Shortcut] = AddressableHeap()
         original: dict = {}
 
         for (u, v), w in updates:
             ops.add("delta_inspect")
-            old_arc = index.arc_weight(u, v)
-            index.set_arc_weight(u, v, w)
+            old_arc = index.edge_weight(u, v)
+            index.set_edge_weight(u, v, w)
             current = index.weight(u, v)
             if w < current:
                 original.setdefault((u, v), current)
@@ -171,5 +167,5 @@ def reference_directed_dch_decrease(
             if index.weight(*arc) != old
         ]
         if sp.active:
-            trace_directed_call(sp, len(updates), len(changed), ops, ops_before)
+            trace_call(sp, len(updates), len(changed), ops, ops_before)
     return changed

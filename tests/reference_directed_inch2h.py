@@ -21,11 +21,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.directed.dch import (
-    ArcUpdate,
-    directed_dch_decrease,
-    directed_dch_increase,
+from repro.ch.dch import (
+    dch_decrease,
+    dch_increase,
 )
+from repro.graph.graph import WeightUpdate
 from repro.perf import kernels
 from repro.utils.counters import OpCounter, resolve_counter
 from repro.utils.heap import AddressableHeap
@@ -64,13 +64,13 @@ def _seed_candidates(index, arc, weight):
 
 def reference_increase(
     index,
-    updates: Sequence[ArcUpdate],
+    updates: Sequence[WeightUpdate],
     counter: Optional[OpCounter] = None,
 ) -> List[Tuple[Entry, float, float]]:
     """Directed IncH2H+, one queue entry at a time."""
     ops = resolve_counter(counter)
     index.drop_log()  # writes the labels directly, unlogged
-    changed_arcs = directed_dch_increase(index.sc, updates, counter)
+    changed_arcs = dch_increase(index.sc, updates, counter)
 
     sc = index.sc
     tree = index.tree
@@ -148,14 +148,14 @@ def reference_increase(
 
 def reference_decrease(
     index,
-    updates: Sequence[ArcUpdate],
+    updates: Sequence[WeightUpdate],
     counter: Optional[OpCounter] = None,
 ) -> List[Tuple[Entry, float, float]]:
     """Directed IncH2H-, one queue entry at a time, with the
     ``(direction, u, via)`` seed memo."""
     ops = resolve_counter(counter)
     index.drop_log()  # writes the labels directly, unlogged
-    changed_arcs = directed_dch_decrease(index.sc, updates, counter)
+    changed_arcs = dch_decrease(index.sc, updates, counter)
 
     sc = index.sc
     tree = index.tree

@@ -7,8 +7,8 @@ structure from a symbolic elimination and every weight, support and
 witness in one vectorised pass per elimination-tree height.
 ``reference_ch_build`` holds the dict-of-dicts contraction and the
 scalar Equation (<>) support pass they replaced.  Both must produce
-byte-equal slot stores — structure, ``phi``, ``phi(e, G)``, ``sup`` and
-``via`` — and equal ``contract_pair`` / ``scp_minus_inspect`` counts.
+byte-equal slot stores — structure, edge flags, ``phi``, ``phi(e, G)``,
+``sup`` and ``via``, in one row or two — and equal ``contract_pair`` / ``scp_minus_inspect`` counts.
 """
 
 from __future__ import annotations
@@ -37,8 +37,9 @@ def same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
 def assert_same_structure(ours, theirs) -> None:
     a, b = ours.structure, theirs.structure
     assert ours.ordering == theirs.ordering
-    for name in ("low", "high", "prio", "edge"):
+    for name in ("low", "high", "prio"):
         assert same_bytes(getattr(a, name), getattr(b, name)), name
+    assert same_bytes(ours._edge, theirs._edge), "edge"
     for name in ("up", "down", "down_slots", "slot", "ptr", "parent", "order",
                  "pre", "size", "height"):
         assert getattr(a, name) == getattr(b, name), name
@@ -65,10 +66,9 @@ def assert_same_directed_build(graph, ordering=None):
     ours = directed_ch_indexing(graph, ordering, ops)
     theirs = reference_directed_ch_indexing(graph, ordering, ref_ops)
     assert_same_structure(ours, theirs)
-    for name, x, y in zip(("phi", "phi_G", "support"),
+    for name, x, y in zip(("phi", "phi_G", "sup", "via"),
                           ours.slot_views(), theirs.slot_views()):
         assert same_bytes(np.asarray(x), np.asarray(y)), name
-    assert same_bytes(ours._arc, theirs._arc)
     assert ops.as_dict() == ref_ops.as_dict()
     ours.validate()
     return ours

@@ -95,20 +95,15 @@ def order(index, record):
     return (int(index.tree.depth[u]),) + tuple(key)
 
 
-def weights(kind, index):
-    sc = index.sc
-    return sc.edge_weight if kind == "undirected" else sc.arc_weight
-
-
 def stream(kind, graph, index):
     """Seeded raise, restore and mixed steps: ``(increase, batch)``."""
     edges = sample_edges(graph, 20, seed=7)
     if kind == "directed":  # both arcs of each sampled road
         edges = [a for u, v, w in edges for a in ((u, v, w), (v, u, w))]
-        edges = [(u, v, index.sc.arc_weight(u, v)) for u, v, _w in edges]
+        edges = [(u, v, index.sc.edge_weight(u, v)) for u, v, _w in edges]
     yield True, [((u, v), w * 2.0) for u, v, w in edges]
     yield False, [((u, v), float(w)) for u, v, w in edges]
-    weight = weights(kind, index)
+    weight = index.sc.edge_weight
     mixed = mixed_batch(graph, 20, seed=8)
     if kind == "directed":
         mixed = [(e, weight(*e) * (w / graph.weight(*e))) for e, w in mixed]

@@ -9,7 +9,7 @@ import pytest
 
 from repro.ch.query import ch_distance
 from repro.directed.ch import directed_ch_indexing
-from repro.directed.dch import directed_dch_decrease, directed_dch_increase
+from repro.ch.dch import dch_decrease, dch_increase
 from repro.directed.dijkstra import directed_dijkstra, directed_distance
 from repro.directed.graph import DiRoadNetwork
 from repro.errors import GraphError, IndexError_, QueryError, UpdateError
@@ -231,7 +231,7 @@ class TestDirectedCH:
             index.set_support(high, low, index.support(high, low) + 1)
             match = f"arc {high}->{low}: stored support"
         elif corrupt == "arc_weight":
-            index.set_arc_weight(low, high, 0.0)
+            index.set_edge_weight(low, high, 0.0)
             match = f"arc {low}->{high}: .* equation 0.0"
         else:
             index.structure.prio[0] += 1
@@ -257,7 +257,7 @@ class TestDirectedCH:
 class TestDirectedDCH:
     def _assert_equals_rebuild(self, index, graph):
         fresh = directed_ch_indexing(graph, index.ordering)
-        for u, v in index.shortcut_arcs():
+        for u, v in index.shortcuts():
             assert index.weight(u, v) == fresh.weight(u, v), (u, v)
             assert index.support(u, v) == fresh.support(u, v), (u, v)
 
@@ -266,7 +266,7 @@ class TestDirectedDCH:
         rng = random.Random(4)
         arcs = list(one_way_city.arcs())
         batch = [((u, v), w * 2.0) for u, v, w in rng.sample(arcs, 10)]
-        directed_dch_increase(index, batch)
+        dch_increase(index, batch)
         for (u, v), w in batch:
             one_way_city.set_weight(u, v, w)
         self._assert_equals_rebuild(index, one_way_city)
@@ -276,7 +276,7 @@ class TestDirectedDCH:
         rng = random.Random(5)
         arcs = list(one_way_city.arcs())
         batch = [((u, v), w * 0.5) for u, v, w in rng.sample(arcs, 10)]
-        directed_dch_decrease(index, batch)
+        dch_decrease(index, batch)
         for (u, v), w in batch:
             one_way_city.set_weight(u, v, w)
         self._assert_equals_rebuild(index, one_way_city)
@@ -289,7 +289,7 @@ class TestDirectedDCH:
         )
         u, v, w = two_way
         reverse_before = index.weight(v, u)
-        directed_dch_increase(index, [((u, v), w * 3.0)])
+        dch_increase(index, [((u, v), w * 3.0)])
         one_way_city.set_weight(u, v, w * 3.0)
         # The reverse shortcut can only have changed if some directed
         # valley path through (u -> v) served v -> u, which it cannot.
@@ -301,8 +301,8 @@ class TestDirectedDCH:
         rng = random.Random(6)
         arcs = list(one_way_city.arcs())
         sample = rng.sample(arcs, 12)
-        directed_dch_increase(index, [((u, v), w * 2.0) for u, v, w in sample])
-        directed_dch_decrease(index, [((u, v), float(w)) for u, v, w in sample])
+        dch_increase(index, [((u, v), w * 2.0) for u, v, w in sample])
+        dch_decrease(index, [((u, v), float(w)) for u, v, w in sample])
         self._assert_equals_rebuild(index, one_way_city)
 
     def test_queries_after_updates(self, one_way_city):
@@ -314,7 +314,7 @@ class TestDirectedDCH:
             factor = [2.0, 4.0, 1.5][round_id]
             batch = [((u, v), one_way_city.weight(u, v) * factor)
                      for u, v, _ in sample]
-            directed_dch_increase(index, batch)
+            dch_increase(index, batch)
             for (u, v), w in batch:
                 one_way_city.set_weight(u, v, w)
             index.validate()
@@ -328,9 +328,9 @@ class TestDirectedDCH:
     def test_validation_errors(self, one_way_city):
         index = directed_ch_indexing(one_way_city)
         with pytest.raises(UpdateError):
-            directed_dch_increase(index, [((0, 10**6), 1.0)])
+            dch_increase(index, [((0, 10**6), 1.0)])
         u, v, w = next(iter(one_way_city.arcs()))
         with pytest.raises(UpdateError):
-            directed_dch_increase(index, [((u, v), w * 0.5)])
+            dch_increase(index, [((u, v), w * 0.5)])
         with pytest.raises(UpdateError):
-            directed_dch_decrease(index, [((u, v), w * 2.0)])
+            dch_decrease(index, [((u, v), w * 2.0)])

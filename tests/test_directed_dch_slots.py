@@ -1,7 +1,7 @@
 """Differential: slot-native directed DCH± against the key-based reference.
 
-:func:`repro.directed.dch.directed_dch_increase` / ``_decrease`` pop
-arc ids off one int-keyed heap and walk ``nbr+(l)`` as the partner row;
+:func:`repro.ch.dch.dch_increase` / ``dch_decrease`` on a directed store
+pop arc ids off one heap and walk ``nbr+(l)`` as the partner row;
 ``tests/reference_directed_dch.py`` is the same directed Algorithms 2-3
 on ``(tail, head)`` keys, an addressable heap and per-key accessors.
 On twin clones of one index, every batch must leave bit-equal ``phi``,
@@ -12,23 +12,26 @@ in the same order and add the same ``OpCounter`` dict.
 from __future__ import annotations
 
 import math
+import operator
 import random
 
 import pytest
 
+from repro.ch.dch import dch_decrease, dch_increase
+from repro.ch.indexing import ch_indexing
 from repro.directed.ch import directed_ch_indexing
-from repro.directed.dch import directed_dch_decrease, directed_dch_increase
 from repro.directed.graph import DiRoadNetwork
 from repro.errors import IndexError_, UpdateError
 from repro.graph.generators import road_network
 from repro.utils.counters import OpCounter
+from repro.workloads.updates import mixed_batch
 
 from reference_directed_dch import (
     reference_directed_dch_decrease,
     reference_directed_dch_increase,
 )
 
-SLOTS = {"increase": directed_dch_increase, "decrease": directed_dch_decrease}
+SLOTS = {"increase": dch_increase, "decrease": dch_decrease}
 REFERENCE = {
     "increase": reference_directed_dch_increase,
     "decrease": reference_directed_dch_decrease,
@@ -36,8 +39,10 @@ REFERENCE = {
 
 
 def state(sc):
-    """``phi``, ``phi_G`` and the supports as bytes: equal means bit-equal."""
-    return tuple(view.tobytes() for view in sc.slot_views())
+    """``phi``, ``phi_G`` and the supports as bytes: equal means bit-equal.
+    The witness row ``via`` is left out: the reference predates witnesses
+    on the directed store and never writes them."""
+    return tuple(view.tobytes() for view in sc.slot_views()[:3])
 
 
 class Twins:
@@ -63,8 +68,8 @@ class Twins:
 
     def apply_mixed(self, batch):
         sc = self.slots
-        self.apply("increase", [(a, w) for a, w in batch if w > sc.arc_weight(*a)])
-        self.apply("decrease", [(a, w) for a, w in batch if w < sc.arc_weight(*a)])
+        self.apply("increase", [(a, w) for a, w in batch if w > sc.edge_weight(*a)])
+        self.apply("decrease", [(a, w) for a, w in batch if w < sc.edge_weight(*a)])
 
 
 def sample_arcs(digraph, count, seed):
@@ -130,12 +135,42 @@ def test_negative_vertex_id_rejected(direction):
     # -1 must not wrap to vertex n - 1: n - 1 -> x is an arc of G.
     digraph = DiRoadNetwork.from_undirected(road_network(30, seed=1), asymmetry=2.0)
     sc = directed_ch_indexing(digraph)
-    x = next(x for x in range(sc.n) if sc.is_arc(sc.n - 1, x))
+    x = next(x for x in range(sc.n) if sc.is_graph_edge(sc.n - 1, x))
     before = state(sc)
-    assert not sc.is_arc(-1, x) and not sc.has_shortcut(-1, x)
+    assert not sc.is_graph_edge(-1, x) and not sc.has_shortcut(-1, x)
     with pytest.raises(IndexError_):
-        sc.arc_id(-1, x)
-    w = sc.arc_weight(sc.n - 1, x)
+        sc.weight(-1, x)
+    w = sc.edge_weight(sc.n - 1, x)
     with pytest.raises(UpdateError):
         SLOTS[direction](sc, [((-1, x), w * 2 if direction == "increase" else w / 2)])
     assert state(sc) == before
+
+
+def test_symmetric_digraph_runs_as_the_undirected_index():
+    """One engine, two values of D: on a digraph with both arcs of every
+    road at the road's weight, both rows of the ``D = 2`` store stay
+    byte-equal to the ``D = 1`` store's one row, batch after batch, and
+    the changed arcs are exactly both directions of the changed
+    shortcuts."""
+    graph = road_network(400)
+    directed = directed_ch_indexing(DiRoadNetwork.from_undirected(graph))
+    undirected = ch_indexing(graph, directed.ordering)
+
+    def assert_rows_equal():
+        for one, two in zip(undirected.slot_views(), directed.slot_views()):
+            assert two.tobytes() == 2 * one.tobytes()
+
+    assert_rows_equal()
+    for seed in range(6):
+        batch = mixed_batch(graph, 20, seed=seed)
+        for run, keep in ((dch_increase, operator.gt), (dch_decrease, operator.lt)):
+            half = [(e, w) for e, w in batch if keep(w, undirected.edge_weight(*e))]
+            changed = run(undirected, half)
+            arcs = run(directed, [((a, b), w) for (u, v), w in half
+                                  for a, b in ((u, v), (v, u))])
+            assert changed
+            assert sorted(arcs) == sorted(
+                ((a, b), old, new) for (u, v), old, new in changed
+                for a, b in ((u, v), (v, u))
+            )
+            assert_rows_equal()

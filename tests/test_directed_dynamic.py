@@ -201,8 +201,9 @@ def _counted(build):
 
 
 def _state(sc):
-    """Bytes of the arc flags, ``phi``, ``phi_G`` and the supports."""
-    return [sc._arc.tobytes()] + [view.tobytes() for view in sc.slot_views()]
+    """Bytes of the arc flags, ``phi``, ``phi_G``, the supports and the
+    witnesses."""
+    return [sc._edge.tobytes()] + [view.tobytes() for view in sc.slot_views()]
 
 
 class TestRebuildKeepsStructure:

@@ -20,7 +20,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.directed.dch import directed_dch_decrease
+from repro.ch.dch import dch_decrease
 from repro.directed.graph import DiRoadNetwork
 from repro.directed.h2h import (
     _arc_rows,
@@ -80,8 +80,8 @@ class Twins:
 
     def apply_mixed(self, batch):
         sc = self.level.sc
-        ups = [(arc, w) for arc, w in batch if w > sc.arc_weight(*arc)]
-        downs = [(arc, w) for arc, w in batch if w < sc.arc_weight(*arc)]
+        ups = [(arc, w) for arc, w in batch if w > sc.edge_weight(*arc)]
+        downs = [(arc, w) for arc, w in batch if w < sc.edge_weight(*arc)]
         self.apply("increase", ups)
         self.apply("decrease", downs)
 
@@ -156,7 +156,7 @@ def scenarios(digraph, count, monkeypatch):
     halved = sample_arcs(digraph, 2 * count, seed=0)
     batch = [((u, v), w * 0.5) for u, v, w in halved]
     probe = twins.level.clone()
-    changed_arcs = directed_dch_decrease(probe.sc, batch)
+    changed_arcs = dch_decrease(probe.sc, batch)
     rows = list(_arc_rows(probe, changed_arcs, OpCounter(), False))
     changed = twins.apply("decrease", batch)
     assert stale_seed_reads(twins.level, rows, changed) > 0

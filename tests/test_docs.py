@@ -1,9 +1,10 @@
 """Tier-1 face of tools/check_docs.py: docs and code may never drift.
 
 CI runs ``python tools/check_docs.py`` as its own job; this module runs
-the same five checks inside the test suite so a plain ``pytest tests/``
-catches a broken link, a drifted ``file.py:line`` anchor, or an
-undocumented metric/span before CI does.
+the same six checks inside the test suite so a plain ``pytest tests/``
+catches a broken link, a drifted ``file.py:line`` anchor, a stale
+``repro.…`` name or source path, or an undocumented metric/span before
+CI does.
 """
 
 import importlib.util
@@ -32,6 +33,27 @@ def test_links_resolve(check_docs):
 
 def test_code_anchors_accurate(check_docs):
     assert check_docs.check_anchors() == []
+
+
+def test_references_resolve(check_docs):
+    assert check_docs.check_references() == []
+
+
+def test_stale_references_are_reported(check_docs, tmp_path, monkeypatch):
+    """A dotted ``repro.…`` name that no longer resolves and a bare
+    source path that no longer exists are both reported."""
+    (tmp_path / "src" / "repro" / "ch").mkdir(parents=True)
+    (tmp_path / "src" / "repro" / "ch" / "dch.py").write_text("", encoding="utf-8")
+    (tmp_path / "DESIGN.md").write_text(
+        "`repro.ch.dch.dch_increase(index, batch)` and `repro.directed.dch`; "
+        "`src/repro/ch/dch.py` and `src/repro/directed/dch.py`.",
+        encoding="utf-8",
+    )
+    monkeypatch.setattr(check_docs, "REPO_ROOT", str(tmp_path))
+    assert check_docs.check_references() == [
+        "DESIGN.md: reference repro.directed.dch does not resolve",
+        "DESIGN.md: path src/repro/directed/dch.py does not exist",
+    ]
 
 
 def test_observability_catalogue_documented(check_docs):

@@ -185,22 +185,20 @@ class TestRebuildKeepsStructure:
     def test_edge_missing_from_the_structure_is_rejected(self, medium_road):
         """A graph edge the structure does not hold fails loudly instead
         of weighing some other slot."""
-        from repro.ch.indexing import edge_columns, weigh_structure
+        from repro.ch.indexing import weigh_structure
         from repro.errors import IndexError_
 
         index = ch_indexing(medium_road.copy())
         st = index.structure
-        u, v, w = edge_columns(medium_road.edges())
         held = {(int(a), int(b)) for a, b in zip(st.low, st.high)}
         missing = next(
             (a, b) for a in range(medium_road.n) for b in range(a + 1, medium_road.n)
             if (a, b) not in held and (b, a) not in held
         )
+        grown = medium_road.copy()
+        grown.add_edge(*missing, 1.0)
         with pytest.raises(IndexError_):
-            weigh_structure(
-                index.ordering, st,
-                np.append(u, missing[0]), np.append(v, missing[1]), np.append(w, 1.0),
-            )
+            weigh_structure(index.ordering, st, grown)
 
 
 class TestH2HWeightsOnlyRebuild:

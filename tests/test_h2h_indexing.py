@@ -135,7 +135,7 @@ class TestValidation:
                 sc = paper_h2h.sc
                 store_slot = tree.down_slot[s]
                 assert sc.slot(v, a) == store_slot
-                assert sc.slot_weights[store_slot] == sc.weight(a, v)
+                assert sc.slot_weights[0, store_slot] == sc.weight(a, v)
                 assert tree.shortcut_slots([v], [a])[0] == s
 
 

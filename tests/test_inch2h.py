@@ -65,16 +65,24 @@ class TestIncrease:
         assert entry[1] == 2.0 and entry[2] == 3.0
 
     def test_noop_when_shortcut_unaffected(self, medium_road):
-        index = h2h_indexing(medium_road)
+        # Make a slack edge: raise (u, v) above its best valley detour
+        # (u, t, v through a lower t), so the shortcut <u, v> keeps the
+        # detour's weight whatever the edge adds.
+        sc = ch_indexing(medium_road)
+        u, v, detour = next(
+            (u, v, min(sc.weight(t, u) + sc.weight(t, v) for t in sc.scp_minus(u, v)))
+            for u, v, _w in medium_road.edges()
+            if any(True for _t in sc.scp_minus(u, v))
+        )
+        medium_road.set_weight(u, v, detour + 1.0)
+        index = h2h_indexing(medium_road, sc.ordering)
         sc = index.sc
-        target = None
-        for u, v, weight in medium_road.edges():
-            if sc.weight(u, v) < weight:
-                target = ((u, v), weight + 1.0)
-                break
-        if target is None:
-            pytest.skip("no slack edge")
-        assert len(inch2h_increase(index, [target])) == 0
+        assert sc.weight(u, v) == detour < sc.edge_weight(u, v)
+        before = (sc.slot_weights.tobytes(), sc.slot_views()[2].tobytes(),
+                  index.dis.tobytes(), index.sup.tobytes())
+        assert len(inch2h_increase(index, [((u, v), detour + 2.0)])) == 0
+        assert (sc.slot_weights.tobytes(), sc.slot_views()[2].tobytes(),
+                index.dis.tobytes(), index.sup.tobytes()) == before
 
     def test_work_log_records_levels(self, paper_h2h):
         log: list = []

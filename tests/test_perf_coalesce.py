@@ -71,9 +71,10 @@ def _assert_same_sc(sc_a, sc_b) -> None:
 
 
 def _assert_same_dsc(sc_a, sc_b) -> None:
-    """DirectedShortcutGraph state equality: ``phi``, supports and
-    ``phi_G`` of clones of one index, compared as bytes."""
-    for view_a, view_b in zip(sc_a.slot_views(), sc_b.slot_views()):
+    """Directed store state equality: ``phi``, ``phi_G`` and supports of
+    clones of one index, compared as bytes; ``via`` excluded, as on the
+    undirected store (a witness depends on the order of the updates)."""
+    for view_a, view_b in zip(sc_a.slot_views()[:3], sc_b.slot_views()[:3]):
         assert view_a.tobytes() == view_b.tobytes()
 
 

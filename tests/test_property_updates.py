@@ -10,7 +10,7 @@ from repro.ch.edge_updates import delete_edge, insert_edge
 from repro.ch.indexing import ch_indexing
 from repro.ch.query import ch_distance
 from repro.directed.ch import directed_ch_indexing
-from repro.directed.dch import directed_dch_decrease, directed_dch_increase
+from repro.ch.dch import dch_decrease, dch_increase
 from repro.directed.dijkstra import directed_dijkstra
 from repro.directed.graph import DiRoadNetwork
 from repro.h2h.edge_updates import h2h_insert_edge
@@ -114,7 +114,7 @@ class TestDirectedProperties:
         arcs = list(digraph.arcs())[:count]
         ups = [((u, v), w * 2.0) for u, v, w in arcs]
         downs = [((u, v), float(w)) for u, v, w in arcs]
-        directed_dch_increase(index, ups)
+        dch_increase(index, ups)
         for (u, v), w in ups:
             digraph.set_weight(u, v, w)
         index.validate()
@@ -122,7 +122,7 @@ class TestDirectedProperties:
             dist = directed_dijkstra(digraph, s)
             for t in range(digraph.n):
                 assert ch_distance(index, s, t) == dist[t]
-        directed_dch_decrease(index, downs)
+        dch_decrease(index, downs)
         for (u, v), w in downs:
             digraph.set_weight(u, v, w)
         index.validate()

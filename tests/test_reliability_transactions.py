@@ -113,7 +113,7 @@ CASES = {
     "h2h": (DynamicH2H, repro.core.dynamic,
             "inch2h_decrease", "inch2h_increase"),
     "dich": (DynamicDiCH, repro.directed.dynamic,
-             "directed_dch_decrease", "directed_dch_increase"),
+             "dch_decrease", "dch_increase"),
 }
 
 
@@ -142,7 +142,7 @@ def index_state(oracle):
         return (
             [index.weight(u, v) for u, v in arcs],
             [index.support(u, v) for u, v in arcs],
-            [index.arc_weight(u, v) for u, v, _w in links(oracle.graph)],
+            [index.edge_weight(u, v) for u, v, _w in links(oracle.graph)],
         )
     sc = index.sc if isinstance(oracle, DynamicH2H) else index
     state = (

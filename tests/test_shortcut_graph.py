@@ -8,6 +8,8 @@ import pytest
 
 from repro.ch.indexing import ch_indexing
 from repro.ch.shortcut_graph import ShortcutGraph
+from repro.directed.ch import directed_ch_indexing
+from repro.directed.graph import DiRoadNetwork
 from repro.errors import IndexError_
 from repro.graph.generators import road_network
 from repro.graph.graph import RoadNetwork
@@ -237,11 +239,23 @@ class TestScpEnumeration:
             assert x == v(7)  # the lower-ranked endpoint
             assert paper_sc.has_shortcut(w_mid, y)
 
-    @pytest.mark.parametrize("pair", [(-1, 23), (23, -1), (30, 23)])
-    def test_ids_outside_range_raise(self, pair):
+    @pytest.mark.parametrize(
+        "build, pair",
+        [
+            pytest.param(build, pair, id=f"{prefix}pair{i}")
+            for prefix, build in (
+                ("", lambda g: ch_indexing(g)),
+                ("directed-", lambda g: directed_ch_indexing(
+                    DiRoadNetwork.from_undirected(g, asymmetry=2.0))),
+            )
+            for i, pair in enumerate([(-1, 23), (23, -1), (30, 23)])
+        ],
+    )
+    def test_ids_outside_range_raise(self, build, pair):
         # A negative id must not index the lists of vertex n - 1: (-1, 23)
-        # would otherwise read shortcut (29, 23).
-        sc = ch_indexing(road_network(30, seed=1))
+        # would otherwise read shortcut (29, 23).  Both stores, one row
+        # and two.
+        sc = build(road_network(30, seed=1))
         assert sc.has_shortcut(29, 23)
         for call in (sc.evaluate_equation, sc.scp_minus, sc.scp_plus):
             with pytest.raises(IndexError_, match="out of range"):

@@ -2,16 +2,19 @@
 """Documentation checker: links, anchors, and the observability catalogue.
 
 Run from the repository root (CI does: ``PYTHONPATH=src python
-tools/check_docs.py``).  Four checks, each returning a list of error
+tools/check_docs.py``).  Five checks, each returning a list of error
 strings:
 
 1. **Links** — every relative markdown link in README.md,
-   EXPERIMENTS.md and docs/*.md points at a file that exists.
+   EXPERIMENTS.md, DESIGN.md and docs/*.md points at a file that exists.
 2. **Anchors** — every ``src/<file>.py:<line>`` anchor in those same
    files names an existing file, a line inside it, and
    (when a symbol is given as ``(`symbol`)``) a ``def``/``class`` of
    that name within ±10 lines of the cited line.
-3. **Observability catalogue** — every metric/span name documented in
+3. **References** — in those same files, every backticked dotted
+   ``repro.…`` name resolves (a module, then attributes of it), and
+   every bare backticked ``src/…/<file>.py`` path exists.
+4. **Observability catalogue** — every metric/span name documented in
    docs/observability.md exists in ``repro.obs.names`` and vice versa;
    a live ``DistanceServer`` registers exactly the catalogued metrics,
    each with the label names its catalogue row lists;
@@ -24,6 +27,7 @@ suite, so CI and local pytest agree.
 
 from __future__ import annotations
 
+import importlib
 import os
 import re
 import sys
@@ -44,8 +48,13 @@ _CATALOGUE_ROW_RE = re.compile(
 )
 _LABEL_TOKEN_RE = re.compile(r"`([a-zA-Z_][a-zA-Z0-9_]*)`")
 
-#: Documentation files whose relative links are checked.
-DOC_FILES = ("README.md", "EXPERIMENTS.md")
+#: A backticked dotted name rooted at the package, e.g. `repro.ch.dch`.
+_DOTTED_RE = re.compile(r"`(repro(?:\.[A-Za-z_][A-Za-z0-9_]*)+)")
+#: A bare backticked source path, e.g. `src/repro/ch/dch.py`.
+_SOURCE_PATH_RE = re.compile(r"`(src/[A-Za-z0-9_/.-]+\.py)`")
+
+#: Documentation files whose links, anchors and references are checked.
+DOC_FILES = ("README.md", "EXPERIMENTS.md", "DESIGN.md")
 
 #: Pages the docs suite must always contain (each one is load-bearing:
 #: other pages and module docstrings link to them by name).
@@ -136,6 +145,40 @@ def check_anchors() -> List[str]:
                     f"{rel_name}: anchor {file_rel}:{line_no} — no "
                     f"def/class {name} within ±10 lines"
                 )
+    return errors
+
+
+def _resolves(dotted: str) -> bool:
+    """Whether *dotted* names a module, or an attribute chain under the
+    longest importable module prefix of it."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for name in parts[cut:]:
+            if not hasattr(obj, name):
+                return False
+            obj = getattr(obj, name)
+        return True
+    return False
+
+
+def check_references() -> List[str]:
+    """Every backticked ``repro.…`` name resolves and every bare
+    backticked ``src/…/<file>.py`` path exists."""
+    errors: List[str] = []
+    for path in _doc_paths():
+        rel_name = os.path.relpath(path, REPO_ROOT)
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+        for dotted in sorted(set(_DOTTED_RE.findall(text))):
+            if not _resolves(dotted):
+                errors.append(f"{rel_name}: reference {dotted} does not resolve")
+        for file_rel in sorted(set(_SOURCE_PATH_RE.findall(text))):
+            if not os.path.isfile(os.path.join(REPO_ROOT, file_rel)):
+                errors.append(f"{rel_name}: path {file_rel} does not exist")
     return errors
 
 
@@ -252,6 +295,7 @@ def run_all() -> List[str]:
     errors += check_required_docs()
     errors += check_links()
     errors += check_anchors()
+    errors += check_references()
     errors += check_observability_catalogue()
     errors += check_registry_matches_catalogue()
     errors += check_spans_instrumented()
@@ -265,7 +309,10 @@ def main() -> int:
     if errors:
         print(f"{len(errors)} documentation problem(s)", file=sys.stderr)
         return 1
-    print("docs OK: links, anchors and observability catalogue all consistent")
+    print(
+        "docs OK: links, anchors, references and observability catalogue "
+        "all consistent"
+    )
     return 0
 
 

@@ -222,8 +222,9 @@ def dch_increase(
             for (u, v), w in updates:
                 ops.add("delta_inspect")
                 s = slot[u][v]
-                pw, psup, _, pq, d, off = rows[(D - 1) * (rank[u] > rank[v])]
+                pw, psup, pvia, pq, d, off = rows[(D - 1) * (rank[u] > rank[v])]
                 old_edge_weight = ewv[off + s]
+                ewv[off + s] = w
                 if w > old_edge_weight and old_edge_weight != _INF and (
                     old_edge_weight == pw[s]
                 ):
@@ -234,7 +235,8 @@ def dch_increase(
                             pq[s] = 1
                             heappush(queue, (prio[s], d, s))
                         ops.add("queue_push")
-                ewv[off + s] = w
+                    elif pvia[s] < 0:  # the edge was the witness
+                        index.rewitness_slot(off + s)
 
         changed: List[ChangedShortcut] = []
         pops = pushes = inspected = 0  # added to the counter once, below
@@ -242,11 +244,13 @@ def dch_increase(
         with span(names.SPAN_DCH_INCREASE_PROPAGATE) as sp_prop:
             while queue:
                 _, d, s = heappop(queue)
-                pw, psup, _, pq, pd, off, far = turns[d]
+                pw, psup, pvia, pq, pd, off, far = turns[d]
+                poff = off
                 pq[s] = 0
                 pops += 1
                 x, y = low[s], high[s]
                 old_weight = pw[s]
+                stale = []  # partners whose witness was the term via x
                 # Lines 9-12: the weight of <x, y> is about to increase; any
                 # upward-pair partner <w, y> it currently supports loses one
                 # support.  Infinite weights (deleted roads) support nothing
@@ -258,7 +262,7 @@ def dch_increase(
                     legs = far[0][ptr[x] : ptr[x + 1]].tolist()
                     for w_mid, leg_weight in zip(row, legs):
                         if w_mid == y:  # past y, w outranks y
-                            pw, psup, _, pq, pd, _ = far
+                            pw, psup, pvia, pq, pd, poff = far
                             continue
                         candidate = old_weight + leg_weight
                         if candidate == _INF:
@@ -272,8 +276,15 @@ def dch_increase(
                                     pq[partner] = 1
                                     heappush(queue, (prio[partner], pd, partner))
                                 pushes += 1
+                            elif pvia[partner] == x:
+                                stale.append(poff + partner)
                 # Line 13: recompute weight and support from Equation (<>).
                 new_weight = index.recompute_slot(off + s, counter)
+                # A partner left with support keeps its weight, but its
+                # witness must not name the term that just rose: point it
+                # at one that still attains, now that <x, y> is final.
+                for k in stale:
+                    index.rewitness_slot(k)
                 if new_weight != old_weight:
                     forward = x < y if undirected else not d
                     key = (x, y) if forward else (y, x)

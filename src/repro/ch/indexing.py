@@ -99,8 +99,8 @@ def weigh_structure(
     gives the ``D = 2`` store of its arcs.
 
     The structure is weight independent, so a rebuild after weight
-    updates (:meth:`repro.core.dynamic.DynamicCH.rebuild`,
-    :meth:`repro.directed.dynamic.DynamicDiCH.rebuild`) passes the
+    updates (:meth:`repro.core.dynamic.DynamicCH.rebuild`, which
+    :class:`~repro.directed.dynamic.DynamicDiCH` inherits) passes the
     index's own structure and skips the elimination; the result, op
     counts included, equals a fresh build in *ordering*.
     """

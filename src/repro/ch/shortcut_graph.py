@@ -566,11 +566,12 @@ class ShortcutGraph:
         :mod:`repro.ch.dch`.  Writes go straight into this index's store."""
         return self._wv, self._ewv, self._supv, self._viav
 
-    def upward_weights(self, u: int) -> np.ndarray:
-        """``phi(<u, v>)`` (``phi(u -> v)`` at ``D = 2``) for ``v in
-        nbr+(u)``, aligned with :meth:`upward`: a view of the store's
-        row, for reading only."""
-        return self._w[0, self._ptr[u] : self._ptr[u + 1]]
+    def upward_weights(self, u: int, d: int = 0) -> np.ndarray:
+        """Row *d* of ``nbr+(u)``'s slots, aligned with :meth:`upward`: a
+        view of the store's row, for reading only.  ``phi(<u, v>)`` at
+        ``D = 1``; at ``D = 2``, ``phi(u -> v)`` for ``TO`` and
+        ``phi(v -> u)`` for ``FROM``."""
+        return self._w[d, self._ptr[u] : self._ptr[u + 1]]
 
     def upward_weight_row(self, u: int, d: int = 0) -> List[float]:
         """Row *d* of ``nbr+(u)``'s slots as Python floats, aligned with
@@ -884,19 +885,36 @@ class ShortcutGraph:
         """
         return self.recompute_slot(self._locate(u, v), counter)
 
-    def recompute_slot(self, k: int, counter: Optional[OpCounter] = None) -> float:
-        """:meth:`recompute` for arc id *k* (at ``D = 1``, the slot)."""
+    def _ends(self, k: int) -> Tuple[int, int]:
+        """``(u, v)`` of arc id *k*: ``(low, high)`` of its slot, or
+        ``(high, low)`` in row ``FROM``."""
         st = self._st
         back = self._back
         if back and k >= back:  # row FROM: the arc high -> low
-            u, v = st.high_view[k - back], st.low_view[k - back]
-        else:
-            u, v = st.low_view[k], st.high_view[k]
-        weight, support, witness = self._equation(u, v, self._ewv[k], counter)
+            return st.high_view[k - back], st.low_view[k - back]
+        return st.low_view[k], st.high_view[k]
+
+    def recompute_slot(self, k: int, counter: Optional[OpCounter] = None) -> float:
+        """:meth:`recompute` for arc id *k* (at ``D = 1``, the slot)."""
+        weight, support, witness = self._equation(
+            *self._ends(k), self._ewv[k], counter
+        )
         self._wv[k] = weight
         self._supv[k] = support
         self._viav[k] = witness
         return weight
+
+    def rewitness_slot(self, k: int) -> None:
+        """Point the witness of arc id *k* at a term of Equation (<>) that
+        attains its stored weight — the original edge first, else the
+        lowest-ranked apex, as :meth:`recompute` picks — leaving weight,
+        support and every op count as they are.
+
+        DCH+ calls it when a term that attained the weight drops out
+        (its support falls but stays above 0) and the witness named that
+        term; the remaining support guarantees the stored weight is
+        still the minimum."""
+        self._viav[k] = self._equation(*self._ends(k), self._ewv[k], None)[2]
 
     # ------------------------------------------------------------------
     # Whole-index views (tests, experiments)

@@ -8,9 +8,10 @@ increase part to the ``+`` algorithm and the decrease part to the ``-``
 algorithm, exactly as the paper's experiments do (Exp-4 applies an
 increase batch, then restores with a decrease batch).
 
-The directed facades (:mod:`repro.directed.dynamic`) share the same base,
-:class:`DynamicOracle`, and the same :class:`UpdateReport`: only the
-build, the queries, the maintenance steps and the rebuild differ.
+The directed facades (:mod:`repro.directed.dynamic`) subclass
+:class:`DynamicCH` and :class:`DynamicH2H` and differ only in the
+build: every query, path, maintenance step and rebuild here reads the
+direction count off the index (``D = 1`` or ``2``).
 """
 
 from __future__ import annotations
@@ -196,7 +197,8 @@ class DynamicCH(DynamicOracle):
         return ch_distance_many(self.index, sources, targets, self.counter)
 
     def path(self, s: int, t: int):
-        """A shortest path with shortcuts unpacked to real edges."""
+        """A shortest path with shortcuts unpacked to real edges (arcs,
+        on a directed network)."""
         return ch_path(self.index, s, t, self.counter)
 
     def _maintain(self, increase: bool, batch, ops) -> List:

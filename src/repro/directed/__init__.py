@@ -22,35 +22,29 @@ undirected code wherever the job is the same:
   are, with per-direction supports;
 * :func:`~repro.directed.h2h.directed_h2h_indexing` — H2H with ``TO``
   and ``FROM`` labels per vertex–ancestor pair over the skeleton's tree
-  decomposition;
-* :func:`~repro.directed.h2h.directed_inch2h_increase` /
-  :func:`~repro.directed.h2h.directed_inch2h_decrease` — IncH2H± on
-  the level-synchronous engine of :mod:`repro.h2h.inch2h`, run over the
-  two label matrices;
+  decomposition: the ``D = 2`` case of the one label index
+  :class:`~repro.h2h.index.H2HIndex`, filled by
+  :func:`repro.h2h.indexing.fill_distance_arrays`;
+* H2H maintenance — :func:`repro.h2h.inch2h.inch2h_increase` /
+  :func:`repro.h2h.inch2h.inch2h_decrease` run on the directed index as
+  they are, over its two label matrices;
 * :class:`~repro.directed.dynamic.DynamicDiCH` /
-  :class:`~repro.directed.dynamic.DynamicDiH2H` — the facades, on the
-  base class and update report of :mod:`repro.core.dynamic`.
+  :class:`~repro.directed.dynamic.DynamicDiH2H` — the facades:
+  :class:`~repro.core.dynamic.DynamicCH` and
+  :class:`~repro.core.dynamic.DynamicH2H` with the directed build.
 """
 
 from repro.directed.ch import directed_ch_indexing
 from repro.directed.dijkstra import directed_dijkstra
 from repro.directed.dynamic import DynamicDiCH, DynamicDiH2H
 from repro.directed.graph import DiRoadNetwork
-from repro.directed.h2h import (
-    DirectedH2HIndex,
-    directed_h2h_indexing,
-    directed_inch2h_decrease,
-    directed_inch2h_increase,
-)
+from repro.directed.h2h import directed_h2h_indexing
 
 __all__ = [
     "DiRoadNetwork",
-    "DirectedH2HIndex",
     "DynamicDiCH",
     "DynamicDiH2H",
     "directed_ch_indexing",
     "directed_dijkstra",
     "directed_h2h_indexing",
-    "directed_inch2h_decrease",
-    "directed_inch2h_increase",
 ]

@@ -69,7 +69,7 @@ decodes ``((u, depth_a), old, new)`` tuples on demand.
 Write log
 ---------
 Every label cell the engine writes is reported, as an array of flat
-keys, to the index's :meth:`~repro.h2h.index.LabelBuffers.log_writes`:
+keys, to the index's :meth:`~repro.h2h.index.H2HIndex.log_writes`:
 the seed hits of IncH2H+, the dependents that lose support in the
 IncH2H+ propagation, and the relaxed targets of the IncH2H- seeds and
 propagation.  The entries IncH2H+ recomputes (line
@@ -87,7 +87,16 @@ The propagation runs over ``D`` label matrices stacked as one
 and slot weights ``W`` of shape ``(D, slots)``: the undirected index is
 ``D = 1`` (its ``dis`` and the shortcut store's weights are matrix 0),
 the directed index of :mod:`repro.directed.h2h` ``D = 2`` (``TO``,
-``FROM``).  With
+``FROM``): one :class:`~repro.h2h.index.H2HIndex` class and one entry
+pair, :func:`inch2h_increase` / :func:`inch2h_decrease`, serve both,
+reading ``D`` off the CH store.  Only the seed rows of lines 3-12
+(:func:`_seed_rows`) and the trace depend on it: a changed shortcut
+or arc seeds label row ``(d, low)`` of its lower-ranked end ``low``,
+with ``d = 0`` when the changed key starts at ``low`` and ``D - 1``
+otherwise; the calls open ``inch2h.*`` on ``D = 1`` and
+``directed.inch2h.*`` (with the same ``inch2h.*.seed`` /
+``.propagate`` phase spans, and op counts without Section 5's
+currencies) on ``D = 2``.  With
 ``other = [0]`` undirected and ``[1, 0]`` directed, entry ``(d, u, da)``
 
 * takes its line-23 terms from ``W[d]``, reading the deep Equation
@@ -108,7 +117,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.ch.dch import dch_decrease, dch_increase
+from repro.ch.dch import dch_decrease, dch_increase, trace_call
 from repro.graph.graph import WeightUpdate
 from repro.h2h.index import H2HIndex
 from repro.obs import names
@@ -234,14 +243,16 @@ def _cat(parts: list, empty: np.ndarray) -> np.ndarray:
     return np.concatenate(parts) if parts else empty
 
 
-def _trace_h2h_boundedness(
-    sp, index, delta, changed_shortcuts, changed, ops, ops_before
-) -> None:
-    """Attach Section 5's currencies and per-call op counts to *sp*.
+def _trace_call(sp, index, delta, changed_shortcuts, changed, ops, ops_before) -> None:
+    """Attach the per-call op counts to *sp*, and on ``D = 1`` Section
+    5's currencies (the directed call carries its counts only).
 
     Only runs when a sink is attached; reads the index without mutating
     it (the differential test asserts bit-identical state).
     """
+    if len(index.sc.slot_weights) == 2:
+        trace_call(sp, delta, len(changed), ops, ops_before)
+        return
     from repro.core.changed import h2h_change_metrics  # circular at module level
 
     metrics = h2h_change_metrics(index, delta, changed_shortcuts, changed)
@@ -440,18 +451,30 @@ def _log_work(work_log, level, u, cost) -> None:
     work_log.extend(zip([level] * len(u), u.tolist(), cost.tolist()))
 
 
-def _shortcut_rows(index, changed_shortcuts, ops) -> Iterator[tuple]:
-    """The label row each changed shortcut ``<u, v>`` feeds, as
-    ``(0, u, v, old, new)`` with ``u`` the lower end.  Counts one
-    ``anc_scan`` per ancestor of ``u``; a root row feeds nothing."""
+def _seed_rows(index, changed, ops, increase: bool) -> Iterator[tuple]:
+    """The label row each changed shortcut or arc feeds (lines 3-12), as
+    ``(d, low, high, old, new)``: ``low`` is the lower-ranked end and
+    ``d = 0`` when the changed key starts at ``low``, else ``D - 1``.  On
+    ``D = 2`` an arc ``low -> high`` feeds the ``TO`` row of ``low``
+    (candidates ``phi(low -> high) + sd(high -> a)``) and an arc
+    ``high -> low`` its ``FROM`` row (``sd(a -> high) + phi(high ->
+    low)``); on ``D = 1`` the one row.  A root row feeds nothing.
+
+    Counts one ``anc_scan`` per ancestor of ``low``.  ``D = 1`` counts
+    every changed shortcut; ``D = 2`` skips an arc whose old weight was
+    inf (increase) and a root row (decrease).
+    """
     rank = index.sc.ordering.rank
     depth = index.tree.depth
-    for (a_end, b_end), old_w, new_w in changed_shortcuts:
-        u, v = (a_end, b_end) if rank[a_end] < rank[b_end] else (b_end, a_end)
-        du = int(depth[u])
-        ops.add("anc_scan", du)
+    last = len(index.sc.slot_weights) - 1
+    for (a, b), old_w, new_w in changed:
+        low, high = (a, b) if rank[a] < rank[b] else (b, a)
+        du = int(depth[low])
+        # Not a mere guard: an add of 0 still puts the key in the dict.
+        if not last or (not math.isinf(old_w) if increase else du):
+            ops.add("anc_scan", du)
         if du:
-            yield 0, u, v, old_w, new_w
+            yield (0 if a == low else last), low, high, old_w, new_w
 
 
 def _columns(rows: list) -> tuple:
@@ -497,9 +520,11 @@ def inch2h_increase(
     Parameters
     ----------
     index:
-        The H2H index (including its shortcut graph); mutated in place.
+        The H2H index (including its shortcut graph), undirected or
+        directed; mutated in place.
     updates:
-        ``((u, v), new_weight)`` pairs, each >= the current weight.
+        ``((u, v), new_weight)`` pairs — the arc ``u -> v`` on a
+        directed index — each >= the current weight.
     counter:
         Optional instrumentation; the IncH2H channels are ``anc_scan``
         (lines 3-12), ``queue_push``/``queue_pop``, ``dependent_inspect``
@@ -514,9 +539,14 @@ def inch2h_increase(
         The super-shortcuts whose distance value changed (AFF_3), as
         arrays of flat keys, old and new values; iterating yields
         ``((u, depth_a), old_value, new_value)`` in ascending
-        ``depth(u)``, then ``u``, then ``depth_a``.
+        ``depth(u)``, then ``u``, then ``depth_a`` — and
+        ``((d, u, depth_a), old, new)`` in ascending ``depth(u)``, then
+        ``d``, ``u`` and ``depth_a`` on a directed index.
     """
-    with span(names.SPAN_INCH2H_INCREASE) as sp:
+    directed = len(index.sc.slot_weights) == 2
+    with span(
+        names.SPAN_DIRECTED_INCH2H_INCREASE if directed else names.SPAN_INCH2H_INCREASE
+    ) as sp:
         if sp.active and counter is None:
             counter = OpCounter()
         ops = resolve_counter(counter)
@@ -526,13 +556,15 @@ def inch2h_increase(
         levels = _Levels(index)
 
         with span(names.SPAN_INCH2H_INCREASE_SEED, delta=len(updates)):
-            _seed_increase(index, levels, _shortcut_rows(index, changed_shortcuts, ops))
+            _seed_increase(
+                index, levels, _seed_rows(index, changed_shortcuts, ops, True)
+            )
 
         with span(names.SPAN_INCH2H_INCREASE_PROPAGATE) as sp_prop:
             changed = _increase_propagate(index, levels, ops, work_log)
             sp_prop.set(changed=len(changed))
         if sp.active:
-            _trace_h2h_boundedness(
+            _trace_call(
                 sp, index, len(updates), changed_shortcuts, changed, ops, ops_before
             )
     return changed
@@ -589,7 +621,8 @@ def inch2h_decrease(
     counter: Optional[OpCounter] = None,
     work_log: Optional[list] = None,
 ) -> ChangedLabels:
-    """IncH2H- (Algorithm 5): apply weight *decreases* to the H2H index.
+    """IncH2H- (Algorithm 5): apply weight *decreases* to the H2H index,
+    undirected or directed.
 
     Mirrors :func:`inch2h_increase`; relaxes instead of recomputing and
     keeps every support counter exact on the fly.  Its IncH2H channels
@@ -602,7 +635,10 @@ def inch2h_decrease(
         The super-shortcuts whose distance value changed (AFF_3), as
         :func:`inch2h_increase` returns them.
     """
-    with span(names.SPAN_INCH2H_DECREASE) as sp:
+    directed = len(index.sc.slot_weights) == 2
+    with span(
+        names.SPAN_DIRECTED_INCH2H_DECREASE if directed else names.SPAN_INCH2H_DECREASE
+    ) as sp:
         if sp.active and counter is None:
             counter = OpCounter()
         ops = resolve_counter(counter)
@@ -612,12 +648,12 @@ def inch2h_decrease(
         levels = _Levels(index)
         with span(names.SPAN_INCH2H_DECREASE_SEED, delta=len(updates)):
             _seed_decrease(
-                index, levels, _shortcut_rows(index, changed_shortcuts, ops)
+                index, levels, _seed_rows(index, changed_shortcuts, ops, False)
             )
         with span(names.SPAN_INCH2H_DECREASE_PROPAGATE):
             changed = _decrease_propagate(index, levels, ops, work_log)
         if sp.active:
-            _trace_h2h_boundedness(
+            _trace_call(
                 sp, index, len(updates), changed_shortcuts, changed, ops, ops_before
             )
     return changed

@@ -1,4 +1,4 @@
-"""The H2H index object.
+"""The H2H index object, undirected and directed.
 
 H2H stores, for every vertex ``u``, the distances from ``u`` to each of
 its ancestors in the tree decomposition — the *distance array*
@@ -20,12 +20,26 @@ definition and carries no support.  The padded layout lets
 whole vertex with vectorized numpy gathers, and the incremental
 algorithms a whole tree depth through flat indices ``u * width + d``.
 
+Direction axis
+--------------
+The paper's algorithms extend to digraphs unchanged (Section 2), and
+so does this class.  The number of label matrices ``D`` is the CH
+store's (``sc.slot_weights.shape[0]``): ``D = 1`` on an undirected
+network, whose ``dis``/``sup`` are ``(n, width)``, and ``D = 2`` on a
+directed one (:func:`repro.directed.h2h.directed_h2h_indexing`), whose
+``dis``/``sup`` are ``(2, n, width)``: matrix ``TO`` holds
+``sd(u -> a)`` and matrix ``FROM`` ``sd(a -> u)``.  Matrix ``d`` adds
+the weights of row ``d`` of the CH store and reads the deep Equation
+(nabla) case from matrix ``D - 1 - d`` (:func:`repro.perf.kernels.other`);
+on ``D = 1`` both are the one matrix.  Every method that takes a
+direction takes it as the last argument ``d = 0``.
+
 Recycled label buffers
 ----------------------
 A serving publish clones the current index and maintains the clone
 (:func:`repro.reliability.transactions.cow_apply`), so without help it
 would copy both matrices whole although IncH2H± rewrites only the
-entries of ``AFF``.  :class:`LabelBuffers` lets a clone reuse the
+entries of ``AFF``.  :meth:`H2HIndex.clone` lets a clone reuse the
 matrices of the epoch before its parent instead:
 
 * a clone keeps a *spare*: a reference to its parent's ``dis``/``sup``,
@@ -38,8 +52,8 @@ matrices of the epoch before its parent instead:
   lending it; only the logged cells are copied into it.  In every other
   case the matrices are copied whole.
 
-Writers outside the engine (:meth:`H2HIndex.recompute_entry`, DTDHL,
-the directed row fill) drop the log, so the next clone copies whole.
+Writers outside the engine (:meth:`H2HIndex.recompute_entry`, DTDHL)
+drop the log, so the next clone copies whole.
 """
 
 from __future__ import annotations
@@ -56,7 +70,7 @@ from repro.h2h.tree import TreeDecomposition
 from repro.perf import kernels
 from repro.utils.counters import OpCounter, resolve_counter
 
-__all__ = ["H2HIndex", "LabelBuffers"]
+__all__ = ["H2HIndex"]
 
 #: A super-shortcut identified by (descendant, depth of ancestor).
 SuperShortcut = Tuple[int, int]
@@ -76,16 +90,26 @@ def _sole_reference_count() -> int:
 _SOLE = _sole_reference_count()
 
 
-class LabelBuffers:
-    """The ``dis``/``sup`` label matrices of an index, and the spare and
-    write log that let a clone recycle a retired epoch's matrices (see
-    the module docstring).
+class H2HIndex:
+    """The H2H index: tree decomposition + distance/support matrices,
+    in one direction (``D = 1``) or two (``D = 2``, directed).
+
+    Instances are produced by :func:`repro.h2h.indexing.h2h_indexing`
+    and :func:`repro.directed.h2h.directed_h2h_indexing`.
 
     Attributes
     ----------
-    dis, sup:
-        The label matrices; their flat cell keys are the level engine's
-        entry keys.
+    sc:
+        The underlying CH index; IncH2H maintains it as a subtask
+        (the defining trait of the INC_H2H class, Section 3.3).
+    tree:
+        The tree decomposition.
+    dis:
+        ``dis[u, d]`` = distance from ``u`` to its depth-``d`` ancestor
+        (``dis[TO][u, d]`` and ``dis[FROM][u, d]`` at ``D = 2``).  The
+        flat cell keys are the level engine's entry keys.
+    sup:
+        ``sup[u, d]`` = number of Equation (*) terms attaining it.
     log:
         The flat keys written since this index was cloned from its
         parent (a list of int64 arrays), or ``None``: an index that is
@@ -94,7 +118,15 @@ class LabelBuffers:
         copy is then cheaper than replaying the log) keeps none.
     """
 
-    def __init__(self, dis: np.ndarray, sup: np.ndarray) -> None:
+    def __init__(
+        self,
+        sc: ShortcutGraph,
+        tree: TreeDecomposition,
+        dis: np.ndarray,
+        sup: np.ndarray,
+    ) -> None:
+        self.sc = sc
+        self.tree = tree
         self.dis = dis
         self.sup = sup
         self.log: Optional[List[np.ndarray]] = None
@@ -106,6 +138,9 @@ class LabelBuffers:
         # lending its matrices.
         self._lease: Optional[List[bool]] = None
 
+    # ------------------------------------------------------------------
+    # Recycled label buffers (see the module docstring)
+    # ------------------------------------------------------------------
     def log_writes(self, keys: np.ndarray) -> None:
         """Record that the level engine wrote cells *keys* (flat) of
         ``dis`` and/or ``sup``."""
@@ -153,45 +188,6 @@ class LabelBuffers:
             sup.put(keys, self.sup.take(keys))
         return dis, sup
 
-    def _lend(self, clone: "LabelBuffers") -> "LabelBuffers":
-        """Make this index's matrices *clone*'s spare and start *clone*'s
-        log; returns *clone*."""
-        if self._lease is None:
-            self._lease = [True]
-        clone._spare = (self.dis, self.sup, self._lease)
-        clone.log = []
-        return clone
-
-
-class H2HIndex(LabelBuffers):
-    """The H2H index: tree decomposition + distance/support matrices.
-
-    Instances are produced by :func:`repro.h2h.indexing.h2h_indexing`.
-
-    Attributes
-    ----------
-    sc:
-        The underlying CH index; IncH2H maintains it as a subtask
-        (the defining trait of the INC_H2H class, Section 3.3).
-    tree:
-        The tree decomposition.
-    dis:
-        ``dis[u, d]`` = distance from ``u`` to its depth-``d`` ancestor.
-    sup:
-        ``sup[u, d]`` = number of Equation (*) terms attaining it.
-    """
-
-    def __init__(
-        self,
-        sc: ShortcutGraph,
-        tree: TreeDecomposition,
-        dis: np.ndarray,
-        sup: np.ndarray,
-    ) -> None:
-        super().__init__(dis, sup)
-        self.sc = sc
-        self.tree = tree
-
     def clone(self) -> "H2HIndex":
         """An independent copy sharing the weight-independent structure.
 
@@ -201,19 +197,32 @@ class H2HIndex(LabelBuffers):
         arrays are copied.  The ``dis``/``sup`` matrices are this
         index's spare — its parent's matrices, once no reader holds them
         — with the cells this index's maintenance wrote copied in, or
-        full copies when there is no usable spare (see
-        :class:`LabelBuffers`).  Either way the clone starts bit-equal
-        to this index and shares no mutable array with it; this index's
-        own matrices become the clone's spare.
+        full copies when there is no usable spare (see the module
+        docstring).  Either way the clone starts bit-equal to this index
+        and shares no mutable array with it; this index's own matrices
+        become the clone's spare, and the clone starts a log of its own.
         """
         dis, sup = self._clone_labels()
-        return self._lend(H2HIndex(self.sc.clone(), self.tree, dis, sup))
+        clone = H2HIndex(self.sc.clone(), self.tree, dis, sup)
+        if self._lease is None:
+            self._lease = [True]
+        clone._spare = (self.dis, self.sup, self._lease)
+        clone.log = []
+        return clone
 
+    # ------------------------------------------------------------------
+    # Shape
+    # ------------------------------------------------------------------
     def slot_weights(self) -> np.ndarray:
-        """The ``(1, slots)`` shortcut weights the level-synchronous
+        """The ``(D, slots)`` shortcut weights the level-synchronous
         IncH2H± gathers from: ``sc``'s live slot store, whose slot order
-        is the tree's ``nbr+`` CSR (one label matrix, ``D = 1``)."""
+        is the tree's ``nbr+`` CSR."""
         return self.sc.slot_weights
+
+    def _matrix(self, labels: np.ndarray, d: int) -> np.ndarray:
+        """Label matrix *d* of *labels* (``dis`` or ``sup``) as an
+        ``(n, width)`` array: *labels* itself at ``D = 1``."""
+        return labels[d] if len(self.sc.slot_weights) == 2 else labels
 
     @property
     def n(self) -> int:
@@ -226,41 +235,47 @@ class H2HIndex(LabelBuffers):
         return self.tree.height
 
     def num_super_shortcuts(self) -> int:
-        """The paper's "# of SSCs" (Table 2)."""
-        return self.tree.num_super_shortcuts()
+        """The paper's "# of SSCs" (Table 2): one per (vertex, ancestor)
+        pair and label matrix."""
+        return len(self.sc.slot_weights) * self.tree.num_super_shortcuts()
 
     # ------------------------------------------------------------------
     # Equation (nabla) and Equation (*)
     # ------------------------------------------------------------------
-    def sd_between(self, u: int, v: int, da: int) -> float:
+    def sd_between(self, u: int, v: int, da: int, d: int = 0) -> float:
         """``sd(v, a)`` where both *v* and ``a = anc(u)[da]`` are ancestors
         of *u* (Equation (nabla)): read from whichever of the two is
-        deeper, or 0 when they coincide."""
+        deeper, or 0 when they coincide.  Matrix *d* reads ``v``'s own
+        row and ``a``'s row of matrix ``other(D, d)``: ``sd(v -> a)``
+        for ``TO``, ``sd(a -> v)`` for ``FROM``."""
         dv = self.tree.depth[v]
         if dv > da:
-            return float(self.dis[v, da])
+            return float(self._matrix(self.dis, d)[v, da])
         if dv < da:
-            return float(self.dis[self.tree.anc[u][da], dv])
+            deep = self._matrix(self.dis, kernels.other(len(self.sc.slot_weights), d))
+            return float(deep[self.tree.anc[u][da], dv])
         return 0.0
 
     def evaluate_entry(
-        self, u: int, da: int, counter: Optional[OpCounter] = None
+        self, u: int, da: int, counter: Optional[OpCounter] = None, d: int = 0
     ) -> Tuple[float, int]:
-        """Evaluate Equation (*) for super-shortcut ``(u, da)`` from the
-        current index; returns ``(value, support)`` without mutating."""
-        ops = resolve_counter(counter)
-        dis = self.dis
+        """Evaluate Equation (*) for super-shortcut ``(u, da)`` of label
+        matrix *d* from the current index; returns ``(value, support)``
+        without mutating."""
+        dis = self._matrix(self.dis, d)
+        deep = self._matrix(self.dis, kernels.other(len(self.sc.slot_weights), d))
         depth = self.tree.depth
         anc_u = self.tree.anc[u]
         best = math.inf
         count = 0
-        for v, weight in zip(self.sc.upward(u), self.sc.upward_weight_row(u)):
-            ops.add("star_term")
+        # Row TO holds phi(u -> v), row FROM phi(v -> u).
+        weights = self.sc.upward_weight_row(u, d)
+        for v, weight in zip(self.sc.upward(u), weights):
             dv = depth[v]
             if dv > da:
                 sd = dis[v, da]
             elif dv < da:
-                sd = dis[anc_u[da], dv]
+                sd = deep[anc_u[da], dv]
             else:
                 sd = 0.0
             candidate = weight + sd
@@ -269,17 +284,19 @@ class H2HIndex(LabelBuffers):
                 count = 1
             elif candidate == best and not math.isinf(candidate):
                 count += 1
+        resolve_counter(counter).add("star_term", len(weights))
         return float(best), count
 
     def recompute_entry(
-        self, u: int, da: int, counter: Optional[OpCounter] = None
+        self, u: int, da: int, counter: Optional[OpCounter] = None, d: int = 0
     ) -> float:
-        """Recompute and store ``dis[u, da]`` / ``sup[u, da]`` from
-        Equation (*) — line 23 of Algorithm 4.  Returns the new value."""
-        value, support = self.evaluate_entry(u, da, counter)
+        """Recompute and store ``dis[u, da]`` / ``sup[u, da]`` of label
+        matrix *d* from Equation (*) — line 23 of Algorithm 4.  Returns
+        the new value."""
+        value, support = self.evaluate_entry(u, da, counter, d)
         self.drop_log()
-        self.dis[u, da] = value
-        self.sup[u, da] = support
+        self._matrix(self.dis, d)[u, da] = value
+        self._matrix(self.sup, d)[u, da] = support
         return value
 
     # ------------------------------------------------------------------
@@ -298,18 +315,26 @@ class H2HIndex(LabelBuffers):
 
     def candidate_block(self, u: int, depths: np.ndarray) -> np.ndarray:
         """Equation (*) candidates of *u* for the given ancestor depths,
-        one row per upward neighbor (``|nbr+(u)| x len(depths)``)."""
+        one row per upward neighbor (``|nbr+(u)| x len(depths)``;
+        ``D = 1`` only, for DTDHL)."""
         return kernels.candidate_block(self, u, depths)
 
     def distance_many(
         self, sources, targets, counter: Optional[OpCounter] = None
     ) -> np.ndarray:
-        """``sd(s, t)`` for every pair ``(sources[i], targets[i])``:
-        the batch form of :func:`repro.h2h.query.h2h_distance`,
-        bit-identical to it pair by pair (raises ``QueryError`` on an
-        out-of-range id)."""
+        """``sd(s, t)`` (``sd(s -> t)`` at ``D = 2``) for every pair
+        ``(sources[i], targets[i])``: the batch form of
+        :func:`repro.h2h.query.h2h_distance`, bit-identical to it pair by
+        pair (raises ``QueryError`` on an out-of-range id).  Sources read
+        matrix 0 and targets matrix ``D - 1``."""
+        last = len(self.sc.slot_weights) - 1
         return kernels.pos_scan_many(
-            self.tree, self.dis, self.dis, sources, targets, counter
+            self.tree,
+            self._matrix(self.dis, 0),
+            self._matrix(self.dis, last),
+            sources,
+            targets,
+            counter,
         )
 
     # ------------------------------------------------------------------
@@ -326,21 +351,24 @@ class H2HIndex(LabelBuffers):
     def size_in_bytes(self, incremental: bool = True) -> int:
         """Approximate index size for Fig. 3b.
 
-        Static H2H stores one ``anc`` entry (4 bytes) and one ``dis``
-        entry (8 bytes) per super-shortcut plus the position arrays;
-        the incremental auxiliaries (Section 5) add ``sup`` and
-        ``first`` (4 bytes each) per super-shortcut — the paper's
-        "about two times the memory of static H2H" note (Section 6.2).
+        Static H2H stores one ``anc`` entry (4 bytes) per (vertex,
+        ancestor) pair and one ``dis`` entry (8 bytes) per super-shortcut
+        plus the position arrays; the incremental auxiliaries (Section 5)
+        add ``sup`` per super-shortcut and ``first`` per pair (4 bytes
+        each) — the paper's "about two times the memory of static H2H"
+        note (Section 6.2).
         """
+        pairs = self.tree.num_super_shortcuts()
         ssc = self.num_super_shortcuts()
         pos_entries = sum(len(p) for p in self.tree.pos)
-        static = 12 * ssc + 4 * pos_entries
-        extra = 8 * ssc if incremental else 0
+        static = 4 * pairs + 8 * ssc + 4 * pos_entries
+        extra = 4 * ssc + 4 * pairs if incremental else 0
         return static + extra + self.sc.size_in_bytes(incremental)
 
     def validate(self) -> None:
         """Check that the tree's ``nbr+`` CSR is ``sc``'s slot order and
-        every entry against Equation (*); raise on mismatch.
+        every entry of every label matrix against Equation (*); raise on
+        mismatch.
 
         O(#SSC x avg degree): meant for tests on small networks.
         """
@@ -351,21 +379,26 @@ class H2HIndex(LabelBuffers):
         ):
             raise IndexError_("the tree's nbr+ CSR is not the shortcut slot order")
         depth = self.tree.depth
-        for u in range(self.n):
-            du = int(depth[u])
-            if self.dis[u, du] != 0.0:
-                raise IndexError_(f"dis({u})[depth({u})] must be 0")
-            for da in range(du):
-                value, support = self.evaluate_entry(u, da)
-                if self.dis[u, da] != value:
-                    raise IndexError_(
-                        f"dis({u})[{da}] = {self.dis[u, da]}, "
-                        f"Equation (*) gives {value}"
-                    )
-                if self.sup[u, da] != support:
-                    raise IndexError_(
-                        f"sup({u})[{da}] = {self.sup[u, da]}, actual {support}"
-                    )
+        D = len(self.sc.slot_weights)
+        for d in range(D):
+            dis, sup = self._matrix(self.dis, d), self._matrix(self.sup, d)
+            name, sup_name = ("dis", "sup") if D == 1 else (f"dis[{d}]", f"sup[{d}]")
+            for u in range(self.n):
+                du = int(depth[u])
+                if dis[u, du] != 0.0:
+                    raise IndexError_(f"{name}({u})[depth({u})] must be 0")
+                for da in range(du):
+                    value, support = self.evaluate_entry(u, da, None, d)
+                    if dis[u, da] != value:
+                        raise IndexError_(
+                            f"{name}({u})[{da}] = {dis[u, da]}, "
+                            f"Equation (*) gives {value}"
+                        )
+                    if sup[u, da] != support:
+                        raise IndexError_(
+                            f"{sup_name}({u})[{da}] = {sup[u, da]}, "
+                            f"actual {support}"
+                        )
 
     def __repr__(self) -> str:
         return (

@@ -43,8 +43,8 @@ def fill_row(
     sup: np.ndarray,
     u: int,
 ) -> None:
-    """Compute ``dis(u)`` / ``sup(u)`` from Equation (*), vectorized
-    (delegates to :func:`repro.perf.kernels.fill_row`).
+    """Compute ``dis(u)`` / ``sup(u)`` from Equation (*), vectorized, in
+    every label matrix (delegates to :func:`repro.perf.kernels.fill_row`).
 
     Requires the rows of every vertex in ``nbr+(u)`` (all ancestors of
     *u*) to be final already; any top-down processing order satisfies
@@ -59,22 +59,25 @@ def fill_distance_arrays(
     tree: TreeDecomposition,
     counter: Optional[OpCounter] = None,
 ) -> H2HIndex:
-    """Step 3 of H2HIndexing: the distance/support matrices.
+    """Step 3 of H2HIndexing: the distance/support matrices, one per
+    row of *sc*'s weights — ``(n, height)`` for an undirected CH store,
+    ``(2, n, height)`` for a directed one.
 
     Exposed separately because the recompute-from-scratch baseline of
     Exp-1 measures exactly this step (the tree and position arrays are
-    weight independent and never need rebuilding under weight updates).
+    weight independent and never need rebuilding under weight updates),
+    and the rebuilds of both H2H facades refill their labels with it.
     """
     ops = resolve_counter(counter)
-    n = tree.n
-    height = tree.height
+    count = len(sc.slot_weights)
+    shape = (tree.n, tree.height) if count == 1 else (count, tree.n, tree.height)
     depth = tree.depth
-    dis = np.full((n, height), np.inf, dtype=np.float64)
-    sup = np.zeros((n, height), dtype=np.int32)
+    dis = np.full(shape, np.inf, dtype=np.float64)
+    sup = np.zeros(shape, dtype=np.int32)
 
     for u in tree.top_down_order:
         fill_row(sc, tree, dis, sup, u)
-        ops.add("star_term", len(sc.upward(u)) * int(depth[u]))
+        ops.add("star_term", count * len(sc.upward(u)) * int(depth[u]))
 
     return H2HIndex(sc, tree, dis, sup)
 

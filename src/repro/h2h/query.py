@@ -11,8 +11,10 @@ the scan is both correct and only ``|X(a)|`` long — no graph search at
 all, which is why H2H answers queries one to three orders of magnitude
 faster than CH (Exp-3).
 
-The directed index (:class:`~repro.directed.h2h.DirectedH2HIndex`) is
-read by the same scan, over ``dis_to(s)`` and ``dis_from(t)``::
+The directed index (the ``D = 2`` case of
+:class:`~repro.h2h.index.H2HIndex`, built by
+:func:`repro.directed.h2h.directed_h2h_indexing`) is read by the same
+scan, over ``dis_to(s)`` and ``dis_from(t)``::
 
     sd(s -> t) = min over i in pos(a) of  dis_to(s)[i] + dis_from(t)[i]
 """

@@ -13,12 +13,11 @@ kernel                       replaces
                              row refresh
 :func:`star_eval`            ``evaluate_entry`` called once per entry of
                              a whole IncH2H+ level (line 23 of Algorithm 4)
-                             or of a vertex in directed H2HIndexing
 :func:`level_weights` /      CHIndexing's contraction loop and its scalar
 :func:`level_supports`       Equation (<>) support pass, undirected and
                              directed
 :func:`fill_row`             the per-depth construction loop of
-                             H2HIndexing step 3
+                             H2HIndexing step 3, undirected or directed
 :func:`pos_scan_many`        one ``h2h_distance`` call per pair of a
                              query batch, undirected or directed
 ===========================  ==============================================
@@ -34,12 +33,14 @@ undirected index reads its own matrix, ``sd(a -> v)`` for a ``TO`` entry
 comes from the ``FROM`` row of ``a`` and vice versa.  The CHIndexing
 level pass (:func:`level_weights`, :func:`level_supports`) follows the
 same rule over a ``(D, slots)`` shortcut store: row *d* of a target
-takes its first leg from row ``other(d)``.
+takes its first leg from row ``other(d)``.  :func:`fill_row` fills
+every label matrix of a vertex the same way, matrix *d* from row *d* of
+the store's weights: one construction kernel serves both indexes.
 
 Bit-identity contract
 ---------------------
 All kernels are drop-in replacements for the scalar reference paths
-(``H2HIndex.evaluate_entry``, ``DirectedH2HIndex.evaluate_entry``, the
+(``H2HIndex.evaluate_entry`` of either direction, the
 scalar H2H queries), which stay in the codebase precisely so the
 differential tests in ``tests/test_perf_kernels.py`` and
 ``tests/test_h2h_batch_query.py`` can assert the two produce
@@ -57,8 +58,8 @@ intermediates.
 The kernels duck-type their ``index`` argument: anything exposing
 ``sc``/``tree``/``dis``/``sup`` (and, for :func:`star_eval`,
 ``slot_weights()``: ``(D, slots)`` weights in the slot order of the
-tree's ``nbr+`` CSR) the way :class:`repro.h2h.index.H2HIndex` and
-:class:`repro.directed.h2h.DirectedH2HIndex` do.
+tree's ``nbr+`` CSR) the way :class:`repro.h2h.index.H2HIndex` does,
+with one label matrix or two.
 """
 
 from __future__ import annotations
@@ -78,7 +79,6 @@ __all__ = [
     "other",
     "star_eval",
     "fill_row",
-    "directed_fill_vertex",
     "level_weights",
     "level_supports",
     "pos_scan_many",
@@ -230,7 +230,16 @@ def star_eval(
 
 
 def fill_row(sc, tree, dis: np.ndarray, sup: np.ndarray, u: int) -> None:
-    """Compute ``dis(u)`` / ``sup(u)`` from Equation (*), vectorized.
+    """Compute ``dis(u)`` / ``sup(u)`` from Equation (*), vectorized, in
+    every label matrix: *dis*/*sup* are ``(n, width)`` for the one row
+    of an undirected CH store and ``(2, n, width)`` for a directed one.
+
+    Matrix *d* adds row *d* of ``sc.slot_weights`` (``phi(u -> v)`` for
+    ``TO``, ``phi(v -> u)`` for ``FROM``) and reads the deep Equation
+    (nabla) case from matrix :func:`other`, so the directed rows are::
+
+        dis[TO][u, da]   = min over v in nbr+(u) of phi(u -> v) + sd(v -> a)
+        dis[FROM][u, da] = min over v in nbr+(u) of sd(a -> v) + phi(v -> u)
 
     Requires the rows of every vertex in ``nbr+(u)`` (all ancestors of
     *u*) to be final already; any top-down processing order satisfies
@@ -238,51 +247,35 @@ def fill_row(sc, tree, dis: np.ndarray, sup: np.ndarray, u: int) -> None:
     """
     depth = tree.depth
     du = int(depth[u])
-    if du == 0:
-        dis[u, 0] = 0.0
-        return
-    anc_u = tree.anc[u]
+    count = len(sc.slot_weights)
     upward = sc.upward(u)
-    weights = sc.upward_weights(u)
-    candidates = np.empty((len(upward), du), dtype=np.float64)
-    for i, v in enumerate(upward):
-        dv = int(depth[v])
-        w_uv = weights[i]
-        row = candidates[i]
-        # Depths 0..dv: a is an ancestor of v (or v itself) -> dis(v)[da].
-        row[: dv + 1] = dis[v, : dv + 1]
-        # Depths dv+1..du-1: v is a proper ancestor of a -> dis(a)[dv].
-        if dv + 1 < du:
-            row[dv + 1 :] = dis[anc_u[dv + 1 : du], dv]
-        row += w_uv
-    best = candidates.min(axis=0)
-    dis[u, :du] = best
-    dis[u, du] = 0.0
-    finite = ~np.isinf(best)
-    sup[u, :du] = ((candidates == best) & finite).sum(axis=0)
-    sup[u, du] = 0
-
-
-def directed_fill_vertex(index, u: int) -> None:
-    """Compute both directed distance rows of *u* from Equation (*) —
-    the construction inner loop of directed H2HIndexing, one
-    :func:`star_eval` per direction.
-
-    ``dis[TO][u, da]  = min over v in nbr+(u) of phi(u -> v) + sd(v -> a)``
-    ``dis[FROM][u, da] = min over v in nbr+(u) of sd(a -> v) + phi(v -> u)``
-
-    Requires the rows of every upward neighbor to be final (top-down
-    order).  Sets the zero diagonal and both support rows.
-    """
-    du = int(index.tree.depth[u])
-    index.drop_log()
-    for d in (0, 1):
-        index.dis[d][u, du] = 0.0
-        index.sup[d][u, du] = 0
-        if du:
-            values, supports = star_eval(index, d, u, np.arange(du))
-            index.dis[d][u, :du] = values
-            index.sup[d][u, :du] = supports
+    anc_u = tree.anc[u]
+    for d in range(count):
+        if count == 1:
+            dis_d, sup_d, deep = dis, sup, dis
+        else:
+            dis_d, sup_d, deep = dis[d], sup[d], dis[other(count, d)]
+        if du == 0:
+            dis_d[u, 0] = 0.0
+            continue
+        weights = sc.upward_weights(u, d)
+        candidates = np.empty((len(upward), du), dtype=np.float64)
+        for i, v in enumerate(upward):
+            dv = int(depth[v])
+            w_uv = weights[i]
+            row = candidates[i]
+            # Depths 0..dv: a is an ancestor of v (or v itself) -> dis(v)[da].
+            row[: dv + 1] = dis_d[v, : dv + 1]
+            # Depths dv+1..du-1: v is a proper ancestor of a -> dis(a)[dv].
+            if dv + 1 < du:
+                row[dv + 1 :] = deep[anc_u[dv + 1 : du], dv]
+            row += w_uv
+        best = candidates.min(axis=0)
+        dis_d[u, :du] = best
+        dis_d[u, du] = 0.0
+        finite = ~np.isinf(best)
+        sup_d[u, :du] = ((candidates == best) & finite).sum(axis=0)
+        sup_d[u, du] = 0
 
 
 # ----------------------------------------------------------------------

@@ -26,6 +26,10 @@ Reliability (see ``src/repro/reliability/``):
   shortcut column shorter than another, a ``sup`` matrix shaped unlike
   ``dis``) raises :class:`IntegrityError` too, rather than loading a
   broken index.
+
+The format is undirected: one weight per shortcut.  A directed
+(``D = 2``) index is refused with :class:`ReproError` rather than
+written as an archive that would load as an undirected index.
 """
 
 from __future__ import annotations
@@ -135,6 +139,8 @@ def _read_payload(path: PathLike, kind: str) -> Dict[str, np.ndarray]:
 # CH
 # ----------------------------------------------------------------------
 def _ch_payload(index: ShortcutGraph) -> Dict[str, np.ndarray]:
+    if len(index.slot_weights) != 1:
+        raise ReproError("a directed index has no archive format")
     records = list(index.shortcut_records())
     us = np.array([u for u, _, _, _, _ in records], dtype=np.int64)
     vs = np.array([v for _, v, _, _, _ in records], dtype=np.int64)

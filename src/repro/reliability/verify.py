@@ -6,11 +6,13 @@ maintenance step, a tampered archive) then poisons every answer until
 someone notices.  This module makes "noticing" cheap and explicit:
 
 * :func:`verify_ch` re-derives Equation (<>) for shortcuts and checks
-  stored weight / support / witness against it, plus symmetry and —
-  when the road network is supplied — agreement between the index's
-  ``phi(e, G)`` copy and the graph's actual edge weights;
+  stored weight / support / witness against it, plus symmetry (on an
+  undirected index) and — when the road network is supplied —
+  agreement between the index's ``phi(e, G)`` copy and the graph's
+  actual edge weights (its arcs, on a directed network);
 * :func:`verify_h2h` does the same for the underlying CH and then
-  re-derives Equation (*) for super-shortcut entries;
+  re-derives Equation (*) for super-shortcut entries of every label
+  matrix;
 * :func:`verify_index` dispatches on the index (or oracle) type.
 
 All three run **exhaustively** by default and **sampled** when given
@@ -34,9 +36,10 @@ __all__ = ["verify_ch", "verify_h2h", "verify_index"]
 
 
 def _check_shortcut(index: ShortcutGraph, u: int, v: int) -> None:
-    """One shortcut: symmetry, Equation (<>), support, witness."""
+    """One shortcut (the arc ``u -> v`` of a directed index): symmetry
+    (undirected only), Equation (<>), support, witness."""
     w = index.weight(u, v)
-    if index.weight(v, u) != w:
+    if len(index.slot_weights) == 1 and index.weight(v, u) != w:
         raise IntegrityError(f"asymmetric weight on shortcut <{u}, {v}>")
     result = index.evaluate_equation(u, v)
     if result.weight != w:
@@ -69,7 +72,8 @@ def _check_shortcut(index: ShortcutGraph, u: int, v: int) -> None:
 
 
 def _check_against_graph(index: ShortcutGraph, graph: RoadNetwork) -> None:
-    """The index's edge-weight copy must mirror the graph exactly."""
+    """The index's edge-weight copy must mirror the graph exactly: its
+    edges, or its arcs on a directed index."""
     if index.n != graph.n:
         raise IntegrityError(
             f"index has {index.n} vertices, graph has {graph.n}"
@@ -81,7 +85,8 @@ def _check_against_graph(index: ShortcutGraph, graph: RoadNetwork) -> None:
         raise IntegrityError(
             f"index tracks {finite_edges} live edges, graph has {graph.m}"
         )
-    for u, v, w in graph.edges():
+    directed = len(index.slot_weights) == 2
+    for u, v, w in graph.arcs() if directed else graph.edges():
         if not index.is_graph_edge(u, v):
             raise IntegrityError(
                 f"graph edge ({u}, {v}) is unknown to the index"
@@ -124,35 +129,45 @@ def verify_h2h(
     seed: int = 0,
 ) -> int:
     """Verify an H2H index (underlying CH first, then the ``dis`` /
-    ``sup`` matrices); returns the number of entries checked.
+    ``sup`` matrices, both of them on a directed index); returns the
+    number of entries checked.
 
     With ``sample=k``, ``k`` shortcuts and ``k`` super-shortcut entries
     are re-derived; exhaustive otherwise.
     """
     checked = verify_ch(index.sc, graph, sample=sample, seed=seed)
     depth = index.tree.depth
+    count = len(index.sc.slot_weights)
+    dis = index.dis.reshape(count, index.n, -1)
+    sup = index.sup.reshape(count, index.n, -1)
     entries = [
-        (u, da) for u in range(index.n) for da in range(int(depth[u]))
+        (d, u, da)
+        for d in range(count)
+        for u in range(index.n)
+        for da in range(int(depth[u]))
     ]
     if sample is not None and sample < len(entries):
         entries = random.Random(seed + 1).sample(entries, sample)
-    for u in range(index.n):
-        if index.dis[u, int(depth[u])] != 0.0:
+    for d in range(count):
+        name = "dis" if count == 1 else f"dis[{d}]"
+        for u in range(index.n):
+            if dis[d, u, int(depth[u])] != 0.0:
+                raise IntegrityError(
+                    f"{name}({u})[depth({u})] = {dis[d, u, int(depth[u])]}, "
+                    f"must be 0"
+                )
+    for d, u, da in entries:
+        value, support = index.evaluate_entry(u, da, None, d)
+        where = f", matrix {d}" if count == 2 else ""
+        if dis[d, u, da] != value:
             raise IntegrityError(
-                f"dis({u})[depth({u})] = {index.dis[u, int(depth[u])]}, "
-                f"must be 0"
+                f"super-shortcut ({u}, depth {da}{where}): stored distance "
+                f"{dis[d, u, da]}, Equation (*) gives {value}"
             )
-    for u, da in entries:
-        value, support = index.evaluate_entry(u, da)
-        if index.dis[u, da] != value:
+        if sup[d, u, da] != support:
             raise IntegrityError(
-                f"super-shortcut ({u}, depth {da}): stored distance "
-                f"{index.dis[u, da]}, Equation (*) gives {value}"
-            )
-        if index.sup[u, da] != support:
-            raise IntegrityError(
-                f"super-shortcut ({u}, depth {da}): stored support "
-                f"{index.sup[u, da]}, actual {support}"
+                f"super-shortcut ({u}, depth {da}{where}): stored support "
+                f"{sup[d, u, da]}, actual {support}"
             )
     return checked + len(entries)
 

@@ -9,7 +9,10 @@ only batch validation and trace bookkeeping with the slot path, so
 ``tests/test_dch_slots.py`` can hold :func:`repro.ch.dch.dch_increase`
 and :func:`repro.ch.dch.dch_decrease` to it: bit-equal ``phi``,
 ``phi(e, G)``, ``sup`` and ``via``, the same changed list in the same
-order, and the same ``OpCounter`` dict.
+order, and the same ``OpCounter`` dict.  Its DCH+ repairs witnesses as
+the slot path does: a shortcut whose support falls but stays above 0,
+and whose witness named the term that rose, takes the witness
+Equation (<>) picks at the current weights (uncounted).
 """
 
 from __future__ import annotations
@@ -78,6 +81,11 @@ def reference_dch_increase(
                     if sup == 0:
                         queue.push(key, priority(key))
                         ops.add("queue_push")
+                    elif index.via(u, v) is None:
+                        # The edge was the witness: name a term that
+                        # still attains (uncounted, weight unchanged).
+                        index.set_edge_weight(u, v, w)
+                        index.set_via(u, v, index.evaluate_equation(u, v).via)
                 index.set_edge_weight(u, v, w)
 
         changed: List[ChangedShortcut] = []
@@ -98,6 +106,7 @@ def reference_dch_increase(
                     else []
                 )
                 ops.add("scp_plus_inspect", len(triples))
+                stale = []
                 for x, w_mid, y in triples:
                     partner = index.key(w_mid, y)
                     candidate = old_weight + index.weight(x, w_mid)
@@ -107,8 +116,14 @@ def reference_dch_increase(
                         if sup == 0:
                             queue.push(partner, priority(partner))
                             ops.add("queue_push")
+                        elif index.via(*partner) == x:
+                            stale.append(partner)
                 # Line 13: recompute weight and support from Equation (<>).
                 new_weight = index.recompute(u, v, counter)
+                # A partner that keeps its weight must not keep a witness
+                # through <u, v>, which has just risen.
+                for partner in stale:
+                    index.set_via(*partner, index.evaluate_equation(*partner).via)
                 if new_weight != old_weight:
                     changed.append((key, old_weight, new_weight))
             sp_prop.set(changed=len(changed))

@@ -6,7 +6,7 @@ it moved onto the shared level-synchronous engine of
 :mod:`repro.h2h.inch2h`: one addressable priority queue of entries
 ``(direction, u, da)`` popped in non-ascending rank of ``u``, every
 dependent visited in a Python loop over ``sc.weight``, line 23 recomputed
-with the scalar :meth:`DirectedH2HIndex.evaluate_entry`.  It shares no
+with the scalar :meth:`H2HIndex.evaluate_entry`.  It shares no
 code with the level path past directed DCH and the Equation (*) seed
 rows (:func:`repro.perf.kernels.candidate_row`), so
 ``tests/test_directed_inch2h_levels.py`` can hold the level path to it:
@@ -42,7 +42,7 @@ def recompute_entry(
     counter: Optional[OpCounter] = None,
 ) -> float:
     """Recompute and store one entry from the directed Equation (*)."""
-    value, support = index.evaluate_entry(direction, u, da, counter)
+    value, support = index.evaluate_entry(u, da, counter, direction)
     index.dis[direction][u, da] = value
     index.sup[direction][u, da] = support
     return value

@@ -18,11 +18,7 @@ import pytest
 from repro.core.dynamic import DynamicH2H
 from repro.directed.dynamic import DynamicDiH2H
 from repro.directed.graph import DiRoadNetwork
-from repro.directed.h2h import (
-    directed_h2h_indexing,
-    directed_inch2h_decrease,
-    directed_inch2h_increase,
-)
+from repro.directed.h2h import directed_h2h_indexing
 from repro.graph.generators import road_network
 from repro.h2h.inch2h import ChangedLabels, inch2h_decrease, inch2h_increase
 from repro.h2h.indexing import h2h_indexing
@@ -73,7 +69,7 @@ def make(kind, graph):
 
 ENGINE = {
     "undirected": (inch2h_increase, inch2h_decrease),
-    "directed": (directed_inch2h_increase, directed_inch2h_decrease),
+    "directed": (inch2h_increase, inch2h_decrease),
 }
 REFERENCE = {
     "undirected": (

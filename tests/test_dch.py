@@ -11,8 +11,12 @@ from repro.baselines.dijkstra import dijkstra
 from repro.ch.dch import dch_decrease, dch_increase
 from repro.ch.indexing import ch_indexing
 from repro.ch.query import ch_distance
+from repro.core.dynamic import DynamicCH
+from repro.directed.dynamic import DynamicDiCH
+from repro.directed.graph import DiRoadNetwork
 from repro.errors import IndexError_, UpdateError
 from repro.graph.generators import road_network
+from repro.reliability import verify_index
 from repro.utils.counters import OpCounter
 from repro.workloads.updates import increase_batch, restore_batch, sample_edges
 
@@ -79,14 +83,19 @@ class TestIncreaseSemantics:
         """Raising an edge that was not the shortest valley path leaves
         the shortcut untouched."""
         sc = ch_indexing(medium_road)
-        # Find an edge whose shortcut weight is strictly below the edge weight.
-        target = None
-        for u, w, weight in medium_road.edges():
-            if sc.weight(u, w) < weight:
-                target = ((u, w), weight + 5.0)
-                break
-        if target is None:
-            pytest.skip("no slack edge in this network")
+        # Make a slack edge: raise (u, w) above its best valley detour
+        # (u, t, w through a lower t), so the shortcut <u, w> keeps the
+        # detour's weight, strictly below the edge weight.
+        u, w, detour = next(
+            (u, w, min(sc.weight(t, u) + sc.weight(t, w) for t in sc.scp_minus(u, w)))
+            for u, w, _weight in medium_road.edges()
+            if any(True for _t in sc.scp_minus(u, w))
+        )
+        medium_road.set_weight(u, w, detour + 1.0)
+        sc = ch_indexing(medium_road, sc.ordering)
+        weight = medium_road.weight(u, w)
+        assert sc.weight(u, w) < weight
+        target = ((u, w), weight + 5.0)
         changed = dch_increase(sc, [target])
         assert changed == []
 
@@ -161,6 +170,40 @@ class TestDecreaseSemantics:
         dch_decrease(sc, restore_batch(edges))
         assert sc.weight_snapshot() == before_weights
         assert sc.support_snapshot() == before_support
+
+
+class TestWitnesses:
+    """DCH+ keeps every witness attaining its shortcut's weight, on both
+    stores: a partner (or edge) that keeps some support must not keep a
+    witness through the term that rose."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: DynamicCH(road_network(400)),
+            lambda: DynamicDiCH(
+                DiRoadNetwork.from_undirected(road_network(400), asymmetry=2.0)
+            ),
+        ],
+        ids=["D=1", "D=2"],
+    )
+    def test_witnesses_attain_after_increases(self, make):
+        oracle = make()
+        graph = oracle.graph
+        links = list(graph.arcs() if hasattr(graph, "arcs") else graph.edges())
+        # The update draws alone come from Random(1), so the rounds are
+        # the ones that left stale witnesses before the repair.
+        rng, pairs = random.Random(1), random.Random(2)
+        for _round in range(8):
+            picked = rng.sample(links, 20)
+            oracle.apply([((u, v), graph.weight(u, v) * 2.0) for u, v, _w in picked])
+            # Witnesses, weights, supports and phi(e, G) against G.
+            verify_index(oracle)
+            for _ in range(50):
+                s, t = pairs.randrange(graph.n), pairs.randrange(graph.n)
+                path = oracle.path(s, t)
+                length = sum(graph.weight(a, b) for a, b in zip(path, path[1:]))
+                assert length == oracle.distance(s, t)
 
 
 class TestRepeatedBatches:

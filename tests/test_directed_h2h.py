@@ -9,16 +9,12 @@ import pytest
 
 from repro.directed.graph import DiRoadNetwork
 from repro.directed.dijkstra import directed_dijkstra
-from repro.directed.h2h import (
-    FROM,
-    TO,
-    directed_h2h_indexing,
-    directed_inch2h_decrease,
-    directed_inch2h_increase,
-)
+from repro.directed.h2h import FROM, TO, directed_h2h_indexing
+from repro.h2h.inch2h import inch2h_decrease, inch2h_increase
 from repro.errors import QueryError
 from repro.graph.generators import road_network
 from repro.h2h.query import h2h_distance
+from repro.obs.trace import MemorySink, use_sink
 
 
 @pytest.fixture
@@ -106,7 +102,7 @@ class TestIncremental:
         rng = random.Random(3)
         arcs = list(one_way_city.arcs())
         sample = rng.sample(arcs, 8)
-        directed_inch2h_increase(index, [((u, v), w * 2.0) for u, v, w in sample])
+        inch2h_increase(index, [((u, v), w * 2.0) for u, v, w in sample])
         for u, v, w in sample:
             one_way_city.set_weight(u, v, w * 2.0)
         index.validate()
@@ -122,8 +118,8 @@ class TestIncremental:
         rng = random.Random(4)
         arcs = list(one_way_city.arcs())
         sample = rng.sample(arcs, 10)
-        directed_inch2h_increase(index, [((u, v), w * 3.0) for u, v, w in sample])
-        directed_inch2h_decrease(index, [((u, v), float(w)) for u, v, w in sample])
+        inch2h_increase(index, [((u, v), w * 3.0) for u, v, w in sample])
+        inch2h_decrease(index, [((u, v), float(w)) for u, v, w in sample])
         import numpy as np
 
         assert np.array_equal(index.dis[TO], dis_to_before)
@@ -138,13 +134,13 @@ class TestIncremental:
             factor = [2.0, 4.0, 1.5][trial]
             ups = [((u, v), one_way_city.weight(u, v) * factor)
                    for u, v, _ in sample]
-            directed_inch2h_increase(index, ups)
+            inch2h_increase(index, ups)
             for (u, v), w in ups:
                 one_way_city.set_weight(u, v, w)
             index.validate()
             downs = [((u, v), one_way_city.weight(u, v) / factor)
                      for (u, v), _ in ups]
-            directed_inch2h_decrease(index, downs)
+            inch2h_decrease(index, downs)
             for (u, v), w in downs:
                 one_way_city.set_weight(u, v, w)
             index.validate()
@@ -161,14 +157,14 @@ class TestIncremental:
         # Distances INTO targets using arc u->v can change; distances in
         # the pure reverse direction v->u cannot change labels that never
         # route over u->v.  Spot-check overall correctness instead.
-        directed_inch2h_increase(index, [((u, v), w * 5.0)])
+        inch2h_increase(index, [((u, v), w * 5.0)])
         one_way_city.set_weight(u, v, w * 5.0)
         index.validate()
         del np
 
     def test_arc_deletion_via_infinity(self, index, one_way_city):
         u, v, w = next(iter(one_way_city.arcs()))
-        directed_inch2h_increase(index, [((u, v), math.inf)])
+        inch2h_increase(index, [((u, v), math.inf)])
         one_way_city.set_weight(u, v, math.inf)
         index.validate()
         for s in range(0, one_way_city.n, 31):
@@ -176,6 +172,32 @@ class TestIncremental:
             for t in range(one_way_city.n):
                 assert h2h_distance(index, s, t) == dist[t]
         # Restore.
-        directed_inch2h_decrease(index, [((u, v), float(w))])
+        inch2h_decrease(index, [((u, v), float(w))])
         one_way_city.set_weight(u, v, float(w))
         index.validate()
+
+
+class TestSpans:
+    def test_directed_call_opens_directed_spans(self, index, one_way_city):
+        """The one IncH2H± entry names its span by D; on a directed index
+        the phase spans nest under ``directed.inch2h.*`` and the record
+        carries op counts, not Section 5's currencies."""
+        u, v, w = next(iter(one_way_city.arcs()))
+        sink = MemorySink()
+        with use_sink(sink):
+            inch2h_increase(index, [((u, v), w * 2.0)])
+            inch2h_decrease(index, [((u, v), float(w))])
+        by_id = {r["span_id"]: r for r in sink.records}
+        spans = [r["span"] for r in sink.records]
+        for kind in ("increase", "decrease"):
+            assert f"directed.inch2h.{kind}" in spans
+            assert f"inch2h.{kind}" not in spans
+            for phase in ("seed", "propagate"):
+                (record,) = [
+                    r for r in sink.records if r["span"] == f"inch2h.{kind}.{phase}"
+                ]
+                parent = by_id[record["parent_id"]]["span"]
+                assert parent == f"directed.inch2h.{kind}"
+        for record in sink.records:
+            if record["span"].startswith("directed.inch2h."):
+                assert record["ops_total"] > 0 and "aff_norm" not in record

@@ -1,7 +1,7 @@
 """Differential: directed IncH2H± on the level engine against the scalar
 reference.
 
-:func:`repro.directed.h2h.directed_inch2h_increase` / ``_decrease`` run
+:func:`repro.h2h.inch2h.inch2h_increase` / ``_decrease`` run
 the shared level-synchronous engine of :mod:`repro.h2h.inch2h` over the
 ``TO``/``FROM`` label matrices; ``tests/reference_directed_inch2h.py``
 is the queue-driven scalar form they replaced.  On twin clones of one
@@ -22,20 +22,16 @@ import pytest
 
 from repro.ch.dch import dch_decrease
 from repro.directed.graph import DiRoadNetwork
-from repro.directed.h2h import (
-    _arc_rows,
-    directed_h2h_indexing,
-    directed_inch2h_decrease,
-    directed_inch2h_increase,
-)
+from repro.directed.h2h import directed_h2h_indexing
 from repro.graph.generators import road_network
 from repro.h2h import inch2h
+from repro.h2h.inch2h import inch2h_decrease, inch2h_increase
 from repro.utils.counters import OpCounter
 
 from reference_directed_inch2h import reference_decrease, reference_increase
 from test_inch2h_levels import stale_seed_reads
 
-LEVEL = {"increase": directed_inch2h_increase, "decrease": directed_inch2h_decrease}
+LEVEL = {"increase": inch2h_increase, "decrease": inch2h_decrease}
 REFERENCE = {"increase": reference_increase, "decrease": reference_decrease}
 
 
@@ -157,7 +153,7 @@ def scenarios(digraph, count, monkeypatch):
     batch = [((u, v), w * 0.5) for u, v, w in halved]
     probe = twins.level.clone()
     changed_arcs = dch_decrease(probe.sc, batch)
-    rows = list(_arc_rows(probe, changed_arcs, OpCounter(), False))
+    rows = list(inch2h._seed_rows(probe, changed_arcs, OpCounter(), False))
     changed = twins.apply("decrease", batch)
     assert stale_seed_reads(twins.level, rows, changed) > 0
     twins.apply("increase", [((u, v), w) for u, v, w in halved])

@@ -1,6 +1,6 @@
 """The batch H2H query plane (``distance_many``) against its references.
 
-``H2HIndex.distance_many`` / ``DirectedH2HIndex.distance_many`` answer a
+``H2HIndex.distance_many`` (undirected and directed) answers a
 whole batch with one vectorised LCA and one padded ``pos`` gather
 (:func:`repro.perf.kernels.pos_scan_many`).  They must be ``==`` — no
 tolerance — to the scalar query (``h2h_distance``, which reads either

@@ -171,7 +171,7 @@ def test_decrease_seeds_reading_improved_entries_match_reference(road400):
     batch = [((u, v), w * 0.5) for u, v, w in edges]
     probe = twins.level.clone()
     rows = list(
-        inch2h._shortcut_rows(probe, dch_decrease(probe.sc, batch), OpCounter())
+        inch2h._seed_rows(probe, dch_decrease(probe.sc, batch), OpCounter(), False)
     )
     changed = twins.apply("decrease", batch)
     assert stale_seed_reads(twins.level, rows, changed) > 0

@@ -2,7 +2,7 @@
 
 Every kernel in :mod:`repro.perf.kernels` claims bit-identity with a
 scalar reference path that stays in the codebase for exactly this
-purpose (``H2HIndex.evaluate_entry``, ``DirectedH2HIndex.evaluate_entry``).
+purpose (``H2HIndex.evaluate_entry``, for both directions).
 These tests sweep whole indexes and assert the identity exactly —
 ``==`` on floats, no tolerances — plus a slow-suite microbench gate:
 the vectorized row evaluation must not lose to the scalar loop even on
@@ -75,7 +75,7 @@ class TestDirectedKernels:
             for direction in (TO, FROM):
                 assert index.dis[direction][u, du] == 0.0
                 for da in range(du):
-                    value, support = index.evaluate_entry(direction, u, da)
+                    value, support = index.evaluate_entry(u, da, None, direction)
                     assert index.dis[direction][u, da] == value
                     assert index.sup[direction][u, da] == support
 
@@ -90,7 +90,7 @@ class TestDirectedKernels:
                 for direction in (TO, FROM):
                     row = kernels.candidate_row(index, direction, u, v, 2.5)
                     for da in range(du):
-                        assert row[da] == 2.5 + index._sd(direction, u, v, da)
+                        assert row[da] == 2.5 + index.sd_between(u, v, da, direction)
 
 
 @pytest.mark.slow

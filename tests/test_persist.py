@@ -8,6 +8,8 @@ import pytest
 from repro.ch.dch import dch_increase
 from repro.ch.indexing import ch_indexing
 from repro.ch.query import ch_distance
+from repro.directed.ch import directed_ch_indexing
+from repro.directed.h2h import directed_h2h_indexing
 from repro.errors import IntegrityError, ReproError
 from repro.graph.generators import grid_network
 from repro.h2h.inch2h import inch2h_increase
@@ -16,7 +18,7 @@ from repro.h2h.query import h2h_distance
 from repro.persist import load_ch, load_h2h, save_ch, save_h2h
 from repro.workloads.updates import increase_batch, sample_edges
 
-from conftest import random_pairs, rewrite_archive
+from conftest import one_way_network, random_pairs, rewrite_archive
 
 
 class TestChRoundTrip:
@@ -215,3 +217,20 @@ class TestArchiveCompatibility:
         save_h2h(loaded, tmp_path / "c.npz")
         self._assert_same_columns(tmp_path / "a.npz", tmp_path / "c.npz")
         loaded.validate()
+
+
+class TestDirectedIndexesRefused:
+    """The archive holds one weight per shortcut: a directed store would
+    load as an undirected index with wrong answers, so saving one raises
+    and writes nothing."""
+
+    @pytest.mark.parametrize(
+        "save, build",
+        [(save_ch, directed_ch_indexing), (save_h2h, directed_h2h_indexing)],
+        ids=["ch", "h2h"],
+    )
+    def test_save_raises_and_writes_nothing(self, save, build, tmp_path):
+        index = build(one_way_network(40))
+        with pytest.raises(ReproError, match="directed"):
+            save(index, tmp_path / "di.npz")
+        assert list(tmp_path.iterdir()) == []

@@ -12,7 +12,6 @@ import math
 import pytest
 
 import repro.core.dynamic
-import repro.directed.dynamic
 from repro.baselines.dijkstra import dijkstra
 from repro.core.dynamic import DynamicCH, DynamicH2H
 from repro.directed.dijkstra import directed_distance
@@ -112,7 +111,7 @@ CASES = {
     "ch": (DynamicCH, repro.core.dynamic, "dch_decrease", "dch_increase"),
     "h2h": (DynamicH2H, repro.core.dynamic,
             "inch2h_decrease", "inch2h_increase"),
-    "dich": (DynamicDiCH, repro.directed.dynamic,
+    "dich": (DynamicDiCH, repro.core.dynamic,
              "dch_decrease", "dch_increase"),
 }
 

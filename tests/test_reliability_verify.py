@@ -5,8 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.core.dynamic import DynamicCH, DynamicH2H
+from repro.directed.dynamic import DynamicDiCH, DynamicDiH2H
 from repro.errors import IntegrityError
-from repro.reliability import verify_ch, verify_h2h, verify_index
+from repro.reliability import ResilientOracle, verify_ch, verify_h2h, verify_index
+
+from conftest import one_way_network
 
 
 class TestCleanIndexes:
@@ -107,3 +110,41 @@ class TestCorruptionDetected:
         index.set_weight(u, v, index.weight(u, v) + 1.0)
         with pytest.raises(IntegrityError):
             verify_ch(index)  # exhaustive always finds it
+
+
+class TestDirectedOracles:
+    """The ``D = 2`` stores: the graph cross-check reads the arcs, no
+    symmetry is asked of them, and both label matrices are checked."""
+
+    @pytest.mark.parametrize("cls", [DynamicDiCH, DynamicDiH2H])
+    def test_clean_oracle_verifies(self, cls):
+        oracle = cls(one_way_network(60))
+        assert verify_index(oracle) > 0
+        assert verify_index(oracle, sample=15, seed=2) > 0
+        resilient = ResilientOracle(oracle)
+        assert resilient.check_integrity() and not resilient.degraded
+
+    @pytest.mark.parametrize("cls", [DynamicDiCH, DynamicDiH2H])
+    def test_corrupted_arc_weight_detected(self, cls):
+        oracle = cls(one_way_network(60))
+        sc = oracle.index if cls is DynamicDiCH else oracle.index.sc
+        u, v, _w = next(iter(oracle.graph.arcs()))
+        sc.set_weight(u, v, sc.weight(u, v) + 1.0)
+        with pytest.raises(IntegrityError, match="Equation"):
+            verify_index(oracle)
+
+    def test_graph_divergence_on_an_arc_detected(self):
+        oracle = DynamicDiCH(one_way_network(60))
+        u, v, w = next(iter(oracle.graph.arcs()))
+        oracle.graph.set_weight(u, v, w + 7.0)
+        with pytest.raises(IntegrityError, match="diverged"):
+            verify_index(oracle)
+
+    @pytest.mark.parametrize("d", [0, 1])
+    def test_corrupted_label_cell_detected(self, d):
+        oracle = DynamicDiH2H(one_way_network(60))
+        index = oracle.index
+        u = int(index.tree.depth.argmax())
+        index.dis[d, u, 0] += 0.5
+        with pytest.raises(IntegrityError, match="super-shortcut"):
+            verify_index(oracle)

@@ -23,11 +23,16 @@ from __future__ import annotations
 
 from typing import Optional
 
+import numpy as np
+
 from repro.errors import QueryError
 from repro.h2h.index import H2HIndex
-from repro.utils.counters import OpCounter, resolve_counter
+from repro.utils.counters import OpCounter
 
 __all__ = ["h2h_distance"]
+
+#: ``ndarray.min`` without the method's own call layers.
+_min = np.minimum.reduce
 
 
 def h2h_distance(
@@ -45,17 +50,22 @@ def h2h_distance(
     QueryError
         If either vertex id is out of range.
     """
-    n = index.n
+    tree = index.tree
+    n = tree.n
     if not 0 <= s < n:
         raise QueryError(f"source {s} out of range [0, {n})")
     if not 0 <= t < n:
         raise QueryError(f"target {t} out of range [0, {n})")
     if s == t:
         return 0.0
-    ops = resolve_counter(counter)
-    a = index.tree.lca(s, t)
-    positions = index.tree.pos[a]
-    ops.add("pos_scan", len(positions))
+    positions = tree.pos[tree.lca(s, t)]
+    if counter is not None:
+        counter.add("pos_scan", len(positions))
     dis = index.dis
-    dis_s, dis_t = (dis, dis) if dis.ndim == 2 else dis
-    return float((dis_s[s].take(positions) + dis_t[t].take(positions)).min())
+    if dis.ndim == 2:
+        scan = dis[s].take(positions)
+        scan += dis[t].take(positions)
+    else:
+        scan = dis[0, s].take(positions)
+        scan += dis[1, t].take(positions)
+    return float(_min(scan))

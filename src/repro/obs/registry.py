@@ -14,13 +14,15 @@ Design constraints:
   a family takes it; the registry's own lock guards only registration.
   Metric updates happen per *batch* or per *query*, never per
   elementary operation, so the locks are off every O(||AFF||) inner loop.
-* **Cheap per query.**  A served read calls ``Counter.inc`` and
-  ``Histogram.observe`` once each, so those paths, and ``Gauge.set``,
-  allocate nothing the cyclic collector counts (its pauses land on
-  whichever call allocates) once warm: each family memoises its validated
-  label keys, a bucket is found with :func:`bisect.bisect_left`, and
-  the lock is taken without ``with``.  A gauge that mirrors existing
-  state reads it when scraped (:meth:`Gauge.set_function`).
+* **Cheap per query.**  A served read calls ``Histogram.observe`` once,
+  so that path, ``Counter.inc`` and ``Gauge.set`` allocate nothing the
+  cyclic collector counts (its pauses land on whichever call allocates)
+  once warm: each family memoises its validated label keys, a bucket is
+  found with :func:`bisect.bisect_left`, and the lock is taken without
+  ``with``.  A family that mirrors state the program already keeps
+  reads it when scraped (:meth:`Counter.derive`,
+  :meth:`Gauge.set_function`), so the code that changes that state
+  writes no metric.
 * **Labels.**  Each metric family keys its children by label values
   (e.g. ``repro_serve_queries_total{result="hit"}``).  Every label
   value is a series kept for the registry's lifetime, so labels take
@@ -142,13 +144,39 @@ class _Metric:
 
 
 class Counter(_Metric):
-    """A monotonically increasing sum (per label set)."""
+    """A monotonically increasing sum (per label set).
+
+    A child's value is what :meth:`inc` added to it, plus, for a family
+    with a derived part (:meth:`derive`), what that part reads for it
+    when the family is read.
+    """
 
     kind = "counter"
 
     def __init__(self, name, help, label_names, lock) -> None:
         super().__init__(name, help, label_names, lock)
         self._values: Dict[Tuple[str, ...], float] = {}
+        self._read: Optional[Callable[[], Dict[Tuple[str, ...], float]]] = None
+
+    def derive(self, read: Callable[[], Dict[Tuple[str, ...], float]]) -> None:
+        """Add ``read()`` to the family's values whenever it is read.
+
+        *read* returns ``{label values: amount}``, keyed as
+        :meth:`series` keys its children (``()`` for an unlabelled
+        family).  It mirrors counts the program keeps anyway, so the
+        code that changes them never writes the family.
+        """
+        self._read = read
+
+    def _current(self) -> Dict[Tuple[str, ...], float]:
+        """Every child's value right now: a copy of the added values
+        plus the derived part."""
+        with self._lock:
+            values = dict(self._values)
+        if self._read is not None:
+            for key, amount in self._read().items():
+                values[key] = values.get(key, 0.0) + amount
+        return values
 
     def inc(self, amount: float = 1.0, **labels: object) -> None:
         """Add *amount* (must be >= 0) to the child named by *labels*."""
@@ -166,17 +194,18 @@ class Counter(_Metric):
 
     def value(self, **labels: object) -> float:
         """The child's current value (0 if never incremented)."""
-        return self._values.get(self._key(labels), 0.0)
+        key = self._key(labels)
+        if self._read is None:
+            return self._values.get(key, 0.0)
+        return self._current().get(key, 0.0)
 
     def total(self) -> float:
         """Sum across all children."""
-        with self._lock:
-            return sum(self._values.values())
+        return sum(self._current().values())
 
     def series(self) -> List[Tuple[Tuple[str, ...], float]]:
         """``[(label_values, value), ...]`` — a consistent copy."""
-        with self._lock:
-            return sorted(self._values.items())
+        return sorted(self._current().items())
 
     def expose(self) -> List[str]:
         return [
@@ -201,34 +230,15 @@ class Gauge(Counter):
 
     kind = "gauge"
 
-    def __init__(self, name, help, label_names, lock) -> None:
-        super().__init__(name, help, label_names, lock)
-        self._read: Optional[Callable[[], float]] = None
-
     def set_function(self, read: Callable[[], float]) -> None:
-        """Take the gauge's value from ``read()`` whenever it is read."""
+        """Take the gauge's value from ``read()`` whenever it is read
+        (the gauge keeps no value of its own)."""
         if self.label_names:
             raise ValueError(f"gauge {self.name} has labels; only an "
                              "unlabelled gauge can read a function")
-        self._read = read
-
-    def _refresh(self) -> None:
-        if self._read is not None:
-            value = float(self._read())
-            with self._lock:
-                self._values[()] = value
-
-    def value(self, **labels: object) -> float:
-        self._refresh()
-        return super().value(**labels)
-
-    def total(self) -> float:
-        self._refresh()
-        return super().total()
-
-    def series(self) -> List[Tuple[Tuple[str, ...], float]]:
-        self._refresh()
-        return super().series()
+        with self._lock:
+            self._values.clear()
+        self.derive(lambda: {(): float(read())})
 
     def inc(self, amount: float = 1.0, **labels: object) -> None:
         key = self._key(labels)

@@ -16,12 +16,14 @@ Read path (hot, lock-free except one cache-dict lock):
     snapshot = epochs.current          # atomic reference read
     cache.get(snapshot.epoch, s, t)    # epoch-exact, no stale hits
     snapshot.oracle.distance(s, t)     # on miss; snapshot never mutates
+    latency.observe(elapsed)           # the read's one registry write
     (label oracles: the oracle call only, counted as a miss)
 
 Batch read path (query_many, one snapshot for the whole batch):
     oracles with distance_many (CH, H2H and their directed twins):
-    cache hits first (when there is a cache), then every miss in one
-    snapshot.oracle.distance_many call, its answers put back;
+    cache hits first (when there is a cache), then the misses: fewer
+    than SMALL_BATCH pair by pair, more in one
+    snapshot.oracle.distance_many call, their answers put back;
     the others (Dijkstra, ResilientOracle): distance_on per pair,
     chunked over the worker pool
 
@@ -51,6 +53,7 @@ import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from time import monotonic, perf_counter
 from typing import Deque, List, Optional, Sequence, Tuple
 
@@ -59,6 +62,9 @@ import numpy as np
 from repro.obs import names
 from repro.obs.context import current_context, use_context
 from repro.obs.registry import COUNT_BUCKETS, MetricsRegistry
+# ``_TRACE["sink"]`` is the one dict lookup a disabled span costs; a
+# per-call read makes it without the ``span()`` call around it.
+from repro.obs.trace import _STATE as _TRACE
 from repro.obs.trace import span
 from repro.perf.coalesce import coalesce_updates
 from repro.reliability.degrade import (
@@ -72,7 +78,14 @@ from repro.serve.aff import affected_vertices
 from repro.serve.cache import QueryCache
 from repro.serve.epoch import EpochManager, EpochSnapshot
 
-__all__ = ["DistanceServer", "ServeReport"]
+__all__ = ["DistanceServer", "ServeReport", "SMALL_BATCH"]
+
+#: A ``query_many`` batch whose misses number fewer than this is read
+#: pair by pair: below it, the fixed cost of one vectorised
+#: ``distance_many`` call exceeds the per-pair reads it replaces.
+#: Measured on NY and CAL for CH and H2H (docs/performance.md, "Small
+#: batches").
+SMALL_BATCH = 16
 
 #: Gauge encoding of the degradation ladder (docs/degraded-mode.md).
 _STATE_VALUES = {
@@ -111,6 +124,30 @@ class ServeReport:
     #: the same edge / zero net change) — docs/performance.md § Coalescing.
     superseded: int = 0
     dropped: int = 0
+
+
+def _batch_answers(oracle, ids: np.ndarray) -> List[float]:
+    """``sd(s, t)`` for each row ``(s, t)`` of *ids*: pair by pair below
+    :data:`SMALL_BATCH` rows, else one ``distance_many`` call."""
+    if len(ids) < SMALL_BATCH:
+        distance = oracle.distance
+        return [distance(s, t) for s, t in ids.tolist()]
+    return oracle.distance_many(ids[:, 0], ids[:, 1]).tolist()
+
+
+def _queries_served(cache, latency, failed) -> dict:
+    """The derived part of ``repro_serve_queries_total``.
+
+    With a *cache*, every answered read looked its pair up once, so the
+    counts are the cache's hits and misses less the lookups of reads
+    that failed (*failed*, ``[hits, misses]``).  Without one, every
+    per-call read observed its *latency* once, so its misses are the
+    latency count; batches add their pairs to the counter themselves.
+    """
+    if cache is None:
+        return {("miss",): latency.count()}
+    stats = cache.stats
+    return {("hit",): stats.hits - failed[0], ("miss",): stats.misses - failed[1]}
 
 
 class DistanceServer:
@@ -200,6 +237,13 @@ class DistanceServer:
         self._m_latency = m.histogram(
             names.SERVE_QUERY_LATENCY,
             "Per-query wall time in seconds (cache hits included).",
+        )
+        # A read writes only its latency; the query counter is derived
+        # from counts the cache or the histogram keep anyway.
+        self._failed_lookups = [0, 0]
+        self._failed_lock = threading.Lock()
+        self._m_queries.derive(
+            partial(_queries_served, self.cache, self._m_latency, self._failed_lookups)
         )
         self._m_publishes = m.counter(
             names.SERVE_PUBLISHES, "Epoch publishes completed."
@@ -359,30 +403,56 @@ class DistanceServer:
         Valid for retired snapshots too: the cache key includes the
         epoch, so answers from different versions never mix.  Without a
         cache (label oracles) the snapshot's oracle answers every read,
-        counted as a miss.
+        counted as a miss.  The read's one registry write is its latency
+        observation (``repro_serve_queries_total`` is derived, see
+        :func:`_queries_served`); with no trace sink attached, tracing
+        costs one check.
         """
+        if _TRACE["sink"] is not None:
+            return self._distance_traced(snapshot, s, t)
+        start = perf_counter()
+        cache = self.cache
+        if cache is None:
+            distance = snapshot.oracle.distance(s, t)
+        else:
+            distance = cache.get(snapshot.epoch, s, t)
+            if distance is None:
+                distance = self._read_through(snapshot, s, t)
+        self._m_latency.observe(perf_counter() - start)
+        return distance
+
+    def _distance_traced(self, snapshot: EpochSnapshot, s: int, t: int) -> float:
+        """:meth:`distance_on` under a ``serve.query`` span, whose trace
+        id becomes the latency observation's exemplar."""
         with span(names.SPAN_SERVE_QUERY) as sp:
-            trace_id = sp.trace_id if sp.active else None
             start = perf_counter()
             cache = self.cache
-            if cache is not None:
-                cached = cache.get(snapshot.epoch, s, t)
-                if cached is not None:
-                    self._record(
-                        hit=True, latency=perf_counter() - start, trace_id=trace_id
-                    )
-                    if sp.active:
-                        sp.set(epoch=snapshot.epoch, hit=True)
-                    return cached
-            distance = snapshot.oracle.distance(s, t)
-            if cache is not None:
-                cache.put(snapshot.epoch, s, t, distance)
-            self._record(
-                hit=False, latency=perf_counter() - start, trace_id=trace_id
+            hit = False
+            if cache is None:
+                distance = snapshot.oracle.distance(s, t)
+            else:
+                distance = cache.get(snapshot.epoch, s, t)
+                hit = distance is not None
+                if not hit:
+                    distance = self._read_through(snapshot, s, t)
+            self._m_latency.observe(
+                perf_counter() - start, sp.trace_id if sp.active else None
             )
             if sp.active:
-                sp.set(epoch=snapshot.epoch, hit=False)
+                sp.set(epoch=snapshot.epoch, hit=hit)
             return distance
+
+    def _read_through(self, snapshot: EpochSnapshot, s: int, t: int) -> float:
+        """A cache miss: the snapshot's oracle answers and the answer is
+        stored.  A miss whose read fails is taken back out of the query
+        count, which counts answered reads only."""
+        try:
+            distance = snapshot.oracle.distance(s, t)
+        except BaseException:
+            self._unanswered(0, 1)
+            raise
+        self.cache.put(snapshot.epoch, s, t, distance)
+        return distance
 
     def query_many(self, pairs: Sequence[Tuple[int, int]]) -> List[float]:
         """Answer a batch of pairs against ONE consistent snapshot.
@@ -390,18 +460,20 @@ class DistanceServer:
         The whole batch sees the same epoch even if a publish lands
         mid-batch.  An oracle with ``distance_many`` (CH, H2H and their
         directed twins) answers under one ``serve.query_many`` span: the
-        cache answers the pairs it holds (when the server has a cache),
-        every miss goes to one vectorised call and its answers are
-        stored back.  Otherwise each pair takes the :meth:`distance_on`
-        path: with more than one worker, the batch is chunked across the
-        thread pool; the caller's trace context is carried into the
-        workers so every per-pair ``serve.query`` span lands under the
-        caller's span tree.
+        cache answers the pairs it holds (when the server has a cache)
+        and the misses go to the oracle, their answers stored back.
+        Fewer than :data:`SMALL_BATCH` misses are read pair by pair,
+        more in one vectorised ``distance_many`` call; both give the
+        same answers, counts and cache puts.  A batch observes no
+        per-pair latency.  Otherwise each pair takes the
+        :meth:`distance_on` path: with more than one worker, the batch
+        is chunked across the thread pool; the caller's trace context is
+        carried into the workers so every per-pair ``serve.query`` span
+        lands under the caller's span tree.
         """
         snapshot = self._epochs.current
-        distance_many = getattr(snapshot.oracle, "distance_many", None)
-        if distance_many is not None:
-            return self._query_vectorised(snapshot, distance_many, pairs)
+        if hasattr(snapshot.oracle, "distance_many"):
+            return self._query_vectorised(snapshot, pairs)
         if self._closed or self._workers == 1 or len(pairs) < 2 * self._workers:
             return [self.distance_on(snapshot, s, t) for s, t in pairs]
         pool = self._ensure_pool()
@@ -416,18 +488,16 @@ class DistanceServer:
             answers.extend(future.result())
         return answers
 
-    def _query_vectorised(
-        self, snapshot: EpochSnapshot, distance_many, pairs
-    ) -> List[float]:
-        """:meth:`query_many` through the oracle's batch query: cache
-        hits first, then all misses in one *distance_many* call."""
+    def _query_vectorised(self, snapshot: EpochSnapshot, pairs) -> List[float]:
+        """:meth:`query_many` for an oracle with ``distance_many``: cache
+        hits first, then every miss through :func:`_batch_answers`."""
         with span(names.SPAN_SERVE_QUERY_MANY) as sp:
             if sp.active:
                 sp.set(epoch=snapshot.epoch, pairs=len(pairs))
             ids = np.asarray(pairs, dtype=np.int64).reshape(len(pairs), 2)
             cache = self.cache
             if cache is None:
-                answers = distance_many(ids[:, 0], ids[:, 1]).tolist()
+                answers = _batch_answers(snapshot.oracle, ids)
                 self._m_queries.inc(len(answers), result="miss")
                 return answers
             epoch = snapshot.epoch
@@ -435,12 +505,14 @@ class DistanceServer:
             missing = [i for i, d in enumerate(answers) if d is None]
             if missing:
                 miss = ids[missing]
-                found = distance_many(miss[:, 0], miss[:, 1]).tolist()
+                try:
+                    found = _batch_answers(snapshot.oracle, miss)
+                except BaseException:
+                    self._unanswered(len(answers) - len(missing), len(missing))
+                    raise
                 for i, (s, t), d in zip(missing, miss.tolist(), found):
                     answers[i] = d
                     cache.put(epoch, s, t, d)
-            self._m_queries.inc(len(answers) - len(missing), result="hit")
-            self._m_queries.inc(len(missing), result="miss")
             return answers
 
     def _query_chunk(self, snapshot: EpochSnapshot, part, ctx) -> List[float]:
@@ -787,11 +859,11 @@ class DistanceServer:
     # ------------------------------------------------------------------
     # Instrumentation / lifecycle
     # ------------------------------------------------------------------
-    def _record(
-        self, hit: bool, latency: float, trace_id: Optional[str] = None
-    ) -> None:
-        self._m_queries.inc(1, result="hit" if hit else "miss")
-        self._m_latency.observe(latency, trace_id)
+    def _unanswered(self, hits: int, misses: int) -> None:
+        """Take the cache lookups of failed reads out of the query count."""
+        with self._failed_lock:
+            self._failed_lookups[0] += hits
+            self._failed_lookups[1] += misses
 
     def stats(self) -> dict:
         """Everything ``repro cache-stats`` prints, as one dict.

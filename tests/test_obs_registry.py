@@ -74,6 +74,48 @@ class TestGauge:
             g.set_function(lambda: 1)
 
 
+class TestDerivedCounter:
+    """A family with a derived part reads it on every read, added to
+    what ``inc`` stored; its updates are never registry writes."""
+
+    def _served(self, registry):
+        kept = {"hits": 3, "misses": 5}
+        c = registry.counter("repro_q_total", "q", labels=("result",))
+        c.inc(0, result="hit")
+        c.inc(2, result="miss")
+        c.derive(lambda: {("hit",): kept["hits"], ("miss",): kept["misses"]})
+        return c, kept
+
+    def test_reads_add_the_derived_part(self, registry):
+        c, kept = self._served(registry)
+        assert (c.value(result="hit"), c.value(result="miss")) == (3, 7)
+        kept["hits"] += 10
+        assert c.value(result="hit") == 13
+        assert c.total() == 20
+        assert c.series() == [(("hit",), 13.0), (("miss",), 7.0)]
+        assert all(type(v) is float for _k, v in c.series())
+        assert 'repro_q_total{result="hit"} 13\n' in registry.expose_text()
+        with pytest.raises(ValueError):
+            c.value(shard="0")
+
+    def test_snapshot_and_restore_carry_the_derived_values(self, registry):
+        c, kept = self._served(registry)
+        restored = MetricsRegistry.restore(registry.snapshot())
+        assert restored.expose_text() == registry.expose_text()
+        kept["misses"] += 1  # the restored copy is a plain counter
+        assert restored.get("repro_q_total").value(result="miss") == 7
+        assert c.value(result="miss") == 8
+
+    def test_slo_engine_reads_it(self, registry):
+        from repro.obs.slo import SLOEngine, SLORule
+
+        self._served(registry)
+        rule = SLORule(name="misses", kind="gauge_max", metric="repro_q_total",
+                       labels=(("result", "miss"),), objective=5.0)
+        (status,) = SLOEngine(registry, [rule]).evaluate(now=0.0)
+        assert status.value == 7 and status.firing
+
+
 class TestHistogramBucketEdges:
     """Observations land in the first bucket whose edge is >= value."""
 

@@ -17,7 +17,7 @@ from repro.core.oracle import DijkstraOracle
 from repro.errors import GraphError, UpdateError
 from repro.graph.generators import grid_network, road_network
 from repro.obs import names
-from repro.obs.registry import Gauge, _Metric
+from repro.obs.registry import Counter, Gauge, Histogram, _Metric
 from repro.reliability import cow_apply
 from repro.serve import (
     DistanceServer,
@@ -422,18 +422,21 @@ def test_server_state_is_flat_across_publishes():
 
 
 def test_warm_read_resolves_no_labels_and_writes_no_gauge(small_grid, monkeypatch):
-    """After one hit and one miss, a read costs one counter add and one
-    histogram observe: no label validation and no gauge write, whether
-    the cache is filling or full.  ``repro_serve_cache_entries`` still
-    reads ``len(server.cache)`` throughout."""
+    """After one hit and one miss, a read makes one registry write, its
+    histogram observe: no counter add, no label validation and no gauge
+    write, whether the cache is filling or full.
+    ``repro_serve_queries_total`` (derived from the cache's counts) and
+    ``repro_serve_cache_entries`` (``len(server.cache)``) still read
+    right throughout."""
     server = DistanceServer(DynamicCH(small_grid), cache_capacity=8, workers=1)
     entries = server.metrics.get(names.SERVE_CACHE_ENTRIES)
     assert entries.value() == 0
     server.distance(0, 1)
     server.distance(0, 1)
 
-    calls = {"labels": 0, "set": 0}
+    calls = {"labels": 0, "set": 0, "inc": 0, "observe": 0}
     label_values, gauge_set = _Metric._label_values, Gauge.set
+    counter_inc, observe = Counter.inc, Histogram.observe
 
     def counting_label_values(self, labels):
         calls["labels"] += 1
@@ -443,15 +446,25 @@ def test_warm_read_resolves_no_labels_and_writes_no_gauge(small_grid, monkeypatc
         calls["set"] += 1
         return gauge_set(self, value, **labels)
 
+    def counting_inc(self, *args, **labels):
+        calls["inc"] += 1
+        return counter_inc(self, *args, **labels)
+
+    def counting_observe(self, *args, **labels):
+        calls["observe"] += 1
+        return observe(self, *args, **labels)
+
     monkeypatch.setattr(_Metric, "_label_values", counting_label_values)
     monkeypatch.setattr(Gauge, "set", counting_set)
+    monkeypatch.setattr(Counter, "inc", counting_inc)
+    monkeypatch.setattr(Histogram, "observe", counting_observe)
     pairs = [(s, t) for s in range(small_grid.n) for t in range(s + 2, small_grid.n)]
     for s, t in pairs[:40]:  # misses: the cache fills, then evicts as it fills
         server.distance(s, t)
         assert entries.value() == len(server.cache)
     for s, t in pairs[32:40]:  # hits
         server.distance(s, t)
-    assert calls == {"labels": 0, "set": 0}
+    assert calls == {"labels": 0, "set": 0, "inc": 0, "observe": 48}
     assert len(server.cache) == 8
     queries = server.metrics.get(names.SERVE_QUERIES)
     assert queries.value(result="miss") == 41 and queries.value(result="hit") == 9

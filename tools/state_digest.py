@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Seeded state digest of the four dynamic oracles.
+"""Seeded state digest of the four dynamic oracles and their servers.
 
 Run from the repository root with the package on the path::
 
@@ -18,11 +18,21 @@ one edge or arc), and prints, per batch:
 * digests of 200 per-call ``distance`` answers and of the same pairs
   through ``distance_many``.
 
+Then it serves each of the four from a ``DistanceServer`` and, over 3
+seeded 2-update publishes, prints per publish:
+
+* digests of per-call ``distance`` answers (each pair read twice, so a
+  cached server also hits) and of ``query_many`` answers for batches of
+  1, 4, 15, 16, 17 and 500 pairs, half of them pairs already read;
+* the registry series that do not depend on timing: queries by result,
+  the latency observation count, publishes and the cache entries
+  carried and evicted.
+
 Witnesses (``via``) are left out: a witness depends on the order of
-updates, not only on the weights.  The script uses the facades' public
-faces only, so it runs unchanged against an older ``src`` tree; two
-trees that maintain the same state print the same text.  It takes no
-options.
+updates, not only on the weights.  The script uses the facades' and
+the server's public faces only, so it runs unchanged against an older
+``src`` tree; two trees that maintain and serve the same state print
+the same text.  It takes no options.
 """
 
 from __future__ import annotations
@@ -34,8 +44,17 @@ import random
 from repro.core.dynamic import DynamicCH, DynamicH2H
 from repro.directed import DiRoadNetwork, DynamicDiCH, DynamicDiH2H
 from repro.graph.generators import road_network
+from repro.obs import names
+from repro.serve import DistanceServer
 
 N, SEED, BATCHES, BATCH_SIZE, PAIRS = 600, 7, 10, 24, 200
+PUBLISHES, READS, BATCH_PAIRS = 3, 60, (1, 4, 15, 16, 17, 500)
+SERIES = (
+    names.SERVE_QUERIES,
+    names.SERVE_PUBLISHES,
+    names.SERVE_CACHE_CARRIED,
+    names.SERVE_CACHE_EVICTED,
+)
 
 
 def digest(data) -> str:
@@ -122,15 +141,40 @@ def run(name, oracle, rng) -> None:
               f"batch {digest(batch_answers.tobytes())}")
 
 
+def serve(name, oracle, rng) -> None:
+    server = DistanceServer(oracle, workers=1)
+    graph = oracle.graph
+    n = graph.n
+    print(f"== DistanceServer({name})")
+    for k, batch in zip(range(PUBLISHES), batches(graph, rng)):
+        report = server.apply(batch[:2])
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(READS)]
+        per_call = [server.distance(s, t) for s, t in pairs + pairs]
+        answers = []
+        for size in BATCH_PAIRS:
+            drawn = [(rng.randrange(n), rng.randrange(n)) for _ in range(size - size // 2)]
+            answers.append(server.query_many(rng.sample(pairs * 9, size // 2) + drawn))
+        print(f"publish {k}: epoch {report.epoch} answers {digest(per_call)} "
+              f"batches {digest(answers)}")
+        metrics = server.metrics
+        series = {family: metrics.get(family).series() for family in SERIES}
+        latency = metrics.get(names.SERVE_QUERY_LATENCY).count()
+        print(f"  latency count {latency} series {sorted(series.items())}")
+    server.close()
+
+
 def main() -> None:
     base = road_network(N, seed=SEED)
-    for name, make in (
+    oracles = (
         ("DynamicCH", lambda: DynamicCH(base.copy())),
         ("DynamicH2H", lambda: DynamicH2H(base.copy())),
         ("DynamicDiCH", lambda: DynamicDiCH(one_way(base))),
         ("DynamicDiH2H", lambda: DynamicDiH2H(one_way(base))),
-    ):
+    )
+    for name, make in oracles:
         run(name, make(), random.Random(SEED))
+    for name, make in oracles:
+        serve(name, make(), random.Random(SEED))
 
 
 if __name__ == "__main__":

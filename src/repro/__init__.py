@@ -58,7 +58,7 @@ from repro.directed import DiRoadNetwork, directed_ch_indexing
 from repro.h2h import h2h_distance, h2h_indexing
 from repro.knn import POIIndex
 from repro.order import Ordering, minimum_degree_ordering
-from repro.persist import load_ch, load_h2h, save_ch, save_h2h
+from repro.persist import load_index, load_oracle, save_index
 from repro.reliability import (
     FaultInjector,
     InjectedFault,
@@ -104,14 +104,13 @@ __all__ = [
     "grid_network",
     "h2h_distance",
     "h2h_indexing",
-    "load_ch",
-    "load_h2h",
+    "load_index",
+    "load_oracle",
     "minimum_degree_ordering",
     "random_connected_network",
     "read_dimacs",
     "road_network",
-    "save_ch",
-    "save_h2h",
+    "save_index",
     "shortest_path",
     "verify_index",
     "write_dimacs",

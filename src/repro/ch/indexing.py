@@ -40,7 +40,7 @@ __all__ = [
     "ch_indexing",
     "edge_columns",
     "eliminated_structure",
-    "held_slots",
+    "held_arcs",
     "weigh_structure",
 ]
 
@@ -129,9 +129,7 @@ def _weigh(
     ``FROM(v, w)`` the term ``FROM(u, w) + TO(u, v)``."""
     rank = ordering.rank
     slots = len(st.low)
-    rank_arr = np.asarray(rank, dtype=np.int64)
-    ids = held_slots(st, rank, tail, head)
-    ids += (rows - 1) * slots * (rank_arr[tail] > rank_arr[head])
+    ids = held_arcs(st, rank, rows, tail, head)
     edge = np.zeros((rows, slots), dtype=bool)
     edge.reshape(-1)[ids] = True
     edge_w = np.full((rows, slots), np.inf)
@@ -153,18 +151,26 @@ def _weigh(
     return ShortcutGraph.from_slots(ordering, st, edge, weights, edge_w, sup, via)
 
 
-def held_slots(
-    st: ShortcutStructure, rank: Sequence[int], u: np.ndarray, v: np.ndarray
+def held_arcs(
+    st: ShortcutStructure,
+    rank: Sequence[int],
+    rows: int,
+    tail: np.ndarray,
+    head: np.ndarray,
 ) -> np.ndarray:
-    """The slots of the pairs ``{u[i], v[i]}`` in *st*; raises
-    :class:`IndexError_` if *st* lacks one, instead of naming some other
-    slot (:meth:`ShortcutStructure.slots_of` assumes every pair exists)."""
-    slots = st.slots_of(rank, u, v)
+    """The arc ids of the pairs ``(tail[i], head[i])`` in a ``(rows,
+    slots)`` store over *st*: the slot of ``{tail, head}``, in row
+    ``FROM`` when *rows* is 2 and *tail* is the higher end.  Raises
+    :class:`IndexError_` if *st* lacks a pair, instead of naming some
+    other slot (:meth:`ShortcutStructure.slots_of` assumes every pair
+    exists)."""
+    slots = st.slots_of(rank, tail, head)
     at = np.minimum(slots, len(st.low) - 1)
     low, high = st.low[at], st.high[at]
-    if not (((low == u) & (high == v)) | ((low == v) & (high == u))).all():
+    if not (((low == tail) & (high == head)) | ((low == head) & (high == tail))).all():
         raise IndexError_("every edge of G must be a shortcut")
-    return slots
+    rank_arr = np.asarray(rank, dtype=np.int64)
+    return slots + (rows - 1) * len(st.low) * (rank_arr[tail] > rank_arr[head])
 
 
 def eliminated_structure(

@@ -510,6 +510,12 @@ class ShortcutGraph:
             self._via.copy(),
         )
 
+    def slot_arrays(self) -> Tuple[np.ndarray, ...]:
+        """The live ``(D, slots)`` edge flags, ``phi``, ``phi(e, G)``,
+        ``sup`` and ``via``, in :meth:`from_slots`' order, for reading
+        only."""
+        return self._edge, self._w, self._ew, self._sup, self._via
+
     @property
     def structure(self) -> ShortcutStructure:
         """The weight-independent structure (shared with clones)."""
@@ -589,17 +595,20 @@ class ShortcutGraph:
         """Canonical dictionary key of the shortcut between *u* and *v*."""
         return (u, v) if u < v else (v, u)
 
-    def _keys(self, ids: np.ndarray) -> List[Shortcut]:
-        """The key of every arc id in *ids*: the canonical pair at
-        ``D = 1``, ``(tail, head)`` at ``D = 2``."""
+    def arc_ends(self, ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The key of every arc id in *ids* as two int64 columns: the
+        canonical pair at ``D = 1``, ``(tail, head)`` at ``D = 2``."""
         st = self._st
         s = ids - self._back * (ids >= len(st.low))
-        low, high = st.low[s], st.high[s]
+        low, high = st.low[s].astype(np.int64), st.high[s].astype(np.int64)
         if self._back:
             back = s != ids
-            tail, head = np.where(back, high, low), np.where(back, low, high)
-        else:
-            tail, head = np.minimum(low, high), np.maximum(low, high)
+            return np.where(back, high, low), np.where(back, low, high)
+        return np.minimum(low, high), np.maximum(low, high)
+
+    def _keys(self, ids: np.ndarray) -> List[Shortcut]:
+        """:meth:`arc_ends` as a list of pairs."""
+        tail, head = self.arc_ends(ids)
         return list(zip(tail.tolist(), head.tolist()))
 
     @property
@@ -730,33 +739,13 @@ class ShortcutGraph:
 
     def edge_weights(self) -> Dict[Shortcut, float]:
         """A copy of the stored ``phi(e, G)`` map, keyed as
-        :meth:`shortcuts` keys.
-
-        This is the public read face of the index's edge-weight store;
-        persistence and recovery rebuild the road network from it.
-        """
+        :meth:`shortcuts` keys (``inf`` for a closed or deleted road)."""
         edges = np.flatnonzero(self._edge)
         return dict(zip(self._keys(edges), self._ew.reshape(-1)[edges].tolist()))
 
     def num_graph_edges(self) -> int:
         """Number of original graph edges tracked by the index."""
         return int(np.count_nonzero(self._edge))
-
-    def shortcut_records(
-        self,
-    ) -> Iterator[Tuple[int, int, float, int, Optional[int]]]:
-        """All shortcuts as ``(u, v, weight, sup, via)`` records.
-
-        Keyed as :meth:`shortcuts` keys, by arc id; the public iteration
-        face used by :mod:`repro.persist` and the integrity verifier.
-        """
-        for (u, v), w, sup, via in zip(
-            self.shortcuts(),
-            self._wv.tolist(),
-            self._supv.tolist(),
-            self._viav.tolist(),
-        ):
-            yield u, v, w, sup, (None if via < 0 else via)
 
     # ------------------------------------------------------------------
     # Support / witness

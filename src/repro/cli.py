@@ -35,15 +35,12 @@ import sys
 from collections import deque
 from typing import Optional, Sequence, Tuple
 
-from repro.ch.dch import dch_decrease, dch_increase
 from repro.ch.indexing import ch_indexing
-from repro.ch.query import ch_distance
-from repro.errors import IntegrityError, ReproError
+from repro.errors import ReproError
 from repro.graph.generators import road_network
 from repro.graph.io import read_dimacs, read_edge_list, write_dimacs
-from repro.h2h.inch2h import inch2h_decrease, inch2h_increase
+from repro.h2h.index import H2HIndex
 from repro.h2h.indexing import h2h_indexing
-from repro.h2h.query import h2h_distance
 from repro.obs.bench import (
     compare_bench,
     load_bench,
@@ -61,7 +58,7 @@ from repro.obs.sentinel import (
 )
 from repro.obs.slo import SLOEngine, default_rules, load_rules
 from repro.obs.trace import JsonlSink, TraceSchemaError, set_sink, validate_record
-from repro.persist import load_ch, load_h2h, save_ch, save_h2h
+from repro.persist import load_oracle, save_index
 from repro.reliability import ReliableStore, verify_index
 from repro.serve.bench import BenchConfig, overload_bench, serve_bench
 from repro.utils.timer import Timer
@@ -73,21 +70,6 @@ def _read_network(path: str):
     if path.endswith(".gr"):
         return read_dimacs(path)
     return read_edge_list(path)
-
-
-def _load_index(path: str):
-    """Load either index type; returns ("ch"|"h2h", index).
-
-    Damage (truncation, corruption, checksum mismatch, columns that
-    disagree) raises straight away — only a readable archive of the
-    other kind triggers the H2H -> CH fallback.
-    """
-    try:
-        return "h2h", load_h2h(path)
-    except IntegrityError:
-        raise
-    except ReproError:
-        return "ch", load_ch(path)
 
 
 def _cmd_generate(args) -> int:
@@ -103,14 +85,13 @@ def _cmd_build(args) -> int:
     with Timer() as timer:
         if args.oracle == "ch":
             index = ch_indexing(graph)
-            save_ch(index, args.out)
             size = index.num_shortcuts
             unit = "shortcuts"
         else:
             index = h2h_indexing(graph)
-            save_h2h(index, args.out)
             size = index.num_super_shortcuts()
             unit = "super-shortcuts"
+        save_index(index, args.out)
     print(f"built {args.oracle.upper()} index ({size} {unit}) "
           f"in {timer.elapsed:.2f}s -> {args.out}")
     return 0
@@ -124,8 +105,7 @@ def _parse_pair(text: str) -> tuple:
 
 
 def _cmd_query(args) -> int:
-    kind, index = _load_index(args.index)
-    distance = h2h_distance if kind == "h2h" else ch_distance
+    oracle = load_oracle(args.index)
     pairs = [_parse_pair(p) for p in args.pairs]
     if args.pairs_file:
         with open(args.pairs_file) as handle:
@@ -134,11 +114,12 @@ def _cmd_query(args) -> int:
         print("no query pairs given", file=sys.stderr)
         return 2
     with Timer() as timer:
-        answers = [(s, t, distance(index, s, t)) for s, t in pairs]
+        answers = [(s, t, oracle.distance(s, t)) for s, t in pairs]
     for s, t, d in answers:
         print(f"{s} {t} {d}")
     print(
-        f"[{kind}] {len(pairs)} queries in {timer.elapsed * 1e3:.2f}ms",
+        f"[{type(oracle).__name__}] {len(pairs)} queries in "
+        f"{timer.elapsed * 1e3:.2f}ms",
         file=sys.stderr,
     )
     return 0
@@ -152,7 +133,7 @@ def _parse_update(text: str) -> tuple:
 
 
 def _cmd_update(args) -> int:
-    kind, index = _load_index(args.index)
+    oracle = load_oracle(args.index)
     updates = [_parse_update(u) for u in args.set]
     if args.updates_file:
         with open(args.updates_file) as handle:
@@ -161,30 +142,13 @@ def _cmd_update(args) -> int:
     if not updates:
         print("no updates given", file=sys.stderr)
         return 2
-    sc = index.sc if kind == "h2h" else index
-    increases = [((u, v), w) for (u, v), w in updates
-                 if w > sc.edge_weight(u, v)]
-    decreases = [((u, v), w) for (u, v), w in updates
-                 if w < sc.edge_weight(u, v)]
     with Timer() as timer:
-        changed = 0
-        if kind == "h2h":
-            if increases:
-                changed += len(inch2h_increase(index, increases))
-            if decreases:
-                changed += len(inch2h_decrease(index, decreases))
-        else:
-            if increases:
-                changed += len(dch_increase(index, increases))
-            if decreases:
-                changed += len(dch_decrease(index, decreases))
+        report = oracle.apply(updates)
+    changed = len(report.changed_shortcuts) + len(report.changed_super_shortcuts)
     out = args.out or args.index
-    if kind == "h2h":
-        save_h2h(index, out)
-    else:
-        save_ch(index, out)
-    print(f"applied {len(increases)} increases / {len(decreases)} decreases "
-          f"({changed} index entries changed) in {timer.elapsed * 1e3:.2f}ms "
+    save_index(oracle.index, out)
+    print(f"applied {report.increases} increases / {report.decreases} "
+          f"decreases ({changed} index entries changed) in {timer.elapsed * 1e3:.2f}ms "
           f"-> {out}")
     return 0
 
@@ -195,14 +159,15 @@ def _cmd_stats(args) -> int:
         print(f"network: {graph.n} vertices, {graph.m} edges, "
               f"{'connected' if graph.is_connected() else 'DISCONNECTED'}")
     if args.index:
-        kind, index = _load_index(args.index)
-        if kind == "h2h":
-            print(f"h2h index: {index.num_super_shortcuts()} super-shortcuts, "
-                  f"height {index.height}, "
-                  f"~{index.size_in_bytes() / 2**20:.1f} MiB")
+        oracle = load_oracle(args.index)
+        index = oracle.index
+        if isinstance(index, H2HIndex):
+            size = (f"{index.num_super_shortcuts()} super-shortcuts, "
+                    f"height {index.height}")
         else:
-            print(f"ch index: {index.num_shortcuts} shortcuts, "
-                  f"~{index.size_in_bytes() / 2**20:.1f} MiB")
+            size = f"{index.num_shortcuts} shortcuts"
+        print(f"{type(oracle).__name__} index: {size}, "
+              f"~{index.size_in_bytes() / 2**20:.1f} MiB")
     if not args.network and not args.index:
         print("give --network and/or --index", file=sys.stderr)
         return 2
@@ -210,21 +175,21 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    kind, index = _load_index(args.index)
+    oracle = load_oracle(args.index)
     graph = _read_network(args.network) if args.network else None
     if args.bounded:
-        return _verify_bounded(args, kind, index, graph)
+        return _verify_bounded(args, oracle, graph)
     with Timer() as timer:
-        checked = verify_index(index, graph,
+        checked = verify_index(oracle.index, graph,
                                sample=args.sample, seed=args.seed)
     scope = "sampled" if args.sample is not None else "exhaustive"
     against = " against network" if graph is not None else ""
-    print(f"[{kind}] integrity OK{against}: {checked} entries checked "
-          f"({scope}) in {timer.elapsed * 1e3:.2f}ms")
+    print(f"[{type(oracle).__name__}] integrity OK{against}: {checked} "
+          f"entries checked ({scope}) in {timer.elapsed * 1e3:.2f}ms")
     return 0
 
 
-def _verify_bounded(args, kind, index, graph) -> int:
+def _verify_bounded(args, oracle, graph) -> int:
     """``repro verify --bounded``: accept an index that lags the network
     by at most the ε bound (docs/degraded-mode.md).
 
@@ -248,31 +213,29 @@ def _verify_bounded(args, kind, index, graph) -> int:
         return 2
     epsilon = args.epsilon
     with Timer() as timer:
-        checked = verify_index(index, None, sample=args.sample,
+        checked = verify_index(oracle.index, None, sample=args.sample,
                                seed=args.seed)
-        sc = index.sc if kind == "h2h" else index
         worst_edge = 0.0
         for u, v, w in graph.edges():
-            iw = sc.edge_weight(u, v)
+            iw = oracle.graph.weight(u, v)
             if iw <= 0 or w <= 0:
                 if iw != w:
                     worst_edge = math.inf
                 continue
             worst_edge = max(worst_edge, max(iw / w, w / iw) - 1.0)
-    print(f"[{kind}] bounded integrity: {checked} entries internally "
-          f"consistent; worst edge stretch {worst_edge:.4f} vs "
+    print(f"[{type(oracle).__name__}] bounded integrity: {checked} entries "
+          f"internally consistent; worst edge stretch {worst_edge:.4f} vs "
           f"ε bound {epsilon:.4f} ({timer.elapsed * 1e3:.2f}ms)")
     ok = worst_edge <= epsilon + 1e-9
     if args.stretch_queries > 0:
         rng = _random.Random(args.seed)
-        distance = h2h_distance if kind == "h2h" else ch_distance
         truth = DijkstraOracle(graph)
         worst_query = 0.0
         violations = 0
         for _ in range(args.stretch_queries):
             s = rng.randrange(graph.n)
             t = rng.randrange(graph.n)
-            served = distance(index, s, t)
+            served = oracle.distance(s, t)
             exact = truth.distance(s, t)
             if not check_stretch(served, exact, epsilon):
                 violations += 1
@@ -296,15 +259,12 @@ def _cmd_recover(args) -> int:
     with Timer() as timer:
         result = store.recover()
     oracle = result.oracle
-    print(f"recovered {result.kind} oracle "
+    print(f"recovered {type(oracle).__name__} oracle "
           f"({oracle.graph.n} vertices, {oracle.graph.m} edges) from "
           f"{args.store}: snapshot + {result.replayed_batches} journaled "
           f"batch(es) replayed in {timer.elapsed * 1e3:.2f}ms")
     if args.out:
-        if result.kind == "h2h":
-            save_h2h(oracle.index, args.out)
-        else:
-            save_ch(oracle.index, args.out)
+        save_index(oracle.index, args.out)
         print(f"wrote recovered index -> {args.out}")
     if args.checkpoint:
         store.checkpoint(oracle)

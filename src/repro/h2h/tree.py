@@ -268,10 +268,6 @@ class TreeDecomposition:
         """True if *a* is an ancestor of *v* (inclusive), via DFS times."""
         return self.disc[a] <= self.disc[v] and self.fin[v] <= self.fin[a]
 
-    def ancestor_at_depth(self, u: int, d: int) -> int:
-        """The ancestor of *u* at depth *d* (``anc(u)[d]``)."""
-        return int(self.anc[u][d])
-
     # ------------------------------------------------------------------
     # The paper's first(<<u, a>>) and nbr-(a) ∩ des(u)
     # ------------------------------------------------------------------

@@ -42,11 +42,7 @@ from repro.reliability.faults import (
     InjectedFault,
 )
 from repro.reliability.resilient import ResilientOracle
-from repro.reliability.store import (
-    RecoveryResult,
-    ReliableStore,
-    graph_from_index,
-)
+from repro.reliability.store import RecoveryResult, ReliableStore
 from repro.reliability.transactions import cow_apply, validate_batch
 from repro.reliability.verify import verify_ch, verify_h2h, verify_index
 from repro.reliability.wal import WalRecord, WriteAheadLog
@@ -67,7 +63,6 @@ __all__ = [
     "WriteAheadLog",
     "check_stretch",
     "cow_apply",
-    "graph_from_index",
     "validate_batch",
     "verify_ch",
     "verify_h2h",

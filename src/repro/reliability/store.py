@@ -5,7 +5,6 @@ A :class:`ReliableStore` owns one directory::
     store/
       snapshot.npz   last checkpointed index (atomic write, checksummed)
       wal.jsonl      update batches accepted since that checkpoint
-      meta.json      {"kind": "ch" | "h2h"}
 
 The serving protocol is
 
@@ -13,8 +12,12 @@ The serving protocol is
 2. ``log(batch)`` **before** applying each accepted batch in memory;
 3. after a crash, ``recover()`` — load the snapshot (integrity checked),
    rebuild the oracle around it without re-indexing, and replay the
-   journal through the real maintenance algorithms (DCH / IncH2H).
+   journal through the real maintenance algorithms (DCH± / IncH2H±).
 
+Any of the four facades — CH or H2H, undirected or directed — can be
+checkpointed: the snapshot is one :func:`repro.persist.save_index`
+archive, which records the index kind and direction count itself, and
+:func:`repro.persist.load_oracle` restores the matching facade.
 Because maintenance is deterministic, replay reproduces the pre-crash
 index entry for entry — the same guarantee the persistence round-trip
 tests establish for snapshots alone, extended across crashes.
@@ -22,36 +25,18 @@ tests establish for snapshots alone, extended across crashes.
 
 from __future__ import annotations
 
-import json
-import math
 import os
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from repro.core.dynamic import DynamicCH, DynamicH2H
 from repro.errors import IntegrityError, RecoveryError, ReproError
-from repro.graph.graph import RoadNetwork, WeightUpdate
-from repro.h2h.index import H2HIndex
-from repro.persist import load_ch, load_h2h, save_ch, save_h2h
+from repro.graph.graph import WeightUpdate
+from repro.persist import load_oracle, save_index
 from repro.reliability.wal import WriteAheadLog
 
-__all__ = ["RecoveryResult", "ReliableStore", "graph_from_index"]
+__all__ = ["RecoveryResult", "ReliableStore"]
 
 PathLike = Union[str, "os.PathLike[str]"]
-
-
-def graph_from_index(sc) -> RoadNetwork:
-    """Reconstruct the road network from an index's edge-weight copy.
-
-    The index tracks ``phi(e, G)`` for every original edge (``inf``
-    marking a deleted road), which pins the graph down exactly — so a
-    recovered oracle needs no separate graph file.
-    """
-    return RoadNetwork.from_edges(
-        sc.n,
-        ((u, v, w) for (u, v), w in sorted(sc.edge_weights().items())
-         if not math.isinf(w)),
-    )
 
 
 @dataclass
@@ -59,7 +44,6 @@ class RecoveryResult:
     """What :meth:`ReliableStore.recover` reconstructed (DESIGN.md §4a)."""
 
     oracle: object
-    kind: str
     replayed_batches: int
 
 
@@ -84,7 +68,6 @@ class ReliableStore:
 
     SNAPSHOT = "snapshot.npz"
     WAL = "wal.jsonl"
-    META = "meta.json"
 
     def __init__(self, root: PathLike) -> None:
         self.root = os.fspath(root)
@@ -99,10 +82,6 @@ class ReliableStore:
     def wal_path(self) -> str:
         return os.path.join(self.root, self.WAL)
 
-    @property
-    def meta_path(self) -> str:
-        return os.path.join(self.root, self.META)
-
     # ------------------------------------------------------------------
     # Writing
     # ------------------------------------------------------------------
@@ -114,40 +93,16 @@ class ReliableStore:
         the two merely replays batches the snapshot already contains —
         replaying an already-applied weight assignment is idempotent.
         """
-        index = oracle.index
-        if isinstance(index, H2HIndex):
-            kind = "h2h"
-            save_h2h(index, self.snapshot_path)
-        else:
-            kind = "ch"
-            save_ch(index, self.snapshot_path)
-        self._write_meta(kind)
+        save_index(oracle.index, self.snapshot_path)
         self.wal.reset()
 
     def log(self, updates: Sequence[WeightUpdate]) -> int:
         """Journal one accepted batch; returns its sequence number."""
         return self.wal.append(updates)
 
-    def _write_meta(self, kind: str) -> None:
-        tmp = self.meta_path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump({"kind": kind, "format": 1}, handle)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, self.meta_path)
-
     # ------------------------------------------------------------------
     # Recovery
     # ------------------------------------------------------------------
-    def _read_kind(self) -> str:
-        try:
-            with open(self.meta_path, "r", encoding="utf-8") as handle:
-                return json.load(handle)["kind"]
-        except FileNotFoundError:
-            return "unknown"
-        except (json.JSONDecodeError, KeyError, TypeError):
-            return "unknown"
-
     def recover(self) -> RecoveryResult:
         """Reconstruct the oracle from the last snapshot plus the journal.
 
@@ -157,30 +112,13 @@ class ReliableStore:
             If the snapshot is missing/corrupt, the journal is corrupt
             beyond a torn tail, or a journaled batch fails to replay.
         """
-        kind = self._read_kind()
         try:
-            if kind == "h2h":
-                index = load_h2h(self.snapshot_path)
-            elif kind == "ch":
-                index = load_ch(self.snapshot_path)
-            else:
-                try:
-                    index = load_h2h(self.snapshot_path)
-                    kind = "h2h"
-                except ReproError:
-                    index = load_ch(self.snapshot_path)
-                    kind = "ch"
+            oracle = load_oracle(self.snapshot_path)
         except IntegrityError as exc:
             raise RecoveryError(
                 f"cannot recover from {self.root}: snapshot unusable "
                 f"({exc})"
             ) from exc
-        sc = index.sc if kind == "h2h" else index
-        graph = graph_from_index(sc)
-        if kind == "h2h":
-            oracle = DynamicH2H.from_index(graph, index)
-        else:
-            oracle = DynamicCH.from_index(graph, index)
         records = self.wal.replay()
         for record in records:
             try:
@@ -190,9 +128,7 @@ class ReliableStore:
                     f"cannot recover from {self.root}: replay of batch "
                     f"{record.seq} failed ({exc})"
                 ) from exc
-        return RecoveryResult(
-            oracle=oracle, kind=kind, replayed_batches=len(records)
-        )
+        return RecoveryResult(oracle=oracle, replayed_batches=len(records))
 
     def __repr__(self) -> str:
         return f"ReliableStore({self.root!r})"

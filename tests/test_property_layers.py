@@ -10,7 +10,7 @@ from repro.ch.indexing import ch_indexing
 from repro.core.oracle import DijkstraOracle
 from repro.h2h.indexing import h2h_indexing
 from repro.knn.poi import POIIndex
-from repro.persist import load_ch, load_h2h, save_ch, save_h2h
+from repro.persist import load_index, save_index
 
 from test_property_oracles import connected_graphs
 
@@ -31,8 +31,8 @@ class TestPersistenceProperties:
         index = ch_indexing(graph)
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "ch.npz")
-            save_ch(index, path)
-            loaded = load_ch(path)
+            save_index(index, path)
+            loaded = load_index(path)
         assert loaded.weight_snapshot() == index.weight_snapshot()
         assert loaded.support_snapshot() == index.support_snapshot()
         loaded.validate()
@@ -46,8 +46,8 @@ class TestPersistenceProperties:
         index = h2h_indexing(graph)
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "h2h.npz")
-            save_h2h(index, path)
-            loaded = load_h2h(path)
+            save_index(index, path)
+            loaded = load_index(path)
         assert np.array_equal(loaded.dis, index.dis)
         assert np.array_equal(loaded.sup, index.sup)
         assert loaded.tree.parent == index.tree.parent

@@ -9,7 +9,7 @@ from repro.cli import main
 from repro.core.dynamic import DynamicCH, DynamicH2H
 from repro.graph.generators import grid_network
 from repro.graph.io import write_dimacs
-from repro.persist import load_ch, save_ch, save_h2h
+from repro.persist import load_index, save_index
 from repro.reliability import FaultInjector, ReliableStore
 
 from conftest import rewrite_archive
@@ -21,7 +21,7 @@ def town(tmp_path):
     network_path = tmp_path / "town.gr"
     write_dimacs(graph, network_path)
     index_path = tmp_path / "town.ch.npz"
-    save_ch(DynamicCH(graph).index, index_path)
+    save_index(DynamicCH(graph).index, index_path)
     return graph, network_path, index_path
 
 
@@ -56,7 +56,7 @@ class TestVerifyCommand:
         """Checksum intact, but ``sup_matrix`` is shaped unlike ``dis``:
         a typed ``error:`` line and exit 1, no traceback."""
         index_path = tmp_path / "town.h2h.npz"
-        save_h2h(DynamicH2H(grid_network(4, 4, seed=2)).index, index_path)
+        save_index(DynamicH2H(grid_network(4, 4, seed=2)).index, index_path)
         with np.load(index_path) as data:
             sup = np.array(data["sup_matrix"][:, :1])
         rewrite_archive(index_path, sup_matrix=sup)
@@ -81,7 +81,7 @@ class TestRecoverCommand:
                      "--out", str(out_path)]) == 0
         output = capsys.readouterr().out
         assert "1 journaled batch(es)" in output
-        recovered = load_ch(out_path)
+        recovered = load_index(out_path)
         assert recovered.weight_snapshot() == oracle.index.weight_snapshot()
 
     def test_recover_with_checkpoint_clears_journal(self, tmp_path, capsys):

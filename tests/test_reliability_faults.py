@@ -14,7 +14,7 @@ import pytest
 from repro.core.dynamic import DynamicCH, DynamicH2H
 from repro.core.oracle import DijkstraOracle, DistanceOracle
 from repro.errors import RecoveryError
-from repro.persist import load_ch, save_ch
+from repro.persist import load_index, save_index
 from repro.reliability import (
     FaultInjector,
     InjectedFault,
@@ -130,12 +130,12 @@ class TestSnapshotDamage:
     def test_corrupted_archive_detected_on_load(self, small_grid, tmp_path):
         injector = FaultInjector(seed=12)
         path = tmp_path / "ch.npz"
-        save_ch(DynamicCH(small_grid).index, path)
+        save_index(DynamicCH(small_grid).index, path)
         injector.corrupt_file(path, nbytes=64)
         from repro.errors import ReproError
 
         with pytest.raises(ReproError):
-            load_ch(path)
+            load_index(path)
 
     def test_corrupted_snapshot_raises_recovery_error(
         self, small_grid, tmp_path
